@@ -6,8 +6,8 @@ witness (basis index or offending column) on failure.
 """
 
 from .exactlin import (
-    LinMap, Space, QuotientPresentation, tensor_space, permute_factors,
-    kernel, quotient_by,
+    LinMap, Pipe, Space, QuotientPresentation, tensor_space, permute_factors,
+    fix_factor, kernel, kron_vec, pack_slices, quotient_by,
 )
 
 
@@ -68,22 +68,6 @@ def swap_map(a, b, field):
     return permute_factors([a.dim, b.dim], [1, 0], field)
 
 
-def curry_left(m, xvec, xdim):
-    """Slice a map X (x) Y -> Z at a fixed vector in X."""
-    ydim = m.dom.dim // xdim
-    assert len(xvec) == xdim and xdim * ydim == m.dom.dim
-    f = m.field
-    out = {}
-    for (i, j), v in m.entries.items():
-        xi, yj = divmod(j, ydim)
-        if xvec[xi]:
-            key = (i, yj)
-            cur = out.get(key)
-            term = f.mul(v, xvec[xi])
-            out[key] = term if cur is None else f.add(cur, term)
-    return LinMap(Space(ydim), m.cod, f, out)
-
-
 class AlgebraData:
     """A unital associative algebra given by its multiplication tensor."""
 
@@ -102,21 +86,11 @@ class AlgebraData:
 
     def left_mult(self, vec):
         """The operator v |-> (vec * v)."""
-        return curry_left(self.mul, vec, self.space.dim)
+        return fix_factor(self.mul, vec)
 
     def right_mult(self, vec):
         """The operator v |-> (v * vec)."""
-        f = self.field
-        d = self.space.dim
-        out = {}
-        for (i, j), v in self.mul.entries.items():
-            lj, rj = divmod(j, d)
-            if vec[rj]:
-                key = (i, lj)
-                cur = out.get(key)
-                term = f.mul(v, vec[rj])
-                out[key] = term if cur is None else f.add(cur, term)
-        return LinMap(self.space, self.space, f, out)
+        return fix_factor(self.mul, vec, self.space.dim)
 
     def mul_elements(self, u, v):
         d = self.space.dim
@@ -132,45 +106,48 @@ class AlgebraData:
     def mul_n(self, k):
         """Left-folded multiplication map on k tensor factors."""
         assert k >= 1
-        d = self.space.dim
-        out = LinMap.identity(self.space, self.field)
+        pipe = Pipe([self.space.dim] * k, self.field)
         for _ in range(k - 1):
-            src = Space(out.dom.dim * d)
-            step = self.mul @ (out.tensor(LinMap.identity(self.space, self.field)))
-            out = LinMap(src, self.space, self.field, step.entries)
-        return out
+            pipe.block(0, 2, self.mul)
+        return pipe.map
 
     def opposite(self):
-        sw = swap_map(self.space, self.space, self.field)
-        return AlgebraData(self.space, self.mul @ sw, self.unit, self.field,
+        d = self.space.dim
+        mul = Pipe([d, d], self.field).permute([1, 0]).block(0, 2, self.mul)
+        return AlgebraData(self.space, mul.map, self.unit, self.field,
                            label=self.label + "^op")
 
     def tensor_with(self, other, label=""):
         """Componentwise algebra structure on the tensor product."""
         f = self.field
         a, b = self.space, other.space
-        mid = permute_factors([a.dim, a.dim, b.dim, b.dim], [0, 2, 1, 3], f)
-        mul = (self.mul.tensor(other.mul)) @ mid
-        unit = []
-        for x in self.unit:
-            for y in other.unit:
-                unit.append(f.mul(x, y))
-        return AlgebraData(tensor_space(a, b), mul, unit, f,
+        mul = Pipe([a.dim, a.dim, b.dim, b.dim], f).permute([0, 2, 1, 3])
+        mul.block(0, 2, self.mul).block(1, 2, other.mul)
+        unit = kron_vec(self.unit, other.unit, f)
+        return AlgebraData(tensor_space(a, b), mul.map, unit, f,
                            label=label or "%sx%s" % (self.label, other.label))
 
 
 def check_algebra(a, commutative=False):
     rep = Report("algebra %s" % a.label)
     f = a.field
+    d = a.space.dim
     ident = LinMap.identity(a.space, f)
-    rep.check_map_equal("associativity",
-                        a.mul @ (a.mul.tensor(ident)),
-                        a.mul @ (ident.tensor(a.mul)))
-    rep.check_map_equal("left_unit", a.mul @ (a.unit_map().tensor(ident)), ident)
-    rep.check_map_equal("right_unit", a.mul @ (ident.tensor(a.unit_map())), ident)
+    rep.check_map_equal(
+        "associativity",
+        Pipe([d] * 3, f).block(0, 2, a.mul).block(0, 2, a.mul).map,
+        Pipe([d] * 3, f).block(1, 2, a.mul).block(0, 2, a.mul).map)
+    unit = a.unit_map()
+    rep.check_map_equal(
+        "left_unit", Pipe([d], f).block(0, 0, unit).block(0, 2, a.mul).map,
+        ident)
+    rep.check_map_equal(
+        "right_unit", Pipe([d], f).block(1, 0, unit).block(0, 2, a.mul).map,
+        ident)
     if commutative:
-        rep.check_map_equal("commutativity",
-                            a.mul, a.mul @ swap_map(a.space, a.space, f))
+        rep.check_map_equal(
+            "commutativity", a.mul,
+            Pipe([d, d], f).permute([1, 0]).block(0, 2, a.mul).map)
     return rep
 
 
@@ -186,8 +163,9 @@ class CoalgebraData:
         self.label = label or space.label
 
     def is_cocommutative(self):
-        sw = swap_map(self.space, self.space, self.field)
-        return (sw @ self.comul - self.comul).is_zero()
+        d = self.space.dim
+        flipped = Pipe.after(self.comul, [d, d]).permute([1, 0]).map
+        return (flipped - self.comul).is_zero()
 
     def iterated_comul_vector(self, xvec, n):
         """Expand an element into C^{(x)n}; dict {basis tuple: coefficient}.
@@ -219,27 +197,26 @@ class CoalgebraData:
         """Tensor product coalgebra (middle factors swapped in the coproduct)."""
         f = self.field
         a, b = self.space, other.space
-        mid = permute_factors([a.dim, a.dim, b.dim, b.dim], [0, 2, 1, 3], f)
-        comul = mid @ (self.comul.tensor(other.comul))
-        counit_big = self.counit.tensor(other.counit)
-        counit = LinMap(tensor_space(a, b), Space(1), f, counit_big.entries)
-        return CoalgebraData(tensor_space(a, b), comul, counit, f,
+        comul = Pipe([a.dim, b.dim], f).block(0, 1, self.comul, [a.dim] * 2)
+        comul.block(2, 1, other.comul, [b.dim] * 2).permute([0, 2, 1, 3])
+        counit = self.counit.tensor(other.counit)
+        return CoalgebraData(tensor_space(a, b), comul.map, counit, f,
                              label=label or "%sx%s" % (self.label, other.label))
 
 
 def check_coalgebra(c, cocommutative=False):
     rep = Report("coalgebra %s" % c.label)
     f = c.field
+    d = c.space.dim
     ident = LinMap.identity(c.space, f)
-    rep.check_map_equal("coassociativity",
-                        (c.comul.tensor(ident)) @ c.comul,
-                        (ident.tensor(c.comul)) @ c.comul)
-    left = (c.counit.tensor(ident)) @ c.comul
-    rep.check_map_equal("left_counit",
-                        LinMap(c.space, c.space, f, left.entries), ident)
-    right = (ident.tensor(c.counit)) @ c.comul
-    rep.check_map_equal("right_counit",
-                        LinMap(c.space, c.space, f, right.entries), ident)
+
+    def after_comul(slot, op, out_dims=None):
+        return Pipe.after(c.comul, [d, d]).block(slot, 1, op, out_dims).map
+
+    rep.check_map_equal("coassociativity", after_comul(0, c.comul, [d, d]),
+                        after_comul(1, c.comul, [d, d]))
+    rep.check_map_equal("left_counit", after_comul(0, c.counit), ident)
+    rep.check_map_equal("right_counit", after_comul(1, c.counit), ident)
     if cocommutative:
         rep.add("cocommutativity", c.is_cocommutative())
     return rep
@@ -263,23 +240,22 @@ class ModuleActionData:
 def check_module(m):
     rep = Report("module %s" % m.label)
     f = m.algebra.field
-    ident = LinMap.identity(m.space, f)
-    ida = LinMap.identity(m.algebra.space, f)
+    da, dm = m.algebra.space.dim, m.space.dim
+    mul, act = m.algebra.mul, m.action
     u = m.algebra.unit_map()
     if m.side == "left":
-        rep.check_map_equal("associativity",
-                            m.action @ (m.algebra.mul.tensor(ident)),
-                            m.action @ (ida.tensor(m.action)))
-        unit_act = m.action @ (u.tensor(ident))
-        rep.check_map_equal("unit", LinMap(m.space, m.space, f, unit_act.entries),
-                            ident)
+        rep.check_map_equal(
+            "associativity",
+            Pipe([da, da, dm], f).block(0, 2, mul).block(0, 2, act).map,
+            Pipe([da, da, dm], f).block(1, 2, act).block(0, 2, act).map)
+        unit_act = Pipe([dm], f).block(0, 0, u).block(0, 2, act)
     else:
-        rep.check_map_equal("associativity",
-                            m.action @ (m.action.tensor(ida)),
-                            m.action @ (ident.tensor(m.algebra.mul)))
-        unit_act = m.action @ (ident.tensor(u))
-        rep.check_map_equal("unit", LinMap(m.space, m.space, f, unit_act.entries),
-                            ident)
+        rep.check_map_equal(
+            "associativity",
+            Pipe([dm, da, da], f).block(0, 2, act).block(0, 2, act).map,
+            Pipe([dm, da, da], f).block(1, 2, mul).block(0, 2, act).map)
+        unit_act = Pipe([dm], f).block(1, 0, u).block(0, 2, act)
+    rep.check_map_equal("unit", unit_act.map, LinMap.identity(m.space, f))
     return rep
 
 
@@ -332,19 +308,19 @@ def check_comodule(cm):
     rep = Report("comodule %s" % cm.label)
     c = cm.coalgebra
     f = c.field
-    ident = LinMap.identity(cm.space, f)
-    idc = LinMap.identity(c.space, f)
-    if cm.side == "right":
-        rep.check_map_equal("coassociativity",
-                            (cm.coaction.tensor(idc)) @ cm.coaction,
-                            (ident.tensor(c.comul)) @ cm.coaction)
-        cu = (ident.tensor(c.counit)) @ cm.coaction
-    else:
-        rep.check_map_equal("coassociativity",
-                            (idc.tensor(cm.coaction)) @ cm.coaction,
-                            (c.comul.tensor(ident)) @ cm.coaction)
-        cu = (c.counit.tensor(ident)) @ cm.coaction
-    rep.check_map_equal("counit", LinMap(cm.space, cm.space, f, cu.entries), ident)
+    dm, dc = cm.space.dim, c.space.dim
+    # (comodule slot, coalgebra slot) of the coaction target
+    ms, cs = (0, 1) if cm.side == "right" else (1, 0)
+    dims = [dm, dc] if cm.side == "right" else [dc, dm]
+
+    def after_coaction(slot, op, out_dims=None):
+        return Pipe.after(cm.coaction, dims).block(slot, 1, op, out_dims).map
+
+    rep.check_map_equal("coassociativity",
+                        after_coaction(ms, cm.coaction, dims),
+                        after_coaction(cs, c.comul, [dc, dc]))
+    rep.check_map_equal("counit", after_coaction(cs, c.counit),
+                        LinMap.identity(cm.space, f))
     return rep
 
 
@@ -373,10 +349,10 @@ def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
         qi = lq.basis_vector(i, field)
         for a in range(da):
             av = aspace.basis_vector(a, field)
-            qa = ract.apply(_kron_vec(qi, av, field))
+            qa = ract.apply(kron_vec(qi, av, field))
             for j in range(rq.dim):
                 rj = rq.basis_vector(j, field)
-                ar = lact.apply(_kron_vec(av, rj, field))
+                ar = lact.apply(kron_vec(av, rj, field))
                 col = [field.zero] * inner_ambient.dim
                 for x, v in enumerate(qa):
                     if v:
@@ -389,24 +365,12 @@ def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
     rel_inner = LinMap.from_columns(Space(len(cols), "rel"), inner_ambient,
                                     field, cols)
     inner = quotient_by(inner_ambient, rel_inner, field, label)
-    both = left_pres.projection.tensor(right_pres.projection)
-    projection = LinMap(ambient, inner.quotient, field,
-                        (inner.projection @ both).entries)
-    sect = (left_pres.section.tensor(right_pres.section)) @ inner.section
-    section = LinMap(inner.quotient, ambient, field, sect.entries)
+    projection = inner.projection \
+        @ left_pres.projection.tensor(right_pres.projection)
+    section = left_pres.section.tensor(right_pres.section) @ inner.section
     relations = kernel(projection)
     return QuotientPresentation(ambient, relations, inner.quotient,
                                 projection, section)
-
-
-def _kron_vec(u, v, field):
-    out = [field.zero] * (len(u) * len(v))
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    out[i * len(v) + j] = field.mul(a, b)
-    return tuple(out)
 
 
 def action_on_last_slot(pres, slot_action, aspace, field):
@@ -416,34 +380,12 @@ def action_on_last_slot(pres, slot_action, aspace, field):
     descended map quotient (x) A -> quotient.
     """
     udim = slot_action.cod.dim
-    rest = pres.ambient.dim // udim
-    ident_rest = LinMap.identity(Space(rest), field)
-    q = pres.quotient
-    entries = {}
+    ops = []
     for a in range(aspace.dim):
-        act_a = curry_left(
-            permuted_right_slice(slot_action, aspace.basis_vector(a, field), field),
-            (field.one,), 1)
-        op = pres.projection @ (ident_rest.tensor(act_a) @ pres.section)
-        for (i, j), v in op.entries.items():
-            entries[(i, j * aspace.dim + a)] = v
-    return LinMap(tensor_space(q, aspace), q, field, entries)
-
-
-def permuted_right_slice(m, avec, field):
-    """Slice U (x) A -> U at a fixed A vector; returned as k (x) U -> U."""
-    udim = m.cod.dim
-    adim = m.dom.dim // udim
-    f = field
-    out = {}
-    for (i, j), v in m.entries.items():
-        uj, aj = divmod(j, adim)
-        if avec[aj]:
-            key = (i, uj)
-            term = f.mul(v, avec[aj])
-            cur = out.get(key)
-            out[key] = term if cur is None else f.add(cur, term)
-    return LinMap(Space(udim), Space(udim), f, out)
+        act_a = fix_factor(slot_action, aspace.basis_vector(a, field), udim)
+        lifted = Pipe.after(pres.section, [pres.ambient.dim // udim, udim])
+        ops.append(pres.projection @ lifted.block(1, 1, act_a).map)
+    return pack_slices(ops, field, last=True)
 
 
 def iterated_balanced_tensor(base_pres, base_ract, factor_space, factor_ract,
@@ -471,18 +413,12 @@ def check_sweedler_measuring(c, r, r2, psi):
     """psi: C (x) R -> R2 measuring a coalgebra action on algebras."""
     rep = Report("sweedler measuring")
     f = c.field
-    idc = LinMap.identity(c.space, f)
-    idr = LinMap.identity(r.space, f)
-    lhs = psi @ (idc.tensor(r.mul))
-    mid = permute_factors([c.space.dim, c.space.dim, r.space.dim, r.space.dim],
-                          [0, 2, 1, 3], f)
-    rhs = r2.mul @ ((psi.tensor(psi)) @ (mid @ (c.comul.tensor(idr.tensor(idr)))))
-    rep.check_map_equal("multiplicativity",
-                        LinMap(lhs.dom, lhs.cod, f, lhs.entries),
-                        LinMap(lhs.dom, lhs.cod, f, rhs.entries))
-    lu = psi @ (idc.tensor(r.unit_map()))
-    ru = r2.unit_map() @ c.counit
-    rep.check_map_equal("unitality",
-                        LinMap(c.space, r2.space, f, lu.entries),
-                        LinMap(c.space, r2.space, f, ru.entries))
+    dc, dr = c.space.dim, r.space.dim
+    lhs = Pipe([dc, dr, dr], f).block(1, 2, r.mul).block(0, 2, psi)
+    rhs = Pipe([dc, dr, dr], f).block(0, 1, c.comul, [dc, dc])
+    rhs.permute([0, 2, 1, 3]).block(0, 2, psi).block(1, 2, psi)
+    rep.check_map_equal("multiplicativity", lhs.map,
+                        rhs.block(0, 2, r2.mul).map)
+    lu = Pipe([dc], f).block(1, 0, r.unit_map()).block(0, 2, psi)
+    rep.check_map_equal("unitality", lu.map, r2.unit_map() @ c.counit)
     return rep

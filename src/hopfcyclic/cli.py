@@ -33,8 +33,6 @@ def main(argv=None):
                         help="override the ground field, e.g. Q or F5")
         sp.add_argument("--format", choices=("json", "text"),
                         default="json")
-        sp.add_argument("--parallel", action="store_true",
-                        help="run tasks concurrently on private copies")
         sp.add_argument("-o", "--output", default=None,
                         help="write the report here instead of stdout")
     args = ap.parse_args(argv)
@@ -44,7 +42,7 @@ def main(argv=None):
         print("error: %s" % e, file=sys.stderr)
         return 2
     report = run(doc, kinds=_VERB_KINDS[args.verb],
-                 max_degree=args.max_degree, parallel=args.parallel)
+                 max_degree=args.max_degree)
     text = emit(report, args.format)
     if args.output:
         with open(args.output, "w") as fh:

@@ -7,10 +7,10 @@ doubles as a proof that the formula respects the balancing relations.
 """
 
 from .exactlin import (
-    LinMap, Space, QuotientPresentation, kernel, permute_factors, quotient_by,
-    rank, solve, tensor_space,
+    DescentFailure, LinMap, Pipe, Space, QuotientPresentation, descend,
+    invert, kernel, permute_factors, quotient_by, rank, solve, tensor_space,
 )
-from .algcore import Report, balanced_tensor, swap_map
+from .algcore import Report, action_on_last_slot, balanced_tensor
 from .hopfalgebroid import translation_lift
 
 
@@ -43,27 +43,6 @@ class CyclicModuleData:
         return [sp.dim for sp in self.spaces]
 
 
-def _id_pow(du, k, f):
-    return LinMap.identity(Space(du ** k), f)
-
-
-def _insert_unit(U, n, pos, f):
-    """Free map inserting the algebra unit at slot `pos` of n slots."""
-    du = U.space.dim
-    unit = U.unit_map()
-    left = _id_pow(du, pos, f)
-    right = _id_pow(du, n - pos, f)
-    m = left.tensor(unit).tensor(right)
-    return LinMap(Space(du ** n), Space(du ** (n + 1)), f, m.entries)
-
-
-def _sandwich(du, left, op, right, f):
-    """id^{(x)left} (x) op (x) id^{(x)right} with flattened spaces."""
-    m = _id_pow(du, left, f).tensor(op).tensor(_id_pow(du, right, f))
-    return LinMap(Space(du ** left * op.dom.dim * du ** right),
-                  Space(du ** left * op.cod.dim * du ** right), f, m.entries)
-
-
 # -- the coproduct-side cocyclic module ----------------------------------
 
 def build_cocyclic_CU(h, N):
@@ -72,29 +51,26 @@ def build_cocyclic_CU(h, N):
     spaces = [h.A.space] + [h.ltower(n).quotient for n in range(1, N + 1)]
     pres = [QuotientPresentation.trivial(h.A.space, f)] \
         + [h.ltower(n) for n in range(1, N + 1)]
+    unit = h.U.unit_map()
     sc_eps = h.s_L @ h.eps_L
     tc_eps = h.t_L @ h.eps_L
-    # u (x) v -> s(eps(u)) v  and  u (x) v -> t(eps(v)) u
-    m_left = h.U.mul @ (sc_eps.tensor(LinMap.identity(h.U.space, f)))
-    m_right = (h.U.mul @ (tc_eps.tensor(LinMap.identity(h.U.space, f)))) \
-        @ swap_map(h.U.space, h.U.space, f)
     faces = {}
     degen = {}
     cyc = {}
-    from .exactlin import descend
     for n in range(0, N):
         if n == 0:
             faces[0] = [h.t_L, h.s_L]
         else:
             ops = []
             for i in range(0, n + 2):
+                pipe = Pipe([du] * n, f)
                 if i == 0:
-                    free = _insert_unit(h.U, n, 0, f)
+                    pipe.block(0, 0, unit)
                 elif i <= n:
-                    free = _sandwich(du, i - 1, h.delta_lift, n - i, f)
+                    pipe.block(i - 1, 1, h.delta_lift, [du, du])
                 else:
-                    free = _insert_unit(h.U, n, n, f)
-                ops.append(descend(free, pres[n], pres[n + 1]))
+                    pipe.block(n, 0, unit)
+                ops.append(descend(pipe.map, pres[n], pres[n + 1]))
             faces[n] = ops
     for n in range(1, N + 1):
         if n == 1:
@@ -102,31 +78,30 @@ def build_cocyclic_CU(h, N):
         else:
             ops = []
             for i in range(0, n):
+                pipe = Pipe([du] * n, f)
                 if i <= n - 2:
-                    free = _sandwich(du, i, m_left, n - i - 2, f)
+                    # u (x) v -> s(eps(u)) v
+                    pipe.block(i, 1, sc_eps).block(i, 2, h.U.mul)
                 else:
-                    free = _sandwich(du, n - 2, m_right, 0, f)
-                ops.append(descend(free, pres[n], pres[n - 1]))
+                    # u (x) v -> t(eps(v)) u
+                    pipe.permute(list(range(n - 2)) + [n - 1, n - 2])
+                    pipe.block(n - 2, 1, tc_eps).block(n - 2, 2, h.U.mul)
+                ops.append(descend(pipe.map, pres[n], pres[n - 1]))
             degen[n] = ops
     cyc[0] = LinMap.identity(h.A.space, f)
     for n in range(1, N + 1):
         if n == 1:
             cyc[1] = h.S
             continue
-        expand = (h.iterated_delta_lift(n) @ h.S).tensor(_id_pow(du, n - 1, f))
-        perm_order = []
+        pipe = Pipe([du] * n, f).block(0, 1, h.S)
+        pipe.block(0, 1, h.iterated_delta_lift(n), [du] * n)
+        order = []
         for k in range(n - 1):
-            perm_order += [k, n + k]
-        perm_order.append(n - 1)
-        perm = permute_factors([du] * (2 * n - 1), perm_order, f)
-        muls = None
-        for _ in range(n - 1):
-            m = h.U.mul
-            muls = m if muls is None else muls.tensor(m)
-        muls = muls.tensor(LinMap.identity(h.U.space, f))
-        free = LinMap(Space(du ** n), Space(du ** n), f,
-                      (muls @ (perm @ expand)).entries)
-        cyc[n] = descend(free, pres[n], pres[n])
+            order += [k, n + k]
+        pipe.permute(order + [n - 1])
+        for k in range(n - 1):
+            pipe.block(k, 2, h.U.mul)
+        cyc[n] = descend(pipe.map, pres[n], pres[n])
     return CyclicModuleData("cocyclic", N, spaces, faces, degen, cyc, pres,
                             label="C^(%s)" % h.label)
 
@@ -136,15 +111,11 @@ def build_cocyclic_CU(h, N):
 def build_cyclic_CU(h, N):
     f = h.field
     du = h.U.space.dim
-    from .exactlin import descend
     spaces = [h.A.space] + [h.rtower(n).quotient for n in range(1, N + 1)]
     pres = [QuotientPresentation.trivial(h.A.space, f)] \
         + [h.rtower(n) for n in range(1, N + 1)]
-    idu = LinMap.identity(h.U.space, f)
     eps_R = h.eps_R
-    # u (x) v -> t(eps_R(u)) v   and   u (x) v -> u t(eps_R(S(v)))
-    m0 = h.U.mul @ ((h.t_L @ eps_R).tensor(idu))
-    mn = h.U.mul @ (idu.tensor(h.t_L @ (eps_R @ h.S)))
+    unit = h.U.unit_map()
     faces = {}
     degen = {}
     cyc = {}
@@ -154,40 +125,37 @@ def build_cyclic_CU(h, N):
             continue
         ops = []
         for i in range(0, n + 1):
+            pipe = Pipe([du] * n, f)
             if i == 0:
-                free = _sandwich(du, 0, m0, n - 2, f)
+                # u (x) v -> t(eps_R(u)) v
+                pipe.block(0, 1, h.t_L @ eps_R).block(0, 2, h.U.mul)
             elif i <= n - 1:
-                free = _sandwich(du, i - 1, h.U.mul, n - i - 1, f)
+                pipe.block(i - 1, 2, h.U.mul)
             else:
-                free = _sandwich(du, n - 2, mn, 0, f)
-            ops.append(descend(free, pres[n], pres[n - 1]))
+                # u (x) v -> u t(eps_R(S(v)))
+                pipe.block(n - 1, 1, h.t_L @ (eps_R @ h.S))
+                pipe.block(n - 2, 2, h.U.mul)
+            ops.append(descend(pipe.map, pres[n], pres[n - 1]))
         faces[n] = ops
     degen[0] = [h.t_L]
     for n in range(1, N):
         ops = []
         for i in range(0, n + 1):
-            free = _insert_unit(h.U, n, i, f)
-            ops.append(descend(free, pres[n], pres[n + 1]))
+            pipe = Pipe([du] * n, f).block(i, 0, unit)
+            ops.append(descend(pipe.map, pres[n], pres[n + 1]))
         degen[n] = ops
     cyc[0] = LinMap.identity(h.A.space, f)
     for n in range(1, N + 1):
         if n == 1:
             cyc[1] = h.S
             continue
-        expand = None
-        for _ in range(n - 1):
-            expand = h.delta_lift if expand is None \
-                else expand.tensor(h.delta_lift)
-        expand = expand.tensor(idu)
-        expand = LinMap(Space(du ** n), Space(du ** (2 * n - 1)), f,
-                        expand.entries)
-        order = [2 * k + 1 for k in range(n - 1)] + [2 * n - 2] \
-            + [2 * k for k in range(n - 1)]
-        perm = permute_factors([du] * (2 * n - 1), order, f)
-        fold = (h.S @ h.U.mul_n(n)).tensor(_id_pow(du, n - 1, f))
-        free = LinMap(Space(du ** n), Space(du ** n), f,
-                      (fold @ (perm @ expand)).entries)
-        cyc[n] = descend(free, pres[n], pres[n])
+        pipe = Pipe([du] * n, f)
+        for k in range(n - 1):
+            pipe.block(2 * k, 1, h.delta_lift, [du, du])
+        pipe.permute([2 * k + 1 for k in range(n - 1)] + [2 * n - 2]
+                     + [2 * k for k in range(n - 1)])
+        pipe.block(0, n, h.S @ h.U.mul_n(n))
+        cyc[n] = descend(pipe.map, pres[n], pres[n])
     return CyclicModuleData("cyclic", N, spaces, faces, degen, cyc, pres,
                             label="C_(%s)" % h.label)
 
@@ -197,15 +165,14 @@ def build_cyclic_CU(h, N):
 def chain_coeff_tower(h, p, n):
     """Presentations of P (x) U (x) ... (x) U (chain conventions)."""
     f = h.field
-    if not hasattr(p, "_chain_towers"):
+    if p._chain_towers is None:
         base = QuotientPresentation.trivial(p.space, f)
         p._chain_towers = {"list": [base], "ract": p.right_arrow_action()}
     cache = p._chain_towers
     lst = cache["list"]
     triv = QuotientPresentation.trivial(h.U.space, f)
-    from .algcore import action_on_last_slot
     while len(lst) <= n:
-        pres = balanced_tensor(lst[-1], triv, cache["ract"], h._lact_r(),
+        pres = balanced_tensor(lst[-1], triv, cache["ract"], h._lact(h.t_of),
                                h.A.space, f,
                                label="%s.P%d" % (h.label, len(lst)))
         lst.append(pres)
@@ -216,14 +183,11 @@ def chain_coeff_tower(h, p, n):
 def cochain_coeff_tower(h, p, n):
     """Presentations of U (x) ... (x) U (x) P (cochain conventions)."""
     f = h.field
-    if not hasattr(p, "_cochain_towers"):
-        p._cochain_towers = {}
     cache = p._cochain_towers
     if n not in cache:
         if n == 0:
             cache[0] = QuotientPresentation.trivial(p.space, f)
         else:
-            from .algcore import action_on_last_slot
             lt = h.ltower(n)
             ract = action_on_last_slot(lt, h._ract_l(), h.A.space, f)
             cache[n] = balanced_tensor(
@@ -237,145 +201,103 @@ def build_cyclic_with_coeffs(h, p, N):
     f = h.field
     du = h.U.space.dim
     dp = p.space.dim
-    from .exactlin import descend
     pres = [chain_coeff_tower(h, p, n) for n in range(N + 1)]
     spaces = [pr.quotient for pr in pres]
-    idu = LinMap.identity(h.U.space, f)
-    idp = LinMap.identity(p.space, f)
-    # u (x) v -> u t(eps(v))
-    m0 = h.U.mul @ (idu.tensor(h.t_L @ h.eps_L))
+    t_eps = h.t_L @ h.eps_L
+    unit = h.U.unit_map()
     faces = {}
     degen = {}
     cyc = {}
+    # layout (p, u_1, ..., u_n)
     for n in range(1, N + 1):
         ops = []
         for i in range(0, n + 1):
+            pipe = Pipe([dp] + [du] * n, f)
             if i == 0:
-                if n == 1:
-                    free = _pk(p.action @ (idp.tensor(h.t_L @ h.eps_L)),
-                               dp * du, dp, f)
-                else:
-                    free = _coeff_sandwich(dp, du, n - 2, m0, 0, f)
+                # ... (x) u (x) v -> ... (x) u t(eps(v))
+                pipe.block(n, 1, t_eps).block(n - 1, 2, p.action if n == 1
+                                                  else h.U.mul)
             elif i <= n - 1:
-                free = _coeff_sandwich(dp, du, n - i - 1, h.U.mul, i - 1, f)
+                pipe.block(n - i, 2, h.U.mul)
             else:
-                core = p.action.tensor(_id_pow(du, n - 1, f))
-                free = _pk(core, dp * du ** n, dp * du ** (n - 1), f)
-            ops.append(descend(free, pres[n], pres[n - 1]))
+                pipe.block(0, 2, p.action)
+            ops.append(descend(pipe.map, pres[n], pres[n - 1]))
         faces[n] = ops
     for n in range(0, N):
         ops = []
         for i in range(0, n + 1):
-            upos = n - i
-            ins = _insert_unit(h.U, n, upos, f)
-            free = _pk(idp.tensor(ins), dp * du ** n, dp * du ** (n + 1), f)
-            ops.append(descend(free, pres[n], pres[n + 1]))
+            pipe = Pipe([dp] + [du] * n, f).block(1 + n - i, 0, unit)
+            ops.append(descend(pipe.map, pres[n], pres[n + 1]))
         degen[n] = ops
     cyc[0] = LinMap.identity(p.space, f)
     trans = translation_lift(h)
     for n in range(1, N + 1):
-        step = idp
-        for _ in range(n):
-            step = step.tensor(trans)
-        step = _pk(step, dp * du ** n, dp * du ** (2 * n), f)
-        co = _pk(p.coact_lift.tensor(_id_pow(du, 2 * n, f)),
-                 dp * du ** (2 * n), du * dp * du ** (2 * n), f)
+        pipe = Pipe([dp] + [du] * n, f)
+        for k in range(n):
+            pipe.block(1 + 2 * k, 1, trans, [du, du])
+        pipe.block(0, 1, p.coact_lift, [du, dp])
         # layout now (p_-1, p_0, u1+, u1-, ..., un+, un-)
-        order = [1] + [2 * k for k in range(1, n + 1)] \
-            + [2 * k + 1 for k in range(n, 0, -1)] + [0]
-        dims = [du, dp] + [du] * (2 * n)
-        perm = permute_factors(dims, order, f)
-        fold = p.action.tensor(_id_pow(du, n - 1, f)).tensor(h.U.mul_n(n + 1))
-        free = _pk(fold @ (perm @ (co @ step)),
-                   dp * du ** n, dp * du ** n, f)
-        cyc[n] = descend(free, pres[n], pres[n])
+        pipe.permute([1] + [2 * k for k in range(1, n + 1)]
+                     + [2 * k + 1 for k in range(n, 0, -1)] + [0])
+        pipe.block(0, 2, p.action).block(n, n + 1, h.U.mul_n(n + 1))
+        cyc[n] = descend(pipe.map, pres[n], pres[n])
     return CyclicModuleData("cyclic", N, spaces, faces, degen, cyc, pres,
                             label="C_(%s;%s)" % (h.label, p.label))
-
-
-def _pk(m, dom_dim, cod_dim, f):
-    assert m.dom.dim == dom_dim and m.cod.dim == cod_dim, \
-        (m.dom.dim, dom_dim, m.cod.dim, cod_dim)
-    return LinMap(Space(dom_dim), Space(cod_dim), f, m.entries)
-
-
-def _coeff_sandwich(dp, du, left_u, op, right_u, f):
-    """id_P (x) id^{left_u} (x) op (x) id^{right_u} on P-first layouts."""
-    m = LinMap.identity(Space(dp), f).tensor(
-        _id_pow(du, left_u, f)).tensor(op).tensor(_id_pow(du, right_u, f))
-    return LinMap(Space(m.dom.dim), Space(m.cod.dim), f, m.entries)
 
 
 def build_cocyclic_with_coeffs(h, p, N):
     f = h.field
     du = h.U.space.dim
     dp = p.space.dim
-    from .exactlin import descend
     pres = [cochain_coeff_tower(h, p, n) for n in range(N + 1)]
     spaces = [pr.quotient for pr in pres]
-    idu = LinMap.identity(h.U.space, f)
-    idp = LinMap.identity(p.space, f)
     sc_eps = h.s_L @ h.eps_L
-    m_left = h.U.mul @ (sc_eps.tensor(idu))
-    # u (x) p -> p t(eps(u))
-    k_right = (p.action @ (idp.tensor(h.t_L @ h.eps_L))) \
-        @ swap_map(h.U.space, p.space, f)
+    unit = h.U.unit_map()
     faces = {}
     degen = {}
     cyc = {}
+    # layout (u_1, ..., u_n, p)
     for n in range(0, N):
         ops = []
         for i in range(0, n + 2):
+            pipe = Pipe([du] * n + [dp], f)
             if i == 0:
-                if n == 0:
-                    free = _pk(h.U.unit_map().tensor(idp), dp, du * dp, f)
-                else:
-                    free = _pk(_insert_unit(h.U, n, 0, f).tensor(idp),
-                               du ** n * dp, du ** (n + 1) * dp, f)
+                pipe.block(0, 0, unit)
             elif i <= n:
-                free = _pk(_sandwich(du, i - 1, h.delta_lift,
-                                     n - i, f).tensor(idp),
-                           du ** n * dp, du ** (n + 1) * dp, f)
+                pipe.block(i - 1, 1, h.delta_lift, [du, du])
             else:
-                free = _pk(_id_pow(du, n, f).tensor(p.coact_lift),
-                           du ** n * dp, du ** (n + 1) * dp, f)
-            ops.append(descend(free, pres[n], pres[n + 1]))
+                pipe.block(n, 1, p.coact_lift, [du, dp])
+            ops.append(descend(pipe.map, pres[n], pres[n + 1]))
         faces[n] = ops
     for n in range(1, N + 1):
         ops = []
         for i in range(0, n):
+            pipe = Pipe([du] * n + [dp], f)
             if i <= n - 2:
-                free = _pk(_sandwich(du, i, m_left, n - i - 2, f).tensor(idp),
-                           du ** n * dp, du ** (n - 1) * dp, f)
+                # u (x) v -> s(eps(u)) v
+                pipe.block(i, 1, sc_eps).block(i, 2, h.U.mul)
             else:
-                free = _pk(_id_pow(du, n - 1, f).tensor(k_right),
-                           du ** n * dp, du ** (n - 1) * dp, f)
-            ops.append(descend(free, pres[n], pres[n - 1]))
+                # u (x) p -> p t(eps(u))
+                pipe.permute(list(range(n - 1)) + [n, n - 1])
+                pipe.block(n, 1, h.t_L @ h.eps_L).block(n - 1, 2, p.action)
+            ops.append(descend(pipe.map, pres[n], pres[n - 1]))
         degen[n] = ops
     cyc[0] = LinMap.identity(p.space, f)
     trans = translation_lift(h)
     for n in range(1, N + 1):
-        step = _pk(trans.tensor(_id_pow(du, n - 1, f)).tensor(idp),
-                   du ** n * dp, du ** (n + 1) * dp, f)
-        it = h.iterated_delta_lift(n)
-        step2 = _pk(_sandwich(du, 1, it, n - 1, f).tensor(idp),
-                    du ** (n + 1) * dp, du ** (2 * n) * dp, f)
-        step3 = _pk(_id_pow(du, 2 * n, f).tensor(p.coact_lift),
-                    du ** (2 * n) * dp, du ** (2 * n + 1) * dp, f)
+        pipe = Pipe([du] * n + [dp], f)
+        pipe.block(0, 1, trans, [du, du])
+        pipe.block(1, 1, h.iterated_delta_lift(n), [du] * n)
+        pipe.block(2 * n, 1, p.coact_lift, [du, dp])
         # layout (u1+, w1..wn, u2..un, p_-1, p_0)
         order = []
         for k in range(1, n):
             order += [k, n + k]
-        order += [n, 2 * n, 2 * n + 1, 0]
-        dims = [du] * (2 * n + 1) + [dp]
-        perm = permute_factors(dims, order, f)
-        muls = None
-        for _ in range(n):
-            muls = h.U.mul if muls is None else muls.tensor(h.U.mul)
-        fold = muls.tensor(p.action)
-        free = _pk(fold @ (perm @ (step3 @ (step2 @ step))),
-                   du ** n * dp, du ** n * dp, f)
-        cyc[n] = descend(free, pres[n], pres[n])
+        pipe.permute(order + [n, 2 * n, 2 * n + 1, 0])
+        for k in range(n):
+            pipe.block(k, 2, h.U.mul)
+        pipe.block(n, 2, p.action)
+        cyc[n] = descend(pipe.map, pres[n], pres[n])
     return CyclicModuleData("cocyclic", N, spaces, faces, degen, cyc, pres,
                             label="C^(%s;%s)" % (h.label, p.label))
 
@@ -497,35 +419,27 @@ def _xi_core_free(h, n):
     du = h.U.space.dim
     if n == 0:
         return LinMap.identity(h.A.space, f)
-    if n == 1:
-        return LinMap.identity(h.U.space, f)
-    expand = None
+    pipe = Pipe([du] * n, f)
+    # slot i (1-based) expands into n - i + 1 factors starting at offsets[i]
     offsets = []
     total = 0
     for i in range(1, n + 1):
-        it = h.iterated_delta_lift(n - i + 1)
-        expand = it if expand is None else expand.tensor(it)
         offsets.append(total)
+        pipe.block(total, 1, h.iterated_delta_lift(n - i + 1),
+                   [du] * (n - i + 1))
         total += n - i + 1
     order = []
-    group_sizes = []
     for j in range(1, n + 1):
-        picks = [offsets[i - 1] + (j - i) for i in range(1, j + 1)]
-        order += picks
-        group_sizes.append(len(picks))
-    perm = permute_factors([du] * total, order, f)
-    fold = None
-    for gs in group_sizes:
-        m = h.U.mul_n(gs)
-        fold = m if fold is None else fold.tensor(m)
-    free = fold @ (perm @ expand)
-    return LinMap(Space(du ** n), Space(du ** n), f, free.entries)
+        order += [offsets[i - 1] + (j - i) for i in range(1, j + 1)]
+    pipe.permute(order)
+    for j in range(1, n + 1):
+        pipe.block(j - 1, j, h.U.mul_n(j))
+    return pipe.map
 
 
 def hopf_galois_chain_map(h, N, p=None):
     """The degreewise isomorphisms from the chain-side to the cochain-side
     (co)cyclic module; with coefficients when p is given."""
-    from .exactlin import descend
     f = h.field
     du = h.U.space.dim
     out = []
@@ -537,15 +451,13 @@ def hopf_galois_chain_map(h, N, p=None):
             else:
                 out.append(descend(core, h.rtower(n), h.ltower(n)))
         else:
-            dp = p.space.dim
             if n == 0:
                 out.append(LinMap.identity(p.space, f))
                 continue
-            move = permute_factors([dp] + [du] * n, list(range(1, n + 1)) + [0],
-                                   f)
-            free = _pk(core.tensor(LinMap.identity(p.space, f)) @ move,
-                       dp * du ** n, du ** n * dp, f)
-            out.append(descend(free, chain_coeff_tower(h, p, n),
+            pipe = Pipe([p.space.dim] + [du] * n, f)
+            pipe.permute(list(range(1, n + 1)) + [0])
+            pipe.block(0, n, core, [du] * n)
+            out.append(descend(pipe.map, chain_coeff_tower(h, p, n),
                                cochain_coeff_tower(h, p, n)))
     return out
 
@@ -554,7 +466,7 @@ def check_hopf_galois_chain_map(h, N, p=None):
     rep = Report("xi(%s)" % h.label)
     try:
         xs = hopf_galois_chain_map(h, N, p)
-    except Exception as exc:  # descent failures carry witnesses
+    except DescentFailure as exc:
         return rep.add("xi_descends", False, witness=repr(exc))
     rep.add("xi_descends", True)
     for n, xi in enumerate(xs):
@@ -630,7 +542,6 @@ def hochschild_homology(cm, normalized=False):
         return HomologyReport("HH", cm.variant, dims, cm.label)
     if cm.variant != "cyclic":
         raise ValueError("normalized variant implemented on the chain side")
-    from .exactlin import descend
     f = diffs[1].field
     press = []
     for n in range(cm.N + 1):
@@ -660,7 +571,6 @@ def cyclic_homology_char0(cm):
     if f.char != 0:
         raise CharNotZero("lambda-complex needs characteristic zero")
     diffs = _boundaries(cm)
-    from .exactlin import descend
     if cm.variant == "cyclic":
         press = []
         for n in range(cm.N + 1):
@@ -694,7 +604,6 @@ def transported_homology(cm_chain, xs):
     """Hochschild dims of the chain complex conjugated through the
     degreewise isomorphisms xs (an internal consistency oracle)."""
     diffs = _boundaries(cm_chain)
-    from .exactlin import invert
     nd = {}
     spaces = [xs[n].cod for n in range(cm_chain.N + 1)]
     for n in range(1, cm_chain.N + 1):
@@ -708,7 +617,6 @@ def transported_homology(cm_chain, xs):
 def induced_cyclic_map(m, xvec, N, variant):
     """Chain maps on the plain (co)cyclic modules induced by a measuring
     element; degree n acts through the n-fold coproduct of x."""
-    from .exactlin import descend
     out = [m.psi_of(xvec)]
     for n in range(1, N + 1):
         free = m.induced_free(xvec, n)
@@ -722,7 +630,6 @@ def induced_cyclic_map(m, xvec, N, variant):
 def induced_coeff_map(cm, yvec, N, variant):
     """Chain maps on the coefficient (co)cyclic modules induced by a
     comodule-measuring element."""
-    from .exactlin import descend
     h_src, h_dst = cm.base.src, cm.base.dst
     out = []
     for n in range(N + 1):
@@ -847,52 +754,36 @@ def _shuffles(p, q):
     return out
 
 
-def tensor_presentation(pa, pb, f):
+def tensor_presentation(pa, pb):
     """Presentation of the plain tensor product of two quotients."""
-    ambient = tensor_space(pa.ambient, pb.ambient)
-    projection = _pk(pa.projection.tensor(pb.projection),
-                     ambient.dim, pa.quotient.dim * pb.quotient.dim, f)
-    section = _pk(pa.section.tensor(pb.section),
-                  pa.quotient.dim * pb.quotient.dim, ambient.dim, f)
-    relations = kernel(projection)
-    return QuotientPresentation(ambient, relations,
-                                Space(pa.quotient.dim * pb.quotient.dim),
+    projection = pa.projection.tensor(pb.projection)
+    section = pa.section.tensor(pb.section)
+    return QuotientPresentation(tensor_space(pa.ambient, pb.ambient),
+                                kernel(projection), projection.cod,
                                 projection, section)
 
 
 def shuffle_product(h, p, q):
     """sh_{p,q} : C_p (x) C_q -> C_{p+q} on the chain side (commutative
     total algebra)."""
-    from .exactlin import descend
     f = h.field
     du = h.U.space.dim
+    da = h.A.space.dim
+    triv = QuotientPresentation.trivial(h.A.space, f)
     if p == 0 and q == 0:
         return h.A.mul
     if q == 0:
         # (u1 ... up) (x) a -> t(a) u1 (x) ... (x) up
-        core = (h.U.mul @ ((h.t_L).tensor(LinMap.identity(h.U.space, f)))) \
-            @ swap_map(h.U.space, h.A.space, f)
-        src = tensor_presentation(h.rtower(p),
-                                  QuotientPresentation.trivial(h.A.space, f), f)
-        if p == 1:
-            free = _pk(core, du * h.A.space.dim, du, f)
-        else:
-            # a acts on the first slot: reorder (u1..up, a) -> (u1, a, u2..up)
-            move = permute_factors([du] * p + [h.A.space.dim],
-                                   [0, p] + list(range(1, p)), f)
-            free = _pk((core.tensor(_id_pow(du, p - 1, f))) @ move,
-                       du ** p * h.A.space.dim, du ** p, f)
-        return descend(free, src, h.rtower(p))
+        pipe = Pipe([du] * p + [da], f).permute([p] + list(range(p)))
+        pipe.block(0, 1, h.t_L).block(0, 2, h.U.mul)
+        src = tensor_presentation(h.rtower(p), triv)
+        return descend(pipe.map, src, h.rtower(p))
     if p == 0:
         # a (x) (u1 ... uq) -> u1 (x) ... (x) uq t(a)
-        core = h.U.mul @ (LinMap.identity(h.U.space, f).tensor(h.t_L))
-        move = permute_factors([h.A.space.dim] + [du] * q,
-                               list(range(1, q + 1)) + [0], f)
-        free = _pk((_id_pow(du, q - 1, f).tensor(core)) @ move,
-                   h.A.space.dim * du ** q, du ** q, f)
-        src = tensor_presentation(QuotientPresentation.trivial(h.A.space, f),
-                                  h.rtower(q), f)
-        return descend(free, src, h.rtower(q))
+        pipe = Pipe([da] + [du] * q, f).permute(list(range(1, q + 1)) + [0])
+        pipe.block(q, 1, h.t_L).block(q - 1, 2, h.U.mul)
+        src = tensor_presentation(triv, h.rtower(q))
+        return descend(pipe.map, src, h.rtower(q))
     f_neg = f.neg(f.one)
     total = None
     for parity, perm in _shuffles(p, q):
@@ -900,8 +791,7 @@ def shuffle_product(h, p, q):
         if parity:
             m = m.scaled(f_neg)
         total = m if total is None else total + m
-    total = _pk(total, du ** (p + q), du ** (p + q), f)
-    src = tensor_presentation(h.rtower(p), h.rtower(q), f)
+    src = tensor_presentation(h.rtower(p), h.rtower(q))
     return descend(total, src, h.rtower(p + q))
 
 
@@ -921,12 +811,9 @@ def check_shuffle_measuring(m, xvec, p, q):
                                 "cyclic")[p]
         fj = induced_cyclic_map(m, m.C.space.basis_vector(j, f), q,
                                 "cyclic")[q]
-        term = (sh_dst @ _pk(fi.tensor(fj), sh_src.dom.dim, sh_dst.dom.dim,
-                             f)).scaled(coeff)
+        term = (sh_dst @ fi.tensor(fj)).scaled(coeff)
         rhs_map = term if rhs_map is None else rhs_map + term
-    rep.check_map_equal("leibniz", _pk(lhs_map, sh_src.dom.dim,
-                                       big.cod.dim, f),
-                        _pk(rhs_map, sh_src.dom.dim, big.cod.dim, f))
+    rep.check_map_equal("leibniz", lhs_map, rhs_map)
     return rep
 
 
@@ -938,13 +825,11 @@ def check_shuffle_unital(h, p):
     sh2 = shuffle_product(h, 0, p)
     cp = h.rtower(p).quotient if p >= 1 else h.A.space
     ident = LinMap.identity(cp, f)
-    unit = LinMap.from_columns(Space(1), h.A.space, f, [list(h.A.unit)])
-    right_unit = _pk(ident.tensor(unit), cp.dim, cp.dim * h.A.space.dim, f)
-    left_unit = _pk(unit.tensor(ident), cp.dim, h.A.space.dim * cp.dim, f)
-    rep.check_map_equal("right_unit", _pk(sh1 @ right_unit, cp.dim, cp.dim, f),
-                        ident)
-    rep.check_map_equal("left_unit", _pk(sh2 @ left_unit, cp.dim, cp.dim, f),
-                        ident)
+    unit = h.A.unit_map()
+    rep.check_map_equal("right_unit",
+                        sh1 @ Pipe([cp.dim], f).block(1, 0, unit).map, ident)
+    rep.check_map_equal("left_unit",
+                        sh2 @ Pipe([cp.dim], f).block(0, 0, unit).map, ident)
     return rep
 
 

@@ -247,22 +247,168 @@ class LinMap:
         raise TypeError("LinMap is not hashable")
 
     def nonzero_column_index(self):
-        """Index of some column with a nonzero entry, or None."""
-        for (_, j) in self.entries:
-            return j
-        return None
+        """Smallest index of a column with a nonzero entry, or None."""
+        return min((j for (_, j) in self.entries), default=None)
 
     def __repr__(self):
         return "LinMap(%d->%d, nnz=%d)" % (self.dom.dim, self.cod.dim,
                                            len(self.entries))
 
 
-def tensor_many(maps):
-    assert maps
-    out = maps[0]
-    for m in maps[1:]:
-        out = out.tensor(m)
+def kron_vec(u, v, field):
+    """Coordinates of u (x) v, in the index order of tensor_space."""
+    out = [field.zero] * (len(u) * len(v))
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                if b:
+                    out[i * len(v) + j] = field.mul(a, b)
+    return tuple(out)
+
+
+def _prod(dims):
+    out = 1
+    for d in dims:
+        out *= d
     return out
+
+
+def fix_factor(m, vec, before=1):
+    """Fix one tensor factor of m's domain to the vector vec.
+
+    The domain of m splits as X (x) V (x) Y with dim X = `before` and
+    dim V = len(vec); the result is the map X (x) Y -> m.cod sending
+    x (x) y to m(x (x) vec (x) y).
+    """
+    f = m.field
+    mid = len(vec)
+    right = m.dom.dim // (before * mid)
+    assert before * mid * right == m.dom.dim, (m.dom.dim, before, mid)
+    out = {}
+    for (i, j), v in m.entries.items():
+        lk, r = divmod(j, right)
+        l, k = divmod(lk, mid)
+        if vec[k]:
+            key = (i, l * right + r)
+            term = f.mul(v, vec[k])
+            cur = out.get(key)
+            out[key] = term if cur is None else f.add(cur, term)
+    return LinMap(Space(before * right), m.cod, f, out)
+
+
+def pack_slices(slices, field, last=False):
+    """One map K (x) V -> W from maps f_k : V -> W, k < dim K, sending
+    e_k (x) v to f_k(v); with last=True the map V (x) K -> W sending
+    v (x) e_k to f_k(v).  Inverse to fix_factor at basis vectors."""
+    n = len(slices)
+    dv = slices[0].dom.dim
+    entries = {}
+    for k, op in enumerate(slices):
+        for (i, j), v in op.entries.items():
+            entries[(i, j * n + k) if last else (i, k * dv + j)] = v
+    return LinMap(Space(n * dv), slices[0].cod, field, entries)
+
+
+class Pipe:
+    """A linear map built stage by stage on a list of tensor factors.
+
+    The map starts as the identity of dims[0] (x) ... (x) dims[-1] (or as a
+    given map into that product, see `after`).  Each stage acts on the
+    current target factors by rewriting row indices in the flat layout of
+    tensor_space, so no identity Kronecker product or permutation matrix is
+    ever formed.
+    """
+
+    def __init__(self, dims, field):
+        self.dims = list(dims)
+        self.field = field
+        self.dom_dim = _prod(self.dims)
+        one = field.one
+        self.entries = {(i, i): one for i in range(self.dom_dim)}
+
+    @classmethod
+    def after(cls, m, dims):
+        """Continue from the map m, whose target splits into `dims`."""
+        assert m.cod.dim == _prod(dims), (m.cod.dim, dims)
+        pipe = cls.__new__(cls)
+        pipe.dims = list(dims)
+        pipe.field = m.field
+        pipe.dom_dim = m.dom.dim
+        pipe.entries = dict(m.entries)
+        return pipe
+
+    def permute(self, order):
+        """Reorder the factors: factor k afterwards is factor order[k] now.
+
+        Agrees with permute_factors(self.dims, order, field) @ self.map.
+        """
+        m = len(self.dims)
+        assert sorted(order) == list(range(m)), order
+        if list(order) == list(range(m)):
+            return self
+        new_dims = [self.dims[k] for k in order]
+        # every factor keeps its digit and takes the stride of its new place
+        old = []
+        stride = 1
+        for d in reversed(self.dims):
+            old.append((stride, d))
+            stride *= d
+        old.reverse()
+        new_stride = [0] * m
+        stride = 1
+        for k in reversed(range(m)):
+            new_stride[order[k]] = stride
+            stride *= new_dims[k]
+        digits = [(s, d, w) for (s, d), w in zip(old, new_stride)]
+        moved = {}
+        out = {}
+        for (i, j), v in self.entries.items():
+            ni = moved.get(i)
+            if ni is None:
+                ni = 0
+                for s, d, w in digits:
+                    ni += (i // s) % d * w
+                moved[i] = ni
+            out[(ni, j)] = v
+        self.entries = out
+        self.dims = new_dims
+        return self
+
+    def block(self, start, count, op, out_dims=None):
+        """Apply op to the factors [start, start + count), which become
+        `out_dims` (one factor of op's target dimension by default).
+
+        count = 0 inserts new factors, e.g. a unit.  Agrees with
+        (id (x) op (x) id) @ self.map.
+        """
+        out_dims = [op.cod.dim] if out_dims is None else list(out_dims)
+        mid = _prod(self.dims[start:start + count])
+        right = _prod(self.dims[start + count:])
+        width = _prod(out_dims)
+        assert op.dom.dim == mid and op.cod.dim == width, \
+            (op.dom.dim, mid, op.cod.dim, width)
+        f = self.field
+        by_col = {}
+        for (i, k), w in op.entries.items():
+            by_col.setdefault(k, []).append((i, w))
+        out = {}
+        for (row, j), v in self.entries.items():
+            lk, r = divmod(row, right)
+            l, k = divmod(lk, mid)
+            base = l * width
+            for i, w in by_col.get(k, ()):
+                key = ((base + i) * right + r, j)
+                term = f.mul(w, v)
+                cur = out.get(key)
+                out[key] = term if cur is None else f.add(cur, term)
+        self.entries = out
+        self.dims[start:start + count] = out_dims
+        return self
+
+    @property
+    def map(self):
+        return LinMap(Space(self.dom_dim), Space(_prod(self.dims)),
+                      self.field, self.entries)
 
 
 def permute_factors(dims, perm, field):
@@ -273,28 +419,7 @@ def permute_factors(dims, perm, field):
     (i_{perm[0]}, ..., i_{perm[m-1]}); target factor k has dimension
     dims[perm[k]].
     """
-    m = len(dims)
-    assert sorted(perm) == list(range(m))
-    src_dim = 1
-    for d in dims:
-        src_dim *= d
-    dom = Space(src_dim)
-    cod = Space(src_dim)
-    tgt_dims = [dims[perm[k]] for k in range(m)]
-    entries = {}
-    one = field.one
-    for flat in range(src_dim):
-        idx = []
-        rem = flat
-        for d in reversed(dims):
-            idx.append(rem % d)
-            rem //= d
-        idx.reverse()
-        out = 0
-        for k in range(m):
-            out = out * tgt_dims[k] + idx[perm[k]]
-        entries[(out, flat)] = one
-    return LinMap(dom, cod, field, entries)
+    return Pipe(dims, field).permute(perm).map
 
 
 def rref(m):

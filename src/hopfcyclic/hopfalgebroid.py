@@ -15,23 +15,13 @@ Conventions, fixed once and used everywhere downstream:
 """
 
 from .exactlin import (
-    LinMap, Space, QuotientPresentation, DescentFailure, NoSolution,
-    descend, permute_factors, solve, tensor_space,
+    LinMap, Pipe, Space, QuotientPresentation, DescentFailure, NoSolution,
+    descend, fix_factor, kron_vec, pack_slices, rank, solve, tensor_space,
 )
 from .algcore import (
-    AlgebraData, ModuleActionData, Report, balanced_tensor, check_algebra,
-    check_module, curry_left, iterated_balanced_tensor, swap_map,
+    AlgebraData, ModuleActionData, Report, action_on_last_slot,
+    balanced_tensor, check_algebra, check_module, swap_map,
 )
-
-
-def _assemble_action(space, aspace, field, slices):
-    """Pack per-basis operators f_a : V -> V into one map V (x) A -> V."""
-    entries = {}
-    da = aspace.dim
-    for a, op in enumerate(slices):
-        for (i, j), v in op.entries.items():
-            entries[(i, j * da + a)] = v
-    return LinMap(tensor_space(space, aspace), space, field, entries)
 
 
 class LeftBialgebroidData:
@@ -72,64 +62,45 @@ class LeftBialgebroidData:
     def iterated_delta_lift(self, n):
         """Lift of the (n-1)-fold coproduct, expanding the last slot."""
         assert n >= 1
-        f = self.field
         du = self.U.space.dim
-        out = LinMap.identity(self.U.space, f)
+        pipe = Pipe([du], self.field)
         for k in range(1, n):
-            left = LinMap.identity(Space(du ** (k - 1)), f)
-            step = left.tensor(self.delta_lift)
-            out = LinMap(self.U.space, Space(du ** (k + 1)),
-                         f, (step @ out).entries)
-        return out
+            pipe.block(k - 1, 1, self.delta_lift, [du, du])
+        return pipe.map
 
     # -- tensor towers ---------------------------------------------------
 
+    def _pack_over_base(self, op_of, last=False):
+        """One map A (x) V -> W (V (x) A -> W if last) from the maps
+        op_of(a) : V -> W at the basis vectors a of A."""
+        f = self.field
+        return pack_slices([op_of(self.A.space.basis_vector(a, f))
+                            for a in range(self.A.space.dim)], f, last)
+
     def _ract_l(self):
         # u . a = t(a) u
-        slices = [self.lmul(self.t_of(self.A.space.basis_vector(a, self.field)))
-                  for a in range(self.A.space.dim)]
-        return _assemble_action(self.U.space, self.A.space, self.field, slices)
+        return self._pack_over_base(lambda a: self.lmul(self.t_of(a)), True)
 
-    def _lact_l(self):
-        # a . u = s(a) u, packed as A (x) U -> U
-        f = self.field
-        entries = {}
-        du = self.U.space.dim
-        for a in range(self.A.space.dim):
-            op = self.lmul(self.s_of(self.A.space.basis_vector(a, f)))
-            for (i, j), v in op.entries.items():
-                entries[(i, a * du + j)] = v
-        return LinMap(tensor_space(self.A.space, self.U.space), self.U.space,
-                      f, entries)
+    def _lact(self, along):
+        # a . u = along(a) u for along = s_of or t_of, packed as A (x) U -> U
+        return self._pack_over_base(lambda a: self.lmul(along(a)))
 
     def _ract_r(self):
         # u . a = u t(a)
-        slices = [self.rmul(self.t_of(self.A.space.basis_vector(a, self.field)))
-                  for a in range(self.A.space.dim)]
-        return _assemble_action(self.U.space, self.A.space, self.field, slices)
+        return self._pack_over_base(lambda a: self.rmul(self.t_of(a)), True)
 
-    def _lact_r(self):
-        # a . u = t(a) u, packed as A (x) U -> U
-        f = self.field
-        entries = {}
-        du = self.U.space.dim
-        for a in range(self.A.space.dim):
-            op = self.lmul(self.t_of(self.A.space.basis_vector(a, f)))
-            for (i, j), v in op.entries.items():
-                entries[(i, a * du + j)] = v
-        return LinMap(tensor_space(self.A.space, self.U.space), self.U.space,
-                      f, entries)
-
-    def _tower(self, cache, ract0, fact_ract, lact, n, tag):
-        from .algcore import action_on_last_slot
-        if cache is None:
-            cache = {"list": [QuotientPresentation.trivial(self.U.space,
-                                                           self.field)],
-                     "ract": ract0}
-        lst = cache["list"]
+    def _tower(self, cache, ract, lact, n, tag):
+        """Grow a cached tower to n factors.  `ract` and `lact` build the
+        actions U (x) A -> U and A (x) U -> U on one factor; they run only
+        when the tower grows."""
         triv = QuotientPresentation.trivial(self.U.space, self.field)
+        if cache is None:
+            cache = {"list": [triv], "ract": ract()}
+        lst = cache["list"]
+        if len(lst) < n:
+            fact_ract, fact_lact = ract(), lact()
         while len(lst) < n:
-            pres = balanced_tensor(lst[-1], triv, cache["ract"], lact,
+            pres = balanced_tensor(lst[-1], triv, cache["ract"], fact_lact,
                                    self.A.space, self.field,
                                    label="%s.%s%d" % (self.label, tag,
                                                       len(lst) + 1))
@@ -141,15 +112,15 @@ class LeftBialgebroidData:
     def ltower(self, n):
         """Presentation of the n-fold coproduct-side tensor power (n >= 1)."""
         assert n >= 1
-        self._ltowers = self._tower(self._ltowers, self._ract_l(),
-                                    self._ract_l(), self._lact_l(), n, "L")
+        self._ltowers = self._tower(self._ltowers, self._ract_l,
+                                    lambda: self._lact(self.s_of), n, "L")
         return self._ltowers["list"][n - 1]
 
     def rtower(self, n):
         """Presentation of the n-fold chain-side tensor power (n >= 1)."""
         assert n >= 1
-        self._rtowers = self._tower(self._rtowers, self._ract_r(),
-                                    self._ract_r(), self._lact_r(), n, "R")
+        self._rtowers = self._tower(self._rtowers, self._ract_r,
+                                    lambda: self._lact(self.t_of), n, "R")
         return self._rtowers["list"][n - 1]
 
     @property
@@ -193,30 +164,41 @@ def check_left_bialgebroid(b):
     rep = Report("left bialgebroid %s" % b.label)
     f = b.field
     U, A = b.U, b.A
+    du, da = U.space.dim, A.space.dim
     idu = LinMap.identity(U.space, f)
     rep.extend(check_algebra(A), "base.")
     rep.extend(check_algebra(U), "total.")
+
+    def mul_of(first, second, swapped=False):
+        """x (x) y -> first(x) second(y), or first(y) second(x) if swapped."""
+        pipe = Pipe([first.dom.dim, second.dom.dim], f)
+        if swapped:
+            pipe.permute([1, 0])
+        return pipe.block(0, 1, first).block(1, 1, second) \
+            .block(0, 2, U.mul).map
+
+    def after_delta(slot, op, out_dims=None):
+        return Pipe.after(b.delta_lift, [du, du]) \
+            .block(slot, 1, op, out_dims).map
+
     # source is a unital algebra map, target a unital anti-algebra map
     rep.check_map_equal("source_multiplicative",
-                        b.s_L @ A.mul, U.mul @ (b.s_L.tensor(b.s_L)))
+                        b.s_L @ A.mul, mul_of(b.s_L, b.s_L))
     rep.check_map_equal("target_antimultiplicative",
-                        b.t_L @ A.mul,
-                        U.mul @ ((b.t_L.tensor(b.t_L))
-                                 @ swap_map(A.space, A.space, f)))
+                        b.t_L @ A.mul, mul_of(b.t_L, b.t_L, swapped=True))
     rep.add("source_unital", b.s_L.apply(A.unit) == U.unit)
     rep.add("target_unital", b.t_L.apply(A.unit) == U.unit)
-    rep.check_map_equal("source_target_commute",
-                        U.mul @ (b.s_L.tensor(b.t_L)),
-                        U.mul @ ((b.t_L.tensor(b.s_L))
-                                 @ swap_map(A.space, A.space, f)))
+    rep.check_map_equal("source_target_commute", mul_of(b.s_L, b.t_L),
+                        mul_of(b.t_L, b.s_L, swapped=True))
     lt2, lt3 = b.ltower(2), b.ltower(3)
     # coproduct lands in the Takeuchi product
     ok = True
     witness = None
-    for a in range(A.space.dim):
+    for a in range(da):
         av = A.space.basis_vector(a, f)
-        t_a = (b.rmul(b.t_of(av)).tensor(idu)) - (idu.tensor(b.rmul(b.s_of(av))))
-        bad = lt2.projection @ (t_a @ b.delta_lift)
+        t_a = after_delta(0, b.rmul(b.t_of(av))) \
+            - after_delta(1, b.rmul(b.s_of(av)))
+        bad = lt2.projection @ t_a
         if not bad.is_zero():
             ok = False
             j = bad.nonzero_column_index()
@@ -225,21 +207,22 @@ def check_left_bialgebroid(b):
     rep.add("takeuchi_image", ok, witness)
     rep.check_map_equal(
         "coassociativity",
-        lt3.projection @ ((b.delta_lift.tensor(idu)) @ b.delta_lift),
-        lt3.projection @ ((idu.tensor(b.delta_lift)) @ b.delta_lift))
+        lt3.projection @ after_delta(0, b.delta_lift, [du, du]),
+        lt3.projection @ after_delta(1, b.delta_lift, [du, du]))
     triv_u = QuotientPresentation.trivial(U.space, f)
-    cu1_free = U.mul @ ((b.s_L @ b.eps_L).tensor(idu))
+    s_eps = b.s_L @ b.eps_L
+    t_eps = b.t_L @ b.eps_L
+    cu1_free = mul_of(s_eps, idu)
     cu1 = _report_descend(rep, "counit_left_descent", cu1_free, lt2, triv_u)
     if cu1 is not None:
         rep.check_map_equal("counit_left", cu1 @ b.Delta_L, idu)
-    cu2_free = (U.mul @ ((b.t_L @ b.eps_L).tensor(idu))) \
-        @ swap_map(U.space, U.space, f)
+    cu2_free = mul_of(t_eps, idu, swapped=True)
     cu2 = _report_descend(rep, "counit_right_descent", cu2_free, lt2, triv_u)
     if cu2 is not None:
         rep.check_map_equal("counit_right", cu2 @ b.Delta_L, idu)
     # coproduct is multiplicative on the Takeuchi product
-    du = U.space.dim
-    mul2_free = (U.mul.tensor(U.mul)) @ permute_factors([du] * 4, [0, 2, 1, 3], f)
+    mul2_free = Pipe([du] * 4, f).permute([0, 2, 1, 3]) \
+        .block(0, 2, U.mul).block(1, 2, U.mul).map
     rep.check_map_equal(
         "coproduct_multiplicative",
         lt2.projection @ (mul2_free @ (b.delta_lift.tensor(b.delta_lift))),
@@ -247,12 +230,9 @@ def check_left_bialgebroid(b):
     rep.check_map_zero(
         "coproduct_multiplication_well_defined",
         lt2.projection @ (mul2_free @ (b.delta_lift.tensor(lt2.relations))))
-    unit_sq = [f.zero] * (du * du)
-    for i, x in enumerate(U.unit):
-        for j, y in enumerate(U.unit):
-            unit_sq[i * du + j] = f.mul(x, y)
     rep.add("coproduct_unital",
-            b.Delta_L.apply(U.unit) == lt2.projection.apply(tuple(unit_sq)))
+            b.Delta_L.apply(U.unit)
+            == lt2.projection.apply(kron_vec(U.unit, U.unit, f)))
     rep.add("counit_unital", b.eps_L.apply(U.unit) == A.unit)
     rep.check_map_equal("counit_source", b.eps_L @ b.s_L,
                         LinMap.identity(A.space, f))
@@ -260,9 +240,9 @@ def check_left_bialgebroid(b):
                         LinMap.identity(A.space, f))
     e_mul = b.eps_L @ U.mul
     rep.check_map_equal("counit_source_absorb",
-                        b.eps_L @ (U.mul @ (idu.tensor(b.s_L @ b.eps_L))), e_mul)
+                        b.eps_L @ mul_of(idu, s_eps), e_mul)
     rep.check_map_equal("counit_target_absorb",
-                        b.eps_L @ (U.mul @ (idu.tensor(b.t_L @ b.eps_L))), e_mul)
+                        b.eps_L @ mul_of(idu, t_eps), e_mul)
     return rep
 
 
@@ -272,19 +252,19 @@ def check_hopf_algebroid(h):
     f = h.field
     U = h.U
     idu = LinMap.identity(U.space, f)
-    rep.check_map_equal("antipode_antimultiplicative",
-                        h.S @ U.mul,
-                        U.mul @ ((h.S.tensor(h.S))
-                                 @ swap_map(U.space, U.space, f)))
+    du = U.space.dim
+    rep.check_map_equal(
+        "antipode_antimultiplicative", h.S @ U.mul,
+        Pipe([du, du], f).permute([1, 0]).block(0, 1, h.S).block(1, 1, h.S)
+        .block(0, 2, U.mul).map)
     rep.add("antipode_unital", h.S.apply(U.unit) == U.unit)
     rep.check_map_equal("antipode_involutive", h.S @ h.S, idu)
     rep.check_map_equal("antipode_target_source", h.S @ h.t_L, h.s_L)
     lt2 = h.ltower(2)
     # S(u_(1))_(1) u_(2) (x) S(u_(1))_(2)  =  1 (x) S(u)
-    sw = swap_map(U.space, U.space, f)
-    left1 = (U.mul.tensor(idu)) \
-        @ (permute_factors([U.space.dim] * 3, [0, 2, 1], f)
-           @ ((h.delta_lift @ h.S).tensor(idu)))
+    delta_S = h.delta_lift @ h.S
+    left1 = Pipe([du, du], f).block(0, 1, delta_S, [du, du]) \
+        .permute([0, 2, 1]).block(0, 2, U.mul).map
     rhs1 = _insert_unit_left(U, f) @ h.S
     rep.check_map_equal("antipode_left_galois",
                         lt2.projection @ (left1 @ h.delta_lift),
@@ -292,7 +272,8 @@ def check_hopf_algebroid(h):
     rep.check_map_zero("antipode_left_galois_well_defined",
                        lt2.projection @ (left1 @ lt2.relations))
     # S(u_(2))_(1) (x) S(u_(2))_(2) u_(1)  =  S(u) (x) 1
-    left2 = (idu.tensor(U.mul)) @ (((h.delta_lift @ h.S).tensor(idu)) @ sw)
+    left2 = Pipe([du, du], f).permute([1, 0]) \
+        .block(0, 1, delta_S, [du, du]).block(1, 2, U.mul).map
     rhs2 = _insert_unit_right(U, f) @ h.S
     rep.check_map_equal("antipode_right_galois",
                         lt2.projection @ (left2 @ h.delta_lift),
@@ -330,9 +311,9 @@ def hopf_galois_beta(h):
     coproduct-side square."""
     if h._beta is not None:
         return h._beta
-    f = h.field
-    idu = LinMap.identity(h.U.space, f)
-    free = (idu.tensor(h.U.mul)) @ (h.delta_lift.tensor(idu))
+    du = h.U.space.dim
+    free = Pipe([du, du], h.field).block(0, 1, h.delta_lift, [du, du]) \
+        .block(1, 2, h.U.mul).map
     h._beta = descend(free, h.rtower(2), h.ltower(2))
     return h._beta
 
@@ -348,7 +329,7 @@ def translation_map(h):
     for j in range(h.U.space.dim):
         uv = h.U.space.basis_vector(j, f)
         target = lt2.projection.apply(
-            tuple(_kron(uv, h.U.unit, f)))
+            kron_vec(uv, h.U.unit, f))
         cols.append(solve(beta, target))
     h._translation = LinMap.from_columns(h.U.space, h.rtower(2).quotient, f,
                                          cols)
@@ -358,16 +339,6 @@ def translation_map(h):
 def translation_lift(h):
     """Lift of the translation map into the free tensor square."""
     return h.rtower(2).section @ translation_map(h)
-
-
-def _kron(u, v, f):
-    out = [f.zero] * (len(u) * len(v))
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    out[i * len(v) + j] = f.mul(a, b)
-    return tuple(out)
 
 
 def check_hopf_galois(h):
@@ -387,11 +358,9 @@ def check_hopf_galois(h):
         return rep.add("beta_surjective", False)
     rep.add("beta_surjective", True)
     # beta(translation(u)) = u (x) 1
-    want = LinMap(h.U.space, lt2.quotient, f,
-                  (lt2.projection @ _insert_unit_right(h.U, f)).entries)
+    want = lt2.projection @ _insert_unit_right(h.U, f)
     rep.check_map_equal("beta_translation_section", beta @ trans, want)
     # injectivity: beta has full column rank since dims match and it is onto
-    from .exactlin import rank
     rep.add("beta_injective", rank(beta) == rt2.quotient.dim)
     return rep
 
@@ -399,9 +368,14 @@ def check_hopf_galois(h):
 # -- stable anti-Yetter-Drinfeld coefficients -----------------------------
 
 class SaydModuleData:
-    """Right module / left comodule coefficients for the cyclic theories."""
+    """Right module / left comodule coefficients for the cyclic theories.
 
-    def __init__(self, h, space, action, coact_lift, label=""):
+    `presentation` is set when the space is itself a quotient of a free
+    tensor product (see operadcyc.build_ayd_coefficient).
+    """
+
+    def __init__(self, h, space, action, coact_lift, label="",
+                 presentation=None):
         self.h = h
         self.space = space
         assert action.dom.dim == space.dim * h.U.space.dim
@@ -411,42 +385,25 @@ class SaydModuleData:
         self.action = action
         self.coact_lift = coact_lift
         self.label = label
+        self.presentation = presentation
         self._mixed2 = None
+        # coefficient towers, filled by cyclichom.(co)chain_coeff_tower
+        self._chain_towers = None
+        self._cochain_towers = {}
 
     def act_by(self, uvec):
         """p -> p u for a fixed element of the total algebra."""
-        f = self.h.field
-        du = self.h.U.space.dim
-        out = {}
-        for (i, j), v in self.action.entries.items():
-            pj, uj = divmod(j, du)
-            if uvec[uj]:
-                key = (i, pj)
-                term = f.mul(v, uvec[uj])
-                cur = out.get(key)
-                out[key] = term if cur is None else f.add(cur, term)
-        return LinMap(self.space, self.space, f, out)
+        return fix_factor(self.action, uvec, self.space.dim)
 
     def left_a_action(self):
         """a . p = p t(a), packed as A (x) P -> P."""
         h = self.h
-        f = h.field
-        dp = self.space.dim
-        entries = {}
-        for a in range(h.A.space.dim):
-            op = self.act_by(h.t_of(h.A.space.basis_vector(a, f)))
-            for (i, j), v in op.entries.items():
-                entries[(i, a * dp + j)] = v
-        return LinMap(tensor_space(h.A.space, self.space), self.space, f,
-                      entries)
+        return h._pack_over_base(lambda a: self.act_by(h.t_of(a)))
 
     def right_arrow_action(self):
         """a > p = p t(a), packed as P (x) A -> P (left slot of chain towers)."""
         h = self.h
-        f = h.field
-        slices = [self.act_by(h.t_of(h.A.space.basis_vector(a, f)))
-                  for a in range(h.A.space.dim)]
-        return _assemble_action(self.space, h.A.space, f, slices)
+        return h._pack_over_base(lambda a: self.act_by(h.t_of(a)), True)
 
     def mixed2(self):
         """Presentation of U (x)_A P (coaction target)."""
@@ -469,24 +426,16 @@ def check_sayd(p):
     h = p.h
     f = h.field
     rep = Report("sayd %s" % p.label)
-    idu = LinMap.identity(h.U.space, f)
     idp = LinMap.identity(p.space, f)
     rep.extend(check_module(ModuleActionData(h.U, p.space, p.action, "right",
                                              p.label)), "module.")
     m2 = p.mixed2()
     # counit law of the coaction
-    counit_act = _stack_rows(
+    counit_act = pack_slices(
         [p.act_by(h.t_of(h.eps_L.column(j))) for j in range(h.U.space.dim)],
-        p.space, f)
+        f)
     rep.check_map_equal("comodule_counit", counit_act @ p.coact_lift, idp)
-    # coassociativity in U (x)_A U (x)_A P
-    lact_m2 = _left_action_first_slot(m2, h, f)
-    pres3 = balanced_tensor(QuotientPresentation.trivial(h.U.space, f), m2,
-                            h._ract_l(), lact_m2, h.A.space, f)
-    rep.check_map_equal(
-        "comodule_coassociative",
-        pres3.projection @ ((h.delta_lift.tensor(idp)) @ p.coact_lift),
-        pres3.projection @ ((idu.tensor(p.coact_lift)) @ p.coact_lift))
+    _check_coassociative(rep, h, m2, p.coact_lift)
     # compatibility p s(a) t(b) = b eps(p_(-1) s(a)) p_(0)
     ok = True
     witness = None
@@ -508,65 +457,55 @@ def check_sayd(p):
             break
     rep.add("module_comodule_compatible", ok, witness)
     # anti-Yetter-Drinfeld condition
-    du = h.U.space.dim
-    dp = p.space.dim
+    du, dp = h.U.space.dim, p.space.dim
     lhs = m2.projection @ (p.coact_lift @ p.action)
-    trans = translation_lift(h)
-    step = (p.coact_lift.tensor(LinMap.identity(Space(du ** 3), f))) \
-        @ ((idp.tensor(h.delta_lift.tensor(idu))) @ (idp.tensor(trans)))
-    perm = _permute_mixed([du, dp, du, du, du], [4, 0, 2, 1, 3], f)
-    finish = (h.U.mul_n(3)).tensor(p.action)
-    rhs = m2.projection @ (finish @ (perm @ step))
-    rep.check_map_equal("anti_yetter_drinfeld",
-                        LinMap(lhs.dom, lhs.cod, f, lhs.entries),
-                        LinMap(lhs.dom, lhs.cod, f, rhs.entries))
+    pipe = Pipe([dp, du], f).block(1, 1, translation_lift(h), [du, du])
+    pipe.block(1, 1, h.delta_lift, [du, du])
+    pipe.block(0, 1, p.coact_lift, [du, dp])
+    pipe.permute([4, 0, 2, 1, 3]).block(0, 3, h.U.mul_n(3))
+    pipe.block(1, 2, p.action)
+    rep.check_map_equal("anti_yetter_drinfeld", lhs,
+                        m2.projection @ pipe.map)
     # stability
-    rep.check_map_equal(
-        "stability",
-        p.action @ (swap_map(Space(du), p.space, f) @ p.coact_lift), idp)
+    stab = Pipe.after(p.coact_lift, [du, dp]).permute([1, 0])
+    rep.check_map_equal("stability", stab.block(0, 2, p.action).map, idp)
     return rep
 
 
-def _stack_rows(slices, space, f):
-    """Pack per-U-basis maps P -> P into one map U (x) P -> P."""
-    dp = space.dim
-    entries = {}
-    for uj, op in enumerate(slices):
-        for (i, j), v in op.entries.items():
-            entries[(i, uj * dp + j)] = v
-    return LinMap(Space(len(slices) * dp), space, f, entries)
+def _check_coassociative(rep, h, m2, coact_lift):
+    """Coassociativity of a left coaction lift V -> U (x) V, checked in
+    U (x)_A U (x)_A V; m2 presents U (x)_A V."""
+    f = h.field
+    du, dv = h.U.space.dim, coact_lift.dom.dim
+    pres3 = balanced_tensor(QuotientPresentation.trivial(h.U.space, f), m2,
+                            h._ract_l(), _left_action_first_slot(m2, h, f),
+                            h.A.space, f)
+
+    def expand(slot, op, out_dims):
+        return pres3.projection @ Pipe.after(coact_lift, [du, dv]) \
+            .block(slot, 1, op, out_dims).map
+
+    rep.check_map_equal("comodule_coassociative",
+                        expand(0, h.delta_lift, [du, du]),
+                        expand(1, coact_lift, [du, dv]))
 
 
 def _apply_scalar_action(p, scal, f):
     """From scal : U -> A build U (x) P -> P, (u, q) -> scal(u) . q."""
-    h = p.h
-    dp = p.space.dim
-    entries = {}
     lact = p.left_a_action()
-    for uj in range(h.U.space.dim):
-        avec = scal.column(uj)
-        op = curry_left(lact, avec, h.A.space.dim)
-        for (i, j), v in op.entries.items():
-            entries[(i, uj * dp + j)] = v
-    return LinMap(Space(h.U.space.dim * dp), p.space, f, entries)
+    return pack_slices([fix_factor(lact, scal.column(uj))
+                        for uj in range(scal.dom.dim)], f)
 
 
 def _left_action_first_slot(pres, h, f):
     """Left A-action s(a) on the first slot of a mixed quotient."""
-    rest = pres.ambient.dim // h.U.space.dim
-    q = pres.quotient
-    entries = {}
-    for a in range(h.A.space.dim):
-        op_free = h.lmul(h.s_of(h.A.space.basis_vector(a, f))).tensor(
-            LinMap.identity(Space(rest), f))
-        op = pres.projection @ (op_free @ pres.section)
-        for (i, j), v in op.entries.items():
-            entries[(i, a * q.dim + j)] = v
-    return LinMap(Space(h.A.space.dim * q.dim), q, f, entries)
+    du = h.U.space.dim
 
+    def acting(a):
+        lifted = Pipe.after(pres.section, [du, pres.ambient.dim // du])
+        return pres.projection @ lifted.block(0, 1, h.lmul(h.s_of(a))).map
 
-def _permute_mixed(dims, perm, f):
-    return permute_factors(dims, perm, f)
+    return h._pack_over_base(acting)
 
 
 # -- Yetter-Drinfeld module algebras --------------------------------------
@@ -590,20 +529,12 @@ class YdAlgebraData:
         self._mixed2 = None
 
     def act_by(self, uvec):
-        return curry_left(self.action, uvec, self.h.U.space.dim)
+        return fix_factor(self.action, uvec)
 
     def left_a_action(self):
         """a . z = s(a) z, packed as A (x) Z -> Z."""
         h = self.h
-        f = h.field
-        dz = self.Z.space.dim
-        entries = {}
-        for a in range(h.A.space.dim):
-            op = self.act_by(h.s_of(h.A.space.basis_vector(a, f)))
-            for (i, j), v in op.entries.items():
-                entries[(i, a * dz + j)] = v
-        return LinMap(tensor_space(h.A.space, self.Z.space), self.Z.space, f,
-                      entries)
+        return h._pack_over_base(lambda a: self.act_by(h.s_of(a)))
 
     def mixed2(self):
         if self._mixed2 is None:
@@ -625,47 +556,33 @@ def check_yd_algebra(y):
     rep.extend(check_module(ModuleActionData(h.U, y.Z.space, y.action, "left",
                                              y.label)), "module.")
     m2 = y.mixed2()
-    idu = LinMap.identity(h.U.space, f)
     idz = LinMap.identity(y.Z.space, f)
     counit_slices = [y.act_by(h.s_of(h.eps_L.column(j)))
                      for j in range(h.U.space.dim)]
     rep.check_map_equal("comodule_counit",
-                        _stack_rows(counit_slices, y.Z.space, f) @ y.coact_lift,
+                        pack_slices(counit_slices, f) @ y.coact_lift,
                         idz)
-    lact_m2 = _left_action_first_slot(m2, h, f)
-    pres3 = balanced_tensor(QuotientPresentation.trivial(h.U.space, f), m2,
-                            h._ract_l(), lact_m2, h.A.space, f)
-    rep.check_map_equal(
-        "comodule_coassociative",
-        pres3.projection @ ((h.delta_lift.tensor(idz)) @ y.coact_lift),
-        pres3.projection @ ((idu.tensor(y.coact_lift)) @ y.coact_lift))
-    # u (z z') = (u_(1) z)(u_(2) z')
+    _check_coassociative(rep, h, m2, y.coact_lift)
     du, dz = h.U.space.dim, y.Z.space.dim
-    lhs = y.action @ (idu.tensor(y.Z.mul))
-    perm = permute_factors([du, du, dz, dz], [0, 2, 1, 3], f)
-    rhs = y.Z.mul @ ((y.action.tensor(y.action))
-                     @ (perm @ (h.delta_lift.tensor(idz.tensor(idz)))))
-    rep.check_map_equal("module_algebra",
-                        LinMap(lhs.dom, lhs.cod, f, lhs.entries),
-                        LinMap(lhs.dom, lhs.cod, f, rhs.entries))
-    unit_line = y.action @ (idu.tensor(y.Z.unit_map()))
+    # u (z z') = (u_(1) z)(u_(2) z')
+    lhs = Pipe([du, dz, dz], f).block(1, 2, y.Z.mul).block(0, 2, y.action)
+    rhs = Pipe([du, dz, dz], f).block(0, 1, h.delta_lift, [du, du])
+    rhs.permute([0, 2, 1, 3]).block(0, 2, y.action).block(1, 2, y.action)
+    rep.check_map_equal("module_algebra", lhs.map,
+                        rhs.block(0, 2, y.Z.mul).map)
+    unit_line = Pipe([du], f).block(1, 0, y.Z.unit_map()).block(0, 2, y.action)
     cols = [y.act_by(h.s_of(h.eps_L.column(j))).apply(y.Z.unit)
             for j in range(du)]
-    rep.check_map_equal("unit_invariant",
-                        LinMap(Space(du), y.Z.space, f, unit_line.entries),
+    rep.check_map_equal("unit_invariant", unit_line.map,
                         LinMap.from_columns(Space(du), y.Z.space, f, cols))
     unit_coact = m2.projection.apply(
-        tuple(_kron(h.U.unit, y.Z.unit, f)))
+        kron_vec(h.U.unit, y.Z.unit, f))
     rep.add("unit_coinvariant",
             m2.projection.apply(y.coact_lift.apply(y.Z.unit)) == unit_coact)
     if y.braided_commutative:
-        step = (y.action.tensor(idz)) \
-            @ (permute_factors([dz, du, dz], [1, 0, 2], f)
-               @ (idz.tensor(y.coact_lift)))
-        rep.check_map_equal("braided_commutative",
-                            y.Z.mul,
-                            LinMap(y.Z.mul.dom, y.Z.mul.cod, f,
-                                   (y.Z.mul @ step).entries))
+        step = Pipe([dz, dz], f).block(1, 1, y.coact_lift, [du, dz])
+        step.permute([1, 0, 2]).block(0, 2, y.action).block(0, 2, y.Z.mul)
+        rep.check_map_equal("braided_commutative", y.Z.mul, step.map)
     return rep
 
 
@@ -679,7 +596,6 @@ class GalleryEntry:
 
 def scalar_algebra(field, label="k"):
     sp = Space(1, label)
-    mul = LinMap(Space(1), sp, field, {(0, 0): field.one})
     return AlgebraData(sp, LinMap(Space(1), sp, field, {(0, 0): field.one}),
                        (field.one,), field, label)
 
@@ -744,20 +660,19 @@ def pair_hopf_algebroid(A, label=""):
     t_cols = []
     for i in range(d):
         ei = A.space.basis_vector(i, f)
-        s_cols.append(_kron(ei, A.unit, f))
-        t_cols.append(_kron(A.unit, ei, f))
+        s_cols.append(kron_vec(ei, A.unit, f))
+        t_cols.append(kron_vec(A.unit, ei, f))
     s_L = LinMap.from_columns(A.space, U.space, f, s_cols)
     t_L = LinMap.from_columns(A.space, U.space, f, t_cols)
     delta_cols = []
     for i in range(d):
         for j in range(d):
-            u1 = _kron(A.space.basis_vector(i, f), A.unit, f)
-            u2 = _kron(A.unit, A.space.basis_vector(j, f), f)
-            delta_cols.append(_kron(u1, u2, f))
+            u1 = kron_vec(A.space.basis_vector(i, f), A.unit, f)
+            u2 = kron_vec(A.unit, A.space.basis_vector(j, f), f)
+            delta_cols.append(kron_vec(u1, u2, f))
     delta = LinMap.from_columns(U.space, Space(d ** 4), f, delta_cols)
-    eps = LinMap(U.space, A.space, f, A.mul.entries)
+    eps = A.mul
     S = swap_map(A.space, A.space, f)
-    S = LinMap(U.space, U.space, f, S.entries)
     return HopfAlgebroidData(U, A, s_L, t_L, delta, eps, S,
                              label=label or "pair(%s)" % A.label)
 
@@ -782,9 +697,7 @@ def base_sayd_for_pair(h, A):
     d = A.space.dim
     P = Space(d, "P")
     # action: (p, a (x) b) -> a p b
-    perm = permute_factors([d, d, d], [1, 0, 2], f)
-    action_full = A.mul_n(3) @ perm
-    action = LinMap(Space(d * d * d), P, f, action_full.entries)
+    action = Pipe([d, d, d], f).permute([1, 0, 2]).block(0, 3, A.mul_n(3)).map
     coact_cols = []
     for i in range(d):
         sp = h.s_of(A.space.basis_vector(i, f))

@@ -9,7 +9,7 @@ exterior power is a plain vector space with an increasing-tuple basis.
 
 import itertools
 
-from .exactlin import LinMap, Space, rank
+from .exactlin import LinMap, Space, fix_factor, rank
 from .algcore import Report, check_sweedler_measuring
 
 
@@ -249,12 +249,10 @@ class LieRinehartMeasuringData:
         self.label = label
 
     def PsiL_of(self, xvec):
-        from .algcore import curry_left
-        return curry_left(self.PsiL, xvec, self.C.space.dim)
+        return fix_factor(self.PsiL, xvec)
 
     def psi_of(self, xvec):
-        from .algcore import curry_left
-        return curry_left(self.psi, xvec, self.C.space.dim)
+        return fix_factor(self.psi, xvec)
 
     def psi_scalar(self, xvec):
         return self.psi_of(xvec).apply((self.C.field.one,))[0]

@@ -6,12 +6,14 @@ add a C-comodule D acting between SAYD coefficients; YD measurings act
 between Yetter-Drinfeld module algebras over a fixed Hopf algebroid.
 """
 
-from .exactlin import LinMap, Space, permute_factors, tensor_space
+from .exactlin import (
+    LinMap, Pipe, Space, fix_factor, pack_slices, tensor_space,
+)
 from .algcore import (
     CoalgebraData, ComoduleData, Report, check_comodule,
-    check_sweedler_measuring, curry_left,
+    check_sweedler_measuring,
 )
-from .hopfalgebroid import SaydModuleData, YdAlgebraData
+from .hopfalgebroid import YdAlgebraData
 
 
 class MeasuringData:
@@ -34,10 +36,10 @@ class MeasuringData:
         self.label = label
 
     def Psi_of(self, xvec):
-        return curry_left(self.Psi, xvec, self.C.space.dim)
+        return fix_factor(self.Psi, xvec)
 
     def psi_of(self, xvec):
-        return curry_left(self.psi, xvec, self.C.space.dim)
+        return fix_factor(self.psi, xvec)
 
     def induced_free(self, xvec, n):
         """Slotwise action through the iterated coproduct of x, on the free
@@ -66,19 +68,24 @@ def check_hopf_algebroid_measuring(m):
     rep = Report("measuring %s" % m.label)
     f = m.C.field
     src, dst = m.src, m.dst
-    idc = LinMap.identity(m.C.space, f)
     rep.extend(check_sweedler_measuring(m.C, src.U, dst.U, m.Psi), "total.")
     rep.extend(check_sweedler_measuring(m.C, src.A, dst.A, m.psi), "base.")
+
+    def acting(outer, op):
+        """x (x) v -> outer(x (x) op(v))."""
+        return Pipe([m.C.space.dim, op.dom.dim], f).block(1, 1, op) \
+            .block(0, 2, outer).map
+
     rep.check_map_equal("source_compatible",
-                        m.Psi @ (idc.tensor(src.s_L)), dst.s_L @ m.psi)
+                        acting(m.Psi, src.s_L), dst.s_L @ m.psi)
     rep.check_map_equal("target_compatible",
-                        m.Psi @ (idc.tensor(src.t_L)), dst.t_L @ m.psi)
+                        acting(m.Psi, src.t_L), dst.t_L @ m.psi)
     rep.check_map_equal("antipode_compatible",
-                        m.Psi @ (idc.tensor(src.S)), dst.S @ m.Psi)
+                        acting(m.Psi, src.S), dst.S @ m.Psi)
     rep.check_map_equal("counit_compatible",
-                        m.psi @ (idc.tensor(src.eps_L)), dst.eps_L @ m.Psi)
+                        acting(m.psi, src.eps_L), dst.eps_L @ m.Psi)
     rep.check_map_equal("right_counit_compatible",
-                        m.psi @ (idc.tensor(src.eps_R)), dst.eps_R @ m.Psi)
+                        acting(m.psi, src.eps_R), dst.eps_R @ m.Psi)
     lt2s, lt2d = src.ltower(2), dst.ltower(2)
     rt2s, rt2d = src.rtower(2), dst.rtower(2)
     ok_cop = True
@@ -114,26 +121,10 @@ def compose_measurings(m1, m2, label=""):
         and m1.dst.A.space.dim == m2.src.A.space.dim)
     f = m1.C.field
     C = m1.C.tensor_with(m2.C)
-    d1, d2 = m1.C.space.dim, m2.C.space.dim
-    du = m1.src.U.space.dim
-    da = m1.src.A.space.dim
-    Psi_entries = {}
-    psi_entries = {}
-    for i in range(d1):
-        xi = m1.C.space.basis_vector(i, f)
-        p1 = m1.Psi_of(xi)
-        q1 = m1.psi_of(xi)
-        for j in range(d2):
-            xj = m2.C.space.basis_vector(j, f)
-            op = m2.Psi_of(xj) @ p1
-            qq = m2.psi_of(xj) @ q1
-            base = (i * d2 + j)
-            for (r, c), v in op.entries.items():
-                Psi_entries[(r, base * du + c)] = v
-            for (r, c), v in qq.entries.items():
-                psi_entries[(r, base * da + c)] = v
-    Psi = LinMap(Space(d1 * d2 * du), m2.dst.U.space, f, Psi_entries)
-    psi = LinMap(Space(d1 * d2 * da), m2.dst.A.space, f, psi_entries)
+    pairs = [(m1.C.space.basis_vector(i, f), m2.C.space.basis_vector(j, f))
+             for i in range(m1.C.space.dim) for j in range(m2.C.space.dim)]
+    Psi = pack_slices([m2.Psi_of(y) @ m1.Psi_of(x) for x, y in pairs], f)
+    psi = pack_slices([m2.psi_of(y) @ m1.psi_of(x) for x, y in pairs], f)
     return MeasuringData(C, m1.src, m2.dst, Psi, psi,
                          label or "%s;%s" % (m1.label, m2.label))
 
@@ -157,13 +148,10 @@ def enveloping_measuring(C, src_A, dst_A, psi):
     Ae_src = src_A.tensor_with(src_A.opposite())
     Ae_dst = dst_A.tensor_with(dst_A.opposite())
     da = src_A.space.dim
-    idaa = LinMap.identity(Space(da * da), f)
     dc = C.space.dim
-    perm = permute_factors([dc, dc, da, da], [0, 2, 1, 3], f)
-    psi_e = (psi.tensor(psi)) @ (perm @ (C.comul.tensor(idaa)))
-    psi_e = LinMap(Space(dc * da * da), Space(dst_A.space.dim ** 2), f,
-                   psi_e.entries)
-    return EnvelopingMeasuring(C, Ae_src, Ae_dst, psi_e)
+    psi_e = Pipe([dc, da, da], f).block(0, 1, C.comul, [dc, dc])
+    psi_e.permute([0, 2, 1, 3]).block(0, 2, psi).block(1, 2, psi)
+    return EnvelopingMeasuring(C, Ae_src, Ae_dst, psi_e.map)
 
 
 def check_enveloping_measuring(env):
@@ -189,7 +177,7 @@ class ComoduleMeasuringData:
         self.label = label
 
     def Omega_of(self, yvec):
-        return curry_left(self.Omega, yvec, self.D.space.dim)
+        return fix_factor(self.Omega, yvec)
 
     def mixed_free(self, yvec):
         """y(u (x) p) = Psi(y_(1))(u) (x) Omega(y_(0))(p), on free lifts."""
@@ -249,35 +237,26 @@ def check_sayd_comodule_measuring(cm):
     dd = cm.D.space.dim
     dpp = sp.space.dim
     du = src.U.space.dim
-    idd = LinMap.identity(cm.D.space, f)
-    # Omega(y)(p u) = Omega(y_(0))(p) Psi(y_(1))(u)
-    lhs = cm.Omega @ (idd.tensor(sp.action))
     dc = cm.base.C.space.dim
-    perm = permute_factors([dd, dc, dpp, du], [0, 2, 1, 3], f)
-    step = perm @ (cm.D.coaction.tensor(
-        LinMap.identity(Space(dpp * du), f)))
-    rhs = dp.action @ ((cm.Omega.tensor(cm.base.Psi)) @ step)
-    rep.check_map_equal("module_measuring",
-                        LinMap(lhs.dom, lhs.cod, f, lhs.entries),
-                        LinMap(lhs.dom, lhs.cod, f, rhs.entries))
+    # Omega(y)(p u) = Omega(y_(0))(p) Psi(y_(1))(u)
+    lhs = Pipe([dd, dpp, du], f).block(1, 2, sp.action).block(0, 2, cm.Omega)
+    rhs = Pipe([dd, dpp, du], f).block(0, 1, cm.D.coaction, [dd, dc])
+    rhs.permute([0, 2, 1, 3]).block(0, 2, cm.Omega).block(1, 2, cm.base.Psi)
+    rep.check_map_equal("module_measuring", lhs.map,
+                        rhs.block(0, 2, dp.action).map)
     # enveloping-action measuring: Omega(y)(p s(a) t(b)) factors through psi^e
     da = src.A.space.dim
     act_s = _action_by_images(sp, src.s_L, f)
     act_t = _action_by_images(sp, src.t_L, f)
     act_s2 = _action_by_images(dp, dst.s_L, f)
     act_t2 = _action_by_images(dp, dst.t_L, f)
-    ida = LinMap.identity(src.A.space, f)
-    lhs2 = cm.Omega @ (idd.tensor(act_t @ (act_s.tensor(ida))))
-    step2 = (cm.D.coaction.tensor(LinMap.identity(Space(dpp * da * da), f)))
-    split = (idd.tensor(cm.base.C.comul)).tensor(
-        LinMap.identity(Space(dpp * da * da), f))
-    perm2 = permute_factors([dd, dc, dc, dpp, da, da], [0, 3, 1, 4, 2, 5], f)
-    rhs2 = act_t2 @ ((act_s2.tensor(LinMap.identity(dst.A.space, f)))
-                     @ ((cm.Omega.tensor(cm.base.psi.tensor(cm.base.psi)))
-                        @ (perm2 @ (split @ step2))))
+    lhs2 = Pipe([dd, dpp, da, da], f).block(1, 2, act_s).block(1, 2, act_t)
+    rhs2 = Pipe([dd, dpp, da, da], f).block(0, 1, cm.D.coaction, [dd, dc])
+    rhs2.block(1, 1, cm.base.C.comul, [dc, dc]).permute([0, 3, 1, 4, 2, 5])
+    rhs2.block(0, 2, cm.Omega).block(1, 2, cm.base.psi)
+    rhs2.block(2, 2, cm.base.psi).block(0, 2, act_s2).block(0, 2, act_t2)
     rep.check_map_equal("enveloping_measuring",
-                        LinMap(lhs2.dom, lhs2.cod, f, lhs2.entries),
-                        LinMap(lhs2.dom, lhs2.cod, f, rhs2.entries))
+                        lhs2.block(0, 2, cm.Omega).map, rhs2.map)
     # coaction compatibility through the mixed map
     m2s, m2d = sp.mixed2(), dp.mixed2()
     ok = True
@@ -306,14 +285,8 @@ def check_sayd_comodule_measuring(cm):
 
 def _action_by_images(p, arrow, f):
     """From arrow : A -> U build P (x) A -> P through the module action."""
-    da = arrow.dom.dim
-    dp = p.space.dim
-    entries = {}
-    for a in range(da):
-        op = p.act_by(arrow.column(a))
-        for (i, j), v in op.entries.items():
-            entries[(i, j * da + a)] = v
-    return LinMap(Space(dp * da), p.space, f, entries)
+    return pack_slices([p.act_by(arrow.column(a))
+                        for a in range(arrow.dom.dim)], f, last=True)
 
 
 def compose_comodule_measurings(cm1, cm2, label=""):
@@ -322,22 +295,13 @@ def compose_comodule_measurings(cm1, cm2, label=""):
     D1, D2 = cm1.D, cm2.D
     dd1, dd2 = D1.space.dim, D2.space.dim
     dc1, dc2 = cm1.base.C.space.dim, cm2.base.C.space.dim
-    perm = permute_factors([dd1, dc1, dd2, dc2], [0, 2, 1, 3], f)
-    coaction = perm @ (D1.coaction.tensor(D2.coaction))
-    D = ComoduleData(base.C, tensor_space(D1.space, D2.space),
-                     LinMap(Space(dd1 * dd2),
-                            Space(dd1 * dd2 * dc1 * dc2), f, coaction.entries),
+    coaction = Pipe([dd1, dd2], f).block(0, 1, D1.coaction, [dd1, dc1])
+    coaction.block(2, 1, D2.coaction, [dd2, dc2]).permute([0, 2, 1, 3])
+    D = ComoduleData(base.C, tensor_space(D1.space, D2.space), coaction.map,
                      "right", label="%sx%s" % (D1.label, D2.label))
-    dp = cm1.src_p.space.dim
-    entries = {}
-    for i in range(dd1):
-        o1 = cm1.Omega_of(D1.space.basis_vector(i, f))
-        for j in range(dd2):
-            op = cm2.Omega_of(D2.space.basis_vector(j, f)) @ o1
-            base_idx = i * dd2 + j
-            for (r, c), v in op.entries.items():
-                entries[(r, base_idx * dp + c)] = v
-    Omega = LinMap(Space(dd1 * dd2 * dp), cm2.dst_p.space, f, entries)
+    Omega = pack_slices([cm2.Omega_of(D2.space.basis_vector(j, f))
+                         @ cm1.Omega_of(D1.space.basis_vector(i, f))
+                         for i in range(dd1) for j in range(dd2)], f)
     return ComoduleMeasuringData(base, D, cm1.src_p, cm2.dst_p, Omega,
                                  label or "%s;%s" % (cm1.label, cm2.label))
 
@@ -359,7 +323,7 @@ class YdMeasuringData:
         self.label = label
 
     def psi_of(self, xvec):
-        return curry_left(self.psi, xvec, self.C.space.dim)
+        return fix_factor(self.psi, xvec)
 
 
 def check_yd_measuring(ym):
@@ -368,17 +332,14 @@ def check_yd_measuring(ym):
     h = ym.src_z.h
     rep.extend(check_sweedler_measuring(ym.C, ym.src_z.Z, ym.dst_z.Z, ym.psi),
                "algebra.")
-    idc = LinMap.identity(ym.C.space, f)
-    idu = LinMap.identity(h.U.space, f)
     dc, du = ym.C.space.dim, h.U.space.dim
     dz = ym.src_z.Z.space.dim
     # x(u z) = u x(z)
-    lhs = ym.psi @ (idc.tensor(ym.src_z.action))
-    perm = permute_factors([dc, du, dz], [1, 0, 2], f)
-    rhs = ym.dst_z.action @ ((idu.tensor(ym.psi)) @ perm)
-    rep.check_map_equal("equivariance",
-                        LinMap(lhs.dom, lhs.cod, f, lhs.entries),
-                        LinMap(lhs.dom, lhs.cod, f, rhs.entries))
+    lhs = Pipe([dc, du, dz], f).block(1, 2, ym.src_z.action) \
+        .block(0, 2, ym.psi).map
+    rhs = Pipe([dc, du, dz], f).permute([1, 0, 2]).block(1, 2, ym.psi) \
+        .block(0, 2, ym.dst_z.action).map
+    rep.check_map_equal("equivariance", lhs, rhs)
     # coaction: x(z)_(-1) (x) x(z)_(0) = z_(-1) (x) x(z_(0))
     m2s, m2d = ym.src_z.mixed2(), ym.dst_z.mixed2()
     ok = True
@@ -389,13 +350,15 @@ def check_yd_measuring(ym):
         xv = ym.C.space.basis_vector(x, f)
         px = ym.psi_of(xv)
         lhs = m2d.projection @ (ym.dst_z.coact_lift @ px)
-        rhs = m2d.projection @ ((idu.tensor(px)) @ ym.src_z.coact_lift)
+        rhs = m2d.projection @ Pipe.after(ym.src_z.coact_lift, [du, dz]) \
+            .block(1, 1, px).map
         if not (lhs - rhs).is_zero():
             ok = False
             d = lhs - rhs
             j = d.nonzero_column_index()
             wit = (x, j, d.column(j))
-        bad = m2d.projection @ ((idu.tensor(px)) @ m2s.relations)
+        bad = m2d.projection @ Pipe.after(m2s.relations, [du, dz]) \
+            .block(1, 1, px).map
         if not bad.is_zero():
             ok_rel = False
             j = bad.nonzero_column_index()
@@ -430,10 +393,8 @@ def identity_measuring(h):
     """The point coalgebra acting by the identity."""
     f = h.field
     C = point_coalgebra(f)
-    Psi = LinMap(Space(h.U.space.dim), h.U.space, f,
-                 LinMap.identity(h.U.space, f).entries)
-    psi = LinMap(Space(h.A.space.dim), h.A.space, f,
-                 LinMap.identity(h.A.space, f).entries)
+    Psi = LinMap.identity(h.U.space, f)
+    psi = LinMap.identity(h.A.space, f)
     return MeasuringData(C, h, h, Psi, psi, label="id(%s)" % h.label)
 
 
@@ -443,21 +404,10 @@ def derivation_pair_measuring(h, delta, label=""):
     f = h.field
     C = primitive_pair_coalgebra(f)
     da = h.A.space.dim
-    ida = LinMap.identity(h.A.space, f)
-    xs = delta.tensor(ida) + ida.tensor(delta)
-    du = h.U.space.dim
-    entries = {}
-    for (i, j), v in LinMap.identity(h.U.space, f).entries.items():
-        entries[(i, 0 * du + j)] = v
-    for (i, j), v in xs.entries.items():
-        entries[(i, 1 * du + j)] = v
-    Psi = LinMap(Space(2 * du), h.U.space, f, entries)
-    pentries = {}
-    for (i, j), v in ida.entries.items():
-        pentries[(i, 0 * da + j)] = v
-    for (i, j), v in delta.entries.items():
-        pentries[(i, 1 * da + j)] = v
-    psi = LinMap(Space(2 * da), h.A.space, f, pentries)
+    xs = Pipe([da, da], f).block(0, 1, delta).map \
+        + Pipe([da, da], f).block(1, 1, delta).map
+    Psi = pack_slices([LinMap.identity(h.U.space, f), xs], f)
+    psi = pack_slices([LinMap.identity(h.A.space, f), delta], f)
     return MeasuringData(C, h, h, Psi, psi,
                          label or "deriv(%s)" % h.label)
 
@@ -466,14 +416,10 @@ def zero_primitive_measuring(h, label=""):
     """(g, x)-measuring with x acting by zero; valid for any Hopf algebroid."""
     f = h.field
     C = primitive_pair_coalgebra(f)
-    du, da = h.U.space.dim, h.A.space.dim
-    entries = {(i, j): v
-               for (i, j), v in LinMap.identity(h.U.space, f).entries.items()}
-    Psi = LinMap(Space(2 * du), h.U.space, f,
-                 {(i, 0 * du + j): v for (i, j), v in entries.items()})
-    psi = LinMap(Space(2 * da), h.A.space, f,
-                 {(i, 0 * da + j): v
-                  for (i, j), v in LinMap.identity(h.A.space, f).entries.items()})
+    Psi = pack_slices([LinMap.identity(h.U.space, f),
+                       LinMap.zero(h.U.space, h.U.space, f)], f)
+    psi = pack_slices([LinMap.identity(h.A.space, f),
+                       LinMap.zero(h.A.space, h.A.space, f)], f)
     return MeasuringData(C, h, h, Psi, psi, label or "prim0(%s)" % h.label)
 
 
@@ -493,15 +439,8 @@ def derivation_pair_comodule_measuring(m, p, label=""):
     Omega(g) = id, Omega(x) = the base derivation on P = A."""
     f = m.C.field
     D = self_comodule(m.C)
-    dp = p.space.dim
-    delta = m.psi_of((f.zero, f.one))
-    ident = m.psi_of((f.one, f.zero))
-    entries = {}
-    for (i, j), v in ident.entries.items():
-        entries[(i, 0 * dp + j)] = v
-    for (i, j), v in delta.entries.items():
-        entries[(i, 1 * dp + j)] = v
-    Omega = LinMap(Space(2 * dp), p.space, f, entries)
+    Omega = pack_slices([m.psi_of((f.one, f.zero)),
+                         m.psi_of((f.zero, f.one))], f)
     return ComoduleMeasuringData(m, D, p, p, Omega,
                                  label or "deriv.coeff(%s)" % m.label)
 
@@ -510,11 +449,8 @@ def zero_primitive_comodule_measuring(m, p, label=""):
     """Comodule measuring over a (g, x) measuring with both x-slices zero."""
     f = m.C.field
     D = self_comodule(m.C)
-    dp = p.space.dim
-    entries = {}
-    for (i, j), v in LinMap.identity(p.space, f).entries.items():
-        entries[(i, 0 * dp + j)] = v
-    Omega = LinMap(Space(2 * dp), p.space, f, entries)
+    Omega = pack_slices([LinMap.identity(p.space, f),
+                         LinMap.zero(p.space, p.space, f)], f)
     return ComoduleMeasuringData(m, D, p, p, Omega,
                                  label or "prim0.coeff(%s)" % m.label)
 
@@ -523,7 +459,6 @@ def identity_comodule_measuring(h, p, label=""):
     m = identity_measuring(h)
     f = h.field
     D = self_comodule(m.C)
-    Omega = LinMap(Space(p.space.dim), p.space, f,
-                   LinMap.identity(p.space, f).entries)
+    Omega = LinMap.identity(p.space, f)
     return ComoduleMeasuringData(m, D, p, p, Omega,
                                  label or "id.coeff(%s)" % h.label)

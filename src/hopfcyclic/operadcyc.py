@@ -7,13 +7,10 @@ above the cutoff are skipped and counted rather than silently assumed.
 """
 
 from .exactlin import (
-    DescentFailure, LinMap, Space, QuotientPresentation, descend, kernel,
-    permute_factors, solve,
+    DescentFailure, LinMap, Pipe, Space, QuotientPresentation, descend,
+    fix_factor, kernel, solve,
 )
-from .algcore import (
-    ComoduleData, Report, balanced_tensor, check_comodule, curry_left,
-    swap_map,
-)
+from .algcore import ComoduleData, Report, balanced_tensor, check_comodule
 from .hopfalgebroid import SaydModuleData, translation_lift
 from .cyclichom import (
     CyclicModuleData, chain_coeff_tower, check_chain_map,
@@ -29,80 +26,14 @@ class CertificateFailure(Exception):
     pass
 
 
-def _flat(m):
-    return LinMap(Space(m.dom.dim), Space(m.cod.dim), m.field, m.entries)
-
-
-def _idd(d, f):
-    return LinMap.identity(Space(d), f)
-
-
-def _chain(maps, f):
-    out = None
-    for m in maps:
-        out = m if out is None else out.tensor(m)
-    return _flat(out) if out is not None else _idd(1, f)
-
-
-def _curry_right(m, vec, right_dim):
-    """Fix the right tensor factor of a map X (x) Y -> Z."""
-    f = m.field
-    dx = m.dom.dim // right_dim
-    entries = {}
-    for (i, j), v in m.entries.items():
-        x, y = divmod(j, right_dim)
-        c = f.mul(v, vec[y])
-        if c:
-            entries[(i, x)] = f.add(entries.get((i, x), f.zero), c)
-    return LinMap(Space(dx), m.cod, f, {k: v for k, v in entries.items() if v})
-
-
-class _Pipe:
-    """A linear map built stage by stage on a list of tensor factors."""
-
-    def __init__(self, dims, f):
-        self.dims = list(dims)
-        self.f = f
-        d = 1
-        for x in self.dims:
-            d *= x
-        self.map = _idd(d, f)
-
-    def permute(self, order):
-        if order == list(range(len(self.dims))):
-            return self
-        perm = permute_factors(self.dims, order, self.f)
-        self.map = perm @ self.map
-        self.dims = [self.dims[k] for k in order]
-        return self
-
-    def block(self, start, count, blockmap, out_dims):
-        """Apply blockmap to factors [start, start+count), replacing them."""
-        left = 1
-        for x in self.dims[:start]:
-            left *= x
-        mid = 1
-        for x in self.dims[start:start + count]:
-            mid *= x
-        assert blockmap.dom.dim == mid, (blockmap.dom.dim, mid)
-        right = 1
-        for x in self.dims[start + count:]:
-            right *= x
-        step = _chain([_idd(left, self.f), blockmap, _idd(right, self.f)],
-                      self.f)
-        self.map = step @ self.map
-        self.dims = self.dims[:start] + list(out_dims) \
-            + self.dims[start + count:]
-        return self
-
-
 # -- operads and comp modules ---------------------------------------------
 
 class OperadData:
     """Arity spaces O(0..N), partial compositions, identity, multiplication
     and unit; comp[(p, q, i)] : O(p) (x) O(q) -> O(p+q-1), 1 <= i <= p."""
 
-    def __init__(self, spaces, comp, one, m, e, field, label=""):
+    def __init__(self, spaces, comp, one, m, e, field, label="", h=None,
+                 z=None, hom_data=None):
         self.spaces = spaces
         self.N = len(spaces) - 1
         self.comp = comp
@@ -111,13 +42,18 @@ class OperadData:
         self.e = tuple(e)
         self.field = field
         self.label = label
+        # set for the operad of a Yetter-Drinfeld algebra (build_yd_operad)
+        self.h = h
+        self.z = z
+        self.hom_data = hom_data
 
 
 class CompModuleData:
     """Spaces L(0..N), bullet[(p, n, i)] : O(p) (x) L(n) -> L(n-p+1), and
     cyclic operators t[n]."""
 
-    def __init__(self, operad, spaces, bullet, t, field, label=""):
+    def __init__(self, operad, spaces, bullet, t, field, label="",
+                 msayd=None):
         self.operad = operad
         self.spaces = spaces
         self.N = len(spaces) - 1
@@ -125,6 +61,8 @@ class CompModuleData:
         self.t = t
         self.field = field
         self.label = label
+        # the coefficient module of a Yetter-Drinfeld comp module
+        self.msayd = msayd
 
 
 def check_operad(od):
@@ -142,10 +80,8 @@ def check_operad(od):
                 if n2 > N or final > N or final < 0:
                     skipped += 1
                     continue
-                dp = od.spaces[p].dim
-                dq = od.spaces[q].dim
-                dr = od.spaces[r].dim
-                uwv = permute_factors([dp, dq, dr], [0, 2, 1], f)
+                dims = [od.spaces[p].dim, od.spaces[q].dim,
+                        od.spaces[r].dim]
                 for i in range(1, p + 1):
                     for j in range(1, n2 + 1):
                         lhs_inner = od.comp.get((p, q, i))
@@ -153,7 +89,8 @@ def check_operad(od):
                         if lhs_inner is None or lhs_outer is None:
                             skipped += 1
                             continue
-                        lhs = lhs_outer @ _flat(lhs_inner.tensor(_idd(dr, f)))
+                        lhs = Pipe(dims, f).block(0, 2, lhs_inner) \
+                            .block(0, 2, lhs_outer).map
                         if j < i:
                             inner = od.comp.get((p, r, j))
                             outer = od.comp.get((p + r - 1, q, i + r - 1)) \
@@ -172,11 +109,12 @@ def check_operad(od):
                         if inner is None or outer is None:
                             skipped += 1
                             continue
+                        rhs = Pipe(dims, f)
                         if case == "inside":
-                            rhs = outer @ _flat(_idd(dp, f).tensor(inner))
+                            rhs.block(1, 2, inner)
                         else:
-                            rhs = outer @ (_flat(inner.tensor(_idd(dq, f)))
-                                           @ uwv)
+                            rhs.permute([0, 2, 1]).block(0, 2, inner)
+                        rhs = rhs.block(0, 2, outer).map
                         if not (lhs - rhs).is_zero():
                             ok = False
                             wit = (case, p, q, r, i, j)
@@ -185,33 +123,31 @@ def check_operad(od):
     ok = True
     wit = None
     for p in range(0, N + 1):
-        dp = od.spaces[p].dim
         for i in range(1, p + 1):
             c = od.comp.get((p, 1, i))
             if c is None:
                 continue
-            right = _curry_right(c, od.one, od.spaces[1].dim)
-            if not (right - _idd(dp, f)).is_zero():
+            right = fix_factor(c, od.one, od.spaces[p].dim)
+            if not (right - LinMap.identity(od.spaces[p], f)).is_zero():
                 ok = False
                 wit = ("right_unit", p, i)
         c = od.comp.get((1, p, 1))
         if c is not None:
-            left = curry_left(c, od.one, od.spaces[1].dim)
-            if not (left - _idd(dp, f)).is_zero():
+            left = fix_factor(c, od.one)
+            if not (left - LinMap.identity(od.spaces[p], f)).is_zero():
                 ok = False
                 wit = ("left_unit", p)
     rep.add("operad_identity", ok, witness=wit)
     if N >= 3:
-        d2 = od.spaces[2].dim
-        m1 = curry_left(od.comp[(2, 2, 1)], od.m, d2).apply(od.m)
-        m2 = curry_left(od.comp[(2, 2, 2)], od.m, d2).apply(od.m)
+        m1 = fix_factor(od.comp[(2, 2, 1)], od.m).apply(od.m)
+        m2 = fix_factor(od.comp[(2, 2, 2)], od.m).apply(od.m)
         rep.add("m_comp_associative", m1 == m2,
                 witness=None if m1 == m2 else (m1, m2))
     for i in (1, 2):
         c = od.comp.get((2, 0, i))
         if c is None:
             continue
-        val = curry_left(c, od.m, od.spaces[2].dim).apply(od.e)
+        val = fix_factor(c, od.m).apply(od.e)
         rep.add("m_unit_%d" % i, val == od.one,
                 witness=None if val == od.one else val)
     return rep
@@ -227,12 +163,9 @@ def check_comp_module(cm):
     wit = None
     for p in range(0, od.N + 1):
         for q in range(0, od.N + 1):
-            dp = od.spaces[p].dim
-            dq = od.spaces[q].dim
-            sw = permute_factors([dp, dq], [1, 0], f)
             for n in range(0, N + 1):
-                dl = cm.spaces[n].dim
-                swl = _flat(sw.tensor(_idd(dl, f)))
+                dims = [od.spaces[p].dim, od.spaces[q].dim,
+                        cm.spaces[n].dim]
                 for j in range(0, n + 2 - q):
                     bj = cm.bullet.get((q, n, j))
                     n1 = n - q + 1
@@ -243,39 +176,37 @@ def check_comp_module(cm):
                         if bi is None:
                             skipped += 1
                             continue
-                        lhs = bi @ _flat(_idd(dp, f).tensor(bj))
-                        rhs = None
+                        # operad-operad step, or O(p) moved past O(q)
+                        on_operads = False
                         if j < i:
                             inner = cm.bullet.get((p, n, i + q - 1))
                             outer = cm.bullet.get((q, n - p + 1, j)) \
                                 if 0 <= n - p + 1 <= N else None
-                            if inner is not None and outer is not None:
-                                rhs = outer \
-                                    @ (_flat(_idd(dq, f).tensor(inner)) @ swl)
                         elif p > 0 and j - p < i <= j:
                             inner = od.comp.get((p, q, j - i + 1))
                             outer = cm.bullet.get((p + q - 1, n, i))
-                            if inner is not None and outer is not None:
-                                rhs = outer \
-                                    @ _flat(inner.tensor(_idd(dl, f)))
+                            on_operads = True
                         elif p > 0 and i <= j - p:
                             inner = cm.bullet.get((p, n, i))
                             outer = cm.bullet.get((q, n - p + 1, j - p + 1)) \
                                 if 0 <= n - p + 1 <= N else None
-                            if inner is not None and outer is not None:
-                                rhs = outer \
-                                    @ (_flat(_idd(dq, f).tensor(inner)) @ swl)
                         elif p == 0 and i <= j:
                             inner = cm.bullet.get((0, n, i))
                             outer = cm.bullet.get((q, n + 1, j + 1)) \
                                 if n + 1 <= N else None
-                            if inner is not None and outer is not None:
-                                rhs = outer \
-                                    @ (_flat(_idd(dq, f).tensor(inner)) @ swl)
-                        if rhs is None:
+                        else:
+                            inner = outer = None
+                        if inner is None or outer is None:
                             skipped += 1
                             continue
-                        if not (lhs - rhs).is_zero():
+                        lhs = Pipe(dims, f).block(1, 2, bj).block(0, 2, bi)
+                        rhs = Pipe(dims, f)
+                        if on_operads:
+                            rhs.block(0, 2, inner)
+                        else:
+                            rhs.permute([1, 0, 2]).block(1, 2, inner)
+                        rhs.block(0, 2, outer)
+                        if not (lhs.map - rhs.map).is_zero():
                             ok = False
                             wit = ("bullet", p, q, n, i, j)
     rep.add("comp_compatibility", ok, witness=wit)
@@ -287,15 +218,14 @@ def check_comp_module(cm):
             b = cm.bullet.get((1, n, i))
             if b is None:
                 continue
-            cur = curry_left(b, od.one, od.spaces[1].dim)
-            if not (cur - _idd(cm.spaces[n].dim, f)).is_zero():
+            cur = fix_factor(b, od.one)
+            if not (cur - LinMap.identity(cm.spaces[n], f)).is_zero():
                 ok = False
                 wit = ("unit", n, i)
     rep.add("module_unital", ok, witness=wit)
     ok = True
     wit = None
     for p in range(0, od.N + 1):
-        dp = od.spaces[p].dim
         for n in range(0, N + 1):
             if n - p + 1 < 0 or n - p + 1 > N:
                 continue
@@ -305,7 +235,8 @@ def check_comp_module(cm):
                 if b1 is None or b2 is None:
                     continue
                 lhs = cm.t[n - p + 1] @ b1
-                rhs = b2 @ _flat(_idd(dp, f).tensor(cm.t[n]))
+                rhs = Pipe([od.spaces[p].dim, cm.spaces[n].dim], f) \
+                    .block(1, 1, cm.t[n]).block(0, 2, b2).map
                 if not (lhs - rhs).is_zero():
                     ok = False
                     wit = ("cyclic_compat", p, n, i)
@@ -315,7 +246,7 @@ def check_comp_module(cm):
         for _ in range(n):
             power = cm.t[n] @ power
         rep.check_map_equal("t_order@%d" % n, power,
-                            _idd(cm.spaces[n].dim, f))
+                            LinMap.identity(cm.spaces[n], f))
     return rep
 
 
@@ -323,21 +254,19 @@ def comp_cyclic_module(cm, N=None):
     """The cyclic module of a cyclic unital comp module."""
     od = cm.operad
     N = cm.N if N is None else N
-    d2 = od.spaces[2].dim
-    d0 = od.spaces[0].dim
     faces = {}
     degen = {}
     cyc = {}
     for n in range(1, N + 1):
         ops = []
         for i in range(0, n):
-            ops.append(curry_left(cm.bullet[(2, n, i)], od.m, d2))
-        ops.append(curry_left(cm.bullet[(2, n, 0)], od.m, d2) @ cm.t[n])
+            ops.append(fix_factor(cm.bullet[(2, n, i)], od.m))
+        ops.append(fix_factor(cm.bullet[(2, n, 0)], od.m) @ cm.t[n])
         faces[n] = ops
     for n in range(0, N):
         ops = []
         for j in range(0, n + 1):
-            ops.append(curry_left(cm.bullet[(0, n, j + 1)], od.e, d0))
+            ops.append(fix_factor(cm.bullet[(0, n, j + 1)], od.e))
         degen[n] = ops
     for n in range(0, N + 1):
         cyc[n] = cm.t[n]
@@ -358,7 +287,7 @@ class OperadMeasuringData:
         self.label = label
 
     def Psi_of(self, n, xvec):
-        return curry_left(self.Psi[n], xvec, self.C.space.dim)
+        return fix_factor(self.Psi[n], xvec)
 
 
 def check_operad_measuring(om):
@@ -383,7 +312,7 @@ def check_operad_measuring(om):
             for (a, b), coeff in terms.items():
                 pa = om.Psi_of(p, om.C.space.basis_vector(a, f))
                 qb = om.Psi_of(q, om.C.space.basis_vector(b, f))
-                term = (comp2 @ _flat(pa.tensor(qb))).scaled(coeff)
+                term = (comp2 @ pa.tensor(qb)).scaled(coeff)
                 rhs = term if rhs is None else rhs + term
             if rhs is None or not (lhs - rhs).is_zero():
                 ok = False
@@ -416,7 +345,7 @@ class CompComoduleMeasuringData:
         self.label = label
 
     def Omega_of(self, n, yvec):
-        return curry_left(self.Omega[n], yvec, self.D.space.dim)
+        return fix_factor(self.Omega[n], yvec)
 
 
 def check_comp_comodule_measuring(ccm):
@@ -443,7 +372,7 @@ def check_comp_comodule_measuring(ccm):
                 y1, x0 = key  # left comodule: (module index, coalgebra index)
                 pa = om.Psi_of(p, om.C.space.basis_vector(x0, f))
                 ob = ccm.Omega_of(n, ccm.D.space.basis_vector(y1, f))
-                term = (b2 @ _flat(pa.tensor(ob))).scaled(coeff)
+                term = (b2 @ pa.tensor(ob)).scaled(coeff)
                 rhs = term if rhs is None else rhs + term
             if rhs is None or not (lhs - rhs).is_zero():
                 ok = False
@@ -488,14 +417,14 @@ def _hom_data(h, z, N):
         if n == 0:
             basis = [LinMap(Space(1), z.Z.space, f, {(i, 0): f.one})
                      for i in range(dz)]
-            out[0] = (None, basis, _idd(dz, f))
+            out[0] = (None, basis, LinMap.identity(z.Z.space, f))
             continue
         pres = h.rtower(n)
         w = pres.quotient.dim
         entries = {}
         for a in range(da):
             avec = h.A.space.basis_vector(a, f)
-            free = _flat(h.rmul(h.t_of(avec)).tensor(_idd(du ** (n - 1), f)))
+            free = Pipe([du] * n, f).block(0, 1, h.rmul(h.t_of(avec))).map
             Ra = descend(free, pres, pres)
             Sa = z.act_by(h.s_of(avec))
             # rows of vec(f Ra - Sa f) = 0, one block per base element
@@ -520,7 +449,7 @@ def _hom_data(h, z, N):
                     if v:
                         hm[(zi, wj)] = v
             fq = LinMap(pres.quotient, z.Z.space, f, hm)
-            basis.append(_flat(fq @ pres.projection))
+            basis.append(fq @ pres.projection)
         out[n] = (pres, basis, K)
     return out
 
@@ -533,8 +462,8 @@ def _hom_coords(h, z, hom_data, n, amb_map):
         return tuple(amb_map.column(0))
     w = pres.quotient.dim
     dz = z.Z.space.dim
-    fq = _flat(amb_map @ pres.section)
-    back = _flat(fq @ pres.projection)
+    fq = amb_map @ pres.section
+    back = fq @ pres.projection
     if not (back - amb_map).is_zero():
         j = (back - amb_map).nonzero_column_index()
         raise DescentFailure("hom does not factor through the tower",
@@ -554,7 +483,7 @@ def _yd_circ(h, z, Famb, p, Gamb, q, i):
     a = p + q - i       # slots expanded by the coproduct
     tails = nout - a    # = i - 1 untouched slots
     c = p - i
-    pipe = _Pipe([du] * nout, f)
+    pipe = Pipe([du] * nout, f)
     for k in range(a):
         pipe.block(2 * k, 1, h.delta_lift, [du, du])
     # layout: (u^j_1, u^j_2) for j in 1..a, then tails
@@ -564,7 +493,7 @@ def _yd_circ(h, z, Famb, p, Gamb, q, i):
     fsecs = [2 * j - 1 for j in range(1, c + 1)]
     tidx = [2 * a + k for k in range(tails)]
     pipe.permute(gargs + gsecs + fargs + tidx + fsecs)
-    pipe.block(0, q, _flat(z.coact_lift @ Gamb), [du, dz])
+    pipe.block(0, q, z.coact_lift @ Gamb, [du, dz])
     # layout: g_-1, g_0, gsecs(q), fargs(c), tails, fsecs(c)
     pipe.permute(list(range(2 + q, 2 + q + c))
                  + [0] + list(range(2, 2 + q))
@@ -576,12 +505,8 @@ def _yd_circ(h, z, Famb, p, Gamb, q, i):
     pipe.block(0, p, Famb, [dz])
     # layout: f_val, fsecs(c), g_0
     if c:
-        acted = z.action @ _flat(h.U.mul_n(c).tensor(_idd(dz, f)))
-        pipe.block(0, 2 + c,
-                   _flat(z.Z.mul @ _flat(_idd(dz, f).tensor(acted))), [dz])
-    else:
-        pipe.block(0, 2, z.Z.mul, [dz])
-    return pipe.map
+        pipe.block(1, c, h.U.mul_n(c)).block(1, 2, z.action)
+    return pipe.block(0, 2, z.Z.mul).map
 
 
 def build_yd_operad(h, z, N):
@@ -606,19 +531,18 @@ def build_yd_operad(h, z, N):
                 comp[(p, q, i)] = LinMap.from_columns(
                     Space(spaces[p].dim * spaces[q].dim), spaces[nout], f,
                     cols)
-    unit_z = LinMap.from_columns(Space(1), z.Z.space, f, [list(z.Z.unit)])
-    one_amb = _flat(z.action @ _flat((h.s_L @ h.eps_L).tensor(unit_z)))
+    # u -> s(eps(u)) . 1_Z, and u (x) v -> s(eps(uv)) . 1_Z
+    du = h.U.space.dim
+    unit_z = z.Z.unit_map()
+    one_amb = Pipe([du], f).block(0, 1, h.s_L @ h.eps_L) \
+        .block(1, 0, unit_z).block(0, 2, z.action).map
     one = _hom_coords(h, z, hom_data, 1, one_amb)
-    m_amb = _flat(z.action @ _flat(
-        (h.s_L @ (h.eps_L @ h.U.mul)).tensor(unit_z)))
+    m_amb = Pipe([du, du], f).block(0, 2, h.s_L @ (h.eps_L @ h.U.mul)) \
+        .block(1, 0, unit_z).block(0, 2, z.action).map
     m = _hom_coords(h, z, hom_data, 2, m_amb)
-    e = tuple(z.Z.unit)
-    od = OperadData(spaces, comp, one, m, e, f,
-                    "C^(%s,%s)" % (h.label, z.label))
-    od.h = h
-    od.z = z
-    od.hom_data = hom_data
-    return od
+    return OperadData(spaces, comp, one, m, tuple(z.Z.unit), f,
+                      "C^(%s,%s)" % (h.label, z.label), h=h, z=z,
+                      hom_data=hom_data)
 
 
 # -- Yetter-Drinfeld comp modules -----------------------------------------
@@ -635,65 +559,55 @@ def build_ayd_coefficient(h, l, z):
     trivL = QuotientPresentation.trivial(l.space, f)
     trivZ = QuotientPresentation.trivial(z.Z.space, f)
     # a . z = t(a) z packed as A (x) Z -> Z
-    entries = {}
-    for a in range(h.A.space.dim):
-        sl = z.act_by(h.t_of(h.A.space.basis_vector(a, f)))
-        for (i, j), v in sl.entries.items():
-            entries[(i, a * dz + j)] = v
-    lactz = LinMap(Space(h.A.space.dim * dz), z.Z.space, f, entries)
+    lactz = h._pack_over_base(lambda a: z.act_by(h.t_of(a)))
     mpres = balanced_tensor(trivL, trivZ, l.right_arrow_action(), lactz,
                             h.A.space, f, label="LZ")
-    trans = translation_lift(h)
+    triv_u = QuotientPresentation.trivial(h.U.space, f)
     # action: (l (x) z) u = l u_+ (x) u_- z
-    pipe = _Pipe([dl, dz, du], f)
-    pipe.block(2, 1, trans, [du, du])
-    pipe.permute([0, 2, 3, 1])
-    act_free = _flat(_chain([l.action, z.action], f) @ pipe.map)
-    act = descend(act_free,
-                  tensor_presentation(
-                      mpres, QuotientPresentation.trivial(h.U.space, f), f),
-                  mpres)
+    pipe = Pipe([dl, dz, du], f).block(2, 1, translation_lift(h), [du, du])
+    pipe.permute([0, 2, 3, 1]).block(0, 2, l.action).block(1, 2, z.action)
+    act = descend(pipe.map, tensor_presentation(mpres, triv_u), mpres)
     # coaction: l (x) z -> z_-1 l_-1 (x) (l_0 (x) z_0)
-    pipe = _Pipe([dl, dz], f)
+    pipe = Pipe([dl, dz], f)
     pipe.block(0, 1, l.coact_lift, [du, dl])
     pipe.block(2, 1, z.coact_lift, [du, dz])
     pipe.permute([2, 0, 1, 3])
-    pipe.block(0, 2, h.U.mul, [du])
-    coact = descend(pipe.map, mpres,
-                    tensor_presentation(
-                        QuotientPresentation.trivial(h.U.space, f), mpres, f))
+    pipe.block(0, 2, h.U.mul)
+    coact = descend(pipe.map, mpres, tensor_presentation(triv_u, mpres))
     mspace = Space(mpres.quotient.dim, "LZ")
-    msayd = SaydModuleData(h, mspace, act, coact, "LZ")
-    msayd.presentation = mpres
-    sw = swap_map(Space(du), mspace, f)
-    stab = act @ (sw @ coact)
-    if not (stab - _idd(mspace.dim, f)).is_zero():
-        j = (stab - _idd(mspace.dim, f)).nonzero_column_index()
-        raise StabilityFailure((j, (stab - _idd(mspace.dim, f)).column(j)))
+    msayd = SaydModuleData(h, mspace, act, coact, "LZ", presentation=mpres)
+    stab = Pipe.after(coact, [du, mspace.dim]).permute([1, 0]) \
+        .block(0, 2, act).map
+    bad = stab - LinMap.identity(mspace, f)
+    if not bad.is_zero():
+        j = bad.nonzero_column_index()
+        raise StabilityFailure((j, bad.column(j)))
     return msayd
 
 
-def _m_sandwich(h, msayd, free, k_src, k_dst):
-    """Push a map defined on the free L (x) Z (x) U^k level down to the
-    coefficient towers."""
-    f = h.field
-    du = h.U.space.dim
+def _m_lift(h, msayd, dl, k):
+    """Pipe on M (x) U^k, M = L (x)_A Z with dim L = dl, that first lifts M
+    to L (x) Z."""
     mpres = msayd.presentation
-    sand = _flat(_chain([mpres.projection, _idd(du ** k_dst, f)], f)
-                 @ (free @ _chain([mpres.section, _idd(du ** k_src, f)], f)))
-    return descend(sand, chain_coeff_tower(h, msayd, k_src),
-                   chain_coeff_tower(h, msayd, k_dst))
+    pipe = Pipe([mpres.quotient.dim] + [h.U.space.dim] * k, h.field)
+    return pipe.block(0, 1, mpres.section, [dl, mpres.ambient.dim // dl])
+
+
+def _m_descend(h, pipe, src, dst, k):
+    """Project the leading L (x) Z factors of a pipe started by _m_lift
+    (for src, on U^k) to dst's M and descend to the coefficient towers."""
+    pipe.block(0, 2, dst.presentation.projection)
+    return descend(pipe.map, chain_coeff_tower(h, src, k),
+                   chain_coeff_tower(h, dst, len(pipe.dims) - 1))
 
 
 def _yd_bullet_pos(h, l, z, msayd, Famb, p, k, i):
     """f bullet_i for i > 0, on the free level, then descended."""
-    f = h.field
     du = h.U.space.dim
-    dl = l.space.dim
     dz = z.Z.space.dim
     c = k - p - i + 1
     tails = i - 1
-    pipe = _Pipe([dl, dz] + [du] * k, f)
+    pipe = _m_lift(h, msayd, l.space.dim, k)
     for j in range(c + p):
         pipe.block(2 + 2 * j, 1, h.delta_lift, [du, du])
     # layout: l, z, (u^j_1, u^j_2) j = 1..c+p, tails
@@ -703,7 +617,7 @@ def _yd_bullet_pos(h, l, z, msayd, Famb, p, k, i):
     c2 = [3 + 2 * j for j in range(c)]
     tidx = [2 + 2 * (c + p) + j for j in range(tails)]
     pipe.permute(fb1 + [0] + c2 + [1] + c1 + fb2 + tidx)
-    pipe.block(0, p, _flat(z.coact_lift @ Famb), [du, dz])
+    pipe.block(0, p, z.coact_lift @ Famb, [du, dz])
     # layout: fv_-1, fv_0, l, c2(c), z, c1(c), fb2(p), tails
     pipe.permute([2] + list(range(3, 3 + c)) + [1, 3 + c]
                  + list(range(4 + c, 4 + 2 * c))
@@ -711,25 +625,21 @@ def _yd_bullet_pos(h, l, z, msayd, Famb, p, k, i):
                  + list(range(4 + 2 * c + p, 4 + 2 * c + p + tails)))
     # layout: l, c2(c), fv_0, z, c1(c), fv_-1, fb2(p), tails
     if c:
-        acted = z.action @ _flat(h.U.mul_n(c).tensor(_idd(dz, f)))
-        pipe.block(1, c + 2,
-                   _flat(z.Z.mul @ _flat(acted.tensor(_idd(dz, f)))), [dz])
-    else:
-        pipe.block(1, 2, z.Z.mul, [dz])
+        pipe.block(1, c, h.U.mul_n(c)).block(1, 2, z.action)
+    pipe.block(1, 2, z.Z.mul)
     # layout: l, z', c1(c), fv_-1, fb2(p), tails
-    pipe.block(2 + c, p + 1, h.U.mul_n(p + 1), [du])
-    return _m_sandwich(h, msayd, pipe.map, k, k - p + 1)
+    pipe.block(2 + c, p + 1, h.U.mul_n(p + 1))
+    return _m_descend(h, pipe, msayd, msayd, k)
 
 
 def _yd_bullet_zero(h, l, z, msayd, Famb, p, k):
     """f bullet_0 on the free level, then descended."""
-    f = h.field
     du = h.U.space.dim
     dl = l.space.dim
     dz = z.Z.space.dim
     c = k - p + 1
     trans = translation_lift(h)
-    pipe = _Pipe([dl, dz] + [du] * k, f)
+    pipe = _m_lift(h, msayd, dl, k)
     for j in range(k):
         pipe.block(2 + 2 * j, 1, trans, [du, du])
     for j in range(c):
@@ -747,27 +657,24 @@ def _yd_bullet_zero(h, l, z, msayd, Famb, p, k):
     pipe.permute(rest_plus + down + [1] + p2 + [3] + p1)
     # layout: u^j_+ (j > c), u^k_- .. u^1_-, z_-1, l_-1, l_0, p2(c), z_0,
     # p1(c)
-    pipe.block(len(rest_plus), len(down), h.U.mul_n(len(down)), [du])
+    pipe.block(len(rest_plus), len(down), h.U.mul_n(len(down)))
     pipe.block(0, p, Famb, [dz])
     # layout: f_val, l_0, p2(c), z_0, p1(c)
     pipe.permute([1] + list(range(2, 2 + c)) + [0, 2 + c]
                  + list(range(3 + c, 3 + 2 * c)))
+    # layout: l_0, p2(c), f_val, z_0, p1(c)
     if c:
-        acted = z.action @ _flat(h.U.mul_n(c).tensor(_idd(dz, f)))
-        pipe.block(1, c + 2,
-                   _flat(z.Z.mul @ _flat(acted.tensor(_idd(dz, f)))), [dz])
-    else:
-        pipe.block(1, 2, z.Z.mul, [dz])
-    return _m_sandwich(h, msayd, pipe.map, k, k - p + 1)
+        pipe.block(1, c, h.U.mul_n(c)).block(1, 2, z.action)
+    pipe.block(1, 2, z.Z.mul)
+    return _m_descend(h, pipe, msayd, msayd, k)
 
 
 def _yd_t(h, l, z, msayd, k):
-    f = h.field
     du = h.U.space.dim
     dl = l.space.dim
     dz = z.Z.space.dim
     trans = translation_lift(h)
-    pipe = _Pipe([dl, dz] + [du] * k, f)
+    pipe = _m_lift(h, msayd, dl, k)
     for j in range(k):
         pipe.block(2 + 2 * j, 1, trans, [du, du])
     pipe.block(2, 1, trans, [du, du])
@@ -780,10 +687,10 @@ def _yd_t(h, l, z, msayd, k):
     pipe.permute([1, 4, 5, 3] + plus + list(reversed(minus)) + [6, 2, 0])
     # layout: l_0, u1_++, u1_+-, z_0, u^j_+ (j >= 2), u^k_- .. u^2_-, u1_-,
     # z_-1, l_-1
-    pipe.block(0, 2, l.action, [dl])
-    pipe.block(1, 2, z.action, [dz])
-    pipe.block(2 + (k - 1), k + 2, h.U.mul_n(k + 2), [du])
-    return _m_sandwich(h, msayd, pipe.map, k, k)
+    pipe.block(0, 2, l.action)
+    pipe.block(1, 2, z.action)
+    pipe.block(2 + (k - 1), k + 2, h.U.mul_n(k + 2))
+    return _m_descend(h, pipe, msayd, msayd, k)
 
 
 def build_yd_comp_module(h, l, z, od, N):
@@ -797,7 +704,7 @@ def build_yd_comp_module(h, l, z, od, N):
     t = {}
     for k in range(N + 1):
         t[k] = _yd_t(h, l, z, msayd, k) if k >= 1 \
-            else _idd(spaces[0].dim, f)
+            else LinMap.identity(spaces[0], f)
     for p in range(0, od.N + 1):
         basis = hom_data[p][1]
         dop = od.spaces[p].dim
@@ -818,9 +725,8 @@ def build_yd_comp_module(h, l, z, od, N):
                         cols.append(list(mm.column(jcol)))
                 bullet[(p, k, i)] = LinMap.from_columns(
                     Space(dop * width), spaces[k - p + 1], f, cols)
-    cm = CompModuleData(od, spaces, bullet, t, f, "%s,LZ" % h.label)
-    cm.msayd = msayd
-    return cm
+    return CompModuleData(od, spaces, bullet, t, f, "%s,LZ" % h.label,
+                          msayd=msayd)
 
 
 # -- induced measurings from Yetter-Drinfeld data -------------------------
@@ -829,12 +735,14 @@ def check_ayd_morphism(l_src, l_dst, hmat):
     rep = Report("ayd morphism")
     f = hmat.field
     du = l_src.h.U.space.dim
-    rep.check_map_equal("action_intertwines",
-                        hmat @ l_src.action,
-                        l_dst.action @ _flat(hmat.tensor(_idd(du, f))))
-    rep.check_map_equal("coaction_intertwines",
-                        _flat(_idd(du, f).tensor(hmat)) @ l_src.coact_lift,
-                        l_dst.coact_lift @ hmat)
+    dl = l_src.space.dim
+    rep.check_map_equal(
+        "action_intertwines", hmat @ l_src.action,
+        Pipe([dl, du], f).block(0, 1, hmat).block(0, 2, l_dst.action).map)
+    rep.check_map_equal(
+        "coaction_intertwines",
+        Pipe.after(l_src.coact_lift, [du, dl]).block(1, 1, hmat).map,
+        l_dst.coact_lift @ hmat)
     return rep
 
 
@@ -858,27 +766,22 @@ def induce_from_yd(ym, l_src, l_dst, hmat, od_src, od_dst, cm_src, cm_dst,
             px = ym.psi_of(ym.C.space.basis_vector(c, f))
             for Famb in basis_src:
                 coords = _hom_coords(h, od_dst.z, od_dst.hom_data, n,
-                                     _flat(px @ Famb))
+                                     px @ Famb)
                 cols.append(list(coords))
         Psi[n] = LinMap.from_columns(Space(dc * od_src.spaces[n].dim),
                                      od_dst.spaces[n], f, cols)
     om = OperadMeasuringData(ym.C, od_src, od_dst, Psi, "yd")
     D = ComoduleData(ym.C, ym.C.space, ym.C.comul, "left", "D=C")
     Omega = {}
-    du = h.U.space.dim
     msrc = cm_src.msayd
     mdst = cm_dst.msayd
     for k in range(N + 1):
         cols = []
         for c in range(dc):
             px = ym.psi_of(ym.C.space.basis_vector(c, f))
-            free = _flat(_chain([hmat, px, _idd(du ** k, f)], f))
-            sand = _flat(_chain([mdst.presentation.projection,
-                                 _idd(du ** k, f)], f)
-                         @ (free @ _chain([msrc.presentation.section,
-                                           _idd(du ** k, f)], f)))
-            mm = descend(sand, chain_coeff_tower(h, msrc, k),
-                         chain_coeff_tower(h, mdst, k))
+            pipe = _m_lift(h, msrc, l_src.space.dim, k)
+            pipe.block(0, 1, hmat).block(1, 1, px)
+            mm = _m_descend(h, pipe, msrc, mdst, k)
             for j in range(mm.dom.dim):
                 cols.append(list(mm.column(j)))
         Omega[k] = LinMap.from_columns(
@@ -917,5 +820,5 @@ def one_dimensional_comp_module(od, N):
                     continue
                 bullet[(p, n, i)] = LinMap(Space(od.spaces[p].dim), Space(1),
                                            f, {(0, 0): f.one})
-    t = {n: _idd(1, f) for n in range(N + 1)}
+    t = {n: LinMap.identity(spaces[n], f) for n in range(N + 1)}
     return CompModuleData(od, spaces, bullet, t, f, "pt")

@@ -36,8 +36,8 @@ from .cyclichom import (
     hopf_galois_square, induced_coeff_map, induced_cyclic_map,
 )
 from .lierinehart import (
-    abelian_lr, check_lie_rinehart, check_lie_rinehart_measuring,
-    check_lr_complex, lie_rinehart_homology, nonabelian_2d,
+    abelian_lr, check_lie_rinehart, check_lr_complex, lie_rinehart_homology,
+    nonabelian_2d,
 )
 from .operadcyc import (
     CertificateFailure, StabilityFailure, check_comp_module, check_operad,
@@ -120,9 +120,7 @@ class ScenarioDocument:
     # -- object resolution ------------------------------------------------
 
     def build_objects(self):
-        """Instantiate every named definition.  Called again per task in
-        parallel runs, so the built objects are never shared between
-        threads."""
+        """Instantiate every named definition."""
         objects = {}
 
         def define(name, cat, obj):
@@ -490,8 +488,6 @@ def _measure(cat, obj):
         return check_hopf_algebroid_measuring(obj)
     if cat == "comodule_measurings":
         return check_sayd_comodule_measuring(obj)
-    if cat == "lie_rinehart_measurings":
-        return check_lie_rinehart_measuring(obj)
     raise ParseError("object of type %s has no measuring certificate" % cat)
 
 
@@ -566,27 +562,12 @@ def _run_task(task, objects, elements, max_degree):
     return record
 
 
-def run(document, kinds=None, max_degree=None, parallel=False):
+def run(document, kinds=None, max_degree=None):
     """Run the document's tasks in order.  A failing task is recorded and
     the remaining tasks still run."""
     report = ReportDocument(document.name, document.field_name)
     tasks = [t for t in document.tasks
              if kinds is None or t["kind"] in kinds]
-    if parallel and len(tasks) > 1:
-        # towers cache on the shared objects, so each worker rebuilds
-        from concurrent.futures import ThreadPoolExecutor
-
-        def work(task):
-            t0 = time.monotonic()
-            doc_objects = document.build_objects()
-            rec = _run_task(task, doc_objects, document.elements, max_degree)
-            return rec, time.monotonic() - t0
-
-        with ThreadPoolExecutor(max_workers=min(4, len(tasks))) as ex:
-            for rec, dt in ex.map(work, tasks):
-                report.tasks.append(rec)
-                report.timings.append(dt)
-        return report
     for task in tasks:
         t0 = time.monotonic()
         rec = _run_task(task, document.objects, document.elements,

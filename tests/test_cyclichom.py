@@ -1,6 +1,7 @@
 import pytest
 
-from hopfcyclic.exactlin import QQ, FieldSpec
+from hopfcyclic import cyclichom
+from hopfcyclic.exactlin import QQ, DescentFailure, FieldSpec
 from hopfcyclic.hopfalgebroid import gallery, group_hopf_algebroid, scalar_sayd
 from hopfcyclic.measuring import (
     compose_measurings, derivation_pair_measuring, euler_derivation,
@@ -192,3 +193,24 @@ def test_homology_functoriality(euler):
         a2 = induced_on_homology(dst, dst, m2, n)
         az = induced_on_homology(src, dst, mz, n)
         assert (a2 @ a1 - az).is_zero(), n
+
+
+def test_hopf_galois_check_reports_descent_failures_only(gal, monkeypatch):
+    h = gal["group_c2"].hopf
+
+    def no_descent(h, N, p=None):
+        raise DescentFailure("map does not descend (relation column 0)",
+                             witness=(0, (1,)))
+
+    monkeypatch.setattr(cyclichom, "hopf_galois_chain_map", no_descent)
+    rep = check_hopf_galois_chain_map(h, 2)
+    assert not rep.ok
+    [fail] = rep.failures()
+    assert fail.name == "xi_descends" and fail.witness is not None
+
+    def broken(h, N, p=None):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(cyclichom, "hopf_galois_chain_map", broken)
+    with pytest.raises(TypeError):
+        check_hopf_galois_chain_map(h, 2)

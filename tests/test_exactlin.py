@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfcyclic.algcore import Report
 from hopfcyclic.exactlin import (
-    QQ, FieldSpec, LinMap, Space, DescentFailure, NoSolution, NotInvertible,
-    descend, invert, kernel, permute_factors, quotient_by, rank, rref, solve,
-    tensor_space,
+    QQ, FieldSpec, LinMap, Pipe, Space, DescentFailure, NoSolution,
+    NotInvertible, descend, invert, kernel, permute_factors, quotient_by,
+    rank, rref, solve, tensor_space,
 )
 
 
@@ -157,3 +158,101 @@ def test_fp_field_arithmetic():
     assert f5.parse("-1/2") == f5.of_int(-1, 2)
     assert f5.add(4, 3) == 2
     assert f5.inv(4) == 4
+
+
+def test_witness_column_does_not_depend_on_insertion_order():
+    items = [((0, 3), Fraction(1)), ((1, 1), Fraction(2)),
+             ((0, 2), Fraction(5))]
+    a = LinMap(Space(4), Space(2), QQ, dict(items))
+    b = LinMap(Space(4), Space(2), QQ, dict(reversed(items)))
+    assert a.nonzero_column_index() == b.nonzero_column_index() == 1
+    wa = Report().check_map_zero("m", a).results[0].witness
+    wb = Report().check_map_zero("m", b).results[0].witness
+    assert wa == wb == (1, (Fraction(0), Fraction(2)))
+    assert LinMap.zero(Space(2), Space(2), QQ).nonzero_column_index() is None
+
+
+# -- the factor-aware builder: Pipe agrees with the matrix formulas ----------
+
+fields = st.sampled_from([QQ, FieldSpec(5), FieldSpec(7)])
+factor_dims = st.lists(st.integers(min_value=1, max_value=3),
+                       min_size=1, max_size=4)
+
+
+def _prod(dims):
+    out = 1
+    for d in dims:
+        out *= d
+    return out
+
+
+def _random_map(draw, f, dom, cod):
+    keys = st.tuples(st.integers(min_value=0, max_value=cod - 1),
+                     st.integers(min_value=0, max_value=dom - 1))
+    entries = draw(st.dictionaries(keys, st.integers(min_value=-3,
+                                                     max_value=3),
+                                   max_size=12))
+    return LinMap(Space(dom), Space(cod), f,
+                  {k: f.of_int(v) for k, v in entries.items()})
+
+
+@st.composite
+def pipes(draw):
+    """A field, factor dims and a map into their tensor product."""
+    f = draw(fields)
+    dims = draw(factor_dims)
+    m = _random_map(draw, f, draw(st.integers(min_value=1, max_value=3)),
+                    _prod(dims))
+    return f, dims, m
+
+
+def _sandwich(left, op, right, f):
+    """id (x) op (x) id, built as Kronecker products."""
+    return LinMap.identity(Space(left), f).tensor(op).tensor(
+        LinMap.identity(Space(right), f))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pipes(), st.data())
+def test_pipe_permute_matches_permutation_matrix(case, data):
+    f, dims, m = case
+    order = data.draw(st.permutations(range(len(dims))))
+    got = Pipe.after(m, dims).permute(list(order))
+    assert got.map == permute_factors(dims, order, f) @ m
+    assert got.dims == [dims[k] for k in order]
+
+
+@settings(max_examples=80, deadline=None)
+@given(pipes(), st.data())
+def test_pipe_block_matches_kronecker_sandwich(case, data):
+    f, dims, m = case
+    start = data.draw(st.integers(min_value=0, max_value=len(dims) - 1))
+    count = data.draw(st.integers(min_value=1, max_value=len(dims) - start))
+    out_dims = data.draw(st.lists(st.integers(min_value=1, max_value=3),
+                                  min_size=1, max_size=2))
+    op = _random_map(data.draw, f, _prod(dims[start:start + count]),
+                     _prod(out_dims))
+    got = Pipe.after(m, dims).block(start, count, op, out_dims)
+    want = _sandwich(_prod(dims[:start]), op, _prod(dims[start + count:]), f)
+    assert got.map == want @ m
+    assert got.dims == dims[:start] + out_dims + dims[start + count:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pipes(), st.data())
+def test_pipe_block_with_no_factors_inserts_one(case, data):
+    f, dims, m = case
+    pos = data.draw(st.integers(min_value=0, max_value=len(dims)))
+    d = data.draw(st.integers(min_value=1, max_value=3))
+    vec = _random_map(data.draw, f, 1, d)
+    got = Pipe.after(m, dims).block(pos, 0, vec)
+    want = _sandwich(_prod(dims[:pos]), vec, _prod(dims[pos:]), f)
+    assert got.map == want @ m
+    assert got.dims == dims[:pos] + [d] + dims[pos:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields, factor_dims)
+def test_pipe_starts_as_identity(f, dims):
+    pipe = Pipe(dims, f)
+    assert pipe.map == LinMap.identity(Space(_prod(dims)), f)

@@ -119,13 +119,6 @@ def test_deterministic_across_runs():
     assert a == b
 
 
-def test_parallel_matches_sequential():
-    doc = parse_scenario(_scen("pair_e2"))
-    seq = emit(run(doc))
-    par = emit(run(parse_scenario(_scen("pair_e2")), parallel=True))
-    assert seq == par
-
-
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["report", _scen("pair_e2")]) == 0
     capsys.readouterr()
