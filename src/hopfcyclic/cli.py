@@ -19,6 +19,17 @@ _VERB_KINDS = {
 }
 
 
+def _degree(text):
+    """argparse type of --max-degree: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    return n
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="hopfcyclic",
@@ -27,7 +38,7 @@ def main(argv=None):
     for verb in ("validate", "homology", "measure", "induced", "report"):
         sp = sub.add_parser(verb)
         sp.add_argument("scenario", help="path to a scenario JSON file")
-        sp.add_argument("--max-degree", type=int, default=None,
+        sp.add_argument("--max-degree", type=_degree, default=None,
                         help="override the max_degree of every task")
         sp.add_argument("--field", default=None,
                         help="override the ground field, e.g. Q or F5")

@@ -8,7 +8,8 @@ doubles as a proof that the formula respects the balancing relations.
 
 from .exactlin import (
     DescentFailure, LinMap, Pipe, Space, QuotientPresentation, descend,
-    invert, kernel, permute_factors, quotient_by, rank, solve, tensor_space,
+    invert, kernel, permute_factors, quotient_by, rank, solve_many,
+    tensor_space,
 )
 from .algcore import Report, action_on_last_slot, balanced_tensor
 from .hopfalgebroid import translation_lift
@@ -491,24 +492,14 @@ class HomologyReport:
 
 def _boundaries(cm):
     """Hochschild (co)boundaries: alternating sums of the faces."""
-    f = None
     out = {}
-    if cm.variant == "cyclic":
-        for n in range(1, cm.N + 1):
-            f = cm.faces[n][0].field
-            b = None
-            for i, di in enumerate(cm.faces[n]):
-                term = di if i % 2 == 0 else di.scaled(f.neg(f.one))
-                b = term if b is None else b + term
-            out[n] = b
-    else:
-        for n in range(0, cm.N):
-            f = cm.faces[n][0].field
-            b = None
-            for i, di in enumerate(cm.faces[n]):
-                term = di if i % 2 == 0 else di.scaled(f.neg(f.one))
-                b = term if b is None else b + term
-            out[n] = b
+    for n, ops in cm.faces.items():
+        f = ops[0].field
+        b = None
+        for i, di in enumerate(ops):
+            term = di if i % 2 == 0 else di.scaled(f.neg(f.one))
+            b = term if b is None else b + term
+        out[n] = b
     return out
 
 
@@ -518,19 +509,13 @@ def _complex_dims(spaces, diffs, top, homological):
     homological: diffs[n] : C_n -> C_{n-1}; else diffs[n] : C_n -> C_{n+1}.
     Degrees 0..top-1 are reported (top is the last degree with both maps).
     """
-    dims = []
-    for n in range(top):
-        if homological:
-            out = diffs[n] if n >= 1 else None
-            inc = diffs[n + 1]
-        else:
-            out = diffs[n]
-            inc = diffs[n - 1] if n >= 1 else None
-        dim_ker = (spaces[n].dim - rank(out)) if out is not None \
-            else spaces[n].dim
-        dim_im = rank(inc) if inc is not None else 0
-        dims.append(dim_ker - dim_im)
-    return dims
+    # each rank once: diffs[n] leaves degree n and diffs[n + into] enters
+    # it; where degree 0 has no such map, its rank counts as 0
+    lo = 1 if homological else 0
+    ranks = {n: rank(diffs[n]) for n in range(lo, lo + top)}
+    into = 1 if homological else -1
+    return [spaces[n].dim - ranks.get(n, 0) - ranks.get(n + into, 0)
+            for n in range(top)]
 
 
 def hochschild_homology(cm, normalized=False):
@@ -590,11 +575,7 @@ def cyclic_homology_char0(cm):
         kers.append(kernel(LinMap.identity(cm.spaces[n], f) - lam))
     nd = {}
     for n in range(0, cm.N):
-        cols = []
-        target = diffs[n] @ kers[n]
-        for j in range(kers[n].dom.dim):
-            cols.append(solve(kers[n + 1], target.column(j)))
-        nd[n] = LinMap.from_columns(kers[n].dom, kers[n + 1].dom, f, cols)
+        nd[n] = solve_many(kers[n + 1], diffs[n] @ kers[n])
     spaces = [k.dom for k in kers]
     dims = _complex_dims(spaces, nd, cm.N, False)
     return HomologyReport("HC", "cocyclic", dims, cm.label)
@@ -707,11 +688,7 @@ def homology_presentation(cm, n, theory="HH"):
         K = kernel(diffs[n])
     else:
         K = LinMap.identity(cm.spaces[0], f)
-    img = diffs[n + 1]
-    cols = []
-    for j in range(img.dom.dim):
-        cols.append(solve(K, img.column(j)))
-    rel = LinMap.from_columns(img.dom, K.dom, f, cols)
+    rel = solve_many(K, diffs[n + 1])
     return K, quotient_by(K.dom, rel, f)
 
 
@@ -719,12 +696,7 @@ def induced_on_homology(src_cm, dst_cm, maps, n, theory="HH"):
     """Matrix of the induced map on degree-n Hochschild homology."""
     Ks, ps = homology_presentation(src_cm, n, theory)
     Kd, pd = homology_presentation(dst_cm, n, theory)
-    f = maps[n].field
-    cols = []
-    moved = maps[n] @ Ks
-    for j in range(Ks.dom.dim):
-        cols.append(solve(Kd, moved.column(j)))
-    X = LinMap.from_columns(Ks.dom, Kd.dom, f, cols)
+    X = solve_many(Kd, maps[n] @ Ks)
     return pd.projection @ (X @ ps.section)
 
 

@@ -422,95 +422,166 @@ def permute_factors(dims, perm, field):
     return Pipe(dims, field).permute(perm).map
 
 
+def _eliminate(rows, ncols, field):
+    """Sparse Gauss-Jordan elimination on rows given as dicts {col: value}.
+
+    Pivots are taken in the columns below `ncols`; the columns from `ncols`
+    on (right-hand sides) are carried along.  The row dicts are consumed.
+    Returns (pivots, rest): `pivots` lists (column, row) by increasing
+    column, each row 1 at its own pivot and 0 at every other pivot column,
+    so these are the nonzero rows of the reduced row echelon form; `rest`
+    holds the nonzero rows left with no entry below `ncols`.
+
+    Columns are taken left to right; in each, a shortest unfinished row
+    with an entry there becomes the pivot row, to keep fill-in low.  The
+    reduced echelon form is unique, so the choice changes no result.  The
+    field enters only through the scalar step.
+    """
+    p = field.char
+    live = dict(enumerate(rows))
+    where = {}  # column below ncols -> ids of the unfinished rows using it
+    for i, row in live.items():
+        for c in row:
+            if c < ncols:
+                where.setdefault(c, set()).add(i)
+    done = []
+    for c in range(ncols):
+        using = where.pop(c, None)
+        if not using:
+            continue
+        k = min(using, key=lambda i: (len(live[i]), i))
+        using.discard(k)
+        row = live.pop(k)
+        for j in row:
+            if j in where:
+                where[j].discard(k)
+        inv = field.inv(row.pop(c))
+        for j, v in row.items():
+            row[j] = v * inv % p if p else v * inv
+        for i in using:
+            other = live[i]
+            _sub_multiple(other, row, other.pop(c), p, where, i)
+        done.append((c, row))
+    # Back substitution.  A pivot row holds only pivot columns to the right
+    # of its own, and those rows are fully reduced when it is reached.
+    at = dict(done)
+    for c, row in reversed(done):
+        for j in [j for j in row if j in at]:
+            _sub_multiple(row, at[j], row.pop(j), p)
+    one = field.one
+    for c, row in done:
+        row[c] = one
+    return done, [row for row in live.values() if row]
+
+
+def _sub_multiple(row, pivot_row, factor, p, where=None, i=None):
+    """row -= factor * pivot_row, dropping the entries that cancel.
+
+    `pivot_row` lacks its pivot entry, which the caller has popped from
+    `row` as `factor`.  A given column index `where` is kept up to date
+    for row i.
+    """
+    neg = -factor
+    for j, v in pivot_row.items():
+        old = row.get(j)
+        new = neg * v if old is None else old + neg * v
+        if p:
+            new %= p
+        if new:
+            row[j] = new
+            if old is None and where is not None and j in where:
+                where[j].add(i)
+        elif old is not None:
+            del row[j]
+            if where is not None and j in where:
+                where[j].discard(i)
+
+
+def _row_dicts(m):
+    """The rows of m as dicts {col: value}."""
+    rows = [{} for _ in range(m.cod.dim)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    return rows
+
+
 def rref(m):
     """Reduced row echelon form.
 
     Returns (reduced LinMap, pivot column tuple, rank).
     """
-    f = m.field
-    rows = m.rows()
-    nr, nc = m.cod.dim, m.dom.dim
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    red = LinMap.from_rows(m.dom, m.cod, f, rows)
-    return red, tuple(pivots), len(pivots)
+    pivots, _ = _eliminate(_row_dicts(m), m.dom.dim, m.field)
+    entries = {(r, j): v for r, (_, row) in enumerate(pivots)
+               for j, v in row.items()}
+    return (LinMap(m.dom, m.cod, m.field, entries),
+            tuple(c for c, _ in pivots), len(pivots))
 
 
 def rank(m):
+    """Number of pivots of rref(m)."""
     return rref(m)[2]
 
 
 def kernel(m):
     """Basis of the kernel, as columns of a LinMap into m.dom."""
     f = m.field
-    red, pivots, rk = rref(m)
-    rows = red.rows()
-    free = [c for c in range(m.dom.dim) if c not in set(pivots)]
-    cols = []
-    for fc in free:
-        v = [f.zero] * m.dom.dim
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(rows[r][fc])
-        cols.append(v)
-    dom = Space(len(cols), "ker")
-    return LinMap.from_columns(dom, m.dom, f, cols)
+    pivots, _ = _eliminate(_row_dicts(m), m.dom.dim, f)
+    free, basis = _null_basis(pivots, m.dom.dim, f)
+    return LinMap(Space(len(free), "ker"), m.dom, f, basis)
+
+
+def _null_basis(pivots, n, field):
+    """Kernel basis of a reduced echelon form with n columns.
+
+    Returns (free, basis): `free` numbers the non-pivot columns in order,
+    {column: k}; `basis` holds the entries {(coordinate, k): value} of the
+    k-th kernel vector, 1 at the k-th non-pivot column c and minus each
+    pivot row's entry at c at that row's pivot.
+    """
+    taken = {c for c, _ in pivots}
+    free = {c: k for k, c in
+            enumerate(c for c in range(n) if c not in taken)}
+    basis = {(c, k): field.one for c, k in free.items()}
+    for pc, row in pivots:
+        for c, v in row.items():
+            if c != pc:
+                basis[(pc, free[c])] = field.neg(v)
+    return free, basis
+
+
+def _solution(m, targets):
+    """Entries of one X with m @ X == targets (a map into m.cod), free
+    variables 0, or raise NoSolution.  All columns share one elimination
+    of [m | targets]; a pivot variable takes its row's reduced entry."""
+    n = m.dom.dim
+    rows = _row_dicts(m)
+    for (i, j), v in targets.entries.items():
+        rows[i][n + j] = v
+    pivots, rest = _eliminate(rows, n, m.field)
+    if rest:
+        raise NoSolution("inconsistent system")
+    return {(c, j - n): v for c, row in pivots
+            for j, v in row.items() if j >= n}
+
+
+def solve_many(m, targets):
+    """One X with m @ X == targets, or raise NoSolution.
+
+    `targets` is a map into m.cod; column j of X is solve(m, column j of
+    targets), but all columns share one elimination.
+    """
+    assert targets.cod.dim == m.cod.dim
+    return LinMap(targets.dom, m.dom, m.field, _solution(m, targets))
 
 
 def solve(m, target):
     """One solution of m v = target, or raise NoSolution."""
-    f = m.field
     assert len(target) == m.cod.dim
-    nr, nc = m.cod.dim, m.dom.dim
-    rows = [row + [t] for row, t in zip(m.rows(), target)]
-    r = 0
-    pivots = []
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if rows[i][nc]:
-            raise NoSolution("inconsistent system")
-    sol = [f.zero] * nc
-    for i, pc in enumerate(pivots):
-        sol[pc] = rows[i][nc]
+    f = m.field
+    rhs = LinMap.from_columns(Space(1), m.cod, f, [target])
+    sol = [f.zero] * m.dom.dim
+    for (i, _), v in _solution(m, rhs).items():
+        sol[i] = v
     return tuple(sol)
 
 
@@ -519,14 +590,12 @@ def invert(m):
     if m.dom.dim != m.cod.dim:
         raise NotInvertible("not square")
     f = m.field
-    cols = []
+    ident = LinMap.identity(m.cod, f)
     try:
-        for j in range(m.cod.dim):
-            cols.append(solve(m, m.cod.basis_vector(j, f)))
+        inv = LinMap(m.cod, m.dom, f, _solution(m, ident))
     except NoSolution:
         raise NotInvertible("not surjective")
-    inv = LinMap.from_columns(m.cod, m.dom, f, cols)
-    if not (m @ inv == LinMap.identity(m.cod, f)) or \
+    if not (m @ inv == ident) or \
        not (inv @ m == LinMap.identity(m.dom, f)):
         raise NotInvertible("one sided only")
     return inv
@@ -567,29 +636,21 @@ def quotient_by(ambient, relations, field, label=""):
     """
     assert relations.cod.dim == ambient.dim
     f = field
-    # column echelon form of the relations = row echelon of the transpose
-    red, pivots, rk = rref(_transpose(relations))
-    ech_rows = red.rows()[:rk]  # each row is an echelon basis vector of span
-    piv_set = set(pivots)
-    nonpiv = [c for c in range(ambient.dim) if c not in piv_set]
-    quotient = Space(len(nonpiv), label or (ambient.label + "/~"))
-    # projection: subtract v[p_k] * w_k for each echelon vector, keep non-pivots
-    proj_entries = {}
-    for out_i, c in enumerate(nonpiv):
-        proj_entries[(out_i, c)] = f.one
-        for k, pc in enumerate(pivots):
-            w = ech_rows[k][c]
-            if w:
-                proj_entries[(out_i, pc)] = f.neg(w)
-    projection = LinMap(ambient, quotient, f, proj_entries)
+    # column echelon form of the relations = row echelon of the transpose;
+    # each pivot row is an echelon basis vector of the span
+    rows = [{} for _ in range(relations.dom.dim)]
+    for (i, j), v in relations.entries.items():
+        rows[j][i] = v
+    pivots, _ = _eliminate(rows, ambient.dim, f)
+    free, basis = _null_basis(pivots, ambient.dim, f)
+    quotient = Space(len(free), label or (ambient.label + "/~"))
+    # projection: subtract v[p_k] * w_k for each echelon vector, keep the
+    # non-pivots; that is the transpose of the null basis
+    projection = LinMap(ambient, quotient, f,
+                        {(k, i): v for (i, k), v in basis.items()})
     section = LinMap(quotient, ambient, f,
-                     {(c, out_i): f.one for out_i, c in enumerate(nonpiv)})
+                     {(c, k): f.one for c, k in free.items()})
     return QuotientPresentation(ambient, relations, quotient, projection, section)
-
-
-def _transpose(m):
-    return LinMap(m.cod, m.dom, m.field,
-                  {(j, i): v for (i, j), v in m.entries.items()})
 
 
 def descend(f_free, src, dst):

@@ -16,7 +16,8 @@ Conventions, fixed once and used everywhere downstream:
 
 from .exactlin import (
     LinMap, Pipe, Space, QuotientPresentation, DescentFailure, NoSolution,
-    descend, fix_factor, kron_vec, pack_slices, rank, solve, tensor_space,
+    descend, fix_factor, kron_vec, pack_slices, rank, solve_many,
+    tensor_space,
 )
 from .algcore import (
     AlgebraData, ModuleActionData, Report, action_on_last_slot,
@@ -322,17 +323,9 @@ def translation_map(h):
     """u -> beta^{-1}(u (x) 1), valued in the chain-side square."""
     if h._translation is not None:
         return h._translation
-    f = h.field
     beta = hopf_galois_beta(h)
-    lt2 = h.ltower(2)
-    cols = []
-    for j in range(h.U.space.dim):
-        uv = h.U.space.basis_vector(j, f)
-        target = lt2.projection.apply(
-            kron_vec(uv, h.U.unit, f))
-        cols.append(solve(beta, target))
-    h._translation = LinMap.from_columns(h.U.space, h.rtower(2).quotient, f,
-                                         cols)
+    h._translation = solve_many(
+        beta, h.ltower(2).projection @ _insert_unit_right(h.U, h.field))
     return h._translation
 
 

@@ -81,6 +81,22 @@ def _scalar(field, v, where):
     raise ParseError("bad scalar %r in %s" % (v, where))
 
 
+def _count(v, what, least=0):
+    """An int >= least from the document (a JSON bool is not one)."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        raise ParseError("%s must be an integer >= %d, got %r"
+                         % (what, least, v))
+    return v
+
+
+def _section(data, key):
+    """data[key], absent meaning {}; it must be a JSON object."""
+    v = data.get(key, {})
+    if not isinstance(v, dict):
+        raise ParseError("%s must be a JSON object" % key)
+    return v
+
+
 def _sparse_entry(field, row, where):
     """A sparse entry [i.., coeff] or [i.., num, den] with integer indices."""
     if len(row) < 2:
@@ -139,10 +155,18 @@ class ScenarioDocument:
                     % (name, where, cat, "/".join(cats)))
             return obj
 
+        def definitions(cat):
+            defs = _section(self.data, cat)
+            for name, d in defs.items():
+                if not isinstance(d, dict):
+                    raise ParseError("%s %r must be a JSON object"
+                                     % (cat, name))
+            return defs.items()
+
         f = self.field
-        for name, d in self.data.get("algebras", {}).items():
+        for name, d in definitions("algebras"):
             define(name, "algebras", self._make_algebra(name, d))
-        for name, d in self.data.get("coalgebras", {}).items():
+        for name, d in definitions("coalgebras"):
             preset = d.get("preset")
             if preset == "point":
                 define(name, "coalgebras", point_coalgebra(f))
@@ -150,7 +174,7 @@ class ScenarioDocument:
                 define(name, "coalgebras", primitive_pair_coalgebra(f))
             else:
                 raise ParseError("unknown coalgebra preset %r" % preset)
-        for name, d in self.data.get("hopf_algebroids", {}).items():
+        for name, d in definitions("hopf_algebroids"):
             if "pair_of" in d:
                 A = ref(d["pair_of"], ("algebras",), "hopf_algebroid " + name)
                 define(name, "hopf_algebroids", pair_hopf_algebroid(A, name))
@@ -169,7 +193,7 @@ class ScenarioDocument:
             else:
                 raise ParseError("unknown hopf_algebroid preset %r" % preset)
             define(name, "hopf_algebroids", h)
-        for name, d in self.data.get("sayd_modules", {}).items():
+        for name, d in definitions("sayd_modules"):
             h = ref(d.get("hopf"), ("hopf_algebroids",), "sayd " + name)
             preset = d.get("preset")
             if preset == "scalar":
@@ -179,13 +203,13 @@ class ScenarioDocument:
                 define(name, "sayd_modules", base_sayd_for_pair(h, A))
             else:
                 raise ParseError("unknown sayd preset %r" % preset)
-        for name, d in self.data.get("yd_algebras", {}).items():
+        for name, d in definitions("yd_algebras"):
             h = ref(d.get("hopf"), ("hopf_algebroids",), "yd_algebra " + name)
             if d.get("preset") != "scalar":
                 raise ParseError(
                     "unknown yd_algebra preset %r" % d.get("preset"))
             define(name, "yd_algebras", scalar_yd_algebra(h))
-        for name, d in self.data.get("measurings", {}).items():
+        for name, d in definitions("measurings"):
             h = ref(d.get("hopf"), ("hopf_algebroids",), "measuring " + name)
             preset = d.get("preset")
             if preset == "identity":
@@ -198,7 +222,7 @@ class ScenarioDocument:
                        derivation_pair_measuring(h, delta, name))
             else:
                 raise ParseError("unknown measuring preset %r" % preset)
-        for name, d in self.data.get("comodule_measurings", {}).items():
+        for name, d in definitions("comodule_measurings"):
             p = ref(d.get("sayd"), ("sayd_modules",),
                     "comodule_measuring " + name)
             preset = d.get("preset")
@@ -219,17 +243,21 @@ class ScenarioDocument:
             else:
                 raise ParseError(
                     "unknown comodule_measuring preset %r" % preset)
-        for name, d in self.data.get("lie_rinehart", {}).items():
+        for name, d in definitions("lie_rinehart"):
             preset = d.get("preset")
             if preset == "nonabelian_2d":
                 define(name, "lie_rinehart", nonabelian_2d(f))
             elif preset == "abelian":
-                define(name, "lie_rinehart", abelian_lr(d.get("dim", 1), f))
+                dim = _count(d.get("dim", 1), "dim of lie_rinehart %r" % name)
+                define(name, "lie_rinehart", abelian_lr(dim, f))
             else:
                 raise ParseError("unknown lie_rinehart preset %r" % preset)
-        for name, d in self.data.get("operads", {}).items():
+        for name, d in definitions("operads"):
             preset = d.get("preset")
-            top = d.get("max_arity", 3)
+            # the YD operad's multiplication lives in arity 2
+            top = _count(d.get("max_arity", 3),
+                         "max_arity of operad %r" % name,
+                         2 if preset == "yd" else 0)
             if preset == "one_dimensional":
                 define(name, "operads", one_dimensional_operad(f, top))
             elif preset == "yd":
@@ -240,10 +268,11 @@ class ScenarioDocument:
                 define(name, "operads", build_yd_operad(h, z, top))
             else:
                 raise ParseError("unknown operad preset %r" % preset)
-        for name, d in self.data.get("comp_modules", {}).items():
+        for name, d in definitions("comp_modules"):
             od = ref(d.get("operad"), ("operads",), "comp_module " + name)
             preset = d.get("preset")
-            top = d.get("max_degree", od.N)
+            top = _count(d.get("max_degree", od.N),
+                         "max_degree of comp_module %r" % name)
             if preset == "one_dimensional":
                 define(name, "comp_modules",
                        one_dimensional_comp_module(od, top))
@@ -271,7 +300,9 @@ class ScenarioDocument:
             if preset == "split_pair":
                 return split_pair_algebra(f)
             if preset == "group":
-                return group_algebra(d.get("order", 2), f)
+                order = _count(d.get("order", 2),
+                               "order of algebra %r" % name, 1)
+                return group_algebra(order, f)
             raise ParseError("unknown algebra preset %r" % preset)
         where = "algebra " + name
         dim = d.get("dim")
@@ -311,7 +342,7 @@ class ScenarioDocument:
     def _parse_elements(self):
         f = self.field
         out = {}
-        for name, coords in self.data.get("elements", {}).items():
+        for name, coords in _section(self.data, "elements").items():
             if not isinstance(coords, list):
                 raise ParseError("element %r must be a coordinate list" % name)
             out[name] = tuple(
@@ -335,6 +366,8 @@ class ScenarioDocument:
                 raise ReferenceError(
                     "unknown reference %r in %s" % (name, where))
             cat, obj = self.objects[name]
+            if "max_degree" in t:
+                _count(t["max_degree"], "max_degree in " + where)
             task = dict(t)
             task["_index"] = idx
             task["_category"] = cat

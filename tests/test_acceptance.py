@@ -266,25 +266,32 @@ def test_criterion_08_yd_operad():
     _budget("criterion 8 (operad from braided commutative algebra)", t0, 60)
 
 
-def _mutate(m, i, j):
+def _mutate(m, i, j, f):
+    """Add one to entry (i, j) of a map, or to coordinate i of a vector
+    (j is None)."""
+    if j is None:
+        return tuple(f.add(x, f.one) if k == i else x for k, x in enumerate(m))
     out = LinMap(m.dom, m.cod, m.field, dict(m.entries))
-    f = m.field
     out.entries[(i, j)] = f.add(out.entries.get((i, j), f.zero), f.one)
     return out
 
 
-def _mutation_run(label, maps, rebuild_check, count=20, seed=0):
-    """Flip one entry at a time and insist the checker flags it with a
-    witness."""
+def _mutation_run(label, maps, rebuild_check, count=20, seed=0, f=QQ):
+    """Flip one entry (of a map) or coordinate (of a vector) at a time and
+    insist the checker flags it with a witness."""
     rng = random.Random(seed)
     keys = sorted(maps, key=repr)
     for trial in range(count):
         k = keys[rng.randrange(len(keys))]
         m = maps[k]
-        i = rng.randrange(m.cod.dim)
-        j = rng.randrange(m.dom.dim)
+        if isinstance(m, LinMap):
+            i = rng.randrange(m.cod.dim)
+            j = rng.randrange(m.dom.dim)
+        else:
+            i = rng.randrange(len(m))
+            j = None
         mutated = dict(maps)
-        mutated[k] = _mutate(m, i, j)
+        mutated[k] = _mutate(m, i, j, f)
         try:
             rep = rebuild_check(mutated)
         except DescentFailure as e:
@@ -355,12 +362,15 @@ def test_criterion_09_negative_controls():
     opmaps["m"] = od.m
 
     def check_op(ms):
-        comp = {k: v for k, v in ms.items() if k not in ("one", "m")}
-        mut = OperadData(od.spaces, comp, ms["one"], ms["m"], od.e, f,
-                         "mutant")
+        comp = {k: ms.get(k, v) for k, v in od.comp.items()}
+        mut = OperadData(od.spaces, comp, ms.get("one", od.one),
+                         ms.get("m", od.m), od.e, f, "mutant")
         return check_operad(mut)
 
     _mutation_run("operad", opmaps, check_op)
+    # the mixed pool above rarely draws these two, so give them their own run
+    _mutation_run("operad unit and multiplication",
+                  {"one": od.one, "m": od.m}, check_op)
     _budget("criterion 9 (negative controls, 20 mutations each)", t0, 120)
 
 

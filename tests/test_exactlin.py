@@ -7,7 +7,7 @@ from hopfcyclic.algcore import Report
 from hopfcyclic.exactlin import (
     QQ, FieldSpec, LinMap, Pipe, Space, DescentFailure, NoSolution,
     NotInvertible, descend, invert, kernel, permute_factors, quotient_by,
-    rank, rref, solve, tensor_space,
+    rank, rref, solve, solve_many, tensor_space,
 )
 
 
@@ -116,42 +116,6 @@ def test_descend_failure_witness():
     assert d.dom.dim == 1 and d.cod.dim == 2
 
 
-small_matrices = st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.integers(min_value=1, max_value=4).flatmap(
-        lambda m: st.lists(
-            st.lists(st.integers(min_value=-4, max_value=4),
-                     min_size=m, max_size=m),
-            min_size=n, max_size=n)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_matrices)
-def test_rank_nullity(rows):
-    m = mk(rows)
-    assert rank(m) + kernel(m).dom.dim == m.dom.dim
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_matrices, st.lists(st.integers(min_value=-3, max_value=3),
-                                min_size=4, max_size=4))
-def test_solve_consistent_systems(rows, vec):
-    m = mk(rows)
-    v = tuple(Fraction(x) for x in vec[:m.dom.dim])
-    target = m.apply(v)
-    sol = solve(m, target)
-    assert m.apply(sol) == target
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_matrices)
-def test_quotient_dims(rows):
-    m = mk(rows)
-    pres = quotient_by(m.cod, m, QQ)
-    assert pres.quotient.dim == m.cod.dim - rank(m)
-    assert pres.projection @ pres.section == LinMap.identity(pres.quotient, QQ)
-    assert (pres.projection @ pres.relations).is_zero()
-
-
 def test_fp_field_arithmetic():
     f5 = FieldSpec(5)
     assert f5.of_int(3, 2) == 4  # 3 * inv(2) = 3 * 3 = 9 = 4
@@ -187,6 +151,8 @@ def _prod(dims):
 
 
 def _random_map(draw, f, dom, cod):
+    if dom == 0 or cod == 0:
+        return LinMap.zero(Space(dom), Space(cod), f)
     keys = st.tuples(st.integers(min_value=0, max_value=cod - 1),
                      st.integers(min_value=0, max_value=dom - 1))
     entries = draw(st.dictionaries(keys, st.integers(min_value=-3,
@@ -256,3 +222,123 @@ def test_pipe_block_with_no_factors_inserts_one(case, data):
 def test_pipe_starts_as_identity(f, dims):
     pipe = Pipe(dims, f)
     assert pipe.map == LinMap.identity(Space(_prod(dims)), f)
+
+
+# -- elimination: properties over Q, F5 and F7, and a dense oracle -----------
+
+def _dense_rref(rows, ncols, f):
+    """Textbook Gauss-Jordan on a list of rows; the oracle for rref."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(factor, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, tuple(pivots)
+
+
+@st.composite
+def field_matrices(draw, square=False):
+    """A field and a matrix of at most 5 x 5, possibly empty.  Half are
+    products through an inner dimension k, so of rank at most k; half of
+    the square ones are shifted by a nonzero multiple of the identity, so
+    that invertible matrices come up too."""
+    f = draw(fields)
+    nr = draw(st.integers(min_value=0, max_value=5))
+    nc = nr if square else draw(st.integers(min_value=0, max_value=5))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=min(nr, nc)))
+        m = _random_map(draw, f, k, nr) @ _random_map(draw, f, nc, k)
+    else:
+        m = _random_map(draw, f, nc, nr)
+    if square and draw(st.booleans()):
+        c = f.of_int(draw(st.integers(min_value=1, max_value=4)))
+        m = m + LinMap.identity(m.dom, f).scaled(c)
+    return f, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_rref_matches_dense_oracle(case):
+    f, m = case
+    red, pivots, rk = rref(m)
+    rows, want_pivots = _dense_rref(m.rows(), m.dom.dim, f)
+    assert red.rows() == rows
+    assert pivots == want_pivots and rk == len(pivots)
+    assert rank(m) == rk
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices())
+def test_rank_nullity(case):
+    f, m = case
+    k = kernel(m)
+    assert rank(m) + k.dom.dim == m.dom.dim
+    assert (m @ k).is_zero()
+    assert rank(k) == k.dom.dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(), st.data())
+def test_solve_consistent_systems(case, data):
+    f, m = case
+    k = data.draw(st.integers(min_value=0, max_value=3))
+    x = _random_map(data.draw, f, k, m.dom.dim)
+    targets = m @ x
+    sols = solve_many(m, targets)
+    assert m @ sols == targets
+    for j in range(k):
+        t = targets.column(j)
+        assert m.apply(solve(m, t)) == t
+        assert solve(m, t) == sols.column(j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(), st.data())
+def test_solve_refuses_exactly_the_targets_off_the_image(case, data):
+    f, m = case
+    t = _random_map(data.draw, f, 1, m.cod.dim)
+    augmented = dict(m.entries)
+    augmented.update({(i, m.dom.dim): v for (i, _), v in t.entries.items()})
+    in_image = rank(LinMap(Space(m.dom.dim + 1), m.cod, f, augmented)) \
+        == rank(m)
+    try:
+        sol = solve(m, t.column(0))
+    except NoSolution:
+        assert not in_image
+    else:
+        assert in_image and m.apply(sol) == t.column(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(square=True))
+def test_invert_is_two_sided(case):
+    f, m = case
+    ident = LinMap.identity(m.dom, f)
+    if rank(m) < m.dom.dim:
+        with pytest.raises(NotInvertible):
+            invert(m)
+        return
+    inv = invert(m)
+    assert m @ inv == ident and inv @ m == ident
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_matrices())
+def test_quotient_dims(case):
+    f, m = case
+    pres = quotient_by(m.cod, m, f)
+    assert pres.quotient.dim == m.cod.dim - rank(m)
+    assert pres.projection @ pres.section == \
+        LinMap.identity(pres.quotient, f)
+    assert (pres.projection @ pres.relations).is_zero()

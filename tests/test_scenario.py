@@ -162,3 +162,63 @@ def test_explicit_scalar_tuple_and_string_forms():
     }
     rep = run(parse_scenario_text(json.dumps(base)))
     assert rep.ok
+
+
+def _task_degree(v):
+    return {"hopf_algebroids": {"H": {"preset": "trivial"}},
+            "tasks": [{"kind": "homology", "object": "H", "max_degree": v}]}
+
+
+def _operad_arity(v, preset="one_dimensional"):
+    return {"hopf_algebroids": {"H": {"preset": "group_c2"}},
+            "yd_algebras": {"Z": {"hopf": "H", "preset": "scalar"}},
+            "operads": {"O": {"preset": preset, "hopf": "H",
+                              "yd_algebra": "Z", "max_arity": v}}}
+
+
+def _comp_degree(v):
+    return {"operads": {"O": {"preset": "one_dimensional"}},
+            "comp_modules": {"L": {"preset": "one_dimensional",
+                                   "operad": "O", "max_degree": v}}}
+
+
+@pytest.mark.parametrize("doc, named", [
+    (_task_degree("x"), "max_degree in task 0"),
+    (_task_degree(-3), "max_degree in task 0"),
+    (_task_degree(True), "max_degree in task 0"),
+    (_task_degree(2.0), "max_degree in task 0"),
+    (_operad_arity("x"), "max_arity of operad 'O'"),
+    (_operad_arity(-3), "max_arity of operad 'O'"),
+    (_operad_arity(True), "max_arity of operad 'O'"),
+    (_operad_arity(1, "yd"), "max_arity of operad 'O'"),
+    (_comp_degree("x"), "max_degree of comp_module 'L'"),
+    (_comp_degree(-3), "max_degree of comp_module 'L'"),
+    (_comp_degree(True), "max_degree of comp_module 'L'"),
+    ({"algebras": [1, 2]}, "algebras must be a JSON object"),
+    ({"operads": "O"}, "operads must be a JSON object"),
+    ({"algebras": {"A": [1]}}, "algebras 'A' must be a JSON object"),
+    ({"elements": [1]}, "elements must be a JSON object"),
+    ({"algebras": {"A": {"preset": "group", "order": "x"}}},
+     "order of algebra 'A'"),
+    ({"lie_rinehart": {"L": {"preset": "abelian", "dim": -1}}},
+     "dim of lie_rinehart 'L'"),
+])
+def test_cli_rejects_malformed_input(tmp_path, capsys, doc, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["report", str(bad)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_zero_degrees_and_arities_are_accepted():
+    for doc in (_task_degree(0), _operad_arity(0), _comp_degree(0),
+                _operad_arity(2, "yd")):
+        parse_scenario_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", ["-3", "x"])
+def test_cli_rejects_bad_max_degree_flag(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", _scen("trivial"), "--max-degree", value])
+    assert exc.value.code == 2
+    assert "--max-degree" in capsys.readouterr().err
