@@ -332,6 +332,14 @@ class BalancedTensor:
         self.factors = factors
 
 
+def _columns(m):
+    """The nonzero entries of m by column: {col: [(row, value)]}."""
+    cols = {}
+    for (i, j), v in m.entries.items():
+        cols.setdefault(j, []).append((i, v))
+    return cols
+
+
 def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
     """Quotient of left (x) right by (q.a) (x) r - q (x) (a.r).
 
@@ -341,29 +349,26 @@ def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
     towers keep a projection/section from the full tensor power.
     """
     lq, rq = left_pres.quotient, right_pres.quotient
-    da = aspace.dim
+    da, dr = aspace.dim, rq.dim
     ambient = tensor_space(left_pres.ambient, right_pres.ambient, label)
     inner_ambient = tensor_space(lq, rq)
-    cols = []
+    # relation (i, a, j) is (q_i . a) (x) r_j - q_i (x) (a . r_j), where
+    # q_i . a is column i * da + a of ract and a . r_j column a * dr + j of
+    # lact; relations that cancel stay as zero columns
+    ract_cols, lact_cols = _columns(ract), _columns(lact)
+    entries = {}
     for i in range(lq.dim):
-        qi = lq.basis_vector(i, field)
         for a in range(da):
-            av = aspace.basis_vector(a, field)
-            qa = ract.apply(kron_vec(qi, av, field))
-            for j in range(rq.dim):
-                rj = rq.basis_vector(j, field)
-                ar = lact.apply(kron_vec(av, rj, field))
-                col = [field.zero] * inner_ambient.dim
-                for x, v in enumerate(qa):
-                    if v:
-                        col[x * rq.dim + j] = field.add(col[x * rq.dim + j], v)
-                for y, v in enumerate(ar):
-                    if v:
-                        col[i * rq.dim + y] = field.sub(col[i * rq.dim + y], v)
-                if any(col):
-                    cols.append(col)
-    rel_inner = LinMap.from_columns(Space(len(cols), "rel"), inner_ambient,
-                                    field, cols)
+            qa = ract_cols.get(i * da + a, ())
+            for j in range(dr):
+                n = (i * da + a) * dr + j
+                for x, v in qa:
+                    entries[(x * dr + j, n)] = v
+                for y, v in lact_cols.get(a * dr + j, ()):
+                    k = (i * dr + y, n)
+                    entries[k] = field.sub(entries.get(k, field.zero), v)
+    rel_inner = LinMap(Space(lq.dim * da * dr, "rel"), inner_ambient, field,
+                       entries)
     inner = quotient_by(inner_ambient, rel_inner, field, label)
     projection = inner.projection \
         @ left_pres.projection.tensor(right_pres.projection)

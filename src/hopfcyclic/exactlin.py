@@ -34,15 +34,16 @@ class DescentFailure(Exception):
 class FieldSpec:
     """The rationals, or a prime field F_p.
 
-    Scalars are Fraction instances over Q and plain ints in range(p) over F_p.
+    Over Q an integral scalar is a plain int and any other scalar is a
+    Fraction; the two mix freely, and 3 == Fraction(3) with equal hashes.
+    Over F_p scalars are plain ints in range(p).
     """
 
     def __init__(self, p=0):
-        if p == 0:
-            self.char = 0
-        else:
-            assert p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1)), p
-            self.char = p
+        if p != 0 and (p < 2 or any(p % d == 0
+                                    for d in range(2, int(p ** 0.5) + 1))):
+            raise ValueError("not a prime: %r" % (p,))
+        self.char = p
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.char == other.char
@@ -53,17 +54,12 @@ class FieldSpec:
     def __repr__(self):
         return "Q" if self.char == 0 else "F%d" % self.char
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
+    zero = 0
+    one = 1
 
     def of_int(self, n, d=1):
         if self.char == 0:
-            return Fraction(n, d)
+            return _rational(Fraction(n, d))
         p = self.char
         dd = d % p
         if dd == 0:
@@ -86,7 +82,7 @@ class FieldSpec:
         if not a:
             raise ZeroDivisionError
         if self.char == 0:
-            return 1 / a
+            return _rational(Fraction(1, a))
         return pow(a, self.char - 2, self.char)
 
     def div(self, a, b):
@@ -100,8 +96,27 @@ class FieldSpec:
             return self.of_int(int(n), int(d))
         return self.of_int(int(s))
 
+    def to_json(self, a):
+        """A scalar for a JSON report: a string like "-3/2" or "0" over Q
+        (so a reader never takes it for an index), an int over F_p."""
+        return str(a) if self.char == 0 else a
+
+
+def _rational(q):
+    """A Fraction as a scalar of Q: its numerator when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
 
 QQ = FieldSpec()
+
+
+class Vector(tuple):
+    """Coordinates of a vector, as LinMap.column and LinMap.apply return
+    them: a plain tuple whose type marks the entries as scalars.  Over Q an
+    integral scalar is an int, like an index, so a report renders the
+    entries of a Vector through FieldSpec.to_json and nothing else."""
+
+    __slots__ = ()
 
 
 class Space:
@@ -179,7 +194,7 @@ class LinMap:
         for (i, jj), v in self.entries.items():
             if jj == j:
                 col[i] = v
-        return tuple(col)
+        return Vector(col)
 
     def apply(self, vec):
         assert len(vec) == self.dom.dim
@@ -188,7 +203,7 @@ class LinMap:
         for (i, j), v in self.entries.items():
             if vec[j]:
                 out[i] = f.add(out[i], f.mul(v, vec[j]))
-        return tuple(out)
+        return Vector(out)
 
     def __matmul__(self, other):
         assert isinstance(other, LinMap)
@@ -457,7 +472,7 @@ def _eliminate(rows, ncols, field):
                 where[j].discard(k)
         inv = field.inv(row.pop(c))
         for j, v in row.items():
-            row[j] = v * inv % p if p else v * inv
+            row[j] = v * inv % p if p else _rational(v * inv)
         for i in using:
             other = live[i]
             _sub_multiple(other, row, other.pop(c), p, where, i)
@@ -525,9 +540,35 @@ def rank(m):
 def kernel(m):
     """Basis of the kernel, as columns of a LinMap into m.dom."""
     f = m.field
-    pivots, _ = _eliminate(_row_dicts(m), m.dom.dim, f)
+    rows = _row_dicts(m)
+    pivots = _reduced_pivots(rows)
+    if pivots is None:
+        pivots, _ = _eliminate(rows, m.dom.dim, f)
     free, basis = _null_basis(pivots, m.dom.dim, f)
     return LinMap(Space(len(free), "ker"), m.dom, f, basis)
+
+
+def _reduced_pivots(rows):
+    """The pivots (column, row) of rows that, zero rows left out and up to
+    order, already are a reduced row echelon form; else None.
+
+    The reduced echelon form is unique, so they are what elimination would
+    give.  Quotient projections whose section picks increasing coordinates
+    often are reduced (not always: a relation pivot can lie left of a
+    section column), and the towers take the kernels of those.
+    """
+    pivots = []
+    for row in rows:
+        if row:
+            c = min(row)
+            if row[c] != 1:
+                return None
+            pivots.append((c, row))
+    taken = {c for c, _ in pivots}
+    if len(taken) < len(pivots) or any(
+            j in taken and j != c for c, row in pivots for j in row):
+        return None
+    return pivots
 
 
 def _null_basis(pivots, n, field):

@@ -7,12 +7,12 @@ that serializes deterministically, so two runs of the same document give
 byte-identical JSON.
 """
 
-from fractions import Fraction
 import json
 import time
 
 from .exactlin import (
     DescentFailure, FieldSpec, LinMap, NoSolution, NotInvertible, QQ, Space,
+    Vector,
 )
 from .algcore import AlgebraData, check_algebra, check_coalgebra
 from .hopfalgebroid import (
@@ -63,9 +63,12 @@ def _field_of(name):
         return QQ
     if isinstance(name, str) and name.startswith("F") and name[1:].isdigit():
         try:
-            return FieldSpec(int(name[1:]))
-        except AssertionError:
-            raise ParseError("not a prime field: %r" % name)
+            p = int(name[1:])
+            if p:  # FieldSpec(0) would be Q
+                return FieldSpec(p)
+        except ValueError:
+            pass
+        raise ParseError("not a prime field: %r" % name)
     raise ParseError("unknown field %r" % name)
 
 
@@ -118,6 +121,15 @@ _CATEGORIES = ("algebras", "coalgebras", "hopf_algebroids", "sayd_modules",
                "lie_rinehart", "operads", "comp_modules")
 
 _TASK_KINDS = ("validate", "homology", "measure", "induced", "hopf_galois")
+
+# the categories a task kind applies to; "validate" takes every category
+_MEASURINGS = ("measurings", "comodule_measurings")
+_TASK_CATEGORIES = {
+    "homology": ("hopf_algebroids", "lie_rinehart"),
+    "measure": _MEASURINGS,
+    "induced": _MEASURINGS,
+    "hopf_galois": _MEASURINGS,
+}
 
 
 class ScenarioDocument:
@@ -366,6 +378,11 @@ class ScenarioDocument:
                 raise ReferenceError(
                     "unknown reference %r in %s" % (name, where))
             cat, obj = self.objects[name]
+            cats = _TASK_CATEGORIES.get(kind)
+            if cats is not None and cat not in cats:
+                raise ReferenceError(
+                    "%s task on %r in %s: it is a %s, expected one of %s"
+                    % (kind, name, where, cat, "/".join(cats)))
             if "max_degree" in t:
                 _count(t["max_degree"], "max_degree in " + where)
             task = dict(t)
@@ -441,24 +458,26 @@ class ReportDocument:
         return failed == 0 and errors == 0
 
 
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
+def _jsonable(v, field):
+    """A witness as JSON.  Scalars sit in Vectors and are rendered by the
+    field; every other int is an index or a count."""
+    if isinstance(v, Vector):
+        return [field.to_json(x) for x in v]
     if isinstance(v, (tuple, list)):
-        return [_jsonable(x) for x in v]
+        return [_jsonable(x, field) for x in v]
     if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in sorted(v.items())}
+        return {str(k): _jsonable(x, field) for k, x in sorted(v.items())}
     if isinstance(v, (int, str, bool)) or v is None:
         return v
     return repr(v)
 
 
-def _checks_of(rep):
+def _checks_of(rep, field):
     out = []
     for r in rep.results:
         c = {"name": r.name, "passed": r.passed}
         if not r.passed and r.witness is not None:
-            c["witness"] = _jsonable(r.witness)
+            c["witness"] = _jsonable(r.witness, field)
         out.append(c)
     return out
 
@@ -519,9 +538,7 @@ def _homology(task, cat, obj, objects, max_degree):
 def _measure(cat, obj):
     if cat == "measurings":
         return check_hopf_algebroid_measuring(obj)
-    if cat == "comodule_measurings":
-        return check_sayd_comodule_measuring(obj)
-    raise ParseError("object of type %s has no measuring certificate" % cat)
+    return check_sayd_comodule_measuring(obj)
 
 
 def _induced(task, cat, obj, elements, max_degree):
@@ -558,7 +575,7 @@ _TASK_ERRORS = (CharNotZero, DescentFailure, StabilityFailure,
                 ZeroDivisionError, AssertionError)
 
 
-def _run_task(task, objects, elements, max_degree):
+def _run_task(task, objects, elements, field, max_degree):
     kind = task["kind"]
     name = task["object"]
     cat, obj = objects[name]
@@ -567,7 +584,7 @@ def _run_task(task, objects, elements, max_degree):
         if kind == "validate":
             rep = _validate(cat, obj)
             record["status"] = "pass" if rep.ok else "fail"
-            record["checks"] = _checks_of(rep)
+            record["checks"] = _checks_of(rep, field)
         elif kind == "homology":
             theory, dims = _homology(task, cat, obj, objects, max_degree)
             record["theory"] = theory
@@ -577,17 +594,17 @@ def _run_task(task, objects, elements, max_degree):
         elif kind == "measure":
             rep = _measure(cat, obj)
             record["status"] = "pass" if rep.ok else "fail"
-            record["checks"] = _checks_of(rep)
+            record["checks"] = _checks_of(rep, field)
         elif kind == "induced":
             record["element"] = task["element"]
             rep = _induced(task, cat, obj, elements, max_degree)
             record["status"] = "pass" if rep.ok else "fail"
-            record["certificate"] = _checks_of(rep)
+            record["certificate"] = _checks_of(rep, field)
         elif kind == "hopf_galois":
             record["element"] = task["element"]
             rep = _hopf_galois(task, cat, obj, elements, max_degree)
             record["status"] = "pass" if rep.ok else "fail"
-            record["checks"] = _checks_of(rep)
+            record["checks"] = _checks_of(rep, field)
     except _TASK_ERRORS as e:
         record["status"] = "error"
         record["error"] = type(e).__name__
@@ -604,7 +621,7 @@ def run(document, kinds=None, max_degree=None):
     for task in tasks:
         t0 = time.monotonic()
         rec = _run_task(task, document.objects, document.elements,
-                        max_degree)
+                        document.field, max_degree)
         report.tasks.append(rec)
         report.timings.append(time.monotonic() - t0)
     return report

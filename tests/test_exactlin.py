@@ -9,6 +9,7 @@ from hopfcyclic.exactlin import (
     NotInvertible, descend, invert, kernel, permute_factors, quotient_by,
     rank, rref, solve, solve_many, tensor_space,
 )
+from hopfcyclic.hopfalgebroid import gallery
 
 
 def mk(rows, field=QQ):
@@ -248,12 +249,12 @@ def _dense_rref(rows, ncols, f):
 
 
 @st.composite
-def field_matrices(draw, square=False):
+def field_matrices(draw, square=False, field=fields):
     """A field and a matrix of at most 5 x 5, possibly empty.  Half are
     products through an inner dimension k, so of rank at most k; half of
     the square ones are shifted by a nonzero multiple of the identity, so
     that invertible matrices come up too."""
-    f = draw(fields)
+    f = draw(field)
     nr = draw(st.integers(min_value=0, max_value=5))
     nc = nr if square else draw(st.integers(min_value=0, max_value=5))
     if draw(st.booleans()):
@@ -342,3 +343,128 @@ def test_quotient_dims(case):
     assert pres.projection @ pres.section == \
         LinMap.identity(pres.quotient, f)
     assert (pres.projection @ pres.relations).is_zero()
+
+
+def _oracle_kernel(m):
+    """Kernel basis read off _dense_rref: column k is 1 at the k-th
+    non-pivot column c and minus each reduced row's entry at c at that
+    row's pivot, as kernel() documents."""
+    f = m.field
+    rows, pivots = _dense_rref(m.rows(), m.dom.dim, f)
+    free = [c for c in range(m.dom.dim) if c not in pivots]
+    entries = {}
+    for k, c in enumerate(free):
+        entries[(c, k)] = f.one
+        for r, pc in enumerate(pivots):
+            if rows[r][c]:
+                entries[(pc, k)] = f.neg(rows[r][c])
+    return LinMap(Space(len(free)), m.dom, f, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices(), st.data())
+def test_kernel_of_echelon_matrices_matches_the_oracle(case, data):
+    # rref output is reduced (zero rows last), which kernel reads directly,
+    # and so are its rows swapped; adding a multiple of a lower pivot row to
+    # a higher one, or a higher one to a lower one (two rows then lead in
+    # the same column), leaves rows that must be eliminated
+    f, m = case
+    red, pivots, rk = rref(m)
+    want = _oracle_kernel(m)
+    assert kernel(red) == kernel(m) == want
+    if rk < 2:
+        return
+    rows = red.rows()
+    i, j = sorted(data.draw(st.lists(st.integers(0, rk - 1), min_size=2,
+                                     max_size=2, unique=True)))
+    how = data.draw(st.sampled_from(["up", "down", "swap"]))
+    c = f.of_int(data.draw(st.sampled_from([-2, -1, 1, 2, 3])))
+    if how == "up":
+        rows[i] = [f.add(x, f.mul(c, y)) for x, y in zip(rows[i], rows[j])]
+    elif how == "down":
+        rows[j] = [f.add(x, y) for x, y in zip(rows[i], rows[j])]
+    else:
+        rows[i], rows[j] = rows[j], rows[i]
+    assert kernel(LinMap.from_rows(m.dom, m.cod, f, rows)) == want
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_tower_relations_are_the_kernel_of_the_projection(field):
+    for name, entry in gallery(field).items():
+        h = entry.hopf
+        for n in (1, 2, 3):
+            for pres in (h.ltower(n), h.rtower(n)):
+                assert pres.relations == _oracle_kernel(pres.projection), \
+                    (name, n)
+
+
+# -- Q scalars: an int when integral, a Fraction otherwise -------------------
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-12, max_value=12),
+       st.integers(min_value=-4, max_value=4).filter(bool), rationals)
+def test_q_scalars_are_ints_exactly_when_integral(n, d, a):
+    q = QQ.of_int(n, d)
+    assert q == Fraction(n, d)
+    assert (type(q) is int) == (n % d == 0)
+    assert type(q) in (int, Fraction)
+    if a:
+        for x in (a, Fraction(a), QQ.of_int(a.numerator, a.denominator)):
+            inv = QQ.inv(x)
+            assert inv == 1 / Fraction(a)
+            assert (type(inv) is int) == (a.numerator in (1, -1))
+            assert type(inv) in (int, Fraction)
+
+
+@st.composite
+def q_matrices(draw, square=False):
+    """A Q matrix from field_matrices with some entries divided by 2 or 3,
+    in two forms: every entry a Fraction, and every entry normalized."""
+    f, m = draw(field_matrices(square, st.just(QQ)))
+    entries = {k: Fraction(v, draw(st.sampled_from([1, 1, 2, 3])))
+               for k, v in m.entries.items()}
+    as_fractions = LinMap(m.dom, m.cod, QQ, entries)
+    normalized = LinMap(m.dom, m.cod, QQ, {
+        k: QQ.of_int(v.numerator, v.denominator) for k, v in entries.items()})
+    return as_fractions, normalized
+
+
+def _no_floats(*maps):
+    for m in maps:
+        assert all(type(v) in (int, Fraction) for v in m.entries.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_matrices(), st.data())
+def test_elimination_ignores_the_q_scalar_representation(case, data):
+    a, b = case
+    ra, rb = rref(a), rref(b)
+    assert ra == rb
+    ka, kb = kernel(a), kernel(b)
+    assert ka == kb
+    x = _random_map(data.draw, QQ, data.draw(st.integers(0, 3)), a.dom.dim)
+    sa, sb = solve_many(a, a @ x), solve_many(b, b @ x)
+    assert sa == sb
+    qa, qb = quotient_by(a.cod, a, QQ), quotient_by(b.cod, b, QQ)
+    assert qa.quotient.dim == qb.quotient.dim
+    assert qa.projection == qb.projection and qa.section == qb.section
+    _no_floats(ra[0], rb[0], ka, kb, sa, sb, qa.projection, qb.projection,
+               qa.section, qb.section)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_matrices(square=True))
+def test_invert_ignores_the_q_scalar_representation(case):
+    a, b = case
+    try:
+        ia = invert(a)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            invert(b)
+        return
+    ib = invert(b)
+    assert ia == ib
+    _no_floats(ia, ib)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -202,6 +204,21 @@ def _comp_degree(v):
      "order of algebra 'A'"),
     ({"lie_rinehart": {"L": {"preset": "abelian", "dim": -1}}},
      "dim of lie_rinehart 'L'"),
+    ({"field": "F4"}, "not a prime field: 'F4'"),
+    ({"field": "F1"}, "not a prime field: 'F1'"),
+    ({"field": "F0"}, "not a prime field: 'F0'"),
+    ({"field": "F²"}, "not a prime field: 'F²'"),
+    ({"operads": {"O": {"preset": "one_dimensional"}},
+      "comp_modules": {"L": {"preset": "one_dimensional", "operad": "O"}},
+      "tasks": [{"kind": "homology", "object": "L"}]},
+     "homology task on 'L' in task 0: it is a comp_modules"),
+    ({"hopf_algebroids": {"H": {"preset": "trivial"}},
+      "elements": {"x": ["1"]},
+      "tasks": [{"kind": "induced", "object": "H", "element": "x"}]},
+     "induced task on 'H' in task 0: it is a hopf_algebroids"),
+    ({"hopf_algebroids": {"H": {"preset": "trivial"}},
+      "tasks": [{"kind": "measure", "object": "H"}]},
+     "measure task on 'H' in task 0: it is a hopf_algebroids"),
 ])
 def test_cli_rejects_malformed_input(tmp_path, capsys, doc, named):
     bad = tmp_path / "bad.json"
@@ -222,3 +239,37 @@ def test_cli_rejects_bad_max_degree_flag(capsys, value):
         main(["homology", _scen("trivial"), "--max-degree", value])
     assert exc.value.code == 2
     assert "--max-degree" in capsys.readouterr().err
+
+
+def test_rational_witnesses_serialize_as_strings():
+    # e0 e1 = e1 + 3/2 e0 breaks associativity and the unit law; every
+    # scalar of a witness vector is a string, integral or not, while its
+    # column index stays an int
+    doc = {"field": "Q",
+           "algebras": {"A": {"dim": 2, "unit": ["1", "0"],
+                              "mul": [[0, 0, 0, "1"], [0, 1, 1, "1"],
+                                      [1, 0, 1, "1"], [1, 1, 0, "1/2"],
+                                      [0, 1, 0, "3/2"]]}},
+           "tasks": [{"kind": "validate", "object": "A"}]}
+    rep = run(parse_scenario_text(json.dumps(doc)))
+    failing = [c for c in rep.tasks[0]["checks"] if not c["passed"]]
+    assert json.dumps(failing, separators=(",", ":")) == (
+        '[{"name":"associativity","passed":false,"witness":[1,["-3/2","0"]]},'
+        '{"name":"left_unit","passed":false,"witness":[1,["3/2","0"]]}]')
+
+
+def test_cli_rejects_a_composite_field_under_optimization(tmp_path):
+    # the prime check must not be an assert, which python -O strips
+    doc = tmp_path / "f4.json"
+    doc.write_text(json.dumps({
+        "field": "F4", "hopf_algebroids": {"H": {"preset": "group_c2"}},
+        "tasks": [{"kind": "homology", "object": "H", "theory": "HH"}]}))
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hopfcyclic.cli", "report", str(doc)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "not a prime field: 'F4'" in proc.stderr
