@@ -34,9 +34,12 @@ class DescentFailure(Exception):
 class FieldSpec:
     """The rationals, or a prime field F_p.
 
-    Over Q an integral scalar is a plain int and any other scalar is a
-    Fraction; the two mix freely, and 3 == Fraction(3) with equal hashes.
-    Over F_p scalars are plain ints in range(p).
+    Over Q scalars are ints and Fractions, which mix freely (3 == Fraction(3),
+    with equal hashes).  zero, one, of_int, parse and inv give an int when
+    the value is integral, and so does the pivot scaling of elimination;
+    add, sub and mul keep Python's types, so a result may hold an integral
+    Fraction such as Fraction(1, 2) * 2.  Over F_p scalars are plain ints in
+    range(p).
     """
 
     def __init__(self, p=0):
@@ -111,10 +114,12 @@ QQ = FieldSpec()
 
 
 class Vector(tuple):
-    """Coordinates of a vector, as LinMap.column and LinMap.apply return
-    them: a plain tuple whose type marks the entries as scalars.  Over Q an
-    integral scalar is an int, like an index, so a report renders the
-    entries of a Vector through FieldSpec.to_json and nothing else."""
+    """Coordinates of a vector, as every function here that builds one
+    returns them (LinMap.column and apply, solve, kron_vec, basis_vector,
+    vector_from_dict): a plain tuple whose type marks the entries as
+    scalars.  Over Q an integral scalar is an int, like an index, so a
+    report renders the entries of a Vector through FieldSpec.to_json and
+    nothing else."""
 
     __slots__ = ()
 
@@ -136,7 +141,7 @@ class Space:
     def basis_vector(self, i, field):
         v = [field.zero] * self.dim
         v[i] = field.one
-        return tuple(v)
+        return Vector(v)
 
 
 def tensor_space(a, b, label=""):
@@ -278,7 +283,7 @@ def kron_vec(u, v, field):
             for j, b in enumerate(v):
                 if b:
                     out[i * len(v) + j] = field.mul(a, b)
-    return tuple(out)
+    return Vector(out)
 
 
 def _prod(dims):
@@ -540,35 +545,9 @@ def rank(m):
 def kernel(m):
     """Basis of the kernel, as columns of a LinMap into m.dom."""
     f = m.field
-    rows = _row_dicts(m)
-    pivots = _reduced_pivots(rows)
-    if pivots is None:
-        pivots, _ = _eliminate(rows, m.dom.dim, f)
+    pivots, _ = _eliminate(_row_dicts(m), m.dom.dim, f)
     free, basis = _null_basis(pivots, m.dom.dim, f)
     return LinMap(Space(len(free), "ker"), m.dom, f, basis)
-
-
-def _reduced_pivots(rows):
-    """The pivots (column, row) of rows that, zero rows left out and up to
-    order, already are a reduced row echelon form; else None.
-
-    The reduced echelon form is unique, so they are what elimination would
-    give.  Quotient projections whose section picks increasing coordinates
-    often are reduced (not always: a relation pivot can lie left of a
-    section column), and the towers take the kernels of those.
-    """
-    pivots = []
-    for row in rows:
-        if row:
-            c = min(row)
-            if row[c] != 1:
-                return None
-            pivots.append((c, row))
-    taken = {c for c, _ in pivots}
-    if len(taken) < len(pivots) or any(
-            j in taken and j != c for c, row in pivots for j in row):
-        return None
-    return pivots
 
 
 def _null_basis(pivots, n, field):
@@ -623,7 +602,7 @@ def solve(m, target):
     sol = [f.zero] * m.dom.dim
     for (i, _), v in _solution(m, rhs).items():
         sol[i] = v
-    return tuple(sol)
+    return Vector(sol)
 
 
 def invert(m):
@@ -715,4 +694,4 @@ def vector_from_dict(space, field, items):
     v = [field.zero] * space.dim
     for i, c in items.items():
         v[i] = field.add(v[i], c)
-    return tuple(v)
+    return Vector(v)

@@ -7,6 +7,7 @@ that serializes deterministically, so two runs of the same document give
 byte-identical JSON.
 """
 
+from fractions import Fraction
 import json
 import time
 
@@ -460,9 +461,12 @@ class ReportDocument:
 
 def _jsonable(v, field):
     """A witness as JSON.  Scalars sit in Vectors and are rendered by the
-    field; every other int is an index or a count."""
+    field; every other int is an index or a count.  A bare Fraction can only
+    be a scalar, so it is rendered by the field too."""
     if isinstance(v, Vector):
         return [field.to_json(x) for x in v]
+    if isinstance(v, Fraction):
+        return field.to_json(v)
     if isinstance(v, (tuple, list)):
         return [_jsonable(x, field) for x in v]
     if isinstance(v, dict):

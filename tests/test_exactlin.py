@@ -364,10 +364,9 @@ def _oracle_kernel(m):
 @settings(max_examples=150, deadline=None)
 @given(field_matrices(), st.data())
 def test_kernel_of_echelon_matrices_matches_the_oracle(case, data):
-    # rref output is reduced (zero rows last), which kernel reads directly,
-    # and so are its rows swapped; adding a multiple of a lower pivot row to
-    # a higher one, or a higher one to a lower one (two rows then lead in
-    # the same column), leaves rows that must be eliminated
+    # kernel of rref output (zero rows last), of it with two rows swapped,
+    # and after adding a multiple of a lower pivot row to a higher one or a
+    # higher one to a lower one (two rows then lead in the same column)
     f, m = case
     red, pivots, rk = rref(m)
     want = _oracle_kernel(m)

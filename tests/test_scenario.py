@@ -1,3 +1,4 @@
+from fractions import Fraction
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ from hopfcyclic.scenario import (
     parse_scenario, parse_scenario_text, run,
 )
 from hopfcyclic.cli import main
+from hopfcyclic.exactlin import FieldSpec, LinMap, QQ, Space, solve
+from hopfcyclic.scenario import _jsonable
 
 HERE = os.path.dirname(__file__)
 SCEN = os.path.join(HERE, "..", "src", "hopfcyclic", "scenarios")
@@ -256,6 +259,19 @@ def test_rational_witnesses_serialize_as_strings():
     assert json.dumps(failing, separators=(",", ":")) == (
         '[{"name":"associativity","passed":false,"witness":[1,["-3/2","0"]]},'
         '{"name":"left_unit","passed":false,"witness":[1,["3/2","0"]]}]')
+
+
+def test_witness_scalars_render_by_field_wherever_they_come_from():
+    # the vectors solve and basis_vector build are scalars like a column's,
+    # and a bare Fraction can only be a scalar
+    def witness(f):
+        m = LinMap.from_rows(Space(2), Space(2), f, [[2, 0], [0, 1]])
+        return (3, solve(m, (f.one, f.zero)), Space(2).basis_vector(1, f))
+
+    assert _jsonable(witness(QQ) + (Fraction(3, 2),), QQ) == \
+        [3, ["1/2", "0"], ["0", "1"], "3/2"]
+    assert _jsonable(witness(FieldSpec(5)), FieldSpec(5)) == \
+        [3, [3, 0], [0, 1]]
 
 
 def test_cli_rejects_a_composite_field_under_optimization(tmp_path):
