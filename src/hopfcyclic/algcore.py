@@ -346,7 +346,9 @@ def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
     `ract`: left_pres.quotient (x) A -> left_pres.quotient
     `lact`: A (x) right_pres.quotient -> right_pres.quotient
     The ambient of the result is the tensor product of the two ambients, so
-    towers keep a projection/section from the full tensor power.
+    towers keep a projection/section from the full tensor power.  Free
+    factors whose relations all cancel (a base of dimension one) give the
+    trivial presentation of that ambient.
     """
     lq, rq = left_pres.quotient, right_pres.quotient
     da, dr = aspace.dim, rq.dim
@@ -369,6 +371,8 @@ def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
                     entries[k] = field.sub(entries.get(k, field.zero), v)
     rel_inner = LinMap(Space(lq.dim * da * dr, "rel"), inner_ambient, field,
                        entries)
+    if left_pres.free and right_pres.free and rel_inner.is_zero():
+        return QuotientPresentation.trivial(ambient, field)
     inner = quotient_by(inner_ambient, rel_inner, field, label)
     projection = inner.projection \
         @ left_pres.projection.tensor(right_pres.projection)
@@ -389,7 +393,7 @@ def action_on_last_slot(pres, slot_action, aspace, field):
     for a in range(aspace.dim):
         act_a = fix_factor(slot_action, aspace.basis_vector(a, field), udim)
         lifted = Pipe.after(pres.section, [pres.ambient.dim // udim, udim])
-        ops.append(pres.projection @ lifted.block(1, 1, act_a).map)
+        ops.append(pres.project(lifted.block(1, 1, act_a).map))
     return pack_slices(ops, field, last=True)
 
 

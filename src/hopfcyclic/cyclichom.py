@@ -39,9 +39,25 @@ class CyclicModuleData:
         self.cyc = cyc
         self.pres = pres
         self.label = label
+        self._boundaries = None
 
     def dims(self):
         return [sp.dim for sp in self.spaces]
+
+    def boundaries(self):
+        """Hochschild (co)boundaries: alternating sums of the faces,
+        {n: map leaving degree n}, computed on first use."""
+        if self._boundaries is None:
+            out = {}
+            for n, ops in self.faces.items():
+                f = ops[0].field
+                b = None
+                for i, di in enumerate(ops):
+                    term = di if i % 2 == 0 else di.scaled(f.neg(f.one))
+                    b = term if b is None else b + term
+                out[n] = b
+            self._boundaries = out
+        return self._boundaries
 
 
 # -- the coproduct-side cocyclic module ----------------------------------
@@ -490,19 +506,6 @@ class HomologyReport:
                                              self.dims)
 
 
-def _boundaries(cm):
-    """Hochschild (co)boundaries: alternating sums of the faces."""
-    out = {}
-    for n, ops in cm.faces.items():
-        f = ops[0].field
-        b = None
-        for i, di in enumerate(ops):
-            term = di if i % 2 == 0 else di.scaled(f.neg(f.one))
-            b = term if b is None else b + term
-        out[n] = b
-    return out
-
-
 def _complex_dims(spaces, diffs, top, homological):
     """Homology dimensions of a finite complex given by `diffs`.
 
@@ -520,7 +523,7 @@ def _complex_dims(spaces, diffs, top, homological):
 
 def hochschild_homology(cm, normalized=False):
     """Hochschild (co)homology dims in degrees 0..N-1."""
-    diffs = _boundaries(cm)
+    diffs = cm.boundaries()
     if not normalized:
         dims = _complex_dims(cm.spaces, diffs, cm.N,
                              cm.variant == "cyclic")
@@ -555,7 +558,7 @@ def cyclic_homology_char0(cm):
     f = cm.cyc[0].field
     if f.char != 0:
         raise CharNotZero("lambda-complex needs characteristic zero")
-    diffs = _boundaries(cm)
+    diffs = cm.boundaries()
     if cm.variant == "cyclic":
         press = []
         for n in range(cm.N + 1):
@@ -584,7 +587,7 @@ def cyclic_homology_char0(cm):
 def transported_homology(cm_chain, xs):
     """Hochschild dims of the chain complex conjugated through the
     degreewise isomorphisms xs (an internal consistency oracle)."""
-    diffs = _boundaries(cm_chain)
+    diffs = cm_chain.boundaries()
     nd = {}
     spaces = [xs[n].cod for n in range(cm_chain.N + 1)]
     for n in range(1, cm_chain.N + 1):
@@ -682,7 +685,7 @@ def hopf_galois_square(m, xvec, N, coeff_measuring=None):
 def homology_presentation(cm, n, theory="HH"):
     """(cycle inclusion, quotient presentation) for degree n homology."""
     assert cm.variant == "cyclic" and theory == "HH"
-    diffs = _boundaries(cm)
+    diffs = cm.boundaries()
     f = diffs[1].field
     if n >= 1:
         K = kernel(diffs[n])
@@ -697,7 +700,7 @@ def induced_on_homology(src_cm, dst_cm, maps, n, theory="HH"):
     Ks, ps = homology_presentation(src_cm, n, theory)
     Kd, pd = homology_presentation(dst_cm, n, theory)
     X = solve_many(Kd, maps[n] @ Ks)
-    return pd.projection @ (X @ ps.section)
+    return pd.project(ps.lift(X))
 
 
 # -- shuffle products -----------------------------------------------------
@@ -818,7 +821,7 @@ class MixedComplexData:
 def mixed_complex(cm):
     """Connes' (b, B) bicomplex data from a cyclic module."""
     assert cm.variant == "cyclic"
-    diffs = _boundaries(cm)
+    diffs = cm.boundaries()
     f = cm.cyc[0].field
     B = {}
     for n in range(0, cm.N):

@@ -626,9 +626,15 @@ class QuotientPresentation:
 
     projection . section = id on the quotient, and the kernel of the
     projection is exactly the span of the relation columns.
+
+    The presentation is `free` when projection and section are both the
+    identity of one space (no relation survives, as in every tensor tower
+    of a Hopf algebra over the ground field); `project` and `lift` then
+    skip the identity products.
     """
 
-    __slots__ = ("ambient", "relations", "quotient", "projection", "section")
+    __slots__ = ("ambient", "relations", "quotient", "projection", "section",
+                 "free")
 
     def __init__(self, ambient, relations, quotient, projection, section):
         self.ambient = ambient
@@ -636,6 +642,22 @@ class QuotientPresentation:
         self.quotient = quotient
         self.projection = projection
         self.section = section
+        self.free = _is_identity(projection) and _is_identity(section)
+
+    def project(self, m):
+        """projection @ m: a map into the ambient, read in the quotient."""
+        if self.free:
+            assert m.cod.dim == self.ambient.dim, (m.cod.dim, self.ambient.dim)
+            return LinMap(m.dom, self.quotient, m.field, m.entries)
+        return self.projection @ m
+
+    def lift(self, m):
+        """m @ section: a map on the ambient, evaluated on the lifts of the
+        quotient basis."""
+        if self.free:
+            assert m.dom.dim == self.ambient.dim, (m.dom.dim, self.ambient.dim)
+            return m
+        return m @ self.section
 
     @staticmethod
     def trivial(space, field):
@@ -646,6 +668,13 @@ class QuotientPresentation:
     def __repr__(self):
         return "QuotientPresentation(%d -> %d)" % (self.ambient.dim,
                                                    self.quotient.dim)
+
+
+def _is_identity(m):
+    """Whether m is the identity matrix (square, 1 on the diagonal, 0
+    elsewhere); O(nnz)."""
+    return (m.dom.dim == m.cod.dim and len(m.entries) == m.dom.dim
+            and all(i == j and v == 1 for (i, j), v in m.entries.items()))
 
 
 def quotient_by(ambient, relations, field, label=""):
@@ -678,16 +707,19 @@ def descend(f_free, src, dst):
 
     Checks that the relation subspace of src is sent into the relation
     subspace of dst; raises DescentFailure with a witness column otherwise.
+    Where src has no relation there is nothing to check, and free
+    presentations add no product.
     """
     assert f_free.dom.dim == src.ambient.dim
     assert f_free.cod.dim == dst.ambient.dim
-    bad = dst.projection @ (f_free @ src.relations)
-    if not bad.is_zero():
-        j = bad.nonzero_column_index()
-        raise DescentFailure(
-            "map does not descend (relation column %d)" % j,
-            witness=(j, bad.column(j)))
-    return dst.projection @ (f_free @ src.section)
+    if src.relations.entries:
+        bad = dst.project(f_free @ src.relations)
+        if not bad.is_zero():
+            j = bad.nonzero_column_index()
+            raise DescentFailure(
+                "map does not descend (relation column %d)" % j,
+                witness=(j, bad.column(j)))
+    return dst.project(src.lift(f_free))
 
 
 def vector_from_dict(space, field, items):

@@ -127,7 +127,7 @@ class LeftBialgebroidData:
     @property
     def Delta_L(self):
         """Coproduct as a map into the degree-2 quotient."""
-        return self.ltower(2).projection @ self.delta_lift
+        return self.ltower(2).project(self.delta_lift)
 
 
 class HopfAlgebroidData(LeftBialgebroidData):
@@ -199,7 +199,7 @@ def check_left_bialgebroid(b):
         av = A.space.basis_vector(a, f)
         t_a = after_delta(0, b.rmul(b.t_of(av))) \
             - after_delta(1, b.rmul(b.s_of(av)))
-        bad = lt2.projection @ t_a
+        bad = lt2.project(t_a)
         if not bad.is_zero():
             ok = False
             j = bad.nonzero_column_index()
@@ -208,8 +208,8 @@ def check_left_bialgebroid(b):
     rep.add("takeuchi_image", ok, witness)
     rep.check_map_equal(
         "coassociativity",
-        lt3.projection @ after_delta(0, b.delta_lift, [du, du]),
-        lt3.projection @ after_delta(1, b.delta_lift, [du, du]))
+        lt3.project(after_delta(0, b.delta_lift, [du, du])),
+        lt3.project(after_delta(1, b.delta_lift, [du, du])))
     triv_u = QuotientPresentation.trivial(U.space, f)
     s_eps = b.s_L @ b.eps_L
     t_eps = b.t_L @ b.eps_L
@@ -226,11 +226,11 @@ def check_left_bialgebroid(b):
         .block(0, 2, U.mul).block(1, 2, U.mul).map
     rep.check_map_equal(
         "coproduct_multiplicative",
-        lt2.projection @ (mul2_free @ (b.delta_lift.tensor(b.delta_lift))),
+        lt2.project(mul2_free @ (b.delta_lift.tensor(b.delta_lift))),
         b.Delta_L @ U.mul)
     rep.check_map_zero(
         "coproduct_multiplication_well_defined",
-        lt2.projection @ (mul2_free @ (b.delta_lift.tensor(lt2.relations))))
+        lt2.project(mul2_free @ (b.delta_lift.tensor(lt2.relations))))
     rep.add("coproduct_unital",
             b.Delta_L.apply(U.unit)
             == lt2.projection.apply(kron_vec(U.unit, U.unit, f)))
@@ -268,19 +268,19 @@ def check_hopf_algebroid(h):
         .permute([0, 2, 1]).block(0, 2, U.mul).map
     rhs1 = _insert_unit_left(U, f) @ h.S
     rep.check_map_equal("antipode_left_galois",
-                        lt2.projection @ (left1 @ h.delta_lift),
-                        lt2.projection @ rhs1)
+                        lt2.project(left1 @ h.delta_lift),
+                        lt2.project(rhs1))
     rep.check_map_zero("antipode_left_galois_well_defined",
-                       lt2.projection @ (left1 @ lt2.relations))
+                       lt2.project(left1 @ lt2.relations))
     # S(u_(2))_(1) (x) S(u_(2))_(2) u_(1)  =  S(u) (x) 1
     left2 = Pipe([du, du], f).permute([1, 0]) \
         .block(0, 1, delta_S, [du, du]).block(1, 2, U.mul).map
     rhs2 = _insert_unit_right(U, f) @ h.S
     rep.check_map_equal("antipode_right_galois",
-                        lt2.projection @ (left2 @ h.delta_lift),
-                        lt2.projection @ rhs2)
+                        lt2.project(left2 @ h.delta_lift),
+                        lt2.project(rhs2))
     rep.check_map_zero("antipode_right_galois_well_defined",
-                       lt2.projection @ (left2 @ lt2.relations))
+                       lt2.project(left2 @ lt2.relations))
     return rep
 
 
@@ -325,7 +325,7 @@ def translation_map(h):
         return h._translation
     beta = hopf_galois_beta(h)
     h._translation = solve_many(
-        beta, h.ltower(2).projection @ _insert_unit_right(h.U, h.field))
+        beta, h.ltower(2).project(_insert_unit_right(h.U, h.field)))
     return h._translation
 
 
@@ -351,7 +351,7 @@ def check_hopf_galois(h):
         return rep.add("beta_surjective", False)
     rep.add("beta_surjective", True)
     # beta(translation(u)) = u (x) 1
-    want = lt2.projection @ _insert_unit_right(h.U, f)
+    want = lt2.project(_insert_unit_right(h.U, f))
     rep.check_map_equal("beta_translation_section", beta @ trans, want)
     # injectivity: beta has full column rank since dims match and it is onto
     rep.add("beta_injective", rank(beta) == rt2.quotient.dim)
@@ -412,7 +412,7 @@ class SaydModuleData:
 
     @property
     def coaction(self):
-        return self.mixed2().projection @ self.coact_lift
+        return self.mixed2().project(self.coact_lift)
 
 
 def check_sayd(p):
@@ -451,14 +451,14 @@ def check_sayd(p):
     rep.add("module_comodule_compatible", ok, witness)
     # anti-Yetter-Drinfeld condition
     du, dp = h.U.space.dim, p.space.dim
-    lhs = m2.projection @ (p.coact_lift @ p.action)
+    lhs = m2.project(p.coact_lift @ p.action)
     pipe = Pipe([dp, du], f).block(1, 1, translation_lift(h), [du, du])
     pipe.block(1, 1, h.delta_lift, [du, du])
     pipe.block(0, 1, p.coact_lift, [du, dp])
     pipe.permute([4, 0, 2, 1, 3]).block(0, 3, h.U.mul_n(3))
     pipe.block(1, 2, p.action)
     rep.check_map_equal("anti_yetter_drinfeld", lhs,
-                        m2.projection @ pipe.map)
+                        m2.project(pipe.map))
     # stability
     stab = Pipe.after(p.coact_lift, [du, dp]).permute([1, 0])
     rep.check_map_equal("stability", stab.block(0, 2, p.action).map, idp)
@@ -475,8 +475,8 @@ def _check_coassociative(rep, h, m2, coact_lift):
                             h.A.space, f)
 
     def expand(slot, op, out_dims):
-        return pres3.projection @ Pipe.after(coact_lift, [du, dv]) \
-            .block(slot, 1, op, out_dims).map
+        return pres3.project(Pipe.after(coact_lift, [du, dv])
+                             .block(slot, 1, op, out_dims).map)
 
     rep.check_map_equal("comodule_coassociative",
                         expand(0, h.delta_lift, [du, du]),
@@ -496,7 +496,7 @@ def _left_action_first_slot(pres, h, f):
 
     def acting(a):
         lifted = Pipe.after(pres.section, [du, pres.ambient.dim // du])
-        return pres.projection @ lifted.block(0, 1, h.lmul(h.s_of(a))).map
+        return pres.project(lifted.block(0, 1, h.lmul(h.s_of(a))).map)
 
     return h._pack_over_base(acting)
 

@@ -95,15 +95,15 @@ def check_hopf_algebroid_measuring(m):
     for x in range(m.C.space.dim):
         xv = m.C.space.basis_vector(x, f)
         free2 = m.induced_free(xv, 2)
-        lhs = lt2d.projection @ (m.dst.delta_lift @ m.Psi_of(xv))
-        rhs = lt2d.projection @ (free2 @ src.delta_lift)
+        lhs = lt2d.project(m.dst.delta_lift @ m.Psi_of(xv))
+        rhs = lt2d.project(free2 @ src.delta_lift)
         if not (lhs - rhs).is_zero():
             ok_cop = False
             d = lhs - rhs
             j = d.nonzero_column_index()
             wit_cop = (x, j, d.column(j))
         for name, s_pres, d_pres in (("L", lt2s, lt2d), ("R", rt2s, rt2d)):
-            bad = d_pres.projection @ (free2 @ s_pres.relations)
+            bad = d_pres.project(free2 @ s_pres.relations)
             if not bad.is_zero():
                 ok_rel = False
                 j = bad.nonzero_column_index()
@@ -266,14 +266,14 @@ def check_sayd_comodule_measuring(cm):
     for y in range(dd):
         yv = cm.D.space.basis_vector(y, f)
         mf = cm.mixed_free(yv)
-        lhs = m2d.projection @ (dp.coact_lift @ cm.Omega_of(yv))
-        rhs = m2d.projection @ (mf @ sp.coact_lift)
+        lhs = m2d.project(dp.coact_lift @ cm.Omega_of(yv))
+        rhs = m2d.project(mf @ sp.coact_lift)
         if not (lhs - rhs).is_zero():
             ok = False
             d = lhs - rhs
             j = d.nonzero_column_index()
             wit = (y, j, d.column(j))
-        bad = m2d.projection @ (mf @ m2s.relations)
+        bad = m2d.project(mf @ m2s.relations)
         if not bad.is_zero():
             ok_rel = False
             j = bad.nonzero_column_index()
@@ -349,16 +349,16 @@ def check_yd_measuring(ym):
     for x in range(dc):
         xv = ym.C.space.basis_vector(x, f)
         px = ym.psi_of(xv)
-        lhs = m2d.projection @ (ym.dst_z.coact_lift @ px)
-        rhs = m2d.projection @ Pipe.after(ym.src_z.coact_lift, [du, dz]) \
-            .block(1, 1, px).map
+        lhs = m2d.project(ym.dst_z.coact_lift @ px)
+        rhs = m2d.project(Pipe.after(ym.src_z.coact_lift, [du, dz])
+                          .block(1, 1, px).map)
         if not (lhs - rhs).is_zero():
             ok = False
             d = lhs - rhs
             j = d.nonzero_column_index()
             wit = (x, j, d.column(j))
-        bad = m2d.projection @ Pipe.after(m2s.relations, [du, dz]) \
-            .block(1, 1, px).map
+        bad = m2d.project(Pipe.after(m2s.relations, [du, dz])
+                          .block(1, 1, px).map)
         if not bad.is_zero():
             ok_rel = False
             j = bad.nonzero_column_index()

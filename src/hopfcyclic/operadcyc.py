@@ -462,7 +462,7 @@ def _hom_coords(h, z, hom_data, n, amb_map):
         return tuple(amb_map.column(0))
     w = pres.quotient.dim
     dz = z.Z.space.dim
-    fq = amb_map @ pres.section
+    fq = pres.lift(amb_map)
     back = fq @ pres.projection
     if not (back - amb_map).is_zero():
         j = (back - amb_map).nonzero_column_index()

@@ -133,6 +133,32 @@ _TASK_CATEGORIES = {
 }
 
 
+_VARIANTS = ("cyclic", "cocyclic")
+_THEORIES = ("HH", "HC")
+
+
+def _check_homology_options(kind, t, where):
+    """The variant (homology, induced), theory (homology) and normalized
+    flag of a task; normalized homology exists for HH on the chain side
+    only."""
+    variant = t.get("variant", "cyclic")
+    if kind in ("homology", "induced") and variant not in _VARIANTS:
+        raise ParseError("variant in %s must be one of %s, got %r"
+                         % (where, "/".join(_VARIANTS), variant))
+    theory = t.get("theory", "HC")
+    if kind == "homology" and theory not in _THEORIES:
+        raise ParseError("theory in %s must be one of %s, got %r"
+                         % (where, "/".join(_THEORIES), theory))
+    normalized = t.get("normalized", False)
+    if not isinstance(normalized, bool):
+        raise ParseError("normalized in %s must be true or false, got %r"
+                         % (where, normalized))
+    if normalized and not (kind == "homology" and theory == "HH"
+                           and variant == "cyclic"):
+        raise ParseError("normalized in %s needs a homology task with "
+                         "theory HH and variant cyclic" % where)
+
+
 class ScenarioDocument:
     def __init__(self, data, name="scenario", field_override=None):
         if not isinstance(data, dict):
@@ -386,6 +412,7 @@ class ScenarioDocument:
                     % (kind, name, where, cat, "/".join(cats)))
             if "max_degree" in t:
                 _count(t["max_degree"], "max_degree in " + where)
+            _check_homology_options(kind, t, where)
             task = dict(t)
             task["_index"] = idx
             task["_category"] = cat
@@ -532,10 +559,8 @@ def _homology(task, cat, obj, objects, max_degree):
               else build_cocyclic_CU)(obj, top + 1)
     if theory == "HH":
         hr = hochschild_homology(cm, normalized=task.get("normalized", False))
-    elif theory == "HC":
-        hr = cyclic_homology_char0(cm)
     else:
-        raise ParseError("unknown homology theory %r" % theory)
+        hr = cyclic_homology_char0(cm)
     return theory, hr.dims
 
 

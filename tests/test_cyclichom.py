@@ -1,7 +1,9 @@
 import pytest
 
 from hopfcyclic import cyclichom
-from hopfcyclic.exactlin import QQ, DescentFailure, FieldSpec
+from hopfcyclic.exactlin import (
+    QQ, DescentFailure, FieldSpec, LinMap, kernel, quotient_by, solve_many,
+)
 from hopfcyclic.hopfalgebroid import gallery, group_hopf_algebroid, scalar_sayd
 from hopfcyclic.measuring import (
     compose_measurings, derivation_pair_measuring, euler_derivation,
@@ -14,8 +16,8 @@ from hopfcyclic.cyclichom import (
     build_cyclic_CU, build_cyclic_with_coeffs, check_chain_map,
     check_cyclic_module, check_hopf_galois_chain_map, check_mixed_complex,
     check_shuffle_measuring, check_shuffle_unital, cyclic_homology_char0,
-    hochschild_homology, hopf_galois_chain_map, hopf_galois_square,
-    induced_coeff_map, induced_cyclic_map, induced_on_homology, mixed_complex,
+    hochschild_homology, homology_presentation, hopf_galois_chain_map,
+    hopf_galois_square, induced_coeff_map, induced_cyclic_map, induced_on_homology, mixed_complex,
     transported_homology,
 )
 
@@ -83,6 +85,51 @@ def test_normalized_matches_unnormalized(gal):
         plain = hochschild_homology(cm)
         norm = hochschild_homology(cm, normalized=True)
         assert plain.dims == norm.dims, name
+
+
+def _face_sums(cm):
+    """The Hochschild boundaries recomputed from the faces: b_n is the
+    alternating sum of the faces leaving degree n."""
+    out = {}
+    for n, ops in cm.faces.items():
+        f = ops[0].field
+        b = LinMap.zero(ops[0].dom, ops[0].cod, f)
+        for i, d in enumerate(ops):
+            b = b + (d if i % 2 == 0 else d.scaled(f.neg(f.one)))
+        out[n] = b
+    return out
+
+
+# HH dims in degrees 0..2 on the chain and cochain sides, the same over Q
+# and F5
+_HH = {"trivial": [1, 0, 0], "group_c2": [1, 0, 0], "group_c3": [1, 0, 0],
+       "pair_dual": [2, 1, 1], "pair_split": [2, 0, 0]}
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_boundaries_are_computed_once(field):
+    for name, entry in gallery(field).items():
+        cm = build_cyclic_CU(entry.hopf, 3)
+        cc = build_cocyclic_CU(entry.hopf, 3)
+        want = _face_sums(cm)
+        b = cm.boundaries()
+        assert cm.boundaries() is b
+        assert sorted(b) == sorted(want)
+        assert all(b[n] == want[n] for n in want), name
+        assert hochschild_homology(cm).dims == _HH[name]
+        assert hochschild_homology(cc).dims == [1, 0, 0]
+        for n in range(3):
+            K, pres = homology_presentation(cm, n)
+            wantK = kernel(want[n]) if n else LinMap.identity(cm.spaces[0],
+                                                              field)
+            wp = quotient_by(wantK.dom, solve_many(wantK, want[n + 1]),
+                             field)
+            assert K == wantK, (name, n)
+            assert pres.projection == wp.projection, (name, n)
+            assert pres.section == wp.section, (name, n)
+            assert pres.quotient.dim == _HH[name][n], (name, n)
+        # the cached boundaries are the ones every homology call used
+        assert cm.boundaries() is b
 
 
 def test_char_p_cyclic_homology_raises():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hopfcyclic.algcore import Report
 from hopfcyclic.exactlin import (
     QQ, FieldSpec, LinMap, Pipe, Space, DescentFailure, NoSolution,
-    NotInvertible, descend, invert, kernel, permute_factors, quotient_by,
+    NotInvertible, QuotientPresentation, descend, invert, kernel, permute_factors, quotient_by,
     rank, rref, solve, solve_many, tensor_space,
 )
 from hopfcyclic.hopfalgebroid import gallery
@@ -380,6 +381,101 @@ def test_tower_relations_are_the_kernel_of_the_projection(field):
             for pres in (h.ltower(n), h.rtower(n)):
                 assert pres.relations == _oracle_kernel(pres.projection), \
                     (name, n)
+
+
+def _sparse_random_map(rng, f, dom, cod):
+    """About two entries per column, values in -2..2."""
+    entries = {}
+    for _ in range(2 * dom.dim):
+        entries[(rng.randrange(cod.dim), rng.randrange(dom.dim))] = \
+            f.of_int(rng.randint(-2, 2))
+    return LinMap(dom, cod, f, entries)
+
+
+def _rebased(pres):
+    """The presentation of pres's ambient with no relations, through an
+    invertible change of basis: no relations, but not free.  The
+    projection is diag(2, 1, ..., 1) (1 + N) with N the shift up, the
+    section its inverse sum_k (-N)^k diag(1/2, 1, ..., 1)."""
+    f = pres.projection.field
+    amb = pres.ambient
+    up = {(i, i): f.one for i in range(amb.dim)}
+    down = dict(up)
+    for i in range(amb.dim - 1):
+        up[(i, i + 1)] = f.one
+        for j in range(i + 1, amb.dim):
+            down[(i, j)] = f.of_int((-1) ** (j - i))
+    up[(0, 0)] = f.of_int(2)
+    if amb.dim > 1:
+        up[(0, 1)] = f.of_int(2)
+    down[(0, 0)] = f.of_int(1, 2)
+    quot = Space(amb.dim)
+    return QuotientPresentation(amb, LinMap.zero(Space(0), amb, f), quot,
+                                LinMap(amb, quot, f, up),
+                                LinMap(quot, amb, f, down))
+
+
+def _descend_oracle(m, src, dst):
+    """What descend must do: ("fail", witness) or ("ok", descended map)."""
+    bad = dst.projection @ (m @ src.relations)
+    if not bad.is_zero():
+        j = bad.nonzero_column_index()
+        return "fail", (j, bad.column(j))
+    return "ok", dst.projection @ (m @ src.section)
+
+
+def _descending_map(rng, src, dst):
+    """A map of ambients that kills src's relations: a lift of a random map
+    of quotients, plus a random map into dst's relations."""
+    f = src.projection.field
+    g = _sparse_random_map(rng, f, src.quotient, dst.quotient)
+    m = dst.section @ (g @ src.projection)
+    if dst.relations.dom.dim:
+        m = m + dst.relations @ _sparse_random_map(
+            rng, f, src.ambient, dst.relations.dom)
+    return m
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_descend_matches_the_oracle_on_every_tower(field):
+    rng = random.Random(20261018)
+    for name, entry in gallery(field).items():
+        h = entry.hopf
+        towers = [t(n) for n in (1, 2, 3) for t in (h.ltower, h.rtower)]
+        for pres in towers:
+            ident = (pres.projection == LinMap.identity(pres.ambient, field)
+                     and pres.section == LinMap.identity(pres.ambient, field))
+            assert pres.free == ident, name
+            # the towers of a Hopf algebra have no balancing relations; the
+            # pair towers past the bare U (degree 1) do
+            if name.startswith("pair") and pres.ambient.dim > h.U.space.dim:
+                assert not pres.free, name
+            if not name.startswith("pair"):
+                assert pres.free, name
+        rebased = _rebased(towers[2])
+        assert rebased.projection @ rebased.section == \
+            LinMap.identity(rebased.quotient, field)
+        assert not rebased.free
+        press = towers + [rebased]
+        outcomes = set()
+        for src in press:
+            for dst in press:
+                for m in (_sparse_random_map(rng, field, src.ambient,
+                                             dst.ambient),
+                          _descending_map(rng, src, dst)):
+                    kind, want = _descend_oracle(m, src, dst)
+                    outcomes.add((kind, src.free, dst.free))
+                    if kind == "ok":
+                        assert descend(m, src, dst) == want, name
+                        continue
+                    with pytest.raises(DescentFailure) as exc:
+                        descend(m, src, dst)
+                    assert exc.value.witness == want, name
+        if name.startswith("pair"):
+            assert outcomes >= {("ok", s, d) for s in (True, False)
+                                for d in (True, False)}
+            assert ("fail", False, True) in outcomes
+            assert ("fail", False, False) in outcomes
 
 
 # -- Q scalars: an int when integral, a Fraction otherwise -------------------

@@ -187,6 +187,19 @@ def _comp_degree(v):
                                    "operad": "O", "max_degree": v}}}
 
 
+def _homology_task(**opts):
+    return {"hopf_algebroids": {"H": {"preset": "trivial"}},
+            "tasks": [dict({"kind": "homology", "object": "H"}, **opts)]}
+
+
+def _induced_task(variant):
+    with open(_scen("pair_e2")) as fh:
+        doc = json.load(fh)
+    doc["tasks"] = [{"kind": "induced", "object": "m", "element": "x",
+                     "variant": variant, "max_degree": 1}]
+    return doc
+
+
 @pytest.mark.parametrize("doc, named", [
     (_task_degree("x"), "max_degree in task 0"),
     (_task_degree(-3), "max_degree in task 0"),
@@ -222,12 +235,53 @@ def _comp_degree(v):
     ({"hopf_algebroids": {"H": {"preset": "trivial"}},
       "tasks": [{"kind": "measure", "object": "H"}]},
      "measure task on 'H' in task 0: it is a hopf_algebroids"),
+    (_homology_task(variant="sideways"),
+     "variant in task 0 must be one of cyclic/cocyclic, got 'sideways'"),
+    (_induced_task("sideways"),
+     "variant in task 0 must be one of cyclic/cocyclic, got 'sideways'"),
+    (_induced_task(None), "variant in task 0"),
+    (_homology_task(theory="XX"),
+     "theory in task 0 must be one of HH/HC, got 'XX'"),
+    (_homology_task(theory="hh"), "theory in task 0"),
+    (_homology_task(theory="HH", normalized="yes"),
+     "normalized in task 0 must be true or false, got 'yes'"),
+    (_homology_task(theory="HH", normalized=1),
+     "normalized in task 0 must be true or false, got 1"),
+    (_homology_task(theory="HH", variant="cocyclic", normalized=True),
+     "normalized in task 0 needs a homology task with theory HH"),
+    (_homology_task(normalized=True),
+     "normalized in task 0 needs a homology task with theory HH"),
 ])
 def test_cli_rejects_malformed_input(tmp_path, capsys, doc, named):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["report", str(bad)]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_cli_rejects_normalized_cocyclic_homology_without_traceback(
+        tmp_path):
+    doc = tmp_path / "norm.json"
+    doc.write_text(json.dumps(
+        _homology_task(theory="HH", variant="cocyclic", normalized=True)))
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfcyclic.cli", "report", str(doc)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "normalized in task 0" in proc.stderr
+
+
+def test_valid_homology_options_are_accepted():
+    for opts in ({"theory": "HH", "variant": "cyclic", "normalized": True},
+                 {"theory": "HH", "normalized": False},
+                 {"theory": "HC", "variant": "cocyclic"}, {}):
+        doc = parse_scenario_text(json.dumps(_homology_task(**opts)))
+        assert run(doc).ok
 
 
 def test_zero_degrees_and_arities_are_accepted():
