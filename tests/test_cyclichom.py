@@ -17,8 +17,8 @@ from hopfcyclic.cyclichom import (
     check_cyclic_module, check_hopf_galois_chain_map, check_mixed_complex,
     check_shuffle_measuring, check_shuffle_unital, cyclic_homology_char0,
     hochschild_homology, homology_presentation, hopf_galois_chain_map,
-    hopf_galois_square, induced_coeff_map, induced_cyclic_map, induced_on_homology, mixed_complex,
-    transported_homology,
+    hopf_galois_square, induced_coeff_map, induced_cyclic_map,
+    induced_on_homology, mixed_complex, transported_homology,
 )
 
 

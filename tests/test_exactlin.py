@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hopfcyclic.algcore import Report
 from hopfcyclic.exactlin import (
     QQ, FieldSpec, LinMap, Pipe, Space, DescentFailure, NoSolution,
-    NotInvertible, QuotientPresentation, descend, invert, kernel, permute_factors, quotient_by,
-    rank, rref, solve, solve_many, tensor_space,
+    NotInvertible, QuotientPresentation, descend, invert, kernel,
+    permute_factors, quotient_by, rank, rref, solve, solve_many, tensor_space,
 )
 from hopfcyclic.hopfalgebroid import gallery
 

@@ -259,18 +259,24 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, doc, named):
     assert named in capsys.readouterr().err
 
 
+def _run_cli(*args, optimize=False):
+    """The command line tool in a fresh interpreter (under -O if asked)."""
+    src = os.path.join(HERE, "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable] + flags + ["-m", "hopfcyclic.cli"] + list(args),
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_cli_rejects_normalized_cocyclic_homology_without_traceback(
         tmp_path):
     doc = tmp_path / "norm.json"
     doc.write_text(json.dumps(
         _homology_task(theory="HH", variant="cocyclic", normalized=True)))
-    src = os.path.join(HERE, "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hopfcyclic.cli", "report", str(doc)],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_cli("report", str(doc))
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert "normalized in task 0" in proc.stderr
@@ -334,12 +340,6 @@ def test_cli_rejects_a_composite_field_under_optimization(tmp_path):
     doc.write_text(json.dumps({
         "field": "F4", "hopf_algebroids": {"H": {"preset": "group_c2"}},
         "tasks": [{"kind": "homology", "object": "H", "theory": "HH"}]}))
-    src = os.path.join(HERE, "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "hopfcyclic.cli", "report", str(doc)],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_cli("report", str(doc), optimize=True)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "not a prime field: 'F4'" in proc.stderr
