@@ -45,6 +45,7 @@ class LeftBialgebroidData:
         self.label = label or U.label
         self._ltowers = None
         self._rtowers = None
+        self._delta_lifts = {}
 
     # -- element helpers -------------------------------------------------
 
@@ -61,13 +62,16 @@ class LeftBialgebroidData:
         return self.U.right_mult(uvec)
 
     def iterated_delta_lift(self, n):
-        """Lift of the (n-1)-fold coproduct, expanding the last slot."""
+        """Lift of the (n-1)-fold coproduct, expanding the last slot
+        (cached)."""
         assert n >= 1
-        du = self.U.space.dim
-        pipe = Pipe([du], self.field)
-        for k in range(1, n):
-            pipe.block(k - 1, 1, self.delta_lift, [du, du])
-        return pipe.map
+        if n not in self._delta_lifts:
+            du = self.U.space.dim
+            pipe = Pipe([du], self.field)
+            for k in range(1, n):
+                pipe.block(k - 1, 1, self.delta_lift, [du, du])
+            self._delta_lifts[n] = pipe.map
+        return self._delta_lifts[n]
 
     # -- tensor towers ---------------------------------------------------
 
@@ -670,10 +674,23 @@ def pair_hopf_algebroid(A, label=""):
                              label=label or "pair(%s)" % A.label)
 
 
+class NotScalarBase(ValueError):
+    """A scalar coefficient preset over a Hopf algebroid whose base algebra
+    is not the ground field."""
+
+
+def _require_scalar_base(h, what):
+    if h.A.space.dim != 1:
+        raise NotScalarBase(
+            "the scalar %s needs a one-dimensional base algebra; %s has "
+            "base dimension %d" % (what, h.label, h.A.space.dim))
+
+
 def scalar_sayd(h, label=""):
-    """P = k with counit action and trivial coaction (scalar base only)."""
+    """P = k with counit action and trivial coaction (scalar base only;
+    NotScalarBase otherwise)."""
     f = h.field
-    assert h.A.space.dim == 1
+    _require_scalar_base(h, "SAYD module")
     P = Space(1, "P")
     du = h.U.space.dim
     action = LinMap(Space(du), P, f,
@@ -706,9 +723,10 @@ def base_sayd_for_pair(h, A):
 
 
 def scalar_yd_algebra(h, braided_commutative=True):
-    """Z = k with counit action and trivial coaction (scalar base only)."""
+    """Z = k with counit action and trivial coaction (scalar base only;
+    NotScalarBase otherwise)."""
     f = h.field
-    assert h.A.space.dim == 1
+    _require_scalar_base(h, "YD algebra")
     Z = scalar_algebra(f, "Z")
     du = h.U.space.dim
     action = LinMap(Space(du), Z.space, f,

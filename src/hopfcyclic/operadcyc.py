@@ -8,7 +8,7 @@ above the cutoff are skipped and counted rather than silently assumed.
 
 from .exactlin import (
     DescentFailure, LinMap, Pipe, Space, QuotientPresentation, descend,
-    fix_factor, kernel, solve,
+    fix_factor, kernel, solve_many,
 )
 from .algcore import ComoduleData, Report, balanced_tensor, check_comodule
 from .hopfalgebroid import SaydModuleData, translation_lift
@@ -82,15 +82,17 @@ def check_operad(od):
                     continue
                 dims = [od.spaces[p].dim, od.spaces[q].dim,
                         od.spaces[r].dim]
+                # the stages shared by several (i, j), built on first use:
+                # O(p) (x) O(r) (x) O(q) for the left_of and right_of cases
+                swapped = None
                 for i in range(1, p + 1):
+                    lhs_inner = od.comp.get((p, q, i))
+                    first = None  # comp_i (x) id
                     for j in range(1, n2 + 1):
-                        lhs_inner = od.comp.get((p, q, i))
                         lhs_outer = od.comp.get((n2, r, j))
                         if lhs_inner is None or lhs_outer is None:
                             skipped += 1
                             continue
-                        lhs = Pipe(dims, f).block(0, 2, lhs_inner) \
-                            .block(0, 2, lhs_outer).map
                         if j < i:
                             inner = od.comp.get((p, r, j))
                             outer = od.comp.get((p + r - 1, q, i + r - 1)) \
@@ -109,13 +111,17 @@ def check_operad(od):
                         if inner is None or outer is None:
                             skipped += 1
                             continue
-                        rhs = Pipe(dims, f)
                         if case == "inside":
-                            rhs.block(1, 2, inner)
+                            rhs = Pipe(dims, f).block(1, 2, inner)
                         else:
-                            rhs.permute([0, 2, 1]).block(0, 2, inner)
-                        rhs = rhs.block(0, 2, outer).map
-                        if not (lhs - rhs).is_zero():
+                            if swapped is None:
+                                swapped = Pipe(dims, f).permute([0, 2, 1]).map
+                            rhs = Pipe.after(swapped, [dims[0], dims[2],
+                                                       dims[1]])
+                            rhs.block(0, 2, inner)
+                        if first is None:
+                            first = Pipe(dims, f).block(0, 2, lhs_inner).map
+                        if lhs_outer @ first != outer @ rhs.map:
                             ok = False
                             wit = (case, p, q, r, i, j)
     rep.add("associativity", ok, witness=wit)
@@ -123,18 +129,17 @@ def check_operad(od):
     ok = True
     wit = None
     for p in range(0, N + 1):
+        ident = LinMap.identity(od.spaces[p], f)
         for i in range(1, p + 1):
             c = od.comp.get((p, 1, i))
             if c is None:
                 continue
-            right = fix_factor(c, od.one, od.spaces[p].dim)
-            if not (right - LinMap.identity(od.spaces[p], f)).is_zero():
+            if fix_factor(c, od.one, od.spaces[p].dim) != ident:
                 ok = False
                 wit = ("right_unit", p, i)
         c = od.comp.get((1, p, 1))
         if c is not None:
-            left = fix_factor(c, od.one)
-            if not (left - LinMap.identity(od.spaces[p], f)).is_zero():
+            if fix_factor(c, od.one) != ident:
                 ok = False
                 wit = ("left_unit", p)
     rep.add("operad_identity", ok, witness=wit)
@@ -166,11 +171,15 @@ def check_comp_module(cm):
             for n in range(0, N + 1):
                 dims = [od.spaces[p].dim, od.spaces[q].dim,
                         cm.spaces[n].dim]
+                # the stages shared by several (i, j), built on first use:
+                # O(q) (x) O(p) (x) L(n) where O(p) moves past O(q)
+                swapped = None
                 for j in range(0, n + 2 - q):
                     bj = cm.bullet.get((q, n, j))
                     n1 = n - q + 1
                     if bj is None or n1 < 0 or n1 > N:
                         continue
+                    first = None  # id (x) bullet_j
                     for i in range(0, n1 + 2 - p):
                         bi = cm.bullet.get((p, n1, i))
                         if bi is None:
@@ -199,14 +208,17 @@ def check_comp_module(cm):
                         if inner is None or outer is None:
                             skipped += 1
                             continue
-                        lhs = Pipe(dims, f).block(1, 2, bj).block(0, 2, bi)
-                        rhs = Pipe(dims, f)
                         if on_operads:
-                            rhs.block(0, 2, inner)
+                            rhs = Pipe(dims, f).block(0, 2, inner)
                         else:
-                            rhs.permute([1, 0, 2]).block(1, 2, inner)
-                        rhs.block(0, 2, outer)
-                        if not (lhs.map - rhs.map).is_zero():
+                            if swapped is None:
+                                swapped = Pipe(dims, f).permute([1, 0, 2]).map
+                            rhs = Pipe.after(swapped, [dims[1], dims[0],
+                                                       dims[2]])
+                            rhs.block(1, 2, inner)
+                        if first is None:
+                            first = Pipe(dims, f).block(1, 2, bj).map
+                        if bi @ first != outer @ rhs.map:
                             ok = False
                             wit = ("bullet", p, q, n, i, j)
     rep.add("comp_compatibility", ok, witness=wit)
@@ -214,12 +226,12 @@ def check_comp_module(cm):
     ok = True
     wit = None
     for n in range(0, N + 1):
+        ident = LinMap.identity(cm.spaces[n], f)
         for i in range(0, n + 1):
             b = cm.bullet.get((1, n, i))
             if b is None:
                 continue
-            cur = fix_factor(b, od.one)
-            if not (cur - LinMap.identity(cm.spaces[n], f)).is_zero():
+            if fix_factor(b, od.one) != ident:
                 ok = False
                 wit = ("unit", n, i)
     rep.add("module_unital", ok, witness=wit)
@@ -229,15 +241,15 @@ def check_comp_module(cm):
         for n in range(0, N + 1):
             if n - p + 1 < 0 or n - p + 1 > N:
                 continue
+            # id (x) t on O(p) (x) L(n)
+            after_t = Pipe([od.spaces[p].dim, cm.spaces[n].dim], f) \
+                .block(1, 1, cm.t[n]).map
             for i in range(0, n - p + 1):
                 b1 = cm.bullet.get((p, n, i))
                 b2 = cm.bullet.get((p, n, i + 1))
                 if b1 is None or b2 is None:
                     continue
-                lhs = cm.t[n - p + 1] @ b1
-                rhs = Pipe([od.spaces[p].dim, cm.spaces[n].dim], f) \
-                    .block(1, 1, cm.t[n]).block(0, 2, b2).map
-                if not (lhs - rhs).is_zero():
+                if cm.t[n - p + 1] @ b1 != b2 @ after_t:
                     ok = False
                     wit = ("cyclic_compat", p, n, i)
     rep.add("cyclic_compatibility", ok, witness=wit)
@@ -314,7 +326,7 @@ def check_operad_measuring(om):
                 qb = om.Psi_of(q, om.C.space.basis_vector(b, f))
                 term = (comp2 @ pa.tensor(qb)).scaled(coeff)
                 rhs = term if rhs is None else rhs + term
-            if rhs is None or not (lhs - rhs).is_zero():
+            if rhs is None or lhs != rhs:
                 ok = False
                 wit = (c, p, q, i)
     rep.add("comp_measuring", ok, witness=wit)
@@ -374,7 +386,7 @@ def check_comp_comodule_measuring(ccm):
                 ob = ccm.Omega_of(n, ccm.D.space.basis_vector(y1, f))
                 term = (b2 @ pa.tensor(ob)).scaled(coeff)
                 rhs = term if rhs is None else rhs + term
-            if rhs is None or not (lhs - rhs).is_zero():
+            if rhs is None or lhs != rhs:
                 ok = False
                 wit = (c, p, n, i)
     rep.add("bullet_measuring", ok, witness=wit)
@@ -386,7 +398,7 @@ def check_comp_comodule_measuring(ccm):
         for n in range(N + 1):
             lhs = ccm.Omega_of(n, yv) @ ccm.src.t[n]
             rhs = ccm.dst.t[n] @ ccm.Omega_of(n, yv)
-            if not (lhs - rhs).is_zero():
+            if lhs != rhs:
                 ok = False
                 wit = (c, n)
     rep.add("cyclic_commutes", ok, witness=wit)
@@ -404,21 +416,45 @@ def induced_comp_map(ccm, yvec, N=None):
 
 
 # -- Yetter-Drinfeld operads ----------------------------------------------
+#
+# The operad and comp-module maps are built per index triple, not per pair of
+# basis maps: a family of maps f_b, b < dim K, travels through one Pipe as a
+# leading parameter factor K, packed as one map K (x) V -> W (pack_slices).
+
+def _slicewise(m, op):
+    """m @ (id_K (x) op): op applied to every slice of m : K (x) op.cod -> W."""
+    b = m.dom.dim // op.cod.dim
+    return m @ Pipe([b, op.dom.dim], m.field).block(1, 1, op).map
+
+
+def _descend_family(m, src, dst):
+    """descend applied to every slice m(e_b (x) -) of m : K (x) src.ambient
+    -> dst.ambient, packed again as K (x) src.quotient -> dst.quotient.  The
+    first failing slice raises the DescentFailure descend gives on it."""
+    if src.relations.entries:
+        bad = dst.project(_slicewise(m, src.relations))
+        if not bad.is_zero():
+            j = bad.nonzero_column_index()
+            r = j % src.relations.dom.dim
+            raise DescentFailure(
+                "map does not descend (relation column %d)" % r,
+                witness=(r, bad.column(j)))
+    return dst.project(m if src.free else _slicewise(m, src.section))
+
 
 def _hom_data(h, z, N):
-    """Per arity: (tower presentation or None, basis of ambient-level hom
-    maps U^{(x)n} -> Z, coordinate inclusion K)."""
+    """Per arity n: (the space O(n), the tower presentation or None, the
+    basis of ambient-level hom maps U^{(x)n} -> Z packed as one map
+    O(n) (x) U^{(x)n} -> Z, the coordinate inclusion K : O(n) -> Z (x) W_n
+    of the tower quotient W_n)."""
     f = h.field
     dz = z.Z.space.dim
     da = h.A.space.dim
     du = h.U.space.dim
-    out = {}
-    for n in range(N + 1):
-        if n == 0:
-            basis = [LinMap(Space(1), z.Z.space, f, {(i, 0): f.one})
-                     for i in range(dz)]
-            out[0] = (None, basis, LinMap.identity(z.Z.space, f))
-            continue
+    space = Space(dz, "O0")
+    ident = LinMap(space, z.Z.space, f, {(i, i): f.one for i in range(dz)})
+    out = {0: (space, None, ident, ident)}
+    for n in range(1, N + 1):
         pres = h.rtower(n)
         w = pres.quotient.dim
         entries = {}
@@ -439,70 +475,74 @@ def _hom_data(h, z, N):
         B = LinMap(Space(dz * w), Space(da * dz * w), f,
                    {k: v for k, v in entries.items() if v})
         K = kernel(B)
-        basis = []
-        for j in range(K.dom.dim):
-            vec = K.column(j)
-            hm = {}
-            for zi in range(dz):
-                for wj in range(w):
-                    v = vec[zi * w + wj]
-                    if v:
-                        hm[(zi, wj)] = v
-            fq = LinMap(pres.quotient, z.Z.space, f, hm)
-            basis.append(fq @ pres.projection)
-        out[n] = (pres, basis, K)
+        space = Space(K.dom.dim, "O%d" % n)
+        K = LinMap(space, K.cod, f, K.entries)
+        # basis map j is column j of K read as a map W_n -> Z, pulled back
+        # to the ambient
+        pack = LinMap(Space(space.dim * w), z.Z.space, f,
+                      {(zi, j * w + wj): v for (r, j), v in K.entries.items()
+                       for zi, wj in [divmod(r, w)]})
+        if not pres.free:
+            pack = _slicewise(pack, pres.projection)
+        out[n] = (space, pres, pack, K)
     return out
 
 
-def _hom_coords(h, z, hom_data, n, amb_map):
-    """Coordinates of an ambient-level hom map in the arity-n basis."""
-    f = h.field
-    pres, _basis, K = hom_data[n]
-    if n == 0:
-        return tuple(amb_map.column(0))
+def _hom_coords(hom_data, n, amb):
+    """Coordinates in the arity-n basis of a family of ambient-level hom
+    maps, packed as amb : k^b (x) U^{(x)n} -> Z: the map k^b -> O(n) whose
+    column j holds the coordinates of map j."""
+    space, pres, _pack, K = hom_data[n]
+    f = amb.field
+    if pres is None:
+        return LinMap(Space(amb.dom.dim), space, f, amb.entries)
+    fq = amb
+    if not pres.free:
+        fq = _slicewise(amb, pres.section)
+        back = _slicewise(fq, pres.projection)
+        if back != amb:
+            bad = back - amb
+            j = bad.nonzero_column_index()
+            raise DescentFailure("hom does not factor through the tower",
+                                 witness=(j % pres.ambient.dim,
+                                          bad.column(j)))
     w = pres.quotient.dim
-    dz = z.Z.space.dim
-    fq = pres.lift(amb_map)
-    back = fq @ pres.projection
-    if not (back - amb_map).is_zero():
-        j = (back - amb_map).nonzero_column_index()
-        raise DescentFailure("hom does not factor through the tower",
-                             witness=(j, (back - amb_map).column(j)))
-    vec = [f.zero] * (dz * w)
-    for (zi, wj), v in fq.entries.items():
-        vec[zi * w + wj] = v
-    return tuple(solve(K, vec))
+    vecs = {(zi * w + wj, b): v for (zi, col), v in fq.entries.items()
+            for b, wj in [divmod(col, w)]}
+    return solve_many(K, LinMap(Space(fq.dom.dim // w), K.cod, f, vecs))
 
 
-def _yd_circ(h, z, Famb, p, Gamb, q, i):
-    """Ambient-level partial composition of two hom maps."""
+def _yd_circ(h, z, hom_data, p, q, i):
+    """Ambient-level partial composition F o_i G of every basis map F of
+    O(p) with every basis map G of O(q), as one map
+    O(p) (x) O(q) (x) U^{(x)(p+q-1)} -> Z."""
     f = h.field
     du = h.U.space.dim
     dz = z.Z.space.dim
+    fpack, gpack = hom_data[p][2], hom_data[q][2]
     nout = p + q - 1
     a = p + q - i       # slots expanded by the coproduct
     tails = nout - a    # = i - 1 untouched slots
     c = p - i
-    pipe = Pipe([du] * nout, f)
+    pipe = Pipe([hom_data[p][0].dim, hom_data[q][0].dim] + [du] * nout, f)
     for k in range(a):
-        pipe.block(2 * k, 1, h.delta_lift, [du, du])
-    # layout: (u^j_1, u^j_2) for j in 1..a, then tails
-    gargs = [2 * (j - 1) for j in range(c + 1, a + 1)]
-    gsecs = [2 * j - 1 for j in range(c + 1, a + 1)]
-    fargs = [2 * (j - 1) for j in range(1, c + 1)]
-    fsecs = [2 * j - 1 for j in range(1, c + 1)]
-    tidx = [2 * a + k for k in range(tails)]
-    pipe.permute(gargs + gsecs + fargs + tidx + fsecs)
-    pipe.block(0, q, z.coact_lift @ Gamb, [du, dz])
-    # layout: g_-1, g_0, gsecs(q), fargs(c), tails, fsecs(c)
-    pipe.permute(list(range(2 + q, 2 + q + c))
+        pipe.block(2 + 2 * k, 1, h.delta_lift, [du, du])
+    # layout: F, G, (u^j_1, u^j_2) for j in 1..a, then tails
+    gargs = [2 * j for j in range(c + 1, a + 1)]
+    gsecs = [2 * j + 1 for j in range(c + 1, a + 1)]
+    fargs = [2 * j for j in range(1, c + 1)]
+    fsecs = [2 * j + 1 for j in range(1, c + 1)]
+    tidx = [2 + 2 * a + k for k in range(tails)]
+    pipe.permute([1] + gargs + gsecs + [0] + fargs + tidx + fsecs)
+    pipe.block(0, q + 1, z.coact_lift @ gpack, [du, dz])
+    # layout: g_-1, g_0, gsecs(q), F, fargs(c), tails, fsecs(c)
+    pipe.permute([2 + q] + list(range(3 + q, 3 + q + c))
                  + [0] + list(range(2, 2 + q))
-                 + list(range(2 + q + c, 2 + q + c + tails))
-                 + list(range(2 + q + c + tails, 2 + q + 2 * c + tails))
+                 + list(range(3 + q + c, 3 + q + 2 * c + tails))
                  + [1])
-    pipe.block(c, q + 1, h.U.mul_n(q + 1), [du])
-    # layout: fargs(c), merged, tails, fsecs(c), g_0
-    pipe.block(0, p, Famb, [dz])
+    pipe.block(1 + c, q + 1, h.U.mul_n(q + 1), [du])
+    # layout: F, fargs(c), merged, tails, fsecs(c), g_0
+    pipe.block(0, p + 1, fpack, [dz])
     # layout: f_val, fsecs(c), g_0
     if c:
         pipe.block(1, c, h.U.mul_n(c)).block(1, 2, z.action)
@@ -514,7 +554,7 @@ def build_yd_operad(h, z, N):
     Yetter-Drinfeld algebra, truncated at arity N."""
     f = h.field
     hom_data = _hom_data(h, z, N)
-    spaces = [Space(len(hom_data[n][1]), "O%d" % n) for n in range(N + 1)]
+    spaces = [hom_data[n][0] for n in range(N + 1)]
     comp = {}
     for p in range(1, N + 1):
         for q in range(0, N + 1):
@@ -522,24 +562,17 @@ def build_yd_operad(h, z, N):
             if nout > N:
                 continue
             for i in range(1, p + 1):
-                cols = []
-                for Famb in hom_data[p][1]:
-                    for Gamb in hom_data[q][1]:
-                        amb = _yd_circ(h, z, Famb, p, Gamb, q, i)
-                        cols.append(list(_hom_coords(h, z, hom_data, nout,
-                                                     amb)))
-                comp[(p, q, i)] = LinMap.from_columns(
-                    Space(spaces[p].dim * spaces[q].dim), spaces[nout], f,
-                    cols)
+                comp[(p, q, i)] = _hom_coords(
+                    hom_data, nout, _yd_circ(h, z, hom_data, p, q, i))
     # u -> s(eps(u)) . 1_Z, and u (x) v -> s(eps(uv)) . 1_Z
     du = h.U.space.dim
     unit_z = z.Z.unit_map()
     one_amb = Pipe([du], f).block(0, 1, h.s_L @ h.eps_L) \
         .block(1, 0, unit_z).block(0, 2, z.action).map
-    one = _hom_coords(h, z, hom_data, 1, one_amb)
+    one = _hom_coords(hom_data, 1, one_amb).column(0)
     m_amb = Pipe([du, du], f).block(0, 2, h.s_L @ (h.eps_L @ h.U.mul)) \
         .block(1, 0, unit_z).block(0, 2, z.action).map
-    m = _hom_coords(h, z, hom_data, 2, m_amb)
+    m = _hom_coords(hom_data, 2, m_amb).column(0)
     return OperadData(spaces, comp, one, m, tuple(z.Z.unit), f,
                       "C^(%s,%s)" % (h.label, z.label), h=h, z=z,
                       hom_data=hom_data)
@@ -578,46 +611,55 @@ def build_ayd_coefficient(h, l, z):
     msayd = SaydModuleData(h, mspace, act, coact, "LZ", presentation=mpres)
     stab = Pipe.after(coact, [du, mspace.dim]).permute([1, 0]) \
         .block(0, 2, act).map
-    bad = stab - LinMap.identity(mspace, f)
-    if not bad.is_zero():
+    ident = LinMap.identity(mspace, f)
+    if stab != ident:
+        bad = stab - ident
         j = bad.nonzero_column_index()
         raise StabilityFailure((j, bad.column(j)))
     return msayd
 
 
-def _m_lift(h, msayd, dl, k):
-    """Pipe on M (x) U^k, M = L (x)_A Z with dim L = dl, that first lifts M
-    to L (x) Z."""
+def _m_lift(h, msayd, dl, k, lead=()):
+    """Pipe on lead (x) M (x) U^k, M = L (x)_A Z with dim L = dl and `lead`
+    the dims of leading parameter factors, that first lifts M to L (x) Z."""
     mpres = msayd.presentation
-    pipe = Pipe([mpres.quotient.dim] + [h.U.space.dim] * k, h.field)
-    return pipe.block(0, 1, mpres.section, [dl, mpres.ambient.dim // dl])
+    lz = [dl, mpres.ambient.dim // dl]
+    us = [h.U.space.dim] * k
+    if mpres.free:
+        return Pipe(list(lead) + lz + us, h.field)
+    pipe = Pipe(list(lead) + [mpres.quotient.dim] + us, h.field)
+    return pipe.block(len(lead), 1, mpres.section, lz)
 
 
 def _m_descend(h, pipe, src, dst, k):
     """Project the leading L (x) Z factors of a pipe started by _m_lift
-    (for src, on U^k) to dst's M and descend to the coefficient towers."""
-    pipe.block(0, 2, dst.presentation.projection)
-    return descend(pipe.map, chain_coeff_tower(h, src, k),
-                   chain_coeff_tower(h, dst, len(pipe.dims) - 1))
+    (for src, on U^k, its parameter factors used up) to dst's M and descend
+    every parameter slice to the coefficient towers."""
+    kout = len(pipe.dims) - 2
+    if not dst.presentation.free:
+        pipe.block(0, 2, dst.presentation.projection)
+    return _descend_family(pipe.map, chain_coeff_tower(h, src, k),
+                           chain_coeff_tower(h, dst, kout))
 
 
-def _yd_bullet_pos(h, l, z, msayd, Famb, p, k, i):
-    """f bullet_i for i > 0, on the free level, then descended."""
+def _yd_bullet_pos(h, l, z, msayd, p, k, i, fpack):
+    """f bullet_i for i > 0 and every basis map f of O(p), packed in fpack,
+    on the free level, then descended: one map O(p) (x) L(k) -> L(k-p+1)."""
     du = h.U.space.dim
     dz = z.Z.space.dim
     c = k - p - i + 1
     tails = i - 1
-    pipe = _m_lift(h, msayd, l.space.dim, k)
+    pipe = _m_lift(h, msayd, l.space.dim, k, [fpack.dom.dim // du ** p])
     for j in range(c + p):
-        pipe.block(2 + 2 * j, 1, h.delta_lift, [du, du])
-    # layout: l, z, (u^j_1, u^j_2) j = 1..c+p, tails
-    fb1 = [2 + 2 * j for j in range(c, c + p)]
-    fb2 = [3 + 2 * j for j in range(c, c + p)]
-    c1 = [2 + 2 * j for j in range(c)]
-    c2 = [3 + 2 * j for j in range(c)]
-    tidx = [2 + 2 * (c + p) + j for j in range(tails)]
-    pipe.permute(fb1 + [0] + c2 + [1] + c1 + fb2 + tidx)
-    pipe.block(0, p, z.coact_lift @ Famb, [du, dz])
+        pipe.block(3 + 2 * j, 1, h.delta_lift, [du, du])
+    # layout: F, l, z, (u^j_1, u^j_2) j = 1..c+p, tails
+    fb1 = [3 + 2 * j for j in range(c, c + p)]
+    fb2 = [4 + 2 * j for j in range(c, c + p)]
+    c1 = [3 + 2 * j for j in range(c)]
+    c2 = [4 + 2 * j for j in range(c)]
+    tidx = [3 + 2 * (c + p) + j for j in range(tails)]
+    pipe.permute([0] + fb1 + [1] + c2 + [2] + c1 + fb2 + tidx)
+    pipe.block(0, p + 1, z.coact_lift @ fpack, [du, dz])
     # layout: fv_-1, fv_0, l, c2(c), z, c1(c), fb2(p), tails
     pipe.permute([2] + list(range(3, 3 + c)) + [1, 3 + c]
                  + list(range(4 + c, 4 + 2 * c))
@@ -632,33 +674,34 @@ def _yd_bullet_pos(h, l, z, msayd, Famb, p, k, i):
     return _m_descend(h, pipe, msayd, msayd, k)
 
 
-def _yd_bullet_zero(h, l, z, msayd, Famb, p, k):
-    """f bullet_0 on the free level, then descended."""
+def _yd_bullet_zero(h, l, z, msayd, p, k, fpack):
+    """f bullet_0 for every basis map f of O(p), packed in fpack, on the
+    free level, then descended: one map O(p) (x) L(k) -> L(k-p+1)."""
     du = h.U.space.dim
     dl = l.space.dim
     dz = z.Z.space.dim
     c = k - p + 1
     trans = translation_lift(h)
-    pipe = _m_lift(h, msayd, dl, k)
+    pipe = _m_lift(h, msayd, dl, k, [fpack.dom.dim // du ** p])
     for j in range(k):
-        pipe.block(2 + 2 * j, 1, trans, [du, du])
+        pipe.block(3 + 2 * j, 1, trans, [du, du])
     for j in range(c):
-        pipe.block(2 + 3 * j, 1, h.delta_lift, [du, du])
-    # layout: l, z, (u^j_+1, u^j_+2, u^j_-) j <= c, (u^j_+, u^j_-) j > c
-    pipe.block(0, 1, l.coact_lift, [du, dl])
-    pipe.block(2, 1, z.coact_lift, [du, dz])
-    # layout: l_-1, l_0, z_-1, z_0, blocks shifted by 4
-    p1 = [4 + 3 * j for j in range(c)]
-    p2 = [5 + 3 * j for j in range(c)]
-    mn = [6 + 3 * j for j in range(c)]
-    rest_plus = [4 + 3 * c + 2 * j for j in range(k - c)]
-    rest_minus = [5 + 3 * c + 2 * j for j in range(k - c)]
-    down = list(reversed(rest_minus)) + list(reversed(mn)) + [2, 0]
-    pipe.permute(rest_plus + down + [1] + p2 + [3] + p1)
-    # layout: u^j_+ (j > c), u^k_- .. u^1_-, z_-1, l_-1, l_0, p2(c), z_0,
+        pipe.block(3 + 3 * j, 1, h.delta_lift, [du, du])
+    # layout: F, l, z, (u^j_+1, u^j_+2, u^j_-) j <= c, (u^j_+, u^j_-) j > c
+    pipe.block(1, 1, l.coact_lift, [du, dl])
+    pipe.block(3, 1, z.coact_lift, [du, dz])
+    # layout: F, l_-1, l_0, z_-1, z_0, blocks shifted by 5
+    p1 = [5 + 3 * j for j in range(c)]
+    p2 = [6 + 3 * j for j in range(c)]
+    mn = [7 + 3 * j for j in range(c)]
+    rest_plus = [5 + 3 * c + 2 * j for j in range(k - c)]
+    rest_minus = [6 + 3 * c + 2 * j for j in range(k - c)]
+    down = list(reversed(rest_minus)) + list(reversed(mn)) + [3, 1]
+    pipe.permute([0] + rest_plus + down + [2] + p2 + [4] + p1)
+    # layout: F, u^j_+ (j > c), u^k_- .. u^1_-, z_-1, l_-1, l_0, p2(c), z_0,
     # p1(c)
-    pipe.block(len(rest_plus), len(down), h.U.mul_n(len(down)))
-    pipe.block(0, p, Famb, [dz])
+    pipe.block(1 + len(rest_plus), len(down), h.U.mul_n(len(down)))
+    pipe.block(0, p + 1, fpack, [dz])
     # layout: f_val, l_0, p2(c), z_0, p1(c)
     pipe.permute([1] + list(range(2, 2 + c)) + [0, 2 + c]
                  + list(range(3 + c, 3 + 2 * c)))
@@ -699,32 +742,22 @@ def build_yd_comp_module(h, l, z, od, N):
     f = h.field
     msayd = build_ayd_coefficient(h, l, z)
     spaces = [chain_coeff_tower(h, msayd, k).quotient for k in range(N + 1)]
-    hom_data = od.hom_data
     bullet = {}
     t = {}
     for k in range(N + 1):
         t[k] = _yd_t(h, l, z, msayd, k) if k >= 1 \
             else LinMap.identity(spaces[0], f)
     for p in range(0, od.N + 1):
-        basis = hom_data[p][1]
-        dop = od.spaces[p].dim
+        fpack = od.hom_data[p][2]
         for k in range(N + 1):
             if k - p + 1 < 0 or k - p + 1 > N:
                 continue
             for i in range(0, k + 2 - p):
                 if i == 0 and p == 0:
                     continue  # outside the stated index ranges
-                cols = []
-                width = spaces[k].dim
-                for Famb in basis:
-                    if i == 0:
-                        mm = _yd_bullet_zero(h, l, z, msayd, Famb, p, k)
-                    else:
-                        mm = _yd_bullet_pos(h, l, z, msayd, Famb, p, k, i)
-                    for jcol in range(width):
-                        cols.append(list(mm.column(jcol)))
-                bullet[(p, k, i)] = LinMap.from_columns(
-                    Space(dop * width), spaces[k - p + 1], f, cols)
+                bullet[(p, k, i)] = \
+                    _yd_bullet_zero(h, l, z, msayd, p, k, fpack) if i == 0 \
+                    else _yd_bullet_pos(h, l, z, msayd, p, k, i, fpack)
     return CompModuleData(od, spaces, bullet, t, f, "%s,LZ" % h.label,
                           msayd=msayd)
 
@@ -760,32 +793,21 @@ def induce_from_yd(ym, l_src, l_dst, hmat, od_src, od_dst, cm_src, cm_dst,
     dc = ym.C.space.dim
     Psi = {}
     for n in range(N + 1):
-        basis_src = od_src.hom_data[n][1]
-        cols = []
-        for c in range(dc):
-            px = ym.psi_of(ym.C.space.basis_vector(c, f))
-            for Famb in basis_src:
-                coords = _hom_coords(h, od_dst.z, od_dst.hom_data, n,
-                                     px @ Famb)
-                cols.append(list(coords))
-        Psi[n] = LinMap.from_columns(Space(dc * od_src.spaces[n].dim),
-                                     od_dst.spaces[n], f, cols)
+        # psi(x) . f for every basis map f of O_src(n) and x of C, packed
+        fpack = od_src.hom_data[n][2]
+        amb = Pipe([dc, fpack.dom.dim], f).block(1, 1, fpack) \
+            .block(0, 2, ym.psi).map
+        Psi[n] = _hom_coords(od_dst.hom_data, n, amb)
     om = OperadMeasuringData(ym.C, od_src, od_dst, Psi, "yd")
     D = ComoduleData(ym.C, ym.C.space, ym.C.comul, "left", "D=C")
     Omega = {}
     msrc = cm_src.msayd
     mdst = cm_dst.msayd
     for k in range(N + 1):
-        cols = []
-        for c in range(dc):
-            px = ym.psi_of(ym.C.space.basis_vector(c, f))
-            pipe = _m_lift(h, msrc, l_src.space.dim, k)
-            pipe.block(0, 1, hmat).block(1, 1, px)
-            mm = _m_descend(h, pipe, msrc, mdst, k)
-            for j in range(mm.dom.dim):
-                cols.append(list(mm.column(j)))
-        Omega[k] = LinMap.from_columns(
-            Space(dc * cm_src.spaces[k].dim), cm_dst.spaces[k], f, cols)
+        pipe = _m_lift(h, msrc, l_src.space.dim, k, [dc])
+        pipe.block(1, 1, hmat).permute([1, 0] + list(range(2, 3 + k)))
+        pipe.block(1, 2, ym.psi)
+        Omega[k] = _m_descend(h, pipe, msrc, mdst, k)
     ccm = CompComoduleMeasuringData(om, D, cm_src, cm_dst, Omega, "yd")
     return om, ccm
 

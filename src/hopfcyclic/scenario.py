@@ -19,8 +19,8 @@ from .algcore import AlgebraData, check_algebra, check_coalgebra
 from .hopfalgebroid import (
     check_hopf_algebroid, check_hopf_galois, check_left_bialgebroid,
     check_sayd, check_yd_algebra, dual_numbers, group_algebra,
-    group_hopf_algebroid, pair_hopf_algebroid, scalar_algebra, scalar_sayd,
-    scalar_yd_algebra, split_pair_algebra, base_sayd_for_pair,
+    group_hopf_algebroid, NotScalarBase, pair_hopf_algebroid, scalar_algebra,
+    scalar_sayd, scalar_yd_algebra, split_pair_algebra, base_sayd_for_pair,
     trivial_hopf_algebroid,
 )
 from .measuring import (
@@ -91,6 +91,15 @@ def _count(v, what, least=0):
         raise ParseError("%s must be an integer >= %d, got %r"
                          % (what, least, v))
     return v
+
+
+def _scalar_preset(make, where):
+    """make(), a scalar coefficient preset; over a base algebra that is not
+    the ground field the document is rejected."""
+    try:
+        return make()
+    except NotScalarBase as e:
+        raise ParseError("%s: %s" % (where, e))
 
 
 def _section(data, key):
@@ -236,7 +245,8 @@ class ScenarioDocument:
             h = ref(d.get("hopf"), ("hopf_algebroids",), "sayd " + name)
             preset = d.get("preset")
             if preset == "scalar":
-                define(name, "sayd_modules", scalar_sayd(h, name))
+                define(name, "sayd_modules", _scalar_preset(
+                    lambda: scalar_sayd(h, name), "sayd %r" % name))
             elif preset == "base_pair":
                 A = ref(d.get("algebra"), ("algebras",), "sayd " + name)
                 define(name, "sayd_modules", base_sayd_for_pair(h, A))
@@ -247,7 +257,8 @@ class ScenarioDocument:
             if d.get("preset") != "scalar":
                 raise ParseError(
                     "unknown yd_algebra preset %r" % d.get("preset"))
-            define(name, "yd_algebras", scalar_yd_algebra(h))
+            define(name, "yd_algebras", _scalar_preset(
+                lambda: scalar_yd_algebra(h), "yd_algebra %r" % name))
         for name, d in definitions("measurings"):
             h = ref(d.get("hopf"), ("hopf_algebroids",), "measuring " + name)
             preset = d.get("preset")

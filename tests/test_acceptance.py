@@ -12,6 +12,7 @@ import time
 from hopfcyclic.exactlin import (
     DescentFailure, LinMap, QQ, Space, rank,
 )
+from hopfcyclic.algcore import Report
 from hopfcyclic.hopfalgebroid import (
     HopfAlgebroidData, check_hopf_algebroid, check_hopf_galois,
     check_left_bialgebroid, check_sayd, dual_numbers, gallery,
@@ -38,7 +39,7 @@ from hopfcyclic.lierinehart import (
     nonabelian_2d,
 )
 from hopfcyclic.operadcyc import (
-    OperadData, build_yd_comp_module, build_yd_operad,
+    CompModuleData, OperadData, build_yd_comp_module, build_yd_operad,
     check_comp_comodule_measuring, check_comp_module, check_operad,
     check_operad_measuring, comp_cyclic_module, induce_from_yd,
     induced_comp_map, one_dimensional_comp_module, one_dimensional_operad,
@@ -371,6 +372,31 @@ def test_criterion_09_negative_controls():
     # the mixed pool above rarely draws these two, so give them their own run
     _mutation_run("operad unit and multiplication",
                   {"one": od.one, "m": od.m}, check_op)
+
+    cmod = build_yd_comp_module(h, scalar_sayd(h), od.z, od, 3)
+    cmmaps = {("bullet",) + k: b for k, b in cmod.bullet.items()}
+    cmmaps.update({("t", n): t for n, t in cmod.t.items()})
+
+    def check_cmod(ms):
+        bullet = {k: ms[("bullet",) + k] for k in cmod.bullet}
+        t = {n: ms[("t", n)] for n in cmod.t}
+        return check_comp_module(CompModuleData(od, cmod.spaces, bullet, t,
+                                                f, "mutant"))
+
+    _mutation_run("comp module", cmmaps, check_cmod)
+
+    # the cyclic and unit checks see most bullet mutations too; the
+    # composition check alone must see every one
+    def check_cmod_composition(ms):
+        rep = check_cmod({**cmmaps, **ms})
+        only = Report(rep.subject)
+        only.results = [r for r in rep.results
+                        if r.name == "comp_compatibility"]
+        return only
+
+    _mutation_run("comp module composition",
+                  {k: v for k, v in cmmaps.items() if k[0] == "bullet"},
+                  check_cmod_composition)
     _budget("criterion 9 (negative controls, 20 mutations each)", t0, 120)
 
 

@@ -548,3 +548,65 @@ def test_invert_ignores_the_q_scalar_representation(case):
     ib = invert(b)
     assert ia == ib
     _no_floats(ia, ib)
+
+
+# -- map equality: equal entry dicts exactly when the difference is zero ----
+
+@st.composite
+def map_pairs(draw):
+    """Two maps of one shape over Q, F5 or F7, the second the first plus a
+    map that is zero half of the time.  Over Q some entries are divided by
+    2 or 3, and each map holds every entry as a Fraction or every entry
+    normalized (an int when integral)."""
+    f = draw(fields)
+    dom = draw(st.integers(min_value=0, max_value=4))
+    cod = draw(st.integers(min_value=0, max_value=4))
+    a = _random_map(draw, f, dom, cod)
+    d = _random_map(draw, f, dom, cod) if draw(st.booleans()) \
+        else LinMap.zero(a.dom, a.cod, f)
+    if f == QQ:
+        a = LinMap(a.dom, a.cod, f, {
+            k: Fraction(v, draw(st.sampled_from([1, 2, 3])))
+            for k, v in a.entries.items()})
+    b = a + d
+    if f == QQ:
+        for m in (a, b):
+            if draw(st.booleans()):
+                m.entries = {k: Fraction(v) for k, v in m.entries.items()}
+            else:
+                m.entries = {k: QQ.of_int(v.numerator, v.denominator)
+                             for k, v in m.entries.items()}
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_pairs())
+def test_map_equality_is_a_zero_difference(case):
+    a, b = case
+    diff = a - b
+    assert (a == b) == diff.is_zero() == (b == a)
+    assert (a != b) == (not diff.is_zero())
+    res = Report().check_map_equal("eq", a, b).results[0]
+    assert res.passed == diff.is_zero()
+    if not res.passed:
+        j = diff.nonzero_column_index()
+        assert res.witness == (j, diff.column(j))
+
+
+def test_builder_operators_are_in_canonical_form_over_f5():
+    # the compare by entry dicts needs every entry reduced and nonzero
+    from hopfcyclic.cyclichom import (
+        build_cocyclic_CU, build_cocyclic_with_coeffs, build_cyclic_CU,
+        build_cyclic_with_coeffs)
+    f5 = FieldSpec(5)
+    for name, e in gallery(f5).items():
+        for cm in (build_cyclic_CU(e.hopf, 3), build_cocyclic_CU(e.hopf, 3),
+                   build_cyclic_with_coeffs(e.hopf, e.sayd, 3),
+                   build_cocyclic_with_coeffs(e.hopf, e.sayd, 3)):
+            ops = [op for n in cm.faces for op in cm.faces[n]]
+            ops += [op for n in cm.degen for op in cm.degen[n]]
+            ops += list(cm.cyc.values())
+            assert ops, name
+            for op in ops:
+                assert all(type(v) is int and 1 <= v <= 4
+                           for v in op.entries.values()), (name, cm.label)

@@ -5,11 +5,11 @@ import pytest
 
 from hopfcyclic.exactlin import QQ, LinMap, Space, rank
 from hopfcyclic.hopfalgebroid import (
-    HopfAlgebroidData, SaydModuleData, check_hopf_algebroid,
+    HopfAlgebroidData, NotScalarBase, SaydModuleData, check_hopf_algebroid,
     check_hopf_galois, check_left_bialgebroid, check_sayd, check_yd_algebra,
     dual_numbers, gallery, group_hopf_algebroid, hopf_galois_beta,
-    pair_hopf_algebroid, scalar_yd_algebra, translation_map, translation_lift,
-    trivial_hopf_algebroid,
+    pair_hopf_algebroid, scalar_sayd, scalar_yd_algebra, translation_map,
+    translation_lift, trivial_hopf_algebroid,
 )
 
 
@@ -76,6 +76,14 @@ def test_yd_algebra_scalar(gal):
         y = scalar_yd_algebra(gal[name].hopf)
         rep = check_yd_algebra(y)
         assert rep.ok, (name, rep.failures())
+
+
+@pytest.mark.parametrize("make", [scalar_sayd, scalar_yd_algebra])
+def test_scalar_presets_refuse_a_larger_base(gal, make):
+    # a typed error, not an assert that python -O strips
+    for name in ("pair_dual", "pair_split"):
+        with pytest.raises(NotScalarBase, match="base dimension 2"):
+            make(gal[name].hopf)
 
 
 def test_broken_antipode_detected():

@@ -1,21 +1,27 @@
 from fractions import Fraction
+import random
 
 import pytest
 
-from hopfcyclic.exactlin import QQ, LinMap, Space
+from hopfcyclic.exactlin import (
+    QQ, DescentFailure, FieldSpec, LinMap, Pipe, Space, descend, kernel,
+    pack_slices, solve,
+)
 from hopfcyclic.hopfalgebroid import (
-    SaydModuleData, group_hopf_algebroid, scalar_sayd, scalar_yd_algebra,
-    trivial_hopf_algebroid,
+    SaydModuleData, gallery, group_hopf_algebroid, scalar_sayd,
+    scalar_yd_algebra, translation_lift, trivial_hopf_algebroid,
 )
 from hopfcyclic.measuring import (
     YdMeasuringData, check_yd_measuring, point_coalgebra,
     primitive_pair_coalgebra,
 )
 from hopfcyclic.cyclichom import (
-    check_cyclic_module, cyclic_homology_char0, hochschild_homology,
+    chain_coeff_tower, check_cyclic_module, cyclic_homology_char0,
+    hochschild_homology,
 )
 from hopfcyclic.operadcyc import (
-    CertificateFailure, StabilityFailure, build_ayd_coefficient,
+    CertificateFailure, StabilityFailure, _descend_family, _hom_coords,
+    build_ayd_coefficient,
     build_yd_comp_module, build_yd_operad, check_comp_comodule_measuring,
     check_comp_module, check_operad, check_operad_measuring,
     comp_cyclic_module, induce_from_yd, induced_comp_map,
@@ -178,3 +184,316 @@ def test_bad_module_morphism_rejected(c2, c2_module):
     ident = LinMap.identity(l.space, QQ)
     with pytest.raises(CertificateFailure):
         induce_from_yd(ym, l, bad, ident, od, od, cm, cm, 3)
+
+
+# -- batched composition against the per-pair reference -------------------
+#
+# The reference builds every operad and comp-module map one pair of basis
+# maps at a time, each through its own Pipe, and reads coordinates with one
+# solve per column: the construction the batched builders replace, kept here
+# as their oracle.
+
+def _ref_basis(od, n):
+    """The ambient-level basis maps of O(n), one LinMap each."""
+    f = od.field
+    _space, pres, _pack, K = od.hom_data[n]
+    Z = od.z.Z.space
+    if n == 0:
+        return [LinMap(Space(1), Z, f, {(i, 0): f.one}) for i in range(Z.dim)]
+    w = pres.quotient.dim
+    out = []
+    for j in range(K.dom.dim):
+        vec = K.column(j)
+        fq = LinMap(pres.quotient, Z, f,
+                    {(zi, wj): vec[zi * w + wj] for zi in range(Z.dim)
+                     for wj in range(w)})
+        out.append(fq @ pres.projection)
+    return out
+
+
+def _ref_coords(pres, K, amb_map):
+    """Coordinates of one ambient-level hom map: lift, check that it
+    factors through the tower, one solve."""
+    f = amb_map.field
+    if pres is None:
+        return tuple(amb_map.column(0))
+    w = pres.quotient.dim
+    fq = amb_map @ pres.section
+    back = fq @ pres.projection
+    if not (back - amb_map).is_zero():
+        j = (back - amb_map).nonzero_column_index()
+        raise DescentFailure("hom does not factor through the tower",
+                             witness=(j, (back - amb_map).column(j)))
+    vec = [f.zero] * K.cod.dim
+    for (zi, wj), v in fq.entries.items():
+        vec[zi * w + wj] = v
+    return tuple(solve(K, vec))
+
+
+def _ref_circ(h, z, F, p, G, q, i):
+    """F o_i G on the free level, for two single hom maps."""
+    f = h.field
+    du = h.U.space.dim
+    dz = z.Z.space.dim
+    nout = p + q - 1
+    a = p + q - i
+    tails = nout - a
+    c = p - i
+    pipe = Pipe([du] * nout, f)
+    for k in range(a):
+        pipe.block(2 * k, 1, h.delta_lift, [du, du])
+    pipe.permute([2 * (j - 1) for j in range(c + 1, a + 1)]
+                 + [2 * j - 1 for j in range(c + 1, a + 1)]
+                 + [2 * (j - 1) for j in range(1, c + 1)]
+                 + [2 * a + k for k in range(tails)]
+                 + [2 * j - 1 for j in range(1, c + 1)])
+    pipe.block(0, q, z.coact_lift @ G, [du, dz])
+    pipe.permute(list(range(2 + q, 2 + q + c)) + [0]
+                 + list(range(2, 2 + q))
+                 + list(range(2 + q + c, 2 + q + 2 * c + tails)) + [1])
+    pipe.block(c, q + 1, _ref_mul_n(h.U, q + 1), [du])
+    pipe.block(0, p, F, [dz])
+    if c:
+        pipe.block(1, c, _ref_mul_n(h.U, c)).block(1, 2, z.action)
+    return pipe.block(0, 2, z.Z.mul).map
+
+
+def _ref_mul_n(alg, k):
+    pipe = Pipe([alg.space.dim] * k, alg.field)
+    for _ in range(k - 1):
+        pipe.block(0, 2, alg.mul)
+    return pipe.map
+
+
+def _ref_m_lift(h, msayd, dl, k):
+    mpres = msayd.presentation
+    pipe = Pipe([mpres.quotient.dim] + [h.U.space.dim] * k, h.field)
+    return pipe.block(0, 1, mpres.section, [dl, mpres.ambient.dim // dl])
+
+
+def _ref_m_descend(h, pipe, msayd, k):
+    pipe.block(0, 2, msayd.presentation.projection)
+    return descend(pipe.map, chain_coeff_tower(h, msayd, k),
+                   chain_coeff_tower(h, msayd, len(pipe.dims) - 1))
+
+
+def _ref_bullet_pos(h, l, z, msayd, F, p, k, i):
+    du = h.U.space.dim
+    c = k - p - i + 1
+    tails = i - 1
+    pipe = _ref_m_lift(h, msayd, l.space.dim, k)
+    for j in range(c + p):
+        pipe.block(2 + 2 * j, 1, h.delta_lift, [du, du])
+    pipe.permute([2 + 2 * j for j in range(c, c + p)] + [0]
+                 + [3 + 2 * j for j in range(c)] + [1]
+                 + [2 + 2 * j for j in range(c)]
+                 + [3 + 2 * j for j in range(c, c + p)]
+                 + [2 + 2 * (c + p) + j for j in range(tails)])
+    pipe.block(0, p, z.coact_lift @ F, [du, z.Z.space.dim])
+    pipe.permute([2] + list(range(3, 3 + c)) + [1, 3 + c]
+                 + list(range(4 + c, 4 + 2 * c)) + [0]
+                 + list(range(4 + 2 * c, 4 + 2 * c + p + tails)))
+    if c:
+        pipe.block(1, c, _ref_mul_n(h.U, c)).block(1, 2, z.action)
+    pipe.block(1, 2, z.Z.mul)
+    pipe.block(2 + c, p + 1, _ref_mul_n(h.U, p + 1))
+    return _ref_m_descend(h, pipe, msayd, k)
+
+
+def _ref_bullet_zero(h, l, z, msayd, F, p, k):
+    du = h.U.space.dim
+    dl = l.space.dim
+    c = k - p + 1
+    trans = translation_lift(h)
+    pipe = _ref_m_lift(h, msayd, dl, k)
+    for j in range(k):
+        pipe.block(2 + 2 * j, 1, trans, [du, du])
+    for j in range(c):
+        pipe.block(2 + 3 * j, 1, h.delta_lift, [du, du])
+    pipe.block(0, 1, l.coact_lift, [du, dl])
+    pipe.block(2, 1, z.coact_lift, [du, z.Z.space.dim])
+    mn = [6 + 3 * j for j in range(c)]
+    rest_plus = [4 + 3 * c + 2 * j for j in range(k - c)]
+    rest_minus = [5 + 3 * c + 2 * j for j in range(k - c)]
+    down = list(reversed(rest_minus)) + list(reversed(mn)) + [2, 0]
+    pipe.permute(rest_plus + down + [1] + [5 + 3 * j for j in range(c)]
+                 + [3] + [4 + 3 * j for j in range(c)])
+    pipe.block(len(rest_plus), len(down), _ref_mul_n(h.U, len(down)))
+    pipe.block(0, p, F, [z.Z.space.dim])
+    pipe.permute([1] + list(range(2, 2 + c)) + [0, 2 + c]
+                 + list(range(3 + c, 3 + 2 * c)))
+    if c:
+        pipe.block(1, c, _ref_mul_n(h.U, c)).block(1, 2, z.action)
+    pipe.block(1, 2, z.Z.mul)
+    return _ref_m_descend(h, pipe, msayd, k)
+
+
+def _ref_t(h, l, z, msayd, k):
+    du = h.U.space.dim
+    dl = l.space.dim
+    trans = translation_lift(h)
+    pipe = _ref_m_lift(h, msayd, dl, k)
+    for j in range(k):
+        pipe.block(2 + 2 * j, 1, trans, [du, du])
+    pipe.block(2, 1, trans, [du, du])
+    pipe.block(0, 1, l.coact_lift, [du, dl])
+    pipe.block(2, 1, z.coact_lift, [du, z.Z.space.dim])
+    plus = [7 + 2 * j for j in range(k - 1)]
+    minus = [8 + 2 * j for j in range(k - 1)]
+    pipe.permute([1, 4, 5, 3] + plus + list(reversed(minus)) + [6, 2, 0])
+    pipe.block(0, 2, l.action)
+    pipe.block(1, 2, z.action)
+    pipe.block(2 + (k - 1), k + 2, _ref_mul_n(h.U, k + 2))
+    return _ref_m_descend(h, pipe, msayd, k)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+@pytest.mark.parametrize("order", [2, 3])
+def test_batched_operad_and_comp_module_match_the_per_pair_reference(
+        field, order):
+    N = 3
+    h = group_hopf_algebroid(order, field)
+    z = scalar_yd_algebra(h)
+    l = scalar_sayd(h)
+    od = build_yd_operad(h, z, N)
+    cm = build_yd_comp_module(h, l, z, od, N)
+    basis = {n: _ref_basis(od, n) for n in range(N + 1)}
+    for n in range(N + 1):
+        assert od.hom_data[n][2] == pack_slices(basis[n], field), n
+
+    def coords(n, amb):
+        return _ref_coords(od.hom_data[n][1], od.hom_data[n][3], amb)
+
+    for (p, q, i), comp in od.comp.items():
+        want = LinMap.from_columns(
+            comp.dom, comp.cod, field,
+            [coords(p + q - 1, _ref_circ(h, z, F, p, G, q, i))
+             for F in basis[p] for G in basis[q]])
+        assert comp == want, (p, q, i)
+    du = h.U.space.dim
+    one_amb = Pipe([du], field).block(0, 1, h.s_L @ h.eps_L) \
+        .block(1, 0, z.Z.unit_map()).block(0, 2, z.action).map
+    assert od.one == coords(1, one_amb)
+    m_amb = Pipe([du, du], field) \
+        .block(0, 2, h.s_L @ (h.eps_L @ _ref_mul_n(h.U, 2))) \
+        .block(1, 0, z.Z.unit_map()).block(0, 2, z.action).map
+    assert od.m == coords(2, m_amb)
+
+    msayd = cm.msayd
+    for k in range(1, N + 1):
+        assert cm.t[k] == _ref_t(h, l, z, msayd, k), k
+    for (p, k, i), b in cm.bullet.items():
+        cols = []
+        for F in basis[p]:
+            mm = _ref_bullet_zero(h, l, z, msayd, F, p, k) if i == 0 \
+                else _ref_bullet_pos(h, l, z, msayd, F, p, k, i)
+            cols += [mm.column(j) for j in range(mm.dom.dim)]
+        assert b == LinMap.from_columns(b.dom, b.cod, field, cols), (p, k, i)
+    assert check_operad(od).ok and check_comp_module(cm).ok
+
+
+def test_products_and_coproduct_lifts_are_cached():
+    for order in (2, 3):
+        h = group_hopf_algebroid(order, QQ)
+        for k in (1, 2, 3, 4):
+            m = h.U.mul_n(k)
+            assert h.U.mul_n(k) is m
+            assert m == _ref_mul_n(h.U, k)
+            d = h.iterated_delta_lift(k)
+            assert h.iterated_delta_lift(k) is d
+            pipe = Pipe([h.U.space.dim], QQ)
+            for j in range(1, k):
+                pipe.block(j - 1, 1, h.delta_lift, [h.U.space.dim] * 2)
+            assert d == pipe.map
+
+
+def _sparse_map(rng, f, dom, cod):
+    return LinMap(dom, cod, f, {
+        (rng.randrange(cod.dim), rng.randrange(dom.dim)):
+            f.of_int(rng.randint(-2, 2)) for _ in range(2 * dom.dim)})
+
+
+def _slice_family(rng, f, src, dst, count):
+    """count maps src.ambient -> dst.ambient, each random or built to
+    descend (a lift of a map of quotients plus a map into dst's
+    relations)."""
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            out.append(_sparse_map(rng, f, src.ambient, dst.ambient))
+            continue
+        g = _sparse_map(rng, f, src.quotient, dst.quotient)
+        m = dst.section @ (g @ src.projection)
+        if dst.relations.dom.dim:
+            m = m + dst.relations @ _sparse_map(rng, f, src.ambient,
+                                                dst.relations.dom)
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_descend_family_is_descend_slice_by_slice(field):
+    # the pair towers have balancing relations, so the relation check and
+    # the non-free lift both run
+    rng = random.Random(6)
+    h = gallery(field)["pair_dual"].hopf
+    press = [h.rtower(1), h.rtower(2), h.ltower(2)]
+    outcomes = set()
+    for src in press:
+        for dst in press:
+            for _ in range(6):
+                slices = _slice_family(rng, field, src, dst, 3)
+                packed = pack_slices(slices, field)
+                try:
+                    want = [descend(m, src, dst) for m in slices]
+                except DescentFailure as e:
+                    outcomes.add("fail")
+                    with pytest.raises(DescentFailure) as exc:
+                        _descend_family(packed, src, dst)
+                    assert exc.value.witness == e.witness
+                    assert str(exc.value) == str(e)
+                    continue
+                outcomes.add("ok")
+                assert _descend_family(packed, src, dst) == \
+                    pack_slices(want, field)
+    assert outcomes == {"ok", "fail"}
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_hom_coords_on_a_tower_with_relations(field):
+    # every YD operad so far lives on free towers; on the pair tower the
+    # batched coordinates still equal one solve per map, and a map that
+    # does not factor through the tower gives the per-map witness
+    rng = random.Random(11)
+    h = gallery(field)["pair_dual"].hopf
+    pres = h.rtower(2)
+    dz = 2
+    Z = Space(dz)
+    w = pres.quotient.dim
+    K = kernel(_sparse_map(rng, field, Space(dz * w), Space(3)))
+    space = Space(K.dom.dim)
+    K = LinMap(space, K.cod, field, K.entries)
+    hom_data = {2: (space, pres, None, K)}
+    outcomes = set()
+    for _ in range(8):
+        maps = []
+        for _ in range(4):
+            x = _sparse_map(rng, field, Space(1), space)
+            fq = LinMap(pres.quotient, Z, field, {
+                (r // w, r % w): v for (r, _), v in (K @ x).entries.items()})
+            amb = fq @ pres.projection
+            if rng.random() < 0.15:
+                amb = amb + _sparse_map(rng, field, pres.ambient, Z)
+            maps.append(amb)
+        try:
+            want = [_ref_coords(pres, K, m) for m in maps]
+        except DescentFailure as e:
+            outcomes.add("fail")
+            with pytest.raises(DescentFailure) as exc:
+                _hom_coords(hom_data, 2, pack_slices(maps, field))
+            assert exc.value.witness == e.witness
+            continue
+        outcomes.add("ok")
+        got = _hom_coords(hom_data, 2, pack_slices(maps, field))
+        assert got == LinMap.from_columns(got.dom, space, field, want)
+    assert outcomes == {"ok", "fail"}

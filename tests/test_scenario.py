@@ -282,6 +282,32 @@ def test_cli_rejects_normalized_cocyclic_homology_without_traceback(
     assert "normalized in task 0" in proc.stderr
 
 
+def _scalar_on_pair(category, name, tasks):
+    return {"algebras": {"A": {"preset": "dual_numbers"}},
+            "hopf_algebroids": {"H": {"pair_of": "A"}},
+            category: {name: {"preset": "scalar", "hopf": "H"}},
+            "tasks": tasks}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@pytest.mark.parametrize("doc, named", [
+    (_scalar_on_pair("sayd_modules", "L",
+                     [{"kind": "validate", "object": "L"}]),
+     "sayd 'L': the scalar SAYD module needs a one-dimensional base"),
+    (_scalar_on_pair("yd_algebras", "Z", []),
+     "yd_algebra 'Z': the scalar YD algebra needs a one-dimensional base"),
+], ids=["sayd", "yd_algebra"])
+def test_cli_rejects_scalar_presets_on_a_larger_base(tmp_path, doc, named,
+                                                     optimize):
+    # under -O the old assert vanished and a wrong module was built
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_cli("validate", str(path), optimize=optimize)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
+
+
 def test_valid_homology_options_are_accepted():
     for opts in ({"theory": "HH", "variant": "cyclic", "normalized": True},
                  {"theory": "HH", "normalized": False},
