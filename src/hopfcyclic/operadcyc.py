@@ -422,7 +422,7 @@ def induced_comp_map(ccm, yvec, N=None):
 # leading parameter factor K, packed as one map K (x) V -> W (pack_slices).
 
 def _slicewise(m, op):
-    """m @ (id_K (x) op): op applied to every slice of m : K (x) op.cod -> W."""
+    """m @ (id_K (x) op): op applied to each slice of m : K (x) op.cod -> W."""
     b = m.dom.dim // op.cod.dim
     return m @ Pipe([b, op.dom.dim], m.field).block(1, 1, op).map
 
