@@ -401,28 +401,46 @@ class Pipe:
         count = 0 inserts new factors, e.g. a unit.  Agrees with
         (id (x) op (x) id) @ self.map.
         """
+        return self._stage(start, count, op, out_dims, 1)
+
+    def family(self, start, count, op, size, out_dims=None):
+        """Apply the maps op(e_b (x) -), b < size, to the factors [start,
+        start + count): op is a family packed as K (x) those factors ->
+        out_dims (see pack_slices), dim K = size, and the source of the
+        pipe gains K as a new leading factor.
+
+        Agrees with a pipe that starts with K in front and applies op to K
+        and the run; entering late, the family meets only the entries
+        that reach it instead of `size` copies of every earlier stage.
+        """
+        return self._stage(start, count, op, out_dims, size)
+
+    def _stage(self, start, count, op, out_dims, size):
         out_dims = [op.cod.dim] if out_dims is None else list(out_dims)
         mid = _prod(self.dims[start:start + count])
         right = _prod(self.dims[start + count:])
         width = _prod(out_dims)
-        assert op.dom.dim == mid and op.cod.dim == width, \
-            (op.dom.dim, mid, op.cod.dim, width)
+        assert op.dom.dim == size * mid and op.cod.dim == width, \
+            (op.dom.dim, size, mid, op.cod.dim, width)
         f = self.field
+        src = self.dom_dim
         by_col = {}
-        for (i, k), w in op.entries.items():
-            by_col.setdefault(k, []).append((i, w))
+        for (i, c), w in op.entries.items():
+            b, k = divmod(c, mid)
+            by_col.setdefault(k, []).append((i, b * src, w))
         out = {}
         for (row, j), v in self.entries.items():
             lk, r = divmod(row, right)
             l, k = divmod(lk, mid)
             base = l * width
-            for i, w in by_col.get(k, ()):
-                key = ((base + i) * right + r, j)
+            for i, b, w in by_col.get(k, ()):
+                key = ((base + i) * right + r, b + j)
                 term = f.mul(w, v)
                 cur = out.get(key)
                 out[key] = term if cur is None else f.add(cur, term)
         self.entries = out
         self.dims[start:start + count] = out_dims
+        self.dom_dim = size * src
         return self
 
     @property

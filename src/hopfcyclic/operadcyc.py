@@ -6,6 +6,8 @@ Operad arities are truncated at a cutoff; identities that would need data
 above the cutoff are skipped and counted rather than silently assumed.
 """
 
+from collections import namedtuple
+
 from .exactlin import (
     DescentFailure, LinMap, Pipe, Space, QuotientPresentation, descend,
     fix_factor, kernel, solve_many,
@@ -172,8 +174,10 @@ def check_comp_module(cm):
                 dims = [od.spaces[p].dim, od.spaces[q].dim,
                         cm.spaces[n].dim]
                 # the stages shared by several (i, j), built on first use:
-                # O(q) (x) O(p) (x) L(n) where O(p) moves past O(q)
+                # O(q) (x) O(p) (x) L(n) where O(p) moves past O(q), and the
+                # right-hand stages by the key of their inner map
                 swapped = None
+                stages = {}
                 for j in range(0, n + 2 - q):
                     bj = cm.bullet.get((q, n, j))
                     n1 = n - q + 1
@@ -186,39 +190,44 @@ def check_comp_module(cm):
                             skipped += 1
                             continue
                         # operad-operad step, or O(p) moved past O(q)
-                        on_operads = False
                         if j < i:
-                            inner = cm.bullet.get((p, n, i + q - 1))
+                            ikey = (p, n, i + q - 1)
                             outer = cm.bullet.get((q, n - p + 1, j)) \
                                 if 0 <= n - p + 1 <= N else None
                         elif p > 0 and j - p < i <= j:
-                            inner = od.comp.get((p, q, j - i + 1))
+                            ikey = ("comp", p, q, j - i + 1)
                             outer = cm.bullet.get((p + q - 1, n, i))
-                            on_operads = True
                         elif p > 0 and i <= j - p:
-                            inner = cm.bullet.get((p, n, i))
+                            ikey = (p, n, i)
                             outer = cm.bullet.get((q, n - p + 1, j - p + 1)) \
                                 if 0 <= n - p + 1 <= N else None
                         elif p == 0 and i <= j:
-                            inner = cm.bullet.get((0, n, i))
+                            ikey = (0, n, i)
                             outer = cm.bullet.get((q, n + 1, j + 1)) \
                                 if n + 1 <= N else None
                         else:
-                            inner = outer = None
+                            ikey = outer = None
+                        on_operads = ikey is not None and ikey[0] == "comp"
+                        inner = od.comp.get(ikey[1:]) if on_operads \
+                            else cm.bullet.get(ikey)
                         if inner is None or outer is None:
                             skipped += 1
                             continue
-                        if on_operads:
-                            rhs = Pipe(dims, f).block(0, 2, inner)
-                        else:
-                            if swapped is None:
-                                swapped = Pipe(dims, f).permute([1, 0, 2]).map
-                            rhs = Pipe.after(swapped, [dims[1], dims[0],
-                                                       dims[2]])
-                            rhs.block(1, 2, inner)
+                        rhs = stages.get(ikey)
+                        if rhs is None:
+                            if on_operads:
+                                rhs = Pipe(dims, f).block(0, 2, inner).map
+                            else:
+                                if swapped is None:
+                                    swapped = Pipe(dims, f) \
+                                        .permute([1, 0, 2]).map
+                                rhs = Pipe.after(swapped, [
+                                    dims[1], dims[0], dims[2]]) \
+                                    .block(1, 2, inner).map
+                            stages[ikey] = rhs
                         if first is None:
                             first = Pipe(dims, f).block(1, 2, bj).map
-                        if bi @ first != outer @ rhs.map:
+                        if bi @ first != outer @ rhs:
                             ok = False
                             wit = ("bullet", p, q, n, i, j)
     rep.add("comp_compatibility", ok, witness=wit)
@@ -418,8 +427,18 @@ def induced_comp_map(ccm, yvec, N=None):
 # -- Yetter-Drinfeld operads ----------------------------------------------
 #
 # The operad and comp-module maps are built per index triple, not per pair of
-# basis maps: a family of maps f_b, b < dim K, travels through one Pipe as a
-# leading parameter factor K, packed as one map K (x) V -> W (pack_slices).
+# basis maps: the whole basis of an arity space, packed as one map (see
+# pack_slices), enters a Pipe as a family (Pipe.family) at the stage that
+# applies it, and the result carries the basis as a leading source factor.
+
+class HomBasis(namedtuple("HomBasis", "space pres pack coords")):
+    """The arity-n space O(n) of a Yetter-Drinfeld operad: the space, the
+    tower presentation W_n of U^{(x)n} (None for n = 0), the basis of
+    ambient-level hom maps U^{(x)n} -> Z packed as one map
+    O(n) (x) U^{(x)n} -> Z, and the coordinate inclusion O(n) -> Z (x) W_n.
+    """
+    __slots__ = ()
+
 
 def _slicewise(m, op):
     """m @ (id_K (x) op): op applied to each slice of m : K (x) op.cod -> W."""
@@ -443,17 +462,14 @@ def _descend_family(m, src, dst):
 
 
 def _hom_data(h, z, N):
-    """Per arity n: (the space O(n), the tower presentation or None, the
-    basis of ambient-level hom maps U^{(x)n} -> Z packed as one map
-    O(n) (x) U^{(x)n} -> Z, the coordinate inclusion K : O(n) -> Z (x) W_n
-    of the tower quotient W_n)."""
+    """The HomBasis of every arity 0..N."""
     f = h.field
     dz = z.Z.space.dim
     da = h.A.space.dim
     du = h.U.space.dim
     space = Space(dz, "O0")
     ident = LinMap(space, z.Z.space, f, {(i, i): f.one for i in range(dz)})
-    out = {0: (space, None, ident, ident)}
+    out = {0: HomBasis(space, None, ident, ident)}
     for n in range(1, N + 1):
         pres = h.rtower(n)
         w = pres.quotient.dim
@@ -476,7 +492,6 @@ def _hom_data(h, z, N):
                    {k: v for k, v in entries.items() if v})
         K = kernel(B)
         space = Space(K.dom.dim, "O%d" % n)
-        K = LinMap(space, K.cod, f, K.entries)
         # basis map j is column j of K read as a map W_n -> Z, pulled back
         # to the ambient
         pack = LinMap(Space(space.dim * w), z.Z.space, f,
@@ -484,7 +499,8 @@ def _hom_data(h, z, N):
                        for zi, wj in [divmod(r, w)]})
         if not pres.free:
             pack = _slicewise(pack, pres.projection)
-        out[n] = (space, pres, pack, K)
+        out[n] = HomBasis(space, pres, pack,
+                          LinMap(space, K.cod, f, K.entries))
     return out
 
 
@@ -519,30 +535,31 @@ def _yd_circ(h, z, hom_data, p, q, i):
     f = h.field
     du = h.U.space.dim
     dz = z.Z.space.dim
-    fpack, gpack = hom_data[p][2], hom_data[q][2]
+    fs, gs = hom_data[p], hom_data[q]
     nout = p + q - 1
     a = p + q - i       # slots expanded by the coproduct
     tails = nout - a    # = i - 1 untouched slots
     c = p - i
-    pipe = Pipe([hom_data[p][0].dim, hom_data[q][0].dim] + [du] * nout, f)
+    pipe = Pipe([du] * nout, f)
     for k in range(a):
-        pipe.block(2 + 2 * k, 1, h.delta_lift, [du, du])
-    # layout: F, G, (u^j_1, u^j_2) for j in 1..a, then tails
-    gargs = [2 * j for j in range(c + 1, a + 1)]
-    gsecs = [2 * j + 1 for j in range(c + 1, a + 1)]
-    fargs = [2 * j for j in range(1, c + 1)]
-    fsecs = [2 * j + 1 for j in range(1, c + 1)]
-    tidx = [2 + 2 * a + k for k in range(tails)]
-    pipe.permute([1] + gargs + gsecs + [0] + fargs + tidx + fsecs)
-    pipe.block(0, q + 1, z.coact_lift @ gpack, [du, dz])
-    # layout: g_-1, g_0, gsecs(q), F, fargs(c), tails, fsecs(c)
-    pipe.permute([2 + q] + list(range(3 + q, 3 + q + c))
+        pipe.block(2 * k, 1, h.delta_lift, [du, du])
+    # layout: (u^j_1, u^j_2) for j in 1..a, then tails
+    gargs = [2 * (j - 1) for j in range(c + 1, a + 1)]
+    gsecs = [2 * j - 1 for j in range(c + 1, a + 1)]
+    fargs = [2 * (j - 1) for j in range(1, c + 1)]
+    fsecs = [2 * j - 1 for j in range(1, c + 1)]
+    tidx = [2 * a + k for k in range(tails)]
+    pipe.permute(gargs + gsecs + fargs + tidx + fsecs)
+    pipe.family(0, q, z.coact_lift @ gs.pack, gs.space.dim, [du, dz])
+    # layout: g_-1, g_0, gsecs(q), fargs(c), tails, fsecs(c)
+    pipe.permute(list(range(2 + q, 2 + q + c))
                  + [0] + list(range(2, 2 + q))
-                 + list(range(3 + q + c, 3 + q + 2 * c + tails))
+                 + list(range(2 + q + c, 2 + q + c + tails))
+                 + list(range(2 + q + c + tails, 2 + q + 2 * c + tails))
                  + [1])
-    pipe.block(1 + c, q + 1, h.U.mul_n(q + 1), [du])
-    # layout: F, fargs(c), merged, tails, fsecs(c), g_0
-    pipe.block(0, p + 1, fpack, [dz])
+    pipe.block(c, q + 1, h.U.mul_n(q + 1), [du])
+    # layout: fargs(c), merged, tails, fsecs(c), g_0
+    pipe.family(0, p, fs.pack, fs.space.dim, [dz])
     # layout: f_val, fsecs(c), g_0
     if c:
         pipe.block(1, c, h.U.mul_n(c)).block(1, 2, z.action)
@@ -554,7 +571,7 @@ def build_yd_operad(h, z, N):
     Yetter-Drinfeld algebra, truncated at arity N."""
     f = h.field
     hom_data = _hom_data(h, z, N)
-    spaces = [hom_data[n][0] for n in range(N + 1)]
+    spaces = [hom_data[n].space for n in range(N + 1)]
     comp = {}
     for p in range(1, N + 1):
         for q in range(0, N + 1):
@@ -619,22 +636,22 @@ def build_ayd_coefficient(h, l, z):
     return msayd
 
 
-def _m_lift(h, msayd, dl, k, lead=()):
-    """Pipe on lead (x) M (x) U^k, M = L (x)_A Z with dim L = dl and `lead`
-    the dims of leading parameter factors, that first lifts M to L (x) Z."""
+def _m_lift(h, msayd, dl, k):
+    """Pipe on M (x) U^k, M = L (x)_A Z with dim L = dl, that first lifts M
+    to L (x) Z."""
     mpres = msayd.presentation
     lz = [dl, mpres.ambient.dim // dl]
     us = [h.U.space.dim] * k
     if mpres.free:
-        return Pipe(list(lead) + lz + us, h.field)
-    pipe = Pipe(list(lead) + [mpres.quotient.dim] + us, h.field)
-    return pipe.block(len(lead), 1, mpres.section, lz)
+        return Pipe(lz + us, h.field)
+    pipe = Pipe([mpres.quotient.dim] + us, h.field)
+    return pipe.block(0, 1, mpres.section, lz)
 
 
 def _m_descend(h, pipe, src, dst, k):
     """Project the leading L (x) Z factors of a pipe started by _m_lift
-    (for src, on U^k, its parameter factors used up) to dst's M and descend
-    every parameter slice to the coefficient towers."""
+    (for src, on U^k) to dst's M and descend to the coefficient towers,
+    slice by slice of any family the pipe took in."""
     kout = len(pipe.dims) - 2
     if not dst.presentation.free:
         pipe.block(0, 2, dst.presentation.projection)
@@ -642,24 +659,25 @@ def _m_descend(h, pipe, src, dst, k):
                            chain_coeff_tower(h, dst, kout))
 
 
-def _yd_bullet_pos(h, l, z, msayd, p, k, i, fpack):
-    """f bullet_i for i > 0 and every basis map f of O(p), packed in fpack,
-    on the free level, then descended: one map O(p) (x) L(k) -> L(k-p+1)."""
+def _yd_bullet_pos(h, l, z, msayd, fs, p, k, i):
+    """f bullet_i for i > 0 and every basis map f of O(p) (the HomBasis
+    fs), on the free level, then descended: one map O(p) (x) L(k) ->
+    L(k-p+1)."""
     du = h.U.space.dim
     dz = z.Z.space.dim
     c = k - p - i + 1
     tails = i - 1
-    pipe = _m_lift(h, msayd, l.space.dim, k, [fpack.dom.dim // du ** p])
+    pipe = _m_lift(h, msayd, l.space.dim, k)
     for j in range(c + p):
-        pipe.block(3 + 2 * j, 1, h.delta_lift, [du, du])
-    # layout: F, l, z, (u^j_1, u^j_2) j = 1..c+p, tails
-    fb1 = [3 + 2 * j for j in range(c, c + p)]
-    fb2 = [4 + 2 * j for j in range(c, c + p)]
-    c1 = [3 + 2 * j for j in range(c)]
-    c2 = [4 + 2 * j for j in range(c)]
-    tidx = [3 + 2 * (c + p) + j for j in range(tails)]
-    pipe.permute([0] + fb1 + [1] + c2 + [2] + c1 + fb2 + tidx)
-    pipe.block(0, p + 1, z.coact_lift @ fpack, [du, dz])
+        pipe.block(2 + 2 * j, 1, h.delta_lift, [du, du])
+    # layout: l, z, (u^j_1, u^j_2) j = 1..c+p, tails
+    fb1 = [2 + 2 * j for j in range(c, c + p)]
+    fb2 = [3 + 2 * j for j in range(c, c + p)]
+    c1 = [2 + 2 * j for j in range(c)]
+    c2 = [3 + 2 * j for j in range(c)]
+    tidx = [2 + 2 * (c + p) + j for j in range(tails)]
+    pipe.permute(fb1 + [0] + c2 + [1] + c1 + fb2 + tidx)
+    pipe.family(0, p, z.coact_lift @ fs.pack, fs.space.dim, [du, dz])
     # layout: fv_-1, fv_0, l, c2(c), z, c1(c), fb2(p), tails
     pipe.permute([2] + list(range(3, 3 + c)) + [1, 3 + c]
                  + list(range(4 + c, 4 + 2 * c))
@@ -674,34 +692,34 @@ def _yd_bullet_pos(h, l, z, msayd, p, k, i, fpack):
     return _m_descend(h, pipe, msayd, msayd, k)
 
 
-def _yd_bullet_zero(h, l, z, msayd, p, k, fpack):
-    """f bullet_0 for every basis map f of O(p), packed in fpack, on the
+def _yd_bullet_zero(h, l, z, msayd, fs, p, k):
+    """f bullet_0 for every basis map f of O(p) (the HomBasis fs), on the
     free level, then descended: one map O(p) (x) L(k) -> L(k-p+1)."""
     du = h.U.space.dim
     dl = l.space.dim
     dz = z.Z.space.dim
     c = k - p + 1
     trans = translation_lift(h)
-    pipe = _m_lift(h, msayd, dl, k, [fpack.dom.dim // du ** p])
+    pipe = _m_lift(h, msayd, dl, k)
     for j in range(k):
-        pipe.block(3 + 2 * j, 1, trans, [du, du])
+        pipe.block(2 + 2 * j, 1, trans, [du, du])
     for j in range(c):
-        pipe.block(3 + 3 * j, 1, h.delta_lift, [du, du])
-    # layout: F, l, z, (u^j_+1, u^j_+2, u^j_-) j <= c, (u^j_+, u^j_-) j > c
-    pipe.block(1, 1, l.coact_lift, [du, dl])
-    pipe.block(3, 1, z.coact_lift, [du, dz])
-    # layout: F, l_-1, l_0, z_-1, z_0, blocks shifted by 5
-    p1 = [5 + 3 * j for j in range(c)]
-    p2 = [6 + 3 * j for j in range(c)]
-    mn = [7 + 3 * j for j in range(c)]
-    rest_plus = [5 + 3 * c + 2 * j for j in range(k - c)]
-    rest_minus = [6 + 3 * c + 2 * j for j in range(k - c)]
-    down = list(reversed(rest_minus)) + list(reversed(mn)) + [3, 1]
-    pipe.permute([0] + rest_plus + down + [2] + p2 + [4] + p1)
-    # layout: F, u^j_+ (j > c), u^k_- .. u^1_-, z_-1, l_-1, l_0, p2(c), z_0,
+        pipe.block(2 + 3 * j, 1, h.delta_lift, [du, du])
+    # layout: l, z, (u^j_+1, u^j_+2, u^j_-) j <= c, (u^j_+, u^j_-) j > c
+    pipe.block(0, 1, l.coact_lift, [du, dl])
+    pipe.block(2, 1, z.coact_lift, [du, dz])
+    # layout: l_-1, l_0, z_-1, z_0, blocks shifted by 4
+    p1 = [4 + 3 * j for j in range(c)]
+    p2 = [5 + 3 * j for j in range(c)]
+    mn = [6 + 3 * j for j in range(c)]
+    rest_plus = [4 + 3 * c + 2 * j for j in range(k - c)]
+    rest_minus = [5 + 3 * c + 2 * j for j in range(k - c)]
+    down = list(reversed(rest_minus)) + list(reversed(mn)) + [2, 0]
+    pipe.permute(rest_plus + down + [1] + p2 + [3] + p1)
+    # layout: u^j_+ (j > c), u^k_- .. u^1_-, z_-1, l_-1, l_0, p2(c), z_0,
     # p1(c)
-    pipe.block(1 + len(rest_plus), len(down), h.U.mul_n(len(down)))
-    pipe.block(0, p + 1, fpack, [dz])
+    pipe.block(len(rest_plus), len(down), h.U.mul_n(len(down)))
+    pipe.family(0, p, fs.pack, fs.space.dim, [dz])
     # layout: f_val, l_0, p2(c), z_0, p1(c)
     pipe.permute([1] + list(range(2, 2 + c)) + [0, 2 + c]
                  + list(range(3 + c, 3 + 2 * c)))
@@ -748,16 +766,18 @@ def build_yd_comp_module(h, l, z, od, N):
         t[k] = _yd_t(h, l, z, msayd, k) if k >= 1 \
             else LinMap.identity(spaces[0], f)
     for p in range(0, od.N + 1):
-        fpack = od.hom_data[p][2]
+        fs = od.hom_data[p]
         for k in range(N + 1):
             if k - p + 1 < 0 or k - p + 1 > N:
                 continue
             for i in range(0, k + 2 - p):
                 if i == 0 and p == 0:
                     continue  # outside the stated index ranges
-                bullet[(p, k, i)] = \
-                    _yd_bullet_zero(h, l, z, msayd, p, k, fpack) if i == 0 \
-                    else _yd_bullet_pos(h, l, z, msayd, p, k, i, fpack)
+                if i == 0:
+                    mm = _yd_bullet_zero(h, l, z, msayd, fs, p, k)
+                else:
+                    mm = _yd_bullet_pos(h, l, z, msayd, fs, p, k, i)
+                bullet[(p, k, i)] = mm
     return CompModuleData(od, spaces, bullet, t, f, "%s,LZ" % h.label,
                           msayd=msayd)
 
@@ -793,10 +813,10 @@ def induce_from_yd(ym, l_src, l_dst, hmat, od_src, od_dst, cm_src, cm_dst,
     dc = ym.C.space.dim
     Psi = {}
     for n in range(N + 1):
-        # psi(x) . f for every basis map f of O_src(n) and x of C, packed
-        fpack = od_src.hom_data[n][2]
-        amb = Pipe([dc, fpack.dom.dim], f).block(1, 1, fpack) \
-            .block(0, 2, ym.psi).map
+        # psi(x) . f for every x of C and every basis map f of O_src(n)
+        fs = od_src.hom_data[n]
+        amb = Pipe.after(fs.pack, [fs.pack.cod.dim]) \
+            .family(0, 1, ym.psi, dc).map
         Psi[n] = _hom_coords(od_dst.hom_data, n, amb)
     om = OperadMeasuringData(ym.C, od_src, od_dst, Psi, "yd")
     D = ComoduleData(ym.C, ym.C.space, ym.C.comul, "left", "D=C")
@@ -804,9 +824,8 @@ def induce_from_yd(ym, l_src, l_dst, hmat, od_src, od_dst, cm_src, cm_dst,
     msrc = cm_src.msayd
     mdst = cm_dst.msayd
     for k in range(N + 1):
-        pipe = _m_lift(h, msrc, l_src.space.dim, k, [dc])
-        pipe.block(1, 1, hmat).permute([1, 0] + list(range(2, 3 + k)))
-        pipe.block(1, 2, ym.psi)
+        pipe = _m_lift(h, msrc, l_src.space.dim, k)
+        pipe.block(0, 1, hmat).family(1, 1, ym.psi, dc)
         Omega[k] = _m_descend(h, pipe, msrc, mdst, k)
     ccm = CompComoduleMeasuringData(om, D, cm_src, cm_dst, Omega, "yd")
     return om, ccm

@@ -219,6 +219,30 @@ def test_pipe_block_with_no_factors_inserts_one(case, data):
     assert got.dims == dims[:pos] + [d] + dims[pos:]
 
 
+@settings(max_examples=80, deadline=None)
+@given(pipes(), st.data())
+def test_pipe_family_matches_a_leading_parameter_factor(case, data):
+    # oracle: K in front from the start, moved next to the run and
+    # consumed with it by one block
+    f, dims, m = case
+    start = data.draw(st.integers(min_value=0, max_value=len(dims)))
+    count = data.draw(st.integers(min_value=0, max_value=len(dims) - start))
+    size = data.draw(st.integers(min_value=1, max_value=3))
+    out_dims = data.draw(st.lists(st.integers(min_value=1, max_value=3),
+                                  min_size=1, max_size=2))
+    op = _random_map(data.draw, f, size * _prod(dims[start:start + count]),
+                     _prod(out_dims))
+    got = Pipe.after(m, dims).family(start, count, op, size, out_dims)
+    want = Pipe.after(LinMap.identity(Space(size), f).tensor(m),
+                      [size] + dims)
+    want.permute(list(range(1, start + 1)) + [0]
+                 + list(range(start + 1, len(dims) + 1)))
+    want.block(start, count + 1, op, out_dims)
+    assert got.map == want.map
+    assert got.dims == want.dims == \
+        dims[:start] + out_dims + dims[start + count:]
+
+
 @settings(max_examples=30, deadline=None)
 @given(fields, factor_dims)
 def test_pipe_starts_as_identity(f, dims):

@@ -20,8 +20,8 @@ from hopfcyclic.cyclichom import (
     hochschild_homology,
 )
 from hopfcyclic.operadcyc import (
-    CertificateFailure, StabilityFailure, _descend_family, _hom_coords,
-    build_ayd_coefficient,
+    CertificateFailure, HomBasis, StabilityFailure, _descend_family,
+    _hom_coords, build_ayd_coefficient,
     build_yd_comp_module, build_yd_operad, check_comp_comodule_measuring,
     check_comp_module, check_operad, check_operad_measuring,
     comp_cyclic_module, induce_from_yd, induced_comp_map,
@@ -196,7 +196,7 @@ def test_bad_module_morphism_rejected(c2, c2_module):
 def _ref_basis(od, n):
     """The ambient-level basis maps of O(n), one LinMap each."""
     f = od.field
-    _space, pres, _pack, K = od.hom_data[n]
+    pres, K = od.hom_data[n].pres, od.hom_data[n].coords
     Z = od.z.Z.space
     if n == 0:
         return [LinMap(Space(1), Z, f, {(i, 0): f.one}) for i in range(Z.dim)]
@@ -359,10 +359,10 @@ def test_batched_operad_and_comp_module_match_the_per_pair_reference(
     cm = build_yd_comp_module(h, l, z, od, N)
     basis = {n: _ref_basis(od, n) for n in range(N + 1)}
     for n in range(N + 1):
-        assert od.hom_data[n][2] == pack_slices(basis[n], field), n
+        assert od.hom_data[n].pack == pack_slices(basis[n], field), n
 
     def coords(n, amb):
-        return _ref_coords(od.hom_data[n][1], od.hom_data[n][3], amb)
+        return _ref_coords(od.hom_data[n].pres, od.hom_data[n].coords, amb)
 
     for (p, q, i), comp in od.comp.items():
         want = LinMap.from_columns(
@@ -473,7 +473,7 @@ def test_hom_coords_on_a_tower_with_relations(field):
     K = kernel(_sparse_map(rng, field, Space(dz * w), Space(3)))
     space = Space(K.dom.dim)
     K = LinMap(space, K.cod, field, K.entries)
-    hom_data = {2: (space, pres, None, K)}
+    hom_data = {2: HomBasis(space, pres, None, K)}
     outcomes = set()
     for _ in range(8):
         maps = []
