@@ -189,14 +189,17 @@ def check_comp_module(cm):
                         if bi is None:
                             skipped += 1
                             continue
-                        # operad-operad step, or O(p) moved past O(q)
+                        # operad-operad step, or O(p) moved past O(q); ikey
+                        # names the inner map
+                        on_operads = False
                         if j < i:
                             ikey = (p, n, i + q - 1)
                             outer = cm.bullet.get((q, n - p + 1, j)) \
                                 if 0 <= n - p + 1 <= N else None
                         elif p > 0 and j - p < i <= j:
-                            ikey = ("comp", p, q, j - i + 1)
+                            ikey = (p, q, j - i + 1)
                             outer = cm.bullet.get((p + q - 1, n, i))
+                            on_operads = True
                         elif p > 0 and i <= j - p:
                             ikey = (p, n, i)
                             outer = cm.bullet.get((q, n - p + 1, j - p + 1)) \
@@ -207,13 +210,12 @@ def check_comp_module(cm):
                                 if n + 1 <= N else None
                         else:
                             ikey = outer = None
-                        on_operads = ikey is not None and ikey[0] == "comp"
-                        inner = od.comp.get(ikey[1:]) if on_operads \
-                            else cm.bullet.get(ikey)
+                        maps = od.comp if on_operads else cm.bullet
+                        inner = maps.get(ikey)
                         if inner is None or outer is None:
                             skipped += 1
                             continue
-                        rhs = stages.get(ikey)
+                        rhs = stages.get((on_operads, ikey))
                         if rhs is None:
                             if on_operads:
                                 rhs = Pipe(dims, f).block(0, 2, inner).map
@@ -224,7 +226,7 @@ def check_comp_module(cm):
                                 rhs = Pipe.after(swapped, [
                                     dims[1], dims[0], dims[2]]) \
                                     .block(1, 2, inner).map
-                            stages[ikey] = rhs
+                            stages[(on_operads, ikey)] = rhs
                         if first is None:
                             first = Pipe(dims, f).block(1, 2, bj).map
                         if bi @ first != outer @ rhs:
