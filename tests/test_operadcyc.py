@@ -461,9 +461,9 @@ def test_descend_family_is_descend_slice_by_slice(field):
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
 def test_hom_coords_on_a_tower_with_relations(field):
-    # every YD operad so far lives on free towers; on the pair tower the
-    # batched coordinates still equal one solve per map, and a map that
-    # does not factor through the tower gives the per-map witness
+    # the operads of scalar YD algebras live on free towers; on the pair
+    # tower the batched coordinates still equal one solve per map, and a
+    # map that does not factor through the tower gives the per-map witness
     rng = random.Random(11)
     h = gallery(field)["pair_dual"].hopf
     pres = h.rtower(2)

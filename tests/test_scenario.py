@@ -299,7 +299,7 @@ def _scalar_on_pair(category, name, tasks):
 ], ids=["sayd", "yd_algebra"])
 def test_cli_rejects_scalar_presets_on_a_larger_base(tmp_path, doc, named,
                                                      optimize):
-    # under -O the old assert vanished and a wrong module was built
+    # the base check must not be an assert, which python -O strips
     path = tmp_path / "scalar.json"
     path.write_text(json.dumps(doc))
     proc = _run_cli("validate", str(path), optimize=optimize)
