@@ -168,7 +168,7 @@ class CoalgebraData:
     def is_cocommutative(self):
         d = self.space.dim
         flipped = Pipe.after(self.comul, [d, d]).permute([1, 0]).map
-        return (flipped - self.comul).is_zero()
+        return flipped == self.comul
 
     def iterated_comul_vector(self, xvec, n):
         """Expand an element into C^{(x)n}; dict {basis tuple: coefficient}.
@@ -325,14 +325,6 @@ def check_comodule(cm):
     rep.check_map_equal("counit", after_coaction(cs, c.counit),
                         LinMap.identity(cm.space, f))
     return rep
-
-
-class BalancedTensor:
-    """A balanced tensor product, packaged as its quotient presentation."""
-
-    def __init__(self, presentation, factors):
-        self.presentation = presentation
-        self.factors = factors
 
 
 def _columns(m):

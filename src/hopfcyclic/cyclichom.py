@@ -2,8 +2,11 @@
 coefficients, their homologies, and the chain maps induced by measurings.
 
 Operators are defined by explicit formulas on section lifts into free tensor
-powers and pushed to the quotients with `descend`, so every construction
-doubles as a proof that the formula respects the balancing relations.
+powers and pushed to the quotients, so every construction doubles as a
+proof that the formula respects the balancing relations.  Faces and
+degeneracies act on a window of adjacent slots and carry a local
+certificate (see `_window_ops`); cyclic operators permute every slot and
+go through the global `descend`.
 """
 
 from .exactlin import (
@@ -60,6 +63,121 @@ class CyclicModuleData:
         return self._boundaries
 
 
+# -- faces and degeneracies as certified window ops -----------------------
+
+def _window_ops(h, p=None):
+    """The evaluator of the faces and degeneracies of one builder call.
+
+    A face or degeneracy is a window op `st(pipe, s)`: Pipe stages that
+    act on the slots [s, s + k_in) of a pipe and leave some k_out slots
+    there.  (x)_A is a functor on A-bimodule maps (Boehm, "Hopf
+    algebroids", Handbook of Algebra 6, 2009, sec. 2), and the relations
+    of a tower are spanned by the balancing relations of adjacent slots
+    with the other slots free.  So id (x) phi (x) id descends on every
+    tower that contains the window once phi
+      - descends from the local tower on its k_in slots to the one on
+        its k_out slots, and
+      - is A-linear, into the local target quotient, at each boundary of
+        the window that is not a tower edge: phi(a.w) = a.phi(w) on the
+        left, phi(w.a) = phi(w).a on the right, with the actions of the
+        end slots; an empty window between two slots (a unit insertion)
+        needs a.phi(1) = phi(1).a instead.
+    Each part of this certificate is checked once per window op; the
+    operator itself is then evaluated on the section columns of the
+    source only.  `side` names the towers: "R" (rtower) and "L" (ltower)
+    for windows of U slots, "chain" and "cochain" for windows at the
+    coefficient slot of chain_coeff_tower (P first) and
+    cochain_coeff_tower (P last).  A failed part raises DescentFailure.
+    """
+    f = h.field
+    da = h.A.space.dim
+    done = set()
+    memo = {}   # towers by (side, k), actions by (slot kind, end)
+
+    def tower(side, k):
+        """The local tower on k window slots; looked up once."""
+        if (side, k) not in memo:
+            if side == "R":
+                memo[side, k] = h.rtower(k)
+            elif side == "L":
+                memo[side, k] = h.ltower(k)
+            elif side == "chain":
+                memo[side, k] = chain_coeff_tower(h, p, k - 1)
+            else:
+                memo[side, k] = cochain_coeff_tower(h, p, k - 1)
+        return memo[side, k]
+
+    def action(side, k, end):
+        """The A-action on the first ("left", A (x) X -> X) or last
+        ("right", X (x) A -> X) slot of a window of k slots; built once."""
+        if k == 1 and side in ("chain", "cochain"):    # p t(a)
+            key = ("P", end)
+            make = p.left_a_action if end == "left" else p.right_arrow_action
+        elif side in ("R", "chain"):        # t(a) u and u t(a)
+            key = ("R", end)
+            make = (lambda: h._lact(h.t_of)) if end == "left" else h._ract_r
+        else:                               # s(a) u and t(a) u
+            key = ("L", end)
+            make = (lambda: h._lact(h.s_of)) if end == "left" else h._ract_l
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
+    def certify(side, st, wd, part):
+        k_in = len(wd)
+        phi = st(Pipe(wd, f), 0)
+        k_out = len(phi.dims)
+        dst = tower(side, k_out)
+        if part == "descent":
+            try:
+                descend(phi.map, tower(side, k_in), dst)
+            except DescentFailure as exc:
+                raise DescentFailure(
+                    "window op %s does not descend on its local towers "
+                    "(relation column %d)" % (st.__name__, exc.witness[0]),
+                    witness=exc.witness)
+            return
+        if part == "left":      # phi(a.w) against a.phi(w)
+            lhs = st(Pipe([da] + wd, f)
+                     .block(0, 2, action(side, k_in, "left")), 0)
+            rhs = st(Pipe([da] + wd, f), 1) \
+                .block(0, 2, action(side, k_out, "left"))
+        elif part == "right":   # phi(w.a) against phi(w).a
+            lhs = st(Pipe(wd + [da], f)
+                     .block(k_in - 1, 2, action(side, k_in, "right")), 0)
+            rhs = st(Pipe(wd + [da], f), 0) \
+                .block(k_out - 1, 2, action(side, k_out, "right"))
+        else:                   # empty window: a.phi(1) against phi(1).a
+            lhs = st(Pipe([da], f), 1) \
+                .block(0, 2, action(side, k_out, "left"))
+            rhs = st(Pipe([da], f), 0) \
+                .block(k_out - 1, 2, action(side, k_out, "right"))
+        lhs, rhs = dst.project(lhs.map), dst.project(rhs.map)
+        if lhs != rhs:
+            bad = lhs - rhs
+            j = bad.nonzero_column_index()
+            raise DescentFailure(
+                "window op %s is not A-linear at its %s boundary (column %d)"
+                % (st.__name__, part, j), witness=(j, bad.column(j)))
+
+    def window(side, st, k_in, s, src, dst, dims):
+        """dst.project of id (x) st (x) id on the section columns of src,
+        whose ambient splits into `dims`."""
+        if src.relations.entries:
+            left, right = s > 0, s + k_in < len(dims)
+            if k_in:
+                parts = ["descent"] + ["left"] * left + ["right"] * right
+            else:
+                parts = ["empty"] * (left and right)
+            for part in parts:
+                if (side, st, part) not in done:
+                    certify(side, st, dims[s:s + k_in], part)
+                    done.add((side, st, part))
+        return dst.project(st(Pipe.after(src.section, dims), s).map)
+
+    return window
+
+
 # -- the coproduct-side cocyclic module ----------------------------------
 
 def build_cocyclic_CU(h, N):
@@ -71,40 +189,43 @@ def build_cocyclic_CU(h, N):
     unit = h.U.unit_map()
     sc_eps = h.s_L @ h.eps_L
     tc_eps = h.t_L @ h.eps_L
+    # u (x) v -> vu
+    mul_op = Pipe([du, du], f).permute([1, 0]).block(0, 2, h.U.mul).map
+    window = _window_ops(h)
+
+    def unit_in(pipe, s):
+        return pipe.block(s, 0, unit)
+
+    def coproduct(pipe, s):
+        return pipe.block(s, 1, h.delta_lift, [du, du])
+
+    def counit_left(pipe, s):
+        # u (x) v -> s(eps(u)) v
+        return pipe.block(s, 1, sc_eps).block(s, 2, h.U.mul)
+
+    def counit_right(pipe, s):
+        # u (x) v -> t(eps(v)) u
+        return pipe.block(s + 1, 1, tc_eps).block(s, 2, mul_op)
+
     faces = {}
     degen = {}
     cyc = {}
     for n in range(0, N):
         if n == 0:
             faces[0] = [h.t_L, h.s_L]
-        else:
-            ops = []
-            for i in range(0, n + 2):
-                pipe = Pipe([du] * n, f)
-                if i == 0:
-                    pipe.block(0, 0, unit)
-                elif i <= n:
-                    pipe.block(i - 1, 1, h.delta_lift, [du, du])
-                else:
-                    pipe.block(n, 0, unit)
-                ops.append(descend(pipe.map, pres[n], pres[n + 1]))
-            faces[n] = ops
+            continue
+        up = (pres[n], pres[n + 1], [du] * n)
+        faces[n] = [window("L", unit_in, 0, 0, *up)] \
+            + [window("L", coproduct, 1, i, *up) for i in range(n)] \
+            + [window("L", unit_in, 0, n, *up)]
     for n in range(1, N + 1):
         if n == 1:
             degen[1] = [h.eps_L]
-        else:
-            ops = []
-            for i in range(0, n):
-                pipe = Pipe([du] * n, f)
-                if i <= n - 2:
-                    # u (x) v -> s(eps(u)) v
-                    pipe.block(i, 1, sc_eps).block(i, 2, h.U.mul)
-                else:
-                    # u (x) v -> t(eps(v)) u
-                    pipe.permute(list(range(n - 2)) + [n - 1, n - 2])
-                    pipe.block(n - 2, 1, tc_eps).block(n - 2, 2, h.U.mul)
-                ops.append(descend(pipe.map, pres[n], pres[n - 1]))
-            degen[n] = ops
+            continue
+        down = (pres[n], pres[n - 1], [du] * n)
+        degen[n] = [window("L", counit_left, 2, i, *down)
+                    for i in range(n - 1)] \
+            + [window("L", counit_right, 2, n - 2, *down)]
     cyc[0] = LinMap.identity(h.A.space, f)
     for n in range(1, N + 1):
         if n == 1:
@@ -132,7 +253,25 @@ def build_cyclic_CU(h, N):
     pres = [QuotientPresentation.trivial(h.A.space, f)] \
         + [h.rtower(n) for n in range(1, N + 1)]
     eps_R = h.eps_R
+    t_eps = h.t_L @ eps_R
+    t_eps_S = h.t_L @ (eps_R @ h.S)
     unit = h.U.unit_map()
+    window = _window_ops(h)
+
+    def counit_first(pipe, s):
+        # u (x) v -> t(eps_R(u)) v
+        return pipe.block(s, 1, t_eps).block(s, 2, h.U.mul)
+
+    def product(pipe, s):
+        return pipe.block(s, 2, h.U.mul)
+
+    def counit_last(pipe, s):
+        # u (x) v -> u t(eps_R(S(v)))
+        return pipe.block(s + 1, 1, t_eps_S).block(s, 2, h.U.mul)
+
+    def unit_in(pipe, s):
+        return pipe.block(s, 0, unit)
+
     faces = {}
     degen = {}
     cyc = {}
@@ -140,27 +279,14 @@ def build_cyclic_CU(h, N):
         if n == 1:
             faces[1] = [eps_R, h.eps_L]
             continue
-        ops = []
-        for i in range(0, n + 1):
-            pipe = Pipe([du] * n, f)
-            if i == 0:
-                # u (x) v -> t(eps_R(u)) v
-                pipe.block(0, 1, h.t_L @ eps_R).block(0, 2, h.U.mul)
-            elif i <= n - 1:
-                pipe.block(i - 1, 2, h.U.mul)
-            else:
-                # u (x) v -> u t(eps_R(S(v)))
-                pipe.block(n - 1, 1, h.t_L @ (eps_R @ h.S))
-                pipe.block(n - 2, 2, h.U.mul)
-            ops.append(descend(pipe.map, pres[n], pres[n - 1]))
-        faces[n] = ops
+        down = (pres[n], pres[n - 1], [du] * n)
+        faces[n] = [window("R", counit_first, 2, 0, *down)] \
+            + [window("R", product, 2, i, *down) for i in range(n - 1)] \
+            + [window("R", counit_last, 2, n - 2, *down)]
     degen[0] = [h.t_L]
     for n in range(1, N):
-        ops = []
-        for i in range(0, n + 1):
-            pipe = Pipe([du] * n, f).block(i, 0, unit)
-            ops.append(descend(pipe.map, pres[n], pres[n + 1]))
-        degen[n] = ops
+        up = (pres[n], pres[n + 1], [du] * n)
+        degen[n] = [window("R", unit_in, 0, i, *up) for i in range(n + 1)]
     cyc[0] = LinMap.identity(h.A.space, f)
     for n in range(1, N + 1):
         if n == 1:
@@ -222,30 +348,40 @@ def build_cyclic_with_coeffs(h, p, N):
     spaces = [pr.quotient for pr in pres]
     t_eps = h.t_L @ h.eps_L
     unit = h.U.unit_map()
+    window = _window_ops(h, p)
+
+    def counit_last(pipe, s):
+        # u (x) v -> u t(eps(v))
+        return pipe.block(s + 1, 1, t_eps).block(s, 2, h.U.mul)
+
+    def counit_coeff(pipe, s):
+        # p (x) u -> p t(eps(u))
+        return pipe.block(s + 1, 1, t_eps).block(s, 2, p.action)
+
+    def product(pipe, s):
+        return pipe.block(s, 2, h.U.mul)
+
+    def action(pipe, s):
+        return pipe.block(s, 2, p.action)
+
+    def unit_in(pipe, s):
+        return pipe.block(s, 0, unit)
+
     faces = {}
     degen = {}
     cyc = {}
     # layout (p, u_1, ..., u_n)
     for n in range(1, N + 1):
-        ops = []
-        for i in range(0, n + 1):
-            pipe = Pipe([dp] + [du] * n, f)
-            if i == 0:
-                # ... (x) u (x) v -> ... (x) u t(eps(v))
-                pipe.block(n, 1, t_eps).block(n - 1, 2, p.action if n == 1
-                                                  else h.U.mul)
-            elif i <= n - 1:
-                pipe.block(n - i, 2, h.U.mul)
-            else:
-                pipe.block(0, 2, p.action)
-            ops.append(descend(pipe.map, pres[n], pres[n - 1]))
-        faces[n] = ops
+        down = (pres[n], pres[n - 1], [dp] + [du] * n)
+        first = window("chain", counit_coeff, 2, 0, *down) if n == 1 \
+            else window("R", counit_last, 2, n - 1, *down)
+        faces[n] = [first] \
+            + [window("R", product, 2, n - i, *down) for i in range(1, n)] \
+            + [window("chain", action, 2, 0, *down)]
     for n in range(0, N):
-        ops = []
-        for i in range(0, n + 1):
-            pipe = Pipe([dp] + [du] * n, f).block(1 + n - i, 0, unit)
-            ops.append(descend(pipe.map, pres[n], pres[n + 1]))
-        degen[n] = ops
+        up = (pres[n], pres[n + 1], [dp] + [du] * n)
+        degen[n] = [window("R", unit_in, 0, 1 + n - i, *up)
+                    for i in range(n + 1)]
     cyc[0] = LinMap.identity(p.space, f)
     trans = translation_lift(h)
     for n in range(1, N + 1):
@@ -269,36 +405,43 @@ def build_cocyclic_with_coeffs(h, p, N):
     pres = [cochain_coeff_tower(h, p, n) for n in range(N + 1)]
     spaces = [pr.quotient for pr in pres]
     sc_eps = h.s_L @ h.eps_L
+    t_eps = h.t_L @ h.eps_L
     unit = h.U.unit_map()
+    # u (x) p -> p u
+    act_op = Pipe([du, dp], f).permute([1, 0]).block(0, 2, p.action).map
+    window = _window_ops(h, p)
+
+    def unit_in(pipe, s):
+        return pipe.block(s, 0, unit)
+
+    def coproduct(pipe, s):
+        return pipe.block(s, 1, h.delta_lift, [du, du])
+
+    def coaction(pipe, s):
+        return pipe.block(s, 1, p.coact_lift, [du, dp])
+
+    def counit_left(pipe, s):
+        # u (x) v -> s(eps(u)) v
+        return pipe.block(s, 1, sc_eps).block(s, 2, h.U.mul)
+
+    def counit_coeff(pipe, s):
+        # u (x) p -> p t(eps(u))
+        return pipe.block(s, 1, t_eps).block(s, 2, act_op)
+
     faces = {}
     degen = {}
     cyc = {}
     # layout (u_1, ..., u_n, p)
     for n in range(0, N):
-        ops = []
-        for i in range(0, n + 2):
-            pipe = Pipe([du] * n + [dp], f)
-            if i == 0:
-                pipe.block(0, 0, unit)
-            elif i <= n:
-                pipe.block(i - 1, 1, h.delta_lift, [du, du])
-            else:
-                pipe.block(n, 1, p.coact_lift, [du, dp])
-            ops.append(descend(pipe.map, pres[n], pres[n + 1]))
-        faces[n] = ops
+        up = (pres[n], pres[n + 1], [du] * n + [dp])
+        faces[n] = [window("L", unit_in, 0, 0, *up)] \
+            + [window("L", coproduct, 1, i, *up) for i in range(n)] \
+            + [window("cochain", coaction, 1, n, *up)]
     for n in range(1, N + 1):
-        ops = []
-        for i in range(0, n):
-            pipe = Pipe([du] * n + [dp], f)
-            if i <= n - 2:
-                # u (x) v -> s(eps(u)) v
-                pipe.block(i, 1, sc_eps).block(i, 2, h.U.mul)
-            else:
-                # u (x) p -> p t(eps(u))
-                pipe.permute(list(range(n - 1)) + [n, n - 1])
-                pipe.block(n, 1, h.t_L @ h.eps_L).block(n - 1, 2, p.action)
-            ops.append(descend(pipe.map, pres[n], pres[n - 1]))
-        degen[n] = ops
+        down = (pres[n], pres[n - 1], [du] * n + [dp])
+        degen[n] = [window("L", counit_left, 2, i, *down)
+                    for i in range(n - 1)] \
+            + [window("cochain", counit_coeff, 2, n - 1, *down)]
     cyc[0] = LinMap.identity(p.space, f)
     trans = translation_lift(h)
     for n in range(1, N + 1):

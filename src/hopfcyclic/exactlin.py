@@ -23,7 +23,9 @@ class DescentFailure(Exception):
     """A map defined on lifts does not kill the relation subspace.
 
     Carries a witness: the index of the offending relation column and the
-    nonzero image vector in the target quotient.
+    nonzero image vector in the target quotient.  The local certificates of
+    cyclichom's faces and degeneracies use the same shape on their small
+    towers (for an A-linearity check, a column of A (x) the window).
     """
 
     def __init__(self, message, witness=None):

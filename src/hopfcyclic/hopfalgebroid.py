@@ -444,8 +444,8 @@ def check_sayd(p):
             scal = (h.A.left_mult(bv)
                     @ (h.eps_L @ h.rmul(h.s_of(av))))
             rhs = _apply_scalar_action(p, scal, f) @ p.coact_lift
-            diff = lhs - rhs
-            if not diff.is_zero():
+            if lhs != rhs:
+                diff = lhs - rhs
                 ok = False
                 j = diff.nonzero_column_index()
                 witness = (a, bidx, j, diff.column(j))

@@ -97,7 +97,7 @@ def check_hopf_algebroid_measuring(m):
         free2 = m.induced_free(xv, 2)
         lhs = lt2d.project(m.dst.delta_lift @ m.Psi_of(xv))
         rhs = lt2d.project(free2 @ src.delta_lift)
-        if not (lhs - rhs).is_zero():
+        if lhs != rhs:
             ok_cop = False
             d = lhs - rhs
             j = d.nonzero_column_index()
@@ -268,7 +268,7 @@ def check_sayd_comodule_measuring(cm):
         mf = cm.mixed_free(yv)
         lhs = m2d.project(dp.coact_lift @ cm.Omega_of(yv))
         rhs = m2d.project(mf @ sp.coact_lift)
-        if not (lhs - rhs).is_zero():
+        if lhs != rhs:
             ok = False
             d = lhs - rhs
             j = d.nonzero_column_index()
@@ -352,7 +352,7 @@ def check_yd_measuring(ym):
         lhs = m2d.project(ym.dst_z.coact_lift @ px)
         rhs = m2d.project(Pipe.after(ym.src_z.coact_lift, [du, dz])
                           .block(1, 1, px).map)
-        if not (lhs - rhs).is_zero():
+        if lhs != rhs:
             ok = False
             d = lhs - rhs
             j = d.nonzero_column_index()

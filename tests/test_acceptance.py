@@ -9,14 +9,15 @@ import os
 import random
 import time
 
+from hopfcyclic import cyclichom
 from hopfcyclic.exactlin import (
-    DescentFailure, LinMap, QQ, Space, rank,
+    DescentFailure, LinMap, Pipe, QQ, Space, descend, rank,
 )
-from hopfcyclic.algcore import Report
+from hopfcyclic.algcore import AlgebraData, Report
 from hopfcyclic.hopfalgebroid import (
-    HopfAlgebroidData, check_hopf_algebroid, check_hopf_galois,
-    check_left_bialgebroid, check_sayd, dual_numbers, gallery,
-    group_hopf_algebroid, scalar_sayd, scalar_yd_algebra,
+    HopfAlgebroidData, base_sayd_for_pair, check_hopf_algebroid,
+    check_hopf_galois, check_left_bialgebroid, check_sayd, dual_numbers,
+    gallery, group_hopf_algebroid, scalar_sayd, scalar_yd_algebra,
 )
 from hopfcyclic.measuring import (
     MeasuringData, check_hopf_algebroid_measuring, compose_measurings,
@@ -303,13 +304,82 @@ def _mutation_run(label, maps, rebuild_check, count=20, seed=0, f=QQ):
             (label, trial, k, i, j)
 
 
-def test_criterion_09_negative_controls():
+def _global_window_ops(h, p=None):
+    """Reference for the certified faces and degeneracies: each window op
+    formed on the whole free ambient and pushed through the global
+    descend."""
+    def window(side, st, k_in, s, src, dst, dims):
+        return descend(st(Pipe(dims, h.field), s).map, src, dst)
+    return window
+
+
+def _four_builds(h, p, N=3):
+    """Each builder's module, or the DescentFailure it raises."""
+    out = []
+    for build, args in ((build_cyclic_CU, (h,)), (build_cocyclic_CU, (h,)),
+                        (build_cyclic_with_coeffs, (h, p)),
+                        (build_cocyclic_with_coeffs, (h, p))):
+        try:
+            out.append(build(*args, N))
+        except DescentFailure as e:
+            assert e.witness is not None
+            out.append(e)
+    return out
+
+
+def _certificate_run(monkeypatch, trials=10, seed=0):
+    """Single-entry mutations of the structure maps of pair_dual, whose
+    towers have balancing relations, through the four builders: the
+    certified build raises DescentFailure exactly when the global one
+    does, and otherwise builds the same operators."""
+    f = QQ
+    g = gallery()["pair_dual"].hopf
+    base = dual_numbers(f)
+    maps = {"mul": g.U.mul, "s": g.s_L, "t": g.t_L,
+            "delta_lift": g.delta_lift, "eps_L": g.eps_L, "S": g.S}
+    rng = random.Random(seed)
+    reached = 0
+    for name in maps:
+        for trial in range(trials):
+            m = maps[name]
+            i, j = rng.randrange(m.cod.dim), rng.randrange(m.dom.dim)
+            ms = dict(maps, **{name: _mutate(m, i, j, f)})
+            U = AlgebraData(g.U.space, ms["mul"], g.U.unit, f, "mutant")
+            h = HopfAlgebroidData(U, g.A, ms["s"], ms["t"], ms["delta_lift"],
+                                  ms["eps_L"], ms["S"], "mutant")
+            p = base_sayd_for_pair(h, base)
+            got = _four_builds(h, p)
+            with monkeypatch.context() as mp:
+                mp.setattr(cyclichom, "_window_ops", _global_window_ops)
+                want = _four_builds(h, p)
+            where = (name, trial, i, j)
+            for a, b in zip(got, want):
+                failed = isinstance(b, DescentFailure)
+                assert isinstance(a, DescentFailure) == failed, where
+                if failed:
+                    continue
+                assert all(x == y for n in b.faces
+                           for x, y in zip(a.faces[n], b.faces[n])), where
+                assert all(x == y for n in b.degen
+                           for x, y in zip(a.degen[n], b.degen[n])), where
+            reached += any(isinstance(a, DescentFailure)
+                           and str(a).startswith("window op") for a in got)
+            if all(not isinstance(cm, DescentFailure)
+                   and check_cyclic_module(cm).ok for cm in got):
+                # a lift changed by a balancing relation: the coproduct
+                # itself, and with it every module, is unchanged
+                lt2 = g.ltower(2)
+                assert name == "delta_lift", where
+                assert lt2.project(ms[name]) == lt2.project(g.delta_lift)
+    return reached
+
+
+def test_criterion_09_negative_controls(monkeypatch):
     t0 = time.monotonic()
     h = group_hopf_algebroid(2, QQ)
     f = QQ
 
     def check_hopf(ms):
-        from hopfcyclic.algcore import AlgebraData
         U2 = AlgebraData(h.U.space, ms["mul"], h.U.unit, f, "mutant")
         h2 = HopfAlgebroidData(U2, h.A, ms["s"], ms["t"], ms["delta"],
                                ms["eps"], ms["S"], "mutant")
@@ -397,6 +467,9 @@ def test_criterion_09_negative_controls():
     _mutation_run("comp module composition",
                   {k: v for k, v in cmmaps.items() if k[0] == "bullet"},
                   check_cmod_composition)
+    # the towers of group_c2 are free, so none of the mutations above
+    # reaches a window certificate; those of pair_dual do
+    assert _certificate_run(monkeypatch) >= 50
     _budget("criterion 9 (negative controls, 20 mutations each)", t0, 120)
 
 

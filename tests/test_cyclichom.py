@@ -1,10 +1,15 @@
 import pytest
 
 from hopfcyclic import cyclichom
+from hopfcyclic.algcore import AlgebraData
 from hopfcyclic.exactlin import (
-    QQ, DescentFailure, FieldSpec, LinMap, kernel, quotient_by, solve_many,
+    QQ, DescentFailure, FieldSpec, LinMap, Pipe, Space, descend, kernel,
+    quotient_by, solve_many,
 )
-from hopfcyclic.hopfalgebroid import gallery, group_hopf_algebroid, scalar_sayd
+from hopfcyclic.hopfalgebroid import (
+    HopfAlgebroidData, base_sayd_for_pair, gallery, group_hopf_algebroid,
+    pair_hopf_algebroid, scalar_sayd,
+)
 from hopfcyclic.measuring import (
     compose_measurings, derivation_pair_measuring, euler_derivation,
     identity_comodule_measuring, zero_primitive_comodule_measuring,
@@ -261,3 +266,150 @@ def test_hopf_galois_check_reports_descent_failures_only(gal, monkeypatch):
     monkeypatch.setattr(cyclichom, "hopf_galois_chain_map", broken)
     with pytest.raises(TypeError):
         check_hopf_galois_chain_map(h, 2)
+
+
+# -- faces and degeneracies from window certificates ----------------------
+
+def _global_window_ops(h, p=None):
+    """Reference for the certified faces and degeneracies: the window op
+    formed on the whole free ambient and pushed through the global
+    descend."""
+    def window(side, st, k_in, s, src, dst, dims):
+        return descend(st(Pipe(dims, h.field), s).map, src, dst)
+    return window
+
+
+def _four_modules(h, p, N):
+    return [build_cyclic_CU(h, N), build_cocyclic_CU(h, N),
+            build_cyclic_with_coeffs(h, p, N),
+            build_cocyclic_with_coeffs(h, p, N)]
+
+
+def _sqrt2_pair():
+    """The pair algebroid on Q[x]/(x^2 - 2), a separable base with
+    balancing relations, and the base as its SAYD module."""
+    sp = Space(2, "Q(r2)")
+    mul = LinMap(Space(4), sp, QQ,
+                 {(0, 0): 1, (1, 1): 1, (1, 2): 1, (0, 3): 2})
+    A = AlgebraData(sp, mul, (1, 0), QQ, "Q(r2)")
+    h = pair_hopf_algebroid(A)
+    return h, base_sayd_for_pair(h, A)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_certified_operators_match_global_descend(field, monkeypatch):
+    """Every face and degeneracy of the four builders equals the window op
+    descended globally from pres[n] to pres[n -+ 1], entry for entry."""
+    certified = cyclichom._window_ops
+    compared = []
+
+    def checked(h, p=None):
+        got_of, want_of = certified(h, p), _global_window_ops(h, p)
+
+        def window(*args):
+            got = got_of(*args)
+            assert got == want_of(*args), (h.label, args[1].__name__,
+                                           args[3])
+            compared.append(args[1])
+            return got
+        return window
+
+    monkeypatch.setattr(cyclichom, "_window_ops", checked)
+    cases = [(e.hopf, e.sayd, 4) for e in gallery(field).values()]
+    if field == QQ:
+        cases.append(_sqrt2_pair() + (5,))
+    for h, p, N in cases:
+        mods = _four_modules(h, p, N)
+        # all but the maps between A and U of the plain modules (two faces
+        # and one degeneracy on each side) went through window ops
+        total = sum(len(ops) for cm in mods for kind in (cm.faces, cm.degen)
+                    for ops in kind.values())
+        assert len(compared) == total - 6
+        compared.clear()
+
+
+def _mul_mutant():
+    """pair_dual with one entry of U.mul raised by one: the product still
+    descends on rtower(2), but it is not A-linear at either boundary."""
+    h = gallery()["pair_dual"].hopf
+    entries = dict(h.U.mul.entries)
+    entries[(0, 10)] = entries.get((0, 10), 0) + 1
+    U = AlgebraData(h.U.space, LinMap(h.U.mul.dom, h.U.mul.cod, QQ, entries),
+                    h.U.unit, QQ, "mutant")
+    return HopfAlgebroidData(U, h.A, h.s_L, h.t_L, h.delta_lift, h.eps_L,
+                             h.S, "mutant")
+
+
+def test_window_certificate_checks_each_boundary():
+    h = _mul_mutant()
+    du = h.U.space.dim
+
+    def product(pipe, s):
+        return pipe.block(s, 2, h.U.mul)
+
+    descend(h.U.mul, h.rtower(2), h.rtower(1))
+    src, dst, dims = h.rtower(3), h.rtower(2), [du] * 3
+    for s, side in ((0, "right"), (1, "left")):
+        with pytest.raises(DescentFailure):
+            descend(product(Pipe(dims, QQ), s).map, src, dst)
+        window = cyclichom._window_ops(h)
+        with pytest.raises(DescentFailure, match="product is not A-linear at "
+                           "its %s boundary" % side) as exc:
+            window("R", product, 2, s, src, dst, dims)
+        j, col = exc.value.witness
+        assert any(col) and len(col) == du
+
+
+@pytest.mark.parametrize("name", ["pair_dual", "pair_split", "group_c2"])
+def test_window_certificate_rejects_non_faces(name):
+    """Window ops that are no faces: u (x) v -> u S(v), and the unit
+    inserted between two slots of the coproduct-side tower (s(a) 1 is not
+    t(a) 1 there).  The certificate rejects them exactly where the global
+    descend does."""
+    h = gallery()[name].hopf
+    du = h.U.space.dim
+    unit = h.U.unit_map()
+
+    def twisted(pipe, s):
+        return pipe.block(s + 1, 1, h.S).block(s, 2, h.U.mul)
+
+    def unit_in(pipe, s):
+        return pipe.block(s, 0, unit)
+
+    rejected = []
+    for side, tower in (("R", h.rtower), ("L", h.ltower)):
+        for st, k_in, k_out in ((twisted, 2, 1), (unit_in, 0, 1)):
+            for n in (2, 3, 4):
+                src, dst = tower(n), tower(n - k_in + k_out)
+                for s in range(n - k_in + 1):
+                    dims = [du] * n
+                    try:
+                        descend(st(Pipe(dims, QQ), s).map, src, dst)
+                        want = None
+                    except DescentFailure:
+                        want = DescentFailure
+                    try:
+                        cyclichom._window_ops(h)(side, st, k_in, s, src, dst,
+                                                 dims)
+                        got = None
+                    except DescentFailure as exc:
+                        assert exc.witness is not None
+                        got = DescentFailure
+                        rejected.append((side, str(exc)))
+                    assert got is want, (name, side, st.__name__, n, s)
+    if name == "group_c2":
+        assert not rejected
+    else:
+        assert any(side == "L" and "unit_in is not A-linear at its empty "
+                   "boundary" in msg for side, msg in rejected)
+        assert any("twisted" in msg for _, msg in rejected)
+
+
+def test_degree_six_frontier():
+    e = gallery()["pair_dual"]
+    cm = build_cyclic_with_coeffs(e.hopf, e.sayd, 6)
+    rep = check_cyclic_module(cm)
+    assert rep.ok, rep.failures()
+    assert cyclic_homology_char0(cm).dims == [2, 0, 2, 0, 2, 0]
+    plain = build_cyclic_CU(e.hopf, 6)
+    assert hochschild_homology(plain).dims == [2, 1, 1, 1, 1, 1]
