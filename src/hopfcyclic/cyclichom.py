@@ -130,13 +130,12 @@ def _window_ops(h, p=None):
         dst = tower(side, k_out)
         if part == "descent":
             try:
-                descend(phi.map, tower(side, k_in), dst)
+                return descend(phi.map, tower(side, k_in), dst)
             except DescentFailure as exc:
                 raise DescentFailure(
                     "window op %s does not descend on its local towers "
                     "(relation column %d)" % (st.__name__, exc.witness[0]),
                     witness=exc.witness)
-            return
         if part == "left":      # phi(a.w) against a.phi(w)
             lhs = st(Pipe([da] + wd, f)
                      .block(0, 2, action(side, k_in, "left")), 0)
@@ -162,7 +161,9 @@ def _window_ops(h, p=None):
 
     def window(side, st, k_in, s, src, dst, dims):
         """dst.project of id (x) st (x) id on the section columns of src,
-        whose ambient splits into `dims`."""
+        whose ambient splits into `dims`.  A window that covers every slot
+        has src and dst as its local towers, so its descent part already
+        is the operator."""
         if src.relations.entries:
             left, right = s > 0, s + k_in < len(dims)
             if k_in:
@@ -171,8 +172,10 @@ def _window_ops(h, p=None):
                 parts = ["empty"] * (left and right)
             for part in parts:
                 if (side, st, part) not in done:
-                    certify(side, st, dims[s:s + k_in], part)
+                    op = certify(side, st, dims[s:s + k_in], part)
                     done.add((side, st, part))
+                    if k_in == len(dims):
+                        return op
         return dst.project(st(Pipe.after(src.section, dims), s).map)
 
     return window
@@ -297,7 +300,9 @@ def build_cyclic_CU(h, N):
             pipe.block(2 * k, 1, h.delta_lift, [du, du])
         pipe.permute([2 * k + 1 for k in range(n - 1)] + [2 * n - 2]
                      + [2 * k for k in range(n - 1)])
-        pipe.block(0, n, h.S @ h.U.mul_n(n))
+        for _ in range(n - 1):
+            pipe.block(0, 2, h.U.mul)
+        pipe.block(0, 1, h.S)
         cyc[n] = descend(pipe.map, pres[n], pres[n])
     return CyclicModuleData("cyclic", N, spaces, faces, degen, cyc, pres,
                             label="C_(%s)" % h.label)
@@ -392,7 +397,9 @@ def build_cyclic_with_coeffs(h, p, N):
         # layout now (p_-1, p_0, u1+, u1-, ..., un+, un-)
         pipe.permute([1] + [2 * k for k in range(1, n + 1)]
                      + [2 * k + 1 for k in range(n, 0, -1)] + [0])
-        pipe.block(0, 2, p.action).block(n, n + 1, h.U.mul_n(n + 1))
+        pipe.block(0, 2, p.action)
+        for _ in range(n):
+            pipe.block(n, 2, h.U.mul)
         cyc[n] = descend(pipe.map, pres[n], pres[n])
     return CyclicModuleData("cyclic", N, spaces, faces, degen, cyc, pres,
                             label="C_(%s;%s)" % (h.label, p.label))

@@ -7,6 +7,7 @@ ordered basis, sparse matrices with exact entries, and quotient presentations
 
 from fractions import Fraction
 import itertools
+from math import lcm
 
 _space_counter = itertools.count()
 
@@ -39,9 +40,14 @@ class FieldSpec:
     Over Q scalars are ints and Fractions, which mix freely (3 == Fraction(3),
     with equal hashes).  zero, one, of_int, parse and inv give an int when
     the value is integral, and so does the pivot scaling of elimination;
-    add, sub and mul keep Python's types, so a result may hold an integral
-    Fraction such as Fraction(1, 2) * 2.  Over F_p scalars are plain ints in
-    range(p).
+    add, sub and mul keep Python's types, so their result may be an
+    integral Fraction such as Fraction(1, 2) * 2.  Over F_p scalars are
+    plain ints in range(p).
+
+    The operator kernels, Pipe stages and LinMap.__matmul__, do not go
+    through these methods: they hold integer numerators over one common
+    denominator and settle each output entry once (_settle), to an int
+    exactly when integral over Q and to an int in 1..p-1 over F_p.
     """
 
     def __init__(self, p=0):
@@ -110,6 +116,40 @@ class FieldSpec:
 def _rational(q):
     """A Fraction as a scalar of Q: its numerator when it is integral."""
     return q.numerator if q.denominator == 1 else q
+
+
+_is_int = int.__instancecheck__
+
+
+def _over_one_den(entries, p):
+    """(nums, den): the scalars of an entry dict as integer numerators over
+    one common denominator.  Integral entries, and every entry over F_p,
+    come back as they are with den 1."""
+    if p or all(map(_is_int, entries.values())):
+        return entries, 1
+    den = lcm(*{v.denominator for v in entries.values()})
+    return {k: v.numerator * (den // v.denominator)
+            for k, v in entries.items()}, den
+
+
+def _settle(sums, den, p):
+    """The scalars of integer sums over the denominator den, zeros dropped:
+    over F_p (where den is 1) each sum reduced into 1..p-1, over Q an int
+    when den divides the sum and a Fraction otherwise."""
+    if p:
+        return {k: r for k, s in sums.items() if (r := s % p)}
+    if den == 1:
+        return {k: s for k, s in sums.items() if s} \
+            if 0 in sums.values() else sums
+    return {k: Fraction(s, den) if s % den else s // den
+            for k, s in sums.items() if s}
+
+
+def _settled_map(dom, cod, field, entries):
+    """A LinMap on the output of _settle, which holds no zero to drop."""
+    m = LinMap.__new__(LinMap)
+    m.dom, m.cod, m.field, m.entries = dom, cod, field, entries
+    return m
 
 
 QQ = FieldSpec()
@@ -216,16 +256,20 @@ class LinMap:
         assert isinstance(other, LinMap)
         assert self.dom.dim == other.cod.dim, (self.dom.dim, other.cod.dim)
         f = self.field
+        p = f.char
+        left, dl = _over_one_den(self.entries, p)
+        right, dr = _over_one_den(other.entries, p)
         by_col = {}
-        for (i, k), v in self.entries.items():
+        for (i, k), v in left.items():
             by_col.setdefault(k, []).append((i, v))
         out = {}
-        for (k, j), w in other.entries.items():
+        get = out.get
+        for (k, j), w in right.items():
             for i, v in by_col.get(k, ()):
                 key = (i, j)
-                cur = out.get(key)
-                out[key] = f.mul(v, w) if cur is None else f.add(cur, f.mul(v, w))
-        return LinMap(other.dom, self.cod, f, out)
+                out[key] = get(key, 0) + v * w
+        return _settled_map(other.dom, self.cod, f,
+                            _settle(out, dl * dr, p))
 
     def __add__(self, other):
         assert self.dom.dim == other.dom.dim and self.cod.dim == other.cod.dim
@@ -339,14 +383,19 @@ class Pipe:
     current target factors by rewriting row indices in the flat layout of
     tensor_space, so no identity Kronecker product or permutation matrix is
     ever formed.
+
+    The entries are integers over one denominator `den`: each stage scales
+    its op by the op's common denominator, sums plain ints and multiplies
+    `den` by that denominator (over F_p `den` stays 1 and a stage reduces
+    each entry mod p once).  `map` settles every entry once.
     """
 
     def __init__(self, dims, field):
         self.dims = list(dims)
         self.field = field
         self.dom_dim = _prod(self.dims)
-        one = field.one
-        self.entries = {(i, i): one for i in range(self.dom_dim)}
+        self.entries = {(i, i): 1 for i in range(self.dom_dim)}
+        self.den = 1
 
     @classmethod
     def after(cls, m, dims):
@@ -356,7 +405,7 @@ class Pipe:
         pipe.dims = list(dims)
         pipe.field = m.field
         pipe.dom_dim = m.dom.dim
-        pipe.entries = dict(m.entries)
+        pipe.entries, pipe.den = _over_one_den(m.entries, m.field.char)
         return pipe
 
     def permute(self, order):
@@ -424,31 +473,34 @@ class Pipe:
         width = _prod(out_dims)
         assert op.dom.dim == size * mid and op.cod.dim == width, \
             (op.dom.dim, size, mid, op.cod.dim, width)
-        f = self.field
+        p = self.field.char
+        nums, den = _over_one_den(op.entries, p)
         src = self.dom_dim
         by_col = {}
-        for (i, c), w in op.entries.items():
+        for (i, c), w in nums.items():
             b, k = divmod(c, mid)
             by_col.setdefault(k, []).append((i, b * src, w))
         out = {}
+        get = out.get
         for (row, j), v in self.entries.items():
             lk, r = divmod(row, right)
             l, k = divmod(lk, mid)
             base = l * width
             for i, b, w in by_col.get(k, ()):
                 key = ((base + i) * right + r, b + j)
-                term = f.mul(w, v)
-                cur = out.get(key)
-                out[key] = term if cur is None else f.add(cur, term)
-        self.entries = out
+                out[key] = get(key, 0) + w * v
+        self.entries = _settle(out, 1, p) if p else out
+        self.den *= den
         self.dims[start:start + count] = out_dims
         self.dom_dim = size * src
         return self
 
     @property
     def map(self):
-        return LinMap(Space(self.dom_dim), Space(_prod(self.dims)),
-                      self.field, self.entries)
+        p = self.field.char   # over F_p every stage has settled
+        entries = self.entries if p else _settle(self.entries, self.den, p)
+        return _settled_map(Space(self.dom_dim), Space(_prod(self.dims)),
+                            self.field, entries)
 
 
 def permute_factors(dims, perm, field):

@@ -413,3 +413,18 @@ def test_degree_six_frontier():
     assert cyclic_homology_char0(cm).dims == [2, 0, 2, 0, 2, 0]
     plain = build_cyclic_CU(e.hopf, 6)
     assert hochschild_homology(plain).dims == [2, 1, 1, 1, 1, 1]
+
+
+def test_rational_base_frontier():
+    """pair(Q[x]/(x^2 - 2 - x)), whose towers have fractional projections
+    (1/2 and -1/2 already at rtower(2)), with the base as coefficients at
+    degree 5: every operator goes through Pipe stages and @ over Q."""
+    sp = Space(2, "A")
+    mul = LinMap(Space(4), sp, QQ,
+                 {(0, 0): 1, (1, 1): 1, (1, 2): 1, (0, 3): 2, (1, 3): 1})
+    A = AlgebraData(sp, mul, (1, 0), QQ, "A")
+    h = pair_hopf_algebroid(A)
+    cm = build_cyclic_with_coeffs(h, base_sayd_for_pair(h, A), 5)
+    rep = check_cyclic_module(cm)
+    assert rep.ok, rep.failures()
+    assert cyclic_homology_char0(cm).dims == [2, 0, 2, 0, 2]

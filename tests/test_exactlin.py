@@ -152,7 +152,10 @@ def _prod(dims):
     return out
 
 
-def _random_map(draw, f, dom, cod):
+def _random_map(draw, f, dom, cod, rational=False):
+    """A sparse map with entries in -3..3.  With `rational`, Q entries are
+    also divided by 2 or 3, and the map holds every entry as a Fraction or
+    every entry normalized (an int when integral)."""
     if dom == 0 or cod == 0:
         return LinMap.zero(Space(dom), Space(cod), f)
     keys = st.tuples(st.integers(min_value=0, max_value=cod - 1),
@@ -160,17 +163,67 @@ def _random_map(draw, f, dom, cod):
     entries = draw(st.dictionaries(keys, st.integers(min_value=-3,
                                                      max_value=3),
                                    max_size=12))
-    return LinMap(Space(dom), Space(cod), f,
-                  {k: f.of_int(v) for k, v in entries.items()})
+    if not (rational and f == QQ):
+        return LinMap(Space(dom), Space(cod), f,
+                      {k: f.of_int(v) for k, v in entries.items()})
+    dens = st.sampled_from([1, 2, 3])
+    entries = {k: Fraction(v, draw(dens)) for k, v in entries.items()}
+    if draw(st.booleans()):
+        entries = {k: QQ.of_int(v.numerator, v.denominator)
+                   for k, v in entries.items()}
+    return LinMap(Space(dom), Space(cod), f, entries)
+
+
+def _assert_canonical(m):
+    """No stored zero; over Q an int exactly when integral, over F_p an int
+    in 1..p-1."""
+    p = m.field.char
+    for v in m.entries.values():
+        if p:
+            assert type(v) is int and 0 < v < p, v
+        else:
+            assert v != 0 and (type(v) is int or
+                               (type(v) is Fraction and v.denominator > 1)), v
+
+
+def _dense_product(a, b):
+    """a @ b by the textbook triple loop over the rows of a and b, with
+    the scalar operations of FieldSpec; the oracle for @ and Pipe."""
+    f = a.field
+    ra, rb = a.rows(), b.rows()
+    rows = []
+    for i in range(a.cod.dim):
+        row = []
+        for j in range(b.dom.dim):
+            s = f.zero
+            for k in range(a.dom.dim):
+                s = f.add(s, f.mul(ra[i][k], rb[k][j]))
+            row.append(s)
+        rows.append(row)
+    return LinMap.from_rows(b.dom, a.cod, f, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields, st.data())
+def test_matmul_matches_dense_product(f, data):
+    n, k, m = (data.draw(st.integers(min_value=0, max_value=4))
+               for _ in range(3))
+    a = _random_map(data.draw, f, k, n, rational=True)
+    b = _random_map(data.draw, f, m, k, rational=True)
+    got = a @ b
+    assert got == _dense_product(a, b)
+    assert got.dom is b.dom and got.cod is a.cod
+    _assert_canonical(got)
 
 
 @st.composite
 def pipes(draw):
-    """A field, factor dims and a map into their tensor product."""
+    """A field, factor dims and a map into their tensor product; over Q
+    with entries divided by 2 or 3 too (see _random_map)."""
     f = draw(fields)
     dims = draw(factor_dims)
     m = _random_map(draw, f, draw(st.integers(min_value=1, max_value=3)),
-                    _prod(dims))
+                    _prod(dims), rational=True)
     return f, dims, m
 
 
@@ -186,8 +239,9 @@ def test_pipe_permute_matches_permutation_matrix(case, data):
     f, dims, m = case
     order = data.draw(st.permutations(range(len(dims))))
     got = Pipe.after(m, dims).permute(list(order))
-    assert got.map == permute_factors(dims, order, f) @ m
+    assert got.map == _dense_product(permute_factors(dims, order, f), m)
     assert got.dims == [dims[k] for k in order]
+    _assert_canonical(got.map)
 
 
 @settings(max_examples=80, deadline=None)
@@ -199,11 +253,12 @@ def test_pipe_block_matches_kronecker_sandwich(case, data):
     out_dims = data.draw(st.lists(st.integers(min_value=1, max_value=3),
                                   min_size=1, max_size=2))
     op = _random_map(data.draw, f, _prod(dims[start:start + count]),
-                     _prod(out_dims))
+                     _prod(out_dims), rational=True)
     got = Pipe.after(m, dims).block(start, count, op, out_dims)
     want = _sandwich(_prod(dims[:start]), op, _prod(dims[start + count:]), f)
-    assert got.map == want @ m
+    assert got.map == _dense_product(want, m)
     assert got.dims == dims[:start] + out_dims + dims[start + count:]
+    _assert_canonical(got.map)
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,11 +267,12 @@ def test_pipe_block_with_no_factors_inserts_one(case, data):
     f, dims, m = case
     pos = data.draw(st.integers(min_value=0, max_value=len(dims)))
     d = data.draw(st.integers(min_value=1, max_value=3))
-    vec = _random_map(data.draw, f, 1, d)
+    vec = _random_map(data.draw, f, 1, d, rational=True)
     got = Pipe.after(m, dims).block(pos, 0, vec)
     want = _sandwich(_prod(dims[:pos]), vec, _prod(dims[pos:]), f)
-    assert got.map == want @ m
+    assert got.map == _dense_product(want, m)
     assert got.dims == dims[:pos] + [d] + dims[pos:]
+    _assert_canonical(got.map)
 
 
 @settings(max_examples=80, deadline=None)
@@ -231,7 +287,7 @@ def test_pipe_family_matches_a_leading_parameter_factor(case, data):
     out_dims = data.draw(st.lists(st.integers(min_value=1, max_value=3),
                                   min_size=1, max_size=2))
     op = _random_map(data.draw, f, size * _prod(dims[start:start + count]),
-                     _prod(out_dims))
+                     _prod(out_dims), rational=True)
     got = Pipe.after(m, dims).family(start, count, op, size, out_dims)
     want = Pipe.after(LinMap.identity(Space(size), f).tensor(m),
                       [size] + dims)
@@ -241,6 +297,7 @@ def test_pipe_family_matches_a_leading_parameter_factor(case, data):
     assert got.map == want.map
     assert got.dims == want.dims == \
         dims[:start] + out_dims + dims[start + count:]
+    _assert_canonical(got.map)
 
 
 @settings(max_examples=30, deadline=None)
