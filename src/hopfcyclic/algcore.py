@@ -7,7 +7,7 @@ witness (basis index or offending column) on failure.
 
 from .exactlin import (
     LinMap, Pipe, Space, QuotientPresentation, tensor_space, permute_factors,
-    fix_factor, kernel, kron_vec, pack_slices, quotient_by,
+    fix_factor, kron_vec, pack_slices, quotient_by,
 )
 
 
@@ -341,9 +341,10 @@ def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
     `ract`: left_pres.quotient (x) A -> left_pres.quotient
     `lact`: A (x) right_pres.quotient -> right_pres.quotient
     The ambient of the result is the tensor product of the two ambients, so
-    towers keep a projection/section from the full tensor power.  Free
-    factors whose relations all cancel (a base of dimension one) give the
-    trivial presentation of that ambient.
+    towers keep a projection/section from the full tensor power; their
+    relation basis is computed when it is read.  Free factors whose
+    relations all cancel (a base of dimension one) give the trivial
+    presentation of that ambient.
     """
     lq, rq = left_pres.quotient, right_pres.quotient
     da, dr = aspace.dim, rq.dim
@@ -372,9 +373,8 @@ def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
     projection = inner.projection \
         @ left_pres.projection.tensor(right_pres.projection)
     section = left_pres.section.tensor(right_pres.section) @ inner.section
-    relations = kernel(projection)
-    return QuotientPresentation(ambient, relations, inner.quotient,
-                                projection, section)
+    return QuotientPresentation(ambient, None, inner.quotient, projection,
+                                section)
 
 
 def action_on_last_slot(pres, slot_action, aspace, field):

@@ -164,7 +164,7 @@ def _window_ops(h, p=None):
         whose ambient splits into `dims`.  A window that covers every slot
         has src and dst as its local towers, so its descent part already
         is the operator."""
-        if src.relations.entries:
+        if src.quotient.dim < src.ambient.dim:
             left, right = s > 0, s + k_in < len(dims)
             if k_in:
                 parts = ["descent"] + ["left"] * left + ["right"] * right
@@ -606,27 +606,28 @@ def _xi_core_free(h, n):
 
 def hopf_galois_chain_map(h, N, p=None):
     """The degreewise isomorphisms from the chain-side to the cochain-side
-    (co)cyclic module; with coefficients when p is given."""
-    f = h.field
-    du = h.U.space.dim
-    out = []
+    (co)cyclic module; with coefficients when p is given.  Each degree is
+    computed once per algebroid (per SAYD module with coefficients)."""
+    cache = h._xi if p is None else p._xi
     for n in range(N + 1):
-        core = _xi_core_free(h, n)
-        if p is None:
-            if n <= 1:
-                out.append(core)
-            else:
-                out.append(descend(core, h.rtower(n), h.ltower(n)))
-        else:
-            if n == 0:
-                out.append(LinMap.identity(p.space, f))
-                continue
-            pipe = Pipe([p.space.dim] + [du] * n, f)
-            pipe.permute(list(range(1, n + 1)) + [0])
-            pipe.block(0, n, core, [du] * n)
-            out.append(descend(pipe.map, chain_coeff_tower(h, p, n),
-                               cochain_coeff_tower(h, p, n)))
-    return out
+        if n not in cache:
+            cache[n] = _xi(h, n, p)
+    return [cache[n] for n in range(N + 1)]
+
+
+def _xi(h, n, p):
+    """The degree-n map of hopf_galois_chain_map."""
+    if p is not None and n == 0:
+        return LinMap.identity(p.space, h.field)
+    core = _xi_core_free(h, n)
+    if p is None:
+        return core if n <= 1 else descend(core, h.rtower(n), h.ltower(n))
+    du = h.U.space.dim
+    pipe = Pipe([p.space.dim] + [du] * n, h.field)
+    pipe.permute(list(range(1, n + 1)) + [0])
+    pipe.block(0, n, core, [du] * n)
+    return descend(pipe.map, chain_coeff_tower(h, p, n),
+                   cochain_coeff_tower(h, p, n))
 
 
 def check_hopf_galois_chain_map(h, N, p=None):
@@ -686,12 +687,14 @@ def hochschild_homology(cm, normalized=False):
         if n == 0 or n - 1 not in cm.degen:
             press.append(QuotientPresentation.trivial(cm.spaces[n], f))
             continue
-        cols = []
+        # the columns of every degeneracy, side by side
+        entries = {}
+        offset = 0
         for s in cm.degen[n - 1]:
-            for j in range(s.dom.dim):
-                cols.append(list(s.column(j)))
-        rel = LinMap.from_columns(Space(len(cols)), cm.spaces[n], f,
-                                  [c for c in cols])
+            entries.update(((i, offset + j), v)
+                           for (i, j), v in s.entries.items())
+            offset += s.dom.dim
+        rel = LinMap(Space(offset), cm.spaces[n], f, entries)
         press.append(quotient_by(cm.spaces[n], rel, f))
     nd = {}
     spaces = []
@@ -883,9 +886,8 @@ def tensor_presentation(pa, pb):
     """Presentation of the plain tensor product of two quotients."""
     projection = pa.projection.tensor(pb.projection)
     section = pa.section.tensor(pb.section)
-    return QuotientPresentation(tensor_space(pa.ambient, pb.ambient),
-                                kernel(projection), projection.cod,
-                                projection, section)
+    return QuotientPresentation(tensor_space(pa.ambient, pb.ambient), None,
+                                projection.cod, projection, section)
 
 
 def shuffle_product(h, p, q):

@@ -7,7 +7,7 @@ ordered basis, sparse matrices with exact entries, and quotient presentations
 
 from fractions import Fraction
 import itertools
-from math import lcm
+from math import gcd, lcm
 
 _space_counter = itertools.count()
 
@@ -39,15 +39,15 @@ class FieldSpec:
 
     Over Q scalars are ints and Fractions, which mix freely (3 == Fraction(3),
     with equal hashes).  zero, one, of_int, parse and inv give an int when
-    the value is integral, and so does the pivot scaling of elimination;
-    add, sub and mul keep Python's types, so their result may be an
-    integral Fraction such as Fraction(1, 2) * 2.  Over F_p scalars are
+    the value is integral, and so does elimination for every scalar it
+    returns; add, sub and mul keep Python's types, so their result may be
+    an integral Fraction such as Fraction(1, 2) * 2.  Over F_p scalars are
     plain ints in range(p).
 
-    The operator kernels, Pipe stages and LinMap.__matmul__, do not go
-    through these methods: they hold integer numerators over one common
-    denominator and settle each output entry once (_settle), to an int
-    exactly when integral over Q and to an int in 1..p-1 over F_p.
+    The map kernels (@, Pipe, +, -, scaled, tensor) do not go through
+    these methods: they work on a LinMap's integer form, integer
+    numerators over one common denominator, and give maps born in that
+    form (see LinMap).
     """
 
     def __init__(self, p=0):
@@ -121,34 +121,26 @@ def _rational(q):
 _is_int = int.__instancecheck__
 
 
-def _over_one_den(entries, p):
-    """(nums, den): the scalars of an entry dict as integer numerators over
-    one common denominator.  Integral entries, and every entry over F_p,
-    come back as they are with den 1."""
-    if p or all(map(_is_int, entries.values())):
-        return entries, 1
-    den = lcm(*{v.denominator for v in entries.values()})
-    return {k: v.numerator * (den // v.denominator)
-            for k, v in entries.items()}, den
-
-
-def _settle(sums, den, p):
-    """The scalars of integer sums over the denominator den, zeros dropped:
-    over F_p (where den is 1) each sum reduced into 1..p-1, over Q an int
-    when den divides the sum and a Fraction otherwise."""
+def _sum_map(dom, cod, field, sums, den):
+    """A LinMap born in integer form from integer sums over den, keyed
+    (row, col): zero sums are dropped, over F_p (den 1) each sum is
+    reduced into 1..p-1, and over Q the sums and den are divided by their
+    gcd, so den is the lcm of the denominators of the reduced entries."""
+    p = field.char
     if p:
-        return {k: r for k, s in sums.items() if (r := s % p)}
-    if den == 1:
-        return {k: s for k, s in sums.items() if s} \
+        nums = {k: r for k, s in sums.items() if (r := s % p)}
+    else:
+        nums = {k: s for k, s in sums.items() if s} \
             if 0 in sums.values() else sums
-    return {k: Fraction(s, den) if s % den else s // den
-            for k, s in sums.items() if s}
-
-
-def _settled_map(dom, cod, field, entries):
-    """A LinMap on the output of _settle, which holds no zero to drop."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: s // g for k, s in nums.items()}
+                den //= g
     m = LinMap.__new__(LinMap)
-    m.dom, m.cod, m.field, m.entries = dom, cod, field, entries
+    m.dom, m.cod, m.field = dom, cod, field
+    m._form = nums, den
+    m._entries = nums if den == 1 else None
     return m
 
 
@@ -192,16 +184,61 @@ def tensor_space(a, b, label=""):
 
 
 class LinMap:
-    """A sparse linear map, stored as {(row, col): nonzero scalar}."""
+    """A sparse linear map, stored as {(row, col): nonzero scalar}.
 
-    __slots__ = ("dom", "cod", "field", "entries")
+    Its integer form (nums, den), computed at most once, holds the entries
+    as integer numerators over den, the lcm of their reduced denominators.
+    The kernels (@, Pipe, +, -, scaled, tensor) and == work on it and
+    return maps born in it, which settle `entries` on first read.  Over
+    F_p, and for integral maps, one dict serves as both forms.  Assigning
+    `entries` drops the integer form; editing it in place is safe only
+    before a kernel has read the map.
+    """
+
+    __slots__ = ("dom", "cod", "field", "_entries", "_form")
 
     def __init__(self, dom, cod, field, entries=None):
         self.dom = dom
         self.cod = cod
         self.field = field
         zero = field.zero
-        self.entries = {k: v for k, v in (entries or {}).items() if v != zero}
+        self._entries = {k: v for k, v in (entries or {}).items()
+                         if v != zero}
+        self._form = None
+
+    @property
+    def entries(self):
+        e = self._entries
+        if e is None:
+            nums, den = self._form
+            e = self._entries = {k: Fraction(s, den) if s % den else s // den
+                                 for k, s in nums.items()}
+        return e
+
+    @entries.setter
+    def entries(self, value):
+        self._entries = value
+        self._form = None
+
+    def _nums(self):
+        """The integer form (nums, den), computed once.  Integral entries,
+        and every entry over F_p, serve as they are with den 1."""
+        form = self._form
+        if form is None:
+            e = self._entries
+            if self.field.char or all(map(_is_int, e.values())):
+                form = e, 1
+            else:
+                den = lcm(*{v.denominator for v in e.values()})
+                form = {k: v.numerator * (den // v.denominator)
+                        for k, v in e.items()}, den
+            self._form = form
+        return form
+
+    def _stored(self):
+        """Whichever of the two entry dicts the map holds; their keys are
+        the same."""
+        return self._form[0] if self._entries is None else self._entries
 
     @staticmethod
     def identity(space, field):
@@ -255,10 +292,8 @@ class LinMap:
     def __matmul__(self, other):
         assert isinstance(other, LinMap)
         assert self.dom.dim == other.cod.dim, (self.dom.dim, other.cod.dim)
-        f = self.field
-        p = f.char
-        left, dl = _over_one_den(self.entries, p)
-        right, dr = _over_one_den(other.entries, p)
+        left, dl = self._nums()
+        right, dr = other._nums()
         by_col = {}
         for (i, k), v in left.items():
             by_col.setdefault(k, []).append((i, v))
@@ -268,57 +303,66 @@ class LinMap:
             for i, v in by_col.get(k, ()):
                 key = (i, j)
                 out[key] = get(key, 0) + v * w
-        return _settled_map(other.dom, self.cod, f,
-                            _settle(out, dl * dr, p))
+        return _sum_map(other.dom, self.cod, self.field, out, dl * dr)
 
     def __add__(self, other):
-        assert self.dom.dim == other.dom.dim and self.cod.dim == other.cod.dim
-        f = self.field
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else f.add(cur, v)
-        return LinMap(self.dom, self.cod, f, out)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + other.scaled(self.field.neg(self.field.one))
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
+        assert self.dom.dim == other.dom.dim and self.cod.dim == other.cod.dim
+        a, da = self._nums()
+        b, db = other._nums()
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        out = {k: v * sa for k, v in a.items()}
+        get = out.get
+        for k, v in b.items():
+            out[k] = get(k, 0) + v * sb
+        return _sum_map(self.dom, self.cod, self.field, out, den)
 
     def scaled(self, c):
-        f = self.field
-        return LinMap(self.dom, self.cod, f,
-                      {k: f.mul(c, v) for k, v in self.entries.items()})
+        nums, den = self._nums()
+        n = c.numerator
+        return _sum_map(self.dom, self.cod, self.field,
+                        {k: v * n for k, v in nums.items()},
+                        den * c.denominator)
 
     def tensor(self, other):
         """Kronecker product, consistent with tensor_space index order."""
-        f = self.field
         dom = tensor_space(self.dom, other.dom)
         cod = tensor_space(self.cod, other.cod)
         bc, bd = other.cod.dim, other.dom.dim
+        a, da = self._nums()
+        b, db = other._nums()
         out = {}
-        for (i1, j1), v1 in self.entries.items():
-            for (i2, j2), v2 in other.entries.items():
-                out[(i1 * bc + i2, j1 * bd + j2)] = f.mul(v1, v2)
-        return LinMap(dom, cod, f, out)
+        for (i1, j1), v1 in a.items():
+            for (i2, j2), v2 in b.items():
+                out[(i1 * bc + i2, j1 * bd + j2)] = v1 * v2
+        return _sum_map(dom, cod, self.field, out, da * db)
 
     def is_zero(self):
-        return not self.entries
+        return not self._stored()
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
             return NotImplemented
         return (self.dom.dim == other.dom.dim and self.cod.dim == other.cod.dim
-                and self.entries == other.entries)
+                and self._nums() == other._nums())
 
     def __hash__(self):
         raise TypeError("LinMap is not hashable")
 
     def nonzero_column_index(self):
         """Smallest index of a column with a nonzero entry, or None."""
-        return min((j for (_, j) in self.entries), default=None)
+        return min((j for (_, j) in self._stored()), default=None)
 
     def __repr__(self):
         return "LinMap(%d->%d, nnz=%d)" % (self.dom.dim, self.cod.dim,
-                                           len(self.entries))
+                                           len(self._stored()))
 
 
 def kron_vec(u, v, field):
@@ -384,10 +428,11 @@ class Pipe:
     tensor_space, so no identity Kronecker product or permutation matrix is
     ever formed.
 
-    The entries are integers over one denominator `den`: each stage scales
-    its op by the op's common denominator, sums plain ints and multiplies
-    `den` by that denominator (over F_p `den` stays 1 and a stage reduces
-    each entry mod p once).  `map` settles every entry once.
+    The entries are integer sums over one denominator `den`: each stage
+    reads its op's integer form, sums plain ints and multiplies `den` by
+    the op's denominator.  Over F_p `den` stays 1, and each sum is reduced
+    mod p once, when the next stage or `map` reads it.  `map` returns a map
+    born in integer form (see LinMap).
     """
 
     def __init__(self, dims, field):
@@ -405,7 +450,7 @@ class Pipe:
         pipe.dims = list(dims)
         pipe.field = m.field
         pipe.dom_dim = m.dom.dim
-        pipe.entries, pipe.den = _over_one_den(m.entries, m.field.char)
+        pipe.entries, pipe.den = m._nums()
         return pipe
 
     def permute(self, order):
@@ -474,22 +519,25 @@ class Pipe:
         assert op.dom.dim == size * mid and op.cod.dim == width, \
             (op.dom.dim, size, mid, op.cod.dim, width)
         p = self.field.char
-        nums, den = _over_one_den(op.entries, p)
+        nums, den = op._nums()
         src = self.dom_dim
         by_col = {}
         for (i, c), w in nums.items():
             b, k = divmod(c, mid)
             by_col.setdefault(k, []).append((i, b * src, w))
+        entries = self.entries
+        if p:
+            entries = {k: r for k, v in entries.items() if (r := v % p)}
         out = {}
         get = out.get
-        for (row, j), v in self.entries.items():
+        for (row, j), v in entries.items():
             lk, r = divmod(row, right)
             l, k = divmod(lk, mid)
             base = l * width
             for i, b, w in by_col.get(k, ()):
                 key = ((base + i) * right + r, b + j)
                 out[key] = get(key, 0) + w * v
-        self.entries = _settle(out, 1, p) if p else out
+        self.entries = out
         self.den *= den
         self.dims[start:start + count] = out_dims
         self.dom_dim = size * src
@@ -497,10 +545,8 @@ class Pipe:
 
     @property
     def map(self):
-        p = self.field.char   # over F_p every stage has settled
-        entries = self.entries if p else _settle(self.entries, self.den, p)
-        return _settled_map(Space(self.dom_dim), Space(_prod(self.dims)),
-                            self.field, entries)
+        return _sum_map(Space(self.dom_dim), Space(_prod(self.dims)),
+                        self.field, self.entries, self.den)
 
 
 def permute_factors(dims, perm, field):
@@ -527,7 +573,8 @@ def _eliminate(rows, ncols, field):
     Columns are taken left to right; in each, a shortest unfinished row
     with an entry there becomes the pivot row, to keep fill-in low.  The
     reduced echelon form is unique, so the choice changes no result.  The
-    field enters only through the scalar step.
+    field enters only through the scalar step.  Over Q every scalar of a
+    pivot row comes back as an int when integral.
     """
     p = field.char
     live = dict(enumerate(rows))
@@ -562,6 +609,9 @@ def _eliminate(rows, ncols, field):
             _sub_multiple(row, at[j], row.pop(j), p)
     one = field.one
     for c, row in done:
+        if not p:   # sums of Fractions may be integral Fractions
+            for j, v in row.items():
+                row[j] = _rational(v)
         row[c] = one
     return done, [row for row in live.values() if row]
 
@@ -697,7 +747,9 @@ class QuotientPresentation:
     """ambient -> quotient with a chosen linear section.
 
     projection . section = id on the quotient, and the kernel of the
-    projection is exactly the span of the relation columns.
+    projection is exactly the span of the relation columns.  Given no
+    relation basis (relations=None, as for towers), `relations` is
+    kernel(projection), computed on first read.
 
     The presentation is `free` when projection and section are both the
     identity of one space (no relation survives, as in every tensor tower
@@ -705,22 +757,42 @@ class QuotientPresentation:
     skip the identity products.
     """
 
-    __slots__ = ("ambient", "relations", "quotient", "projection", "section",
-                 "free")
+    __slots__ = ("ambient", "_relations", "quotient", "projection",
+                 "section", "free", "_complement")
 
     def __init__(self, ambient, relations, quotient, projection, section):
         self.ambient = ambient
-        self.relations = relations
+        self._relations = relations
         self.quotient = quotient
         self.projection = projection
         self.section = section
         self.free = _is_identity(projection) and _is_identity(section)
+        self._complement = None
+
+    @property
+    def relations(self):
+        if self._relations is None:
+            self._relations = kernel(self.projection)
+        return self._relations
+
+    def _kernel_span(self):
+        """The columns e_j - section(projection(e_j)), j < ambient.dim,
+        built once.  Since projection . section = id they span the kernel
+        of the projection, as the relations do, with no elimination."""
+        if self._complement is None:
+            self._complement = LinMap.identity(self.ambient,
+                                               self.projection.field) \
+                - self.section @ self.projection
+        return self._complement
 
     def project(self, m):
         """projection @ m: a map into the ambient, read in the quotient."""
-        if self.free:
+        if self.free:   # m read into the quotient, sharing its forms
             assert m.cod.dim == self.ambient.dim, (m.cod.dim, self.ambient.dim)
-            return LinMap(m.dom, self.quotient, m.field, m.entries)
+            out = LinMap.__new__(LinMap)
+            out.dom, out.cod, out.field = m.dom, self.quotient, m.field
+            out._entries, out._form = m._entries, m._form
+            return out
         return self.projection @ m
 
     def lift(self, m):
@@ -745,8 +817,9 @@ class QuotientPresentation:
 def _is_identity(m):
     """Whether m is the identity matrix (square, 1 on the diagonal, 0
     elsewhere); O(nnz)."""
-    return (m.dom.dim == m.cod.dim and len(m.entries) == m.dom.dim
-            and all(i == j and v == 1 for (i, j), v in m.entries.items()))
+    nums, den = m._nums()
+    return (m.dom.dim == m.cod.dim and len(nums) == m.dom.dim and den == 1
+            and all(i == j and v == 1 for (i, j), v in nums.items()))
 
 
 def quotient_by(ambient, relations, field, label=""):
@@ -778,19 +851,22 @@ def descend(f_free, src, dst):
     """Descend a map on ambient spaces to the quotients.
 
     Checks that the relation subspace of src is sent into the relation
-    subspace of dst; raises DescentFailure with a witness column otherwise.
-    Where src has no relation there is nothing to check, and free
-    presentations add no product.
+    subspace of dst, on the columns e_j - section(projection(e_j)) of
+    src, which span it.  Otherwise raises DescentFailure with a witness
+    read on src's relation columns: the first one that fails and its
+    image in dst's quotient.
+    Where src has no relation (quotient and ambient of one dimension)
+    there is nothing to check, and free presentations add no product.
     """
     assert f_free.dom.dim == src.ambient.dim
     assert f_free.cod.dim == dst.ambient.dim
-    if src.relations.entries:
+    if src.quotient.dim < src.ambient.dim and \
+            not dst.project(f_free @ src._kernel_span()).is_zero():
         bad = dst.project(f_free @ src.relations)
-        if not bad.is_zero():
-            j = bad.nonzero_column_index()
-            raise DescentFailure(
-                "map does not descend (relation column %d)" % j,
-                witness=(j, bad.column(j)))
+        j = bad.nonzero_column_index()
+        raise DescentFailure(
+            "map does not descend (relation column %d)" % j,
+            witness=(j, bad.column(j)))
     return dst.project(src.lift(f_free))
 
 

@@ -143,6 +143,7 @@ class HopfAlgebroidData(LeftBialgebroidData):
         self.S = S
         self._beta = None
         self._translation = None
+        self._xi = {}   # Hopf-Galois chain maps, see cyclichom
 
     @property
     def s_R(self):
@@ -387,6 +388,7 @@ class SaydModuleData:
         # coefficient towers, filled by cyclichom.(co)chain_coeff_tower
         self._chain_towers = None
         self._cochain_towers = {}
+        self._xi = {}   # Hopf-Galois chain maps with these coefficients
 
     def act_by(self, uvec):
         """p -> p u for a fixed element of the total algebra."""

@@ -273,6 +273,8 @@ def _mutate(m, i, j, f):
     (j is None)."""
     if j is None:
         return tuple(f.add(x, f.one) if k == i else x for k, x in enumerate(m))
+    # editing out.entries in place is safe only because out is fresh: no
+    # kernel has read it, so it holds no integer form to go stale
     out = LinMap(m.dom, m.cod, m.field, dict(m.entries))
     out.entries[(i, j)] = f.add(out.entries.get((i, j), f.zero), f.one)
     return out

@@ -268,6 +268,59 @@ def test_hopf_galois_check_reports_descent_failures_only(gal, monkeypatch):
         check_hopf_galois_chain_map(h, 2)
 
 
+def test_hopf_galois_chain_maps_are_computed_once_per_degree(monkeypatch):
+    g = gallery()
+    h, p = g["pair_dual"].hopf, g["pair_dual"].sayd
+    real = cyclichom.descend
+    calls = []
+
+    def failing(*args):
+        raise DescentFailure("refused", witness=(0, (1,)))
+
+    # a failure leaves nothing behind
+    monkeypatch.setattr(cyclichom, "descend", failing)
+    with pytest.raises(DescentFailure):
+        hopf_galois_chain_map(h, 2)
+    with pytest.raises(DescentFailure):
+        hopf_galois_chain_map(h, 2, p)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cyclichom, "descend", counting)
+    first = hopf_galois_chain_map(h, 3)
+    with_p = hopf_galois_chain_map(h, 2, p)
+    assert len(calls) == 2 + 2      # degrees 2, 3 plain; 1, 2 with p
+    again = hopf_galois_chain_map(h, 3) + hopf_galois_chain_map(h, 2, p)
+    assert len(calls) == 4
+    assert all(x is y for x, y in zip(again, first + with_p))
+    fresh = gallery()["pair_dual"]
+    assert first == hopf_galois_chain_map(fresh.hopf, 3)
+    assert with_p == hopf_galois_chain_map(fresh.hopf, 2, fresh.sayd)
+
+
+def test_pair_build_and_homology_compute_no_kernel(monkeypatch):
+    # tower relation bases are computed when read, and building, HH and
+    # HC read none of them
+    from hopfcyclic import algcore, exactlin, hopfalgebroid
+    real = exactlin.kernel
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    for mod in (exactlin, algcore, cyclichom, hopfalgebroid):
+        if hasattr(mod, "kernel"):
+            monkeypatch.setattr(mod, "kernel", counting)
+    cm = build_cyclic_CU(gallery()["pair_dual"].hopf, 4)
+    assert hochschild_homology(cm).dims == \
+        hochschild_homology(cm, normalized=True).dims
+    cyclic_homology_char0(cm)
+    assert calls == []
+
+
 # -- faces and degeneracies from window certificates ----------------------
 
 def _global_window_ops(h, p=None):

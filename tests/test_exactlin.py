@@ -559,6 +559,20 @@ def test_descend_matches_the_oracle_on_every_tower(field):
             assert ("fail", False, False) in outcomes
 
 
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_descend_checks_towers_whose_relations_are_unread(field):
+    # a tower computes its relation basis when it is read; descend must
+    # not take an unread basis for an empty one
+    h = gallery(field)["pair_dual"].hopf
+    src, dst = h.rtower(2), h.ltower(2)
+    m = _sparse_random_map(random.Random(7), field, src.ambient, dst.ambient)
+    assert src._relations is None
+    with pytest.raises(DescentFailure) as exc:
+        descend(m, src, dst)
+    kind, want = _descend_oracle(m, src, dst)
+    assert kind == "fail" and exc.value.witness == want
+
+
 # -- Q scalars: an int when integral, a Fraction otherwise -------------------
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -614,6 +628,9 @@ def test_elimination_ignores_the_q_scalar_representation(case, data):
     assert qa.projection == qb.projection and qa.section == qb.section
     _no_floats(ra[0], rb[0], ka, kb, sa, sb, qa.projection, qb.projection,
                qa.section, qb.section)
+    for m in (ra[0], rb[0], ka, kb, sa, sb, qa.projection, qb.projection,
+              qa.section, qb.section):
+        _assert_canonical(m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -629,6 +646,21 @@ def test_invert_ignores_the_q_scalar_representation(case):
     ib = invert(b)
     assert ia == ib
     _no_floats(ia, ib)
+    _assert_canonical(ia)
+    _assert_canonical(ib)
+
+
+def test_elimination_returns_integral_q_scalars_as_ints():
+    # back substitution sums Fractions, which may come out integral
+    m = LinMap.from_rows(Space(3), Space(3), QQ, [
+        [0, 0, 0], [Fraction(-2, 3), Fraction(-1, 3), -2], [-2, 1, -2]])
+    red = rref(m)[0]
+    assert red.entries == {(0, 0): 1, (0, 2): 2, (1, 1): 1, (1, 2): 2}
+    _assert_canonical(red)
+    a = LinMap(Space(1), Space(1), QQ, {(0, 0): Fraction(1, 2)})
+    for m in (a + a, a.scaled(2), a.tensor(a).scaled(4)):
+        assert m.entries == {(0, 0): 1}
+        _assert_canonical(m)
 
 
 # -- map equality: equal entry dicts exactly when the difference is zero ----
@@ -691,3 +723,79 @@ def test_builder_operators_are_in_canonical_form_over_f5():
             for op in ops:
                 assert all(type(v) is int and 1 <= v <= 4
                            for v in op.entries.values()), (name, cm.label)
+
+
+# -- integer forms: sums, scaling and tensors on one common denominator -----
+
+@settings(max_examples=200, deadline=None)
+@given(fields, st.data())
+def test_sum_difference_scaling_and_tensor_match_dense_oracles(f, data):
+    dims = [data.draw(st.integers(min_value=0, max_value=3))
+            for _ in range(4)]
+    a = _random_map(data.draw, f, dims[0], dims[1], rational=True)
+    b = _random_map(data.draw, f, dims[0], dims[1], rational=True)
+    c = _random_map(data.draw, f, dims[2], dims[3], rational=True)
+    k = f.of_int(data.draw(st.integers(min_value=-3, max_value=3)),
+                 data.draw(st.sampled_from([1, 2, 3])))
+    ra, rb, rc = a.rows(), b.rows(), c.rows()
+    cases = [
+        (a + b, [[f.add(x, y) for x, y in zip(r, s)]
+                 for r, s in zip(ra, rb)]),
+        (a - b, [[f.sub(x, y) for x, y in zip(r, s)]
+                 for r, s in zip(ra, rb)]),
+        (a.scaled(k), [[f.mul(k, x) for x in r] for r in ra]),
+        (a.tensor(c), [[f.mul(ra[i][j], rc[i2][j2])
+                        for j in range(dims[0]) for j2 in range(dims[2])]
+                       for i in range(dims[1]) for i2 in range(dims[3])]),
+    ]
+    for got, rows in cases:
+        assert got == LinMap.from_rows(got.dom, got.cod, f, rows)
+        assert got.rows() == rows
+        _assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_pairs(), st.booleans())
+def test_map_equality_agrees_with_the_entry_dicts(case, read_first):
+    # maps built by LinMap() and maps born in integer form from @, each
+    # compared before or after its entries are read
+    a, b = case
+    one = LinMap.identity(a.cod, a.field)
+    for x, y in ((a, b), (one @ a, one @ b), (a, one @ b)):
+        if read_first:
+            x.entries, y.entries
+        assert (x == y) == (x.entries == y.entries)
+
+
+def test_assigning_entries_drops_the_integer_form():
+    half = {(0, 0): Fraction(1, 2), (1, 1): 3}
+    for entries in (half, {(0, 1): 1}):
+        m = LinMap(Space(2), Space(2), QQ, entries)
+        born = LinMap.identity(Space(2), QQ) @ m
+        assert born == m
+        born.entries = {(1, 0): Fraction(2, 3)}
+        want = LinMap(Space(2), Space(2), QQ, {(1, 0): Fraction(2, 3)})
+        assert born == want and not born.is_zero()
+        assert born @ LinMap.identity(Space(2), QQ) == want
+        born.entries = {}
+        assert born.is_zero() and born == LinMap.zero(m.dom, m.cod, QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_tower_complements_span_the_kernel_of_the_projection(field):
+    # descend checks descent on the complement columns e_j - S P e_j;
+    # they span ker P exactly when P S = id
+    from hopfcyclic.cyclichom import chain_coeff_tower, cochain_coeff_tower
+    for name, e in gallery(field).items():
+        h = e.hopf
+        press = [t(n) for n in (1, 2, 3) for t in (h.ltower, h.rtower)]
+        press += [t(h, e.sayd, n) for n in (1, 2)
+                  for t in (chain_coeff_tower, cochain_coeff_tower)]
+        for pres in press + [_rebased(press[2])]:
+            assert pres.projection @ pres.section == \
+                LinMap.identity(pres.quotient, field), name
+            span = pres._kernel_span()
+            assert (pres.projection @ span).is_zero(), name
+            assert rank(span) == pres.ambient.dim - pres.quotient.dim, name
+        for pres in press:
+            assert pres.relations == _oracle_kernel(pres.projection), name
