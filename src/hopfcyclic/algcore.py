@@ -392,25 +392,47 @@ def action_on_last_slot(pres, slot_action, aspace, field):
     return pack_slices(ops, field, last=True)
 
 
-def iterated_balanced_tensor(base_pres, base_ract, factor_space, factor_ract,
-                             factor_lact, aspace, field, n, label=""):
-    """Left-nested tower base (x)_A U (x)_A ... (x)_A U with n copies of U.
+class BalancedTower:
+    """The left-nested tower X (x)_A F (x)_A ... (x)_A F, grown on demand.
 
-    `base_ract`: base.quotient (x) A -> base.quotient
-    `factor_ract`: U (x) A -> U,  `factor_lact`: A (x) U -> U.
-    Returns the list of presentations for 0, 1, ..., n attached factors.
+    Level 0 is the presentation `base` of X, with the right A-action
+    `base_ract`: X (x) A -> X; level n attaches n copies of the factor F
+    on `factor_space`, with the actions `factor_ract`: F (x) A -> F and
+    `factor_lact`: A (x) F -> F.  Levels are kept once grown, and so is
+    the right A-action of each level (through its last slot), computed
+    the first time a growth or a cap reads it.
     """
-    factor_pres = QuotientPresentation.trivial(factor_space, field)
-    out = [base_pres]
-    ract = base_ract
-    for k in range(1, n + 1):
-        pres = balanced_tensor(out[-1], factor_pres, ract, factor_lact,
-                               aspace, field,
-                               label="%s[%d]" % (label, k))
-        out.append(pres)
-        if k < n:
-            ract = action_on_last_slot(pres, factor_ract, aspace, field)
-    return out
+
+    def __init__(self, base, base_ract, factor_space, factor_ract,
+                 factor_lact, aspace, field, label=""):
+        self.aspace, self.field, self.label = aspace, field, label
+        self.factor_ract, self.factor_lact = factor_ract, factor_lact
+        self._factor = QuotientPresentation.trivial(factor_space, field)
+        self._levels, self._racts = [base], [base_ract]
+
+    def __getitem__(self, n):
+        """The presentation of level n."""
+        lst = self._levels
+        while len(lst) <= n:
+            k = len(lst)
+            lst.append(self.cap(k - 1, self._factor, self.factor_lact,
+                                "%s[%d]" % (self.label, k)))
+            self._racts.append(None)
+        return lst[n]
+
+    def ract(self, n):
+        """The right A-action level(n) (x) A -> level(n)."""
+        pres = self[n]
+        if self._racts[n] is None:
+            self._racts[n] = action_on_last_slot(pres, self.factor_ract,
+                                                 self.aspace, self.field)
+        return self._racts[n]
+
+    def cap(self, n, x_pres, x_lact, label=""):
+        """level(n) (x)_A Y for a left A-module Y presented by `x_pres`,
+        with `x_lact`: A (x) Y -> Y."""
+        return balanced_tensor(self[n], x_pres, self.ract(n), x_lact,
+                               self.aspace, self.field, label)
 
 
 def check_sweedler_measuring(c, r, r2, psi):

@@ -14,7 +14,7 @@ from .exactlin import (
     invert, kernel, permute_factors, quotient_by, rank, solve_many,
     tensor_space,
 )
-from .algcore import Report, action_on_last_slot, balanced_tensor
+from .algcore import Report
 from .hopfalgebroid import translation_lift
 
 
@@ -92,45 +92,33 @@ def _window_ops(h, p=None):
     f = h.field
     da = h.A.space.dim
     done = set()
-    memo = {}   # towers by (side, k), actions by (slot kind, end)
-
-    def tower(side, k):
-        """The local tower on k window slots; looked up once."""
-        if (side, k) not in memo:
-            if side == "R":
-                memo[side, k] = h.rtower(k)
-            elif side == "L":
-                memo[side, k] = h.ltower(k)
-            elif side == "chain":
-                memo[side, k] = chain_coeff_tower(h, p, k - 1)
-            else:
-                memo[side, k] = cochain_coeff_tower(h, p, k - 1)
-        return memo[side, k]
+    p_actions = {}
+    # the local tower on k window slots
+    tower = {"R": h.rtower, "L": h.ltower,
+             "chain": lambda k: chain_coeff_tower(h, p, k - 1),
+             "cochain": lambda k: cochain_coeff_tower(h, p, k - 1)}
 
     def action(side, k, end):
         """The A-action on the first ("left", A (x) X -> X) or last
         ("right", X (x) A -> X) slot of a window of k slots; built once."""
         if k == 1 and side in ("chain", "cochain"):    # p t(a)
-            key = ("P", end)
-            make = p.left_a_action if end == "left" else p.right_arrow_action
-        elif side in ("R", "chain"):        # t(a) u and u t(a)
-            key = ("R", end)
-            make = (lambda: h._lact(h.t_of)) if end == "left" else h._ract_r
-        else:                               # s(a) u and t(a) u
-            key = ("L", end)
-            make = (lambda: h._lact(h.s_of)) if end == "left" else h._ract_l
-        if key not in memo:
-            memo[key] = make()
-        return memo[key]
+            if end not in p_actions:
+                p_actions[end] = p.left_a_action() if end == "left" \
+                    else p.right_arrow_action()
+            return p_actions[end]
+        # the factor actions of the towers: t(a) u and u t(a) on the R
+        # side, s(a) u and t(a) u on the L side
+        grower = h._grower("R" if side in ("R", "chain") else "L")
+        return grower.factor_lact if end == "left" else grower.factor_ract
 
     def certify(side, st, wd, part):
         k_in = len(wd)
         phi = st(Pipe(wd, f), 0)
         k_out = len(phi.dims)
-        dst = tower(side, k_out)
+        dst = tower[side](k_out)
         if part == "descent":
             try:
-                return descend(phi.map, tower(side, k_in), dst)
+                return descend(phi.map, tower[side](k_in), dst)
             except DescentFailure as exc:
                 raise DescentFailure(
                     "window op %s does not descend on its local towers "
@@ -311,41 +299,26 @@ def build_cyclic_CU(h, N):
 # -- coefficient towers ---------------------------------------------------
 
 def chain_coeff_tower(h, p, n):
-    """Presentations of P (x) U (x) ... (x) U (chain conventions)."""
-    f = h.field
-    if p._chain_towers is None:
-        base = QuotientPresentation.trivial(p.space, f)
-        p._chain_towers = {"list": [base], "ract": p.right_arrow_action()}
-    cache = p._chain_towers
-    lst = cache["list"]
-    triv = QuotientPresentation.trivial(h.U.space, f)
-    while len(lst) <= n:
-        pres = balanced_tensor(lst[-1], triv, cache["ract"], h._lact(h.t_of),
-                               h.A.space, f,
-                               label="%s.P%d" % (h.label, len(lst)))
-        lst.append(pres)
-        cache["ract"] = action_on_last_slot(pres, h._ract_r(), h.A.space, f)
-    return lst[n]
+    """Presentation of P (x) U (x) ... (x) U with n copies of U (chain
+    conventions).  The tower is p's, grown on p.h."""
+    return p.chain_tower(n)
 
 
 def cochain_coeff_tower(h, p, n):
-    """Presentations of U (x) ... (x) U (x) P (cochain conventions)."""
-    f = h.field
-    cache = p._cochain_towers
-    if n not in cache:
-        if n == 0:
-            cache[0] = QuotientPresentation.trivial(p.space, f)
-        else:
-            lt = h.ltower(n)
-            ract = action_on_last_slot(lt, h._ract_l(), h.A.space, f)
-            cache[n] = balanced_tensor(
-                lt, QuotientPresentation.trivial(p.space, f), ract,
-                p.left_a_action(), h.A.space, f,
-                label="%s.U%dP" % (h.label, n))
-    return cache[n]
+    """Presentation of U (x) ... (x) U (x) P with n copies of U (cochain
+    conventions).  The tower is p's, capping p.h's ltower(n)."""
+    return p.capped_tower(n)
+
+
+def _require_own_algebroid(h, p):
+    """Coefficients live on the towers of their own algebroid."""
+    if p.h is not h:
+        raise ValueError("the SAYD module %s is over %s, not over %s"
+                         % (p.label, p.h.label, h.label))
 
 
 def build_cyclic_with_coeffs(h, p, N):
+    _require_own_algebroid(h, p)
     f = h.field
     du = h.U.space.dim
     dp = p.space.dim
@@ -406,6 +379,7 @@ def build_cyclic_with_coeffs(h, p, N):
 
 
 def build_cocyclic_with_coeffs(h, p, N):
+    _require_own_algebroid(h, p)
     f = h.field
     du = h.U.space.dim
     dp = p.space.dim
@@ -607,7 +581,10 @@ def _xi_core_free(h, n):
 def hopf_galois_chain_map(h, N, p=None):
     """The degreewise isomorphisms from the chain-side to the cochain-side
     (co)cyclic module; with coefficients when p is given.  Each degree is
-    computed once per algebroid (per SAYD module with coefficients)."""
+    computed once per algebroid (per SAYD module with coefficients, which
+    must be over h: ValueError otherwise)."""
+    if p is not None:
+        _require_own_algebroid(h, p)
     cache = h._xi if p is None else p._xi
     for n in range(N + 1):
         if n not in cache:

@@ -20,8 +20,8 @@ from .exactlin import (
     tensor_space,
 )
 from .algcore import (
-    AlgebraData, ModuleActionData, Report, action_on_last_slot,
-    balanced_tensor, check_algebra, check_module, swap_map,
+    AlgebraData, BalancedTower, ModuleActionData, Report, check_algebra,
+    check_module, swap_map,
 )
 
 
@@ -43,8 +43,7 @@ class LeftBialgebroidData:
         self.delta_lift = delta_lift
         self.eps_L = eps_L
         self.label = label or U.label
-        self._ltowers = None
-        self._rtowers = None
+        self._growers = {}
         self._delta_lifts = {}
 
     # -- element helpers -------------------------------------------------
@@ -82,51 +81,36 @@ class LeftBialgebroidData:
         return pack_slices([op_of(self.A.space.basis_vector(a, f))
                             for a in range(self.A.space.dim)], f, last)
 
-    def _ract_l(self):
-        # u . a = t(a) u
-        return self._pack_over_base(lambda a: self.lmul(self.t_of(a)), True)
+    def _actions(self, side):
+        """The actions (U (x) A -> U, A (x) U -> U) on a factor of the L
+        tower, u . a = t(a) u and a . u = s(a) u, or of the R tower,
+        u . a = u t(a) and a . u = t(a) u."""
+        mul, along = (self.lmul, self.s_of) if side == "L" \
+            else (self.rmul, self.t_of)
+        return (self._pack_over_base(lambda a: mul(self.t_of(a)), True),
+                self._pack_over_base(lambda a: self.lmul(along(a))))
 
-    def _lact(self, along):
-        # a . u = along(a) u for along = s_of or t_of, packed as A (x) U -> U
-        return self._pack_over_base(lambda a: self.lmul(along(a)))
-
-    def _ract_r(self):
-        # u . a = u t(a)
-        return self._pack_over_base(lambda a: self.rmul(self.t_of(a)), True)
-
-    def _tower(self, cache, ract, lact, n, tag):
-        """Grow a cached tower to n factors.  `ract` and `lact` build the
-        actions U (x) A -> U and A (x) U -> U on one factor; they run only
-        when the tower grows."""
-        triv = QuotientPresentation.trivial(self.U.space, self.field)
-        if cache is None:
-            cache = {"list": [triv], "ract": ract()}
-        lst = cache["list"]
-        if len(lst) < n:
-            fact_ract, fact_lact = ract(), lact()
-        while len(lst) < n:
-            pres = balanced_tensor(lst[-1], triv, cache["ract"], fact_lact,
-                                   self.A.space, self.field,
-                                   label="%s.%s%d" % (self.label, tag,
-                                                      len(lst) + 1))
-            lst.append(pres)
-            cache["ract"] = action_on_last_slot(pres, fact_ract, self.A.space,
-                                                self.field)
-        return cache
+    def _grower(self, side):
+        """The L or R tower as a BalancedTower, made on first use; its
+        level n is the tower on n + 1 factors."""
+        if side not in self._growers:
+            f = self.field
+            ract, lact = self._actions(side)
+            self._growers[side] = BalancedTower(
+                QuotientPresentation.trivial(self.U.space, f), ract,
+                self.U.space, ract, lact, self.A.space, f,
+                "%s.%s" % (self.label, side))
+        return self._growers[side]
 
     def ltower(self, n):
         """Presentation of the n-fold coproduct-side tensor power (n >= 1)."""
         assert n >= 1
-        self._ltowers = self._tower(self._ltowers, self._ract_l,
-                                    lambda: self._lact(self.s_of), n, "L")
-        return self._ltowers["list"][n - 1]
+        return self._grower("L")[n - 1]
 
     def rtower(self, n):
         """Presentation of the n-fold chain-side tensor power (n >= 1)."""
         assert n >= 1
-        self._rtowers = self._tower(self._rtowers, self._ract_r,
-                                    lambda: self._lact(self.t_of), n, "R")
-        return self._rtowers["list"][n - 1]
+        return self._grower("R")[n - 1]
 
     @property
     def Delta_L(self):
@@ -365,7 +349,27 @@ def check_hopf_galois(h):
 
 # -- stable anti-Yetter-Drinfeld coefficients -----------------------------
 
-class SaydModuleData:
+class _Coefficients:
+    """Coefficients X over `h` with a left A-action (`left_a_action`) and a
+    left coaction lift X -> U (x) X (`coact_lift`), and the capped towers
+    U (x)_A ... (x)_A U (x)_A X they live on."""
+
+    def capped_tower(self, n):
+        """Presentation of ltower(n) (x)_A X, X itself for n = 0 (cached).
+        Level 1 is the coaction target U (x)_A X."""
+        if n not in self._capped:
+            x = QuotientPresentation.trivial(self.space, self.h.field)
+            self._capped[n] = x if n == 0 else self.h._grower("L").cap(
+                n - 1, x, self.left_a_action(),
+                label="U%d_A_%s" % (n, self.label))
+        return self._capped[n]
+
+    def mixed2(self):
+        """Presentation of U (x)_A X (coaction target)."""
+        return self.capped_tower(1)
+
+
+class SaydModuleData(_Coefficients):
     """Right module / left comodule coefficients for the cyclic theories.
 
     `presentation` is set when the space is itself a quotient of a free
@@ -384,10 +388,8 @@ class SaydModuleData:
         self.coact_lift = coact_lift
         self.label = label
         self.presentation = presentation
-        self._mixed2 = None
-        # coefficient towers, filled by cyclichom.(co)chain_coeff_tower
-        self._chain_towers = None
-        self._cochain_towers = {}
+        self._capped = {}
+        self._chain = None
         self._xi = {}   # Hopf-Galois chain maps with these coefficients
 
     def act_by(self, uvec):
@@ -404,17 +406,17 @@ class SaydModuleData:
         h = self.h
         return h._pack_over_base(lambda a: self.act_by(h.t_of(a)), True)
 
-    def mixed2(self):
-        """Presentation of U (x)_A P (coaction target)."""
-        if self._mixed2 is None:
+    def chain_tower(self, n):
+        """Presentation of P (x)_A U (x)_A ... (x)_A U with n copies of U,
+        balanced as the R tower (cached)."""
+        if self._chain is None:
             h = self.h
-            f = h.field
-            self._mixed2 = balanced_tensor(
-                QuotientPresentation.trivial(h.U.space, f),
-                QuotientPresentation.trivial(self.space, f),
-                h._ract_l(), self.left_a_action(), h.A.space, f,
-                label="U_A_" + self.label)
-        return self._mixed2
+            r = h._grower("R")
+            self._chain = BalancedTower(
+                QuotientPresentation.trivial(self.space, h.field),
+                self.right_arrow_action(), h.U.space, r.factor_ract,
+                r.factor_lact, h.A.space, h.field, h.label + ".P")
+        return self._chain[n]
 
     @property
     def coaction(self):
@@ -434,7 +436,7 @@ def check_sayd(p):
         [p.act_by(h.t_of(h.eps_L.column(j))) for j in range(h.U.space.dim)],
         f)
     rep.check_map_equal("comodule_counit", counit_act @ p.coact_lift, idp)
-    _check_coassociative(rep, h, m2, p.coact_lift)
+    _check_coassociative(rep, p)
     # compatibility p s(a) t(b) = b eps(p_(-1) s(a)) p_(0)
     ok = True
     witness = None
@@ -471,22 +473,20 @@ def check_sayd(p):
     return rep
 
 
-def _check_coassociative(rep, h, m2, coact_lift):
-    """Coassociativity of a left coaction lift V -> U (x) V, checked in
-    U (x)_A U (x)_A V; m2 presents U (x)_A V."""
-    f = h.field
-    du, dv = h.U.space.dim, coact_lift.dom.dim
-    pres3 = balanced_tensor(QuotientPresentation.trivial(h.U.space, f), m2,
-                            h._ract_l(), _left_action_first_slot(m2, h, f),
-                            h.A.space, f)
+def _check_coassociative(rep, x):
+    """Coassociativity of the left coaction lift X -> U (x) X of x, checked
+    in U (x)_A U (x)_A X."""
+    h = x.h
+    du, dx = h.U.space.dim, x.space.dim
+    pres3 = x.capped_tower(2)
 
     def expand(slot, op, out_dims):
-        return pres3.project(Pipe.after(coact_lift, [du, dv])
+        return pres3.project(Pipe.after(x.coact_lift, [du, dx])
                              .block(slot, 1, op, out_dims).map)
 
     rep.check_map_equal("comodule_coassociative",
                         expand(0, h.delta_lift, [du, du]),
-                        expand(1, coact_lift, [du, dv]))
+                        expand(1, x.coact_lift, [du, dx]))
 
 
 def _apply_scalar_action(p, scal, f):
@@ -496,20 +496,9 @@ def _apply_scalar_action(p, scal, f):
                         for uj in range(scal.dom.dim)], f)
 
 
-def _left_action_first_slot(pres, h, f):
-    """Left A-action s(a) on the first slot of a mixed quotient."""
-    du = h.U.space.dim
-
-    def acting(a):
-        lifted = Pipe.after(pres.section, [du, pres.ambient.dim // du])
-        return pres.project(lifted.block(0, 1, h.lmul(h.s_of(a))).map)
-
-    return h._pack_over_base(acting)
-
-
 # -- Yetter-Drinfeld module algebras --------------------------------------
 
-class YdAlgebraData:
+class YdAlgebraData(_Coefficients):
     """An algebra in the category of Yetter-Drinfeld modules (left action,
     left coaction given by a lift)."""
 
@@ -517,6 +506,7 @@ class YdAlgebraData:
                  label=""):
         self.h = h
         self.Z = Z
+        self.space = Z.space
         assert action.dom.dim == h.U.space.dim * Z.space.dim
         assert action.cod.dim == Z.space.dim
         assert coact_lift.dom.dim == Z.space.dim
@@ -525,7 +515,7 @@ class YdAlgebraData:
         self.coact_lift = coact_lift
         self.braided_commutative = braided_commutative
         self.label = label
-        self._mixed2 = None
+        self._capped = {}
 
     def act_by(self, uvec):
         return fix_factor(self.action, uvec)
@@ -534,17 +524,6 @@ class YdAlgebraData:
         """a . z = s(a) z, packed as A (x) Z -> Z."""
         h = self.h
         return h._pack_over_base(lambda a: self.act_by(h.s_of(a)))
-
-    def mixed2(self):
-        if self._mixed2 is None:
-            h = self.h
-            f = h.field
-            self._mixed2 = balanced_tensor(
-                QuotientPresentation.trivial(h.U.space, f),
-                QuotientPresentation.trivial(self.Z.space, f),
-                h._ract_l(), self.left_a_action(), h.A.space, f,
-                label="U_A_" + self.label)
-        return self._mixed2
 
 
 def check_yd_algebra(y):
@@ -561,7 +540,7 @@ def check_yd_algebra(y):
     rep.check_map_equal("comodule_counit",
                         pack_slices(counit_slices, f) @ y.coact_lift,
                         idz)
-    _check_coassociative(rep, h, m2, y.coact_lift)
+    _check_coassociative(rep, y)
     du, dz = h.U.space.dim, y.Z.space.dim
     # u (z z') = (u_(1) z)(u_(2) z')
     lhs = Pipe([du, dz, dz], f).block(1, 2, y.Z.mul).block(0, 2, y.action)
@@ -688,55 +667,48 @@ def _require_scalar_base(h, what):
             "base dimension %d" % (what, h.label, h.A.space.dim))
 
 
-def scalar_sayd(h, label=""):
-    """P = k with counit action and trivial coaction (scalar base only;
-    NotScalarBase otherwise)."""
+class NotTheBase(ValueError):
+    """A base-algebra coefficient preset given an algebra that is not the
+    base of its Hopf algebroid."""
+
+
+def base_sayd(h, label=""):
+    """The base algebra A as a SAYD module: P = A, p u = eps_L(s(p) u),
+    coaction p -> s(p) (x) 1 (Kowalzig-Kraehmer, HHA 13, 2011)."""
     f = h.field
-    _require_scalar_base(h, "SAYD module")
-    P = Space(1, "P")
-    du = h.U.space.dim
-    action = LinMap(Space(du), P, f,
-                    {(0, j): h.eps_L.column(j)[0] for j in range(du)})
-    coact = LinMap(P, Space(du), f,
-                   {(i, 0): x for i, x in enumerate(h.U.unit) if x})
+    da, du = h.A.space.dim, h.U.space.dim
+    P = Space(da, "P")
+    action = Pipe([da, du], f).block(0, 1, h.s_L).block(0, 2, h.U.mul) \
+        .block(0, 1, h.eps_L).map
+    coact = Pipe([da], f).block(0, 1, h.s_L).block(1, 0, h.A.unit_map()).map
     return SaydModuleData(h, P, action, coact, label or h.label + ".sayd")
 
 
+def scalar_sayd(h, label=""):
+    """P = k with counit action and trivial coaction (scalar base only;
+    NotScalarBase otherwise)."""
+    _require_scalar_base(h, "SAYD module")
+    return base_sayd(h, label)
+
+
 def base_sayd_for_pair(h, A):
-    """P = the base algebra of a pair algebroid, p (a (x) b) = a p b,
-    coaction p -> s(p) (x) 1."""
-    f = h.field
-    d = A.space.dim
-    P = Space(d, "P")
-    # action: (p, a (x) b) -> a p b
-    action = Pipe([d, d, d], f).permute([1, 0, 2]).block(0, 3, A.mul_n(3)).map
-    coact_cols = []
-    for i in range(d):
-        sp = h.s_of(A.space.basis_vector(i, f))
-        col = [f.zero] * (h.U.space.dim * d)
-        for ui, v in enumerate(sp):
-            if v:
-                for pj, w in enumerate(A.unit):
-                    if w:
-                        col[ui * d + pj] = f.mul(v, w)
-        coact_cols.append(col)
-    coact = LinMap.from_columns(P, Space(h.U.space.dim * d), f, coact_cols)
-    return SaydModuleData(h, P, action, coact, h.label + ".sayd")
+    """base_sayd(h) for the base algebra A of h: the same multiplication and
+    unit (NotTheBase otherwise).  On a pair algebroid p (a (x) b) = a p b."""
+    B = h.A
+    if A is not B and not (A.space.dim == B.space.dim and A.mul == B.mul
+                           and tuple(A.unit) == tuple(B.unit)):
+        raise NotTheBase("the algebra %s is not the base algebra of %s"
+                         % (A.label, h.label))
+    return base_sayd(h)
 
 
 def scalar_yd_algebra(h, braided_commutative=True):
     """Z = k with counit action and trivial coaction (scalar base only;
-    NotScalarBase otherwise)."""
-    f = h.field
+    NotScalarBase otherwise): the maps of base_sayd(h), whose P is k."""
     _require_scalar_base(h, "YD algebra")
-    Z = scalar_algebra(f, "Z")
-    du = h.U.space.dim
-    action = LinMap(Space(du), Z.space, f,
-                    {(0, j): h.eps_L.column(j)[0] for j in range(du)})
-    coact = LinMap(Z.space, Space(du), f,
-                   {(i, 0): x for i, x in enumerate(h.U.unit) if x})
-    return YdAlgebraData(h, Z, action, coact,
-                         braided_commutative=braided_commutative,
+    k = base_sayd(h)
+    return YdAlgebraData(h, scalar_algebra(h.field, "Z"), k.action,
+                         k.coact_lift, braided_commutative=braided_commutative,
                          label=h.label + ".Z")
 
 

@@ -19,9 +19,9 @@ from .algcore import AlgebraData, check_algebra, check_coalgebra
 from .hopfalgebroid import (
     check_hopf_algebroid, check_hopf_galois, check_left_bialgebroid,
     check_sayd, check_yd_algebra, dual_numbers, group_algebra,
-    group_hopf_algebroid, NotScalarBase, pair_hopf_algebroid, scalar_algebra,
-    scalar_sayd, scalar_yd_algebra, split_pair_algebra, base_sayd_for_pair,
-    trivial_hopf_algebroid,
+    group_hopf_algebroid, NotScalarBase, NotTheBase, pair_hopf_algebroid,
+    scalar_algebra, scalar_sayd, scalar_yd_algebra, split_pair_algebra,
+    base_sayd_for_pair, trivial_hopf_algebroid,
 )
 from .measuring import (
     ComoduleMeasuringData, check_hopf_algebroid_measuring,
@@ -93,13 +93,26 @@ def _count(v, what, least=0):
     return v
 
 
-def _scalar_preset(make, where):
-    """make(), a scalar coefficient preset; over a base algebra that is not
-    the ground field the document is rejected."""
+def _coefficient_preset(make, where):
+    """make(), a coefficient preset; a scalar preset over a base algebra
+    that is not the ground field, or a base preset given another algebra
+    than the base, rejects the document."""
     try:
         return make()
-    except NotScalarBase as e:
+    except (NotScalarBase, NotTheBase) as e:
         raise ParseError("%s: %s" % (where, e))
+
+
+def _over(x, h, where, objects):
+    """x, a coefficient object that must live over the Hopf algebroid h:
+    its towers and operators are those of x.h.  `objects` names them."""
+    if x.h is not h:
+        def name(o):
+            return next((n for n, (_, v) in objects.items() if v is o),
+                        o.label)
+        raise ParseError("%s is over %r, not over %r"
+                         % (where, name(x.h), name(h)))
+    return x
 
 
 def _section(data, key):
@@ -245,11 +258,12 @@ class ScenarioDocument:
             h = ref(d.get("hopf"), ("hopf_algebroids",), "sayd " + name)
             preset = d.get("preset")
             if preset == "scalar":
-                define(name, "sayd_modules", _scalar_preset(
+                define(name, "sayd_modules", _coefficient_preset(
                     lambda: scalar_sayd(h, name), "sayd %r" % name))
             elif preset == "base_pair":
                 A = ref(d.get("algebra"), ("algebras",), "sayd " + name)
-                define(name, "sayd_modules", base_sayd_for_pair(h, A))
+                define(name, "sayd_modules", _coefficient_preset(
+                    lambda: base_sayd_for_pair(h, A), "sayd %r" % name))
             else:
                 raise ParseError("unknown sayd preset %r" % preset)
         for name, d in definitions("yd_algebras"):
@@ -257,7 +271,7 @@ class ScenarioDocument:
             if d.get("preset") != "scalar":
                 raise ParseError(
                     "unknown yd_algebra preset %r" % d.get("preset"))
-            define(name, "yd_algebras", _scalar_preset(
+            define(name, "yd_algebras", _coefficient_preset(
                 lambda: scalar_yd_algebra(h), "yd_algebra %r" % name))
         for name, d in definitions("measurings"):
             h = ref(d.get("hopf"), ("hopf_algebroids",), "measuring " + name)
@@ -273,17 +287,18 @@ class ScenarioDocument:
             else:
                 raise ParseError("unknown measuring preset %r" % preset)
         for name, d in definitions("comodule_measurings"):
-            p = ref(d.get("sayd"), ("sayd_modules",),
-                    "comodule_measuring " + name)
+            where = "comodule_measuring " + name
+            p = ref(d.get("sayd"), ("sayd_modules",), where)
             preset = d.get("preset")
             if preset == "identity":
-                h = ref(d.get("hopf"), ("hopf_algebroids",),
-                        "comodule_measuring " + name)
+                h = ref(d.get("hopf"), ("hopf_algebroids",), where)
+                _over(p, h, "the sayd of " + where, objects)
                 define(name, "comodule_measurings",
                        identity_comodule_measuring(h, p, name))
                 continue
-            m = ref(d.get("measuring"), ("measurings",),
-                    "comodule_measuring " + name)
+            m = ref(d.get("measuring"), ("measurings",), where)
+            # the measurings of these presets map an algebroid to itself
+            _over(p, m.src, "the sayd of " + where, objects)
             if preset == "zero_primitive":
                 define(name, "comodule_measurings",
                        zero_primitive_comodule_measuring(m, p, name))
@@ -315,6 +330,7 @@ class ScenarioDocument:
                         "operad " + name)
                 z = ref(d.get("yd_algebra"), ("yd_algebras",),
                         "operad " + name)
+                _over(z, h, "the yd_algebra of operad " + name, objects)
                 define(name, "operads", build_yd_operad(h, z, top))
             else:
                 raise ParseError("unknown operad preset %r" % preset)
@@ -333,6 +349,9 @@ class ScenarioDocument:
                         "comp_module " + name)
                 z = ref(d.get("yd_algebra"), ("yd_algebras",),
                         "comp_module " + name)
+                _over(l, h, "the sayd of comp_module " + name, objects)
+                _over(z, h, "the yd_algebra of comp_module " + name,
+                      objects)
                 define(name, "comp_modules",
                        build_yd_comp_module(h, l, z, od, top))
             else:
@@ -427,6 +446,16 @@ class ScenarioDocument:
             task = dict(t)
             task["_index"] = idx
             task["_category"] = cat
+            coeff = t.get("coefficients")
+            if kind == "homology" and coeff is not None:
+                ccat, p = self.objects.get(coeff, (None, None)) \
+                    if isinstance(coeff, str) else (None, None)
+                if ccat != "sayd_modules":
+                    raise ReferenceError("coefficients %r in %s name no "
+                                         "sayd module" % (coeff, where))
+                task["_coefficients"] = _over(
+                    p, obj, "coefficients %r in %s" % (coeff, where),
+                    self.objects)
             if kind in ("induced", "hopf_galois"):
                 ename = t.get("element")
                 if ename not in self.elements:
@@ -549,20 +578,15 @@ def _validate(cat, obj):
     return _VALIDATORS[cat](obj)
 
 
-def _homology(task, cat, obj, objects, max_degree):
+def _homology(task, cat, obj, max_degree):
     top = max_degree if max_degree is not None else task.get("max_degree", 3)
     theory = task.get("theory", "HC")
     if cat == "lie_rinehart":
         dims = lie_rinehart_homology(obj, top)
         return "LR", dims
     variant = task.get("variant", "cyclic")
-    coeff_name = task.get("coefficients")
-    if coeff_name is not None:
-        if coeff_name not in objects or objects[coeff_name][0] != \
-                "sayd_modules":
-            raise ReferenceError(
-                "unknown coefficients %r in homology task" % coeff_name)
-        p = objects[coeff_name][1]
+    p = task.get("_coefficients")
+    if p is not None:
         cm = (build_cyclic_with_coeffs if variant == "cyclic"
               else build_cocyclic_with_coeffs)(obj, p, top + 1)
     else:
@@ -626,7 +650,7 @@ def _run_task(task, objects, elements, field, max_degree):
             record["status"] = "pass" if rep.ok else "fail"
             record["checks"] = _checks_of(rep, field)
         elif kind == "homology":
-            theory, dims = _homology(task, cat, obj, objects, max_degree)
+            theory, dims = _homology(task, cat, obj, max_degree)
             record["theory"] = theory
             record["table"] = [{"degree": n, "dim": d}
                                for n, d in enumerate(dims)]

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 from hopfcyclic.exactlin import QQ, LinMap, Space, tensor_space
 from hopfcyclic.algcore import (
-    AlgebraData, CoalgebraData, ComoduleData, ModuleActionData,
-    balanced_tensor, check_algebra, check_coalgebra, check_comodule,
-    check_module, check_sweedler_measuring, iterated_balanced_tensor,
-    swap_map,
+    AlgebraData, BalancedTower, CoalgebraData, ComoduleData,
+    ModuleActionData, balanced_tensor, check_algebra, check_coalgebra,
+    check_comodule, check_module, check_sweedler_measuring, swap_map,
 )
 from hopfcyclic.exactlin import QuotientPresentation
 from hopfcyclic.hopfalgebroid import (
@@ -115,8 +114,8 @@ def test_iterated_balanced_tensor_dims():
     triv = QuotientPresentation.trivial(a.space, QQ)
     ract = LinMap(Space(4), a.space, QQ, a.mul.entries)
     lact = LinMap(Space(4), a.space, QQ, a.mul.entries)
-    towers = iterated_balanced_tensor(triv, ract, a.space, ract, lact,
-                                      a.space, QQ, 3)
+    tower = BalancedTower(triv, ract, a.space, ract, lact, a.space, QQ)
+    towers = [tower[n] for n in range(4)]
     assert [t.quotient.dim for t in towers] == [2, 2, 2, 2]
 
 

@@ -300,6 +300,59 @@ def test_hopf_galois_chain_maps_are_computed_once_per_degree(monkeypatch):
     assert with_p == hopf_galois_chain_map(fresh.hopf, 2, fresh.sayd)
 
 
+def test_coefficient_towers_are_grown_on_their_own_algebroid():
+    """A SAYD module used with another algebroid is refused, and a tower
+    looked up through the wrong algebroid is still the module's own: a
+    valid build afterwards gives the dims it gives on its own."""
+    A = dual_numbers(QQ)
+    h = pair_hopf_algebroid(A, "H")
+    k = gallery()["pair_split"].hopf
+    p = base_sayd_for_pair(h, A)
+    for build in (build_cyclic_with_coeffs, build_cocyclic_with_coeffs):
+        with pytest.raises(ValueError, match="over H, not over pair"):
+            build(k, p, 2)
+    with pytest.raises(ValueError, match="over H, not over pair"):
+        hopf_galois_chain_map(k, 2, p)
+    fresh = base_sayd_for_pair(h, A)
+    for tower in (cyclichom.chain_coeff_tower, cyclichom.cochain_coeff_tower):
+        for n in range(4):
+            got = tower(k, p, n)
+            assert got is tower(h, p, n)
+            assert got.projection == tower(h, fresh, n).projection
+            assert got.section == tower(h, fresh, n).section
+    cm = build_cyclic_with_coeffs(h, p, 3)
+    assert hochschild_homology(cm).dims == [2, 1, 1]
+    assert hochschild_homology(build_cocyclic_with_coeffs(h, p, 3)).dims \
+        == hochschild_homology(build_cocyclic_with_coeffs(h, fresh, 3)).dims
+
+
+def test_cochain_tower_reads_the_kept_action_of_ltower(monkeypatch):
+    """The right A-action of each level of the L tower is computed once
+    and kept: capping ltower(3) with coefficients, twice, and growing
+    ltower(4) compute no action beyond one per level."""
+    from hopfcyclic import algcore
+    real = algcore.action_on_last_slot
+    calls = []
+
+    def counting(pres, *args):
+        calls.append(pres)
+        return real(pres, *args)
+
+    monkeypatch.setattr(algcore, "action_on_last_slot", counting)
+    A = dual_numbers(QQ)
+    h = pair_hopf_algebroid(A)
+    p, q = base_sayd_for_pair(h, A), base_sayd_for_pair(h, A)
+    h.ltower(3)
+    assert calls == [h.ltower(2)]
+    cyclichom.cochain_coeff_tower(h, p, 3)
+    assert calls == [h.ltower(2), h.ltower(3)]
+    cyclichom.cochain_coeff_tower(h, q, 3)
+    p.mixed2()
+    p.capped_tower(2)
+    h.ltower(4)
+    assert calls == [h.ltower(2), h.ltower(3)]
+
+
 def test_pair_build_and_homology_compute_no_kernel(monkeypatch):
     # tower relation bases are computed when read, and building, HH and
     # HC read none of them

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcyclic.exactlin import QQ, LinMap, Space, rank
+from hopfcyclic.algcore import AlgebraData, balanced_tensor
+from hopfcyclic.exactlin import (
+    QQ, FieldSpec, LinMap, Pipe, QuotientPresentation, Space, kron_vec, rank,
+)
 from hopfcyclic.hopfalgebroid import (
-    HopfAlgebroidData, NotScalarBase, SaydModuleData, check_hopf_algebroid,
-    check_hopf_galois, check_left_bialgebroid, check_sayd, check_yd_algebra,
-    dual_numbers, gallery, group_hopf_algebroid, hopf_galois_beta,
-    pair_hopf_algebroid, scalar_sayd, scalar_yd_algebra, translation_map,
+    HopfAlgebroidData, NotScalarBase, NotTheBase, SaydModuleData, base_sayd,
+    base_sayd_for_pair, check_hopf_algebroid, check_hopf_galois,
+    check_left_bialgebroid, check_sayd, check_yd_algebra, dual_numbers,
+    gallery, group_hopf_algebroid, hopf_galois_beta, pair_hopf_algebroid,
+    scalar_sayd, scalar_yd_algebra, split_pair_algebra, translation_map,
     translation_lift, trivial_hopf_algebroid,
 )
 
@@ -84,6 +88,83 @@ def test_scalar_presets_refuse_a_larger_base(gal, make):
     for name in ("pair_dual", "pair_split"):
         with pytest.raises(NotScalarBase, match="base dimension 2"):
             make(gal[name].hopf)
+
+
+def _quadratic_pair(a):
+    """The pair algebroid on Q[x]/(x^2 - a)."""
+    sp = Space(2, "Q[x]/(x2-%d)" % a)
+    mul = LinMap(Space(4), sp, QQ,
+                 {(0, 0): 1, (1, 1): 1, (1, 2): 1, (0, 3): a})
+    return pair_hopf_algebroid(AlgebraData(sp, mul, (1, 0), QQ, sp.label))
+
+
+def _preset_maps(h):
+    """The action and coaction lift of the base as coefficients, written
+    out as the scalar preset (p u = eps(u) p) and the pair preset
+    (p (a (x) b) = a p b) define them; both coact by p -> s(p) (x) 1."""
+    f, A = h.field, h.A
+    d, du = A.space.dim, h.U.space.dim
+    if d == 1:
+        action = LinMap(Space(du), Space(1), f,
+                        {(0, j): h.eps_L.column(j)[0] for j in range(du)})
+    else:
+        action = Pipe([d, d, d], f).permute([1, 0, 2]) \
+            .block(0, 3, A.mul_n(3)).map
+    coact = LinMap.from_columns(Space(d), Space(du * d), f, [
+        kron_vec(h.s_of(A.space.basis_vector(i, f)), A.unit, f)
+        for i in range(d)])
+    return action, coact
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_base_sayd_is_both_presets(field):
+    for name, entry in gallery(field).items():
+        h = entry.hopf
+        action, coact = _preset_maps(h)
+        preset = scalar_sayd(h) if h.A.space.dim == 1 \
+            else base_sayd_for_pair(h, h.A)
+        for p in (base_sayd(h), preset, entry.sayd):
+            assert p.space.dim == h.A.space.dim, name
+            assert p.action == action, name
+            assert p.coact_lift == coact, name
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_base_sayd_passes_check_sayd(field):
+    hs = [entry.hopf for entry in gallery(field).values()]
+    if field == QQ:
+        hs += [_quadratic_pair(a) for a in (2, 3, -1, -5)]
+    for h in hs:
+        rep = check_sayd(base_sayd(h))
+        assert rep.ok, (h.label, rep.failures())
+
+
+def test_base_pair_needs_the_base_algebra(gal):
+    # an algebra with the same multiplication and unit is the base
+    h = gal["pair_dual"].hopf
+    assert base_sayd_for_pair(h, dual_numbers(QQ)).action == \
+        base_sayd(h).action
+    for hname, A in (("group_c2", dual_numbers(QQ)),
+                     ("pair_dual", split_pair_algebra(QQ))):
+        with pytest.raises(NotTheBase, match="not the base algebra"):
+            base_sayd_for_pair(gal[hname].hopf, A)
+
+
+def test_mixed2_is_the_capped_tower_at_level_one(gal):
+    for name, entry in gal.items():
+        h = entry.hopf
+        xs = [entry.sayd] + ([scalar_yd_algebra(h)] if h.A.space.dim == 1
+                             else [])
+        for x in xs:
+            assert x.mixed2() is x.capped_tower(1), name
+            # U (x)_A X, balanced by t(a) u (x) x = u (x) a . x
+            want = balanced_tensor(
+                QuotientPresentation.trivial(h.U.space, QQ),
+                QuotientPresentation.trivial(x.space, QQ),
+                h._pack_over_base(lambda a: h.lmul(h.t_of(a)), True),
+                x.left_a_action(), h.A.space, QQ)
+            assert x.mixed2().projection == want.projection, name
+            assert x.mixed2().section == want.section, name
 
 
 def test_broken_antipode_detected():

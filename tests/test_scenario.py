@@ -369,3 +369,105 @@ def test_cli_rejects_a_composite_field_under_optimization(tmp_path):
     proc = _run_cli("report", str(doc), optimize=True)
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "not a prime field: 'F4'" in proc.stderr
+
+
+def _base_pair(hopf, algebra):
+    return {"algebras": {"E": {"preset": "dual_numbers"},
+                         "S": {"preset": "split_pair"}},
+            "hopf_algebroids": {"G": {"preset": "group_c2"},
+                                "H": {"pair_of": "E"}},
+            "sayd_modules": {"P": {"preset": "base_pair", "hopf": hopf,
+                                   "algebra": algebra}},
+            "tasks": [{"kind": "validate", "object": "P"}]}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@pytest.mark.parametrize("doc, named", [
+    (_base_pair("G", "E"),
+     "sayd 'P': the algebra k[e]/(e2) is not the base algebra of k[C2]"),
+    (_base_pair("H", "S"),
+     "sayd 'P': the algebra kxk is not the base algebra of H"),
+], ids=["group_c2", "pair"])
+def test_cli_rejects_base_pair_off_the_base(tmp_path, doc, named, optimize):
+    # neither an assert, which python -O strips, nor a wrong module
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_cli("validate", str(path), optimize=optimize)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
+
+
+def _foreign_sayd(tasks, **sections):
+    """P is the base of H = pair(k[e]); K = pair_split is another
+    algebroid."""
+    doc = {"algebras": {"E": {"preset": "dual_numbers"}},
+           "hopf_algebroids": {"H": {"pair_of": "E"},
+                               "K": {"preset": "pair_split"}},
+           "sayd_modules": {"P": {"preset": "base_pair", "hopf": "H",
+                                  "algebra": "E"}},
+           "elements": {"g": ["1"]},
+           "tasks": tasks}
+    doc.update(sections)
+    return doc
+
+
+def _yd_over(hopf, z, sayd=None):
+    """A yd operad (and, given a sayd, a yd comp module) over `hopf`, with
+    coefficients over the group algebroids G2 and G3."""
+    doc = {"hopf_algebroids": {"G2": {"preset": "group_c2"},
+                               "G3": {"preset": "group_c3"}},
+           "sayd_modules": {"L2": {"preset": "scalar", "hopf": "G2"}},
+           "yd_algebras": {"Z2": {"preset": "scalar", "hopf": "G2"},
+                           "Z3": {"preset": "scalar", "hopf": "G3"}},
+           "operads": {"O": {"preset": "yd", "hopf": hopf, "yd_algebra": z,
+                             "max_arity": 2}}}
+    if sayd is not None:
+        doc["comp_modules"] = {"M": {"preset": "yd", "operad": "O",
+                                     "hopf": hopf, "sayd": sayd,
+                                     "yd_algebra": z, "max_degree": 1}}
+    return doc
+
+
+_HH_OF_H_WITH_P = {"kind": "homology", "object": "H", "coefficients": "P",
+                   "theory": "HH", "max_degree": 2}
+
+
+@pytest.mark.parametrize("doc, named", [
+    (_foreign_sayd([{"kind": "homology", "object": "K", "coefficients": "P",
+                     "theory": "HH"}, _HH_OF_H_WITH_P]),
+     "coefficients 'P' in task 0 is over 'H', not over 'K'"),
+    (_foreign_sayd([{"kind": "induced", "object": "c", "element": "g"},
+                    _HH_OF_H_WITH_P], comodule_measurings={
+        "c": {"preset": "identity", "hopf": "K", "sayd": "P"}}),
+     "the sayd of comodule_measuring c is over 'H', not over 'K'"),
+    (_foreign_sayd([], measurings={
+        "m": {"preset": "zero_primitive", "hopf": "K"}},
+        comodule_measurings={
+        "c": {"preset": "zero_primitive", "measuring": "m", "sayd": "P"}}),
+     "the sayd of comodule_measuring c is over 'H', not over 'K'"),
+    (_foreign_sayd([{"kind": "homology", "object": "H",
+                     "coefficients": "Q"}]),
+     "coefficients 'Q' in task 0 name no sayd module"),
+    (_foreign_sayd([{"kind": "homology", "object": "H",
+                     "coefficients": "K"}]),
+     "coefficients 'K' in task 0 name no sayd module"),
+    (_yd_over("G3", "Z2"),
+     "the yd_algebra of operad O is over 'G2', not over 'G3'"),
+    (_yd_over("G3", "Z3", "L2"),
+     "the sayd of comp_module M is over 'G2', not over 'G3'"),
+], ids=["homology", "identity", "zero_primitive", "unknown", "not_sayd",
+        "operad", "comp_module"])
+def test_cli_rejects_coefficients_over_another_algebroid(tmp_path, capsys,
+                                                         doc, named):
+    bad = tmp_path / "foreign.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["report", str(bad)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_coefficient_homology_over_its_own_algebroid():
+    rep = run(parse_scenario_text(json.dumps(
+        _foreign_sayd([_HH_OF_H_WITH_P]))))
+    assert rep.ok
+    assert [r["dim"] for r in rep.tasks[0]["table"]] == [2, 1, 1]
