@@ -93,17 +93,6 @@ class AlgebraData:
         """The operator v |-> (v * vec)."""
         return fix_factor(self.mul, vec, self.space.dim)
 
-    def mul_elements(self, u, v):
-        d = self.space.dim
-        f = self.field
-        vec = [f.zero] * (d * d)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    if b:
-                        vec[i * d + j] = f.mul(a, b)
-        return self.mul.apply(tuple(vec))
-
     def mul_n(self, k):
         """Left-folded multiplication map on k tensor factors (cached)."""
         assert k >= 1
@@ -279,32 +268,29 @@ class ComoduleData:
         self.label = label
 
     def iterated_coaction_vector(self, yvec, n):
-        """Expand into M (x) C^{(x)n} (right) or C^{(x)n} (x) M (left).
+        """Expand y into y_(0) (x) y_(1) (x) ... (x) y_(n) (right) or
+        y_(-n) (x) ... (x) y_(-1) (x) y_(0) (left): the coaction once, then
+        its coalgebra leg through `iterated_comul_vector`.
 
         Returns {(m_index, c_1, ..., c_n): coefficient} in both cases, with
-        the comodule index first for uniformity.
+        the comodule index first and the coalgebra factors in Sweedler
+        order.  n = 0 returns the element itself.
         """
-        f = self.coalgebra.field
-        dc = self.coalgebra.space.dim
-        cur = {(i,): c for i, c in enumerate(yvec) if c}
-        for _ in range(n):
-            nxt = {}
-            for key, coeff in cur.items():
-                midx = key[0]
-                col = self.coaction.column(midx)
-                for flat, v in enumerate(col):
-                    if not v:
-                        continue
-                    if self.side == "right":
-                        mi, ci = divmod(flat, dc)
-                    else:
-                        ci, mi = divmod(flat, self.space.dim)
-                    nk = (mi,) + key[1:] + (ci,)
-                    term = f.mul(coeff, v)
-                    cur_v = nxt.get(nk)
-                    nxt[nk] = term if cur_v is None else f.add(cur_v, term)
-            cur = {k: v for k, v in nxt.items() if v}
-        return cur
+        if n == 0:
+            return {(i,): c for i, c in enumerate(yvec) if c}
+        c = self.coalgebra
+        dm, dc = self.space.dim, c.space.dim
+        legs = {}   # comodule index -> its coalgebra leg
+        for flat, v in enumerate(self.coaction.apply(tuple(yvec))):
+            if not v:
+                continue
+            if self.side == "right":
+                mi, ci = divmod(flat, dc)
+            else:
+                ci, mi = divmod(flat, dm)
+            legs.setdefault(mi, [c.field.zero] * dc)[ci] = v
+        return {(mi,) + key: v for mi, leg in legs.items()
+                for key, v in c.iterated_comul_vector(leg, n).items()}
 
 
 def check_comodule(cm):
@@ -325,6 +311,35 @@ def check_comodule(cm):
     rep.check_map_equal("counit", after_coaction(cs, c.counit),
                         LinMap.identity(cm.space, f))
     return rep
+
+
+def basis_slices(op, dim):
+    """The maps op(e_i (x) -) for the basis vectors e_i of op's first
+    factor, of dimension `dim`: `fix_factor` at each of them."""
+    f = op.field
+    return [fix_factor(op, Space(dim).basis_vector(i, f)) for i in range(dim)]
+
+
+def sweedler_sum(terms, slots):
+    """The slotwise action of a Sweedler expansion: for terms
+    {(i_1, ..., i_m): c}, the sum of c * slots[0][i_1] (x) ... (x)
+    slots[m-1][i_m], where slots[k] lists the maps of slot k by basis
+    index.  No terms give the zero map between the tensor products of the
+    slots' spaces."""
+    out = None
+    for key, c in terms.items():
+        m = slots[0][key[0]]
+        for maps, i in zip(slots[1:], key[1:]):
+            m = m.tensor(maps[i])
+        m = m.scaled(c)
+        out = m if out is None else out + m
+    if out is None:
+        dom = cod = 1
+        for maps in slots:
+            dom *= maps[0].dom.dim
+            cod *= maps[0].cod.dim
+        out = LinMap.zero(Space(dom), Space(cod), slots[0][0].field)
+    return out
 
 
 def _columns(m):

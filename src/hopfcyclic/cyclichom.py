@@ -14,8 +14,8 @@ from .exactlin import (
     invert, kernel, permute_factors, quotient_by, rank, solve_many,
     tensor_space,
 )
-from .algcore import Report
-from .hopfalgebroid import translation_lift
+from .algcore import Report, sweedler_sum
+from .hopfalgebroid import require_own_algebroid, translation_lift
 
 
 class CharNotZero(Exception):
@@ -310,15 +310,33 @@ def cochain_coeff_tower(h, p, n):
     return p.capped_tower(n)
 
 
-def _require_own_algebroid(h, p):
-    """Coefficients live on the towers of their own algebroid."""
-    if p.h is not h:
-        raise ValueError("the SAYD module %s is over %s, not over %s"
-                         % (p.label, p.h.label, h.label))
+def chain_coeff_cyclic(h, p, n):
+    """The cyclic operator on P (x)_A U (x)_A ... (x)_A U, n copies of U:
+    p (x) u1 (x) ... (x) un -> p_0 u1+ (x) u2+ (x) ... (x) un+ (x)
+    un- ... u1- p_-1, with u -> u+ (x) u- the translation map and
+    p -> p_-1 (x) p_0 the coaction; the identity for n = 0."""
+    f = h.field
+    if n == 0:
+        return LinMap.identity(p.space, f)
+    du = h.U.space.dim
+    dp = p.space.dim
+    trans = translation_lift(h)
+    pipe = Pipe([dp] + [du] * n, f)
+    for k in range(n):
+        pipe.block(1 + 2 * k, 1, trans, [du, du])
+    pipe.block(0, 1, p.coact_lift, [du, dp])
+    # layout now (p_-1, p_0, u1+, u1-, ..., un+, un-)
+    pipe.permute([1] + [2 * k for k in range(1, n + 1)]
+                 + [2 * k + 1 for k in range(n, 0, -1)] + [0])
+    pipe.block(0, 2, p.action)
+    for _ in range(n):
+        pipe.block(n, 2, h.U.mul)
+    pres = chain_coeff_tower(h, p, n)
+    return descend(pipe.map, pres, pres)
 
 
 def build_cyclic_with_coeffs(h, p, N):
-    _require_own_algebroid(h, p)
+    require_own_algebroid(h, p)
     f = h.field
     du = h.U.space.dim
     dp = p.space.dim
@@ -360,26 +378,14 @@ def build_cyclic_with_coeffs(h, p, N):
         up = (pres[n], pres[n + 1], [dp] + [du] * n)
         degen[n] = [window("R", unit_in, 0, 1 + n - i, *up)
                     for i in range(n + 1)]
-    cyc[0] = LinMap.identity(p.space, f)
-    trans = translation_lift(h)
-    for n in range(1, N + 1):
-        pipe = Pipe([dp] + [du] * n, f)
-        for k in range(n):
-            pipe.block(1 + 2 * k, 1, trans, [du, du])
-        pipe.block(0, 1, p.coact_lift, [du, dp])
-        # layout now (p_-1, p_0, u1+, u1-, ..., un+, un-)
-        pipe.permute([1] + [2 * k for k in range(1, n + 1)]
-                     + [2 * k + 1 for k in range(n, 0, -1)] + [0])
-        pipe.block(0, 2, p.action)
-        for _ in range(n):
-            pipe.block(n, 2, h.U.mul)
-        cyc[n] = descend(pipe.map, pres[n], pres[n])
+    for n in range(N + 1):
+        cyc[n] = chain_coeff_cyclic(h, p, n)
     return CyclicModuleData("cyclic", N, spaces, faces, degen, cyc, pres,
                             label="C_(%s;%s)" % (h.label, p.label))
 
 
 def build_cocyclic_with_coeffs(h, p, N):
-    _require_own_algebroid(h, p)
+    require_own_algebroid(h, p)
     f = h.field
     du = h.U.space.dim
     dp = p.space.dim
@@ -584,7 +590,7 @@ def hopf_galois_chain_map(h, N, p=None):
     computed once per algebroid (per SAYD module with coefficients, which
     must be over h: ValueError otherwise)."""
     if p is not None:
-        _require_own_algebroid(h, p)
+        require_own_algebroid(h, p)
     cache = h._xi if p is None else p._xi
     for n in range(N + 1):
         if n not in cache:
@@ -906,18 +912,13 @@ def check_shuffle_measuring(m, xvec, p, q):
     sh_src = shuffle_product(m.src, p, q)
     sh_dst = shuffle_product(m.dst, p, q)
     chain_src = induced_cyclic_map(m, xvec, max(p + q, 1), "cyclic")
-    big = chain_src[p + q]
-    lhs_map = big @ sh_src
+    lhs_map = chain_src[p + q] @ sh_src
+    basis = [m.C.space.basis_vector(i, f) for i in range(m.C.space.dim)]
+    slots = [[induced_cyclic_map(m, e, k, "cyclic")[k] for e in basis]
+             for k in (p, q)]
     terms = m.C.iterated_comul_vector(tuple(xvec), 2)
-    rhs_map = None
-    for (i, j), coeff in terms.items():
-        fi = induced_cyclic_map(m, m.C.space.basis_vector(i, f), p,
-                                "cyclic")[p]
-        fj = induced_cyclic_map(m, m.C.space.basis_vector(j, f), q,
-                                "cyclic")[q]
-        term = (sh_dst @ fi.tensor(fj)).scaled(coeff)
-        rhs_map = term if rhs_map is None else rhs_map + term
-    rep.check_map_equal("leibniz", lhs_map, rhs_map)
+    rep.check_map_equal("leibniz", lhs_map,
+                        sh_dst @ sweedler_sum(terms, slots))
     return rep
 
 

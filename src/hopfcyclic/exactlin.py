@@ -96,9 +96,6 @@ class FieldSpec:
             return _rational(Fraction(1, a))
         return pow(a, self.char - 2, self.char)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def parse(self, text):
         """Parse "3", "-1/2" etc. into a scalar."""
         s = str(text)

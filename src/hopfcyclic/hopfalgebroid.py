@@ -255,7 +255,8 @@ def check_hopf_algebroid(h):
     delta_S = h.delta_lift @ h.S
     left1 = Pipe([du, du], f).block(0, 1, delta_S, [du, du]) \
         .permute([0, 2, 1]).block(0, 2, U.mul).map
-    rhs1 = _insert_unit_left(U, f) @ h.S
+    unit = U.unit_map()
+    rhs1 = Pipe.after(h.S, [du]).block(0, 0, unit).map
     rep.check_map_equal("antipode_left_galois",
                         lt2.project(left1 @ h.delta_lift),
                         lt2.project(rhs1))
@@ -264,34 +265,13 @@ def check_hopf_algebroid(h):
     # S(u_(2))_(1) (x) S(u_(2))_(2) u_(1)  =  S(u) (x) 1
     left2 = Pipe([du, du], f).permute([1, 0]) \
         .block(0, 1, delta_S, [du, du]).block(1, 2, U.mul).map
-    rhs2 = _insert_unit_right(U, f) @ h.S
+    rhs2 = Pipe.after(h.S, [du]).block(1, 0, unit).map
     rep.check_map_equal("antipode_right_galois",
                         lt2.project(left2 @ h.delta_lift),
                         lt2.project(rhs2))
     rep.check_map_zero("antipode_right_galois_well_defined",
                        lt2.project(left2 @ lt2.relations))
     return rep
-
-
-def _insert_unit_left(U, f):
-    """u -> 1 (x) u as a map U -> U (x) U."""
-    du = U.space.dim
-    entries = {}
-    for i, x in enumerate(U.unit):
-        if x:
-            for j in range(du):
-                entries[(i * du + j, j)] = x
-    return LinMap(U.space, Space(du * du), f, entries)
-
-
-def _insert_unit_right(U, f):
-    du = U.space.dim
-    entries = {}
-    for i, x in enumerate(U.unit):
-        if x:
-            for j in range(du):
-                entries[(j * du + i, j)] = x
-    return LinMap(U.space, Space(du * du), f, entries)
 
 
 # -- Hopf-Galois map and the translation map -----------------------------
@@ -313,8 +293,8 @@ def translation_map(h):
     if h._translation is not None:
         return h._translation
     beta = hopf_galois_beta(h)
-    h._translation = solve_many(
-        beta, h.ltower(2).project(_insert_unit_right(h.U, h.field)))
+    u_one = Pipe([h.U.space.dim], h.field).block(1, 0, h.U.unit_map()).map
+    h._translation = solve_many(beta, h.ltower(2).project(u_one))
     return h._translation
 
 
@@ -340,14 +320,23 @@ def check_hopf_galois(h):
         return rep.add("beta_surjective", False)
     rep.add("beta_surjective", True)
     # beta(translation(u)) = u (x) 1
-    want = lt2.project(_insert_unit_right(h.U, f))
-    rep.check_map_equal("beta_translation_section", beta @ trans, want)
+    u_one = Pipe([h.U.space.dim], f).block(1, 0, h.U.unit_map()).map
+    rep.check_map_equal("beta_translation_section", beta @ trans,
+                        lt2.project(u_one))
     # injectivity: beta has full column rank since dims match and it is onto
     rep.add("beta_injective", rank(beta) == rt2.quotient.dim)
     return rep
 
 
 # -- stable anti-Yetter-Drinfeld coefficients -----------------------------
+
+def require_own_algebroid(h, p):
+    """Coefficients live on the towers of their own algebroid: ValueError
+    unless p is over h."""
+    if p.h is not h:
+        raise ValueError("the SAYD module %s is over %s, not over %s"
+                         % (p.label, p.h.label, h.label))
+
 
 class _Coefficients:
     """Coefficients X over `h` with a left A-action (`left_a_action`) and a

@@ -10,7 +10,9 @@ exterior power is a plain vector space with an increasing-tuple basis.
 import itertools
 
 from .exactlin import LinMap, Space, fix_factor, rank
-from .algcore import Report, check_sweedler_measuring
+from .algcore import (
+    Report, basis_slices, check_sweedler_measuring, sweedler_sum,
+)
 
 
 class CutoffExceeded(Exception):
@@ -248,9 +250,6 @@ class LieRinehartMeasuringData:
         self.psi = psi
         self.label = label
 
-    def PsiL_of(self, xvec):
-        return fix_factor(self.PsiL, xvec)
-
     def psi_of(self, xvec):
         return fix_factor(self.psi, xvec)
 
@@ -264,81 +263,56 @@ def check_lie_rinehart_measuring(m):
     rep.extend(check_sweedler_measuring(m.C, m.src.R, m.dst.R, m.psi),
                "base.")
     dc = m.C.space.dim
+    Ls, ps = basis_slices(m.PsiL, dc), basis_slices(m.psi, dc)
     for c in range(dc):
         xv = m.C.space.basis_vector(c, f)
         terms = m.C.iterated_comul_vector(xv, 2)
-        px = m.PsiL_of(xv)
-        lhs = px @ m.src.bracket
-        rhs = None
-        anchor_rhs = None
-        nabla_rhs = None
-        for (i, j), coeff in terms.items():
-            p1 = m.PsiL_of(m.C.space.basis_vector(i, f))
-            p2 = m.PsiL_of(m.C.space.basis_vector(j, f))
-            q2 = m.psi_scalar(m.C.space.basis_vector(j, f))
-            term = (m.dst.bracket @ p1.tensor(p2)).scaled(coeff)
-            rhs = term if rhs is None else rhs + term
-            at = (m.dst.anchor @ p1).scaled(f.mul(coeff, q2))
-            anchor_rhs = at if anchor_rhs is None else anchor_rhs + at
-            nt = (m.dst.nabla @ p1).scaled(f.mul(coeff, q2))
-            nabla_rhs = nt if nabla_rhs is None else nabla_rhs + nt
-        rep.check_map_equal("bracket_compatible@%d" % c, lhs, rhs)
+        rep.check_map_equal("bracket_compatible@%d" % c,
+                            Ls[c] @ m.src.bracket,
+                            m.dst.bracket @ sweedler_sum(terms, [Ls, Ls]))
+        # R = k, so x_(2) acts through the scalar psi(x_(2))
+        twisted = sweedler_sum(terms, [Ls, ps])
         qx = m.psi_scalar(xv)
         rep.check_map_equal("anchor_compatible@%d" % c,
-                            m.src.anchor.scaled(qx), anchor_rhs)
+                            m.src.anchor.scaled(qx), m.dst.anchor @ twisted)
         rep.check_map_equal("nabla_compatible@%d" % c,
-                            m.src.nabla.scaled(qx), nabla_rhs)
+                            m.src.nabla.scaled(qx), m.dst.nabla @ twisted)
     return rep
 
 
+def _wedge_sorting(f, d, n):
+    """For dim L = d: the inclusion of the increasing tuples, wedge^n L ->
+    L^{(x)n}, and the sorting projection L^{(x)n} -> wedge^n L, which
+    sends a tuple to the sign of its sorting permutation times the sorted
+    tuple, and a tuple with a repeated index to zero."""
+    index = {w: i for i, w in enumerate(wedge_basis(d, n))}
+    inc, proj = {}, {}
+    for flat, combo in enumerate(itertools.product(range(d), repeat=n)):
+        if len(set(combo)) < n:
+            continue
+        w = tuple(sorted(combo))
+        if combo == w:
+            inc[(flat, index[w])] = f.one
+        inv = sum(1 for a in range(n) for b in range(a + 1, n)
+                  if combo[a] > combo[b])
+        proj[(index[w], flat)] = f.neg(f.one) if inv % 2 else f.one
+    wedge, power = Space(len(index)), Space(d ** n)
+    return LinMap(wedge, power, f, inc), LinMap(power, wedge, f, proj)
+
+
 def induced_lr_chain_map(m, xvec, n):
-    """Slotwise induced map on the n-th exterior power; the coefficient leg
-    goes through psi."""
+    """Slotwise induced map on the n-th exterior power: x_(0) acts on the
+    coefficient leg through psi and x_(1), ..., x_(n) on the slots of
+    L^{(x)n}, between the inclusion of the increasing tuples and the
+    sorting projection."""
     f = m.C.field
-    ds = m.src.L.dim
-    dd = m.dst.L.dim
-    dom = wedge_basis(ds, n)
-    cod = wedge_basis(dd, n)
-    cod_index = {w: i for i, w in enumerate(cod)}
-    if n == 0:
-        return LinMap(Space(1), Space(1), f,
-                      {(0, 0): m.psi_scalar(xvec)}
-                      if m.psi_scalar(xvec) else {})
+    dc = m.C.space.dim
     terms = m.C.iterated_comul_vector(tuple(xvec), n + 1)
-    entries = {}
-    for col, word in enumerate(dom):
-        acc = {}
-        for key, coeff in terms.items():
-            scal = f.mul(coeff,
-                         m.psi_scalar(m.C.space.basis_vector(key[0], f)))
-            if not scal:
-                continue
-            slot_maps = [m.PsiL_of(m.C.space.basis_vector(c, f))
-                         for c in key[1:]]
-            images = [sm.column(word[k]) for k, sm in enumerate(slot_maps)]
-            for combo in itertools.product(*[range(dd)] * n):
-                c = scal
-                for k in range(n):
-                    c = f.mul(c, images[k][combo[k]])
-                    if not c:
-                        break
-                if not c:
-                    continue
-                if len(set(combo)) < n:
-                    continue
-                inv = 0
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        if combo[a] > combo[b]:
-                            inv += 1
-                if inv % 2:
-                    c = f.neg(c)
-                w = tuple(sorted(combo))
-                acc[w] = f.add(acc.get(w, f.zero), c)
-        for w, v in acc.items():
-            if v:
-                entries[(cod_index[w], col)] = v
-    return LinMap(Space(len(dom)), Space(len(cod)), f, entries)
+    free = sweedler_sum(terms, [basis_slices(m.psi, dc)]
+                        + [basis_slices(m.PsiL, dc)] * n)
+    inc, _ = _wedge_sorting(f, m.src.L.dim, n)
+    _, proj = _wedge_sorting(f, m.dst.L.dim, n)
+    return proj @ free @ inc
 
 
 def check_lr_induced_chain_map(m, xvec, top):

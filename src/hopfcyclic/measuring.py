@@ -10,10 +10,10 @@ from .exactlin import (
     LinMap, Pipe, Space, fix_factor, pack_slices, tensor_space,
 )
 from .algcore import (
-    CoalgebraData, ComoduleData, Report, check_comodule,
-    check_sweedler_measuring,
+    CoalgebraData, ComoduleData, Report, basis_slices, check_comodule,
+    check_sweedler_measuring, sweedler_sum,
 )
-from .hopfalgebroid import YdAlgebraData
+from .hopfalgebroid import YdAlgebraData, require_own_algebroid
 
 
 class MeasuringData:
@@ -44,24 +44,11 @@ class MeasuringData:
     def induced_free(self, xvec, n):
         """Slotwise action through the iterated coproduct of x, on the free
         tensor power.  n = 0 gives the base-algebra action."""
-        f = self.C.field
         if n == 0:
             return self.psi_of(xvec)
         terms = self.C.iterated_comul_vector(tuple(xvec), n)
-        slices = [self.Psi_of(self.C.space.basis_vector(i, f))
-                  for i in range(self.C.space.dim)]
-        out = None
-        for key, coeff in terms.items():
-            m = slices[key[0]]
-            for idx in key[1:]:
-                m = m.tensor(slices[idx])
-            m = m.scaled(coeff)
-            out = m if out is None else out + m
-        if out is None:
-            du = self.src.U.space.dim
-            out = LinMap.zero(Space(du ** n), Space(self.dst.U.space.dim ** n),
-                              f)
-        return out
+        return sweedler_sum(terms,
+                            [basis_slices(self.Psi, self.C.space.dim)] * n)
 
 
 def check_hopf_algebroid_measuring(m):
@@ -166,6 +153,8 @@ class ComoduleMeasuringData:
         assert isinstance(base, MeasuringData)
         assert D.coalgebra is base.C or D.coalgebra.space.dim == base.C.space.dim
         assert D.side == "right"
+        require_own_algebroid(base.src, src_p)
+        require_own_algebroid(base.dst, dst_p)
         self.base = base
         self.D = D
         self.src_p = src_p
@@ -179,51 +168,17 @@ class ComoduleMeasuringData:
     def Omega_of(self, yvec):
         return fix_factor(self.Omega, yvec)
 
-    def mixed_free(self, yvec):
-        """y(u (x) p) = Psi(y_(1))(u) (x) Omega(y_(0))(p), on free lifts."""
-        f = self.base.C.field
-        terms = self.D.iterated_coaction_vector(tuple(yvec), 1)
-        out = None
-        for (d_idx, c_idx), coeff in terms.items():
-            m = self.base.Psi_of(
-                self.base.C.space.basis_vector(c_idx, f)).tensor(
-                self.Omega_of(self.D.space.basis_vector(d_idx, f)))
-            m = m.scaled(coeff)
-            out = m if out is None else out + m
-        if out is None:
-            out = LinMap.zero(
-                Space(self.base.src.U.space.dim * self.src_p.space.dim),
-                Space(self.base.dst.U.space.dim * self.dst_p.space.dim), f)
-        return out
-
     def induced_coeff_free(self, yvec, n, p_position):
         """Slotwise action Omega(y_(0)) (x) Psi(y_(1)) ... (x) Psi(y_(n)) on
         the free space, with the coefficient slot first ("front") or last
         ("back")."""
-        f = self.base.C.field
         terms = self.D.iterated_coaction_vector(tuple(yvec), n)
-        out = None
-        for key, coeff in terms.items():
-            om = self.Omega_of(self.D.space.basis_vector(key[0], f))
-            psis = [self.base.Psi_of(self.base.C.space.basis_vector(i, f))
-                    for i in key[1:]]
-            if p_position == "front":
-                m = om
-                for p in psis:
-                    m = m.tensor(p)
-            else:
-                m = None
-                for p in psis:
-                    m = p if m is None else m.tensor(p)
-                m = om if m is None else m.tensor(om)
-            m = m.scaled(coeff)
-            out = m if out is None else out + m
-        if out is None:
-            du = self.base.src.U.space.dim
-            dim_in = self.src_p.space.dim * du ** n
-            dim_out = self.dst_p.space.dim * self.base.dst.U.space.dim ** n
-            out = LinMap.zero(Space(dim_in), Space(dim_out), f)
-        return out
+        omegas = basis_slices(self.Omega, self.D.space.dim)
+        psis = [basis_slices(self.base.Psi, self.base.C.space.dim)] * n
+        if p_position == "front":
+            return sweedler_sum(terms, [omegas] + psis)
+        return sweedler_sum({k[1:] + k[:1]: c for k, c in terms.items()},
+                            psis + [omegas])
 
 
 def check_sayd_comodule_measuring(cm):
@@ -265,7 +220,7 @@ def check_sayd_comodule_measuring(cm):
     wit_rel = None
     for y in range(dd):
         yv = cm.D.space.basis_vector(y, f)
-        mf = cm.mixed_free(yv)
+        mf = cm.induced_coeff_free(yv, 1, "back")
         lhs = m2d.project(dp.coact_lift @ cm.Omega_of(yv))
         rhs = m2d.project(mf @ sp.coact_lift)
         if lhs != rhs:

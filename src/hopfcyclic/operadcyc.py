@@ -12,10 +12,13 @@ from .exactlin import (
     DescentFailure, LinMap, Pipe, Space, QuotientPresentation, descend,
     fix_factor, kernel, solve_many,
 )
-from .algcore import ComoduleData, Report, balanced_tensor, check_comodule
+from .algcore import (
+    ComoduleData, Report, balanced_tensor, basis_slices, check_comodule,
+    sweedler_sum,
+)
 from .hopfalgebroid import SaydModuleData, translation_lift
 from .cyclichom import (
-    CyclicModuleData, chain_coeff_tower, check_chain_map,
+    CyclicModuleData, chain_coeff_cyclic, chain_coeff_tower, check_chain_map,
     tensor_presentation,
 )
 
@@ -319,25 +322,19 @@ def check_operad_measuring(om):
     rep.add("coalgebra_cocommutative", om.C.is_cocommutative())
     N = min(om.src.N, om.dst.N)
     dc = om.C.space.dim
+    psis = {n: basis_slices(op, dc) for n, op in om.Psi.items()}
     skipped = 0
     ok = True
     wit = None
     for c in range(dc):
-        xv = om.C.space.basis_vector(c, f)
-        terms = om.C.iterated_comul_vector(xv, 2)
+        terms = om.C.iterated_comul_vector(om.C.space.basis_vector(c, f), 2)
         for (p, q, i), comp in om.src.comp.items():
             comp2 = om.dst.comp.get((p, q, i))
             if comp2 is None or p + q - 1 > N:
                 skipped += 1
                 continue
-            lhs = om.Psi_of(p + q - 1, xv) @ comp
-            rhs = None
-            for (a, b), coeff in terms.items():
-                pa = om.Psi_of(p, om.C.space.basis_vector(a, f))
-                qb = om.Psi_of(q, om.C.space.basis_vector(b, f))
-                term = (comp2 @ pa.tensor(qb)).scaled(coeff)
-                rhs = term if rhs is None else rhs + term
-            if rhs is None or lhs != rhs:
+            lhs = psis[p + q - 1][c] @ comp
+            if lhs != comp2 @ sweedler_sum(terms, [psis[p], psis[q]]):
                 ok = False
                 wit = (c, p, q, i)
     rep.add("comp_measuring", ok, witness=wit)
@@ -378,26 +375,23 @@ def check_comp_comodule_measuring(ccm):
     rep.extend(check_comodule(ccm.D), "comodule.")
     N = min(ccm.src.N, ccm.dst.N)
     dd = ccm.D.space.dim
+    psis = {n: basis_slices(op, om.C.space.dim) for n, op in om.Psi.items()}
+    omegas = {n: basis_slices(op, dd) for n, op in ccm.Omega.items()}
     skipped = 0
     ok = True
     wit = None
     for c in range(dd):
-        yv = ccm.D.space.basis_vector(c, f)
-        terms = ccm.D.iterated_coaction_vector(yv, 1)
+        # D is a left comodule, y -> y_(-1) (x) y_(0), keyed (y_(0), y_(-1))
+        coact = ccm.D.iterated_coaction_vector(ccm.D.space.basis_vector(c, f),
+                                               1)
+        terms = {(ci, mi): v for (mi, ci), v in coact.items()}
         for (p, n, i), b in ccm.src.bullet.items():
             b2 = ccm.dst.bullet.get((p, n, i))
             if b2 is None or n - p + 1 > N or n - p + 1 < 0:
                 skipped += 1
                 continue
-            lhs = ccm.Omega_of(n - p + 1, yv) @ b
-            rhs = None
-            for key, coeff in terms.items():
-                y1, x0 = key  # left comodule: (module index, coalgebra index)
-                pa = om.Psi_of(p, om.C.space.basis_vector(x0, f))
-                ob = ccm.Omega_of(n, ccm.D.space.basis_vector(y1, f))
-                term = (b2 @ pa.tensor(ob)).scaled(coeff)
-                rhs = term if rhs is None else rhs + term
-            if rhs is None or lhs != rhs:
+            lhs = omegas[n - p + 1][c] @ b
+            if lhs != b2 @ sweedler_sum(terms, [psis[p], omegas[n]]):
                 ok = False
                 wit = (c, p, n, i)
     rep.add("bullet_measuring", ok, witness=wit)
@@ -405,10 +399,9 @@ def check_comp_comodule_measuring(ccm):
     ok = True
     wit = None
     for c in range(dd):
-        yv = ccm.D.space.basis_vector(c, f)
         for n in range(N + 1):
-            lhs = ccm.Omega_of(n, yv) @ ccm.src.t[n]
-            rhs = ccm.dst.t[n] @ ccm.Omega_of(n, yv)
+            lhs = omegas[n][c] @ ccm.src.t[n]
+            rhs = ccm.dst.t[n] @ omegas[n][c]
             if lhs != rhs:
                 ok = False
                 wit = (c, n)
@@ -732,30 +725,6 @@ def _yd_bullet_zero(h, l, z, msayd, fs, p, k):
     return _m_descend(h, pipe, msayd, msayd, k)
 
 
-def _yd_t(h, l, z, msayd, k):
-    du = h.U.space.dim
-    dl = l.space.dim
-    dz = z.Z.space.dim
-    trans = translation_lift(h)
-    pipe = _m_lift(h, msayd, dl, k)
-    for j in range(k):
-        pipe.block(2 + 2 * j, 1, trans, [du, du])
-    pipe.block(2, 1, trans, [du, du])
-    # layout: l, z, u1_++, u1_+-, u1_-, (u^j_+, u^j_-) j >= 2
-    pipe.block(0, 1, l.coact_lift, [du, dl])
-    pipe.block(2, 1, z.coact_lift, [du, dz])
-    # layout: l_-1, l_0, z_-1, z_0, u1_++, u1_+-, u1_-, (u^j_+, u^j_-)
-    plus = [7 + 2 * j for j in range(k - 1)]
-    minus = [8 + 2 * j for j in range(k - 1)]
-    pipe.permute([1, 4, 5, 3] + plus + list(reversed(minus)) + [6, 2, 0])
-    # layout: l_0, u1_++, u1_+-, z_0, u^j_+ (j >= 2), u^k_- .. u^2_-, u1_-,
-    # z_-1, l_-1
-    pipe.block(0, 2, l.action)
-    pipe.block(1, 2, z.action)
-    pipe.block(2 + (k - 1), k + 2, h.U.mul_n(k + 2))
-    return _m_descend(h, pipe, msayd, msayd, k)
-
-
 def build_yd_comp_module(h, l, z, od, N):
     """The comp module of chains with coefficients in L (x) Z over the
     operad of a braided commutative Yetter-Drinfeld algebra."""
@@ -763,10 +732,8 @@ def build_yd_comp_module(h, l, z, od, N):
     msayd = build_ayd_coefficient(h, l, z)
     spaces = [chain_coeff_tower(h, msayd, k).quotient for k in range(N + 1)]
     bullet = {}
-    t = {}
-    for k in range(N + 1):
-        t[k] = _yd_t(h, l, z, msayd, k) if k >= 1 \
-            else LinMap.identity(spaces[0], f)
+    # the cyclic operator of the Hopf-cyclic chains with coefficients in M
+    t = {k: chain_coeff_cyclic(h, msayd, k) for k in range(N + 1)}
     for p in range(0, od.N + 1):
         fs = od.hom_data[p]
         for k in range(N + 1):

@@ -613,16 +613,20 @@ def _induced(task, cat, obj, elements, max_degree):
         maps = induced_coeff_map(obj, vec, top, variant)
         build = (build_cyclic_with_coeffs if variant == "cyclic"
                  else build_cocyclic_with_coeffs)
-        src = build(obj.base.src, obj.src_p, top)
-        dst = build(obj.base.dst, obj.dst_p, top)
+        ends = (obj.base.src, obj.src_p), (obj.base.dst, obj.dst_p)
     else:
         maps = induced_cyclic_map(obj, vec, top, variant)
         build = build_cyclic_CU if variant == "cyclic" else build_cocyclic_CU
-        src = build(obj.src, top)
-        dst = build(obj.dst, top)
+        ends = (obj.src,), (obj.dst,)
+    # a measuring of one object into itself has one module at both ends
+    same = all(a is b for a, b in zip(*ends))
+    src = build(*ends[0], top)
+    dst = src if same else build(*ends[1], top)
+    src_rep = check_cyclic_module(src)
+    dst_rep = src_rep if same else check_cyclic_module(dst)
     rep = check_chain_map(src, dst, maps)
-    rep.extend(check_cyclic_module(src), "src:")
-    rep.extend(check_cyclic_module(dst), "dst:")
+    rep.extend(src_rep, "src:")
+    rep.extend(dst_rep, "dst:")
     return rep
 
 

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
-from hopfcyclic.exactlin import QQ, LinMap, Space, tensor_space
+import pytest
+
+from hopfcyclic.exactlin import QQ, FieldSpec, LinMap, Pipe, Space, tensor_space
 from hopfcyclic.algcore import (
     AlgebraData, BalancedTower, CoalgebraData, ComoduleData,
     ModuleActionData, balanced_tensor, check_algebra, check_coalgebra,
     check_comodule, check_module, check_sweedler_measuring, swap_map,
+    sweedler_sum,
 )
 from hopfcyclic.exactlin import QuotientPresentation
 from hopfcyclic.hopfalgebroid import (
@@ -96,6 +99,68 @@ def test_comodule_iterated_coaction():
     terms = co.iterated_coaction_vector(x, 2)
     assert terms == {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
                      (0, 0, 1): Fraction(1)}
+
+
+def matrix_coalgebra(f):
+    """M_2^*: basis e_ij (index 2i + j), Delta(e_ij) = sum_k e_ik (x) e_kj,
+    eps(e_ij) = delta_ij; not cocommutative."""
+    sp = Space(4, "M2*")
+    comul = LinMap(sp, Space(16), f, {
+        ((2 * i + k) * 4 + 2 * k + j, 2 * i + j): f.one
+        for i in range(2) for j in range(2) for k in range(2)})
+    counit = LinMap(sp, Space(1), f, {(0, 0): f.one, (0, 3): f.one})
+    return CoalgebraData(sp, comul, counit, f, "M2*")
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("f", [QQ, FieldSpec(5)])
+def test_iterated_coaction_vector_is_in_sweedler_order(side, f):
+    """y_(0) (x) y_(1) (x) ... (x) y_(n) (right) and y_(-n) (x) ... (x)
+    y_(-1) (x) y_(0) (left), keyed with the comodule index first, equal
+    the coaction followed by the coproduct on the coalgebra leg."""
+    c = matrix_coalgebra(f)
+    assert check_coalgebra(c).ok and not c.is_cocommutative()
+    co = ComoduleData(c, c.space, c.comul, side, "D")
+    assert check_comodule(co).ok
+    for n in range(4):
+        pipe = Pipe([4], f)
+        if n:
+            pipe.block(0, 1, co.coaction, [4, 4])
+        for k in range(n - 1):
+            # expand the coalgebra leg: the last C slot (right), the first
+            # (left)
+            pipe.block(1 + k if side == "right" else 0, 1, c.comul, [4, 4])
+        for y in range(4):
+            want = {}
+            for flat, v in enumerate(pipe.map.column(y)):
+                if v:
+                    key = []
+                    for _ in range(n + 1):
+                        flat, r = divmod(flat, 4)
+                        key.insert(0, r)
+                    key = key if side == "right" else key[-1:] + key[:-1]
+                    want[tuple(key)] = v
+            got = co.iterated_coaction_vector(c.space.basis_vector(y, f), n)
+            assert got == want, (side, n, y)
+    if side == "right":
+        # e_01: y_(0) (x) y_(1) (x) y_(2) = Delta^(2)(e_01)
+        assert co.iterated_coaction_vector(c.space.basis_vector(1, f), 2) \
+            == {(0, 0, 1): 1, (0, 1, 3): 1, (1, 2, 1): 1, (1, 3, 3): 1}
+
+
+def test_sweedler_sum():
+    f = QQ
+    a = [LinMap(Space(2), Space(3), f, {(0, 0): f.one, (2, 1): f.one}),
+         LinMap(Space(2), Space(3), f, {(1, 1): Fraction(1, 2)})]
+    b = [LinMap(Space(4), Space(5), f, {(4, 3): f.one}),
+         LinMap(Space(4), Space(5), f, {(i, i): f.one for i in range(4)})]
+    got = sweedler_sum({(0, 1): Fraction(2), (1, 0): Fraction(3)}, [a, b])
+    want = a[0].tensor(b[1]).scaled(Fraction(2)) \
+        + a[1].tensor(b[0]).scaled(Fraction(3))
+    assert got == want
+    zero = sweedler_sum({}, [a, b])
+    assert zero.is_zero()
+    assert (zero.dom.dim, zero.cod.dim) == (8, 15)
 
 
 def test_balanced_tensor_pair_square():

@@ -13,7 +13,9 @@ from hopfcyclic.measuring import (
     identity_measuring, point_coalgebra, primitive_pair_coalgebra,
     zero_primitive_comodule_measuring, zero_primitive_measuring,
 )
-from hopfcyclic.hopfalgebroid import dual_numbers, scalar_yd_algebra
+from hopfcyclic.hopfalgebroid import (
+    base_sayd, dual_numbers, scalar_yd_algebra,
+)
 from hopfcyclic.measuring import YdMeasuringData
 
 
@@ -140,3 +142,14 @@ def test_yd_measuring_detects_broken_equivariance(gal):
     psi = LinMap(Space(1), z.Z.space, f, {(0, 0): f.one})
     ym = YdMeasuringData(C, z, z2, psi, "bad")
     assert not check_yd_measuring(ym).ok
+
+
+def test_comodule_measuring_needs_coefficients_over_its_algebroids(gal):
+    """SAYD modules over another algebroid than the measuring's would give
+    induced maps on their own towers, not on the measured algebroid's."""
+    other = base_sayd(gal["pair_dual"].hopf)
+    with pytest.raises(ValueError, match="not over"):
+        identity_comodule_measuring(gal["pair_split"].hopf, other)
+    m = zero_primitive_measuring(gal["group_c2"].hopf)
+    with pytest.raises(ValueError, match="not over"):
+        zero_primitive_comodule_measuring(m, gal["group_c3"].sayd)

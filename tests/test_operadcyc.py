@@ -16,8 +16,8 @@ from hopfcyclic.measuring import (
     primitive_pair_coalgebra,
 )
 from hopfcyclic.cyclichom import (
-    chain_coeff_tower, check_cyclic_module, cyclic_homology_char0,
-    hochschild_homology,
+    build_cyclic_with_coeffs, chain_coeff_tower, check_cyclic_module,
+    cyclic_homology_char0, hochschild_homology,
 )
 from hopfcyclic.operadcyc import (
     CertificateFailure, HomBasis, StabilityFailure, _descend_family,
@@ -497,3 +497,26 @@ def test_hom_coords_on_a_tower_with_relations(field):
         got = _hom_coords(hom_data, 2, pack_slices(maps, field))
         assert got == LinMap.from_columns(got.dom, space, field, want)
     assert outcomes == {"ok", "fail"}
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+@pytest.mark.parametrize("order", [2, 3])
+def test_yd_comp_cyclic_module_is_the_chain_module_with_coefficients(
+        field, order):
+    """The cyclic module of the YD comp module is the Hopf-cyclic chain
+    module with coefficients in M = L (x)_A Z: every face, degeneracy and
+    cyclic operator, up to degree 4."""
+    N = 4
+    h = group_hopf_algebroid(order, field)
+    z = scalar_yd_algebra(h)
+    od = build_yd_operad(h, z, 2)
+    cm = build_yd_comp_module(h, scalar_sayd(h), z, od, N)
+    got = comp_cyclic_module(cm)
+    want = build_cyclic_with_coeffs(h, cm.msayd, N)
+    assert [sp.dim for sp in got.spaces] == [sp.dim for sp in want.spaces]
+    for n in range(N + 1):
+        assert got.cyc[n] == want.cyc[n], n
+        if n >= 1:
+            assert got.faces[n] == want.faces[n], n
+        if n < N:
+            assert got.degen[n] == want.degen[n], n

@@ -471,3 +471,30 @@ def test_coefficient_homology_over_its_own_algebroid():
         _foreign_sayd([_HH_OF_H_WITH_P]))))
     assert rep.ok
     assert [r["dim"] for r in rep.tasks[0]["table"]] == [2, 1, 1]
+
+
+@pytest.mark.parametrize("variant", ["cyclic", "cocyclic"])
+@pytest.mark.parametrize("doc", [
+    _induced_task,
+    lambda variant: _foreign_sayd(
+        [{"kind": "induced", "object": "c", "element": "g",
+          "variant": variant, "max_degree": 2}],
+        comodule_measurings={"c": {"preset": "identity", "hopf": "H",
+                                   "sayd": "P"}}),
+], ids=["measuring", "comodule_measuring"])
+def test_induced_task_builds_a_self_measured_module_once(monkeypatch, doc,
+                                                          variant):
+    import hopfcyclic.scenario as scenario
+    built = []
+    for name in ("build_cyclic_CU", "build_cocyclic_CU",
+                 "build_cyclic_with_coeffs", "build_cocyclic_with_coeffs"):
+        def counted(*args, _build=getattr(scenario, name)):
+            built.append(args)
+            return _build(*args)
+        monkeypatch.setattr(scenario, name, counted)
+    rep = run(parse_scenario_text(json.dumps(doc(variant))))
+    assert rep.ok
+    assert len(built) == 1
+    names = [c["name"] for c in rep.tasks[0]["certificate"]]
+    src = [n[4:] for n in names if n.startswith("src:")]
+    assert src and src == [n[4:] for n in names if n.startswith("dst:")]
