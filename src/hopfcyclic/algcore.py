@@ -388,8 +388,7 @@ def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
     projection = inner.projection \
         @ left_pres.projection.tensor(right_pres.projection)
     section = left_pres.section.tensor(right_pres.section) @ inner.section
-    return QuotientPresentation(ambient, None, inner.quotient, projection,
-                                section)
+    return QuotientPresentation(ambient, inner.quotient, projection, section)
 
 
 def action_on_last_slot(pres, slot_action, aspace, field):

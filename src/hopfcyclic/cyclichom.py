@@ -12,7 +12,7 @@ go through the global `descend`.
 from .exactlin import (
     DescentFailure, LinMap, Pipe, Space, QuotientPresentation, descend,
     invert, kernel, permute_factors, quotient_by, rank, solve_many,
-    tensor_space,
+    tensor_presentation,
 )
 from .algcore import Report, sweedler_sum
 from .hopfalgebroid import require_own_algebroid, translation_lift
@@ -86,8 +86,8 @@ def _window_ops(h, p=None):
     operator itself is then evaluated on the section columns of the
     source only.  `side` names the towers: "R" (rtower) and "L" (ltower)
     for windows of U slots, "chain" and "cochain" for windows at the
-    coefficient slot of chain_coeff_tower (P first) and
-    cochain_coeff_tower (P last).  A failed part raises DescentFailure.
+    coefficient slot of p.chain_tower (P first) and p.capped_tower (P
+    last).  A failed part raises DescentFailure.
     """
     f = h.field
     da = h.A.space.dim
@@ -95,8 +95,8 @@ def _window_ops(h, p=None):
     p_actions = {}
     # the local tower on k window slots
     tower = {"R": h.rtower, "L": h.ltower,
-             "chain": lambda k: chain_coeff_tower(h, p, k - 1),
-             "cochain": lambda k: cochain_coeff_tower(h, p, k - 1)}
+             "chain": lambda k: p.chain_tower(k - 1),
+             "cochain": lambda k: p.capped_tower(k - 1)}
 
     def action(side, k, end):
         """The A-action on the first ("left", A (x) X -> X) or last
@@ -298,18 +298,6 @@ def build_cyclic_CU(h, N):
 
 # -- coefficient towers ---------------------------------------------------
 
-def chain_coeff_tower(h, p, n):
-    """Presentation of P (x) U (x) ... (x) U with n copies of U (chain
-    conventions).  The tower is p's, grown on p.h."""
-    return p.chain_tower(n)
-
-
-def cochain_coeff_tower(h, p, n):
-    """Presentation of U (x) ... (x) U (x) P with n copies of U (cochain
-    conventions).  The tower is p's, capping p.h's ltower(n)."""
-    return p.capped_tower(n)
-
-
 def chain_coeff_cyclic(h, p, n):
     """The cyclic operator on P (x)_A U (x)_A ... (x)_A U, n copies of U:
     p (x) u1 (x) ... (x) un -> p_0 u1+ (x) u2+ (x) ... (x) un+ (x)
@@ -331,7 +319,7 @@ def chain_coeff_cyclic(h, p, n):
     pipe.block(0, 2, p.action)
     for _ in range(n):
         pipe.block(n, 2, h.U.mul)
-    pres = chain_coeff_tower(h, p, n)
+    pres = p.chain_tower(n)
     return descend(pipe.map, pres, pres)
 
 
@@ -340,7 +328,7 @@ def build_cyclic_with_coeffs(h, p, N):
     f = h.field
     du = h.U.space.dim
     dp = p.space.dim
-    pres = [chain_coeff_tower(h, p, n) for n in range(N + 1)]
+    pres = [p.chain_tower(n) for n in range(N + 1)]
     spaces = [pr.quotient for pr in pres]
     t_eps = h.t_L @ h.eps_L
     unit = h.U.unit_map()
@@ -389,7 +377,7 @@ def build_cocyclic_with_coeffs(h, p, N):
     f = h.field
     du = h.U.space.dim
     dp = p.space.dim
-    pres = [cochain_coeff_tower(h, p, n) for n in range(N + 1)]
+    pres = [p.capped_tower(n) for n in range(N + 1)]
     spaces = [pr.quotient for pr in pres]
     sc_eps = h.s_L @ h.eps_L
     t_eps = h.t_L @ h.eps_L
@@ -609,8 +597,7 @@ def _xi(h, n, p):
     pipe = Pipe([p.space.dim] + [du] * n, h.field)
     pipe.permute(list(range(1, n + 1)) + [0])
     pipe.block(0, n, core, [du] * n)
-    return descend(pipe.map, chain_coeff_tower(h, p, n),
-                   cochain_coeff_tower(h, p, n))
+    return descend(pipe.map, p.chain_tower(n), p.capped_tower(n))
 
 
 def check_hopf_galois_chain_map(h, N, p=None):
@@ -689,6 +676,12 @@ def hochschild_homology(cm, normalized=False):
     return HomologyReport("HH", "cyclic", dims, cm.label + ".norm")
 
 
+def _lam(cm, n):
+    """The signed cyclic operator lambda = (-1)^n t_n of degree n."""
+    t = cm.cyc[n]
+    return t if n % 2 == 0 else t.scaled(t.field.neg(t.field.one))
+
+
 def cyclic_homology_char0(cm):
     """Cyclic (co)homology through the lambda-complex; degrees 0..N-1."""
     f = cm.cyc[0].field
@@ -698,8 +691,7 @@ def cyclic_homology_char0(cm):
     if cm.variant == "cyclic":
         press = []
         for n in range(cm.N + 1):
-            lam = cm.cyc[n] if n % 2 == 0 else cm.cyc[n].scaled(f.neg(f.one))
-            rel = LinMap.identity(cm.spaces[n], f) - lam
+            rel = LinMap.identity(cm.spaces[n], f) - _lam(cm, n)
             press.append(quotient_by(cm.spaces[n], rel, f))
         nd = {}
         for n in range(1, cm.N + 1):
@@ -710,8 +702,7 @@ def cyclic_homology_char0(cm):
     # cocyclic: lambda-invariant subcomplex
     kers = []
     for n in range(cm.N + 1):
-        lam = cm.cyc[n] if n % 2 == 0 else cm.cyc[n].scaled(f.neg(f.one))
-        kers.append(kernel(LinMap.identity(cm.spaces[n], f) - lam))
+        kers.append(kernel(LinMap.identity(cm.spaces[n], f) - _lam(cm, n)))
     nd = {}
     for n in range(0, cm.N):
         nd[n] = solve_many(kers[n + 1], diffs[n] @ kers[n])
@@ -750,17 +741,16 @@ def induced_cyclic_map(m, xvec, N, variant):
 def induced_coeff_map(cm, yvec, N, variant):
     """Chain maps on the coefficient (co)cyclic modules induced by a
     comodule-measuring element."""
-    h_src, h_dst = cm.base.src, cm.base.dst
     out = []
     for n in range(N + 1):
         if variant == "cyclic":
             free = cm.induced_coeff_free(yvec, n, "front")
-            out.append(descend(free, chain_coeff_tower(h_src, cm.src_p, n),
-                               chain_coeff_tower(h_dst, cm.dst_p, n)))
+            out.append(descend(free, cm.src_p.chain_tower(n),
+                               cm.dst_p.chain_tower(n)))
         else:
             free = cm.induced_coeff_free(yvec, n, "back")
-            out.append(descend(free, cochain_coeff_tower(h_src, cm.src_p, n),
-                               cochain_coeff_tower(h_dst, cm.dst_p, n)))
+            out.append(descend(free, cm.src_p.capped_tower(n),
+                               cm.dst_p.capped_tower(n)))
     return out
 
 
@@ -818,9 +808,12 @@ def hopf_galois_square(m, xvec, N, coeff_measuring=None):
     return rep
 
 
-def homology_presentation(cm, n, theory="HH"):
-    """(cycle inclusion, quotient presentation) for degree n homology."""
-    assert cm.variant == "cyclic" and theory == "HH"
+def homology_presentation(cm, n):
+    """(cycle inclusion, quotient presentation) for degree n Hochschild
+    homology of a cyclic module; ValueError for a cocyclic one."""
+    if cm.variant != "cyclic":
+        raise ValueError("homology presentations implemented on the chain "
+                         "side")
     diffs = cm.boundaries()
     f = diffs[1].field
     if n >= 1:
@@ -831,10 +824,10 @@ def homology_presentation(cm, n, theory="HH"):
     return K, quotient_by(K.dom, rel, f)
 
 
-def induced_on_homology(src_cm, dst_cm, maps, n, theory="HH"):
+def induced_on_homology(src_cm, dst_cm, maps, n):
     """Matrix of the induced map on degree-n Hochschild homology."""
-    Ks, ps = homology_presentation(src_cm, n, theory)
-    Kd, pd = homology_presentation(dst_cm, n, theory)
+    Ks, ps = homology_presentation(src_cm, n)
+    Kd, pd = homology_presentation(dst_cm, n)
     X = solve_many(Kd, maps[n] @ Ks)
     return pd.project(ps.lift(X))
 
@@ -863,14 +856,6 @@ def _shuffles(p, q):
             perm[tgt] = src
         out.append((inv % 2, perm))
     return out
-
-
-def tensor_presentation(pa, pb):
-    """Presentation of the plain tensor product of two quotients."""
-    projection = pa.projection.tensor(pb.projection)
-    section = pa.section.tensor(pb.section)
-    return QuotientPresentation(tensor_space(pa.ambient, pb.ambient), None,
-                                projection.cod, projection, section)
 
 
 def shuffle_product(h, p, q):
@@ -955,16 +940,14 @@ def mixed_complex(cm):
     f = cm.cyc[0].field
     B = {}
     for n in range(0, cm.N):
-        lam = cm.cyc[n] if n % 2 == 0 else cm.cyc[n].scaled(f.neg(f.one))
+        lam = _lam(cm, n)
         norm = None
         power = LinMap.identity(cm.spaces[n], f)
         for _ in range(n + 1):
             norm = power if norm is None else norm + power
             power = lam @ power
         extra = cm.cyc[n + 1] @ cm.degen[n][n]
-        lam1 = cm.cyc[n + 1] if (n + 1) % 2 == 0 \
-            else cm.cyc[n + 1].scaled(f.neg(f.one))
-        one_minus = LinMap.identity(cm.spaces[n + 1], f) - lam1
+        one_minus = LinMap.identity(cm.spaces[n + 1], f) - _lam(cm, n + 1)
         B[n] = one_minus @ (extra @ norm)
     return MixedComplexData(cm.spaces, diffs, B, cm.label)
 

@@ -146,11 +146,10 @@ QQ = FieldSpec()
 
 class Vector(tuple):
     """Coordinates of a vector, as every function here that builds one
-    returns them (LinMap.column and apply, solve, kron_vec, basis_vector,
-    vector_from_dict): a plain tuple whose type marks the entries as
-    scalars.  Over Q an integral scalar is an int, like an index, so a
-    report renders the entries of a Vector through FieldSpec.to_json and
-    nothing else."""
+    returns them (LinMap.column and apply, solve, kron_vec, basis_vector):
+    a plain tuple whose type marks the entries as scalars.  Over Q an
+    integral scalar is an int, like an index, so a report renders the
+    entries of a Vector through FieldSpec.to_json and nothing else."""
 
     __slots__ = ()
 
@@ -743,10 +742,10 @@ def invert(m):
 class QuotientPresentation:
     """ambient -> quotient with a chosen linear section.
 
-    projection . section = id on the quotient, and the kernel of the
-    projection is exactly the span of the relation columns.  Given no
-    relation basis (relations=None, as for towers), `relations` is
-    kernel(projection), computed on first read.
+    projection . section = id on the quotient.  `relations`, a basis of
+    the kernel of the projection, is kernel(projection), computed on first
+    read; descent is checked without it (see descent_witness), which reads
+    it only to name a failure.
 
     The presentation is `free` when projection and section are both the
     identity of one space (no relation survives, as in every tensor tower
@@ -757,9 +756,9 @@ class QuotientPresentation:
     __slots__ = ("ambient", "_relations", "quotient", "projection",
                  "section", "free", "_complement")
 
-    def __init__(self, ambient, relations, quotient, projection, section):
+    def __init__(self, ambient, quotient, projection, section):
         self.ambient = ambient
-        self._relations = relations
+        self._relations = None
         self.quotient = quotient
         self.projection = projection
         self.section = section
@@ -802,9 +801,14 @@ class QuotientPresentation:
 
     @staticmethod
     def trivial(space, field):
-        ident = LinMap.identity(space, field)
-        rel = LinMap.zero(Space(0, "rel"), space, field)
-        return QuotientPresentation(space, rel, space, ident, ident)
+        """space presented by itself: free by construction, so the
+        identity scans of __init__ are skipped."""
+        pres = QuotientPresentation.__new__(QuotientPresentation)
+        pres.ambient = pres.quotient = space
+        pres.projection = pres.section = LinMap.identity(space, field)
+        pres.free = True
+        pres._relations = pres._complement = None
+        return pres
 
     def __repr__(self):
         return "QuotientPresentation(%d -> %d)" % (self.ambient.dim,
@@ -841,34 +845,50 @@ def quotient_by(ambient, relations, field, label=""):
                         {(k, i): v for (i, k), v in basis.items()})
     section = LinMap(quotient, ambient, f,
                      {(c, k): f.one for c, k in free.items()})
-    return QuotientPresentation(ambient, relations, quotient, projection, section)
+    return QuotientPresentation(ambient, quotient, projection, section)
 
 
-def descend(f_free, src, dst):
-    """Descend a map on ambient spaces to the quotients.
+def tensor_presentation(pa, pb):
+    """Presentation of the plain tensor product of two quotients; the
+    trivial one when both are free, so no Kronecker product is formed."""
+    ambient = tensor_space(pa.ambient, pb.ambient)
+    if pa.free and pb.free:
+        return QuotientPresentation.trivial(ambient, pa.projection.field)
+    projection = pa.projection.tensor(pb.projection)
+    return QuotientPresentation(ambient, projection.cod, projection,
+                                pa.section.tensor(pb.section))
 
-    Checks that the relation subspace of src is sent into the relation
-    subspace of dst, on the columns e_j - section(projection(e_j)) of
-    src, which span it.  Otherwise raises DescentFailure with a witness
-    read on src's relation columns: the first one that fails and its
-    image in dst's quotient.
-    Where src has no relation (quotient and ambient of one dimension)
-    there is nothing to check, and free presentations add no product.
+
+def descent_witness(f_free, src, dst):
+    """None when the map f_free of ambient spaces sends the relation
+    subspace of src into that of dst, so that it descends to the
+    quotients; otherwise (j, column), the first relation column of src
+    whose image in dst's quotient is nonzero, and that image.
+
+    The check runs on the columns e_j - section(projection(e_j)) of src,
+    which span its relations; the relation basis is read only to name a
+    failure.  Where src has no relation (quotient and ambient of one
+    dimension) there is nothing to check, and free presentations add no
+    product.
     """
     assert f_free.dom.dim == src.ambient.dim
     assert f_free.cod.dim == dst.ambient.dim
-    if src.quotient.dim < src.ambient.dim and \
-            not dst.project(f_free @ src._kernel_span()).is_zero():
-        bad = dst.project(f_free @ src.relations)
-        j = bad.nonzero_column_index()
+    if src.quotient.dim == src.ambient.dim or \
+            dst.project(f_free @ src._kernel_span()).is_zero():
+        return None
+    bad = dst.project(f_free @ src.relations)
+    j = bad.nonzero_column_index()
+    return j, bad.column(j)
+
+
+def descend(f_free, src, dst):
+    """Descend a map on ambient spaces to the quotients: the map
+    quotient(src) -> quotient(dst) it induces on the lifts of src's
+    quotient basis.  Raises DescentFailure with the witness of
+    descent_witness where the map does not kill src's relations."""
+    witness = descent_witness(f_free, src, dst)
+    if witness is not None:
         raise DescentFailure(
-            "map does not descend (relation column %d)" % j,
-            witness=(j, bad.column(j)))
+            "map does not descend (relation column %d)" % witness[0],
+            witness=witness)
     return dst.project(src.lift(f_free))
-
-
-def vector_from_dict(space, field, items):
-    v = [field.zero] * space.dim
-    for i, c in items.items():
-        v[i] = field.add(v[i], c)
-    return Vector(v)

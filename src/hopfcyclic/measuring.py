@@ -7,7 +7,8 @@ between Yetter-Drinfeld module algebras over a fixed Hopf algebroid.
 """
 
 from .exactlin import (
-    LinMap, Pipe, Space, fix_factor, pack_slices, tensor_space,
+    LinMap, Pipe, Space, descent_witness, fix_factor, pack_slices,
+    tensor_space,
 )
 from .algcore import (
     CoalgebraData, ComoduleData, Report, basis_slices, check_comodule,
@@ -90,11 +91,10 @@ def check_hopf_algebroid_measuring(m):
             j = d.nonzero_column_index()
             wit_cop = (x, j, d.column(j))
         for name, s_pres, d_pres in (("L", lt2s, lt2d), ("R", rt2s, rt2d)):
-            bad = d_pres.project(free2 @ s_pres.relations)
-            if not bad.is_zero():
+            w = descent_witness(free2, s_pres, d_pres)
+            if w is not None:
                 ok_rel = False
-                j = bad.nonzero_column_index()
-                wit_rel = (x, name, j, bad.column(j))
+                wit_rel = (x, name) + w
     rep.add("coproduct_compatible", ok_cop, wit_cop)
     rep.add("relations_preserved", ok_rel, wit_rel)
     return rep
@@ -228,11 +228,10 @@ def check_sayd_comodule_measuring(cm):
             d = lhs - rhs
             j = d.nonzero_column_index()
             wit = (y, j, d.column(j))
-        bad = m2d.project(mf @ m2s.relations)
-        if not bad.is_zero():
+        w = descent_witness(mf, m2s, m2d)
+        if w is not None:
             ok_rel = False
-            j = bad.nonzero_column_index()
-            wit_rel = (y, j, bad.column(j))
+            wit_rel = (y,) + w
     rep.add("coaction_compatible", ok, wit)
     rep.add("mixed_map_well_defined", ok_rel, wit_rel)
     return rep
@@ -312,12 +311,10 @@ def check_yd_measuring(ym):
             d = lhs - rhs
             j = d.nonzero_column_index()
             wit = (x, j, d.column(j))
-        bad = m2d.project(Pipe.after(m2s.relations, [du, dz])
-                          .block(1, 1, px).map)
-        if not bad.is_zero():
+        w = descent_witness(Pipe([du, dz], f).block(1, 1, px).map, m2s, m2d)
+        if w is not None:
             ok_rel = False
-            j = bad.nonzero_column_index()
-            wit_rel = (x, j, bad.column(j))
+            wit_rel = (x,) + w
     rep.add("coaction_compatible", ok, wit)
     rep.add("coaction_map_well_defined", ok_rel, wit_rel)
     return rep
@@ -378,7 +375,7 @@ def zero_primitive_measuring(h, label=""):
     return MeasuringData(C, h, h, Psi, psi, label or "prim0(%s)" % h.label)
 
 
-def euler_derivation(A, nilpotent_index=1):
+def euler_derivation(A):
     """The Euler derivation on the dual numbers: 1 -> 0, e -> e."""
     f = A.field
     return LinMap(A.space, A.space, f, {(1, 1): f.one})

@@ -9,18 +9,15 @@ above the cutoff are skipped and counted rather than silently assumed.
 from collections import namedtuple
 
 from .exactlin import (
-    DescentFailure, LinMap, Pipe, Space, QuotientPresentation, descend,
-    fix_factor, kernel, solve_many,
+    LinMap, Pipe, Space, QuotientPresentation, descend, fix_factor, kernel,
+    solve_many, tensor_presentation,
 )
 from .algcore import (
     ComoduleData, Report, balanced_tensor, basis_slices, check_comodule,
     sweedler_sum,
 )
 from .hopfalgebroid import SaydModuleData, translation_lift
-from .cyclichom import (
-    CyclicModuleData, chain_coeff_cyclic, chain_coeff_tower, check_chain_map,
-    tensor_presentation,
-)
+from .cyclichom import CyclicModuleData, chain_coeff_cyclic, check_chain_map
 
 
 class StabilityFailure(Exception):
@@ -435,25 +432,12 @@ class HomBasis(namedtuple("HomBasis", "space pres pack coords")):
     __slots__ = ()
 
 
-def _slicewise(m, op):
-    """m @ (id_K (x) op): op applied to each slice of m : K (x) op.cod -> W."""
-    b = m.dom.dim // op.cod.dim
-    return m @ Pipe([b, op.dom.dim], m.field).block(1, 1, op).map
-
-
-def _descend_family(m, src, dst):
-    """descend applied to every slice m(e_b (x) -) of m : K (x) src.ambient
-    -> dst.ambient, packed again as K (x) src.quotient -> dst.quotient.  The
-    first failing slice raises the DescentFailure descend gives on it."""
-    if src.relations.entries:
-        bad = dst.project(_slicewise(m, src.relations))
-        if not bad.is_zero():
-            j = bad.nonzero_column_index()
-            r = j % src.relations.dom.dim
-            raise DescentFailure(
-                "map does not descend (relation column %d)" % r,
-                witness=(r, bad.column(j)))
-    return dst.project(m if src.free else _slicewise(m, src.section))
+def _family(m, pres):
+    """K (x) pres, the source presentation of a family of maps packed as
+    m : K (x) pres.ambient -> W (see pack_slices)."""
+    size = Space(m.dom.dim // pres.ambient.dim)
+    return tensor_presentation(QuotientPresentation.trivial(size, m.field),
+                               pres)
 
 
 def _hom_data(h, z, N):
@@ -493,7 +477,8 @@ def _hom_data(h, z, N):
                       {(zi, j * w + wj): v for (r, j), v in K.entries.items()
                        for zi, wj in [divmod(r, w)]})
         if not pres.free:
-            pack = _slicewise(pack, pres.projection)
+            pack = pack @ Pipe([space.dim, pres.ambient.dim], f) \
+                .block(1, 1, pres.projection).map
         out[n] = HomBasis(space, pres, pack,
                           LinMap(space, K.cod, f, K.entries))
     return out
@@ -502,21 +487,14 @@ def _hom_data(h, z, N):
 def _hom_coords(hom_data, n, amb):
     """Coordinates in the arity-n basis of a family of ambient-level hom
     maps, packed as amb : k^b (x) U^{(x)n} -> Z: the map k^b -> O(n) whose
-    column j holds the coordinates of map j."""
+    column j holds the coordinates of map j.  A family that does not
+    factor through the tower raises descend's DescentFailure."""
     space, pres, _pack, K = hom_data[n]
     f = amb.field
     if pres is None:
         return LinMap(Space(amb.dom.dim), space, f, amb.entries)
-    fq = amb
-    if not pres.free:
-        fq = _slicewise(amb, pres.section)
-        back = _slicewise(fq, pres.projection)
-        if back != amb:
-            bad = back - amb
-            j = bad.nonzero_column_index()
-            raise DescentFailure("hom does not factor through the tower",
-                                 witness=(j % pres.ambient.dim,
-                                          bad.column(j)))
+    fq = descend(amb, _family(amb, pres),
+                 QuotientPresentation.trivial(amb.cod, f))
     w = pres.quotient.dim
     vecs = {(zi * w + wj, b): v for (zi, col), v in fq.entries.items()
             for b, wj in [divmod(col, w)]}
@@ -643,15 +621,15 @@ def _m_lift(h, msayd, dl, k):
     return pipe.block(0, 1, mpres.section, lz)
 
 
-def _m_descend(h, pipe, src, dst, k):
+def _m_descend(pipe, src, dst, k):
     """Project the leading L (x) Z factors of a pipe started by _m_lift
     (for src, on U^k) to dst's M and descend to the coefficient towers,
-    slice by slice of any family the pipe took in."""
+    from K (x) src's tower for a family of size K the pipe took in."""
     kout = len(pipe.dims) - 2
     if not dst.presentation.free:
         pipe.block(0, 2, dst.presentation.projection)
-    return _descend_family(pipe.map, chain_coeff_tower(h, src, k),
-                           chain_coeff_tower(h, dst, kout))
+    m = pipe.map
+    return descend(m, _family(m, src.chain_tower(k)), dst.chain_tower(kout))
 
 
 def _yd_bullet_pos(h, l, z, msayd, fs, p, k, i):
@@ -684,7 +662,7 @@ def _yd_bullet_pos(h, l, z, msayd, fs, p, k, i):
     pipe.block(1, 2, z.Z.mul)
     # layout: l, z', c1(c), fv_-1, fb2(p), tails
     pipe.block(2 + c, p + 1, h.U.mul_n(p + 1))
-    return _m_descend(h, pipe, msayd, msayd, k)
+    return _m_descend(pipe, msayd, msayd, k)
 
 
 def _yd_bullet_zero(h, l, z, msayd, fs, p, k):
@@ -722,7 +700,7 @@ def _yd_bullet_zero(h, l, z, msayd, fs, p, k):
     if c:
         pipe.block(1, c, h.U.mul_n(c)).block(1, 2, z.action)
     pipe.block(1, 2, z.Z.mul)
-    return _m_descend(h, pipe, msayd, msayd, k)
+    return _m_descend(pipe, msayd, msayd, k)
 
 
 def build_yd_comp_module(h, l, z, od, N):
@@ -730,7 +708,7 @@ def build_yd_comp_module(h, l, z, od, N):
     operad of a braided commutative Yetter-Drinfeld algebra."""
     f = h.field
     msayd = build_ayd_coefficient(h, l, z)
-    spaces = [chain_coeff_tower(h, msayd, k).quotient for k in range(N + 1)]
+    spaces = [msayd.chain_tower(k).quotient for k in range(N + 1)]
     bullet = {}
     # the cyclic operator of the Hopf-cyclic chains with coefficients in M
     t = {k: chain_coeff_cyclic(h, msayd, k) for k in range(N + 1)}
@@ -795,7 +773,7 @@ def induce_from_yd(ym, l_src, l_dst, hmat, od_src, od_dst, cm_src, cm_dst,
     for k in range(N + 1):
         pipe = _m_lift(h, msrc, l_src.space.dim, k)
         pipe.block(0, 1, hmat).family(1, 1, ym.psi, dc)
-        Omega[k] = _m_descend(h, pipe, msrc, mdst, k)
+        Omega[k] = _m_descend(pipe, msrc, mdst, k)
     ccm = CompComoduleMeasuringData(om, D, cm_src, cm_dst, Omega, "yd")
     return om, ccm
 

@@ -123,6 +123,10 @@ def test_boundaries_are_computed_once(field):
         assert all(b[n] == want[n] for n in want), name
         assert hochschild_homology(cm).dims == _HH[name]
         assert hochschild_homology(cc).dims == [1, 0, 0]
+        with pytest.raises(ValueError, match="chain side"):
+            homology_presentation(cc, 1)
+        with pytest.raises(ValueError, match="chain side"):
+            induced_on_homology(cc, cc, [], 1)
         for n in range(3):
             K, pres = homology_presentation(cm, n)
             wantK = kernel(want[n]) if n else LinMap.identity(cm.spaces[0],
@@ -301,9 +305,9 @@ def test_hopf_galois_chain_maps_are_computed_once_per_degree(monkeypatch):
 
 
 def test_coefficient_towers_are_grown_on_their_own_algebroid():
-    """A SAYD module used with another algebroid is refused, and a tower
-    looked up through the wrong algebroid is still the module's own: a
-    valid build afterwards gives the dims it gives on its own."""
+    """A SAYD module used with another algebroid is refused, and the
+    refusals leave its towers as they were: a valid build afterwards
+    gives the dims it gives on its own."""
     A = dual_numbers(QQ)
     h = pair_hopf_algebroid(A, "H")
     k = gallery()["pair_split"].hopf
@@ -314,12 +318,11 @@ def test_coefficient_towers_are_grown_on_their_own_algebroid():
     with pytest.raises(ValueError, match="over H, not over pair"):
         hopf_galois_chain_map(k, 2, p)
     fresh = base_sayd_for_pair(h, A)
-    for tower in (cyclichom.chain_coeff_tower, cyclichom.cochain_coeff_tower):
+    for tower in ("chain_tower", "capped_tower"):
         for n in range(4):
-            got = tower(k, p, n)
-            assert got is tower(h, p, n)
-            assert got.projection == tower(h, fresh, n).projection
-            assert got.section == tower(h, fresh, n).section
+            got = getattr(p, tower)(n)
+            assert got.projection == getattr(fresh, tower)(n).projection
+            assert got.section == getattr(fresh, tower)(n).section
     cm = build_cyclic_with_coeffs(h, p, 3)
     assert hochschild_homology(cm).dims == [2, 1, 1]
     assert hochschild_homology(build_cocyclic_with_coeffs(h, p, 3)).dims \
@@ -344,9 +347,9 @@ def test_cochain_tower_reads_the_kept_action_of_ltower(monkeypatch):
     p, q = base_sayd_for_pair(h, A), base_sayd_for_pair(h, A)
     h.ltower(3)
     assert calls == [h.ltower(2)]
-    cyclichom.cochain_coeff_tower(h, p, 3)
+    p.capped_tower(3)
     assert calls == [h.ltower(2), h.ltower(3)]
-    cyclichom.cochain_coeff_tower(h, q, 3)
+    q.capped_tower(3)
     p.mixed2()
     p.capped_tower(2)
     h.ltower(4)

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hopfcyclic.algcore import Report
 from hopfcyclic.exactlin import (
     QQ, FieldSpec, LinMap, Pipe, Space, DescentFailure, NoSolution,
-    NotInvertible, QuotientPresentation, descend, invert, kernel,
-    permute_factors, quotient_by, rank, rref, solve, solve_many, tensor_space,
+    NotInvertible, QuotientPresentation, descend, descent_witness, invert,
+    kernel, permute_factors, quotient_by, rank, rref, solve, solve_many,
+    tensor_presentation, tensor_space,
 )
 from hopfcyclic.hopfalgebroid import gallery
 
@@ -424,7 +425,7 @@ def test_quotient_dims(case):
     assert pres.quotient.dim == m.cod.dim - rank(m)
     assert pres.projection @ pres.section == \
         LinMap.identity(pres.quotient, f)
-    assert (pres.projection @ pres.relations).is_zero()
+    assert (pres.projection @ m).is_zero()
 
 
 def _oracle_kernel(m):
@@ -491,8 +492,7 @@ def _rebased(pres):
         up[(0, 1)] = f.of_int(2)
     down[(0, 0)] = f.of_int(1, 2)
     quot = Space(amb.dim)
-    return QuotientPresentation(amb, LinMap.zero(Space(0), amb, f), quot,
-                                LinMap(amb, quot, f, up),
+    return QuotientPresentation(amb, quot, LinMap(amb, quot, f, up),
                                 LinMap(quot, amb, f, down))
 
 
@@ -546,6 +546,8 @@ def test_descend_matches_the_oracle_on_every_tower(field):
                           _descending_map(rng, src, dst)):
                     kind, want = _descend_oracle(m, src, dst)
                     outcomes.add((kind, src.free, dst.free))
+                    assert descent_witness(m, src, dst) == \
+                        (None if kind == "ok" else want), name
                     if kind == "ok":
                         assert descend(m, src, dst) == want, name
                         continue
@@ -557,6 +559,26 @@ def test_descend_matches_the_oracle_on_every_tower(field):
                                 for d in (True, False)}
             assert ("fail", False, True) in outcomes
             assert ("fail", False, False) in outcomes
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_tensor_presentation_of_a_family_has_the_slice_relations(field):
+    # K (x) pres, the source of a family of K maps on pres's ambient, is
+    # trivial where pres is free (no Kronecker product); otherwise its
+    # relation column b * n_rel + r is relation r of pres in slice b, so a
+    # family's descend witness names a slice's own
+    for name, e in gallery(field).items():
+        h = e.hopf
+        for pres in [t(n) for n in (1, 2, 3) for t in (h.ltower, h.rtower)]:
+            for k in (1, 3):
+                ident = LinMap.identity(Space(k), field)
+                fam = tensor_presentation(
+                    QuotientPresentation.trivial(Space(k), field), pres)
+                assert fam.ambient.dim == k * pres.ambient.dim, name
+                assert fam.free == pres.free, name
+                assert fam.projection == ident.tensor(pres.projection)
+                assert fam.section == ident.tensor(pres.section)
+                assert fam.relations == ident.tensor(pres.relations), name
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
@@ -785,12 +807,11 @@ def test_assigning_entries_drops_the_integer_form():
 def test_tower_complements_span_the_kernel_of_the_projection(field):
     # descend checks descent on the complement columns e_j - S P e_j;
     # they span ker P exactly when P S = id
-    from hopfcyclic.cyclichom import chain_coeff_tower, cochain_coeff_tower
     for name, e in gallery(field).items():
         h = e.hopf
         press = [t(n) for n in (1, 2, 3) for t in (h.ltower, h.rtower)]
-        press += [t(h, e.sayd, n) for n in (1, 2)
-                  for t in (chain_coeff_tower, cochain_coeff_tower)]
+        press += [t(n) for n in (1, 2)
+                  for t in (e.sayd.chain_tower, e.sayd.capped_tower)]
         for pres in press + [_rebased(press[2])]:
             assert pres.projection @ pres.section == \
                 LinMap.identity(pres.quotient, field), name

@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcyclic.exactlin import QQ, LinMap, Space
-from hopfcyclic.hopfalgebroid import gallery
+from hopfcyclic.exactlin import (
+    QQ, FieldSpec, LinMap, QuotientPresentation, Space,
+)
+from hopfcyclic.hopfalgebroid import (
+    check_hopf_algebroid, check_hopf_galois, check_sayd, gallery,
+)
 from hopfcyclic.measuring import (
     MeasuringData, check_enveloping_measuring, check_hopf_algebroid_measuring,
     check_sayd_comodule_measuring, check_yd_measuring,
@@ -153,3 +157,36 @@ def test_comodule_measuring_needs_coefficients_over_its_algebroids(gal):
     m = zero_primitive_measuring(gal["group_c2"].hopf)
     with pytest.raises(ValueError, match="not over"):
         zero_primitive_comodule_measuring(m, gal["group_c3"].sayd)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_passing_checkers_compute_no_relation_basis(field, monkeypatch):
+    # well-definedness is checked on the complement columns of each
+    # presentation; its relation basis, one elimination, is computed only
+    # to name a failure
+    real = QuotientPresentation.relations.fget
+    computed = []
+
+    def counting(pres):
+        if pres._relations is None:
+            computed.append(pres)
+        return real(pres)
+
+    monkeypatch.setattr(QuotientPresentation, "relations",
+                        property(counting))
+    reports = []
+    for name, e in gallery(field).items():
+        h, p = e.hopf, e.sayd
+        zero = zero_primitive_measuring(h)
+        reports += [check_hopf_algebroid(h), check_hopf_galois(h),
+                    check_sayd(p), check_hopf_algebroid_measuring(zero),
+                    check_sayd_comodule_measuring(
+                        zero_primitive_comodule_measuring(zero, p))]
+        if name == "pair_dual":
+            euler = derivation_pair_measuring(
+                h, euler_derivation(dual_numbers(field)))
+            reports += [check_hopf_algebroid_measuring(euler),
+                        check_sayd_comodule_measuring(
+                            derivation_pair_comodule_measuring(euler, p))]
+    assert [r.subject for r in reports if not r.ok] == []
+    assert computed == []

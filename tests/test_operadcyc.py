@@ -4,8 +4,8 @@ import random
 import pytest
 
 from hopfcyclic.exactlin import (
-    QQ, DescentFailure, FieldSpec, LinMap, Pipe, Space, descend, kernel,
-    pack_slices, solve,
+    QQ, DescentFailure, FieldSpec, LinMap, Pipe, QuotientPresentation, Space,
+    descend, kernel, pack_slices, solve, tensor_presentation,
 )
 from hopfcyclic.hopfalgebroid import (
     SaydModuleData, gallery, group_hopf_algebroid, scalar_sayd,
@@ -16,12 +16,12 @@ from hopfcyclic.measuring import (
     primitive_pair_coalgebra,
 )
 from hopfcyclic.cyclichom import (
-    build_cyclic_with_coeffs, chain_coeff_tower, check_cyclic_module,
+    build_cyclic_with_coeffs, check_cyclic_module,
     cyclic_homology_char0, hochschild_homology,
 )
 from hopfcyclic.operadcyc import (
-    CertificateFailure, HomBasis, StabilityFailure, _descend_family,
-    _hom_coords, build_ayd_coefficient,
+    CertificateFailure, HomBasis, StabilityFailure, _hom_coords,
+    build_ayd_coefficient,
     build_yd_comp_module, build_yd_operad, check_comp_comodule_measuring,
     check_comp_module, check_operad, check_operad_measuring,
     comp_cyclic_module, induce_from_yd, induced_comp_map,
@@ -273,8 +273,8 @@ def _ref_m_lift(h, msayd, dl, k):
 
 def _ref_m_descend(h, pipe, msayd, k):
     pipe.block(0, 2, msayd.presentation.projection)
-    return descend(pipe.map, chain_coeff_tower(h, msayd, k),
-                   chain_coeff_tower(h, msayd, len(pipe.dims) - 1))
+    return descend(pipe.map, msayd.chain_tower(k),
+                   msayd.chain_tower(len(pipe.dims) - 1))
 
 
 def _ref_bullet_pos(h, l, z, msayd, F, p, k, i):
@@ -431,44 +431,68 @@ def _slice_family(rng, f, src, dst, count):
     return out
 
 
+def _first_failing_slice(slices, src, dst):
+    """(b, (r, column)): the first slice b that does not descend and its
+    own descend witness, or None."""
+    for b, m in enumerate(slices):
+        try:
+            descend(m, src, dst)
+        except DescentFailure as exc:
+            return b, exc.witness
+    return None
+
+
 @pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
 def test_descend_family_is_descend_slice_by_slice(field):
-    # the pair towers have balancing relations, so the relation check and
-    # the non-free lift both run
+    # a family packed as K (x) src.ambient -> dst.ambient descends from
+    # K (x) src exactly when every slice descends, to the slices' maps
+    # packed again; relation column b * n_rel + r of K (x) src is relation
+    # r of slice b, so a failure names the first failing slice b and that
+    # slice's own witness (r, column).  The pair towers have balancing
+    # relations, so the check and the non-free lift both run.
     rng = random.Random(6)
     h = gallery(field)["pair_dual"].hopf
     press = [h.rtower(1), h.rtower(2), h.ltower(2)]
+    fam = QuotientPresentation.trivial(Space(3), field)
     outcomes = set()
     for src in press:
+        n_rel = src.relations.dom.dim
         for dst in press:
             for _ in range(6):
                 slices = _slice_family(rng, field, src, dst, 3)
                 packed = pack_slices(slices, field)
-                try:
-                    want = [descend(m, src, dst) for m in slices]
-                except DescentFailure as e:
-                    outcomes.add("fail")
+                first = _first_failing_slice(slices, src, dst)
+                if first is not None:
+                    b, (r, col) = first
+                    outcomes.add("fail" if b == 0 else "fail past slice 0")
                     with pytest.raises(DescentFailure) as exc:
-                        _descend_family(packed, src, dst)
-                    assert exc.value.witness == e.witness
-                    assert str(exc.value) == str(e)
+                        descend(packed, tensor_presentation(fam, src), dst)
+                    assert exc.value.witness == (b * n_rel + r, col)
+                    assert str(exc.value) == \
+                        "map does not descend (relation column %d)" \
+                        % (b * n_rel + r)
                     continue
                 outcomes.add("ok")
-                assert _descend_family(packed, src, dst) == \
-                    pack_slices(want, field)
-    assert outcomes == {"ok", "fail"}
+                want = [descend(m, src, dst) for m in slices]
+                assert descend(packed, tensor_presentation(fam, src), dst) \
+                    == pack_slices(want, field)
+    assert outcomes == {"ok", "fail", "fail past slice 0"}
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
 def test_hom_coords_on_a_tower_with_relations(field):
     # the operads of scalar YD algebras live on free towers; on the pair
     # tower the batched coordinates still equal one solve per map, and a
-    # map that does not factor through the tower gives the per-map witness
+    # family with a map that does not factor through the tower raises
+    # descend's DescentFailure from K (x) W_2 to Z: relation column
+    # b * n_rel + r for the first such map b and its own witness (r, column)
     rng = random.Random(11)
     h = gallery(field)["pair_dual"].hopf
     pres = h.rtower(2)
+    n_rel = pres.relations.dom.dim
     dz = 2
     Z = Space(dz)
+    triv_z = QuotientPresentation.trivial(Z, field)
     w = pres.quotient.dim
     K = kernel(_sparse_map(rng, field, Space(dz * w), Space(3)))
     space = Space(K.dom.dim)
@@ -487,16 +511,18 @@ def test_hom_coords_on_a_tower_with_relations(field):
             maps.append(amb)
         try:
             want = [_ref_coords(pres, K, m) for m in maps]
-        except DescentFailure as e:
-            outcomes.add("fail")
+        except DescentFailure:
+            b, (r, col) = _first_failing_slice(maps, pres, triv_z)
+            outcomes.add("fail" if b == 0 else "fail past slice 0")
             with pytest.raises(DescentFailure) as exc:
                 _hom_coords(hom_data, 2, pack_slices(maps, field))
-            assert exc.value.witness == e.witness
+            assert exc.value.witness == (b * n_rel + r, col)
             continue
+        assert _first_failing_slice(maps, pres, triv_z) is None
         outcomes.add("ok")
         got = _hom_coords(hom_data, 2, pack_slices(maps, field))
         assert got == LinMap.from_columns(got.dom, space, field, want)
-    assert outcomes == {"ok", "fail"}
+    assert outcomes == {"ok", "fail", "fail past slice 0"}
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
