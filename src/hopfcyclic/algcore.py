@@ -6,8 +6,9 @@ witness (basis index or offending column) on failure.
 """
 
 from .exactlin import (
-    LinMap, Pipe, Space, QuotientPresentation, tensor_space, permute_factors,
-    fix_factor, kron_vec, pack_slices, quotient_by,
+    LinMap, Pipe, Space, QuotientPresentation, column_witness,
+    difference_witness, tensor_space, permute_factors, fix_factor, kron_vec,
+    quotient_by,
 )
 
 
@@ -34,18 +35,23 @@ class Report:
         self.results.append(CheckResult(name, bool(passed), witness))
         return self
 
+    def check_family(self, name, witnesses):
+        """One check over a family of identities, checked member by member.
+        `witnesses` yields None for each member that holds and a witness
+        for each that fails; the check passes when every item is None, and
+        otherwise its witness is the first other item.  The whole iterable
+        is read, so counters kept while it is produced stay exact."""
+        first = None
+        for w in witnesses:
+            if first is None:
+                first = w
+        return self.add(name, first is None, first)
+
     def check_map_equal(self, name, lhs, rhs):
-        # LinMap entries are zero-free and reduced, so equal maps have equal
-        # entry dicts; the difference is formed only for the witness
-        if lhs == rhs:
-            return self.add(name, True)
-        return self.check_map_zero(name, lhs - rhs)
+        return self.check_family(name, [difference_witness(lhs, rhs)])
 
     def check_map_zero(self, name, m):
-        if m.is_zero():
-            return self.add(name, True)
-        j = m.nonzero_column_index()
-        return self.add(name, False, witness=(j, m.column(j)))
+        return self.check_family(name, [column_witness(m)])
 
     def extend(self, other, prefix=""):
         for r in other.results:
@@ -62,6 +68,12 @@ class Report:
     def __repr__(self):
         return "Report(%s: %d checks, %d failed)" % (
             self.subject, len(self.results), len(self.failures()))
+
+
+def keyed(key, witness):
+    """The witness key + witness of a family member named by the tuple
+    `key`, or None when the member holds (witness None)."""
+    return None if witness is None else key + witness
 
 
 def swap_map(a, b, field):
@@ -342,14 +354,6 @@ def sweedler_sum(terms, slots):
     return out
 
 
-def _columns(m):
-    """The nonzero entries of m by column: {col: [(row, value)]}."""
-    cols = {}
-    for (i, j), v in m.entries.items():
-        cols.setdefault(j, []).append((i, v))
-    return cols
-
-
 def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
     """Quotient of left (x) right by (q.a) (x) r - q (x) (a.r).
 
@@ -362,26 +366,12 @@ def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
     presentation of that ambient.
     """
     lq, rq = left_pres.quotient, right_pres.quotient
-    da, dr = aspace.dim, rq.dim
     ambient = tensor_space(left_pres.ambient, right_pres.ambient, label)
     inner_ambient = tensor_space(lq, rq)
-    # relation (i, a, j) is (q_i . a) (x) r_j - q_i (x) (a . r_j), where
-    # q_i . a is column i * da + a of ract and a . r_j column a * dr + j of
-    # lact; relations that cancel stay as zero columns
-    ract_cols, lact_cols = _columns(ract), _columns(lact)
-    entries = {}
-    for i in range(lq.dim):
-        for a in range(da):
-            qa = ract_cols.get(i * da + a, ())
-            for j in range(dr):
-                n = (i * da + a) * dr + j
-                for x, v in qa:
-                    entries[(x * dr + j, n)] = v
-                for y, v in lact_cols.get(a * dr + j, ()):
-                    k = (i * dr + y, n)
-                    entries[k] = field.sub(entries.get(k, field.zero), v)
-    rel_inner = LinMap(Space(lq.dim * da * dr, "rel"), inner_ambient, field,
-                       entries)
+    # relation (i, a, j) of lq (x) A (x) rq is (q_i . a) (x) r_j - q_i (x)
+    # (a . r_j); relations that cancel stay as zero columns
+    rel_inner = ract.tensor(LinMap.identity(rq, field)) \
+        - LinMap.identity(lq, field).tensor(lact)
     if left_pres.free and right_pres.free and rel_inner.is_zero():
         return QuotientPresentation.trivial(ambient, field)
     inner = quotient_by(inner_ambient, rel_inner, field, label)
@@ -398,12 +388,9 @@ def action_on_last_slot(pres, slot_action, aspace, field):
     descended map quotient (x) A -> quotient.
     """
     udim = slot_action.cod.dim
-    ops = []
-    for a in range(aspace.dim):
-        act_a = fix_factor(slot_action, aspace.basis_vector(a, field), udim)
-        lifted = Pipe.after(pres.section, [pres.ambient.dim // udim, udim])
-        ops.append(pres.project(lifted.block(1, 1, act_a).map))
-    return pack_slices(ops, field, last=True)
+    lifted = Pipe.after(pres.section.tensor(LinMap.identity(aspace, field)),
+                        [pres.ambient.dim // udim, udim, aspace.dim])
+    return pres.project(lifted.block(1, 2, slot_action).map)
 
 
 class BalancedTower:

@@ -11,8 +11,8 @@ go through the global `descend`.
 
 from .exactlin import (
     DescentFailure, LinMap, Pipe, Space, QuotientPresentation, descend,
-    invert, kernel, permute_factors, quotient_by, rank, solve_many,
-    tensor_presentation,
+    difference_witness, invert, kernel, permute_factors, quotient_by, rank,
+    solve_many, tensor_presentation,
 )
 from .algcore import Report, sweedler_sum
 from .hopfalgebroid import require_own_algebroid, translation_lift
@@ -139,13 +139,12 @@ def _window_ops(h, p=None):
                 .block(0, 2, action(side, k_out, "left"))
             rhs = st(Pipe([da], f), 0) \
                 .block(k_out - 1, 2, action(side, k_out, "right"))
-        lhs, rhs = dst.project(lhs.map), dst.project(rhs.map)
-        if lhs != rhs:
-            bad = lhs - rhs
-            j = bad.nonzero_column_index()
+        witness = difference_witness(dst.project(lhs.map),
+                                     dst.project(rhs.map))
+        if witness is not None:
             raise DescentFailure(
                 "window op %s is not A-linear at its %s boundary (column %d)"
-                % (st.__name__, part, j), witness=(j, bad.column(j)))
+                % (st.__name__, part, witness[0]), witness=witness)
 
     def window(side, st, k_in, s, src, dst, dims):
         """dst.project of id (x) st (x) id on the section columns of src,

@@ -361,6 +361,20 @@ class LinMap:
                                            len(self._stored()))
 
 
+def column_witness(m):
+    """How a map that should vanish is named when it does not: None when
+    m is zero, otherwise (j, column j of m) for its first nonzero column."""
+    j = m.nonzero_column_index()
+    return None if j is None else (j, m.column(j))
+
+
+def difference_witness(lhs, rhs):
+    """None when lhs == rhs, otherwise the column_witness of lhs - rhs.
+    Equal maps have equal entry dicts, so the difference is formed only
+    for a witness."""
+    return None if lhs == rhs else column_witness(lhs - rhs)
+
+
 def kron_vec(u, v, field):
     """Coordinates of u (x) v, in the index order of tensor_space."""
     out = [field.zero] * (len(u) * len(v))
@@ -384,22 +398,15 @@ def fix_factor(m, vec, before=1):
 
     The domain of m splits as X (x) V (x) Y with dim X = `before` and
     dim V = len(vec); the result is the map X (x) Y -> m.cod sending
-    x (x) y to m(x (x) vec (x) y).
+    x (x) y to m(x (x) vec (x) y): a Pipe stage that inserts vec between
+    X and Y, followed by m.
     """
     f = m.field
     mid = len(vec)
     right = m.dom.dim // (before * mid)
     assert before * mid * right == m.dom.dim, (m.dom.dim, before, mid)
-    out = {}
-    for (i, j), v in m.entries.items():
-        lk, r = divmod(j, right)
-        l, k = divmod(lk, mid)
-        if vec[k]:
-            key = (i, l * right + r)
-            term = f.mul(v, vec[k])
-            cur = out.get(key)
-            out[key] = term if cur is None else f.add(cur, term)
-    return LinMap(Space(before * right), m.cod, f, out)
+    insert = LinMap.from_columns(Space(1), Space(mid), f, [vec])
+    return m @ Pipe([before, right], f).block(1, 0, insert).map
 
 
 def pack_slices(slices, field, last=False):
@@ -876,9 +883,7 @@ def descent_witness(f_free, src, dst):
     if src.quotient.dim == src.ambient.dim or \
             dst.project(f_free @ src._kernel_span()).is_zero():
         return None
-    bad = dst.project(f_free @ src.relations)
-    j = bad.nonzero_column_index()
-    return j, bad.column(j)
+    return column_witness(dst.project(f_free @ src.relations))
 
 
 def descend(f_free, src, dst):

@@ -16,12 +16,12 @@ Conventions, fixed once and used everywhere downstream:
 
 from .exactlin import (
     LinMap, Pipe, Space, QuotientPresentation, DescentFailure, NoSolution,
-    descend, descent_witness, fix_factor, kron_vec, pack_slices, rank,
-    solve_many, tensor_presentation, tensor_space,
+    column_witness, descend, descent_witness, difference_witness, fix_factor,
+    kron_vec, rank, solve_many, tensor_presentation, tensor_space,
 )
 from .algcore import (
     AlgebraData, BalancedTower, ModuleActionData, Report, check_algebra,
-    check_module, swap_map,
+    check_module, keyed, swap_map,
 )
 
 
@@ -74,21 +74,18 @@ class LeftBialgebroidData:
 
     # -- tensor towers ---------------------------------------------------
 
-    def _pack_over_base(self, op_of, last=False):
-        """One map A (x) V -> W (V (x) A -> W if last) from the maps
-        op_of(a) : V -> W at the basis vectors a of A."""
-        f = self.field
-        return pack_slices([op_of(self.A.space.basis_vector(a, f))
-                            for a in range(self.A.space.dim)], f, last)
-
     def _actions(self, side):
         """The actions (U (x) A -> U, A (x) U -> U) on a factor of the L
         tower, u . a = t(a) u and a . u = s(a) u, or of the R tower,
         u . a = u t(a) and a . u = t(a) u."""
-        mul, along = (self.lmul, self.s_of) if side == "L" \
-            else (self.rmul, self.t_of)
-        return (self._pack_over_base(lambda a: mul(self.t_of(a)), True),
-                self._pack_over_base(lambda a: self.lmul(along(a))))
+        f, mul = self.field, self.U.mul
+        du, da = self.U.space.dim, self.A.space.dim
+        ract = Pipe([du, da], f).block(1, 1, self.t_L)
+        if side == "L":
+            ract.permute([1, 0])
+        along = self.s_L if side == "L" else self.t_L
+        lact = Pipe([da, du], f).block(0, 1, along).block(0, 2, mul)
+        return ract.block(0, 2, mul).map, lact.map
 
     def _grower(self, side):
         """The L or R tower as a BalancedTower, made on first use; its
@@ -173,20 +170,16 @@ def check_left_bialgebroid(b):
     rep.check_map_equal("source_target_commute", mul_of(b.s_L, b.t_L),
                         mul_of(b.t_L, b.s_L, swapped=True))
     lt2, lt3 = b.ltower(2), b.ltower(3)
-    # coproduct lands in the Takeuchi product
-    ok = True
-    witness = None
-    for a in range(da):
+
+    def takeuchi_defect(a):
+        """u_(1) t(a) (x) u_(2) - u_(1) (x) u_(2) s(a) in U (x)_A U."""
         av = A.space.basis_vector(a, f)
-        t_a = after_delta(0, b.rmul(b.t_of(av))) \
-            - after_delta(1, b.rmul(b.s_of(av)))
-        bad = lt2.project(t_a)
-        if not bad.is_zero():
-            ok = False
-            j = bad.nonzero_column_index()
-            witness = (a, j, bad.column(j))
-            break
-    rep.add("takeuchi_image", ok, witness)
+        return lt2.project(after_delta(0, b.rmul(b.t_of(av)))
+                           - after_delta(1, b.rmul(b.s_of(av))))
+
+    # coproduct lands in the Takeuchi product
+    rep.check_family("takeuchi_image", (
+        keyed((a,), column_witness(takeuchi_defect(a))) for a in range(da)))
     rep.check_map_equal(
         "coassociativity",
         lt3.project(after_delta(0, b.delta_lift, [du, du])),
@@ -236,6 +229,13 @@ def check_left_bialgebroid(b):
 def check_hopf_algebroid(h):
     rep = check_left_bialgebroid(h)
     rep.subject = "hopf algebroid %s" % h.label
+    return rep.extend(check_antipode(h))
+
+
+def check_antipode(h):
+    """The antipode checks of check_hopf_algebroid, which runs them after
+    the bialgebroid checks of check_left_bialgebroid."""
+    rep = Report("antipode %s" % h.label)
     f = h.field
     U = h.U
     idu = LinMap.identity(U.space, f)
@@ -383,14 +383,16 @@ class SaydModuleData(_Coefficients):
         return fix_factor(self.action, uvec, self.space.dim)
 
     def left_a_action(self):
-        """a . p = p t(a), packed as A (x) P -> P."""
+        """a . p = p t(a), as A (x) P -> P."""
         h = self.h
-        return h._pack_over_base(lambda a: self.act_by(h.t_of(a)))
+        return Pipe([h.A.space.dim, self.space.dim], h.field) \
+            .block(0, 1, h.t_L).permute([1, 0]).block(0, 2, self.action).map
 
     def right_arrow_action(self):
-        """a > p = p t(a), packed as P (x) A -> P (left slot of chain towers)."""
+        """a > p = p t(a), as P (x) A -> P (left slot of chain towers)."""
         h = self.h
-        return h._pack_over_base(lambda a: self.act_by(h.t_of(a)), True)
+        return Pipe([self.space.dim, h.A.space.dim], h.field) \
+            .block(1, 1, h.t_L).block(0, 2, self.action).map
 
     def chain_tower(self, n):
         """Presentation of P (x)_A U (x)_A ... (x)_A U with n copies of U,
@@ -418,36 +420,36 @@ def check_sayd(p):
                                              p.label)), "module.")
     m2 = p.mixed2()
     _check_coaction(rep, p)
-    # compatibility p s(a) t(b) = b eps(p_(-1) s(a)) p_(0)
-    ok = True
-    witness = None
-    for a in range(h.A.space.dim):
+    da = h.A.space.dim
+
+    def compatible(a, bidx):
+        """p s(a) t(b) against b eps(p_(-1) s(a)) p_(0)."""
         av = h.A.space.basis_vector(a, f)
-        for bidx in range(h.A.space.dim):
-            bv = h.A.space.basis_vector(bidx, f)
-            lhs = p.act_by(h.t_of(bv)) @ p.act_by(h.s_of(av))
-            scal = (h.A.left_mult(bv)
-                    @ (h.eps_L @ h.rmul(h.s_of(av))))
-            rhs = _apply_scalar_action(p, scal, f) @ p.coact_lift
-            if lhs != rhs:
-                diff = lhs - rhs
-                ok = False
-                j = diff.nonzero_column_index()
-                witness = (a, bidx, j, diff.column(j))
-                break
-        if not ok:
-            break
-    rep.add("module_comodule_compatible", ok, witness)
-    # anti-Yetter-Drinfeld condition
+        bv = h.A.space.basis_vector(bidx, f)
+        lhs = p.act_by(h.t_of(bv)) @ p.act_by(h.s_of(av))
+        scal = h.A.left_mult(bv) @ (h.eps_L @ h.rmul(h.s_of(av)))
+        rhs = _apply_scalar_action(p, scal) @ p.coact_lift
+        return keyed((a, bidx), difference_witness(lhs, rhs))
+
+    rep.check_family("module_comodule_compatible", (
+        compatible(a, bidx) for a in range(da) for bidx in range(da)))
+    # anti-Yetter-Drinfeld condition; it needs the translation map, which
+    # exists only where beta descends and is onto (check_hopf_galois)
     du, dp = h.U.space.dim, p.space.dim
-    lhs = m2.project(p.coact_lift @ p.action)
-    pipe = Pipe([dp, du], f).block(1, 1, translation_lift(h), [du, du])
-    pipe.block(1, 1, h.delta_lift, [du, du])
-    pipe.block(0, 1, p.coact_lift, [du, dp])
-    pipe.permute([4, 0, 2, 1, 3]).block(0, 3, h.U.mul_n(3))
-    pipe.block(1, 2, p.action)
-    rep.check_map_equal("anti_yetter_drinfeld", lhs,
-                        m2.project(pipe.map))
+    try:
+        trans = translation_lift(h)
+    except (DescentFailure, NoSolution) as exc:
+        rep.add("anti_yetter_drinfeld", False,
+                witness=getattr(exc, "witness", None))
+    else:
+        lhs = m2.project(p.coact_lift @ p.action)
+        pipe = Pipe([dp, du], f).block(1, 1, trans, [du, du])
+        pipe.block(1, 1, h.delta_lift, [du, du])
+        pipe.block(0, 1, p.coact_lift, [du, dp])
+        pipe.permute([4, 0, 2, 1, 3]).block(0, 3, h.U.mul_n(3))
+        pipe.block(1, 2, p.action)
+        rep.check_map_equal("anti_yetter_drinfeld", lhs,
+                            m2.project(pipe.map))
     # stability
     stab = Pipe.after(p.coact_lift, [du, dp]).permute([1, 0])
     rep.check_map_equal("stability", stab.block(0, 2, p.action).map, idp)
@@ -462,7 +464,7 @@ def _check_coaction(rep, x):
     du, dx = h.U.space.dim, x.space.dim
     rep.check_map_equal(
         "comodule_counit",
-        _apply_scalar_action(x, h.eps_L, h.field) @ x.coact_lift,
+        _apply_scalar_action(x, h.eps_L) @ x.coact_lift,
         LinMap.identity(x.space, h.field))
     pres3 = x.capped_tower(2)
 
@@ -475,11 +477,11 @@ def _check_coaction(rep, x):
                         expand(1, x.coact_lift, [du, dx]))
 
 
-def _apply_scalar_action(p, scal, f):
-    """From scal : U -> A build U (x) P -> P, (u, q) -> scal(u) . q."""
-    lact = p.left_a_action()
-    return pack_slices([fix_factor(lact, scal.column(uj))
-                        for uj in range(scal.dom.dim)], f)
+def _apply_scalar_action(x, scal):
+    """From scal : U -> A build U (x) X -> X, (u, q) -> scal(u) . q with the
+    A-action of `left_a_action`."""
+    return Pipe([scal.dom.dim, x.space.dim], scal.field) \
+        .block(0, 1, scal).block(0, 2, x.left_a_action()).map
 
 
 # -- Yetter-Drinfeld module algebras --------------------------------------
@@ -507,9 +509,10 @@ class YdAlgebraData(_Coefficients):
         return fix_factor(self.action, uvec)
 
     def left_a_action(self):
-        """a . z = s(a) z, packed as A (x) Z -> Z."""
+        """a . z = s(a) z, as A (x) Z -> Z."""
         h = self.h
-        return h._pack_over_base(lambda a: self.act_by(h.s_of(a)))
+        return Pipe([h.A.space.dim, self.space.dim], h.field) \
+            .block(0, 1, h.s_L).block(0, 2, self.action).map
 
 
 def check_yd_algebra(y):

@@ -60,48 +60,34 @@ def check_lie_rinehart(lr):
     f = lr.field
     d = lr.L.dim
     basis = [lr.L.basis_vector(i, f) for i in range(d)]
-    ok_alt = True
-    wit = None
-    for i in range(d):
-        if any(lr.bracket_elements(basis[i], basis[i])):
-            ok_alt = False
-            wit = i
-        for j in range(d):
-            s = lr.bracket_elements(basis[i], basis[j])
-            t = lr.bracket_elements(basis[j], basis[i])
-            if any(f.add(a, b) for a, b in zip(s, t)):
-                ok_alt = False
-                wit = (i, j)
-    rep.add("bracket_alternating", ok_alt, witness=wit)
-    ok_j = True
-    wit = None
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                t1 = lr.bracket_elements(basis[i],
-                                         lr.bracket_elements(basis[j],
-                                                             basis[k]))
-                t2 = lr.bracket_elements(basis[j],
-                                         lr.bracket_elements(basis[k],
-                                                             basis[i]))
-                t3 = lr.bracket_elements(basis[k],
-                                         lr.bracket_elements(basis[i],
-                                                             basis[j]))
-                if any(f.add(a, f.add(b, c)) for a, b, c in zip(t1, t2, t3)):
-                    ok_j = False
-                    wit = (i, j, k)
-    rep.add("jacobi", ok_j, witness=wit)
+
+    def br(i, j):
+        return lr.bracket_elements(basis[i], basis[j])
+
+    def alternating():
+        for i in range(d):
+            if any(br(i, i)):
+                yield i
+            for j in range(d):
+                if any(f.add(a, b) for a, b in zip(br(i, j), br(j, i))):
+                    yield (i, j)
+
+    rep.check_family("bracket_alternating", alternating())
+
+    def jacobi():
+        for i, j, k in itertools.product(range(d), repeat=3):
+            t1 = lr.bracket_elements(basis[i], br(j, k))
+            t2 = lr.bracket_elements(basis[j], br(k, i))
+            t3 = lr.bracket_elements(basis[k], br(i, j))
+            if any(f.add(a, f.add(b, c)) for a, b, c in zip(t1, t2, t3)):
+                yield (i, j, k)
+
+    rep.check_family("jacobi", jacobi())
     # over the ground field both functionals must kill brackets
     for name, fun in (("anchor_bracket", lr.anchor), ("nabla_flat", lr.nabla)):
-        ok = True
-        wit = None
-        for i in range(d):
-            for j in range(d):
-                v = fun.apply(lr.bracket_elements(basis[i], basis[j]))[0]
-                if v:
-                    ok = False
-                    wit = (i, j)
-        rep.add(name, ok, witness=wit)
+        rep.check_family(name, (
+            (i, j) for i, j in itertools.product(range(d), repeat=2)
+            if fun.apply(br(i, j))[0]))
     return rep
 
 
@@ -413,61 +399,62 @@ def check_truncated_envelope(env):
     expected = sum(len(list(itertools.combinations_with_replacement(
         range(d), k))) for k in range(env.cutoff + 1))
     rep.add("pbw_dimension", len(env.words) == expected)
-    ok = True
-    wit = None
+
+    def nonzero(acc):
+        return {k: v for k, v in acc.items() if v}
+
     skipped = 0
-    for w1 in env.words:
-        for w2 in env.words:
-            for w3 in env.words:
-                if len(w1) + len(w2) + len(w3) > env.cutoff:
-                    skipped += 1
-                    continue
-                lhs = env.product(env.product_words(w1, w2), {w3: f.one})
-                rhs = env.product({w1: f.one}, env.product_words(w2, w3))
-                if lhs != rhs:
-                    ok = False
-                    wit = (w1, w2, w3)
-    rep.add("associative_within_cutoff", ok, witness=wit)
+
+    def associative():
+        nonlocal skipped
+        for w1, w2, w3 in itertools.product(env.words, repeat=3):
+            if len(w1) + len(w2) + len(w3) > env.cutoff:
+                skipped += 1
+                continue
+            lhs = env.product(env.product_words(w1, w2), {w3: f.one})
+            rhs = env.product({w1: f.one}, env.product_words(w2, w3))
+            if lhs != rhs:
+                yield (w1, w2, w3)
+
+    rep.check_family("associative_within_cutoff", associative())
     rep.add("associativity_skipped_triples", True, witness=skipped)
-    ok = True
-    for w in env.words:
-        lhs = env.product_words((), w)
-        if lhs != ({w: f.one} if w else {(): f.one}):
-            ok = False
-    rep.add("unital", ok)
+    rep.check_family("unital", (
+        w for w in env.words
+        if env.product_words((), w) != ({w: f.one} if w else {(): f.one})))
+
     # the coproduct: coassociative, counital, multiplicative within cutoff
-    ok = True
-    wit = None
-    for w in env.words:
-        left = {}
-        right = {}
-        for (a, b), c in env.comul_word(w).items():
-            for (a1, a2), c2 in env.comul_word(a).items():
-                k = (a1, a2, b)
-                left[k] = f.add(left.get(k, f.zero), f.mul(c, c2))
-            for (b1, b2), c2 in env.comul_word(b).items():
-                k = (a, b1, b2)
-                right[k] = f.add(right.get(k, f.zero), f.mul(c, c2))
-        if {k: v for k, v in left.items() if v} \
-                != {k: v for k, v in right.items() if v}:
-            ok = False
-            wit = w
-    rep.add("coassociative", ok, witness=wit)
-    ok = True
-    for w in env.words:
-        acc = {}
-        for (a, b), c in env.comul_word(w).items():
-            c2 = f.mul(c, env.counit_word(a))
-            if c2:
-                acc[b] = f.add(acc.get(b, f.zero), c2)
-        if {k: v for k, v in acc.items() if v} != {w: f.one}:
-            ok = False
-    rep.add("counital", ok)
-    ok = True
-    wit = None
+    def coassociative():
+        for w in env.words:
+            left = {}
+            right = {}
+            for (a, b), c in env.comul_word(w).items():
+                for (a1, a2), c2 in env.comul_word(a).items():
+                    k = (a1, a2, b)
+                    left[k] = f.add(left.get(k, f.zero), f.mul(c, c2))
+                for (b1, b2), c2 in env.comul_word(b).items():
+                    k = (a, b1, b2)
+                    right[k] = f.add(right.get(k, f.zero), f.mul(c, c2))
+            if nonzero(left) != nonzero(right):
+                yield w
+
+    rep.check_family("coassociative", coassociative())
+
+    def counital():
+        for w in env.words:
+            acc = {}
+            for (a, b), c in env.comul_word(w).items():
+                c2 = f.mul(c, env.counit_word(a))
+                if c2:
+                    acc[b] = f.add(acc.get(b, f.zero), c2)
+            if nonzero(acc) != {w: f.one}:
+                yield w
+
+    rep.check_family("counital", counital())
     skipped = 0
-    for w1 in env.words:
-        for w2 in env.words:
+
+    def multiplicative():
+        nonlocal skipped
+        for w1, w2 in itertools.product(env.words, repeat=2):
             if len(w1) + len(w2) > env.cutoff:
                 skipped += 1
                 continue
@@ -485,28 +472,26 @@ def check_truncated_envelope(env):
                             c = f.mul(f.mul(c1, c2), f.mul(ca, cb))
                             k = (wa, wb)
                             rhs[k] = f.add(rhs.get(k, f.zero), c)
-            if {k: v for k, v in lhs.items() if v} \
-                    != {k: v for k, v in rhs.items() if v}:
-                ok = False
-                wit = (w1, w2)
-    rep.add("comul_multiplicative_within_cutoff", ok, witness=wit)
+            if nonzero(lhs) != nonzero(rhs):
+                yield (w1, w2)
+
+    rep.check_family("comul_multiplicative_within_cutoff", multiplicative())
     rep.add("comul_skipped_pairs", True, witness=skipped)
-    ok = True
-    wit = None
-    for w in env.words:
-        acc = {}
-        for (a, b), c in env.comul_word(w).items():
-            sa = env.antipode_word(a)
-            for wa, ca in sa.items():
-                for wp, cp in env.product_words(wa, b).items():
-                    acc[wp] = f.add(acc.get(wp, f.zero),
-                                    f.mul(c, f.mul(ca, cp)))
-        eps = env.counit_word(w)
-        want = {(): eps} if eps else {}
-        if {k: v for k, v in acc.items() if v} != want:
-            ok = False
-            wit = w
-    rep.add("antipode_convolution_inverse", ok, witness=wit)
+
+    def antipode():
+        for w in env.words:
+            acc = {}
+            for (a, b), c in env.comul_word(w).items():
+                sa = env.antipode_word(a)
+                for wa, ca in sa.items():
+                    for wp, cp in env.product_words(wa, b).items():
+                        acc[wp] = f.add(acc.get(wp, f.zero),
+                                        f.mul(c, f.mul(ca, cp)))
+            eps = env.counit_word(w)
+            if nonzero(acc) != ({(): eps} if eps else {}):
+                yield w
+
+    rep.check_family("antipode_convolution_inverse", antipode())
     return rep
 
 

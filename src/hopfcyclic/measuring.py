@@ -7,12 +7,12 @@ between Yetter-Drinfeld module algebras over a fixed Hopf algebroid.
 """
 
 from .exactlin import (
-    LinMap, Pipe, Space, descent_witness, fix_factor, pack_slices,
-    tensor_space,
+    LinMap, Pipe, Space, descent_witness, difference_witness, fix_factor,
+    pack_slices, tensor_space,
 )
 from .algcore import (
     CoalgebraData, ComoduleData, Report, basis_slices, check_comodule,
-    check_sweedler_measuring, sweedler_sum,
+    check_sweedler_measuring, keyed, sweedler_sum,
 )
 from .hopfalgebroid import YdAlgebraData, require_own_algebroid
 
@@ -76,27 +76,17 @@ def check_hopf_algebroid_measuring(m):
                         acting(m.psi, src.eps_R), dst.eps_R @ m.Psi)
     lt2s, lt2d = src.ltower(2), dst.ltower(2)
     rt2s, rt2d = src.rtower(2), dst.rtower(2)
-    ok_cop = True
-    wit_cop = None
-    ok_rel = True
-    wit_rel = None
-    for x in range(m.C.space.dim):
-        xv = m.C.space.basis_vector(x, f)
-        free2 = m.induced_free(xv, 2)
-        lhs = lt2d.project(m.dst.delta_lift @ m.Psi_of(xv))
-        rhs = lt2d.project(free2 @ src.delta_lift)
-        if lhs != rhs:
-            ok_cop = False
-            d = lhs - rhs
-            j = d.nonzero_column_index()
-            wit_cop = (x, j, d.column(j))
-        for name, s_pres, d_pres in (("L", lt2s, lt2d), ("R", rt2s, rt2d)):
-            w = descent_witness(free2, s_pres, d_pres)
-            if w is not None:
-                ok_rel = False
-                wit_rel = (x, name) + w
-    rep.add("coproduct_compatible", ok_cop, wit_cop)
-    rep.add("relations_preserved", ok_rel, wit_rel)
+    xs = [m.C.space.basis_vector(x, f) for x in range(m.C.space.dim)]
+    free2 = [m.induced_free(xv, 2) for xv in xs]
+    rep.check_family("coproduct_compatible", (
+        keyed((x,), difference_witness(
+            lt2d.project(dst.delta_lift @ m.Psi_of(xv)),
+            lt2d.project(free2[x] @ src.delta_lift)))
+        for x, xv in enumerate(xs)))
+    rep.check_family("relations_preserved", (
+        keyed((x, name), descent_witness(free2[x], s_pres, d_pres))
+        for x in range(len(xs))
+        for name, s_pres, d_pres in (("L", lt2s, lt2d), ("R", rt2s, rt2d))))
     return rep
 
 
@@ -201,46 +191,29 @@ def check_sayd_comodule_measuring(cm):
                         rhs.block(0, 2, dp.action).map)
     # enveloping-action measuring: Omega(y)(p s(a) t(b)) factors through psi^e
     da = src.A.space.dim
-    act_s = _action_by_images(sp, src.s_L, f)
-    act_t = _action_by_images(sp, src.t_L, f)
-    act_s2 = _action_by_images(dp, dst.s_L, f)
-    act_t2 = _action_by_images(dp, dst.t_L, f)
-    lhs2 = Pipe([dd, dpp, da, da], f).block(1, 2, act_s).block(1, 2, act_t)
+    lhs2 = Pipe([dd, dpp, da, da], f)
     rhs2 = Pipe([dd, dpp, da, da], f).block(0, 1, cm.D.coaction, [dd, dc])
     rhs2.block(1, 1, cm.base.C.comul, [dc, dc]).permute([0, 3, 1, 4, 2, 5])
     rhs2.block(0, 2, cm.Omega).block(1, 2, cm.base.psi)
-    rhs2.block(2, 2, cm.base.psi).block(0, 2, act_s2).block(0, 2, act_t2)
+    rhs2.block(2, 2, cm.base.psi)
+    for s_or_t, s_or_t2 in ((src.s_L, dst.s_L), (src.t_L, dst.t_L)):
+        lhs2.block(2, 1, s_or_t).block(1, 2, sp.action)
+        rhs2.block(1, 1, s_or_t2).block(0, 2, dp.action)
     rep.check_map_equal("enveloping_measuring",
                         lhs2.block(0, 2, cm.Omega).map, rhs2.map)
     # coaction compatibility through the mixed map
     m2s, m2d = sp.mixed2(), dp.mixed2()
-    ok = True
-    wit = None
-    ok_rel = True
-    wit_rel = None
-    for y in range(dd):
-        yv = cm.D.space.basis_vector(y, f)
-        mf = cm.induced_coeff_free(yv, 1, "back")
-        lhs = m2d.project(dp.coact_lift @ cm.Omega_of(yv))
-        rhs = m2d.project(mf @ sp.coact_lift)
-        if lhs != rhs:
-            ok = False
-            d = lhs - rhs
-            j = d.nonzero_column_index()
-            wit = (y, j, d.column(j))
-        w = descent_witness(mf, m2s, m2d)
-        if w is not None:
-            ok_rel = False
-            wit_rel = (y,) + w
-    rep.add("coaction_compatible", ok, wit)
-    rep.add("mixed_map_well_defined", ok_rel, wit_rel)
+    ys = [cm.D.space.basis_vector(y, f) for y in range(dd)]
+    mixed = [cm.induced_coeff_free(yv, 1, "back") for yv in ys]
+    rep.check_family("coaction_compatible", (
+        keyed((y,), difference_witness(
+            m2d.project(dp.coact_lift @ cm.Omega_of(yv)),
+            m2d.project(mixed[y] @ sp.coact_lift)))
+        for y, yv in enumerate(ys)))
+    rep.check_family("mixed_map_well_defined", (
+        keyed((y,), descent_witness(mf, m2s, m2d))
+        for y, mf in enumerate(mixed)))
     return rep
-
-
-def _action_by_images(p, arrow, f):
-    """From arrow : A -> U build P (x) A -> P through the module action."""
-    return pack_slices([p.act_by(arrow.column(a))
-                        for a in range(arrow.dom.dim)], f, last=True)
 
 
 def compose_comodule_measurings(cm1, cm2, label=""):
@@ -296,27 +269,17 @@ def check_yd_measuring(ym):
     rep.check_map_equal("equivariance", lhs, rhs)
     # coaction: x(z)_(-1) (x) x(z)_(0) = z_(-1) (x) x(z_(0))
     m2s, m2d = ym.src_z.mixed2(), ym.dst_z.mixed2()
-    ok = True
-    wit = None
-    ok_rel = True
-    wit_rel = None
-    for x in range(dc):
-        xv = ym.C.space.basis_vector(x, f)
-        px = ym.psi_of(xv)
-        lhs = m2d.project(ym.dst_z.coact_lift @ px)
-        rhs = m2d.project(Pipe.after(ym.src_z.coact_lift, [du, dz])
-                          .block(1, 1, px).map)
-        if lhs != rhs:
-            ok = False
-            d = lhs - rhs
-            j = d.nonzero_column_index()
-            wit = (x, j, d.column(j))
-        w = descent_witness(Pipe([du, dz], f).block(1, 1, px).map, m2s, m2d)
-        if w is not None:
-            ok_rel = False
-            wit_rel = (x,) + w
-    rep.add("coaction_compatible", ok, wit)
-    rep.add("coaction_map_well_defined", ok_rel, wit_rel)
+    pxs = [ym.psi_of(ym.C.space.basis_vector(x, f)) for x in range(dc)]
+    rep.check_family("coaction_compatible", (
+        keyed((x,), difference_witness(
+            m2d.project(ym.dst_z.coact_lift @ px),
+            m2d.project(Pipe.after(ym.src_z.coact_lift, [du, dz])
+                        .block(1, 1, px).map)))
+        for x, px in enumerate(pxs)))
+    rep.check_family("coaction_map_well_defined", (
+        keyed((x,), descent_witness(Pipe([du, dz], f).block(1, 1, px).map,
+                                    m2s, m2d))
+        for x, px in enumerate(pxs)))
     return rep
 
 

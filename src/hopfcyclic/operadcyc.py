@@ -9,8 +9,8 @@ above the cutoff are skipped and counted rather than silently assumed.
 from collections import namedtuple
 
 from .exactlin import (
-    LinMap, Pipe, Space, QuotientPresentation, descend, fix_factor, kernel,
-    solve_many, tensor_presentation,
+    LinMap, Pipe, Space, QuotientPresentation, descend, difference_witness,
+    fix_factor, kernel, solve_many, tensor_presentation,
 )
 from .algcore import (
     ComoduleData, Report, balanced_tensor, basis_slices, check_comodule,
@@ -72,79 +72,79 @@ def check_operad(od):
     f = od.field
     N = od.N
     skipped = 0
-    ok = True
-    wit = None
-    for p in range(1, N + 1):
-        for q in range(0, N + 1):
-            for r in range(0, N + 1):
-                n2 = p + q - 1
-                final = p + q + r - 2
-                if n2 > N or final > N or final < 0:
+
+    def associativity():
+        nonlocal skipped
+        for p in range(1, N + 1):
+            for q in range(0, N + 1):
+                for r in range(0, N + 1):
+                    n2 = p + q - 1
+                    final = p + q + r - 2
+                    if n2 > N or final > N or final < 0:
+                        skipped += 1
+                        continue
+                    yield from associativity_at(p, q, r, n2)
+
+    def associativity_at(p, q, r, n2):
+        nonlocal skipped
+        dims = [od.spaces[p].dim, od.spaces[q].dim, od.spaces[r].dim]
+        # the stages shared by several (i, j), built on first use:
+        # O(p) (x) O(r) (x) O(q) for the left_of and right_of cases
+        swapped = None
+        for i in range(1, p + 1):
+            lhs_inner = od.comp.get((p, q, i))
+            first = None  # comp_i (x) id
+            for j in range(1, n2 + 1):
+                lhs_outer = od.comp.get((n2, r, j))
+                if lhs_inner is None or lhs_outer is None:
                     skipped += 1
                     continue
-                dims = [od.spaces[p].dim, od.spaces[q].dim,
-                        od.spaces[r].dim]
-                # the stages shared by several (i, j), built on first use:
-                # O(p) (x) O(r) (x) O(q) for the left_of and right_of cases
-                swapped = None
-                for i in range(1, p + 1):
-                    lhs_inner = od.comp.get((p, q, i))
-                    first = None  # comp_i (x) id
-                    for j in range(1, n2 + 1):
-                        lhs_outer = od.comp.get((n2, r, j))
-                        if lhs_inner is None or lhs_outer is None:
-                            skipped += 1
-                            continue
-                        if j < i:
-                            inner = od.comp.get((p, r, j))
-                            outer = od.comp.get((p + r - 1, q, i + r - 1)) \
-                                if p + r - 1 <= N else None
-                            case = "left_of"
-                        elif j < q + i:
-                            inner = od.comp.get((q, r, j - i + 1))
-                            outer = od.comp.get((p, q + r - 1, i)) \
-                                if q + r - 1 <= N else None
-                            case = "inside"
-                        else:
-                            inner = od.comp.get((p, r, j - q + 1))
-                            outer = od.comp.get((p + r - 1, q, i)) \
-                                if p + r - 1 <= N else None
-                            case = "right_of"
-                        if inner is None or outer is None:
-                            skipped += 1
-                            continue
-                        if case == "inside":
-                            rhs = Pipe(dims, f).block(1, 2, inner)
-                        else:
-                            if swapped is None:
-                                swapped = Pipe(dims, f).permute([0, 2, 1]).map
-                            rhs = Pipe.after(swapped, [dims[0], dims[2],
-                                                       dims[1]])
-                            rhs.block(0, 2, inner)
-                        if first is None:
-                            first = Pipe(dims, f).block(0, 2, lhs_inner).map
-                        if lhs_outer @ first != outer @ rhs.map:
-                            ok = False
-                            wit = (case, p, q, r, i, j)
-    rep.add("associativity", ok, witness=wit)
+                if j < i:
+                    inner = od.comp.get((p, r, j))
+                    outer = od.comp.get((p + r - 1, q, i + r - 1)) \
+                        if p + r - 1 <= N else None
+                    case = "left_of"
+                elif j < q + i:
+                    inner = od.comp.get((q, r, j - i + 1))
+                    outer = od.comp.get((p, q + r - 1, i)) \
+                        if q + r - 1 <= N else None
+                    case = "inside"
+                else:
+                    inner = od.comp.get((p, r, j - q + 1))
+                    outer = od.comp.get((p + r - 1, q, i)) \
+                        if p + r - 1 <= N else None
+                    case = "right_of"
+                if inner is None or outer is None:
+                    skipped += 1
+                    continue
+                if case == "inside":
+                    rhs = Pipe(dims, f).block(1, 2, inner)
+                else:
+                    if swapped is None:
+                        swapped = Pipe(dims, f).permute([0, 2, 1]).map
+                    rhs = Pipe.after(swapped, [dims[0], dims[2], dims[1]])
+                    rhs.block(0, 2, inner)
+                if first is None:
+                    first = Pipe(dims, f).block(0, 2, lhs_inner).map
+                if lhs_outer @ first != outer @ rhs.map:
+                    yield (case, p, q, r, i, j)
+
+    rep.check_family("associativity", associativity())
     rep.add("associativity_skipped", True, witness=skipped)
-    ok = True
-    wit = None
-    for p in range(0, N + 1):
-        ident = LinMap.identity(od.spaces[p], f)
-        for i in range(1, p + 1):
-            c = od.comp.get((p, 1, i))
-            if c is None:
-                continue
-            if fix_factor(c, od.one, od.spaces[p].dim) != ident:
-                ok = False
-                wit = ("right_unit", p, i)
-        c = od.comp.get((1, p, 1))
-        if c is not None:
-            if fix_factor(c, od.one) != ident:
-                ok = False
-                wit = ("left_unit", p)
-    rep.add("operad_identity", ok, witness=wit)
+
+    def identity():
+        for p in range(0, N + 1):
+            ident = LinMap.identity(od.spaces[p], f)
+            for i in range(1, p + 1):
+                c = od.comp.get((p, 1, i))
+                if c is not None and \
+                        fix_factor(c, od.one, od.spaces[p].dim) != ident:
+                    yield ("right_unit", p, i)
+            c = od.comp.get((1, p, 1))
+            if c is not None and fix_factor(c, od.one) != ident:
+                yield ("left_unit", p)
+
+    rep.check_family("operad_identity", identity())
     if N >= 3:
         m1 = fix_factor(od.comp[(2, 2, 1)], od.m).apply(od.m)
         m2 = fix_factor(od.comp[(2, 2, 2)], od.m).apply(od.m)
@@ -166,104 +166,103 @@ def check_comp_module(cm):
     f = cm.field
     N = cm.N
     skipped = 0
-    ok = True
-    wit = None
-    for p in range(0, od.N + 1):
-        for q in range(0, od.N + 1):
-            for n in range(0, N + 1):
-                dims = [od.spaces[p].dim, od.spaces[q].dim,
-                        cm.spaces[n].dim]
-                # the stages shared by several (i, j), built on first use:
-                # O(q) (x) O(p) (x) L(n) where O(p) moves past O(q), and the
-                # right-hand stages by the key of their inner map
-                swapped = None
-                stages = {}
-                for j in range(0, n + 2 - q):
-                    bj = cm.bullet.get((q, n, j))
-                    n1 = n - q + 1
-                    if bj is None or n1 < 0 or n1 > N:
-                        continue
-                    first = None  # id (x) bullet_j
-                    for i in range(0, n1 + 2 - p):
-                        bi = cm.bullet.get((p, n1, i))
-                        if bi is None:
-                            skipped += 1
-                            continue
-                        # operad-operad step, or O(p) moved past O(q); ikey
-                        # names the inner map
-                        on_operads = False
-                        if j < i:
-                            ikey = (p, n, i + q - 1)
-                            outer = cm.bullet.get((q, n - p + 1, j)) \
-                                if 0 <= n - p + 1 <= N else None
-                        elif p > 0 and j - p < i <= j:
-                            ikey = (p, q, j - i + 1)
-                            outer = cm.bullet.get((p + q - 1, n, i))
-                            on_operads = True
-                        elif p > 0 and i <= j - p:
-                            ikey = (p, n, i)
-                            outer = cm.bullet.get((q, n - p + 1, j - p + 1)) \
-                                if 0 <= n - p + 1 <= N else None
-                        elif p == 0 and i <= j:
-                            ikey = (0, n, i)
-                            outer = cm.bullet.get((q, n + 1, j + 1)) \
-                                if n + 1 <= N else None
-                        else:
-                            ikey = outer = None
-                        maps = od.comp if on_operads else cm.bullet
-                        inner = maps.get(ikey)
-                        if inner is None or outer is None:
-                            skipped += 1
-                            continue
-                        rhs = stages.get((on_operads, ikey))
-                        if rhs is None:
-                            if on_operads:
-                                rhs = Pipe(dims, f).block(0, 2, inner).map
-                            else:
-                                if swapped is None:
-                                    swapped = Pipe(dims, f) \
-                                        .permute([1, 0, 2]).map
-                                rhs = Pipe.after(swapped, [
-                                    dims[1], dims[0], dims[2]]) \
-                                    .block(1, 2, inner).map
-                            stages[(on_operads, ikey)] = rhs
-                        if first is None:
-                            first = Pipe(dims, f).block(1, 2, bj).map
-                        if bi @ first != outer @ rhs:
-                            ok = False
-                            wit = ("bullet", p, q, n, i, j)
-    rep.add("comp_compatibility", ok, witness=wit)
-    rep.add("comp_skipped", True, witness=skipped)
-    ok = True
-    wit = None
-    for n in range(0, N + 1):
-        ident = LinMap.identity(cm.spaces[n], f)
-        for i in range(0, n + 1):
-            b = cm.bullet.get((1, n, i))
-            if b is None:
+
+    def compatibility():
+        for p in range(0, od.N + 1):
+            for q in range(0, od.N + 1):
+                for n in range(0, N + 1):
+                    yield from compatibility_at(p, q, n)
+
+    def compatibility_at(p, q, n):
+        nonlocal skipped
+        dims = [od.spaces[p].dim, od.spaces[q].dim, cm.spaces[n].dim]
+        # the stages shared by several (i, j), built on first use:
+        # O(q) (x) O(p) (x) L(n) where O(p) moves past O(q), and the
+        # right-hand stages by the key of their inner map
+        swapped = None
+        stages = {}
+        for j in range(0, n + 2 - q):
+            bj = cm.bullet.get((q, n, j))
+            n1 = n - q + 1
+            if bj is None or n1 < 0 or n1 > N:
                 continue
-            if fix_factor(b, od.one) != ident:
-                ok = False
-                wit = ("unit", n, i)
-    rep.add("module_unital", ok, witness=wit)
-    ok = True
-    wit = None
-    for p in range(0, od.N + 1):
-        for n in range(0, N + 1):
-            if n - p + 1 < 0 or n - p + 1 > N:
-                continue
-            # id (x) t on O(p) (x) L(n)
-            after_t = Pipe([od.spaces[p].dim, cm.spaces[n].dim], f) \
-                .block(1, 1, cm.t[n]).map
-            for i in range(0, n - p + 1):
-                b1 = cm.bullet.get((p, n, i))
-                b2 = cm.bullet.get((p, n, i + 1))
-                if b1 is None or b2 is None:
+            first = None  # id (x) bullet_j
+            for i in range(0, n1 + 2 - p):
+                bi = cm.bullet.get((p, n1, i))
+                if bi is None:
+                    skipped += 1
                     continue
-                if cm.t[n - p + 1] @ b1 != b2 @ after_t:
-                    ok = False
-                    wit = ("cyclic_compat", p, n, i)
-    rep.add("cyclic_compatibility", ok, witness=wit)
+                # operad-operad step, or O(p) moved past O(q); ikey names
+                # the inner map
+                on_operads = False
+                if j < i:
+                    ikey = (p, n, i + q - 1)
+                    outer = cm.bullet.get((q, n - p + 1, j)) \
+                        if 0 <= n - p + 1 <= N else None
+                elif p > 0 and j - p < i <= j:
+                    ikey = (p, q, j - i + 1)
+                    outer = cm.bullet.get((p + q - 1, n, i))
+                    on_operads = True
+                elif p > 0 and i <= j - p:
+                    ikey = (p, n, i)
+                    outer = cm.bullet.get((q, n - p + 1, j - p + 1)) \
+                        if 0 <= n - p + 1 <= N else None
+                elif p == 0 and i <= j:
+                    ikey = (0, n, i)
+                    outer = cm.bullet.get((q, n + 1, j + 1)) \
+                        if n + 1 <= N else None
+                else:
+                    ikey = outer = None
+                maps = od.comp if on_operads else cm.bullet
+                inner = maps.get(ikey)
+                if inner is None or outer is None:
+                    skipped += 1
+                    continue
+                rhs = stages.get((on_operads, ikey))
+                if rhs is None:
+                    if on_operads:
+                        rhs = Pipe(dims, f).block(0, 2, inner).map
+                    else:
+                        if swapped is None:
+                            swapped = Pipe(dims, f).permute([1, 0, 2]).map
+                        rhs = Pipe.after(swapped,
+                                         [dims[1], dims[0], dims[2]]) \
+                            .block(1, 2, inner).map
+                    stages[(on_operads, ikey)] = rhs
+                if first is None:
+                    first = Pipe(dims, f).block(1, 2, bj).map
+                if bi @ first != outer @ rhs:
+                    yield ("bullet", p, q, n, i, j)
+
+    rep.check_family("comp_compatibility", compatibility())
+    rep.add("comp_skipped", True, witness=skipped)
+
+    def unital():
+        for n in range(0, N + 1):
+            ident = LinMap.identity(cm.spaces[n], f)
+            for i in range(0, n + 1):
+                b = cm.bullet.get((1, n, i))
+                if b is not None and fix_factor(b, od.one) != ident:
+                    yield ("unit", n, i)
+
+    rep.check_family("module_unital", unital())
+
+    def cyclic_compatibility():
+        for p in range(0, od.N + 1):
+            for n in range(0, N + 1):
+                if n - p + 1 < 0 or n - p + 1 > N:
+                    continue
+                # id (x) t on O(p) (x) L(n)
+                after_t = Pipe([od.spaces[p].dim, cm.spaces[n].dim], f) \
+                    .block(1, 1, cm.t[n]).map
+                for i in range(0, n - p + 1):
+                    b1 = cm.bullet.get((p, n, i))
+                    b2 = cm.bullet.get((p, n, i + 1))
+                    if b1 is not None and b2 is not None and \
+                            cm.t[n - p + 1] @ b1 != b2 @ after_t:
+                        yield ("cyclic_compat", p, n, i)
+
+    rep.check_family("cyclic_compatibility", cyclic_compatibility())
     for n in range(0, N + 1):
         power = cm.t[n]
         for _ in range(n):
@@ -321,32 +320,35 @@ def check_operad_measuring(om):
     dc = om.C.space.dim
     psis = {n: basis_slices(op, dc) for n, op in om.Psi.items()}
     skipped = 0
-    ok = True
-    wit = None
-    for c in range(dc):
-        terms = om.C.iterated_comul_vector(om.C.space.basis_vector(c, f), 2)
-        for (p, q, i), comp in om.src.comp.items():
-            comp2 = om.dst.comp.get((p, q, i))
-            if comp2 is None or p + q - 1 > N:
-                skipped += 1
-                continue
-            lhs = psis[p + q - 1][c] @ comp
-            if lhs != comp2 @ sweedler_sum(terms, [psis[p], psis[q]]):
-                ok = False
-                wit = (c, p, q, i)
-    rep.add("comp_measuring", ok, witness=wit)
+
+    def comp_measuring():
+        nonlocal skipped
+        for c in range(dc):
+            terms = om.C.iterated_comul_vector(om.C.space.basis_vector(c, f),
+                                               2)
+            for (p, q, i), comp in om.src.comp.items():
+                comp2 = om.dst.comp.get((p, q, i))
+                if comp2 is None or p + q - 1 > N:
+                    skipped += 1
+                    continue
+                lhs = psis[p + q - 1][c] @ comp
+                if lhs != comp2 @ sweedler_sum(terms, [psis[p], psis[q]]):
+                    yield (c, p, q, i)
+
+    rep.check_family("comp_measuring", comp_measuring())
     rep.add("comp_measuring_skipped", True, witness=skipped)
-    ok = True
-    for c in range(dc):
-        xv = om.C.space.basis_vector(c, f)
-        eps = om.C.counit.apply(xv)[0]
-        got_m = om.Psi_of(2, xv).apply(om.src.m)
-        want_m = tuple(f.mul(eps, v) for v in om.dst.m)
-        got_e = om.Psi_of(0, xv).apply(om.src.e)
-        want_e = tuple(f.mul(eps, v) for v in om.dst.e)
-        if got_m != want_m or got_e != want_e:
-            ok = False
-    rep.add("m_and_e_preserved", ok)
+
+    def m_and_e():
+        for c in range(dc):
+            xv = om.C.space.basis_vector(c, f)
+            eps = om.C.counit.apply(xv)[0]
+            if any(om.Psi_of(n, xv).apply(src)
+                   != tuple(f.mul(eps, v) for v in dst)
+                   for n, src, dst in ((2, om.src.m, om.dst.m),
+                                       (0, om.src.e, om.dst.e))):
+                yield c
+
+    rep.check_family("m_and_e_preserved", m_and_e())
     return rep
 
 
@@ -375,34 +377,29 @@ def check_comp_comodule_measuring(ccm):
     psis = {n: basis_slices(op, om.C.space.dim) for n, op in om.Psi.items()}
     omegas = {n: basis_slices(op, dd) for n, op in ccm.Omega.items()}
     skipped = 0
-    ok = True
-    wit = None
-    for c in range(dd):
-        # D is a left comodule, y -> y_(-1) (x) y_(0), keyed (y_(0), y_(-1))
-        coact = ccm.D.iterated_coaction_vector(ccm.D.space.basis_vector(c, f),
-                                               1)
-        terms = {(ci, mi): v for (mi, ci), v in coact.items()}
-        for (p, n, i), b in ccm.src.bullet.items():
-            b2 = ccm.dst.bullet.get((p, n, i))
-            if b2 is None or n - p + 1 > N or n - p + 1 < 0:
-                skipped += 1
-                continue
-            lhs = omegas[n - p + 1][c] @ b
-            if lhs != b2 @ sweedler_sum(terms, [psis[p], omegas[n]]):
-                ok = False
-                wit = (c, p, n, i)
-    rep.add("bullet_measuring", ok, witness=wit)
+
+    def bullet_measuring():
+        nonlocal skipped
+        for c in range(dd):
+            # D is a left comodule, y -> y_(-1) (x) y_(0), keyed
+            # (y_(0), y_(-1))
+            coact = ccm.D.iterated_coaction_vector(
+                ccm.D.space.basis_vector(c, f), 1)
+            terms = {(ci, mi): v for (mi, ci), v in coact.items()}
+            for (p, n, i), b in ccm.src.bullet.items():
+                b2 = ccm.dst.bullet.get((p, n, i))
+                if b2 is None or n - p + 1 > N or n - p + 1 < 0:
+                    skipped += 1
+                    continue
+                lhs = omegas[n - p + 1][c] @ b
+                if lhs != b2 @ sweedler_sum(terms, [psis[p], omegas[n]]):
+                    yield (c, p, n, i)
+
+    rep.check_family("bullet_measuring", bullet_measuring())
     rep.add("bullet_measuring_skipped", True, witness=skipped)
-    ok = True
-    wit = None
-    for c in range(dd):
-        for n in range(N + 1):
-            lhs = omegas[n][c] @ ccm.src.t[n]
-            rhs = ccm.dst.t[n] @ omegas[n][c]
-            if lhs != rhs:
-                ok = False
-                wit = (c, n)
-    rep.add("cyclic_commutes", ok, witness=wit)
+    rep.check_family("cyclic_commutes", (
+        (c, n) for c in range(dd) for n in range(N + 1)
+        if omegas[n][c] @ ccm.src.t[n] != ccm.dst.t[n] @ omegas[n][c]))
     return rep
 
 
@@ -581,8 +578,9 @@ def build_ayd_coefficient(h, l, z):
     dz = z.Z.space.dim
     trivL = QuotientPresentation.trivial(l.space, f)
     trivZ = QuotientPresentation.trivial(z.Z.space, f)
-    # a . z = t(a) z packed as A (x) Z -> Z
-    lactz = h._pack_over_base(lambda a: z.act_by(h.t_of(a)))
+    # a . z = t(a) z as A (x) Z -> Z
+    lactz = Pipe([h.A.space.dim, dz], f).block(0, 1, h.t_L) \
+        .block(0, 2, z.action).map
     mpres = balanced_tensor(trivL, trivZ, l.right_arrow_action(), lactz,
                             h.A.space, f, label="LZ")
     triv_u = QuotientPresentation.trivial(h.U.space, f)
@@ -601,11 +599,9 @@ def build_ayd_coefficient(h, l, z):
     msayd = SaydModuleData(h, mspace, act, coact, "LZ", presentation=mpres)
     stab = Pipe.after(coact, [du, mspace.dim]).permute([1, 0]) \
         .block(0, 2, act).map
-    ident = LinMap.identity(mspace, f)
-    if stab != ident:
-        bad = stab - ident
-        j = bad.nonzero_column_index()
-        raise StabilityFailure((j, bad.column(j)))
+    witness = difference_witness(stab, LinMap.identity(mspace, f))
+    if witness is not None:
+        raise StabilityFailure(witness)
     return msayd
 
 

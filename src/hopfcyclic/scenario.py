@@ -15,9 +15,9 @@ from .exactlin import (
     DescentFailure, FieldSpec, LinMap, NoSolution, NotInvertible, QQ, Space,
     Vector,
 )
-from .algcore import AlgebraData, check_algebra, check_coalgebra
+from .algcore import AlgebraData, Report, check_algebra, check_coalgebra
 from .hopfalgebroid import (
-    check_hopf_algebroid, check_hopf_galois, check_left_bialgebroid,
+    check_antipode, check_hopf_galois, check_left_bialgebroid,
     check_sayd, check_yd_algebra, dual_numbers, group_algebra,
     group_hopf_algebroid, NotScalarBase, NotTheBase, pair_hopf_algebroid,
     scalar_algebra, scalar_sayd, scalar_yd_algebra, split_pair_algebra,
@@ -567,8 +567,10 @@ _VALIDATORS = {
 
 def _validate(cat, obj):
     if cat == "hopf_algebroids":
+        # the hopf: block repeats the bialgebroid checks; they run once
         rep = check_left_bialgebroid(obj)
-        rep.extend(check_hopf_algebroid(obj), "hopf:")
+        hopf = Report().extend(rep).extend(check_antipode(obj))
+        rep.extend(hopf, "hopf:")
         rep.extend(check_hopf_galois(obj), "galois:")
         return rep
     if cat == "lie_rinehart":

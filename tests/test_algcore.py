@@ -5,14 +5,50 @@ import pytest
 from hopfcyclic.exactlin import QQ, FieldSpec, LinMap, Pipe, Space, tensor_space
 from hopfcyclic.algcore import (
     AlgebraData, BalancedTower, CoalgebraData, ComoduleData,
-    ModuleActionData, balanced_tensor, check_algebra, check_coalgebra,
-    check_comodule, check_module, check_sweedler_measuring, swap_map,
-    sweedler_sum,
+    ModuleActionData, Report, balanced_tensor, check_algebra,
+    check_coalgebra, check_comodule, check_module, check_sweedler_measuring,
+    keyed, swap_map, sweedler_sum,
 )
 from hopfcyclic.exactlin import QuotientPresentation
 from hopfcyclic.hopfalgebroid import (
     dual_numbers, group_algebra, scalar_algebra, split_pair_algebra,
 )
+
+
+def test_check_family_names_the_first_failing_member():
+    seen = []
+
+    def family(items):
+        for item in items:
+            seen.append(item)
+            yield item
+
+    rep = Report()
+    rep.check_family("holds", family([None, None]))
+    rep.check_family("empty", family([]))
+    rep.check_family("fails", family([None, (1, "a"), None, (3, "b")]))
+    assert [(r.name, r.passed, r.witness) for r in rep.results] == [
+        ("holds", True, None), ("empty", True, None),
+        ("fails", False, (1, "a"))]
+    # the whole family is read, past its first failure
+    assert len(seen) == 6
+    # a falsy witness is a witness
+    assert not Report().check_family("zero", [None, 0]).ok
+    assert keyed((2,), None) is None and keyed((2,), (0, "c")) == (2, 0, "c")
+
+
+def test_map_checks_name_the_first_nonzero_column():
+    from hopfcyclic.exactlin import column_witness, difference_witness
+    sp = Space(3)
+    m = LinMap(sp, sp, QQ, {(0, 2): Fraction(1, 2), (1, 1): 3})
+    assert column_witness(LinMap.zero(sp, sp, QQ)) is None
+    assert column_witness(m) == (1, (0, 3, 0))
+    ident = LinMap.identity(sp, QQ)
+    assert difference_witness(ident, ident) is None
+    assert difference_witness(ident + m, ident) == (1, (0, 3, 0))
+    rep = Report().check_map_equal("eq", ident + m, ident) \
+        .check_map_zero("zero", m)
+    assert [r.witness for r in rep.results] == [(1, (0, 3, 0))] * 2
 
 
 def test_check_algebra_gallery():

@@ -537,3 +537,42 @@ def test_rational_base_frontier():
     rep = check_cyclic_module(cm)
     assert rep.ok, rep.failures()
     assert cyclic_homology_char0(cm).dims == [2, 0, 2, 0, 2]
+
+
+def _quadratic_base(field, a, b):
+    """field[x]/(x^2 - a - b x), basis (1, x)."""
+    sp = Space(2, "x2=%d+%dx" % (a, b))
+    mul = LinMap(Space(4), sp, field,
+                 {(0, 0): 1, (1, 1): 1, (1, 2): 1,
+                  (0, 3): field.of_int(a), (1, 3): field.of_int(b)})
+    return AlgebraData(sp, mul, (1, 0), field, sp.label)
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_hopf_galois_map_intertwines_the_cyclic_operators(field):
+    """xi_n t_n = tau_n xi_n with coefficients, and xi_n t_n = tau_n^n xi_n
+    (= tau_n^{-1} xi_n) without: t the cyclic operator of the chain-side
+    module and tau that of the cochain side.  Degrees up to 4, except
+    pair(kxk) up to 3: its Hopf-Galois map takes seconds at degree 4."""
+    entries = [(name, e.hopf, e.sayd) for name, e in gallery(field).items()]
+    for a, b in ((3, 0), (2, 1), (-5, 0)):
+        A = _quadratic_base(field, a, b)
+        h = pair_hopf_algebroid(A)
+        entries.append((A.label, h, base_sayd_for_pair(h, A)))
+    for name, h, p in entries:
+        N = 3 if name == "pair_split" else 4
+        xs = hopf_galois_chain_map(h, N)
+        t, tau = build_cyclic_CU(h, N).cyc, build_cocyclic_CU(h, N).cyc
+        for n in range(N + 1):
+            power = LinMap.identity(tau[n].dom, field)
+            for _ in range(n):
+                power = tau[n] @ power
+            assert xs[n] @ t[n] == power @ xs[n], (name, n)
+            # the power matters from degree 2 on, wherever U is not k
+            if n >= 2 and name != "trivial":
+                assert xs[n] @ t[n] != tau[n] @ xs[n], (name, n)
+        xs = hopf_galois_chain_map(h, N, p)
+        t = build_cyclic_with_coeffs(h, p, N).cyc
+        tau = build_cocyclic_with_coeffs(h, p, N).cyc
+        for n in range(N + 1):
+            assert xs[n] @ t[n] == tau[n] @ xs[n], (name, n)

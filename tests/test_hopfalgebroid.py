@@ -5,7 +5,8 @@ import pytest
 
 from hopfcyclic.algcore import AlgebraData, balanced_tensor
 from hopfcyclic.exactlin import (
-    QQ, FieldSpec, LinMap, Pipe, QuotientPresentation, Space, kron_vec, rank,
+    QQ, FieldSpec, LinMap, Pipe, QuotientPresentation, Space, kron_vec,
+    pack_slices, rank,
 )
 from hopfcyclic.hopfalgebroid import (
     HopfAlgebroidData, NotScalarBase, NotTheBase, SaydModuleData, base_sayd,
@@ -157,12 +158,15 @@ def test_mixed2_is_the_capped_tower_at_level_one(gal):
                              else [])
         for x in xs:
             assert x.mixed2() is x.capped_tower(1), name
-            # U (x)_A X, balanced by t(a) u (x) x = u (x) a . x
+            # U (x)_A X, balanced by t(a) u (x) x = u (x) a . x; the right
+            # action u . a = t(a) u is packed from its slices at a basis
+            ract = pack_slices(
+                [h.lmul(h.t_of(h.A.space.basis_vector(a, QQ)))
+                 for a in range(h.A.space.dim)], QQ, last=True)
             want = balanced_tensor(
                 QuotientPresentation.trivial(h.U.space, QQ),
                 QuotientPresentation.trivial(x.space, QQ),
-                h._pack_over_base(lambda a: h.lmul(h.t_of(a)), True),
-                x.left_a_action(), h.A.space, QQ)
+                ract, x.left_a_action(), h.A.space, QQ)
             assert x.mixed2().projection == want.projection, name
             assert x.mixed2().section == want.section, name
 
@@ -196,6 +200,33 @@ def test_sayd_broken_coaction_detected(gal):
     bad = SaydModuleData(h, p, action, coact, "bad")
     rep = check_sayd(bad)
     assert not rep.ok
+
+
+def test_sayd_check_reports_an_algebroid_that_is_not_hopf_galois(gal):
+    """With one delta_lift entry raised by 1, beta does not descend
+    (pair_dual) or is not onto (group_c2), so there is no translation map:
+    anti_yetter_drinfeld fails with check_hopf_galois's witness, and the
+    other SAYD checks still run."""
+    names = [r.name for r in check_sayd(gal["pair_dual"].sayd).results]
+    for hname, (i, j), galois_check in (
+            ("pair_dual", (11, 3), "beta_descends"),
+            ("group_c2", (1, 0), "beta_surjective")):
+        h = gal[hname].hopf
+        entries = dict(h.delta_lift.entries)
+        entries[(i, j)] = entries.get((i, j), 0) + 1
+        bad = HopfAlgebroidData(
+            h.U, h.A, h.s_L, h.t_L,
+            LinMap(h.delta_lift.dom, h.delta_lift.cod, QQ, entries),
+            h.eps_L, h.S, label="bad")
+        galois = check_hopf_galois(bad).failures()
+        assert [r.name for r in galois] == [galois_check], hname
+        rep = check_sayd(base_sayd(bad))
+        assert [r.name for r in rep.results] == names, hname
+        ayd = [r for r in rep.results if r.name == "anti_yetter_drinfeld"]
+        assert not ayd[0].passed, hname
+        assert ayd[0].witness == galois[0].witness, hname
+        assert rep.results[-1].name == "stability" and \
+            rep.results[-1].passed, hname
 
 
 def test_structure_validation_is_fast():

@@ -111,11 +111,38 @@ def test_scenario_round_trip():
 
 
 def test_reports_match_goldens():
-    for name in ("trivial", "pair_e2"):
-        doc = parse_scenario(_scen(name))
+    # pair_e2_broken pins a failing report: its measuring is not one
+    for path in (_scen("trivial"), _scen("pair_e2"),
+                 os.path.join(HERE, "scenarios", "pair_e2_broken.json")):
+        name = os.path.basename(path)[:-len(".json")]
+        doc = parse_scenario(path)
         out = emit(run(doc)) + "\n"
         with open(os.path.join(GOLD, name + ".report.json")) as fh:
             assert out == fh.read(), name
+
+
+def test_validate_runs_the_bialgebroid_checks_once(monkeypatch):
+    """A hopf_algebroids validate reports the bialgebroid checks twice,
+    bare and under hopf:, and computes them once."""
+    import hopfcyclic.hopfalgebroid as hopfalgebroid
+    import hopfcyclic.scenario as scenario
+    calls = []
+    checker = hopfalgebroid.check_left_bialgebroid
+
+    def counted(h):
+        calls.append(h)
+        return checker(h)
+
+    monkeypatch.setattr(hopfalgebroid, "check_left_bialgebroid", counted)
+    monkeypatch.setattr(scenario, "check_left_bialgebroid", counted)
+    doc = parse_scenario(_scen("pair_e2"))
+    rec = run(doc, kinds=("validate",)).tasks[0]
+    assert len(calls) == 1
+    names = [c["name"] for c in rec["checks"]]
+    bare = [n for n in names if ":" not in n]
+    assert bare == [r.name for r in checker(calls[0]).results]
+    assert [n for n in names if n.startswith("hopf:")][:len(bare)] == \
+        ["hopf:" + n for n in bare]
 
 
 def test_deterministic_across_runs():
