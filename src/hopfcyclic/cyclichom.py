@@ -9,10 +9,13 @@ certificate (see `_window_ops`); cyclic operators permute every slot and
 go through the global `descend`.
 """
 
+from functools import partial
+from math import lcm
+
 from .exactlin import (
-    DescentFailure, LinMap, Pipe, Space, QuotientPresentation, descend,
-    difference_witness, invert, kernel, permute_factors, quotient_by, rank,
-    solve_many, tensor_presentation,
+    DescentFailure, LinMap, Pipe, Space, QuotientPresentation, _sum_map,
+    descend, difference_witness, invert, kernel, permute_factors,
+    quotient_by, rank, solve_many, tensor_presentation,
 )
 from .algcore import Report, sweedler_sum
 from .hopfalgebroid import require_own_algebroid, translation_lift
@@ -22,6 +25,17 @@ class CharNotZero(Exception):
     """Cyclic homology through the lambda-complex needs characteristic 0."""
 
 
+def _family(name):
+    """A family of operators, read as a plain dict; a callable given in its
+    place is evaluated on the first read and then dropped."""
+    def read(self):
+        fam = self._families[name]
+        if callable(fam):
+            fam = self._families[name] = fam()
+        return fam
+    return property(read)
+
+
 class CyclicModuleData:
     """A cyclic ("chain") or cocyclic ("cochain") module up to degree N.
 
@@ -29,38 +43,85 @@ class CyclicModuleData:
     degeneracies degen[n][i] : C_n -> C_{n+1} (0 <= n < N), cyclic
     operators cyc[n] : C_n -> C_n.  For variant "cocyclic" the faces raise
     degree and the degeneracies lower it.
+
+    Each family may be given as a dict or as a zero-argument callable that
+    returns one, evaluated on its first read.  The builders pass callables
+    when every tower of the module is free (see `_module`), so each
+    reader pays only for what it reads: unnormalized Hochschild homology
+    evaluates the faces, cyclic homology the faces and cyclic operators,
+    the normalized complex the faces and degeneracies, and the checkers
+    all three.  A module with a tower with relations is built in full at
+    build, where its certificates are checked.
     """
 
     def __init__(self, variant, N, spaces, faces, degen, cyc, pres=None,
                  label=""):
-        assert variant in ("cyclic", "cocyclic")
+        if variant not in ("cyclic", "cocyclic"):
+            raise ValueError("unknown variant %r: cyclic or cocyclic"
+                             % (variant,))
         self.variant = variant
         self.N = N
         self.spaces = spaces
-        self.faces = faces
-        self.degen = degen
-        self.cyc = cyc
+        self._families = {"faces": faces, "degen": degen, "cyc": cyc}
         self.pres = pres
         self.label = label
         self._boundaries = None
+
+    faces = _family("faces")
+    degen = _family("degen")
+    cyc = _family("cyc")
 
     def dims(self):
         return [sp.dim for sp in self.spaces]
 
     def boundaries(self):
         """Hochschild (co)boundaries: alternating sums of the faces,
-        {n: map leaving degree n}, computed on first use."""
+        {n: map leaving degree n}, each accumulated in one pass over the
+        lcm of the face denominators, computed on first use."""
         if self._boundaries is None:
             out = {}
             for n, ops in self.faces.items():
-                f = ops[0].field
-                b = None
-                for i, di in enumerate(ops):
-                    term = di if i % 2 == 0 else di.scaled(f.neg(f.one))
-                    b = term if b is None else b + term
-                out[n] = b
+                forms = [d._nums() for d in ops]
+                den = lcm(*(dd for _, dd in forms))
+                sums = {}
+                get = sums.get
+                for i, (nums, dd) in enumerate(forms):
+                    scale = den // dd * (-1) ** i
+                    for k, v in nums.items():
+                        sums[k] = get(k, 0) + v * scale
+                d = ops[0]
+                out[n] = _sum_map(d.dom, d.cod, d.field, sums, den)
             self._boundaries = out
         return self._boundaries
+
+
+def _window_family(window, ops):
+    """{n: [op]} with each op a LinMap or the arguments of a window op,
+    evaluated through `window`."""
+    return {n: [window(*op) if isinstance(op, tuple) else op for op in row]
+            for n, row in ops.items()}
+
+
+def _module(variant, N, pres, window, faces, degen, cyc, steps, label):
+    """The CyclicModuleData of one builder call on the towers `pres`.
+
+    `faces` and `degen` are families as `_window_family` reads them, `cyc`
+    evaluates the cyclic operators, and `steps` are the calls they make
+    that can raise (the lifts they are made of).  On towers that are all
+    free there is nothing to certify: the steps run now and every family
+    is handed over unevaluated.  A tower with relations makes every family
+    evaluate now, with the steps before the cyclic operators, since its
+    certificates are the work and their failures belong to the build.
+    """
+    faces, degen = (partial(_window_family, window, ops)
+                    for ops in (faces, degen))
+    free = all(pr.free for pr in pres)
+    if not free:
+        faces, degen = faces(), degen()
+    for step in steps:
+        step()
+    return CyclicModuleData(variant, N, [pr.quotient for pr in pres], faces,
+                            degen, cyc if free else cyc(), pres, label)
 
 
 # -- faces and degeneracies as certified window ops -----------------------
@@ -173,7 +234,6 @@ def _window_ops(h, p=None):
 def build_cocyclic_CU(h, N):
     f = h.field
     du = h.U.space.dim
-    spaces = [h.A.space] + [h.ltower(n).quotient for n in range(1, N + 1)]
     pres = [QuotientPresentation.trivial(h.A.space, f)] \
         + [h.ltower(n) for n in range(1, N + 1)]
     unit = h.U.unit_map()
@@ -197,41 +257,37 @@ def build_cocyclic_CU(h, N):
         # u (x) v -> t(eps(v)) u
         return pipe.block(s + 1, 1, tc_eps).block(s, 2, mul_op)
 
-    faces = {}
-    degen = {}
-    cyc = {}
-    for n in range(0, N):
-        if n == 0:
-            faces[0] = [h.t_L, h.s_L]
-            continue
+    faces = {0: [h.t_L, h.s_L]} if N else {}
+    degen = {1: [h.eps_L]} if N else {}
+    for n in range(1, N):
         up = (pres[n], pres[n + 1], [du] * n)
-        faces[n] = [window("L", unit_in, 0, 0, *up)] \
-            + [window("L", coproduct, 1, i, *up) for i in range(n)] \
-            + [window("L", unit_in, 0, n, *up)]
-    for n in range(1, N + 1):
-        if n == 1:
-            degen[1] = [h.eps_L]
-            continue
+        faces[n] = [("L", unit_in, 0, 0, *up)] \
+            + [("L", coproduct, 1, i, *up) for i in range(n)] \
+            + [("L", unit_in, 0, n, *up)]
+    for n in range(2, N + 1):
         down = (pres[n], pres[n - 1], [du] * n)
-        degen[n] = [window("L", counit_left, 2, i, *down)
-                    for i in range(n - 1)] \
-            + [window("L", counit_right, 2, n - 2, *down)]
-    cyc[0] = LinMap.identity(h.A.space, f)
-    for n in range(1, N + 1):
-        if n == 1:
-            cyc[1] = h.S
-            continue
-        pipe = Pipe([du] * n, f).block(0, 1, h.S)
-        pipe.block(0, 1, h.iterated_delta_lift(n), [du] * n)
-        order = []
-        for k in range(n - 1):
-            order += [k, n + k]
-        pipe.permute(order + [n - 1])
-        for k in range(n - 1):
-            pipe.block(k, 2, h.U.mul)
-        cyc[n] = descend(pipe.map, pres[n], pres[n])
-    return CyclicModuleData("cocyclic", N, spaces, faces, degen, cyc, pres,
-                            label="C^(%s)" % h.label)
+        degen[n] = [("L", counit_left, 2, i, *down) for i in range(n - 1)] \
+            + [("L", counit_right, 2, n - 2, *down)]
+
+    def cyc():
+        cyc = {0: LinMap.identity(h.A.space, f)}
+        for n in range(1, N + 1):
+            if n == 1:
+                cyc[1] = h.S
+                continue
+            pipe = Pipe([du] * n, f).block(0, 1, h.S)
+            pipe.block(0, 1, h.iterated_delta_lift(n), [du] * n)
+            order = []
+            for k in range(n - 1):
+                order += [k, n + k]
+            pipe.permute(order + [n - 1])
+            for k in range(n - 1):
+                pipe.block(k, 2, h.U.mul)
+            cyc[n] = descend(pipe.map, pres[n], pres[n])
+        return cyc
+    steps = [partial(h.iterated_delta_lift, n) for n in range(2, N + 1)]
+    return _module("cocyclic", N, pres, window, faces, degen, cyc, steps,
+                   "C^(%s)" % h.label)
 
 
 # -- the chain-side cyclic module ----------------------------------------
@@ -239,7 +295,6 @@ def build_cocyclic_CU(h, N):
 def build_cyclic_CU(h, N):
     f = h.field
     du = h.U.space.dim
-    spaces = [h.A.space] + [h.rtower(n).quotient for n in range(1, N + 1)]
     pres = [QuotientPresentation.trivial(h.A.space, f)] \
         + [h.rtower(n) for n in range(1, N + 1)]
     eps_R = h.eps_R
@@ -262,37 +317,35 @@ def build_cyclic_CU(h, N):
     def unit_in(pipe, s):
         return pipe.block(s, 0, unit)
 
-    faces = {}
-    degen = {}
-    cyc = {}
-    for n in range(1, N + 1):
-        if n == 1:
-            faces[1] = [eps_R, h.eps_L]
-            continue
+    faces = {1: [eps_R, h.eps_L]} if N else {}
+    degen = {0: [h.t_L]}
+    for n in range(2, N + 1):
         down = (pres[n], pres[n - 1], [du] * n)
-        faces[n] = [window("R", counit_first, 2, 0, *down)] \
-            + [window("R", product, 2, i, *down) for i in range(n - 1)] \
-            + [window("R", counit_last, 2, n - 2, *down)]
-    degen[0] = [h.t_L]
+        faces[n] = [("R", counit_first, 2, 0, *down)] \
+            + [("R", product, 2, i, *down) for i in range(n - 1)] \
+            + [("R", counit_last, 2, n - 2, *down)]
     for n in range(1, N):
         up = (pres[n], pres[n + 1], [du] * n)
-        degen[n] = [window("R", unit_in, 0, i, *up) for i in range(n + 1)]
-    cyc[0] = LinMap.identity(h.A.space, f)
-    for n in range(1, N + 1):
-        if n == 1:
-            cyc[1] = h.S
-            continue
-        pipe = Pipe([du] * n, f)
-        for k in range(n - 1):
-            pipe.block(2 * k, 1, h.delta_lift, [du, du])
-        pipe.permute([2 * k + 1 for k in range(n - 1)] + [2 * n - 2]
-                     + [2 * k for k in range(n - 1)])
-        for _ in range(n - 1):
-            pipe.block(0, 2, h.U.mul)
-        pipe.block(0, 1, h.S)
-        cyc[n] = descend(pipe.map, pres[n], pres[n])
-    return CyclicModuleData("cyclic", N, spaces, faces, degen, cyc, pres,
-                            label="C_(%s)" % h.label)
+        degen[n] = [("R", unit_in, 0, i, *up) for i in range(n + 1)]
+
+    def cyc():
+        cyc = {0: LinMap.identity(h.A.space, f)}
+        for n in range(1, N + 1):
+            if n == 1:
+                cyc[1] = h.S
+                continue
+            pipe = Pipe([du] * n, f)
+            for k in range(n - 1):
+                pipe.block(2 * k, 1, h.delta_lift, [du, du])
+            pipe.permute([2 * k + 1 for k in range(n - 1)] + [2 * n - 2]
+                         + [2 * k for k in range(n - 1)])
+            for _ in range(n - 1):
+                pipe.block(0, 2, h.U.mul)
+            pipe.block(0, 1, h.S)
+            cyc[n] = descend(pipe.map, pres[n], pres[n])
+        return cyc
+    return _module("cyclic", N, pres, window, faces, degen, cyc, [],
+                   "C_(%s)" % h.label)
 
 
 # -- coefficient towers ---------------------------------------------------
@@ -328,7 +381,6 @@ def build_cyclic_with_coeffs(h, p, N):
     du = h.U.space.dim
     dp = p.space.dim
     pres = [p.chain_tower(n) for n in range(N + 1)]
-    spaces = [pr.quotient for pr in pres]
     t_eps = h.t_L @ h.eps_L
     unit = h.U.unit_map()
     window = _window_ops(h, p)
@@ -352,23 +404,23 @@ def build_cyclic_with_coeffs(h, p, N):
 
     faces = {}
     degen = {}
-    cyc = {}
     # layout (p, u_1, ..., u_n)
     for n in range(1, N + 1):
         down = (pres[n], pres[n - 1], [dp] + [du] * n)
-        first = window("chain", counit_coeff, 2, 0, *down) if n == 1 \
-            else window("R", counit_last, 2, n - 1, *down)
+        first = ("chain", counit_coeff, 2, 0, *down) if n == 1 \
+            else ("R", counit_last, 2, n - 1, *down)
         faces[n] = [first] \
-            + [window("R", product, 2, n - i, *down) for i in range(1, n)] \
-            + [window("chain", action, 2, 0, *down)]
+            + [("R", product, 2, n - i, *down) for i in range(1, n)] \
+            + [("chain", action, 2, 0, *down)]
     for n in range(0, N):
         up = (pres[n], pres[n + 1], [dp] + [du] * n)
-        degen[n] = [window("R", unit_in, 0, 1 + n - i, *up)
-                    for i in range(n + 1)]
-    for n in range(N + 1):
-        cyc[n] = chain_coeff_cyclic(h, p, n)
-    return CyclicModuleData("cyclic", N, spaces, faces, degen, cyc, pres,
-                            label="C_(%s;%s)" % (h.label, p.label))
+        degen[n] = [("R", unit_in, 0, 1 + n - i, *up) for i in range(n + 1)]
+
+    def cyc():
+        return {n: chain_coeff_cyclic(h, p, n) for n in range(N + 1)}
+    steps = [partial(translation_lift, h)] if N else []
+    return _module("cyclic", N, pres, window, faces, degen, cyc, steps,
+                   "C_(%s;%s)" % (h.label, p.label))
 
 
 def build_cocyclic_with_coeffs(h, p, N):
@@ -377,7 +429,6 @@ def build_cocyclic_with_coeffs(h, p, N):
     du = h.U.space.dim
     dp = p.space.dim
     pres = [p.capped_tower(n) for n in range(N + 1)]
-    spaces = [pr.quotient for pr in pres]
     sc_eps = h.s_L @ h.eps_L
     t_eps = h.t_L @ h.eps_L
     unit = h.U.unit_map()
@@ -404,36 +455,39 @@ def build_cocyclic_with_coeffs(h, p, N):
 
     faces = {}
     degen = {}
-    cyc = {}
     # layout (u_1, ..., u_n, p)
     for n in range(0, N):
         up = (pres[n], pres[n + 1], [du] * n + [dp])
-        faces[n] = [window("L", unit_in, 0, 0, *up)] \
-            + [window("L", coproduct, 1, i, *up) for i in range(n)] \
-            + [window("cochain", coaction, 1, n, *up)]
+        faces[n] = [("L", unit_in, 0, 0, *up)] \
+            + [("L", coproduct, 1, i, *up) for i in range(n)] \
+            + [("cochain", coaction, 1, n, *up)]
     for n in range(1, N + 1):
         down = (pres[n], pres[n - 1], [du] * n + [dp])
-        degen[n] = [window("L", counit_left, 2, i, *down)
-                    for i in range(n - 1)] \
-            + [window("cochain", counit_coeff, 2, n - 1, *down)]
-    cyc[0] = LinMap.identity(p.space, f)
-    trans = translation_lift(h)
-    for n in range(1, N + 1):
-        pipe = Pipe([du] * n + [dp], f)
-        pipe.block(0, 1, trans, [du, du])
-        pipe.block(1, 1, h.iterated_delta_lift(n), [du] * n)
-        pipe.block(2 * n, 1, p.coact_lift, [du, dp])
-        # layout (u1+, w1..wn, u2..un, p_-1, p_0)
-        order = []
-        for k in range(1, n):
-            order += [k, n + k]
-        pipe.permute(order + [n, 2 * n, 2 * n + 1, 0])
-        for k in range(n):
-            pipe.block(k, 2, h.U.mul)
-        pipe.block(n, 2, p.action)
-        cyc[n] = descend(pipe.map, pres[n], pres[n])
-    return CyclicModuleData("cocyclic", N, spaces, faces, degen, cyc, pres,
-                            label="C^(%s;%s)" % (h.label, p.label))
+        degen[n] = [("L", counit_left, 2, i, *down) for i in range(n - 1)] \
+            + [("cochain", counit_coeff, 2, n - 1, *down)]
+
+    def cyc():
+        cyc = {0: LinMap.identity(p.space, f)}
+        trans = translation_lift(h)
+        for n in range(1, N + 1):
+            pipe = Pipe([du] * n + [dp], f)
+            pipe.block(0, 1, trans, [du, du])
+            pipe.block(1, 1, h.iterated_delta_lift(n), [du] * n)
+            pipe.block(2 * n, 1, p.coact_lift, [du, dp])
+            # layout (u1+, w1..wn, u2..un, p_-1, p_0)
+            order = []
+            for k in range(1, n):
+                order += [k, n + k]
+            pipe.permute(order + [n, 2 * n, 2 * n + 1, 0])
+            for k in range(n):
+                pipe.block(k, 2, h.U.mul)
+            pipe.block(n, 2, p.action)
+            cyc[n] = descend(pipe.map, pres[n], pres[n])
+        return cyc
+    steps = [partial(translation_lift, h)] \
+        + [partial(h.iterated_delta_lift, n) for n in range(1, N + 1)]
+    return _module("cocyclic", N, pres, window, faces, degen, cyc, steps,
+                   "C^(%s;%s)" % (h.label, p.label))
 
 
 # -- generic cyclic/cocyclic axiom checker --------------------------------
@@ -445,6 +499,16 @@ def check_cyclic_module(cm):
     else:
         _check_cocyclic(cm, rep)
     return rep
+
+
+def _check_t_order(cm, rep):
+    """t_n^(n+1) = id in every degree."""
+    for n in range(cm.N + 1):
+        power = t = cm.cyc[n]
+        for _ in range(n):
+            power = t @ power
+        rep.check_map_equal("t_order@%d" % n, power,
+                            LinMap.identity(cm.spaces[n], t.field))
 
 
 def _check_cyclic(cm, rep):
@@ -477,12 +541,7 @@ def _check_cyclic(cm, rep):
                     if n == 0:
                         continue
                 rep.check_map_equal("d%d_s%d@%d" % (i, j, n), lhs, rhs)
-    for n in range(0, N + 1):
-        power = t[n]
-        for _ in range(n):
-            power = t[n] @ power
-        rep.check_map_equal("t_order@%d" % n, power,
-                            LinMap.identity(cm.spaces[n], t[n].field))
+    _check_t_order(cm, rep)
     for n in range(1, N + 1):
         rep.check_map_equal("d0_t@%d" % n, d[n][0] @ t[n], d[n][n])
         for i in range(1, n + 1):
@@ -526,12 +585,7 @@ def _check_cocyclic(cm, rep):
                         continue
                     rhs = d[n - 1][i - 1] @ s[n][j]
                 rep.check_map_equal("s%d_d%d@%d" % (j, i, n), lhs, rhs)
-    for n in range(0, N + 1):
-        power = t[n]
-        for _ in range(n):
-            power = t[n] @ power
-        rep.check_map_equal("t_order@%d" % n, power,
-                            LinMap.identity(cm.spaces[n], t[n].field))
+    _check_t_order(cm, rep)
     for n in range(0, N):
         rep.check_map_equal("t_d0@%d" % n, t[n + 1] @ d[n][0], d[n][n + 1])
         for i in range(1, n + 2):
@@ -758,30 +812,15 @@ def check_chain_map(src_cm, dst_cm, maps):
     cyclic operators of two parallel (co)cyclic modules."""
     rep = Report("chain map")
     N = min(src_cm.N, dst_cm.N, len(maps) - 1)
-    lower = src_cm.variant == "cyclic"
+    step = -1 if src_cm.variant == "cyclic" else 1   # the degree a face moves
     for n in range(N + 1):
-        if n in src_cm.faces:
-            for i, (d1, d2) in enumerate(zip(src_cm.faces[n],
-                                             dst_cm.faces[n])):
-                if lower:
-                    if n >= 1 and n <= N:
-                        rep.check_map_equal("d%d@%d" % (i, n),
-                                            maps[n - 1] @ d1, d2 @ maps[n])
-                else:
-                    if n + 1 <= N:
-                        rep.check_map_equal("d%d@%d" % (i, n),
-                                            maps[n + 1] @ d1, d2 @ maps[n])
-        if n in src_cm.degen:
-            for i, (s1, s2) in enumerate(zip(src_cm.degen[n],
-                                             dst_cm.degen[n])):
-                if lower:
-                    if n + 1 <= N:
-                        rep.check_map_equal("s%d@%d" % (i, n),
-                                            maps[n + 1] @ s1, s2 @ maps[n])
-                else:
-                    if n >= 1:
-                        rep.check_map_equal("s%d@%d" % (i, n),
-                                            maps[n - 1] @ s1, s2 @ maps[n])
+        for kind, m, ops, dst_ops in (
+                ("d", n + step, src_cm.faces, dst_cm.faces),
+                ("s", n - step, src_cm.degen, dst_cm.degen)):
+            if n in ops and 0 <= m <= N:
+                for i, (a, b) in enumerate(zip(ops[n], dst_ops[n])):
+                    rep.check_map_equal("%s%d@%d" % (kind, i, n),
+                                        maps[m] @ a, b @ maps[n])
         rep.check_map_equal("t@%d" % n,
                             maps[n] @ src_cm.cyc[n], dst_cm.cyc[n] @ maps[n])
     return rep
@@ -839,17 +878,10 @@ def _shuffles(p, q):
     import itertools
     out = []
     for positions in itertools.combinations(range(p + q), p):
-        sigma = [0] * (p + q)   # sigma[source] = target
-        rest = [k for k in range(p + q) if k not in positions]
-        for i, pos in enumerate(positions):
-            sigma[i] = pos
-        for i, pos in enumerate(rest):
-            sigma[p + i] = pos
-        inv = 0
-        for a in range(p + q):
-            for b in range(a + 1, p + q):
-                if sigma[a] > sigma[b]:
-                    inv += 1
+        # sigma[source] = target
+        sigma = list(positions) + [k for k in range(p + q)
+                                   if k not in positions]
+        inv = sum(x > y for a, x in enumerate(sigma) for y in sigma[a + 1:])
         perm = [0] * (p + q)
         for src, tgt in enumerate(sigma):
             perm[tgt] = src
@@ -933,18 +965,19 @@ class MixedComplexData:
 
 
 def mixed_complex(cm):
-    """Connes' (b, B) bicomplex data from a cyclic module."""
-    assert cm.variant == "cyclic"
+    """Connes' (b, B) bicomplex data from a cyclic module; ValueError for
+    a cocyclic one."""
+    if cm.variant != "cyclic":
+        raise ValueError("mixed complexes implemented on the chain side")
     diffs = cm.boundaries()
     f = cm.cyc[0].field
     B = {}
     for n in range(0, cm.N):
         lam = _lam(cm, n)
-        norm = None
-        power = LinMap.identity(cm.spaces[n], f)
-        for _ in range(n + 1):
-            norm = power if norm is None else norm + power
+        norm = power = LinMap.identity(cm.spaces[n], f)
+        for _ in range(n):
             power = lam @ power
+            norm = norm + power
         extra = cm.cyc[n + 1] @ cm.degen[n][n]
         one_minus = LinMap.identity(cm.spaces[n + 1], f) - _lam(cm, n + 1)
         B[n] = one_minus @ (extra @ norm)

@@ -576,3 +576,178 @@ def test_hopf_galois_map_intertwines_the_cyclic_operators(field):
         tau = build_cocyclic_with_coeffs(h, p, N).cyc
         for n in range(N + 1):
             assert xs[n] @ t[n] == tau[n] @ xs[n], (name, n)
+
+
+# -- operator families built on first read --------------------------------
+
+def _logged_families(monkeypatch):
+    """Log each operator family of a built module, by name, when it is
+    evaluated: at build if the builder hands it over evaluated, otherwise
+    on its first read."""
+    real = cyclichom._module
+    log = []
+
+    def logged(name, fam):
+        def evaluate():
+            log.append(name)
+            return fam()
+        return evaluate
+
+    def module(*args):
+        cm = real(*args)
+        for name, fam in cm._families.items():
+            if callable(fam):
+                cm._families[name] = logged(name, fam)
+            else:
+                log.append(name)
+        return cm
+    monkeypatch.setattr(cyclichom, "_module", module)
+    return log
+
+
+def _builds(e, N=3):
+    """The four builders on a gallery entry, as (variant, build) pairs."""
+    h, p = e.hopf, e.sayd
+    return [("cyclic", lambda: build_cyclic_CU(h, N)),
+            ("cocyclic", lambda: build_cocyclic_CU(h, N)),
+            ("cyclic", lambda: build_cyclic_with_coeffs(h, p, N)),
+            ("cocyclic", lambda: build_cocyclic_with_coeffs(h, p, N))]
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_free_towers_evaluate_the_families_each_reader_reads(field,
+                                                             monkeypatch):
+    log = _logged_families(monkeypatch)
+    g = gallery(field)
+    for name in ("group_c2", "group_c3"):
+        for variant, build in _builds(g[name]):
+            readers = [(hochschild_homology, {"faces"}),
+                       (cyclic_homology_char0, {"faces", "cyc"}),
+                       (check_cyclic_module, {"faces", "degen", "cyc"})]
+            if variant == "cyclic":
+                readers.append((lambda cm: hochschild_homology(
+                    cm, normalized=True), {"faces", "degen"}))
+            for read, want in readers:
+                cm = build()
+                assert log == [], (name, variant)
+                for _ in range(2):      # the second read evaluates nothing
+                    try:
+                        read(cm)
+                    except CharNotZero:
+                        # HC over F_p stops early, but never at the
+                        # degeneracies
+                        assert field.char and set(log) <= want
+                        continue
+                    assert sorted(log) == sorted(want), (name, variant, read)
+                log.clear()
+
+
+def test_scenario_hochschild_task_evaluates_only_the_faces(monkeypatch):
+    from hopfcyclic.scenario import parse_scenario_text, run
+    import json
+    log = _logged_families(monkeypatch)
+    doc = {"hopf_algebroids": {"H": {"preset": "group_c3"}},
+           "tasks": [{"kind": "homology", "object": "H", "theory": "HH"}]}
+    for field in ("Q", "F5"):
+        rep = run(parse_scenario_text(json.dumps(doc), field_override=field))
+        assert rep.ok
+        assert log == ["faces"], field
+        log.clear()
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_towers_with_relations_evaluate_every_family_at_build(field,
+                                                              monkeypatch):
+    log = _logged_families(monkeypatch)
+    for _, build in _builds(gallery(field)["pair_dual"]):
+        cm = build()
+        assert log == ["faces", "degen", "cyc"]
+        hochschild_homology(cm)
+        check_cyclic_module(cm)
+        assert log == ["faces", "degen", "cyc"]
+        log.clear()
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_families_do_not_depend_on_the_order_they_are_read(field):
+    """Reading the families in reverse order gives the same operators.  The
+    pair algebroids, whose towers have relations and so are evaluated at
+    build, run at N <= 2 only, to keep the test short."""
+    for name, e in gallery(field).items():
+        for N in range(1, 3 if name.startswith("pair") else 5):
+            for _, build in _builds(e, N):
+                a, b = build(), build()
+                fa = [a.faces, a.degen, a.cyc]
+                fb = [b.cyc, b.degen, b.faces][::-1]
+                for x, y in zip(fa, fb):
+                    assert x.keys() == y.keys(), (name, N)
+                    assert all(x[n] == y[n] for n in x), (name, N)
+
+
+def _raising_delta_mutants(field):
+    """group_c2 with one entry of delta_lift raised by one, for every entry
+    where that makes translation_lift raise: (algebroid, SAYD module over
+    it, the exception translation_lift raises)."""
+    from hopfcyclic.exactlin import NoSolution
+    from hopfcyclic.hopfalgebroid import SaydModuleData, translation_lift
+    from test_acceptance import _mutate
+    e = gallery(field)["group_c2"]
+    g, q = e.hopf, e.sayd
+    out = []
+    for i in range(g.delta_lift.cod.dim):
+        for j in range(g.delta_lift.dom.dim):
+            h = HopfAlgebroidData(g.U, g.A, g.s_L, g.t_L,
+                                  _mutate(g.delta_lift, i, j, field),
+                                  g.eps_L, g.S, "mutant")
+            try:
+                translation_lift(h)
+            except (NoSolution, DescentFailure) as exc:
+                out.append((h, SaydModuleData(h, q.space, q.action,
+                                              q.coact_lift, "mutant"), exc))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_build_time_errors_stay_at_build(field, monkeypatch):
+    """On free towers the coefficient builders still raise what the
+    translation map raises, from the builder call, with nothing evaluated;
+    the plain builders, which do not read it, build."""
+    import re
+    log = _logged_families(monkeypatch)
+    mutants = _raising_delta_mutants(field)
+    assert mutants
+    for h, p, exc in mutants:
+        assert p.chain_tower(3).free and p.capped_tower(3).free
+        for build in (build_cyclic_with_coeffs, build_cocyclic_with_coeffs):
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                build(h, p, 3)
+        assert log == []
+        build_cyclic_CU(h, 3), build_cocyclic_CU(h, 3)
+        assert log == []
+
+
+def test_deferred_families_leave_no_reference_cycles():
+    import gc
+    e = gallery()["group_c3"]
+    for _, build in _builds(e):
+        build().faces       # grow the towers and lifts the builds keep
+    gc.collect()
+    gc.disable()
+    try:
+        for _, build in _builds(e):
+            cm = build()
+            cm.faces
+            del cm
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_module_input_errors_are_typed():
+    h = gallery()["group_c2"].hopf
+    cm = build_cyclic_CU(h, 2)
+    with pytest.raises(ValueError, match="unknown variant 'sideways'"):
+        cyclichom.CyclicModuleData("sideways", 2, cm.spaces, cm.faces,
+                                   cm.degen, cm.cyc)
+    with pytest.raises(ValueError, match="chain side"):
+        mixed_complex(build_cocyclic_CU(h, 2))
