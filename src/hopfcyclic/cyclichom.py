@@ -14,8 +14,8 @@ from math import lcm
 
 from .exactlin import (
     DescentFailure, LinMap, Pipe, Space, QuotientPresentation, _sum_map,
-    descend, difference_witness, invert, kernel, permute_factors,
-    quotient_by, rank, solve_many, tensor_presentation,
+    descend, descent_witness, difference_witness, invert, kernel,
+    permute_factors, quotient_by, rank, solve_many, tensor_presentation,
 )
 from .algcore import Report, sweedler_sum
 from .hopfalgebroid import require_own_algebroid, translation_lift
@@ -46,15 +46,17 @@ class CyclicModuleData:
 
     Each family may be given as a dict or as a zero-argument callable that
     returns one, evaluated on its first read.  The builders pass callables
-    when every tower of the module is free (see `_module`), so each
-    reader pays only for what it reads: unnormalized Hochschild homology
-    evaluates the faces, cyclic homology the faces and cyclic operators,
-    the normalized complex the faces and degeneracies, and the checkers
-    all three.  A module with a tower with relations is built in full at
-    build, where its certificates are checked.
+    on every tower (see `_module`), so each reader pays only for what it
+    reads: unnormalized Hochschild homology evaluates the faces, cyclic
+    homology the faces and cyclic operators, the normalized complex the
+    faces and degeneracies, and the checkers all three.  The builder call
+    runs every certificate of the faces and degeneracies and raises where
+    one fails; a failure of the cyclic operators, whose certificate is
+    their evaluation, raises on the first read of `cyc`.  `field` is the
+    field of every operator, known without reading any family.
     """
 
-    def __init__(self, variant, N, spaces, faces, degen, cyc, pres=None,
+    def __init__(self, variant, N, spaces, faces, degen, cyc, field,
                  label=""):
         if variant not in ("cyclic", "cocyclic"):
             raise ValueError("unknown variant %r: cyclic or cocyclic"
@@ -63,7 +65,7 @@ class CyclicModuleData:
         self.N = N
         self.spaces = spaces
         self._families = {"faces": faces, "degen": degen, "cyc": cyc}
-        self.pres = pres
+        self.field = field
         self.label = label
         self._boundaries = None
 
@@ -95,39 +97,44 @@ class CyclicModuleData:
         return self._boundaries
 
 
-def _window_family(window, ops):
+def _window_family(evaluate, ops):
     """{n: [op]} with each op a LinMap or the arguments of a window op,
-    evaluated through `window`."""
-    return {n: [window(*op) if isinstance(op, tuple) else op for op in row]
+    evaluated through `evaluate`."""
+    return {n: [evaluate(*op) if isinstance(op, tuple) else op for op in row]
             for n, row in ops.items()}
 
 
-def _module(variant, N, pres, window, faces, degen, cyc, steps, label):
-    """The CyclicModuleData of one builder call on the towers `pres`.
+def _module(variant, N, h, p, pres, faces, degen, cyc, steps, label):
+    """The CyclicModuleData of one builder call on the towers `pres` of h
+    (with coefficients in p, or None).
 
     `faces` and `degen` are families as `_window_family` reads them, `cyc`
     evaluates the cyclic operators, and `steps` are the calls they make
-    that can raise (the lifts they are made of).  On towers that are all
-    free there is nothing to certify: the steps run now and every family
-    is handed over unevaluated.  A tower with relations makes every family
-    evaluate now, with the steps before the cyclic operators, since its
-    certificates are the work and their failures belong to the build.
+    that can raise (the lifts they are made of).  One rule on every tower:
+    the certificate of every face and degeneracy (see `_window_ops`) and
+    every step run now, and the three families are handed over
+    unevaluated.  The cyclic operators have no certificate apart from
+    their global `descend`, so a failure of theirs raises on the first
+    read of `cyc`.
     """
-    faces, degen = (partial(_window_family, window, ops)
-                    for ops in (faces, degen))
-    free = all(pr.free for pr in pres)
-    if not free:
-        faces, degen = faces(), degen()
+    certify, evaluate = _window_ops(h, p)
+    for row in (*faces.values(), *degen.values()):
+        for op in row:
+            if isinstance(op, tuple):
+                certify(*op)
     for step in steps:
         step()
+    faces, degen = (partial(_window_family, evaluate, ops)
+                    for ops in (faces, degen))
     return CyclicModuleData(variant, N, [pr.quotient for pr in pres], faces,
-                            degen, cyc if free else cyc(), pres, label)
+                            degen, cyc, h.field, label)
 
 
 # -- faces and degeneracies as certified window ops -----------------------
 
 def _window_ops(h, p=None):
-    """The evaluator of the faces and degeneracies of one builder call.
+    """(certify, evaluate) for the faces and degeneracies of one builder
+    call.
 
     A face or degeneracy is a window op `st(pipe, s)`: Pipe stages that
     act on the slots [s, s + k_in) of a pipe and leave some k_out slots
@@ -143,12 +150,13 @@ def _window_ops(h, p=None):
         left, phi(w.a) = phi(w).a on the right, with the actions of the
         end slots; an empty window between two slots (a unit insertion)
         needs a.phi(1) = phi(1).a instead.
-    Each part of this certificate is checked once per window op; the
-    operator itself is then evaluated on the section columns of the
-    source only.  `side` names the towers: "R" (rtower) and "L" (ltower)
-    for windows of U slots, "chain" and "cochain" for windows at the
-    coefficient slot of p.chain_tower (P first) and p.capped_tower (P
-    last).  A failed part raises DescentFailure.
+    `certify` checks each part of this certificate once per window op, on
+    a source tower with relations, and raises DescentFailure on a failed
+    part; `evaluate` forms the operator on the section columns of the
+    source only.  Both take the arguments of a window op.  `side` names
+    the towers: "R" (rtower) and "L" (ltower) for windows of U slots,
+    "chain" and "cochain" for windows at the coefficient slot of
+    p.chain_tower (P first) and p.capped_tower (P last).
     """
     f = h.field
     da = h.A.space.dim
@@ -172,19 +180,14 @@ def _window_ops(h, p=None):
         grower = h._grower("R" if side in ("R", "chain") else "L")
         return grower.factor_lact if end == "left" else grower.factor_ract
 
-    def certify(side, st, wd, part):
+    def witness(side, st, wd, part):
+        """The failure of one part of the certificate, or None."""
         k_in = len(wd)
         phi = st(Pipe(wd, f), 0)
         k_out = len(phi.dims)
         dst = tower[side](k_out)
         if part == "descent":
-            try:
-                return descend(phi.map, tower[side](k_in), dst)
-            except DescentFailure as exc:
-                raise DescentFailure(
-                    "window op %s does not descend on its local towers "
-                    "(relation column %d)" % (st.__name__, exc.witness[0]),
-                    witness=exc.witness)
+            return descent_witness(phi.map, tower[side](k_in), dst)
         if part == "left":      # phi(a.w) against a.phi(w)
             lhs = st(Pipe([da] + wd, f)
                      .block(0, 2, action(side, k_in, "left")), 0)
@@ -200,33 +203,35 @@ def _window_ops(h, p=None):
                 .block(0, 2, action(side, k_out, "left"))
             rhs = st(Pipe([da], f), 0) \
                 .block(k_out - 1, 2, action(side, k_out, "right"))
-        witness = difference_witness(dst.project(lhs.map),
-                                     dst.project(rhs.map))
-        if witness is not None:
-            raise DescentFailure(
-                "window op %s is not A-linear at its %s boundary (column %d)"
-                % (st.__name__, part, witness[0]), witness=witness)
+        return difference_witness(dst.project(lhs.map), dst.project(rhs.map))
 
-    def window(side, st, k_in, s, src, dst, dims):
+    def certify(side, st, k_in, s, src, dst, dims):
+        if src.quotient.dim == src.ambient.dim:
+            return
+        left, right = s > 0, s + k_in < len(dims)
+        if k_in:
+            parts = ["descent"] + ["left"] * left + ["right"] * right
+        else:
+            parts = ["empty"] * (left and right)
+        for part in parts:
+            if (side, st, part) in done:
+                continue
+            w = witness(side, st, dims[s:s + k_in], part)
+            if w is not None:
+                raise DescentFailure(
+                    ("window op %s does not descend on its local towers "
+                     "(relation column %d)" % (st.__name__, w[0]))
+                    if part == "descent" else
+                    ("window op %s is not A-linear at its %s boundary "
+                     "(column %d)" % (st.__name__, part, w[0])), witness=w)
+            done.add((side, st, part))
+
+    def evaluate(side, st, k_in, s, src, dst, dims):
         """dst.project of id (x) st (x) id on the section columns of src,
-        whose ambient splits into `dims`.  A window that covers every slot
-        has src and dst as its local towers, so its descent part already
-        is the operator."""
-        if src.quotient.dim < src.ambient.dim:
-            left, right = s > 0, s + k_in < len(dims)
-            if k_in:
-                parts = ["descent"] + ["left"] * left + ["right"] * right
-            else:
-                parts = ["empty"] * (left and right)
-            for part in parts:
-                if (side, st, part) not in done:
-                    op = certify(side, st, dims[s:s + k_in], part)
-                    done.add((side, st, part))
-                    if k_in == len(dims):
-                        return op
+        whose ambient splits into `dims`."""
         return dst.project(st(Pipe.after(src.section, dims), s).map)
 
-    return window
+    return certify, evaluate
 
 
 # -- the coproduct-side cocyclic module ----------------------------------
@@ -241,7 +246,6 @@ def build_cocyclic_CU(h, N):
     tc_eps = h.t_L @ h.eps_L
     # u (x) v -> vu
     mul_op = Pipe([du, du], f).permute([1, 0]).block(0, 2, h.U.mul).map
-    window = _window_ops(h)
 
     def unit_in(pipe, s):
         return pipe.block(s, 0, unit)
@@ -286,7 +290,7 @@ def build_cocyclic_CU(h, N):
             cyc[n] = descend(pipe.map, pres[n], pres[n])
         return cyc
     steps = [partial(h.iterated_delta_lift, n) for n in range(2, N + 1)]
-    return _module("cocyclic", N, pres, window, faces, degen, cyc, steps,
+    return _module("cocyclic", N, h, None, pres, faces, degen, cyc, steps,
                    "C^(%s)" % h.label)
 
 
@@ -301,7 +305,6 @@ def build_cyclic_CU(h, N):
     t_eps = h.t_L @ eps_R
     t_eps_S = h.t_L @ (eps_R @ h.S)
     unit = h.U.unit_map()
-    window = _window_ops(h)
 
     def counit_first(pipe, s):
         # u (x) v -> t(eps_R(u)) v
@@ -344,7 +347,7 @@ def build_cyclic_CU(h, N):
             pipe.block(0, 1, h.S)
             cyc[n] = descend(pipe.map, pres[n], pres[n])
         return cyc
-    return _module("cyclic", N, pres, window, faces, degen, cyc, [],
+    return _module("cyclic", N, h, None, pres, faces, degen, cyc, [],
                    "C_(%s)" % h.label)
 
 
@@ -383,7 +386,6 @@ def build_cyclic_with_coeffs(h, p, N):
     pres = [p.chain_tower(n) for n in range(N + 1)]
     t_eps = h.t_L @ h.eps_L
     unit = h.U.unit_map()
-    window = _window_ops(h, p)
 
     def counit_last(pipe, s):
         # u (x) v -> u t(eps(v))
@@ -419,7 +421,7 @@ def build_cyclic_with_coeffs(h, p, N):
     def cyc():
         return {n: chain_coeff_cyclic(h, p, n) for n in range(N + 1)}
     steps = [partial(translation_lift, h)] if N else []
-    return _module("cyclic", N, pres, window, faces, degen, cyc, steps,
+    return _module("cyclic", N, h, p, pres, faces, degen, cyc, steps,
                    "C_(%s;%s)" % (h.label, p.label))
 
 
@@ -434,7 +436,6 @@ def build_cocyclic_with_coeffs(h, p, N):
     unit = h.U.unit_map()
     # u (x) p -> p u
     act_op = Pipe([du, dp], f).permute([1, 0]).block(0, 2, p.action).map
-    window = _window_ops(h, p)
 
     def unit_in(pipe, s):
         return pipe.block(s, 0, unit)
@@ -486,7 +487,7 @@ def build_cocyclic_with_coeffs(h, p, N):
         return cyc
     steps = [partial(translation_lift, h)] \
         + [partial(h.iterated_delta_lift, n) for n in range(1, N + 1)]
-    return _module("cocyclic", N, pres, window, faces, degen, cyc, steps,
+    return _module("cocyclic", N, h, p, pres, faces, degen, cyc, steps,
                    "C^(%s;%s)" % (h.label, p.label))
 
 
@@ -508,7 +509,7 @@ def _check_t_order(cm, rep):
         for _ in range(n):
             power = t @ power
         rep.check_map_equal("t_order@%d" % n, power,
-                            LinMap.identity(cm.spaces[n], t.field))
+                            LinMap.identity(cm.spaces[n], cm.field))
 
 
 def _check_cyclic(cm, rep):
@@ -535,7 +536,7 @@ def _check_cyclic(cm, rep):
                 if i < j:
                     rhs = s[n - 1][j - 1] @ d[n][i]
                 elif i in (j, j + 1):
-                    rhs = LinMap.identity(cm.spaces[n], d[n + 1][i].field)
+                    rhs = LinMap.identity(cm.spaces[n], cm.field)
                 else:
                     rhs = s[n - 1][j] @ d[n][i - 1] if n >= 1 else None
                     if n == 0:
@@ -579,7 +580,7 @@ def _check_cocyclic(cm, rep):
                 if i < j:
                     rhs = d[n - 1][i] @ s[n][j - 1]
                 elif i in (j, j + 1):
-                    rhs = LinMap.identity(cm.spaces[n], lhs.field)
+                    rhs = LinMap.identity(cm.spaces[n], cm.field)
                 else:
                     if n == 0:
                         continue
@@ -704,7 +705,7 @@ def hochschild_homology(cm, normalized=False):
         return HomologyReport("HH", cm.variant, dims, cm.label)
     if cm.variant != "cyclic":
         raise ValueError("normalized variant implemented on the chain side")
-    f = diffs[1].field
+    f = cm.field
     press = []
     for n in range(cm.N + 1):
         if n == 0 or n - 1 not in cm.degen:
@@ -736,8 +737,9 @@ def _lam(cm, n):
 
 
 def cyclic_homology_char0(cm):
-    """Cyclic (co)homology through the lambda-complex; degrees 0..N-1."""
-    f = cm.cyc[0].field
+    """Cyclic (co)homology through the lambda-complex; degrees 0..N-1.
+    Over F_p, CharNotZero before any operator is read."""
+    f = cm.field
     if f.char != 0:
         raise CharNotZero("lambda-complex needs characteristic zero")
     diffs = cm.boundaries()
@@ -848,12 +850,16 @@ def hopf_galois_square(m, xvec, N, coeff_measuring=None):
 
 def homology_presentation(cm, n):
     """(cycle inclusion, quotient presentation) for degree n Hochschild
-    homology of a cyclic module; ValueError for a cocyclic one."""
+    homology of a cyclic module; ValueError for a cocyclic one, and for a
+    degree n outside 0..N-1."""
     if cm.variant != "cyclic":
         raise ValueError("homology presentations implemented on the chain "
                          "side")
+    if not 0 <= n < cm.N:
+        raise ValueError("degree %r outside the homology degrees 0..%d of %s"
+                         % (n, cm.N - 1, cm.label))
     diffs = cm.boundaries()
-    f = diffs[1].field
+    f = cm.field
     if n >= 1:
         K = kernel(diffs[n])
     else:
@@ -970,7 +976,7 @@ def mixed_complex(cm):
     if cm.variant != "cyclic":
         raise ValueError("mixed complexes implemented on the chain side")
     diffs = cm.boundaries()
-    f = cm.cyc[0].field
+    f = cm.field
     B = {}
     for n in range(0, cm.N):
         lam = _lam(cm, n)

@@ -293,7 +293,7 @@ def comp_cyclic_module(cm, N=None):
     for n in range(0, N + 1):
         cyc[n] = cm.t[n]
     return CyclicModuleData("cyclic", N, list(cm.spaces), faces, degen, cyc,
-                            label="C_(%s)" % cm.label)
+                            cm.field, "C_(%s)" % cm.label)
 
 
 # -- measurings -----------------------------------------------------------

@@ -307,22 +307,26 @@ def _mutation_run(label, maps, rebuild_check, count=20, seed=0, f=QQ):
 
 
 def _global_window_ops(h, p=None):
-    """Reference for the certified faces and degeneracies: each window op
-    formed on the whole free ambient and pushed through the global
-    descend."""
+    """Reference for the certified faces and degeneracies, as the pair
+    (certify, evaluate) of `_window_ops`: each window op formed on the
+    whole free ambient and pushed through the global descend, which is
+    both the certificate and the evaluation."""
     def window(side, st, k_in, s, src, dst, dims):
         return descend(st(Pipe(dims, h.field), s).map, src, dst)
-    return window
+    return window, window
 
 
 def _four_builds(h, p, N=3):
-    """Each builder's module, or the DescentFailure it raises."""
+    """Each builder's module, or the DescentFailure that its call or the
+    first read of its cyclic operators raises."""
     out = []
     for build, args in ((build_cyclic_CU, (h,)), (build_cocyclic_CU, (h,)),
                         (build_cyclic_with_coeffs, (h, p)),
                         (build_cocyclic_with_coeffs, (h, p))):
         try:
-            out.append(build(*args, N))
+            cm = build(*args, N)
+            cm.cyc
+            out.append(cm)
         except DescentFailure as e:
             assert e.witness is not None
             out.append(e)
@@ -412,7 +416,7 @@ def test_criterion_09_negative_controls(monkeypatch):
                  for n in cm.degen}
         cyc = {n: ms[("t", n)] for n in cm.cyc}
         mut = CyclicModuleData("cyclic", cm.N, cm.spaces, faces, degen,
-                               cyc, cm.pres, "mutant")
+                               cyc, cm.field, "mutant")
         return check_cyclic_module(mut)
 
     _mutation_run("cyclic module", flat, check_cyc)

@@ -86,10 +86,11 @@ def test_point_cocyclic_homology(gal):
 
 def test_normalized_matches_unnormalized(gal):
     for name in ("group_c2", "pair_dual"):
-        cm = build_cyclic_CU(gal[name].hopf, 3)
-        plain = hochschild_homology(cm)
-        norm = hochschild_homology(cm, normalized=True)
-        assert plain.dims == norm.dims, name
+        for N in (0, 3):
+            cm = build_cyclic_CU(gal[name].hopf, N)
+            plain = hochschild_homology(cm)
+            norm = hochschild_homology(cm, normalized=True)
+            assert plain.dims == norm.dims == _HH[name][:N], (name, N)
 
 
 def _face_sums(cm):
@@ -141,11 +142,27 @@ def test_boundaries_are_computed_once(field):
         assert cm.boundaries() is b
 
 
-def test_char_p_cyclic_homology_raises():
-    h = group_hopf_algebroid(2, FieldSpec(5))
-    cm = build_cyclic_CU(h, 2)
-    with pytest.raises(CharNotZero):
-        cyclic_homology_char0(cm)
+def test_char_p_cyclic_homology_raises(monkeypatch):
+    # the field is read off the module, before any operator family
+    log = _logged_families(monkeypatch)
+    g = gallery(FieldSpec(5))
+    for name in ("group_c2", "pair_dual"):
+        for _, build in _builds(g[name], 2):
+            with pytest.raises(CharNotZero):
+                cyclic_homology_char0(build())
+            assert log == [], name
+
+
+def test_homology_presentation_rejects_degrees_out_of_range():
+    cm = build_cyclic_CU(group_hopf_algebroid(2, QQ), 2)
+    maps = [LinMap.identity(sp, QQ) for sp in cm.spaces]
+    for n in (2, -1):
+        for read in (lambda: homology_presentation(cm, n),
+                     lambda: induced_on_homology(cm, cm, maps, n)):
+            with pytest.raises(ValueError, match=r"degree %d outside the "
+                               r"homology degrees 0\.\.1" % n):
+                read()
+    assert induced_on_homology(cm, cm, maps, 1).dom.dim == 0
 
 
 def test_hopf_galois_chain_map_bijective(gal):
@@ -379,15 +396,6 @@ def test_pair_build_and_homology_compute_no_kernel(monkeypatch):
 
 # -- faces and degeneracies from window certificates ----------------------
 
-def _global_window_ops(h, p=None):
-    """Reference for the certified faces and degeneracies: the window op
-    formed on the whole free ambient and pushed through the global
-    descend."""
-    def window(side, st, k_in, s, src, dst, dims):
-        return descend(st(Pipe(dims, h.field), s).map, src, dst)
-    return window
-
-
 def _four_modules(h, p, N):
     return [build_cyclic_CU(h, N), build_cocyclic_CU(h, N),
             build_cyclic_with_coeffs(h, p, N),
@@ -409,19 +417,21 @@ def _sqrt2_pair():
 def test_certified_operators_match_global_descend(field, monkeypatch):
     """Every face and degeneracy of the four builders equals the window op
     descended globally from pres[n] to pres[n -+ 1], entry for entry."""
+    from test_acceptance import _global_window_ops
     certified = cyclichom._window_ops
     compared = []
 
     def checked(h, p=None):
-        got_of, want_of = certified(h, p), _global_window_ops(h, p)
+        certify, got_of = certified(h, p)
+        want_of = _global_window_ops(h, p)[1]
 
-        def window(*args):
+        def evaluate(*args):
             got = got_of(*args)
             assert got == want_of(*args), (h.label, args[1].__name__,
                                            args[3])
             compared.append(args[1])
             return got
-        return window
+        return certify, evaluate
 
     monkeypatch.setattr(cyclichom, "_window_ops", checked)
     cases = [(e.hopf, e.sayd, 4) for e in gallery(field).values()]
@@ -461,10 +471,10 @@ def test_window_certificate_checks_each_boundary():
     for s, side in ((0, "right"), (1, "left")):
         with pytest.raises(DescentFailure):
             descend(product(Pipe(dims, QQ), s).map, src, dst)
-        window = cyclichom._window_ops(h)
+        certify, _ = cyclichom._window_ops(h)
         with pytest.raises(DescentFailure, match="product is not A-linear at "
                            "its %s boundary" % side) as exc:
-            window("R", product, 2, s, src, dst, dims)
+            certify("R", product, 2, s, src, dst, dims)
         j, col = exc.value.witness
         assert any(col) and len(col) == du
 
@@ -498,8 +508,8 @@ def test_window_certificate_rejects_non_faces(name):
                     except DescentFailure:
                         want = DescentFailure
                     try:
-                        cyclichom._window_ops(h)(side, st, k_in, s, src, dst,
-                                                 dims)
+                        cyclichom._window_ops(h)[0](side, st, k_in, s, src,
+                                                    dst, dims)
                         got = None
                     except DescentFailure as exc:
                         assert exc.witness is not None
@@ -615,11 +625,13 @@ def _builds(e, N=3):
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
-def test_free_towers_evaluate_the_families_each_reader_reads(field,
-                                                             monkeypatch):
+def test_every_module_evaluates_the_families_each_reader_reads(field,
+                                                              monkeypatch):
+    """Free towers (the groups) and towers with relations (the pairs)
+    alike."""
     log = _logged_families(monkeypatch)
     g = gallery(field)
-    for name in ("group_c2", "group_c3"):
+    for name in ("group_c2", "group_c3", "pair_dual", "pair_split"):
         for variant, build in _builds(g[name]):
             readers = [(hochschild_homology, {"faces"}),
                        (cyclic_homology_char0, {"faces", "cyc"}),
@@ -634,9 +646,8 @@ def test_free_towers_evaluate_the_families_each_reader_reads(field,
                     try:
                         read(cm)
                     except CharNotZero:
-                        # HC over F_p stops early, but never at the
-                        # degeneracies
-                        assert field.char and set(log) <= want
+                        # HC over F_p reads no family
+                        assert field.char and log == []
                         continue
                     assert sorted(log) == sorted(want), (name, variant, read)
                 log.clear()
@@ -646,33 +657,101 @@ def test_scenario_hochschild_task_evaluates_only_the_faces(monkeypatch):
     from hopfcyclic.scenario import parse_scenario_text, run
     import json
     log = _logged_families(monkeypatch)
-    doc = {"hopf_algebroids": {"H": {"preset": "group_c3"}},
-           "tasks": [{"kind": "homology", "object": "H", "theory": "HH"}]}
-    for field in ("Q", "F5"):
-        rep = run(parse_scenario_text(json.dumps(doc), field_override=field))
-        assert rep.ok
-        assert log == ["faces"], field
-        log.clear()
+    group = {"hopf_algebroids": {"H": {"preset": "group_c3"}},
+             "tasks": [{"kind": "homology", "object": "H", "theory": "HH"}]}
+    # towers with relations, and coefficients
+    pair = {"algebras": {"E": {"preset": "dual_numbers"}},
+            "hopf_algebroids": {"H": {"pair_of": "E"}},
+            "sayd_modules": {"P": {"preset": "base_pair", "hopf": "H",
+                                   "algebra": "E"}},
+            "tasks": [{"kind": "homology", "object": "H", "theory": "HH",
+                       "coefficients": "P", "max_degree": 4}]}
+    for doc in (group, pair):
+        for field in ("Q", "F5"):
+            rep = run(parse_scenario_text(json.dumps(doc),
+                                          field_override=field))
+            assert rep.ok
+            assert log == ["faces"], field
+            log.clear()
+
+
+def _structure_mutants(field):
+    """pair_dual and pair_split with one entry of one structure map raised
+    by one, four random entries per map: (name of the map, algebroid, its
+    base as SAYD module)."""
+    from test_acceptance import _mutate
+    import random
+    rng = random.Random(0)
+    out = []
+    for entry in ("pair_dual", "pair_split"):
+        g = gallery(field)[entry].hopf
+        maps = {"mul": g.U.mul, "s": g.s_L, "t": g.t_L,
+                "delta_lift": g.delta_lift, "eps_L": g.eps_L, "S": g.S}
+        for name, m in maps.items():
+            for _ in range(4):
+                i, j = rng.randrange(m.cod.dim), rng.randrange(m.dom.dim)
+                ms = dict(maps, **{name: _mutate(m, i, j, field)})
+                U = AlgebraData(g.U.space, ms["mul"], g.U.unit, field,
+                                "mutant")
+                h = HopfAlgebroidData(U, g.A, ms["s"], ms["t"],
+                                      ms["delta_lift"], ms["eps_L"], ms["S"],
+                                      "mutant")
+                out.append((name, h, base_sayd_for_pair(h, g.A)))
+    return out
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
-def test_towers_with_relations_evaluate_every_family_at_build(field,
-                                                              monkeypatch):
-    log = _logged_families(monkeypatch)
-    for _, build in _builds(gallery(field)["pair_dual"]):
-        cm = build()
-        assert log == ["faces", "degen", "cyc"]
-        hochschild_homology(cm)
-        check_cyclic_module(cm)
-        assert log == ["faces", "degen", "cyc"]
-        log.clear()
+def test_only_cyclic_operator_failures_surface_on_read(field, monkeypatch):
+    """Where a build of a mutant fails, against a reference build that
+    reads every family inside the builder call.  A failed certificate of a
+    face or degeneracy, or a failed step, raises from the builder call; a
+    failure that only the cyclic operators hit raises on the first read
+    of `cyc`.  Both carry the reference's class and message, and reading
+    the faces and degeneracies never raises."""
+    from hopfcyclic.exactlin import NoSolution
+    real = cyclichom._module
+
+    def eager(*args):
+        cm = real(*args)
+        cm.faces, cm.degen, cm.cyc
+        return cm
+
+    def raised(read):
+        try:
+            read()
+        except (DescentFailure, NoSolution) as exc:
+            return type(exc), str(exc)
+
+    moved = set()
+    for name, h, p in _structure_mutants(field):
+        for build, args in ((build_cyclic_CU, (h,)),
+                            (build_cocyclic_CU, (h,)),
+                            (build_cyclic_with_coeffs, (h, p)),
+                            (build_cocyclic_with_coeffs, (h, p))):
+            with monkeypatch.context() as mp:
+                mp.setattr(cyclichom, "_module", eager)
+                want = raised(lambda: build(*args, 3))
+            cms = []
+            got = raised(lambda: cms.append(build(*args, 3)))
+            if not cms:
+                assert got == want, (name, build.__name__)
+                continue
+            cm, = cms
+            cm.faces, cm.degen
+            got = raised(lambda: cm.cyc)
+            assert got == want, (name, build.__name__)
+            if got:
+                moved.add((name, build.__name__))
+    # the cyclic operators of the plain modules read S and delta_lift
+    # where no face or degeneracy does
+    assert {("S", "build_cocyclic_CU"),
+            ("delta_lift", "build_cyclic_CU")} <= moved
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
 def test_families_do_not_depend_on_the_order_they_are_read(field):
     """Reading the families in reverse order gives the same operators.  The
-    pair algebroids, whose towers have relations and so are evaluated at
-    build, run at N <= 2 only, to keep the test short."""
+    pair algebroids run at N <= 2 only, to keep the test short."""
     for name, e in gallery(field).items():
         for N in range(1, 3 if name.startswith("pair") else 5):
             for _, build in _builds(e, N):
@@ -748,6 +827,6 @@ def test_module_input_errors_are_typed():
     cm = build_cyclic_CU(h, 2)
     with pytest.raises(ValueError, match="unknown variant 'sideways'"):
         cyclichom.CyclicModuleData("sideways", 2, cm.spaces, cm.faces,
-                                   cm.degen, cm.cyc)
+                                   cm.degen, cm.cyc, cm.field)
     with pytest.raises(ValueError, match="chain side"):
         mixed_complex(build_cocyclic_CU(h, 2))
