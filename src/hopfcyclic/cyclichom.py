@@ -19,6 +19,7 @@ from .exactlin import (
 )
 from .algcore import Report, sweedler_sum
 from .hopfalgebroid import require_own_algebroid, translation_lift
+from .measuring import ComoduleMeasuringData
 
 
 class CharNotZero(Exception):
@@ -493,111 +494,86 @@ def build_cocyclic_with_coeffs(h, p, N):
 
 # -- generic cyclic/cocyclic axiom checker --------------------------------
 
-def check_cyclic_module(cm):
-    rep = Report("%s module %s" % (cm.variant, cm.label))
-    if cm.variant == "cyclic":
-        _check_cyclic(cm, rep)
-    else:
-        _check_cocyclic(cm, rep)
-    return rep
-
-
-def _check_t_order(cm, rep):
-    """t_n^(n+1) = id in every degree."""
-    for n in range(cm.N + 1):
-        power = t = cm.cyc[n]
+def check_t_order(rep, t, spaces, field):
+    """t_n^(n+1) = id on spaces[n] for every degree n of t, into rep."""
+    for n in range(len(t)):
+        power = t[n]
         for _ in range(n):
-            power = t @ power
+            power = t[n] @ power
         rep.check_map_equal("t_order@%d" % n, power,
-                            LinMap.identity(cm.spaces[n], cm.field))
+                            LinMap.identity(spaces[n], field))
 
 
-def _check_cyclic(cm, rep):
+def check_cyclic_module(cm):
+    """Connes' identities of the cyclic category on a cyclic or cocyclic
+    module, written once in cyclic form.
+
+    A cyclic module is a contravariant functor on the cyclic category and
+    a cocyclic module a covariant one, so a cocyclic module satisfies the
+    same identities with every composite read in the opposite order.  The
+    identities read D[n][i], the face between degrees n and n-1 (faces[n][i]
+    on a cyclic module, faces[n-1][i] on a cocyclic one), S[n][j], the
+    degeneracy between degrees n and n+1 (degen[n][j], resp.
+    degen[n+1][j]), and T[n] = cyc[n]; comp(a, b) is a @ b on a cyclic
+    module and b @ a on a cocyclic one.  A check is named after the
+    composite on its left side as the module composes it: the outer map
+    first, at its source degree, e.g. d0_t@n on a cyclic module and t_d0@n
+    on a cocyclic one.
+    """
+    rep = Report("%s module %s" % (cm.variant, cm.label))
+    co = cm.variant == "cocyclic"
     N = cm.N
-    d = cm.faces
-    s = cm.degen
-    t = cm.cyc
+    # each operator as (name, source degree, map), indexed in cyclic form;
+    # its source degree is its key in the module's family
+    D = {n + co: [("d%d" % i, n, d) for i, d in enumerate(row)]
+         for n, row in cm.faces.items()}
+    S = {n - co: [("s%d" % j, n, s) for j, s in enumerate(row)]
+         for n, row in cm.degen.items()}
+    cyc = cm.cyc
+    T = {n: ("t", n, t) for n, t in cyc.items()}
+
+    def comp(a, b):
+        """The composite (outer, inner, map) of a after b in cyclic form."""
+        if co:
+            a, b = b, a
+        return a, b, a[2] @ b[2]
+
+    def check(lhs, rhs):
+        outer, inner, lmap = lhs
+        rep.check_map_equal("%s_%s@%d" % (outer[0], inner[0], inner[1]),
+                            lmap, rhs[2])
+
     for n in range(2, N + 1):
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
-                rep.check_map_equal(
-                    "d%d_d%d@%d" % (i, j, n),
-                    d[n - 1][i] @ d[n][j], d[n - 1][j - 1] @ d[n][i])
-    for n in range(0, N - 1):
+                check(comp(D[n - 1][i], D[n][j]),
+                      comp(D[n - 1][j - 1], D[n][i]))
+    for n in range(N - 1):
         for i in range(n + 1):
             for j in range(i, n + 1):
-                rep.check_map_equal(
-                    "s%d_s%d@%d" % (i, j, n),
-                    s[n + 1][i] @ s[n][j], s[n + 1][j + 1] @ s[n][i])
-    for n in range(0, N):
+                check(comp(S[n + 1][i], S[n][j]),
+                      comp(S[n + 1][j + 1], S[n][i]))
+    for n in range(N):
         for j in range(n + 1):
             for i in range(n + 2):
-                lhs = d[n + 1][i] @ s[n][j]
+                lhs = comp(D[n + 1][i], S[n][j])
                 if i < j:
-                    rhs = s[n - 1][j - 1] @ d[n][i]
-                elif i in (j, j + 1):
-                    rhs = LinMap.identity(cm.spaces[n], cm.field)
+                    rhs = comp(S[n - 1][j - 1], D[n][i])
+                elif i > j + 1:
+                    rhs = comp(S[n - 1][j], D[n][i - 1])
                 else:
-                    rhs = s[n - 1][j] @ d[n][i - 1] if n >= 1 else None
-                    if n == 0:
-                        continue
-                rep.check_map_equal("d%d_s%d@%d" % (i, j, n), lhs, rhs)
-    _check_t_order(cm, rep)
+                    rhs = None, None, LinMap.identity(cm.spaces[n], cm.field)
+                check(lhs, rhs)
+    check_t_order(rep, cyc, cm.spaces, cm.field)
     for n in range(1, N + 1):
-        rep.check_map_equal("d0_t@%d" % n, d[n][0] @ t[n], d[n][n])
+        check(comp(D[n][0], T[n]), D[n][n])
         for i in range(1, n + 1):
-            rep.check_map_equal("d%d_t@%d" % (i, n),
-                                d[n][i] @ t[n], t[n - 1] @ d[n][i - 1])
-    for n in range(0, N):
-        rep.check_map_equal("s0_t@%d" % n, s[n][0] @ t[n],
-                            (t[n + 1] @ t[n + 1]) @ s[n][n])
+            check(comp(D[n][i], T[n]), comp(T[n - 1], D[n][i - 1]))
+    for n in range(N):
+        check(comp(S[n][0], T[n]), comp(comp(T[n + 1], T[n + 1]), S[n][n]))
         for i in range(1, n + 1):
-            rep.check_map_equal("s%d_t@%d" % (i, n),
-                                s[n][i] @ t[n], t[n + 1] @ s[n][i - 1])
-
-
-def _check_cocyclic(cm, rep):
-    N = cm.N
-    d = cm.faces   # d[n][i] : C^n -> C^{n+1}
-    s = cm.degen   # s[n][i] : C^n -> C^{n-1}
-    t = cm.cyc
-    for n in range(0, N - 1):
-        for i in range(n + 2):
-            for j in range(i + 1, n + 3):
-                rep.check_map_equal(
-                    "d%d_d%d@%d" % (j, i, n),
-                    d[n + 1][j] @ d[n][i], d[n + 1][i] @ d[n][j - 1])
-    for n in range(2, N + 1):
-        for i in range(n):
-            for j in range(i, n - 1):
-                rep.check_map_equal(
-                    "s%d_s%d@%d" % (j, i, n),
-                    s[n - 1][j] @ s[n][i], s[n - 1][i] @ s[n][j + 1])
-    for n in range(0, N):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                lhs = s[n + 1][j] @ d[n][i]
-                if i < j:
-                    rhs = d[n - 1][i] @ s[n][j - 1]
-                elif i in (j, j + 1):
-                    rhs = LinMap.identity(cm.spaces[n], cm.field)
-                else:
-                    if n == 0:
-                        continue
-                    rhs = d[n - 1][i - 1] @ s[n][j]
-                rep.check_map_equal("s%d_d%d@%d" % (j, i, n), lhs, rhs)
-    _check_t_order(cm, rep)
-    for n in range(0, N):
-        rep.check_map_equal("t_d0@%d" % n, t[n + 1] @ d[n][0], d[n][n + 1])
-        for i in range(1, n + 2):
-            rep.check_map_equal("t_d%d@%d" % (i, n),
-                                t[n + 1] @ d[n][i], d[n][i - 1] @ t[n])
-    for n in range(1, N + 1):
-        rep.check_map_equal("t_s0@%d" % n, t[n - 1] @ s[n][0],
-                            s[n][n - 1] @ (t[n] @ t[n]))
-        for i in range(1, n):
-            rep.check_map_equal("t_s%d@%d" % (i, n),
-                                t[n - 1] @ s[n][i], s[n][i - 1] @ t[n])
+            check(comp(S[n][i], T[n]), comp(T[n + 1], S[n][i - 1]))
+    return rep
 
 
 # -- Hopf-Galois chain maps ----------------------------------------------
@@ -828,20 +804,20 @@ def check_chain_map(src_cm, dst_cm, maps):
     return rep
 
 
-def hopf_galois_square(m, xvec, N, coeff_measuring=None):
-    """Commutation of the induced maps with the Hopf-Galois isomorphisms."""
+def hopf_galois_square(m, xvec, N):
+    """Commutation of the maps induced by a measuring, or by a comodule
+    measuring, with the Hopf-Galois isomorphisms."""
     rep = Report("hopf galois square")
-    if coeff_measuring is None:
+    if isinstance(m, ComoduleMeasuringData):
+        xs_src = hopf_galois_chain_map(m.base.src, N, m.src_p)
+        xs_dst = hopf_galois_chain_map(m.base.dst, N, m.dst_p)
+        induced = induced_coeff_map
+    else:
         xs_src = hopf_galois_chain_map(m.src, N)
         xs_dst = hopf_galois_chain_map(m.dst, N)
-        f_chain = induced_cyclic_map(m, xvec, N, "cyclic")
-        f_cochain = induced_cyclic_map(m, xvec, N, "cocyclic")
-    else:
-        cm = coeff_measuring
-        xs_src = hopf_galois_chain_map(cm.base.src, N, cm.src_p)
-        xs_dst = hopf_galois_chain_map(cm.base.dst, N, cm.dst_p)
-        f_chain = induced_coeff_map(cm, xvec, N, "cyclic")
-        f_cochain = induced_coeff_map(cm, xvec, N, "cocyclic")
+        induced = induced_cyclic_map
+    f_chain = induced(m, xvec, N, "cyclic")
+    f_cochain = induced(m, xvec, N, "cocyclic")
     for n in range(N + 1):
         rep.check_map_equal("square@%d" % n,
                             xs_dst[n] @ f_chain[n], f_cochain[n] @ xs_src[n])

@@ -153,16 +153,11 @@ def lr_boundary(lr, n):
 
 def lie_rinehart_homology(lr, top):
     """Chain homology dims in degrees 0..top (zero beyond dim L)."""
-    f = lr.field
     d = lr.L.dim
-    dims = []
-    for n in range(top + 1):
-        cn = len(wedge_basis(d, n))
-        out = lr_boundary(lr, n) if n >= 1 else None
-        inc = lr_boundary(lr, n + 1)
-        dim_ker = cn - (rank(out) if out is not None else 0)
-        dims.append(dim_ker - rank(inc))
-    return dims
+    # ranks[n]: rank of the boundary leaving degree n, each ranked once
+    ranks = [0] + [rank(lr_boundary(lr, n)) for n in range(1, top + 2)]
+    return [len(wedge_basis(d, n)) - ranks[n] - ranks[n + 1]
+            for n in range(top + 1)]
 
 
 def check_lr_complex(lr, top=None):

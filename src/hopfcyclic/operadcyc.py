@@ -17,7 +17,9 @@ from .algcore import (
     sweedler_sum,
 )
 from .hopfalgebroid import SaydModuleData, translation_lift
-from .cyclichom import CyclicModuleData, chain_coeff_cyclic, check_chain_map
+from .cyclichom import (
+    CyclicModuleData, chain_coeff_cyclic, check_chain_map, check_t_order,
+)
 
 
 class StabilityFailure(Exception):
@@ -263,12 +265,7 @@ def check_comp_module(cm):
                         yield ("cyclic_compat", p, n, i)
 
     rep.check_family("cyclic_compatibility", cyclic_compatibility())
-    for n in range(0, N + 1):
-        power = cm.t[n]
-        for _ in range(n):
-            power = cm.t[n] @ power
-        rep.check_map_equal("t_order@%d" % n, power,
-                            LinMap.identity(cm.spaces[n], f))
+    check_t_order(rep, cm.t, cm.spaces, f)
     return rep
 
 

@@ -580,8 +580,7 @@ def _validate(cat, obj):
     return _VALIDATORS[cat](obj)
 
 
-def _homology(task, cat, obj, max_degree):
-    top = max_degree if max_degree is not None else task.get("max_degree", 3)
+def _homology(task, cat, obj, top):
     theory = task.get("theory", "HC")
     if cat == "lie_rinehart":
         dims = lie_rinehart_homology(obj, top)
@@ -601,14 +600,7 @@ def _homology(task, cat, obj, max_degree):
     return theory, hr.dims
 
 
-def _measure(cat, obj):
-    if cat == "measurings":
-        return check_hopf_algebroid_measuring(obj)
-    return check_sayd_comodule_measuring(obj)
-
-
-def _induced(task, cat, obj, elements, max_degree):
-    top = max_degree if max_degree is not None else task.get("max_degree", 3)
+def _induced(task, cat, obj, elements, top):
     variant = task.get("variant", "cyclic")
     vec = elements[task["element"]]
     if cat == "comodule_measurings":
@@ -632,14 +624,6 @@ def _induced(task, cat, obj, elements, max_degree):
     return rep
 
 
-def _hopf_galois(task, cat, obj, elements, max_degree):
-    top = max_degree if max_degree is not None else task.get("max_degree", 3)
-    vec = elements[task["element"]]
-    if cat == "comodule_measurings":
-        return hopf_galois_square(obj.base, vec, top, coeff_measuring=obj)
-    return hopf_galois_square(obj, vec, top)
-
-
 _TASK_ERRORS = (CharNotZero, DescentFailure, StabilityFailure,
                 CertificateFailure, NoSolution, NotInvertible, ParseError,
                 ZeroDivisionError, AssertionError)
@@ -650,29 +634,26 @@ def _run_task(task, objects, elements, field, max_degree):
     name = task["object"]
     cat, obj = objects[name]
     record = {"index": task["_index"], "kind": kind, "object": name}
+    top = max_degree if max_degree is not None else task.get("max_degree", 3)
     try:
-        if kind == "validate":
+        if kind in ("validate", "measure"):
             rep = _validate(cat, obj)
             record["status"] = "pass" if rep.ok else "fail"
             record["checks"] = _checks_of(rep, field)
         elif kind == "homology":
-            theory, dims = _homology(task, cat, obj, max_degree)
+            theory, dims = _homology(task, cat, obj, top)
             record["theory"] = theory
             record["table"] = [{"degree": n, "dim": d}
                                for n, d in enumerate(dims)]
             record["status"] = "pass"
-        elif kind == "measure":
-            rep = _measure(cat, obj)
-            record["status"] = "pass" if rep.ok else "fail"
-            record["checks"] = _checks_of(rep, field)
         elif kind == "induced":
             record["element"] = task["element"]
-            rep = _induced(task, cat, obj, elements, max_degree)
+            rep = _induced(task, cat, obj, elements, top)
             record["status"] = "pass" if rep.ok else "fail"
             record["certificate"] = _checks_of(rep, field)
         elif kind == "hopf_galois":
             record["element"] = task["element"]
-            rep = _hopf_galois(task, cat, obj, elements, max_degree)
+            rep = hopf_galois_square(obj, elements[task["element"]], top)
             record["status"] = "pass" if rep.ok else "fail"
             record["checks"] = _checks_of(rep, field)
     except _TASK_ERRORS as e:

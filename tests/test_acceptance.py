@@ -105,7 +105,7 @@ def test_criterion_03_hopf_galois():
     m = zero_primitive_measuring(e.hopf)
     cmm = zero_primitive_comodule_measuring(m, e.sayd)
     for yv in ((f.one, f.zero), (f.zero, f.one)):
-        rep = hopf_galois_square(m, yv, 3, coeff_measuring=cmm)
+        rep = hopf_galois_square(cmm, yv, 3)
         assert rep.ok, (yv, rep.failures())
     _budget("criterion 3 (Hopf-Galois maps and squares)", t0, 30)
 

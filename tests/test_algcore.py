@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcyclic.exactlin import QQ, FieldSpec, LinMap, Pipe, Space, tensor_space
+from hopfcyclic.exactlin import QQ, FieldSpec, LinMap, Pipe, Space
 from hopfcyclic.algcore import (
     AlgebraData, BalancedTower, CoalgebraData, ComoduleData,
     ModuleActionData, Report, balanced_tensor, check_algebra,

@@ -8,12 +8,11 @@ from hopfcyclic.exactlin import (
 )
 from hopfcyclic.hopfalgebroid import (
     HopfAlgebroidData, base_sayd_for_pair, gallery, group_hopf_algebroid,
-    pair_hopf_algebroid, scalar_sayd,
+    pair_hopf_algebroid,
 )
 from hopfcyclic.measuring import (
     compose_measurings, derivation_pair_measuring, euler_derivation,
-    identity_comodule_measuring, zero_primitive_comodule_measuring,
-    zero_primitive_measuring,
+    zero_primitive_comodule_measuring, zero_primitive_measuring,
 )
 from hopfcyclic.hopfalgebroid import dual_numbers
 from hopfcyclic.cyclichom import (
@@ -66,6 +65,37 @@ def test_cocyclic_coeff_axioms(gal):
         cm = build_cocyclic_with_coeffs(e.hopf, e.sayd, 3)
         rep = check_cyclic_module(cm)
         assert rep.ok, (name, rep.failures())
+
+
+# the checks of a cocyclic module, by name and in order: each composite
+# read in the opposite order to the chain side, named outer map first at
+# its source degree
+_COCYCLIC_NAMES_N3 = """
+    d1_d0@0 d2_d0@0 d2_d1@0 d1_d0@1 d2_d0@1 d3_d0@1 d2_d1@1 d3_d1@1 d3_d2@1
+    s0_s0@2 s0_s0@3 s1_s0@3 s1_s1@3
+    s0_d0@0 s0_d1@0 s0_d0@1 s0_d1@1 s0_d2@1 s1_d0@1 s1_d1@1 s1_d2@1
+    s0_d0@2 s0_d1@2 s0_d2@2 s0_d3@2 s1_d0@2 s1_d1@2 s1_d2@2 s1_d3@2
+    s2_d0@2 s2_d1@2 s2_d2@2 s2_d3@2
+    t_order@0 t_order@1 t_order@2 t_order@3
+    t_d0@0 t_d1@0 t_d0@1 t_d1@1 t_d2@1 t_d0@2 t_d1@2 t_d2@2 t_d3@2
+    t_s0@1 t_s0@2 t_s1@2 t_s0@3 t_s1@3 t_s2@3
+""".split()
+
+
+def test_cocyclic_check_names_and_first_failure_are_pinned(gal):
+    from test_acceptance import _mutate
+    cm = build_cocyclic_CU(gal["group_c2"].hopf, 3)
+    rep = check_cyclic_module(cm)
+    assert [r.name for r in rep.results] == _COCYCLIC_NAMES_N3
+    assert rep.ok
+    # the coface d1 : C^1 -> C^2 with entry (0, 1) raised by one
+    faces = {n: list(row) for n, row in cm.faces.items()}
+    faces[1][1] = _mutate(faces[1][1], 0, 1, QQ)
+    bad = cyclichom.CyclicModuleData("cocyclic", 3, cm.spaces, faces,
+                                     cm.degen, cm.cyc, cm.field, cm.label)
+    first = check_cyclic_module(bad).failures()[0]
+    assert first.name == "d2_d0@1"
+    assert first.witness == (1, (-1, 0, 0, 0, 0, 0, 0, 0))
 
 
 def test_point_module_homology(gal):
@@ -220,7 +250,7 @@ def test_hopf_galois_square_coeff(gal):
     cmm = zero_primitive_comodule_measuring(m, e.sayd)
     f = QQ
     for yv in ((f.one, f.zero), (f.zero, f.one)):
-        rep = hopf_galois_square(m, yv, 2, coeff_measuring=cmm)
+        rep = hopf_galois_square(cmm, yv, 2)
         assert rep.ok, rep.failures()
 
 

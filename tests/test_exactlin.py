@@ -9,7 +9,7 @@ from hopfcyclic.exactlin import (
     QQ, FieldSpec, LinMap, Pipe, Space, DescentFailure, NoSolution,
     NotInvertible, QuotientPresentation, descend, descent_witness, invert,
     kernel, permute_factors, quotient_by, rank, rref, solve, solve_many,
-    tensor_presentation, tensor_space,
+    tensor_presentation,
 )
 from hopfcyclic.hopfalgebroid import gallery
 

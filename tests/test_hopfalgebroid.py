@@ -6,15 +6,14 @@ import pytest
 from hopfcyclic.algcore import AlgebraData, balanced_tensor
 from hopfcyclic.exactlin import (
     QQ, FieldSpec, LinMap, Pipe, QuotientPresentation, Space, kron_vec,
-    pack_slices, rank,
+    pack_slices,
 )
 from hopfcyclic.hopfalgebroid import (
     HopfAlgebroidData, NotScalarBase, NotTheBase, SaydModuleData, base_sayd,
-    base_sayd_for_pair, check_hopf_algebroid, check_hopf_galois,
-    check_left_bialgebroid, check_sayd, check_yd_algebra, dual_numbers,
-    gallery, group_hopf_algebroid, hopf_galois_beta, pair_hopf_algebroid,
-    scalar_sayd, scalar_yd_algebra, split_pair_algebra, translation_map,
-    translation_lift, trivial_hopf_algebroid,
+    base_sayd_for_pair, check_hopf_algebroid, check_hopf_galois, check_sayd,
+    check_yd_algebra, dual_numbers, gallery, group_hopf_algebroid,
+    pair_hopf_algebroid, scalar_sayd, scalar_yd_algebra, split_pair_algebra,
+    translation_lift,
 )
 
 

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcyclic import lierinehart
 from hopfcyclic.exactlin import QQ, LinMap, Space
 from hopfcyclic.lierinehart import (
     CutoffExceeded, LieRinehartData, TruncatedEnvelope, abelian_lr, ad_map,
-    alt_map, ce_cochain_homology, check_alt_intertwines,
-    check_lie_rinehart, check_lie_rinehart_measuring, check_lr_complex,
+    ce_cochain_homology, check_alt_intertwines, check_lie_rinehart,
+    check_lie_rinehart_measuring, check_lr_complex,
     check_lr_induced_chain_map, check_truncated_envelope,
     derivation_lr_measuring, induced_lr_chain_map, lie_rinehart_homology,
     lr_boundary, nonabelian_2d, wedge_basis,
@@ -49,6 +50,24 @@ def test_complex_and_homology(aff):
     assert check_lr_complex(aff).ok
     assert lie_rinehart_homology(aff, 2) == [1, 1, 0]
     assert lie_rinehart_homology(abelian_lr(2, QQ), 2) == [1, 2, 1]
+
+
+def test_homology_builds_and_ranks_each_boundary_once(aff, monkeypatch):
+    """Degrees 0..top read the boundaries leaving degrees 1..top+1, one
+    lr_boundary call each."""
+    calls = []
+    real = lierinehart.lr_boundary
+
+    def counted(lr, n):
+        calls.append(n)
+        return real(lr, n)
+
+    monkeypatch.setattr(lierinehart, "lr_boundary", counted)
+    for lr, top, dims in ((aff, 2, [1, 1, 0]),
+                          (abelian_lr(3, QQ), 3, [1, 3, 3, 1])):
+        calls.clear()
+        assert lie_rinehart_homology(lr, top) == dims
+        assert calls == list(range(1, top + 2))
 
 
 def test_ce_oracle_agrees(aff):

@@ -14,8 +14,8 @@ from hopfcyclic.measuring import (
     compose_comodule_measurings, compose_measurings,
     derivation_pair_comodule_measuring, derivation_pair_measuring,
     enveloping_measuring, euler_derivation, identity_comodule_measuring,
-    identity_measuring, point_coalgebra, primitive_pair_coalgebra,
-    zero_primitive_comodule_measuring, zero_primitive_measuring,
+    identity_measuring, point_coalgebra, zero_primitive_comodule_measuring,
+    zero_primitive_measuring,
 )
 from hopfcyclic.hopfalgebroid import (
     base_sayd, dual_numbers, scalar_yd_algebra,
