@@ -672,38 +672,41 @@ def _complex_dims(spaces, diffs, top, homological):
             for n in range(top)]
 
 
+def _quotient_complex(cm, rels):
+    """Homology dims in degrees 0..N-1 of the chain complex of `cm` divided
+    degreewise by the image of rels[n] : R_n -> C_n (None: divide by 0),
+    each boundary descended to the quotients."""
+    diffs = cm.boundaries()
+    press = [QuotientPresentation.trivial(sp, cm.field) if rel is None
+             else quotient_by(sp, rel, cm.field)
+             for sp, rel in zip(cm.spaces, rels)]
+    nd = {n: descend(diffs[n], press[n], press[n - 1])
+          for n in range(1, cm.N + 1)}
+    return _complex_dims([p.quotient for p in press], nd, cm.N, True)
+
+
 def hochschild_homology(cm, normalized=False):
     """Hochschild (co)homology dims in degrees 0..N-1."""
-    diffs = cm.boundaries()
     if not normalized:
-        dims = _complex_dims(cm.spaces, diffs, cm.N,
+        dims = _complex_dims(cm.spaces, cm.boundaries(), cm.N,
                              cm.variant == "cyclic")
         return HomologyReport("HH", cm.variant, dims, cm.label)
     if cm.variant != "cyclic":
         raise ValueError("normalized variant implemented on the chain side")
-    f = cm.field
-    press = []
-    for n in range(cm.N + 1):
-        if n == 0 or n - 1 not in cm.degen:
-            press.append(QuotientPresentation.trivial(cm.spaces[n], f))
+    # degree n divided by the columns of every degeneracy, side by side
+    rels = [None] * (cm.N + 1)
+    for n in range(1, cm.N + 1):
+        if n - 1 not in cm.degen:
             continue
-        # the columns of every degeneracy, side by side
         entries = {}
         offset = 0
         for s in cm.degen[n - 1]:
             entries.update(((i, offset + j), v)
                            for (i, j), v in s.entries.items())
             offset += s.dom.dim
-        rel = LinMap(Space(offset), cm.spaces[n], f, entries)
-        press.append(quotient_by(cm.spaces[n], rel, f))
-    nd = {}
-    spaces = []
-    for n in range(cm.N + 1):
-        spaces.append(press[n].quotient)
-        if n >= 1:
-            nd[n] = descend(diffs[n], press[n], press[n - 1])
-    dims = _complex_dims(spaces, nd, cm.N, True)
-    return HomologyReport("HH", "cyclic", dims, cm.label + ".norm")
+        rels[n] = LinMap(Space(offset), cm.spaces[n], cm.field, entries)
+    return HomologyReport("HH", "cyclic", _quotient_complex(cm, rels),
+                          cm.label + ".norm")
 
 
 def _lam(cm, n):
@@ -718,19 +721,13 @@ def cyclic_homology_char0(cm):
     f = cm.field
     if f.char != 0:
         raise CharNotZero("lambda-complex needs characteristic zero")
-    diffs = cm.boundaries()
     if cm.variant == "cyclic":
-        press = []
-        for n in range(cm.N + 1):
-            rel = LinMap.identity(cm.spaces[n], f) - _lam(cm, n)
-            press.append(quotient_by(cm.spaces[n], rel, f))
-        nd = {}
-        for n in range(1, cm.N + 1):
-            nd[n] = descend(diffs[n], press[n], press[n - 1])
-        spaces = [p.quotient for p in press]
-        dims = _complex_dims(spaces, nd, cm.N, True)
+        dims = _quotient_complex(cm, [
+            LinMap.identity(cm.spaces[n], f) - _lam(cm, n)
+            for n in range(cm.N + 1)])
         return HomologyReport("HC", "cyclic", dims, cm.label)
     # cocyclic: lambda-invariant subcomplex
+    diffs = cm.boundaries()
     kers = []
     for n in range(cm.N + 1):
         kers.append(kernel(LinMap.identity(cm.spaces[n], f) - _lam(cm, n)))

@@ -6,10 +6,7 @@ ordered basis, sparse matrices with exact entries, and quotient presentations
 """
 
 from fractions import Fraction
-import itertools
 from math import gcd, lcm
-
-_space_counter = itertools.count()
 
 
 class NoSolution(Exception):
@@ -157,13 +154,12 @@ class Vector(tuple):
 class Space:
     """A finite dimensional vector space with a fixed ordered basis."""
 
-    __slots__ = ("dim", "label", "uid")
+    __slots__ = ("dim", "label")
 
     def __init__(self, dim, label=""):
         assert dim >= 0
         self.dim = dim
         self.label = label
-        self.uid = next(_space_counter)
 
     def __repr__(self):
         return "Space(%d, %r)" % (self.dim, self.label)

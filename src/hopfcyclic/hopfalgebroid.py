@@ -487,11 +487,10 @@ def _apply_scalar_action(x, scal):
 # -- Yetter-Drinfeld module algebras --------------------------------------
 
 class YdAlgebraData(_Coefficients):
-    """An algebra in the category of Yetter-Drinfeld modules (left action,
-    left coaction given by a lift)."""
+    """A braided commutative algebra in the category of Yetter-Drinfeld
+    modules (left action, left coaction given by a lift)."""
 
-    def __init__(self, h, Z, action, coact_lift, braided_commutative=False,
-                 label=""):
+    def __init__(self, h, Z, action, coact_lift, label=""):
         self.h = h
         self.Z = Z
         self.space = Z.space
@@ -501,7 +500,6 @@ class YdAlgebraData(_Coefficients):
         assert coact_lift.cod.dim == h.U.space.dim * Z.space.dim
         self.action = action
         self.coact_lift = coact_lift
-        self.braided_commutative = braided_commutative
         self.label = label
         self._capped = {}
 
@@ -540,10 +538,9 @@ def check_yd_algebra(y):
         kron_vec(h.U.unit, y.Z.unit, f))
     rep.add("unit_coinvariant",
             m2.projection.apply(y.coact_lift.apply(y.Z.unit)) == unit_coact)
-    if y.braided_commutative:
-        step = Pipe([dz, dz], f).block(1, 1, y.coact_lift, [du, dz])
-        step.permute([1, 0, 2]).block(0, 2, y.action).block(0, 2, y.Z.mul)
-        rep.check_map_equal("braided_commutative", y.Z.mul, step.map)
+    step = Pipe([dz, dz], f).block(1, 1, y.coact_lift, [du, dz])
+    step.permute([1, 0, 2]).block(0, 2, y.action).block(0, 2, y.Z.mul)
+    rep.check_map_equal("braided_commutative", y.Z.mul, step.map)
     return rep
 
 
@@ -685,14 +682,13 @@ def base_sayd_for_pair(h, A):
     return base_sayd(h)
 
 
-def scalar_yd_algebra(h, braided_commutative=True):
+def scalar_yd_algebra(h):
     """Z = k with counit action and trivial coaction (scalar base only;
     NotScalarBase otherwise): the maps of base_sayd(h), whose P is k."""
     _require_scalar_base(h, "YD algebra")
     k = base_sayd(h)
     return YdAlgebraData(h, scalar_algebra(h.field, "Z"), k.action,
-                         k.coact_lift, braided_commutative=braided_commutative,
-                         label=h.label + ".Z")
+                         k.coact_lift, label=h.label + ".Z")
 
 
 def gallery(field=None):

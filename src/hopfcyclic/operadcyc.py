@@ -269,10 +269,11 @@ def check_comp_module(cm):
     return rep
 
 
-def comp_cyclic_module(cm, N=None):
-    """The cyclic module of a cyclic unital comp module."""
+def comp_cyclic_module(cm):
+    """The cyclic module of a cyclic unital comp module, up to its top
+    degree cm.N."""
     od = cm.operad
-    N = cm.N if N is None else N
+    N = cm.N
     faces = {}
     degen = {}
     cyc = {}
@@ -400,13 +401,13 @@ def check_comp_comodule_measuring(ccm):
     return rep
 
 
-def induced_comp_map(ccm, yvec, N=None):
-    """Chain maps on the associated cyclic modules, plus the certificate."""
-    N = min(ccm.src.N, ccm.dst.N) if N is None else N
-    maps = [ccm.Omega_of(n, yvec) for n in range(N + 1)]
-    src = comp_cyclic_module(ccm.src, N)
-    dst = comp_cyclic_module(ccm.dst, N)
-    cert = check_chain_map(src, dst, maps)
+def induced_comp_map(ccm, yvec):
+    """Chain maps on the associated cyclic modules in degrees up to the
+    lower of the two top degrees, plus the certificate."""
+    maps = [ccm.Omega_of(n, yvec)
+            for n in range(min(ccm.src.N, ccm.dst.N) + 1)]
+    cert = check_chain_map(comp_cyclic_module(ccm.src),
+                           comp_cyclic_module(ccm.dst), maps)
     return maps, cert
 
 

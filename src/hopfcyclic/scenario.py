@@ -9,7 +9,6 @@ byte-identical JSON.
 
 from fractions import Fraction
 import json
-import time
 
 from .exactlin import (
     DescentFailure, FieldSpec, LinMap, NoSolution, NotInvertible, QQ, Space,
@@ -504,7 +503,6 @@ class ReportDocument:
         self.scenario = scenario
         self.field = field
         self.tasks = []
-        self.timings = []  # seconds per task, kept out of the serialization
 
     def to_dict(self):
         out = {"version": 1}
@@ -670,11 +668,9 @@ def run(document, kinds=None, max_degree=None):
     tasks = [t for t in document.tasks
              if kinds is None or t["kind"] in kinds]
     for task in tasks:
-        t0 = time.monotonic()
-        rec = _run_task(task, document.objects, document.elements,
-                        document.field, max_degree)
-        report.tasks.append(rec)
-        report.timings.append(time.monotonic() - t0)
+        report.tasks.append(_run_task(task, document.objects,
+                                      document.elements, document.field,
+                                      max_degree))
     return report
 
 

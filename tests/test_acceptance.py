@@ -220,9 +220,9 @@ def test_criterion_07_lie_rinehart():
         assert rep.ok, (vec, rep.failures())
     assert induced_lr_chain_map(m, (f.one, f.zero), 2) == \
         LinMap.identity(Space(1), f)
-    env = TruncatedEnvelope(aff, cutoff=3)
+    env = TruncatedEnvelope(aff)
     assert check_truncated_envelope(env).ok
-    rep = check_alt_intertwines(aff, env, top=3)
+    rep = check_alt_intertwines(aff, env)
     assert rep.ok, rep.failures()
     _budget("criterion 7 (Lie-Rinehart complex and envelope)", t0, 30)
 

@@ -112,14 +112,47 @@ def test_induced_chain_map(aff):
 
 
 def test_envelope(aff):
-    env = TruncatedEnvelope(aff, cutoff=3)
+    env = TruncatedEnvelope(aff)
     assert env.space.dim == 1 + 2 + 3 + 4
     rep = check_truncated_envelope(env)
     assert rep.ok, rep.failures()
 
 
+def _no_jacobi_3d():
+    """The antisymmetric bracket on k^3 with [e0,e1] = e0, [e1,e2] = e1 and
+    [e0,e2] = e1, which breaks the Jacobi identity on (e0, e1, e2)."""
+    from hopfcyclic.hopfalgebroid import scalar_algebra
+    f = QQ
+    L = Space(3)
+    entries = {}
+    for i, a, b in ((0, 0, 1), (1, 1, 2), (1, 0, 2)):
+        entries[(i, a * 3 + b)] = f.one
+        entries[(i, b * 3 + a)] = f.neg(f.one)
+    zero = LinMap(L, Space(1), f, {})
+    return LieRinehartData(scalar_algebra(f), L,
+                           LinMap(Space(9), L, f, entries), zero, zero, f)
+
+
+def _failures(rep):
+    return [(r.name, r.witness) for r in rep.failures()]
+
+
+def test_envelope_of_a_non_lie_bracket_is_not_associative():
+    lr = _no_jacobi_3d()
+    assert _failures(check_lie_rinehart(lr)) == [("jacobi", (0, 1, 2))]
+    assert _failures(check_truncated_envelope(TruncatedEnvelope(lr))) == [
+        ("associative_within_cutoff", ((2,), (1,), (0,)))]
+
+
+def test_unsigned_antipode_is_not_a_convolution_inverse(aff):
+    env = TruncatedEnvelope(aff)
+    env.antipode_word = lambda word: env.normal_form(tuple(reversed(word)))
+    assert _failures(check_truncated_envelope(env)) == [
+        ("antipode_convolution_inverse", (0,))]
+
+
 def test_envelope_rewriting(aff):
-    env = TruncatedEnvelope(aff, cutoff=3)
+    env = TruncatedEnvelope(aff)
     # f e = e f - [e, f] = e f - f
     nf = env.product_words((1,), (0,))
     assert nf == {(0, 1): Fraction(1), (1,): Fraction(-1)}
@@ -128,12 +161,12 @@ def test_envelope_rewriting(aff):
 
 
 def test_alt_intertwines(aff):
-    env = TruncatedEnvelope(aff, cutoff=3)
-    rep = check_alt_intertwines(aff, env, top=3)
+    env = TruncatedEnvelope(aff)
+    rep = check_alt_intertwines(aff, env)
     assert rep.ok, rep.failures()
     ab = abelian_lr(3, QQ)
-    env2 = TruncatedEnvelope(ab, cutoff=3)
-    assert check_alt_intertwines(ab, env2, top=3).ok
+    env2 = TruncatedEnvelope(ab)
+    assert check_alt_intertwines(ab, env2).ok
 
 
 def test_wedge_basis():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hopfcyclic.algcore import ComoduleData
 from hopfcyclic.exactlin import (
     QQ, DescentFailure, FieldSpec, LinMap, Pipe, QuotientPresentation, Space,
     descend, kernel, pack_slices, solve, tensor_presentation,
@@ -20,8 +21,8 @@ from hopfcyclic.cyclichom import (
     cyclic_homology_char0, hochschild_homology,
 )
 from hopfcyclic.operadcyc import (
-    CertificateFailure, HomBasis, StabilityFailure, _hom_coords,
-    build_ayd_coefficient,
+    CertificateFailure, CompComoduleMeasuringData, HomBasis,
+    OperadMeasuringData, StabilityFailure, _hom_coords, build_ayd_coefficient,
     build_yd_comp_module, build_yd_operad, check_comp_comodule_measuring,
     check_comp_module, check_operad, check_operad_measuring,
     comp_cyclic_module, induce_from_yd, induced_comp_map,
@@ -159,6 +160,30 @@ def test_primitive_gives_zero_map(c2, c2_module):
     assert cert.ok, cert.failures()
     for mm in maps:
         assert mm.is_zero()
+
+
+def test_induced_comp_map_across_top_degrees():
+    """Between comp modules of top degree 4 and 2, the maps run to degree
+    2 and each cyclic module keeps its own top degree."""
+    od = one_dimensional_operad(QQ, 4)
+    src = one_dimensional_comp_module(od, 4)
+    dst = one_dimensional_comp_module(od, 2)
+    C = point_coalgebra(QQ)
+    one = LinMap.identity(Space(1), QQ)
+    om = OperadMeasuringData(C, od, od, {n: one for n in range(5)}, "id")
+    D = ComoduleData(C, C.space, C.comul, "left", "D=C")
+    ccm = CompComoduleMeasuringData(om, D, src, dst,
+                                    {n: one for n in range(3)}, "id")
+    assert check_operad_measuring(om).ok
+    assert check_comp_comodule_measuring(ccm).ok
+    maps, cert = induced_comp_map(ccm, (QQ.one,))
+    assert len(maps) == 3
+    assert cert.ok, cert.failures()
+    names = [r.name for r in cert.results]
+    assert names[-1] == "t@2"
+    assert not any(name.endswith("@3") for name in names)
+    cyc = comp_cyclic_module(src)
+    assert cyc.N == 4 and len(cyc.dims()) == 5
 
 
 def test_broken_measuring_detected(c2, c2_module):
