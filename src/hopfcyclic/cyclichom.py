@@ -105,26 +105,35 @@ def _window_family(evaluate, ops):
             for n, row in ops.items()}
 
 
-def _module(variant, N, h, p, pres, faces, degen, cyc, steps, label):
+def _towers(h, p, variant, N):
+    """The presentations of degrees 0..N of the (co)cyclic module of h,
+    with coefficients in p (or None): the R tower on the chain side and
+    the L tower on the cochain side, after A in degree 0; with
+    coefficients, p.chain_tower (P first) and p.capped_tower (P last)."""
+    if p is not None:
+        tower = p.chain_tower if variant == "cyclic" else p.capped_tower
+        return [tower(n) for n in range(N + 1)]
+    tower = h.rtower if variant == "cyclic" else h.ltower
+    return [QuotientPresentation.trivial(h.A.space, h.field)] \
+        + [tower(n) for n in range(1, N + 1)]
+
+
+def _module(variant, N, h, p, pres, faces, degen, cyc, label):
     """The CyclicModuleData of one builder call on the towers `pres` of h
     (with coefficients in p, or None).
 
-    `faces` and `degen` are families as `_window_family` reads them, `cyc`
-    evaluates the cyclic operators, and `steps` are the calls they make
-    that can raise (the lifts they are made of).  One rule on every tower:
-    the certificate of every face and degeneracy (see `_window_ops`) and
-    every step run now, and the three families are handed over
-    unevaluated.  The cyclic operators have no certificate apart from
-    their global `descend`, so a failure of theirs raises on the first
-    read of `cyc`.
+    `faces` and `degen` are families as `_window_family` reads them, and
+    `cyc` evaluates the cyclic operators.  One rule on every tower: the
+    certificate of every face and degeneracy (see `_window_ops`) runs now,
+    and the three families are handed over unevaluated.  The cyclic
+    operators have no certificate apart from their global `descend`, so a
+    failure of theirs raises on the first read of `cyc`.
     """
     certify, evaluate = _window_ops(h, p)
     for row in (*faces.values(), *degen.values()):
         for op in row:
             if isinstance(op, tuple):
                 certify(*op)
-    for step in steps:
-        step()
     faces, degen = (partial(_window_family, evaluate, ops)
                     for ops in (faces, degen))
     return CyclicModuleData(variant, N, [pr.quotient for pr in pres], faces,
@@ -240,8 +249,7 @@ def _window_ops(h, p=None):
 def build_cocyclic_CU(h, N):
     f = h.field
     du = h.U.space.dim
-    pres = [QuotientPresentation.trivial(h.A.space, f)] \
-        + [h.ltower(n) for n in range(1, N + 1)]
+    pres = _towers(h, None, "cocyclic", N)
     unit = h.U.unit_map()
     sc_eps = h.s_L @ h.eps_L
     tc_eps = h.t_L @ h.eps_L
@@ -290,8 +298,7 @@ def build_cocyclic_CU(h, N):
                 pipe.block(k, 2, h.U.mul)
             cyc[n] = descend(pipe.map, pres[n], pres[n])
         return cyc
-    steps = [partial(h.iterated_delta_lift, n) for n in range(2, N + 1)]
-    return _module("cocyclic", N, h, None, pres, faces, degen, cyc, steps,
+    return _module("cocyclic", N, h, None, pres, faces, degen, cyc,
                    "C^(%s)" % h.label)
 
 
@@ -300,8 +307,7 @@ def build_cocyclic_CU(h, N):
 def build_cyclic_CU(h, N):
     f = h.field
     du = h.U.space.dim
-    pres = [QuotientPresentation.trivial(h.A.space, f)] \
-        + [h.rtower(n) for n in range(1, N + 1)]
+    pres = _towers(h, None, "cyclic", N)
     eps_R = h.eps_R
     t_eps = h.t_L @ eps_R
     t_eps_S = h.t_L @ (eps_R @ h.S)
@@ -348,7 +354,7 @@ def build_cyclic_CU(h, N):
             pipe.block(0, 1, h.S)
             cyc[n] = descend(pipe.map, pres[n], pres[n])
         return cyc
-    return _module("cyclic", N, h, None, pres, faces, degen, cyc, [],
+    return _module("cyclic", N, h, None, pres, faces, degen, cyc,
                    "C_(%s)" % h.label)
 
 
@@ -381,10 +387,11 @@ def chain_coeff_cyclic(h, p, n):
 
 def build_cyclic_with_coeffs(h, p, N):
     require_own_algebroid(h, p)
-    f = h.field
+    if N:   # the cyclic operators need it: raise here where it fails
+        translation_lift(h)
     du = h.U.space.dim
     dp = p.space.dim
-    pres = [p.chain_tower(n) for n in range(N + 1)]
+    pres = _towers(h, p, "cyclic", N)
     t_eps = h.t_L @ h.eps_L
     unit = h.U.unit_map()
 
@@ -421,17 +428,17 @@ def build_cyclic_with_coeffs(h, p, N):
 
     def cyc():
         return {n: chain_coeff_cyclic(h, p, n) for n in range(N + 1)}
-    steps = [partial(translation_lift, h)] if N else []
-    return _module("cyclic", N, h, p, pres, faces, degen, cyc, steps,
+    return _module("cyclic", N, h, p, pres, faces, degen, cyc,
                    "C_(%s;%s)" % (h.label, p.label))
 
 
 def build_cocyclic_with_coeffs(h, p, N):
     require_own_algebroid(h, p)
+    trans = translation_lift(h)     # raises here where it fails
     f = h.field
     du = h.U.space.dim
     dp = p.space.dim
-    pres = [p.capped_tower(n) for n in range(N + 1)]
+    pres = _towers(h, p, "cocyclic", N)
     sc_eps = h.s_L @ h.eps_L
     t_eps = h.t_L @ h.eps_L
     unit = h.U.unit_map()
@@ -470,7 +477,6 @@ def build_cocyclic_with_coeffs(h, p, N):
 
     def cyc():
         cyc = {0: LinMap.identity(p.space, f)}
-        trans = translation_lift(h)
         for n in range(1, N + 1):
             pipe = Pipe([du] * n + [dp], f)
             pipe.block(0, 1, trans, [du, du])
@@ -486,9 +492,7 @@ def build_cocyclic_with_coeffs(h, p, N):
             pipe.block(n, 2, p.action)
             cyc[n] = descend(pipe.map, pres[n], pres[n])
         return cyc
-    steps = [partial(translation_lift, h)] \
-        + [partial(h.iterated_delta_lift, n) for n in range(1, N + 1)]
-    return _module("cocyclic", N, h, p, pres, faces, degen, cyc, steps,
+    return _module("cocyclic", N, h, p, pres, faces, degen, cyc,
                    "C^(%s;%s)" % (h.label, p.label))
 
 
@@ -753,33 +757,31 @@ def transported_homology(cm_chain, xs):
 
 # -- induced chain maps and certificates ----------------------------------
 
+def measured_ends(m):
+    """The source and target of a measuring, or of a comodule measuring,
+    as (algebroid, coefficients or None): the (co)cyclic modules between
+    which it induces chain maps."""
+    if isinstance(m, ComoduleMeasuringData):
+        return (m.base.src, m.src_p), (m.base.dst, m.dst_p)
+    return (m.src, None), (m.dst, None)
+
+
 def induced_cyclic_map(m, xvec, N, variant):
-    """Chain maps on the plain (co)cyclic modules induced by a measuring
-    element; degree n acts through the n-fold coproduct of x."""
-    out = [m.psi_of(xvec)]
-    for n in range(1, N + 1):
-        free = m.induced_free(xvec, n)
-        if variant == "cyclic":
-            out.append(descend(free, m.src.rtower(n), m.dst.rtower(n)))
-        else:
-            out.append(descend(free, m.src.ltower(n), m.dst.ltower(n)))
-    return out
-
-
-def induced_coeff_map(cm, yvec, N, variant):
-    """Chain maps on the coefficient (co)cyclic modules induced by a
-    comodule-measuring element."""
-    out = []
-    for n in range(N + 1):
-        if variant == "cyclic":
-            free = cm.induced_coeff_free(yvec, n, "front")
-            out.append(descend(free, cm.src_p.chain_tower(n),
-                               cm.dst_p.chain_tower(n)))
-        else:
-            free = cm.induced_coeff_free(yvec, n, "back")
-            out.append(descend(free, cm.src_p.capped_tower(n),
-                               cm.dst_p.capped_tower(n)))
-    return out
+    """Chain maps induced by an element of the coalgebra of a measuring on
+    the plain (co)cyclic modules, or by an element of the comodule of a
+    comodule measuring on the modules with coefficients.  Degree n is the
+    Sweedler sum of the slotwise actions through the n-fold coproduct
+    (coaction) of the element on the free tensor power, the coefficient
+    slot first on the chain side and last on the cochain side, descended
+    to the degree-n towers of the two ends."""
+    src, dst = measured_ends(m)
+    if src[1] is None:
+        free = partial(m.induced_free, xvec)
+    else:
+        free = partial(m.induced_coeff_free, xvec,
+                       p_position="front" if variant == "cyclic" else "back")
+    return [descend(free(n), s, d) for n, (s, d) in enumerate(zip(
+        _towers(*src, variant, N), _towers(*dst, variant, N)))]
 
 
 def check_chain_map(src_cm, dst_cm, maps):
@@ -805,16 +807,10 @@ def hopf_galois_square(m, xvec, N):
     """Commutation of the maps induced by a measuring, or by a comodule
     measuring, with the Hopf-Galois isomorphisms."""
     rep = Report("hopf galois square")
-    if isinstance(m, ComoduleMeasuringData):
-        xs_src = hopf_galois_chain_map(m.base.src, N, m.src_p)
-        xs_dst = hopf_galois_chain_map(m.base.dst, N, m.dst_p)
-        induced = induced_coeff_map
-    else:
-        xs_src = hopf_galois_chain_map(m.src, N)
-        xs_dst = hopf_galois_chain_map(m.dst, N)
-        induced = induced_cyclic_map
-    f_chain = induced(m, xvec, N, "cyclic")
-    f_cochain = induced(m, xvec, N, "cocyclic")
+    xs_src, xs_dst = (hopf_galois_chain_map(h, N, p)
+                      for h, p in measured_ends(m))
+    f_chain = induced_cyclic_map(m, xvec, N, "cyclic")
+    f_cochain = induced_cyclic_map(m, xvec, N, "cocyclic")
     for n in range(N + 1):
         rep.check_map_equal("square@%d" % n,
                             xs_dst[n] @ f_chain[n], f_cochain[n] @ xs_src[n])

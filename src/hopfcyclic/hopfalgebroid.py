@@ -285,19 +285,16 @@ def hopf_galois_beta(h):
     return h._beta
 
 
-def translation_map(h):
-    """u -> beta^{-1}(u (x) 1), valued in the chain-side square."""
-    if h._translation is not None:
-        return h._translation
-    beta = hopf_galois_beta(h)
-    u_one = Pipe([h.U.space.dim], h.field).block(1, 0, h.U.unit_map()).map
-    h._translation = solve_many(beta, h.ltower(2).project(u_one))
-    return h._translation
-
-
 def translation_lift(h):
-    """Lift of the translation map into the free tensor square."""
-    return h.rtower(2).section @ translation_map(h)
+    """u -> u+ (x) u-, a lift into the free tensor square of the
+    translation map u -> beta^{-1}(u (x) 1); computed once per algebroid."""
+    if h._translation is None:
+        beta = hopf_galois_beta(h)
+        u_one = Pipe([h.U.space.dim], h.field) \
+            .block(1, 0, h.U.unit_map()).map
+        h._translation = h.rtower(2).section @ solve_many(
+            beta, h.ltower(2).project(u_one))
+    return h._translation
 
 
 def check_hopf_galois(h):
@@ -312,7 +309,7 @@ def check_hopf_galois(h):
     lt2, rt2 = h.ltower(2), h.rtower(2)
     rep.add("square_dims_match", lt2.quotient.dim == rt2.quotient.dim)
     try:
-        trans = translation_map(h)
+        trans = rt2.project(translation_lift(h))
     except NoSolution:
         return rep.add("beta_surjective", False)
     rep.add("beta_surjective", True)

@@ -33,7 +33,7 @@ from .cyclichom import (
     CharNotZero, build_cocyclic_CU, build_cocyclic_with_coeffs,
     build_cyclic_CU, build_cyclic_with_coeffs, check_chain_map,
     check_cyclic_module, cyclic_homology_char0, hochschild_homology,
-    hopf_galois_square, induced_coeff_map, induced_cyclic_map,
+    hopf_galois_square, induced_cyclic_map, measured_ends,
 )
 from .lierinehart import (
     abelian_lr, check_lie_rinehart, check_lr_complex, lie_rinehart_homology,
@@ -72,10 +72,15 @@ def _field_of(name):
     raise ParseError("unknown field %r" % name)
 
 
+def _is_int(v):
+    """Whether v is a JSON integer (a JSON bool is not one)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _scalar(field, v, where):
     """Scalars appear as ints or as strings like "-3/2"."""
     try:
-        if isinstance(v, int):
+        if _is_int(v):
             return field.of_int(v)
         if isinstance(v, str):
             return field.parse(v)
@@ -85,8 +90,8 @@ def _scalar(field, v, where):
 
 
 def _count(v, what, least=0):
-    """An int >= least from the document (a JSON bool is not one)."""
-    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+    """An int >= least from the document."""
+    if not _is_int(v) or v < least:
         raise ParseError("%s must be an integer >= %d, got %r"
                          % (what, least, v))
     return v
@@ -122,20 +127,36 @@ def _section(data, key):
     return v
 
 
-def _sparse_entry(field, row, where):
-    """A sparse entry [i.., coeff] or [i.., num, den] with integer indices."""
-    if len(row) < 2:
-        raise ParseError("short sparse entry in %s" % where)
-    if (len(row) >= 3 and isinstance(row[-1], int)
-            and isinstance(row[-2], int) and all(
-                isinstance(i, int) for i in row[:-2])):
-        # trailing (numerator, denominator) pair
-        try:
-            c = field.of_int(row[-2], row[-1])
-        except ZeroDivisionError as e:
-            raise ParseError("bad scalar in %s: %s" % (where, e))
-        return tuple(row[:-2]), c
-    return tuple(row[:-1]), _scalar(field, row[-1], where)
+def _sparse(field, rows, key, arity, dim, where):
+    """The nonzero entries {indices: scalar} of the sparse list `rows`
+    under `key`.  A row is `arity` integer indices in range(dim), then one
+    scalar (see `_scalar`) or an integer numerator/denominator pair; the
+    scalars of a repeated index tuple add up."""
+    if not isinstance(rows, list):
+        raise ParseError("%s in %s must be a list of rows" % (key, where))
+    entries = {}
+    for row in rows:
+        if not (isinstance(row, list) and arity < len(row) <= arity + 2
+                and all(_is_int(i) for i in row[:arity])):
+            raise ParseError(
+                "a row of %s in %s must be %d integer indices and a scalar "
+                "or an integer numerator/denominator pair, got %r"
+                % (key, where, arity, row))
+        idx, c = tuple(row[:arity]), row[arity:]
+        if not all(0 <= i < dim for i in idx):
+            raise DimensionMismatch(
+                "%s index out of range in %s" % (key, where))
+        if len(c) == 1:
+            c = _scalar(field, c[0], where)
+        elif _is_int(c[0]) and _is_int(c[1]):
+            try:
+                c = field.of_int(*c)
+            except ZeroDivisionError as e:
+                raise ParseError("bad scalar %r in %s: %s" % (c, where, e))
+        else:
+            raise ParseError("bad scalar %r in %s" % (c, where))
+        entries[idx] = field.add(entries.get(idx, field.zero), c)
+    return {k: v for k, v in entries.items() if v}
 
 
 _CATEGORIES = ("algebras", "coalgebras", "hopf_algebroids", "sayd_modules",
@@ -160,8 +181,8 @@ _THEORIES = ("HH", "HC")
 
 def _check_homology_options(kind, t, where):
     """The variant (homology, induced), theory (homology) and normalized
-    flag of a task; normalized homology exists for HH on the chain side
-    only."""
+    flag of a task, defaults filled in, as a dict; normalized homology
+    exists for HH on the chain side only."""
     variant = t.get("variant", "cyclic")
     if kind in ("homology", "induced") and variant not in _VARIANTS:
         raise ParseError("variant in %s must be one of %s, got %r"
@@ -178,6 +199,7 @@ def _check_homology_options(kind, t, where):
                            and variant == "cyclic"):
         raise ParseError("normalized in %s needs a homology task with "
                          "theory HH and variant cyclic" % where)
+    return {"variant": variant, "theory": theory, "normalized": normalized}
 
 
 class ScenarioDocument:
@@ -373,39 +395,22 @@ class ScenarioDocument:
                 return group_algebra(order, f)
             raise ParseError("unknown algebra preset %r" % preset)
         where = "algebra " + name
-        dim = d.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ParseError("missing dim in " + where)
+        dim = _count(d.get("dim"), "dim of algebra %r" % name, 1)
         unit = d.get("unit")
         if not isinstance(unit, list) or len(unit) != dim:
             raise DimensionMismatch(
                 "unit of %s must have %d coordinates" % (name, dim))
         sp = Space(dim, name)
         uvec = tuple(_scalar(f, v, where) for v in unit)
-        entries = {}
-        for row in d.get("mul", []):
-            (i, j, k), c = _sparse_entry(f, row, where)
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise DimensionMismatch(
-                    "mul index out of range in " + where)
-            key = (k, i * dim + j)
-            entries[key] = f.add(entries.get(key, f.zero), c)
-        mul = LinMap(Space(dim * dim), sp, f,
-                     {k: v for k, v in entries.items() if v})
+        entries = _sparse(f, d.get("mul", []), "mul", 3, dim, where)
+        mul = LinMap(Space(dim * dim), sp, f, {
+            (k, i * dim + j): c for (i, j, k), c in entries.items()})
         return AlgebraData(sp, mul, uvec, f, name)
 
     def _make_derivation(self, A, d, where):
         f = self.field
-        dim = A.space.dim
-        entries = {}
-        for row in d.get("derivation", []):
-            (i, j), c = _sparse_entry(f, row, where)
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise DimensionMismatch(
-                    "derivation index out of range in " + where)
-            if c:
-                entries[(i, j)] = c
-        return LinMap(A.space, A.space, f, entries)
+        return LinMap(A.space, A.space, f, _sparse(
+            f, d.get("derivation", []), "derivation", 2, A.space.dim, where))
 
     def _parse_elements(self):
         f = self.field
@@ -430,7 +435,7 @@ class ScenarioDocument:
             if kind not in _TASK_KINDS:
                 raise ParseError("unknown task kind %r in %s" % (kind, where))
             name = t.get("object")
-            if name not in self.objects:
+            if not isinstance(name, str) or name not in self.objects:
                 raise ReferenceError(
                     "unknown reference %r in %s" % (name, where))
             cat, obj = self.objects[name]
@@ -439,12 +444,11 @@ class ScenarioDocument:
                 raise ReferenceError(
                     "%s task on %r in %s: it is a %s, expected one of %s"
                     % (kind, name, where, cat, "/".join(cats)))
-            if "max_degree" in t:
-                _count(t["max_degree"], "max_degree in " + where)
-            _check_homology_options(kind, t, where)
             task = dict(t)
+            task["max_degree"] = _count(t.get("max_degree", 3),
+                                        "max_degree in " + where)
+            task.update(_check_homology_options(kind, t, where))
             task["_index"] = idx
-            task["_category"] = cat
             coeff = t.get("coefficients")
             if kind == "homology" and coeff is not None:
                 ccat, p = self.objects.get(coeff, (None, None)) \
@@ -457,12 +461,12 @@ class ScenarioDocument:
                     self.objects)
             if kind in ("induced", "hopf_galois"):
                 ename = t.get("element")
-                if ename not in self.elements:
+                if not isinstance(ename, str) or ename not in self.elements:
                     raise ReferenceError(
                         "unknown element %r in %s" % (ename, where))
                 C = obj.base.C if isinstance(obj, ComoduleMeasuringData) \
                     else obj.C
-                vec = self.elements[ename]
+                vec = task["_vector"] = self.elements[ename]
                 if len(vec) != C.space.dim:
                     raise DimensionMismatch(
                         "element %r has %d coordinates, coalgebra has "
@@ -578,42 +582,37 @@ def _validate(cat, obj):
     return _VALIDATORS[cat](obj)
 
 
+def _cyclic_module(h, p, variant, N):
+    """The (co)cyclic module of h up to degree N, with coefficients in p
+    (or None)."""
+    if p is None:
+        build = build_cyclic_CU if variant == "cyclic" else build_cocyclic_CU
+        return build(h, N)
+    build = (build_cyclic_with_coeffs if variant == "cyclic"
+             else build_cocyclic_with_coeffs)
+    return build(h, p, N)
+
+
 def _homology(task, cat, obj, top):
-    theory = task.get("theory", "HC")
     if cat == "lie_rinehart":
-        dims = lie_rinehart_homology(obj, top)
-        return "LR", dims
-    variant = task.get("variant", "cyclic")
-    p = task.get("_coefficients")
-    if p is not None:
-        cm = (build_cyclic_with_coeffs if variant == "cyclic"
-              else build_cocyclic_with_coeffs)(obj, p, top + 1)
-    else:
-        cm = (build_cyclic_CU if variant == "cyclic"
-              else build_cocyclic_CU)(obj, top + 1)
-    if theory == "HH":
-        hr = hochschild_homology(cm, normalized=task.get("normalized", False))
+        return "LR", lie_rinehart_homology(obj, top)
+    cm = _cyclic_module(obj, task.get("_coefficients"), task["variant"],
+                        top + 1)
+    if task["theory"] == "HH":
+        hr = hochschild_homology(cm, normalized=task["normalized"])
     else:
         hr = cyclic_homology_char0(cm)
-    return theory, hr.dims
+    return task["theory"], hr.dims
 
 
-def _induced(task, cat, obj, elements, top):
-    variant = task.get("variant", "cyclic")
-    vec = elements[task["element"]]
-    if cat == "comodule_measurings":
-        maps = induced_coeff_map(obj, vec, top, variant)
-        build = (build_cyclic_with_coeffs if variant == "cyclic"
-                 else build_cocyclic_with_coeffs)
-        ends = (obj.base.src, obj.src_p), (obj.base.dst, obj.dst_p)
-    else:
-        maps = induced_cyclic_map(obj, vec, top, variant)
-        build = build_cyclic_CU if variant == "cyclic" else build_cocyclic_CU
-        ends = (obj.src,), (obj.dst,)
+def _induced(task, obj, top):
+    variant = task["variant"]
+    maps = induced_cyclic_map(obj, task["_vector"], top, variant)
+    ends = measured_ends(obj)
     # a measuring of one object into itself has one module at both ends
     same = all(a is b for a, b in zip(*ends))
-    src = build(*ends[0], top)
-    dst = src if same else build(*ends[1], top)
+    src = _cyclic_module(*ends[0], variant, top)
+    dst = src if same else _cyclic_module(*ends[1], variant, top)
     src_rep = check_cyclic_module(src)
     dst_rep = src_rep if same else check_cyclic_module(dst)
     rep = check_chain_map(src, dst, maps)
@@ -627,12 +626,12 @@ _TASK_ERRORS = (CharNotZero, DescentFailure, StabilityFailure,
                 ZeroDivisionError, AssertionError)
 
 
-def _run_task(task, objects, elements, field, max_degree):
+def _run_task(task, objects, field, max_degree):
     kind = task["kind"]
     name = task["object"]
     cat, obj = objects[name]
     record = {"index": task["_index"], "kind": kind, "object": name}
-    top = max_degree if max_degree is not None else task.get("max_degree", 3)
+    top = max_degree if max_degree is not None else task["max_degree"]
     try:
         if kind in ("validate", "measure"):
             rep = _validate(cat, obj)
@@ -646,12 +645,12 @@ def _run_task(task, objects, elements, field, max_degree):
             record["status"] = "pass"
         elif kind == "induced":
             record["element"] = task["element"]
-            rep = _induced(task, cat, obj, elements, top)
+            rep = _induced(task, obj, top)
             record["status"] = "pass" if rep.ok else "fail"
             record["certificate"] = _checks_of(rep, field)
         elif kind == "hopf_galois":
             record["element"] = task["element"]
-            rep = hopf_galois_square(obj, elements[task["element"]], top)
+            rep = hopf_galois_square(obj, task["_vector"], top)
             record["status"] = "pass" if rep.ok else "fail"
             record["checks"] = _checks_of(rep, field)
     except _TASK_ERRORS as e:
@@ -669,8 +668,7 @@ def run(document, kinds=None, max_degree=None):
              if kinds is None or t["kind"] in kinds]
     for task in tasks:
         report.tasks.append(_run_task(task, document.objects,
-                                      document.elements, document.field,
-                                      max_degree))
+                                      document.field, max_degree))
     return report
 
 

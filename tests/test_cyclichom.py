@@ -21,7 +21,7 @@ from hopfcyclic.cyclichom import (
     check_cyclic_module, check_hopf_galois_chain_map, check_mixed_complex,
     check_shuffle_measuring, check_shuffle_unital, cyclic_homology_char0,
     hochschild_homology, homology_presentation, hopf_galois_chain_map,
-    hopf_galois_square, induced_coeff_map, induced_cyclic_map,
+    hopf_galois_square, induced_cyclic_map,
     induced_on_homology, mixed_complex, transported_homology,
 )
 
@@ -232,7 +232,7 @@ def test_induced_coeff_chain_map(gal):
     f = QQ
     yv = (f.zero, f.one)  # the primitive element of the coacting coalgebra
     src = build_cyclic_with_coeffs(e.hopf, e.sayd, 3)
-    maps = induced_coeff_map(cmm, yv, 3, "cyclic")
+    maps = induced_cyclic_map(cmm, yv, 3, "cyclic")
     rep = check_chain_map(src, src, maps)
     assert rep.ok, rep.failures()
 

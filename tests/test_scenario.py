@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from hopfcyclic.scenario import (
@@ -111,9 +112,11 @@ def test_scenario_round_trip():
 
 
 def test_reports_match_goldens():
-    # pair_e2_broken pins a failing report: its measuring is not one
+    # pair_e2_broken pins a failing report: its measuring is not one;
+    # pair_e2_coeff pins the maps of comodule measurings
     for path in (_scen("trivial"), _scen("pair_e2"),
-                 os.path.join(HERE, "scenarios", "pair_e2_broken.json")):
+                 os.path.join(HERE, "scenarios", "pair_e2_broken.json"),
+                 os.path.join(HERE, "scenarios", "pair_e2_coeff.json")):
         name = os.path.basename(path)[:-len(".json")]
         doc = parse_scenario(path)
         out = emit(run(doc)) + "\n"
@@ -219,12 +222,49 @@ def _homology_task(**opts):
             "tasks": [dict({"kind": "homology", "object": "H"}, **opts)]}
 
 
-def _induced_task(variant):
+def _pair_e2(edit):
+    """pair_e2 as edit(doc) leaves it."""
     with open(_scen("pair_e2")) as fh:
         doc = json.load(fh)
-    doc["tasks"] = [{"kind": "induced", "object": "m", "element": "x",
-                     "variant": variant, "max_degree": 1}]
+    edit(doc)
     return doc
+
+
+def _induced_task(variant):
+    return _pair_e2(lambda doc: doc.update(tasks=[
+        {"kind": "induced", "object": "m", "element": "x",
+         "variant": variant, "max_degree": 1}]))
+
+
+def _with_mul(rows):
+    return _pair_e2(lambda doc: doc["algebras"]["A"].update(mul=rows))
+
+
+def _with_unit(unit):
+    return _pair_e2(lambda doc: doc["algebras"]["A"].update(unit=unit))
+
+
+def _with_derivation(rows):
+    return _pair_e2(
+        lambda doc: doc["measurings"]["m"].update(derivation=rows))
+
+
+def _with_task(i, **changes):
+    return _pair_e2(lambda doc: doc["tasks"][i].update(changes))
+
+
+def _unknown_preset(category, **sections):
+    """A definition of `category` with an unknown preset, after the
+    definitions in `sections` over the trivial algebroid H."""
+    doc = {"hopf_algebroids": {"H": {"preset": "trivial"}}}
+    doc.update(sections)
+    doc.setdefault(category, {}).setdefault("X", {}).update(preset="nope",
+                                                            hopf="H")
+    return doc
+
+
+_ROW = "must be 3 integer indices and a scalar or an integer " \
+    "numerator/denominator pair"
 
 
 @pytest.mark.parametrize("doc, named", [
@@ -278,12 +318,71 @@ def _induced_task(variant):
      "normalized in task 0 needs a homology task with theory HH"),
     (_homology_task(normalized=True),
      "normalized in task 0 needs a homology task with theory HH"),
+    ([1], "scenario must be a JSON object"),
+    (_with_mul([[0, 0, 1]]), "a row of mul in algebra A " + _ROW),
+    (_with_mul([[0, "a", 0, 1]]), "a row of mul in algebra A " + _ROW),
+    (_with_mul([5]), "got 5"),
+    (_with_mul(5), "mul in algebra A must be a list of rows"),
+    (_with_mul([[True, 1, 0, 1, 1]]), "got [True, 1, 0, 1, 1]"),
+    (_with_mul([[0, 0, 0, 1, 1, 1]]), "a row of mul in algebra A"),
+    (_with_mul([[0, 0, 0, "1", 2]]), "bad scalar ['1', 2] in algebra A"),
+    (_with_mul([[0, 0, 0, 1, 0]]), "bad scalar [1, 0] in algebra A"),
+    (_with_mul([[0, 0, 0, 1.5]]), "bad scalar 1.5 in algebra A"),
+    (_with_mul([[0, 0, 2, 1]]), "mul index out of range in algebra A"),
+    (_with_mul([[0, -1, 0, 1]]), "mul index out of range in algebra A"),
+    (_with_unit([True, False]), "bad scalar True in algebra A"),
+    (_with_unit(["1/0", "0"]), "bad scalar '1/0' in algebra A"),
+    (_with_unit(["1"]), "unit of A must have 2 coordinates"),
+    (_with_derivation([[1, 1]]), "a row of derivation in measuring m must "
+     "be 2 integer indices"),
+    (_with_derivation([[1, 2, 1]]),
+     "derivation index out of range in measuring m"),
+    (_with_derivation({}), "derivation in measuring m must be a list"),
+    ({"algebras": {"A": {"unit": ["1"]}}},
+     "dim of algebra 'A' must be an integer >= 1, got None"),
+    ({"algebras": {"A": {"dim": True, "unit": ["1"]}}},
+     "dim of algebra 'A' must be an integer >= 1, got True"),
+    (_with_task(0, object=["H"]), "unknown reference ['H'] in task 0"),
+    (_with_task(2, element={"x": 1}), "unknown element {'x': 1} in task 2"),
+    (_with_task(2, element="y"), "unknown element 'y' in task 2"),
+    (_with_task(2, kind="prove"), "unknown task kind 'prove' in task 2"),
+    ({"tasks": {"kind": "validate"}}, "tasks must be a list"),
+    ({"tasks": [1]}, "task 0 must be an object"),
+    ({"elements": {"x": 1}}, "element 'x' must be a coordinate list"),
+    ({"elements": {"x": [False]}}, "bad scalar False in element x"),
+    ({"hopf_algebroids": {"H": {"pair_of": "B"}}},
+     "unknown reference 'B' in hopf_algebroid H"),
+    ({"hopf_algebroids": {"T": {"preset": "trivial"},
+                          "H": {"pair_of": "T"}}},
+     "'T' referenced in hopf_algebroid H is a hopf_algebroids, expected "
+     "one of algebras"),
+    ({"algebras": {"A": {"preset": "nope"}}},
+     "unknown algebra preset 'nope'"),
+    (_unknown_preset("coalgebras"), "unknown coalgebra preset 'nope'"),
+    (_unknown_preset("hopf_algebroids"),
+     "unknown hopf_algebroid preset 'nope'"),
+    (_unknown_preset("sayd_modules"), "unknown sayd preset 'nope'"),
+    (_unknown_preset("yd_algebras"), "unknown yd_algebra preset 'nope'"),
+    (_unknown_preset("measurings"), "unknown measuring preset 'nope'"),
+    (_unknown_preset("comodule_measurings",
+                     sayd_modules={"P": {"preset": "scalar", "hopf": "H"}},
+                     measurings={"m": {"preset": "identity", "hopf": "H"}},
+                     comodule_measurings={"X": {"measuring": "m",
+                                                "sayd": "P"}}),
+     "unknown comodule_measuring preset 'nope'"),
+    (_unknown_preset("lie_rinehart"), "unknown lie_rinehart preset 'nope'"),
+    (_unknown_preset("operads"), "unknown operad preset 'nope'"),
+    (_unknown_preset("comp_modules",
+                     operads={"O": {"preset": "one_dimensional"}},
+                     comp_modules={"X": {"operad": "O"}}),
+     "unknown comp_module preset 'nope'"),
 ])
 def test_cli_rejects_malformed_input(tmp_path, capsys, doc, named):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["report", str(bad)]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def _run_cli(*args, optimize=False):
@@ -525,3 +624,128 @@ def test_induced_task_builds_a_self_measured_module_once(monkeypatch, doc,
     names = [c["name"] for c in rep.tasks[0]["certificate"]]
     src = [n[4:] for n in names if n.startswith("src:")]
     assert src and src == [n[4:] for n in names if n.startswith("dst:")]
+
+
+@pytest.mark.parametrize("doc", [
+    {"coalgebras": {"C": {"preset": "point"},
+                    "D": {"preset": "primitive_pair"}},
+     "tasks": [{"kind": "validate", "object": "C"},
+               {"kind": "validate", "object": "D"}]},
+    {"algebras": {"S": {"preset": "split_pair"},
+                  "G": {"preset": "group", "order": 3},
+                  "B": {"dim": 1, "unit": [1], "mul": [[0, 0, 0, 1]]}},
+     "tasks": [{"kind": "validate", "object": o} for o in "SGB"]},
+    {"hopf_algebroids": {"H": {"preset": "pair_dual"}},
+     "measurings": {"m": {"preset": "identity", "hopf": "H"}},
+     "elements": {"e": ["1"]},
+     "tasks": [{"kind": "validate", "object": "H"},
+               {"kind": "measure", "object": "m"},
+               {"kind": "induced", "object": "m", "element": "e",
+                "variant": "cocyclic", "max_degree": 2},
+               {"kind": "hopf_galois", "object": "m", "element": "e",
+                "max_degree": 2}]},
+    {"lie_rinehart": {"N": {"preset": "nonabelian_2d"},
+                      "L": {"preset": "abelian", "dim": 2}},
+     "tasks": [{"kind": kind, "object": o} for o in "NL"
+               for kind in ("validate", "homology")]},
+    dict(_yd_over("G2", "Z2", "L2"),
+         tasks=[{"kind": "validate", "object": "M"}]),
+], ids=["coalgebras", "algebras", "pair_dual", "lie_rinehart",
+        "yd_comp_module"])
+def test_every_preset_runs(doc):
+    rep = run(parse_scenario_text(json.dumps(doc)))
+    assert rep.ok, [t for t in rep.tasks if t["status"] != "pass"]
+    lr = [t for t in rep.tasks if t.get("theory") == "LR"]
+    assert [[r["dim"] for r in t["table"]] for t in lr] == \
+        [[1, 1, 0, 0], [1, 2, 1, 0]][:len(lr)]
+
+
+@pytest.mark.parametrize("section, integer, string", [
+    (_with_mul, [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]],
+     [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]]),
+    (_with_derivation, [[1, 1, 1]], [[1, 1, "1"]]),
+    # the scalars of a repeated index tuple add up
+    (_with_mul, [[0, 0, 0, 1], [0, 1, 1, 3], [0, 1, 1, -2], [1, 0, 1, 1]],
+     [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]]),
+    (_with_derivation, [[1, 1, 1, 2], [1, 1, "1/2"], [0, 1, 0]],
+     [[1, 1, "1"]]),
+], ids=["mul", "derivation", "mul_repeated", "derivation_repeated"])
+def test_an_integer_scalar_reads_as_its_string_form(section, integer,
+                                                    string):
+    a, b = (parse_scenario_text(json.dumps(section(rows))).objects
+            for rows in (integer, string))
+    assert a["A"][1].mul == b["A"][1].mul
+    assert a["m"][1].psi == b["m"][1].psi
+
+
+def test_text_report_lines():
+    def text(path, **kw):
+        return emit(run(parse_scenario(path, **kw)), "text").splitlines()
+
+    assert text(_scen("trivial")) == [
+        "scenario trivial over Q", "[0] validate H: PASS",
+        "[1] homology H: PASS", "    HC dims: 1 0 1 0",
+        "total: 2 passed, 0 failed, 0 errors"]
+    assert text(_scen("trivial"), field_override="F5")[2] == (
+        "[1] homology H: ERROR (CharNotZero: lambda-complex needs "
+        "characteristic zero)")
+    broken = text(os.path.join(HERE, "scenarios", "pair_e2_broken.json"))
+    assert broken[1:3] == [
+        "[0] measure m: FAIL",
+        "    FAIL total.multiplicativity witness=[21, ['0', '-2', '0', "
+        "'0']]"]
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit(ReportDocument(), "xml")
+
+
+def _bundled_documents():
+    out = []
+    for path in (_scen("trivial"), _scen("pair_e2"),
+                 os.path.join(HERE, "scenarios", "pair_e2_broken.json")):
+        with open(path) as fh:
+            out.append(json.load(fh))
+    return out
+
+
+def _value_paths(v, path=()):
+    """The path of every value in a JSON document, the document's own
+    included."""
+    yield path
+    items = v.items() if isinstance(v, dict) else \
+        enumerate(v) if isinstance(v, list) else ()
+    for k, x in items:
+        yield from _value_paths(x, path + (k,))
+
+
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4)
+    | st.sampled_from(["", "0", "1/2", "1/0", "x", "A", "H", "m", "g",
+                       "Q", "F5", "cyclic", "HH", "scalar", "trivial"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["preset", "dim", "kind", "x"]),
+                      inner, max_size=2),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_changed_value_parses_or_raises_a_parse_error(data):
+    """A bundled scenario with one value replaced by a small JSON value is
+    rejected by a ParseError or parsed; a parsed one runs and emits."""
+    doc = data.draw(st.sampled_from(_bundled_documents()))
+    path = data.draw(st.sampled_from(list(_value_paths(doc))))
+    value = data.draw(_SMALL_JSON)
+    if path:
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        parsed = parse_scenario_text(json.dumps(doc))
+    except ParseError:
+        return
+    report = run(parsed, max_degree=1)
+    emit(report)
+    emit(report, "text")
