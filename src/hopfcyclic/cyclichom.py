@@ -649,110 +649,124 @@ def check_hopf_galois_chain_map(h, N, p=None):
 
 # -- homology -------------------------------------------------------------
 
-class HomologyReport:
-    def __init__(self, theory, variant, dims, label=""):
-        self.theory = theory
-        self.variant = variant
-        self.dims = list(dims)
-        self.label = label
-
-    def __repr__(self):
-        return "HomologyReport(%s %s %s)" % (self.theory, self.label,
-                                             self.dims)
-
-
-def _complex_dims(spaces, diffs, top, homological):
-    """Homology dimensions of a finite complex given by `diffs`.
-
-    homological: diffs[n] : C_n -> C_{n-1}; else diffs[n] : C_n -> C_{n+1}.
-    Degrees 0..top-1 are reported (top is the last degree with both maps).
-    """
-    # each rank once: diffs[n] leaves degree n and diffs[n + into] enters
-    # it; where degree 0 has no such map, its rank counts as 0
-    lo = 1 if homological else 0
-    ranks = {n: rank(diffs[n]) for n in range(lo, lo + top)}
-    into = 1 if homological else -1
-    return [spaces[n].dim - ranks.get(n, 0) - ranks.get(n + into, 0)
-            for n in range(top)]
-
-
-def _quotient_complex(cm, rels):
-    """Homology dims in degrees 0..N-1 of the chain complex of `cm` divided
-    degreewise by the image of rels[n] : R_n -> C_n (None: divide by 0),
-    each boundary descended to the quotients."""
-    diffs = cm.boundaries()
-    press = [QuotientPresentation.trivial(sp, cm.field) if rel is None
-             else quotient_by(sp, rel, cm.field)
-             for sp, rel in zip(cm.spaces, rels)]
-    nd = {n: descend(diffs[n], press[n], press[n - 1])
-          for n in range(1, cm.N + 1)}
-    return _complex_dims([p.quotient for p in press], nd, cm.N, True)
-
-
-def hochschild_homology(cm, normalized=False):
-    """Hochschild (co)homology dims in degrees 0..N-1."""
-    if not normalized:
-        dims = _complex_dims(cm.spaces, cm.boundaries(), cm.N,
-                             cm.variant == "cyclic")
-        return HomologyReport("HH", cm.variant, dims, cm.label)
-    if cm.variant != "cyclic":
-        raise ValueError("normalized variant implemented on the chain side")
-    # degree n divided by the columns of every degeneracy, side by side
-    rels = [None] * (cm.N + 1)
-    for n in range(1, cm.N + 1):
-        if n - 1 not in cm.degen:
-            continue
-        entries = {}
-        offset = 0
-        for s in cm.degen[n - 1]:
-            entries.update(((i, offset + j), v)
-                           for (i, j), v in s.entries.items())
-            offset += s.dom.dim
-        rels[n] = LinMap(Space(offset), cm.spaces[n], cm.field, entries)
-    return HomologyReport("HH", "cyclic", _quotient_complex(cm, rels),
-                          cm.label + ".norm")
-
-
 def _lam(cm, n):
     """The signed cyclic operator lambda = (-1)^n t_n of degree n."""
     t = cm.cyc[n]
     return t if n % 2 == 0 else t.scaled(t.field.neg(t.field.one))
 
 
-def cyclic_homology_char0(cm):
-    """Cyclic (co)homology through the lambda-complex; degrees 0..N-1.
-    Over F_p, CharNotZero before any operator is read."""
+def _carry(f, src, dst):
+    """The map f of modules carried to the complexes whose degrees at its
+    source and target are presented by src and dst: f itself where they
+    are the whole modules (None), its descent between quotient
+    presentations, its restriction between kernel inclusions.  So each
+    carry certifies that f maps the relations (DescentFailure otherwise),
+    resp. the kernel (NoSolution otherwise), of src into those of dst."""
+    if dst is None:
+        return f
+    if isinstance(dst, QuotientPresentation):
+        return descend(f, src, dst)
+    return solve_many(dst, f @ src)
+
+
+class _Homology:
+    """The homology in degrees 0..N-1 of a finite complex: degree n is
+    spaces[n], presented by pres[n] on the module (see `_carry`), and
+    diffs[n] leaves degree n, down where `homological` and up otherwise.
+
+    `dims` are read off the ranks of the differentials, each rank once;
+    `presentation(n)` is formed on its first read."""
+
+    def __init__(self, spaces, diffs, homological, pres, field):
+        self.N = len(spaces) - 1
+        self.spaces = spaces
+        self.diffs = diffs
+        self.pres = pres
+        self.field = field
+        # diffs[n + self._into] enters degree n; a missing map has rank 0
+        self._into = 1 if homological else -1
+        ranks = {n: rank(d) for n, d in diffs.items()}
+        self.dims = [spaces[n].dim - ranks.get(n, 0)
+                     - ranks.get(n + self._into, 0) for n in range(self.N)]
+        self._presentations = {}
+
+    def presentation(self, n):
+        """(cycle inclusion K, quotient presentation of the homology on
+        K.dom) in degree n; ValueError for a degree outside 0..N-1."""
+        if not 0 <= n < self.N:
+            raise ValueError("degree %r outside the homology degrees 0..%d"
+                             % (n, self.N - 1))
+        if n not in self._presentations:
+            f = self.field
+            out, into = self.diffs.get(n), self.diffs.get(n + self._into)
+            K = LinMap.identity(self.spaces[n], f) if out is None \
+                else kernel(out)
+            rel = LinMap.zero(Space(0), K.dom, f) if into is None \
+                else solve_many(K, into)
+            self._presentations[n] = K, quotient_by(K.dom, rel, f)
+        return self._presentations[n]
+
+
+def homology(cm, theory="HH", normalized=False):
+    """Hochschild ("HH") or cyclic ("HC") (co)homology of a (co)cyclic
+    module in degrees 0..N-1.  Degree n of its complex is
+      - C_n (HH);
+      - C_n divided by the images of the degeneracies (normalized HH,
+        chain side only);
+      - C_n divided by the image of 1 - lambda (HC, chain side);
+      - the kernel of 1 - lambda (HC, cochain side);
+    and every boundary passes to it by `_carry`.  HC over F_p raises
+    CharNotZero before any operator is read."""
     f = cm.field
-    if f.char != 0:
-        raise CharNotZero("lambda-complex needs characteristic zero")
-    if cm.variant == "cyclic":
-        dims = _quotient_complex(cm, [
-            LinMap.identity(cm.spaces[n], f) - _lam(cm, n)
-            for n in range(cm.N + 1)])
-        return HomologyReport("HC", "cyclic", dims, cm.label)
-    # cocyclic: lambda-invariant subcomplex
-    diffs = cm.boundaries()
-    kers = []
-    for n in range(cm.N + 1):
-        kers.append(kernel(LinMap.identity(cm.spaces[n], f) - _lam(cm, n)))
-    nd = {}
-    for n in range(0, cm.N):
-        nd[n] = solve_many(kers[n + 1], diffs[n] @ kers[n])
-    spaces = [k.dom for k in kers]
-    dims = _complex_dims(spaces, nd, cm.N, False)
-    return HomologyReport("HC", "cocyclic", dims, cm.label)
+    chain = cm.variant == "cyclic"
+    if theory not in ("HH", "HC"):
+        raise ValueError("unknown theory %r: HH or HC" % (theory,))
+    if normalized and not (theory == "HH" and chain):
+        raise ValueError("normalized homology is HH of the chain side")
+    if theory == "HC":
+        if f.char != 0:
+            raise CharNotZero("lambda-complex needs characteristic zero")
+        rels = [LinMap.identity(sp, f) - _lam(cm, n)
+                for n, sp in enumerate(cm.spaces)]
+        pres = [quotient_by(sp, r, f) if chain else kernel(r)
+                for sp, r in zip(cm.spaces, rels)]
+    elif normalized:
+        # degree n divided by the columns of every degeneracy into it, side
+        # by side; each has C_{n-1}, of dimension d, as its domain
+        pres = [QuotientPresentation.trivial(cm.spaces[0], f)]
+        for n in range(1, cm.N + 1):
+            ss, d = cm.degen[n - 1], cm.spaces[n - 1].dim
+            cols = {(i, k * d + j): v for k, s in enumerate(ss)
+                    for (i, j), v in s.entries.items()}
+            pres.append(quotient_by(cm.spaces[n], LinMap(
+                Space(len(ss) * d), cm.spaces[n], f, cols), f))
+    else:
+        pres = [None] * (cm.N + 1)
+    return _Homology(
+        [sp if p is None else p.quotient if chain else p.dom
+         for sp, p in zip(cm.spaces, pres)],
+        {n: _carry(d, pres[n], pres[n - 1 if chain else n + 1])
+         for n, d in cm.boundaries().items()}, chain, pres, f)
+
+
+def hochschild_homology(cm, normalized=False):
+    """Hochschild (co)homology, see `homology`."""
+    return homology(cm, "HH", normalized)
+
+
+def cyclic_homology_char0(cm):
+    """Cyclic (co)homology through the lambda-complex, see `homology`."""
+    return homology(cm, "HC")
 
 
 def transported_homology(cm_chain, xs):
-    """Hochschild dims of the chain complex conjugated through the
+    """Hochschild homology of the chain complex conjugated through the
     degreewise isomorphisms xs (an internal consistency oracle)."""
-    diffs = cm_chain.boundaries()
-    nd = {}
-    spaces = [xs[n].cod for n in range(cm_chain.N + 1)]
-    for n in range(1, cm_chain.N + 1):
-        nd[n] = xs[n - 1] @ (diffs[n] @ invert(xs[n]))
-    dims = _complex_dims(spaces, nd, cm_chain.N, True)
-    return HomologyReport("HH", "cyclic", dims, cm_chain.label + ".xi")
+    return _Homology(
+        [x.cod for x in xs[:cm_chain.N + 1]],
+        {n: xs[n - 1] @ (d @ invert(xs[n]))
+         for n, d in cm_chain.boundaries().items()},
+        True, [None] * (cm_chain.N + 1), cm_chain.field)
 
 
 # -- induced chain maps and certificates ----------------------------------
@@ -817,31 +831,13 @@ def hopf_galois_square(m, xvec, N):
     return rep
 
 
-def homology_presentation(cm, n):
-    """(cycle inclusion, quotient presentation) for degree n Hochschild
-    homology of a cyclic module; ValueError for a cocyclic one, and for a
-    degree n outside 0..N-1."""
-    if cm.variant != "cyclic":
-        raise ValueError("homology presentations implemented on the chain "
-                         "side")
-    if not 0 <= n < cm.N:
-        raise ValueError("degree %r outside the homology degrees 0..%d of %s"
-                         % (n, cm.N - 1, cm.label))
-    diffs = cm.boundaries()
-    f = cm.field
-    if n >= 1:
-        K = kernel(diffs[n])
-    else:
-        K = LinMap.identity(cm.spaces[0], f)
-    rel = solve_many(K, diffs[n + 1])
-    return K, quotient_by(K.dom, rel, f)
-
-
-def induced_on_homology(src_cm, dst_cm, maps, n):
-    """Matrix of the induced map on degree-n Hochschild homology."""
-    Ks, ps = homology_presentation(src_cm, n)
-    Kd, pd = homology_presentation(dst_cm, n)
-    X = solve_many(Kd, maps[n] @ Ks)
+def induced_on_homology(src, dst, maps, n):
+    """Matrix of the map on degree-n homology induced by the chain maps
+    `maps` between the modules of two homologies of one theory; maps[n]
+    is carried to their complexes first (see `_carry`)."""
+    Ks, ps = src.presentation(n)
+    Kd, pd = dst.presentation(n)
+    X = solve_many(Kd, _carry(maps[n], src.pres[n], dst.pres[n]) @ Ks)
     return pd.project(ps.lift(X))
 
 

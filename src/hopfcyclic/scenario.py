@@ -32,8 +32,8 @@ from .measuring import (
 from .cyclichom import (
     CharNotZero, build_cocyclic_CU, build_cocyclic_with_coeffs,
     build_cyclic_CU, build_cyclic_with_coeffs, check_chain_map,
-    check_cyclic_module, cyclic_homology_char0, hochschild_homology,
-    hopf_galois_square, induced_cyclic_map, measured_ends,
+    check_cyclic_module, homology, hopf_galois_square, induced_cyclic_map,
+    measured_ends,
 )
 from .lierinehart import (
     abelian_lr, check_lie_rinehart, check_lr_complex, lie_rinehart_homology,
@@ -163,43 +163,44 @@ _CATEGORIES = ("algebras", "coalgebras", "hopf_algebroids", "sayd_modules",
                "yd_algebras", "measurings", "comodule_measurings",
                "lie_rinehart", "operads", "comp_modules")
 
-_TASK_KINDS = ("validate", "homology", "measure", "induced", "hopf_galois")
-
-# the categories a task kind applies to; "validate" takes every category
+# the keys a task reads besides kind and object, by kind and category of
+# its object; any other category or key rejects the document
 _MEASURINGS = ("measurings", "comodule_measurings")
-_TASK_CATEGORIES = {
-    "homology": ("hopf_algebroids", "lie_rinehart"),
-    "measure": _MEASURINGS,
-    "induced": _MEASURINGS,
-    "hopf_galois": _MEASURINGS,
+_TASK_KEYS = {
+    "validate": {cat: () for cat in _CATEGORIES},
+    "homology": {"hopf_algebroids": ("max_degree", "theory", "variant",
+                                     "normalized", "coefficients"),
+                 "lie_rinehart": ("max_degree",)},
+    "measure": {cat: () for cat in _MEASURINGS},
+    "induced": {cat: ("element", "variant", "max_degree")
+                for cat in _MEASURINGS},
+    "hopf_galois": {cat: ("element", "max_degree") for cat in _MEASURINGS},
 }
 
 
-_VARIANTS = ("cyclic", "cocyclic")
-_THEORIES = ("HH", "HC")
+# the task keys with a fixed set of values, as (default, values)
+_CHOICES = {"variant": ("cyclic", ("cyclic", "cocyclic")),
+            "theory": ("HC", ("HH", "HC"))}
 
 
-def _check_homology_options(kind, t, where):
-    """The variant (homology, induced), theory (homology) and normalized
-    flag of a task, defaults filled in, as a dict; normalized homology
-    exists for HH on the chain side only."""
-    variant = t.get("variant", "cyclic")
-    if kind in ("homology", "induced") and variant not in _VARIANTS:
-        raise ParseError("variant in %s must be one of %s, got %r"
-                         % (where, "/".join(_VARIANTS), variant))
-    theory = t.get("theory", "HC")
-    if kind == "homology" and theory not in _THEORIES:
-        raise ParseError("theory in %s must be one of %s, got %r"
-                         % (where, "/".join(_THEORIES), theory))
-    normalized = t.get("normalized", False)
+def _check_homology_options(t, where):
+    """The variant, theory and normalized flag of a task, defaults filled
+    in, as a dict; normalized homology exists for HH on the chain side
+    only."""
+    opts = {}
+    for key, (default, values) in _CHOICES.items():
+        v = opts[key] = t.get(key, default)
+        if v not in values:
+            raise ParseError("%s in %s must be one of %s, got %r"
+                             % (key, where, "/".join(values), v))
+    normalized = opts["normalized"] = t.get("normalized", False)
     if not isinstance(normalized, bool):
         raise ParseError("normalized in %s must be true or false, got %r"
                          % (where, normalized))
-    if normalized and not (kind == "homology" and theory == "HH"
-                           and variant == "cyclic"):
+    if normalized and (opts["theory"], opts["variant"]) != ("HH", "cyclic"):
         raise ParseError("normalized in %s needs a homology task with "
                          "theory HH and variant cyclic" % where)
-    return {"variant": variant, "theory": theory, "normalized": normalized}
+    return opts
 
 
 class ScenarioDocument:
@@ -432,25 +433,29 @@ class ScenarioDocument:
             if not isinstance(t, dict):
                 raise ParseError(where + " must be an object")
             kind = t.get("kind")
-            if kind not in _TASK_KINDS:
+            if not isinstance(kind, str) or kind not in _TASK_KEYS:
                 raise ParseError("unknown task kind %r in %s" % (kind, where))
             name = t.get("object")
             if not isinstance(name, str) or name not in self.objects:
                 raise ReferenceError(
                     "unknown reference %r in %s" % (name, where))
             cat, obj = self.objects[name]
-            cats = _TASK_CATEGORIES.get(kind)
-            if cats is not None and cat not in cats:
+            cats = _TASK_KEYS[kind]
+            if cat not in cats:
                 raise ReferenceError(
                     "%s task on %r in %s: it is a %s, expected one of %s"
                     % (kind, name, where, cat, "/".join(cats)))
+            unread = sorted(set(t) - {"kind", "object", *cats[cat]})
+            if unread:
+                raise ParseError("%s task on %r in %s does not read %s" % (
+                    kind, name, where, ", ".join(map(repr, unread))))
             task = dict(t)
             task["max_degree"] = _count(t.get("max_degree", 3),
                                         "max_degree in " + where)
-            task.update(_check_homology_options(kind, t, where))
+            task.update(_check_homology_options(t, where))
             task["_index"] = idx
             coeff = t.get("coefficients")
-            if kind == "homology" and coeff is not None:
+            if coeff is not None:
                 ccat, p = self.objects.get(coeff, (None, None)) \
                     if isinstance(coeff, str) else (None, None)
                 if ccat != "sayd_modules":
@@ -459,7 +464,7 @@ class ScenarioDocument:
                 task["_coefficients"] = _over(
                     p, obj, "coefficients %r in %s" % (coeff, where),
                     self.objects)
-            if kind in ("induced", "hopf_galois"):
+            if "element" in cats[cat]:
                 ename = t.get("element")
                 if not isinstance(ename, str) or ename not in self.elements:
                     raise ReferenceError(
@@ -598,11 +603,8 @@ def _homology(task, cat, obj, top):
         return "LR", lie_rinehart_homology(obj, top)
     cm = _cyclic_module(obj, task.get("_coefficients"), task["variant"],
                         top + 1)
-    if task["theory"] == "HH":
-        hr = hochschild_homology(cm, normalized=task["normalized"])
-    else:
-        hr = cyclic_homology_char0(cm)
-    return task["theory"], hr.dims
+    return task["theory"], homology(cm, task["theory"],
+                                    task["normalized"]).dims
 
 
 def _induced(task, obj, top):

@@ -3,15 +3,17 @@ import pytest
 from hopfcyclic import cyclichom
 from hopfcyclic.algcore import AlgebraData
 from hopfcyclic.exactlin import (
-    QQ, DescentFailure, FieldSpec, LinMap, Pipe, Space, descend, kernel,
-    quotient_by, solve_many,
+    QQ, DescentFailure, FieldSpec, LinMap, NoSolution, Pipe, Space, descend,
+    kernel, quotient_by, rank, solve_many,
 )
 from hopfcyclic.hopfalgebroid import (
     HopfAlgebroidData, base_sayd_for_pair, gallery, group_hopf_algebroid,
     pair_hopf_algebroid,
 )
 from hopfcyclic.measuring import (
-    compose_measurings, derivation_pair_measuring, euler_derivation,
+    compose_comodule_measurings, compose_measurings,
+    derivation_pair_comodule_measuring, derivation_pair_measuring,
+    euler_derivation,
     zero_primitive_comodule_measuring, zero_primitive_measuring,
 )
 from hopfcyclic.hopfalgebroid import dual_numbers
@@ -20,7 +22,7 @@ from hopfcyclic.cyclichom import (
     build_cyclic_CU, build_cyclic_with_coeffs, check_chain_map,
     check_cyclic_module, check_hopf_galois_chain_map, check_mixed_complex,
     check_shuffle_measuring, check_shuffle_unital, cyclic_homology_char0,
-    hochschild_homology, homology_presentation, hopf_galois_chain_map,
+    hochschild_homology, homology, hopf_galois_chain_map,
     hopf_galois_square, induced_cyclic_map,
     induced_on_homology, mixed_complex, transported_homology,
 )
@@ -154,12 +156,11 @@ def test_boundaries_are_computed_once(field):
         assert all(b[n] == want[n] for n in want), name
         assert hochschild_homology(cm).dims == _HH[name]
         assert hochschild_homology(cc).dims == [1, 0, 0]
-        with pytest.raises(ValueError, match="chain side"):
-            homology_presentation(cc, 1)
-        with pytest.raises(ValueError, match="chain side"):
-            induced_on_homology(cc, cc, [], 1)
+        hcc = homology(cc)
+        assert [hcc.presentation(n)[1].quotient.dim for n in range(3)] \
+            == [1, 0, 0]
         for n in range(3):
-            K, pres = homology_presentation(cm, n)
+            K, pres = homology(cm).presentation(n)
             wantK = kernel(want[n]) if n else LinMap.identity(cm.spaces[0],
                                                               field)
             wp = quotient_by(wantK.dom, solve_many(wantK, want[n + 1]),
@@ -186,13 +187,14 @@ def test_char_p_cyclic_homology_raises(monkeypatch):
 def test_homology_presentation_rejects_degrees_out_of_range():
     cm = build_cyclic_CU(group_hopf_algebroid(2, QQ), 2)
     maps = [LinMap.identity(sp, QQ) for sp in cm.spaces]
+    hh = homology(cm)
     for n in (2, -1):
-        for read in (lambda: homology_presentation(cm, n),
-                     lambda: induced_on_homology(cm, cm, maps, n)):
+        for read in (lambda: hh.presentation(n),
+                     lambda: induced_on_homology(hh, hh, maps, n)):
             with pytest.raises(ValueError, match=r"degree %d outside the "
                                r"homology degrees 0\.\.1" % n):
                 read()
-    assert induced_on_homology(cm, cm, maps, 1).dom.dim == 0
+    assert induced_on_homology(hh, hh, maps, 1).dom.dim == 0
 
 
 def test_hopf_galois_chain_map_bijective(gal):
@@ -281,8 +283,8 @@ def test_shuffle_leibniz(euler):
 def test_homology_functoriality(euler):
     f = QQ
     comp = compose_measurings(euler, euler)
-    src = build_cyclic_CU(euler.src, 3)
-    dst = build_cyclic_CU(euler.dst, 3)
+    src = homology(build_cyclic_CU(euler.src, 3))
+    dst = homology(build_cyclic_CU(euler.dst, 3))
     xv = (f.zero, f.one)
     gv = (f.one, f.zero)
     # x (x) g acts as u -> g(x(u)) = x(u)
@@ -296,6 +298,80 @@ def test_homology_functoriality(euler):
         a2 = induced_on_homology(dst, dst, m2, n)
         az = induced_on_homology(src, dst, mz, n)
         assert (a2 @ a1 - az).is_zero(), n
+
+
+@pytest.mark.parametrize("field, theory, normalized, variant", [
+    (QQ, "HH", False, "cyclic"), (QQ, "HH", False, "cocyclic"),
+    (QQ, "HH", True, "cyclic"), (QQ, "HC", False, "cyclic"),
+    (QQ, "HC", False, "cocyclic"), (FieldSpec(5), "HH", False, "cyclic"),
+    (FieldSpec(5), "HH", False, "cocyclic")], ids=str)
+def test_homology_dims_match_presentations(field, theory, normalized,
+                                           variant):
+    """The ranks behind `dims` and the quotients of `presentation` are two
+    computations of one homology."""
+    for name, e in gallery(field).items():
+        for v, build in _builds(e, 4):
+            if v != variant:
+                continue
+            hom = homology(build(), theory, normalized)
+            assert [hom.presentation(n)[1].quotient.dim
+                    for n in range(4)] == hom.dims, name
+
+
+@pytest.mark.parametrize("coefficients", [False, True], ids=["plain", "base"])
+@pytest.mark.parametrize("variant", ["cyclic", "cocyclic"])
+def test_maps_on_cyclic_homology_and_cohomology(euler, gal, coefficients,
+                                                variant):
+    """The Euler measuring (g, x) of pair_dual, plain and through its
+    comodule measuring on the base algebra as coefficients: g induces the
+    identity on HC, x has rank 1 on chain-side HC_0 and HC_2 and rank 0
+    otherwise, and x (x) g of the composite induces the composite."""
+    f = QQ
+    N = 5
+    m = derivation_pair_comodule_measuring(euler, gal["pair_dual"].sayd) \
+        if coefficients else euler
+    comp = compose_comodule_measurings(m, m) if coefficients \
+        else compose_measurings(m, m)
+    builds = _builds(gal["pair_dual"], N)
+    hc = homology(dict(builds[2:] if coefficients else builds[:2])[variant](),
+                  "HC")
+    zv = [f.zero] * 4
+    zv[1 * 2 + 0] = f.one
+    mg, mx, mz = (induced_cyclic_map(mm, v, N, variant) for mm, v in (
+        (m, (f.one, f.zero)), (m, (f.zero, f.one)), (comp, tuple(zv))))
+    ranks = []
+    for n in range(4):
+        ag, ax, az = (induced_on_homology(hc, hc, maps, n)
+                      for maps in (mg, mx, mz))
+        assert ag == LinMap.identity(ag.dom, f), n
+        assert ag @ ax == az, n
+        ranks.append(rank(ax))
+    assert ranks == ([1, 0, 1, 0] if variant == "cyclic" else [0] * 4)
+
+
+def test_maps_on_cyclic_homology_certify_lambda(gal):
+    """A map that does not commute with lambda does not pass to the
+    lambda-complex: on the chain side it does not descend to C_2 / im(1 -
+    lambda), on the cochain side it leaves ker(1 - lambda)."""
+    f = QQ
+    h = gal["pair_dual"].hopf
+    cm = build_cyclic_CU(h, 3)
+    hc = homology(cm, "HC")
+    for j in range(1, 7):
+        maps = [LinMap.identity(sp, f) for sp in cm.spaces]
+        maps[2] = LinMap(cm.spaces[2], cm.spaces[2], f, {(0, j): f.one})
+        with pytest.raises(DescentFailure):
+            induced_on_homology(hc, hc, maps, 2)
+    cc = build_cocyclic_CU(h, 3)
+    hcc = homology(cc, "HC")
+    # e_1 e_1^T sends a lambda-invariant vector (one with coordinate 1) to
+    # a multiple of e_1, which is not lambda-invariant
+    assert any(i == 1 for i, _ in hcc.pres[2].entries)
+    assert any((LinMap.identity(cc.spaces[2], f) - cc.cyc[2]).column(1))
+    maps = [LinMap.identity(sp, f) for sp in cc.spaces]
+    maps[2] = LinMap(cc.spaces[2], cc.spaces[2], f, {(1, 1): f.one})
+    with pytest.raises(NoSolution):
+        induced_on_homology(hcc, hcc, maps, 2)
 
 
 def test_hopf_galois_check_reports_descent_failures_only(gal, monkeypatch):
@@ -738,7 +814,6 @@ def test_only_cyclic_operator_failures_surface_on_read(field, monkeypatch):
     failure that only the cyclic operators hit raises on the first read
     of `cyc`.  Both carry the reference's class and message, and reading
     the faces and degeneracies never raises."""
-    from hopfcyclic.exactlin import NoSolution
     real = cyclichom._module
 
     def eager(*args):
@@ -797,7 +872,6 @@ def _raising_delta_mutants(field):
     """group_c2 with one entry of delta_lift raised by one, for every entry
     where that makes translation_lift raise: (algebroid, SAYD module over
     it, the exception translation_lift raises)."""
-    from hopfcyclic.exactlin import NoSolution
     from hopfcyclic.hopfalgebroid import SaydModuleData, translation_lift
     from test_acceptance import _mutate
     e = gallery(field)["group_c2"]
@@ -860,3 +934,9 @@ def test_module_input_errors_are_typed():
                                    cm.degen, cm.cyc, cm.field)
     with pytest.raises(ValueError, match="chain side"):
         mixed_complex(build_cocyclic_CU(h, 2))
+    with pytest.raises(ValueError, match="unknown theory 'hh': HH or HC"):
+        homology(cm, "hh")
+    for args in ((cm, "HC", True), (build_cocyclic_CU(h, 2), "HH", True)):
+        with pytest.raises(ValueError, match="normalized homology is HH "
+                           "of the chain side"):
+            homology(*args)

@@ -376,6 +376,22 @@ _ROW = "must be 3 integer indices and a scalar or an integer " \
                      operads={"O": {"preset": "one_dimensional"}},
                      comp_modules={"X": {"operad": "O"}}),
      "unknown comp_module preset 'nope'"),
+    ({"lie_rinehart": {"L": {"preset": "abelian", "dim": 2}},
+      "tasks": [{"kind": "homology", "object": "L", "theory": "HH",
+                 "variant": "cocyclic"}]},
+     "homology task on 'L' in task 0 does not read 'theory', 'variant'"),
+    (_with_task(2, coefficients="nope", theory="nope"),
+     "induced task on 'm' in task 2 does not read 'coefficients', "
+     "'theory'"),
+    (_with_task(0, variant="nope", max_degree=2),
+     "validate task on 'H' in task 0 does not read 'max_degree', "
+     "'variant'"),
+    (_homology_task(max_degre=1),
+     "homology task on 'H' in task 0 does not read 'max_degre'"),
+    (_with_task(1, normalized=False),
+     "measure task on 'm' in task 1 does not read 'normalized'"),
+    (_with_task(3, variant="cyclic"),
+     "hopf_galois task on 'm' in task 3 does not read 'variant'"),
 ])
 def test_cli_rejects_malformed_input(tmp_path, capsys, doc, named):
     bad = tmp_path / "bad.json"
@@ -406,6 +422,16 @@ def test_cli_rejects_normalized_cocyclic_homology_without_traceback(
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     assert "normalized in task 0" in proc.stderr
+
+
+def test_cli_rejects_an_unread_task_key_under_optimize(tmp_path):
+    doc = tmp_path / "unread.json"
+    doc.write_text(json.dumps(_homology_task(theory="HH", max_degre=1)))
+    proc = _run_cli("report", str(doc), optimize=True)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "homology task on 'H' in task 0 does not read 'max_degre'" \
+        in proc.stderr
 
 
 def _scalar_on_pair(category, name, tasks):
