@@ -402,6 +402,16 @@ class BalancedTower:
     `factor_lact`: A (x) F -> F.  Levels are kept once grown, and so is
     the right A-action of each level (through its last slot), computed
     the first time a growth or a cap reads it.
+
+    Free levels follow from one certificate.  On a free level the right
+    A-action through the last slot is id (x) factor_ract, so the relations
+    of level k over a free level k - 1 are id (x) r on level(k - 1) (x) F,
+    with r = factor_ract (x) id - id (x) factor_lact on F (x) A (x) F.
+    Level 2 free (over a free level 1) says that id_X (x) r vanishes, so r
+    does wherever X is not zero.  Then for k >= 3 a free level k - 1 gives
+    a free level k: the trivial presentation of level(k - 1) (x) F, formed
+    with no action, relation or tensor product.  Every other level goes
+    through `cap`.
     """
 
     def __init__(self, base, base_ract, factor_space, factor_ract,
@@ -416,8 +426,14 @@ class BalancedTower:
         lst = self._levels
         while len(lst) <= n:
             k = len(lst)
-            lst.append(self.cap(k - 1, self._factor, self.factor_lact,
-                                "%s[%d]" % (self.label, k)))
+            label = "%s[%d]" % (self.label, k)
+            if k >= 3 and lst[1].free and lst[2].free and lst[k - 1].free:
+                lst.append(QuotientPresentation.trivial(
+                    tensor_space(lst[k - 1].ambient, self._factor.ambient,
+                                 label), self.field))
+            else:
+                lst.append(self.cap(k - 1, self._factor, self.factor_lact,
+                                    label))
             self._racts.append(None)
         return lst[n]
 

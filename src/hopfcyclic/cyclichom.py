@@ -163,7 +163,10 @@ def _window_ops(h, p=None):
     `certify` checks each part of this certificate once per window op, on
     a source tower with relations, and raises DescentFailure on a failed
     part; `evaluate` forms the operator on the section columns of the
-    source only.  Both take the arguments of a window op.  `side` names
+    source only, as one Pipe stage that applies the window map phi =
+    st(Pipe(wd), 0) to the slots of the window (on the identity of the
+    ambient where the source is free).  Both take the arguments of a
+    window op, and phi is formed once per op and window dims.  `side` names
     the towers: "R" (rtower) and "L" (ltower) for windows of U slots,
     "chain" and "cochain" for windows at the coefficient slot of
     p.chain_tower (P first) and p.capped_tower (P last).
@@ -172,6 +175,7 @@ def _window_ops(h, p=None):
     da = h.A.space.dim
     done = set()
     p_actions = {}
+    windows = {}
     # the local tower on k window slots
     tower = {"R": h.rtower, "L": h.ltower,
              "chain": lambda k: p.chain_tower(k - 1),
@@ -190,14 +194,22 @@ def _window_ops(h, p=None):
         grower = h._grower("R" if side in ("R", "chain") else "L")
         return grower.factor_lact if end == "left" else grower.factor_ract
 
+    def window(st, wd):
+        """(phi, its target dims): st on a window of the slot dims wd."""
+        key = (st, tuple(wd))
+        if key not in windows:
+            phi = st(Pipe(wd, f), 0)
+            windows[key] = phi.map, phi.dims
+        return windows[key]
+
     def witness(side, st, wd, part):
         """The failure of one part of the certificate, or None."""
         k_in = len(wd)
-        phi = st(Pipe(wd, f), 0)
-        k_out = len(phi.dims)
+        phi, out_dims = window(st, wd)
+        k_out = len(out_dims)
         dst = tower[side](k_out)
         if part == "descent":
-            return descent_witness(phi.map, tower[side](k_in), dst)
+            return descent_witness(phi, tower[side](k_in), dst)
         if part == "left":      # phi(a.w) against a.phi(w)
             lhs = st(Pipe([da] + wd, f)
                      .block(0, 2, action(side, k_in, "left")), 0)
@@ -237,9 +249,11 @@ def _window_ops(h, p=None):
             done.add((side, st, part))
 
     def evaluate(side, st, k_in, s, src, dst, dims):
-        """dst.project of id (x) st (x) id on the section columns of src,
+        """dst.project of id (x) phi (x) id on the section columns of src,
         whose ambient splits into `dims`."""
-        return dst.project(st(Pipe.after(src.section, dims), s).map)
+        phi, out_dims = window(st, dims[s:s + k_in])
+        pipe = Pipe(dims, f) if src.free else Pipe.after(src.section, dims)
+        return dst.project(pipe.block(s, k_in, phi, out_dims).map)
 
     return certify, evaluate
 

@@ -425,7 +425,8 @@ class Pipe:
     given map into that product, see `after`).  Each stage acts on the
     current target factors by rewriting row indices in the flat layout of
     tensor_space, so no identity Kronecker product or permutation matrix is
-    ever formed.
+    ever formed.  A fresh pipe holds no entries (`entries` is None) until
+    its first stage, which writes id (x) op (x) id directly.
 
     The entries are integer sums over one denominator `den`: each stage
     reads its op's integer form, sums plain ints and multiplies `den` by
@@ -438,7 +439,7 @@ class Pipe:
         self.dims = list(dims)
         self.field = field
         self.dom_dim = _prod(self.dims)
-        self.entries = {(i, i): 1 for i in range(self.dom_dim)}
+        self.entries = None     # the identity
         self.den = 1
 
     @classmethod
@@ -461,6 +462,8 @@ class Pipe:
         assert sorted(order) == list(range(m)), order
         if list(order) == list(range(m)):
             return self
+        if self.entries is None:
+            self.entries = {(i, i): 1 for i in range(self.dom_dim)}
         new_dims = [self.dims[k] for k in order]
         # every factor keeps its digit and takes the stride of its new place
         old = []
@@ -517,25 +520,40 @@ class Pipe:
         width = _prod(out_dims)
         assert op.dom.dim == size * mid and op.cod.dim == width, \
             (op.dom.dim, size, mid, op.cod.dim, width)
-        p = self.field.char
         nums, den = op._nums()
         src = self.dom_dim
-        by_col = {}
-        for (i, c), w in nums.items():
-            b, k = divmod(c, mid)
-            by_col.setdefault(k, []).append((i, b * src, w))
         entries = self.entries
-        if p:
-            entries = {k: r for k, v in entries.items() if (r := v % p)}
-        out = {}
-        get = out.get
-        for (row, j), v in entries.items():
-            lk, r = divmod(row, right)
-            l, k = divmod(lk, mid)
-            base = l * width
-            for i, b, w in by_col.get(k, ()):
-                key = ((base + i) * right + r, b + j)
-                out[key] = get(key, 0) + w * v
+        if entries is None:
+            # id (x) op (x) id, each entry written once: source column
+            # (b, l, k, r) goes to row (l, i, r) for op entry (i, (b, k))
+            terms = []
+            for (i, c), w in nums.items():
+                b, k = divmod(c, mid)
+                terms.append((i * right, b * src + k * right, w))
+            out = {}
+            for l in range(_prod(self.dims[:start])):
+                rl, cl = l * width * right, l * mid * right
+                for ir, ck, w in terms:
+                    row, col = rl + ir, cl + ck
+                    for r in range(right):
+                        out[(row + r, col + r)] = w
+        else:
+            by_col = {}
+            for (i, c), w in nums.items():
+                b, k = divmod(c, mid)
+                by_col.setdefault(k, []).append((i, b * src, w))
+            p = self.field.char
+            if p:
+                entries = {k: r for k, v in entries.items() if (r := v % p)}
+            out = {}
+            get = out.get
+            for (row, j), v in entries.items():
+                lk, r = divmod(row, right)
+                l, k = divmod(lk, mid)
+                base = l * width
+                for i, b, w in by_col.get(k, ()):
+                    key = ((base + i) * right + r, b + j)
+                    out[key] = get(key, 0) + w * v
         self.entries = out
         self.den *= den
         self.dims[start:start + count] = out_dims
@@ -544,6 +562,8 @@ class Pipe:
 
     @property
     def map(self):
+        if self.entries is None:
+            return LinMap.identity(Space(self.dom_dim), self.field)
         return _sum_map(Space(self.dom_dim), Space(_prod(self.dims)),
                         self.field, self.entries, self.den)
 
@@ -886,10 +906,18 @@ def descend(f_free, src, dst):
     """Descend a map on ambient spaces to the quotients: the map
     quotient(src) -> quotient(dst) it induces on the lifts of src's
     quotient basis.  Raises DescentFailure with the witness of
-    descent_witness where the map does not kill src's relations."""
-    witness = descent_witness(f_free, src, dst)
-    if witness is not None:
+    descent_witness where the map does not kill src's relations.
+
+    The map is projected first, g = dst.project(f_free), and the result
+    is src.lift(g).  Descent holds iff src.lift(g) @ src.projection == g,
+    that is g (1 - section projection) = 0, the condition descent_witness
+    checks; the kernel-span product runs only to name a failure.
+    """
+    g = dst.project(f_free)
+    out = src.lift(g)
+    if src.quotient.dim != src.ambient.dim and out @ src.projection != g:
+        witness = descent_witness(f_free, src, dst)
         raise DescentFailure(
             "map does not descend (relation column %d)" % witness[0],
             witness=witness)
-    return dst.project(src.lift(f_free))
+    return out

@@ -149,7 +149,7 @@ def matrix_coalgebra(f):
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
-@pytest.mark.parametrize("f", [QQ, FieldSpec(5)])
+@pytest.mark.parametrize("f", [QQ, FieldSpec(5)], ids=repr)
 def test_iterated_coaction_vector_is_in_sweedler_order(side, f):
     """y_(0) (x) y_(1) (x) ... (x) y_(n) (right) and y_(-n) (x) ... (x)
     y_(-1) (x) y_(0) (left), keyed with the comodule index first, equal

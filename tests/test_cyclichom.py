@@ -827,6 +827,10 @@ def test_only_cyclic_operator_failures_surface_on_read(field, monkeypatch):
         except (DescentFailure, NoSolution) as exc:
             return type(exc), str(exc)
 
+    from test_exactlin import witness_checked
+    failures = []
+    monkeypatch.setattr(cyclichom, "descend",
+                        witness_checked(cyclichom.descend, failures))
     moved = set()
     for name, h, p in _structure_mutants(field):
         for build, args in ((build_cyclic_CU, (h,)),
@@ -851,6 +855,30 @@ def test_only_cyclic_operator_failures_surface_on_read(field, monkeypatch):
     # where no face or degeneracy does
     assert {("S", "build_cocyclic_CU"),
             ("delta_lift", "build_cyclic_CU")} <= moved
+    # and each failure of descend named the witness of descent_witness
+    assert failures
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_descend_is_the_projected_lift_on_the_gallery(field, monkeypatch):
+    """descend projects first; on every operator of the gallery that goes
+    through it (cyclic operators, Hopf-Galois maps) the result is the
+    section lift projected into the target, as before."""
+    real = cyclichom.descend
+    seen = []
+
+    def compared(f_free, src, dst):
+        got = real(f_free, src, dst)
+        assert got == dst.project(src.lift(f_free))
+        seen.append(src.free)
+        return got
+    monkeypatch.setattr(cyclichom, "descend", compared)
+    for name, e in gallery(field).items():
+        for cm in _four_modules(e.hopf, e.sayd, 3):
+            cm.cyc
+        hopf_galois_chain_map(e.hopf, 3)
+        hopf_galois_chain_map(e.hopf, 3, e.sayd)
+    assert set(seen) == {True, False}
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)

@@ -2,7 +2,7 @@ from fractions import Fraction
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopfcyclic.algcore import Report
 from hopfcyclic.exactlin import (
@@ -113,10 +113,30 @@ def test_descend_failure_witness():
     bad = mk([[1, 0], [0, 2]])
     with pytest.raises(DescentFailure) as exc:
         descend(bad, pres, ident_pres)
-    assert exc.value.witness is not None
+    want = descent_witness(bad, pres, ident_pres)
+    assert want is not None and exc.value.witness == want
+    assert str(exc.value) == \
+        "map does not descend (relation column %d)" % want[0]
     good = mk([[1, 1], [0, 0]])
     d = descend(good, pres, ident_pres)
     assert d.dom.dim == 1 and d.cod.dim == 2
+
+
+def witness_checked(descend_fn, failures):
+    """descend_fn, asserting that each DescentFailure it raises carries the
+    witness of descent_witness on the same arguments and the message
+    naming its column; the witnesses go to `failures`."""
+    def checked(f_free, src, dst):
+        try:
+            return descend_fn(f_free, src, dst)
+        except DescentFailure as exc:
+            want = descent_witness(f_free, src, dst)
+            assert want is not None and exc.witness == want
+            assert str(exc) == \
+                "map does not descend (relation column %d)" % want[0]
+            failures.append(want)
+            raise
+    return checked
 
 
 def test_fp_field_arithmetic():
@@ -306,6 +326,61 @@ def test_pipe_family_matches_a_leading_parameter_factor(case, data):
 def test_pipe_starts_as_identity(f, dims):
     pipe = Pipe(dims, f)
     assert pipe.map == LinMap.identity(Space(_prod(dims)), f)
+
+
+@st.composite
+def stage_runs(draw):
+    """A field, factor dims and up to three Pipe stages, each valid on the
+    dims the stages before it leave: ("block", start, count, op, out_dims),
+    ("family", start, count, op, size, out_dims) or ("permute", order)."""
+    f = draw(fields)
+    dims = draw(factor_dims)
+    cur = list(dims)
+    stages = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["permute", "block", "family"]))
+        if kind == "permute":
+            order = list(draw(st.permutations(range(len(cur)))))
+            stages.append(("permute", order))
+            cur = [cur[k] for k in order]
+            continue
+        start = draw(st.integers(min_value=0, max_value=len(cur)))
+        count = draw(st.integers(min_value=0, max_value=len(cur) - start))
+        size = draw(st.integers(min_value=1, max_value=3)) \
+            if kind == "family" else 1
+        out_dims = draw(st.lists(st.integers(min_value=1, max_value=3),
+                                 min_size=1, max_size=2))
+        op = _random_map(draw, f, size * _prod(cur[start:start + count]),
+                         _prod(out_dims), rational=True)
+        stages.append((kind, start, count, op, size, out_dims))
+        cur[start:start + count] = out_dims
+    return f, dims, stages
+
+
+@settings(max_examples=120, deadline=None)
+@given(stage_runs())
+@example((QQ, [2, 3], []))
+@example((FieldSpec(5), [2, 3, 2], [("permute", [2, 0, 1])]))
+def test_fresh_pipe_agrees_with_a_pipe_after_the_identity(case):
+    """A fresh Pipe holds no entries until its first stage, which writes
+    id (x) op (x) id directly; every run of stages, none included, gives
+    what it gives on a pipe continued from the identity map."""
+    f, dims, stages = case
+    fresh = Pipe(dims, f)
+    after = Pipe.after(LinMap.identity(Space(_prod(dims)), f), dims)
+    for stage in stages:
+        for pipe in (fresh, after):
+            kind, *args = stage
+            if kind == "permute":
+                pipe.permute(*args)
+            elif kind == "block":
+                start, count, op, _, out_dims = args
+                pipe.block(start, count, op, out_dims)
+            else:
+                pipe.family(*args)
+        assert fresh.dims == after.dims
+    assert fresh.map == after.map
+    _assert_canonical(fresh.map)
 
 
 # -- elimination: properties over Q, F5 and F7, and a dense oracle -----------

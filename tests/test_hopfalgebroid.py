@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcyclic.algcore import AlgebraData, balanced_tensor
+from hopfcyclic import algcore
+from hopfcyclic.algcore import (
+    AlgebraData, action_on_last_slot, balanced_tensor,
+)
 from hopfcyclic.exactlin import (
     QQ, FieldSpec, LinMap, Pipe, QuotientPresentation, Space, kron_vec,
     pack_slices,
@@ -44,6 +47,109 @@ def test_tower_dims_pair(gal):
 def test_tower_dims_group(gal):
     h = gal["group_c2"].hopf
     assert [h.ltower(n).quotient.dim for n in (1, 2, 3)] == [2, 4, 8]
+
+
+def _levels_by_cap(base, base_ract, factor_ract, factor_lact, aspace, n):
+    """Levels 0..n of a balanced tower, each one the balanced tensor
+    product of the level before with the factor, as `cap` forms it."""
+    f = base.projection.field
+    factor = QuotientPresentation.trivial(factor_ract.cod, f)
+    levels, ract = [base], base_ract
+    for k in range(1, n + 1):
+        if k > 1:
+            ract = action_on_last_slot(levels[-1], factor_ract, aspace, f)
+        levels.append(balanced_tensor(levels[-1], factor, ract, factor_lact,
+                                      aspace, f))
+    return levels
+
+
+def _same_presentation(got, want):
+    return (got.ambient.dim, got.quotient.dim, got.free) == \
+        (want.ambient.dim, want.quotient.dim, want.free) and \
+        got.projection == want.projection and got.section == want.section
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_free_tower_levels_equal_growth_through_cap(field, n):
+    """The L and R towers of k[C_n], and the chain and capped towers of its
+    scalar SAYD module, up to level 6: every level the tower grows from
+    the free-level certificate is the one the balanced tensor product
+    gives."""
+    h = group_hopf_algebroid(n, field)
+    p = scalar_sayd(h)
+    r, l = h._grower("R"), h._grower("L")
+    base_u = QuotientPresentation.trivial(h.U.space, field)
+    base_p = QuotientPresentation.trivial(p.space, field)
+    for tower, g, base, base_ract in (
+            (h.rtower, r, base_u, r.factor_ract),
+            (h.ltower, l, base_u, l.factor_ract),
+            (lambda k: p.chain_tower(k - 1), r, base_p,
+             p.right_arrow_action())):
+        want = _levels_by_cap(base, base_ract, g.factor_ract, g.factor_lact,
+                              h.A.space, 6)
+        for k in range(7):
+            assert _same_presentation(tower(k + 1), want[k]), (g.label, k)
+    # capped level k is L level k - 1 (x)_A P
+    levels = _levels_by_cap(base_u, l.factor_ract, l.factor_ract,
+                            l.factor_lact, h.A.space, 5)
+    for k in range(1, 7):
+        ract = l.factor_ract if k == 1 else action_on_last_slot(
+            levels[k - 1], l.factor_ract, h.A.space, field)
+        want = balanced_tensor(levels[k - 1], base_p, ract,
+                               p.left_a_action(), h.A.space, field)
+        assert _same_presentation(p.capped_tower(k), want), k
+
+
+def test_a_free_level_over_a_non_free_level_two_goes_through_cap():
+    """Over the dual numbers A, with X = k and A acting on X and on the
+    left of F = A through the counit (e -> 0), and on the right of F by
+    multiplication: level 1 is free, level 2 is not (f e (x) f' = 0), and
+    every level is the one the balanced tensor product gives."""
+    A = dual_numbers(QQ)
+    x = Space(1)
+    eps = LinMap(Space(2), x, QQ, {(0, 0): 1})
+    lact = LinMap(Space(4), A.space, QQ, {(0, 0): 1, (1, 1): 1})
+    tower = algcore.BalancedTower(QuotientPresentation.trivial(x, QQ), eps,
+                                  A.space, A.mul, lact, A.space, QQ)
+    want = _levels_by_cap(QuotientPresentation.trivial(x, QQ), eps, A.mul,
+                          lact, A.space, 4)
+    assert tower[1].free and not tower[2].free
+    for k in range(5):
+        assert _same_presentation(tower[k], want[k]), k
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(algcore, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(algcore, name, counted)
+    return calls
+
+
+def test_free_towers_grow_past_level_two_with_no_tensor_product(
+        monkeypatch):
+    """Levels 3 and up of a free tower whose levels 1 and 2 are free come
+    from the certificate: growing one to level 6 forms at most two
+    balanced tensor products and one action, whatever the tower; a pair
+    tower, which has relations, forms a product at every level and an
+    action at every level past the first."""
+    products = _counting(monkeypatch, "balanced_tensor")
+    actions = _counting(monkeypatch, "action_on_last_slot")
+    h = group_hopf_algebroid(3, QQ)
+    p = scalar_sayd(h)
+    for grow in (lambda: h.rtower(7), lambda: h.ltower(7),
+                 lambda: p.chain_tower(6)):
+        del products[:], actions[:]
+        assert grow().free
+        assert len(products) <= 2 and len(actions) <= 1
+    pd = gallery()["pair_dual"].hopf
+    del products[:], actions[:]
+    assert not pd.rtower(5).free
+    assert len(products) == 4 and len(actions) == 3
 
 
 def test_hopf_galois_gallery(gal):

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from hopfcyclic import operadcyc
 from hopfcyclic.algcore import ComoduleData
 from hopfcyclic.exactlin import (
     QQ, DescentFailure, FieldSpec, LinMap, Pipe, QuotientPresentation, Space,
-    descend, kernel, pack_slices, solve, tensor_presentation,
+    descend, descent_witness, kernel, pack_slices, solve,
+    tensor_presentation,
 )
 from hopfcyclic.hopfalgebroid import (
     SaydModuleData, gallery, group_hopf_algebroid, scalar_sayd,
@@ -492,7 +494,9 @@ def test_descend_family_is_descend_slice_by_slice(field):
                     outcomes.add("fail" if b == 0 else "fail past slice 0")
                     with pytest.raises(DescentFailure) as exc:
                         descend(packed, tensor_presentation(fam, src), dst)
-                    assert exc.value.witness == (b * n_rel + r, col)
+                    assert exc.value.witness == (b * n_rel + r, col) == \
+                        descent_witness(packed,
+                                        tensor_presentation(fam, src), dst)
                     assert str(exc.value) == \
                         "map does not descend (relation column %d)" \
                         % (b * n_rel + r)
@@ -505,13 +509,17 @@ def test_descend_family_is_descend_slice_by_slice(field):
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
-def test_hom_coords_on_a_tower_with_relations(field):
+def test_hom_coords_on_a_tower_with_relations(field, monkeypatch):
     # the operads of scalar YD algebras live on free towers; on the pair
     # tower the batched coordinates still equal one solve per map, and a
     # family with a map that does not factor through the tower raises
     # descend's DescentFailure from K (x) W_2 to Z: relation column
     # b * n_rel + r for the first such map b and its own witness (r, column)
+    from test_exactlin import witness_checked
     rng = random.Random(11)
+    failures = []
+    monkeypatch.setattr(operadcyc, "descend",
+                        witness_checked(operadcyc.descend, failures))
     h = gallery(field)["pair_dual"].hopf
     pres = h.rtower(2)
     n_rel = pres.relations.dom.dim
@@ -541,7 +549,7 @@ def test_hom_coords_on_a_tower_with_relations(field):
             outcomes.add("fail" if b == 0 else "fail past slice 0")
             with pytest.raises(DescentFailure) as exc:
                 _hom_coords(hom_data, 2, pack_slices(maps, field))
-            assert exc.value.witness == (b * n_rel + r, col)
+            assert exc.value.witness == (b * n_rel + r, col) == failures[-1]
             continue
         assert _first_failing_slice(maps, pres, triv_z) is None
         outcomes.add("ok")

@@ -267,131 +267,160 @@ _ROW = "must be 3 integer indices and a scalar or an integer " \
     "numerator/denominator pair"
 
 
+def _case(tag, doc, named):
+    """A malformed-input case with the explicit id `tag-named`, so that
+    inserting a case renames no other.  The first cases keep as tags the
+    docN of the positional ids they were first collected under; a new
+    case takes a tag of its own, naming what it breaks."""
+    return pytest.param(doc, named, id="%s-%s" % (tag, named))
+
+
 @pytest.mark.parametrize("doc, named", [
-    (_task_degree("x"), "max_degree in task 0"),
-    (_task_degree(-3), "max_degree in task 0"),
-    (_task_degree(True), "max_degree in task 0"),
-    (_task_degree(2.0), "max_degree in task 0"),
-    (_operad_arity("x"), "max_arity of operad 'O'"),
-    (_operad_arity(-3), "max_arity of operad 'O'"),
-    (_operad_arity(True), "max_arity of operad 'O'"),
-    (_operad_arity(1, "yd"), "max_arity of operad 'O'"),
-    (_comp_degree("x"), "max_degree of comp_module 'L'"),
-    (_comp_degree(-3), "max_degree of comp_module 'L'"),
-    (_comp_degree(True), "max_degree of comp_module 'L'"),
-    ({"algebras": [1, 2]}, "algebras must be a JSON object"),
-    ({"operads": "O"}, "operads must be a JSON object"),
-    ({"algebras": {"A": [1]}}, "algebras 'A' must be a JSON object"),
-    ({"elements": [1]}, "elements must be a JSON object"),
-    ({"algebras": {"A": {"preset": "group", "order": "x"}}},
-     "order of algebra 'A'"),
-    ({"lie_rinehart": {"L": {"preset": "abelian", "dim": -1}}},
-     "dim of lie_rinehart 'L'"),
-    ({"field": "F4"}, "not a prime field: 'F4'"),
-    ({"field": "F1"}, "not a prime field: 'F1'"),
-    ({"field": "F0"}, "not a prime field: 'F0'"),
-    ({"field": "F²"}, "not a prime field: 'F²'"),
-    ({"operads": {"O": {"preset": "one_dimensional"}},
-      "comp_modules": {"L": {"preset": "one_dimensional", "operad": "O"}},
-      "tasks": [{"kind": "homology", "object": "L"}]},
-     "homology task on 'L' in task 0: it is a comp_modules"),
-    ({"hopf_algebroids": {"H": {"preset": "trivial"}},
-      "elements": {"x": ["1"]},
-      "tasks": [{"kind": "induced", "object": "H", "element": "x"}]},
-     "induced task on 'H' in task 0: it is a hopf_algebroids"),
-    ({"hopf_algebroids": {"H": {"preset": "trivial"}},
-      "tasks": [{"kind": "measure", "object": "H"}]},
-     "measure task on 'H' in task 0: it is a hopf_algebroids"),
-    (_homology_task(variant="sideways"),
-     "variant in task 0 must be one of cyclic/cocyclic, got 'sideways'"),
-    (_induced_task("sideways"),
-     "variant in task 0 must be one of cyclic/cocyclic, got 'sideways'"),
-    (_induced_task(None), "variant in task 0"),
-    (_homology_task(theory="XX"),
-     "theory in task 0 must be one of HH/HC, got 'XX'"),
-    (_homology_task(theory="hh"), "theory in task 0"),
-    (_homology_task(theory="HH", normalized="yes"),
-     "normalized in task 0 must be true or false, got 'yes'"),
-    (_homology_task(theory="HH", normalized=1),
-     "normalized in task 0 must be true or false, got 1"),
-    (_homology_task(theory="HH", variant="cocyclic", normalized=True),
-     "normalized in task 0 needs a homology task with theory HH"),
-    (_homology_task(normalized=True),
-     "normalized in task 0 needs a homology task with theory HH"),
-    ([1], "scenario must be a JSON object"),
-    (_with_mul([[0, 0, 1]]), "a row of mul in algebra A " + _ROW),
-    (_with_mul([[0, "a", 0, 1]]), "a row of mul in algebra A " + _ROW),
-    (_with_mul([5]), "got 5"),
-    (_with_mul(5), "mul in algebra A must be a list of rows"),
-    (_with_mul([[True, 1, 0, 1, 1]]), "got [True, 1, 0, 1, 1]"),
-    (_with_mul([[0, 0, 0, 1, 1, 1]]), "a row of mul in algebra A"),
-    (_with_mul([[0, 0, 0, "1", 2]]), "bad scalar ['1', 2] in algebra A"),
-    (_with_mul([[0, 0, 0, 1, 0]]), "bad scalar [1, 0] in algebra A"),
-    (_with_mul([[0, 0, 0, 1.5]]), "bad scalar 1.5 in algebra A"),
-    (_with_mul([[0, 0, 2, 1]]), "mul index out of range in algebra A"),
-    (_with_mul([[0, -1, 0, 1]]), "mul index out of range in algebra A"),
-    (_with_unit([True, False]), "bad scalar True in algebra A"),
-    (_with_unit(["1/0", "0"]), "bad scalar '1/0' in algebra A"),
-    (_with_unit(["1"]), "unit of A must have 2 coordinates"),
-    (_with_derivation([[1, 1]]), "a row of derivation in measuring m must "
-     "be 2 integer indices"),
-    (_with_derivation([[1, 2, 1]]),
-     "derivation index out of range in measuring m"),
-    (_with_derivation({}), "derivation in measuring m must be a list"),
-    ({"algebras": {"A": {"unit": ["1"]}}},
-     "dim of algebra 'A' must be an integer >= 1, got None"),
-    ({"algebras": {"A": {"dim": True, "unit": ["1"]}}},
-     "dim of algebra 'A' must be an integer >= 1, got True"),
-    (_with_task(0, object=["H"]), "unknown reference ['H'] in task 0"),
-    (_with_task(2, element={"x": 1}), "unknown element {'x': 1} in task 2"),
-    (_with_task(2, element="y"), "unknown element 'y' in task 2"),
-    (_with_task(2, kind="prove"), "unknown task kind 'prove' in task 2"),
-    ({"tasks": {"kind": "validate"}}, "tasks must be a list"),
-    ({"tasks": [1]}, "task 0 must be an object"),
-    ({"elements": {"x": 1}}, "element 'x' must be a coordinate list"),
-    ({"elements": {"x": [False]}}, "bad scalar False in element x"),
-    ({"hopf_algebroids": {"H": {"pair_of": "B"}}},
-     "unknown reference 'B' in hopf_algebroid H"),
-    ({"hopf_algebroids": {"T": {"preset": "trivial"},
-                          "H": {"pair_of": "T"}}},
-     "'T' referenced in hopf_algebroid H is a hopf_algebroids, expected "
-     "one of algebras"),
-    ({"algebras": {"A": {"preset": "nope"}}},
-     "unknown algebra preset 'nope'"),
-    (_unknown_preset("coalgebras"), "unknown coalgebra preset 'nope'"),
-    (_unknown_preset("hopf_algebroids"),
-     "unknown hopf_algebroid preset 'nope'"),
-    (_unknown_preset("sayd_modules"), "unknown sayd preset 'nope'"),
-    (_unknown_preset("yd_algebras"), "unknown yd_algebra preset 'nope'"),
-    (_unknown_preset("measurings"), "unknown measuring preset 'nope'"),
-    (_unknown_preset("comodule_measurings",
-                     sayd_modules={"P": {"preset": "scalar", "hopf": "H"}},
-                     measurings={"m": {"preset": "identity", "hopf": "H"}},
-                     comodule_measurings={"X": {"measuring": "m",
-                                                "sayd": "P"}}),
-     "unknown comodule_measuring preset 'nope'"),
-    (_unknown_preset("lie_rinehart"), "unknown lie_rinehart preset 'nope'"),
-    (_unknown_preset("operads"), "unknown operad preset 'nope'"),
-    (_unknown_preset("comp_modules",
-                     operads={"O": {"preset": "one_dimensional"}},
-                     comp_modules={"X": {"operad": "O"}}),
-     "unknown comp_module preset 'nope'"),
-    ({"lie_rinehart": {"L": {"preset": "abelian", "dim": 2}},
-      "tasks": [{"kind": "homology", "object": "L", "theory": "HH",
-                 "variant": "cocyclic"}]},
-     "homology task on 'L' in task 0 does not read 'theory', 'variant'"),
-    (_with_task(2, coefficients="nope", theory="nope"),
-     "induced task on 'm' in task 2 does not read 'coefficients', "
-     "'theory'"),
-    (_with_task(0, variant="nope", max_degree=2),
-     "validate task on 'H' in task 0 does not read 'max_degree', "
-     "'variant'"),
-    (_homology_task(max_degre=1),
-     "homology task on 'H' in task 0 does not read 'max_degre'"),
-    (_with_task(1, normalized=False),
-     "measure task on 'm' in task 1 does not read 'normalized'"),
-    (_with_task(3, variant="cyclic"),
-     "hopf_galois task on 'm' in task 3 does not read 'variant'"),
+    _case("doc0", _task_degree("x"), "max_degree in task 0"),
+    _case("doc1", _task_degree(-3), "max_degree in task 0"),
+    _case("doc2", _task_degree(True), "max_degree in task 0"),
+    _case("doc3", _task_degree(2.0), "max_degree in task 0"),
+    _case("doc4", _operad_arity("x"), "max_arity of operad 'O'"),
+    _case("doc5", _operad_arity(-3), "max_arity of operad 'O'"),
+    _case("doc6", _operad_arity(True), "max_arity of operad 'O'"),
+    _case("doc7", _operad_arity(1, "yd"), "max_arity of operad 'O'"),
+    _case("doc8", _comp_degree("x"), "max_degree of comp_module 'L'"),
+    _case("doc9", _comp_degree(-3), "max_degree of comp_module 'L'"),
+    _case("doc10", _comp_degree(True), "max_degree of comp_module 'L'"),
+    _case("doc11", {"algebras": [1, 2]}, "algebras must be a JSON object"),
+    _case("doc12", {"operads": "O"}, "operads must be a JSON object"),
+    _case("doc13",
+          {"algebras": {"A": [1]}}, "algebras 'A' must be a JSON object"),
+    _case("doc14", {"elements": [1]}, "elements must be a JSON object"),
+    _case("doc15", {"algebras": {"A": {"preset": "group", "order": "x"}}},
+          "order of algebra 'A'"),
+    _case("doc16", {"lie_rinehart": {"L": {"preset": "abelian", "dim": -1}}},
+          "dim of lie_rinehart 'L'"),
+    _case("doc17", {"field": "F4"}, "not a prime field: 'F4'"),
+    _case("doc18", {"field": "F1"}, "not a prime field: 'F1'"),
+    _case("doc19", {"field": "F0"}, "not a prime field: 'F0'"),
+    _case("doc20", {"field": "F²"}, "not a prime field: 'F²'"),
+    _case("doc21", {"operads": {"O": {"preset": "one_dimensional"}},
+           "comp_modules": {"L": {"preset": "one_dimensional", "operad": "O"}},
+           "tasks": [{"kind": "homology", "object": "L"}]},
+          "homology task on 'L' in task 0: it is a comp_modules"),
+    _case("doc22", {"hopf_algebroids": {"H": {"preset": "trivial"}},
+           "elements": {"x": ["1"]},
+           "tasks": [{"kind": "induced", "object": "H", "element": "x"}]},
+          "induced task on 'H' in task 0: it is a hopf_algebroids"),
+    _case("doc23", {"hopf_algebroids": {"H": {"preset": "trivial"}},
+           "tasks": [{"kind": "measure", "object": "H"}]},
+          "measure task on 'H' in task 0: it is a hopf_algebroids"),
+    _case("doc24", _homology_task(variant="sideways"),
+          "variant in task 0 must be one of cyclic/cocyclic, got 'sideways'"),
+    _case("doc25", _induced_task("sideways"),
+          "variant in task 0 must be one of cyclic/cocyclic, got 'sideways'"),
+    _case("doc26", _induced_task(None), "variant in task 0"),
+    _case("doc27", _homology_task(theory="XX"),
+          "theory in task 0 must be one of HH/HC, got 'XX'"),
+    _case("doc28", _homology_task(theory="hh"), "theory in task 0"),
+    _case("doc29", _homology_task(theory="HH", normalized="yes"),
+          "normalized in task 0 must be true or false, got 'yes'"),
+    _case("doc30", _homology_task(theory="HH", normalized=1),
+          "normalized in task 0 must be true or false, got 1"),
+    _case("doc31",
+          _homology_task(theory="HH", variant="cocyclic", normalized=True),
+          "normalized in task 0 needs a homology task with theory HH"),
+    _case("doc32", _homology_task(normalized=True),
+          "normalized in task 0 needs a homology task with theory HH"),
+    _case("doc33", [1], "scenario must be a JSON object"),
+    _case("doc34",
+          _with_mul([[0, 0, 1]]), "a row of mul in algebra A " + _ROW),
+    _case("doc35",
+          _with_mul([[0, "a", 0, 1]]), "a row of mul in algebra A " + _ROW),
+    _case("doc36", _with_mul([5]), "got 5"),
+    _case("doc37", _with_mul(5), "mul in algebra A must be a list of rows"),
+    _case("doc38", _with_mul([[True, 1, 0, 1, 1]]), "got [True, 1, 0, 1, 1]"),
+    _case("doc39",
+          _with_mul([[0, 0, 0, 1, 1, 1]]), "a row of mul in algebra A"),
+    _case("doc40",
+          _with_mul([[0, 0, 0, "1", 2]]), "bad scalar ['1', 2] in algebra A"),
+    _case("doc41",
+          _with_mul([[0, 0, 0, 1, 0]]), "bad scalar [1, 0] in algebra A"),
+    _case("doc42", _with_mul([[0, 0, 0, 1.5]]), "bad scalar 1.5 in algebra A"),
+    _case("doc43",
+          _with_mul([[0, 0, 2, 1]]), "mul index out of range in algebra A"),
+    _case("doc44",
+          _with_mul([[0, -1, 0, 1]]), "mul index out of range in algebra A"),
+    _case("doc45", _with_unit([True, False]), "bad scalar True in algebra A"),
+    _case("doc46", _with_unit(["1/0", "0"]), "bad scalar '1/0' in algebra A"),
+    _case("doc47", _with_unit(["1"]), "unit of A must have 2 coordinates"),
+    _case("doc48", _with_derivation([[1, 1]]),
+          "a row of derivation in measuring m must be 2 integer indices"),
+    _case("doc49", _with_derivation([[1, 2, 1]]),
+          "derivation index out of range in measuring m"),
+    _case("doc50",
+          _with_derivation({}), "derivation in measuring m must be a list"),
+    _case("doc51", {"algebras": {"A": {"unit": ["1"]}}},
+          "dim of algebra 'A' must be an integer >= 1, got None"),
+    _case("doc52", {"algebras": {"A": {"dim": True, "unit": ["1"]}}},
+          "dim of algebra 'A' must be an integer >= 1, got True"),
+    _case("doc53",
+          _with_task(0, object=["H"]), "unknown reference ['H'] in task 0"),
+    _case("doc54", _with_task(2, element={"x": 1}),
+          "unknown element {'x': 1} in task 2"),
+    _case("doc55",
+          _with_task(2, element="y"), "unknown element 'y' in task 2"),
+    _case("doc56",
+          _with_task(2, kind="prove"), "unknown task kind 'prove' in task 2"),
+    _case("doc57", {"tasks": {"kind": "validate"}}, "tasks must be a list"),
+    _case("doc58", {"tasks": [1]}, "task 0 must be an object"),
+    _case("doc59",
+          {"elements": {"x": 1}}, "element 'x' must be a coordinate list"),
+    _case("doc60",
+          {"elements": {"x": [False]}}, "bad scalar False in element x"),
+    _case("doc61", {"hopf_algebroids": {"H": {"pair_of": "B"}}},
+          "unknown reference 'B' in hopf_algebroid H"),
+    _case("doc62", {"hopf_algebroids": {"T": {"preset": "trivial"},
+                               "H": {"pair_of": "T"}}},
+          "'T' referenced in hopf_algebroid H is a hopf_algebroids, expected "
+          "one of algebras"),
+    _case("doc63", {"algebras": {"A": {"preset": "nope"}}},
+          "unknown algebra preset 'nope'"),
+    _case("doc64",
+          _unknown_preset("coalgebras"), "unknown coalgebra preset 'nope'"),
+    _case("doc65", _unknown_preset("hopf_algebroids"),
+          "unknown hopf_algebroid preset 'nope'"),
+    _case("doc66",
+          _unknown_preset("sayd_modules"), "unknown sayd preset 'nope'"),
+    _case("doc67",
+          _unknown_preset("yd_algebras"), "unknown yd_algebra preset 'nope'"),
+    _case("doc68",
+          _unknown_preset("measurings"), "unknown measuring preset 'nope'"),
+    _case("doc69", _unknown_preset(
+        "comodule_measurings",
+        sayd_modules={"P": {"preset": "scalar", "hopf": "H"}},
+        measurings={"m": {"preset": "identity", "hopf": "H"}},
+        comodule_measurings={"X": {"measuring": "m", "sayd": "P"}}),
+          "unknown comodule_measuring preset 'nope'"),
+    _case("doc70", _unknown_preset("lie_rinehart"),
+          "unknown lie_rinehart preset 'nope'"),
+    _case("doc71", _unknown_preset("operads"), "unknown operad preset 'nope'"),
+    _case("doc72", _unknown_preset("comp_modules",
+                          operads={"O": {"preset": "one_dimensional"}},
+                          comp_modules={"X": {"operad": "O"}}),
+          "unknown comp_module preset 'nope'"),
+    _case("doc73", {"lie_rinehart": {"L": {"preset": "abelian", "dim": 2}},
+           "tasks": [{"kind": "homology", "object": "L", "theory": "HH",
+                      "variant": "cocyclic"}]},
+          "homology task on 'L' in task 0 does not read 'theory', 'variant'"),
+    _case("doc74", _with_task(2, coefficients="nope", theory="nope"),
+          "induced task on 'm' in task 2 does not read 'coefficients', "
+          "'theory'"),
+    _case("doc75", _with_task(0, variant="nope", max_degree=2),
+          "validate task on 'H' in task 0 does not read 'max_degree', "
+          "'variant'"),
+    _case("doc76", _homology_task(max_degre=1),
+          "homology task on 'H' in task 0 does not read 'max_degre'"),
+    _case("doc77", _with_task(1, normalized=False),
+          "measure task on 'm' in task 1 does not read 'normalized'"),
+    _case("doc78", _with_task(3, variant="cyclic"),
+          "hopf_galois task on 'm' in task 3 does not read 'variant'"),
 ])
 def test_cli_rejects_malformed_input(tmp_path, capsys, doc, named):
     bad = tmp_path / "bad.json"
