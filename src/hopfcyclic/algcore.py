@@ -354,7 +354,7 @@ def sweedler_sum(terms, slots):
     return out
 
 
-def balanced_tensor(left_pres, right_pres, ract, lact, aspace, field, label=""):
+def balanced_tensor(left_pres, right_pres, ract, lact, field, label=""):
     """Quotient of left (x) right by (q.a) (x) r - q (x) (a.r).
 
     `ract`: left_pres.quotient (x) A -> left_pres.quotient
@@ -449,7 +449,7 @@ class BalancedTower:
         """level(n) (x)_A Y for a left A-module Y presented by `x_pres`,
         with `x_lact`: A (x) Y -> Y."""
         return balanced_tensor(self[n], x_pres, self.ract(n), x_lact,
-                               self.aspace, self.field, label)
+                               self.field, label)
 
 
 def check_sweedler_measuring(c, r, r2, psi):

@@ -118,26 +118,48 @@ def _towers(h, p, variant, N):
         + [tower(n) for n in range(1, N + 1)]
 
 
-def _module(variant, N, h, p, pres, faces, degen, cyc, label):
-    """The CyclicModuleData of one builder call on the towers `pres` of h
-    (with coefficients in p, or None).
+def _module(variant, N, h, p, faces, degen, cyc, label):
+    """The CyclicModuleData of one builder call on h (with coefficients in
+    p, or None).
 
-    `faces` and `degen` are families as `_window_family` reads them, and
-    `cyc` evaluates the cyclic operators.  One rule on every tower: the
-    certificate of every face and degeneracy (see `_window_ops`) runs now,
-    and the three families are handed over unevaluated.  The cyclic
-    operators have no certificate apart from their global `descend`, so a
-    failure of theirs raises on the first read of `cyc`.
+    A builder gives only formulas: `faces` and `degen` as {n: [op]}, n the
+    source degree and op a LinMap (a map between A and U) or a window op
+    (st, k_in, s), and `cyc(pres)`, the cyclic operators on the towers
+    `pres` of `_towers`.  Each window op is placed here by one rule: its
+    towers are those of its source and target degrees, its slot dims those
+    of U^n with P first on the chain side and last on the cochain side,
+    and its side (see `_window_ops`) is that of P iff its window is not
+    empty and covers the slot of P.  The certificate of every face and
+    degeneracy runs now, and the three families are handed over
+    unevaluated.  The cyclic operators have no certificate apart from
+    their global `descend`, so a failure of theirs raises on the first
+    read of `cyc`.
     """
+    chain = variant == "cyclic"
+    pres = _towers(h, p, variant, N)
+    own, coeff = ("R", "chain") if chain else ("L", "cochain")
     certify, evaluate = _window_ops(h, p)
-    for row in (*faces.values(), *degen.values()):
-        for op in row:
-            if isinstance(op, tuple):
-                certify(*op)
-    faces, degen = (partial(_window_family, evaluate, ops)
-                    for ops in (faces, degen))
+
+    def place(n, m, op):
+        """op from degree n to degree m, placed and certified."""
+        if not isinstance(op, tuple):
+            return op
+        st, k_in, s = op
+        dims, side = [h.U.space.dim] * n, own
+        if p is not None:
+            at = 0 if chain else n      # the slot of P
+            dims.insert(at, p.space.dim)
+            side = coeff if s <= at < s + k_in else own
+        op = (side, st, k_in, s, pres[n], pres[m], dims)
+        certify(*op)
+        return op
+
+    step = -1 if chain else 1       # the degree a face moves
+    faces, degen = (partial(_window_family, evaluate, {
+        n: [place(n, n + d, op) for op in row] for n, row in ops.items()})
+        for ops, d in ((faces, step), (degen, -step)))
     return CyclicModuleData(variant, N, [pr.quotient for pr in pres], faces,
-                            degen, cyc, h.field, label)
+                            degen, partial(cyc, pres), h.field, label)
 
 
 # -- faces and degeneracies as certified window ops -----------------------
@@ -258,17 +280,12 @@ def _window_ops(h, p=None):
     return certify, evaluate
 
 
-# -- the coproduct-side cocyclic module ----------------------------------
-
-def build_cocyclic_CU(h, N):
-    f = h.field
+def _shared_ops(h):
+    """The window ops of more than one builder, as (unit_in, coproduct,
+    product, counit_left)."""
     du = h.U.space.dim
-    pres = _towers(h, None, "cocyclic", N)
     unit = h.U.unit_map()
     sc_eps = h.s_L @ h.eps_L
-    tc_eps = h.t_L @ h.eps_L
-    # u (x) v -> vu
-    mul_op = Pipe([du, du], f).permute([1, 0]).block(0, 2, h.U.mul).map
 
     def unit_in(pipe, s):
         return pipe.block(s, 0, unit)
@@ -276,9 +293,25 @@ def build_cocyclic_CU(h, N):
     def coproduct(pipe, s):
         return pipe.block(s, 1, h.delta_lift, [du, du])
 
+    def product(pipe, s):
+        return pipe.block(s, 2, h.U.mul)
+
     def counit_left(pipe, s):
         # u (x) v -> s(eps(u)) v
         return pipe.block(s, 1, sc_eps).block(s, 2, h.U.mul)
+
+    return unit_in, coproduct, product, counit_left
+
+
+# -- the coproduct-side cocyclic module ----------------------------------
+
+def build_cocyclic_CU(h, N):
+    f = h.field
+    du = h.U.space.dim
+    unit_in, coproduct, _, counit_left = _shared_ops(h)
+    tc_eps = h.t_L @ h.eps_L
+    # u (x) v -> vu
+    mul_op = Pipe([du, du], f).permute([1, 0]).block(0, 2, h.U.mul).map
 
     def counit_right(pipe, s):
         # u (x) v -> t(eps(v)) u
@@ -287,21 +320,15 @@ def build_cocyclic_CU(h, N):
     faces = {0: [h.t_L, h.s_L]} if N else {}
     degen = {1: [h.eps_L]} if N else {}
     for n in range(1, N):
-        up = (pres[n], pres[n + 1], [du] * n)
-        faces[n] = [("L", unit_in, 0, 0, *up)] \
-            + [("L", coproduct, 1, i, *up) for i in range(n)] \
-            + [("L", unit_in, 0, n, *up)]
+        faces[n] = [(unit_in, 0, 0)] \
+            + [(coproduct, 1, i) for i in range(n)] + [(unit_in, 0, n)]
     for n in range(2, N + 1):
-        down = (pres[n], pres[n - 1], [du] * n)
-        degen[n] = [("L", counit_left, 2, i, *down) for i in range(n - 1)] \
-            + [("L", counit_right, 2, n - 2, *down)]
+        degen[n] = [(counit_left, 2, i) for i in range(n - 1)] \
+            + [(counit_right, 2, n - 2)]
 
-    def cyc():
+    def cyc(pres):
         cyc = {0: LinMap.identity(h.A.space, f)}
         for n in range(1, N + 1):
-            if n == 1:
-                cyc[1] = h.S
-                continue
             pipe = Pipe([du] * n, f).block(0, 1, h.S)
             pipe.block(0, 1, h.iterated_delta_lift(n), [du] * n)
             order = []
@@ -312,7 +339,7 @@ def build_cocyclic_CU(h, N):
                 pipe.block(k, 2, h.U.mul)
             cyc[n] = descend(pipe.map, pres[n], pres[n])
         return cyc
-    return _module("cocyclic", N, h, None, pres, faces, degen, cyc,
+    return _module("cocyclic", N, h, None, faces, degen, cyc,
                    "C^(%s)" % h.label)
 
 
@@ -321,43 +348,31 @@ def build_cocyclic_CU(h, N):
 def build_cyclic_CU(h, N):
     f = h.field
     du = h.U.space.dim
-    pres = _towers(h, None, "cyclic", N)
+    unit_in, _, product, _ = _shared_ops(h)
     eps_R = h.eps_R
     t_eps = h.t_L @ eps_R
     t_eps_S = h.t_L @ (eps_R @ h.S)
-    unit = h.U.unit_map()
 
     def counit_first(pipe, s):
         # u (x) v -> t(eps_R(u)) v
         return pipe.block(s, 1, t_eps).block(s, 2, h.U.mul)
 
-    def product(pipe, s):
-        return pipe.block(s, 2, h.U.mul)
-
     def counit_last(pipe, s):
         # u (x) v -> u t(eps_R(S(v)))
         return pipe.block(s + 1, 1, t_eps_S).block(s, 2, h.U.mul)
 
-    def unit_in(pipe, s):
-        return pipe.block(s, 0, unit)
-
     faces = {1: [eps_R, h.eps_L]} if N else {}
-    degen = {0: [h.t_L]}
+    degen = {0: [h.t_L]} if N else {}
     for n in range(2, N + 1):
-        down = (pres[n], pres[n - 1], [du] * n)
-        faces[n] = [("R", counit_first, 2, 0, *down)] \
-            + [("R", product, 2, i, *down) for i in range(n - 1)] \
-            + [("R", counit_last, 2, n - 2, *down)]
+        faces[n] = [(counit_first, 2, 0)] \
+            + [(product, 2, i) for i in range(n - 1)] \
+            + [(counit_last, 2, n - 2)]
     for n in range(1, N):
-        up = (pres[n], pres[n + 1], [du] * n)
-        degen[n] = [("R", unit_in, 0, i, *up) for i in range(n + 1)]
+        degen[n] = [(unit_in, 0, i) for i in range(n + 1)]
 
-    def cyc():
+    def cyc(pres):
         cyc = {0: LinMap.identity(h.A.space, f)}
         for n in range(1, N + 1):
-            if n == 1:
-                cyc[1] = h.S
-                continue
             pipe = Pipe([du] * n, f)
             for k in range(n - 1):
                 pipe.block(2 * k, 1, h.delta_lift, [du, du])
@@ -368,7 +383,7 @@ def build_cyclic_CU(h, N):
             pipe.block(0, 1, h.S)
             cyc[n] = descend(pipe.map, pres[n], pres[n])
         return cyc
-    return _module("cyclic", N, h, None, pres, faces, degen, cyc,
+    return _module("cyclic", N, h, None, faces, degen, cyc,
                    "C_(%s)" % h.label)
 
 
@@ -403,11 +418,8 @@ def build_cyclic_with_coeffs(h, p, N):
     require_own_algebroid(h, p)
     if N:   # the cyclic operators need it: raise here where it fails
         translation_lift(h)
-    du = h.U.space.dim
-    dp = p.space.dim
-    pres = _towers(h, p, "cyclic", N)
+    unit_in, _, product, _ = _shared_ops(h)
     t_eps = h.t_L @ h.eps_L
-    unit = h.U.unit_map()
 
     def counit_last(pipe, s):
         # u (x) v -> u t(eps(v))
@@ -417,32 +429,22 @@ def build_cyclic_with_coeffs(h, p, N):
         # p (x) u -> p t(eps(u))
         return pipe.block(s + 1, 1, t_eps).block(s, 2, p.action)
 
-    def product(pipe, s):
-        return pipe.block(s, 2, h.U.mul)
-
     def action(pipe, s):
         return pipe.block(s, 2, p.action)
-
-    def unit_in(pipe, s):
-        return pipe.block(s, 0, unit)
 
     faces = {}
     degen = {}
     # layout (p, u_1, ..., u_n)
     for n in range(1, N + 1):
-        down = (pres[n], pres[n - 1], [dp] + [du] * n)
-        first = ("chain", counit_coeff, 2, 0, *down) if n == 1 \
-            else ("R", counit_last, 2, n - 1, *down)
-        faces[n] = [first] \
-            + [("R", product, 2, n - i, *down) for i in range(1, n)] \
-            + [("chain", action, 2, 0, *down)]
+        first = (counit_coeff, 2, 0) if n == 1 else (counit_last, 2, n - 1)
+        faces[n] = [first] + [(product, 2, n - i) for i in range(1, n)] \
+            + [(action, 2, 0)]
     for n in range(0, N):
-        up = (pres[n], pres[n + 1], [dp] + [du] * n)
-        degen[n] = [("R", unit_in, 0, 1 + n - i, *up) for i in range(n + 1)]
+        degen[n] = [(unit_in, 0, 1 + n - i) for i in range(n + 1)]
 
-    def cyc():
+    def cyc(pres):
         return {n: chain_coeff_cyclic(h, p, n) for n in range(N + 1)}
-    return _module("cyclic", N, h, p, pres, faces, degen, cyc,
+    return _module("cyclic", N, h, p, faces, degen, cyc,
                    "C_(%s;%s)" % (h.label, p.label))
 
 
@@ -452,25 +454,13 @@ def build_cocyclic_with_coeffs(h, p, N):
     f = h.field
     du = h.U.space.dim
     dp = p.space.dim
-    pres = _towers(h, p, "cocyclic", N)
-    sc_eps = h.s_L @ h.eps_L
+    unit_in, coproduct, _, counit_left = _shared_ops(h)
     t_eps = h.t_L @ h.eps_L
-    unit = h.U.unit_map()
     # u (x) p -> p u
     act_op = Pipe([du, dp], f).permute([1, 0]).block(0, 2, p.action).map
 
-    def unit_in(pipe, s):
-        return pipe.block(s, 0, unit)
-
-    def coproduct(pipe, s):
-        return pipe.block(s, 1, h.delta_lift, [du, du])
-
     def coaction(pipe, s):
         return pipe.block(s, 1, p.coact_lift, [du, dp])
-
-    def counit_left(pipe, s):
-        # u (x) v -> s(eps(u)) v
-        return pipe.block(s, 1, sc_eps).block(s, 2, h.U.mul)
 
     def counit_coeff(pipe, s):
         # u (x) p -> p t(eps(u))
@@ -480,16 +470,13 @@ def build_cocyclic_with_coeffs(h, p, N):
     degen = {}
     # layout (u_1, ..., u_n, p)
     for n in range(0, N):
-        up = (pres[n], pres[n + 1], [du] * n + [dp])
-        faces[n] = [("L", unit_in, 0, 0, *up)] \
-            + [("L", coproduct, 1, i, *up) for i in range(n)] \
-            + [("cochain", coaction, 1, n, *up)]
+        faces[n] = [(unit_in, 0, 0)] \
+            + [(coproduct, 1, i) for i in range(n)] + [(coaction, 1, n)]
     for n in range(1, N + 1):
-        down = (pres[n], pres[n - 1], [du] * n + [dp])
-        degen[n] = [("L", counit_left, 2, i, *down) for i in range(n - 1)] \
-            + [("cochain", counit_coeff, 2, n - 1, *down)]
+        degen[n] = [(counit_left, 2, i) for i in range(n - 1)] \
+            + [(counit_coeff, 2, n - 1)]
 
-    def cyc():
+    def cyc(pres):
         cyc = {0: LinMap.identity(p.space, f)}
         for n in range(1, N + 1):
             pipe = Pipe([du] * n + [dp], f)
@@ -506,7 +493,7 @@ def build_cocyclic_with_coeffs(h, p, N):
             pipe.block(n, 2, p.action)
             cyc[n] = descend(pipe.map, pres[n], pres[n])
         return cyc
-    return _module("cocyclic", N, h, p, pres, faces, degen, cyc,
+    return _module("cocyclic", N, h, p, faces, degen, cyc,
                    "C^(%s;%s)" % (h.label, p.label))
 
 

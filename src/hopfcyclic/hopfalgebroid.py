@@ -403,10 +403,6 @@ class SaydModuleData(_Coefficients):
                 r.factor_lact, h.A.space, h.field, h.label + ".P")
         return self._chain[n]
 
-    @property
-    def coaction(self):
-        return self.mixed2().project(self.coact_lift)
-
 
 def check_sayd(p):
     h = p.h

@@ -579,8 +579,8 @@ def build_ayd_coefficient(h, l, z):
     # a . z = t(a) z as A (x) Z -> Z
     lactz = Pipe([h.A.space.dim, dz], f).block(0, 1, h.t_L) \
         .block(0, 2, z.action).map
-    mpres = balanced_tensor(trivL, trivZ, l.right_arrow_action(), lactz,
-                            h.A.space, f, label="LZ")
+    mpres = balanced_tensor(trivL, trivZ, l.right_arrow_action(), lactz, f,
+                            label="LZ")
     triv_u = QuotientPresentation.trivial(h.U.space, f)
     # action: (l (x) z) u = l u_+ (x) u_- z
     pipe = Pipe([dl, dz, du], f).block(2, 1, translation_lift(h), [du, du])

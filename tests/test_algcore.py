@@ -205,7 +205,7 @@ def test_balanced_tensor_pair_square():
     triv = QuotientPresentation.trivial(a.space, QQ)
     ract = LinMap(Space(4), a.space, QQ, a.mul.entries)
     lact = LinMap(Space(4), a.space, QQ, a.mul.entries)
-    pres = balanced_tensor(triv, triv, ract, lact, a.space, QQ)
+    pres = balanced_tensor(triv, triv, ract, lact, QQ)
     assert pres.quotient.dim == 2
     assert (pres.projection @ pres.relations).is_zero()
 

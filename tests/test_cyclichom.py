@@ -553,6 +553,79 @@ def test_certified_operators_match_global_descend(field, monkeypatch):
         compared.clear()
 
 
+def test_every_operator_stays_inside_the_degrees_of_its_module():
+    """Over the gallery at N = 0, 1, 2, each face and degeneracy maps a
+    degree n to its neighbour, and each cyclic operator degree n to
+    itself, inside 0..N and with the dims of those degrees."""
+    for N in (0, 1, 2):
+        for name, e in gallery().items():
+            for cm in _four_modules(e.hopf, e.sayd, N):
+                dims = cm.dims()
+                step = -1 if cm.variant == "cyclic" else 1
+                cyc = {n: [t] for n, t in cm.cyc.items()}
+                for fam, d in ((cm.faces, step), (cm.degen, -step), (cyc, 0)):
+                    for n, row in fam.items():
+                        where = (name, cm.label, N, n, d)
+                        assert 0 <= n <= N and 0 <= n + d <= N, where
+                        assert all((op.dom.dim, op.cod.dim)
+                                   == (dims[n], dims[n + d])
+                                   for op in row), where
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_coefficient_certificates_reject_what_global_descend_rejects(
+        field, monkeypatch):
+    """Single-entry mutants of the action and the coaction lift of the base
+    SAYD modules of pair_dual and pair_split, through both coefficient
+    builders: the certified build raises DescentFailure exactly where the
+    global descend does, and otherwise builds the same faces and
+    degeneracies.  Each side rejects some mutant at its coefficient
+    slot."""
+    from test_acceptance import _global_window_ops, _mutate
+    import random
+    from hopfcyclic.hopfalgebroid import SaydModuleData
+
+    def build(make, h, p):
+        try:
+            cm = make(h, p, 3)
+            return cm.faces, cm.degen
+        except DescentFailure as exc:
+            assert exc.witness is not None
+            return str(exc)
+
+    rng = random.Random(1)
+    rejected = set()
+    for name in ("pair_dual", "pair_split"):
+        e = gallery(field)[name]
+        h, p = e.hopf, e.sayd
+        for key in ("action", "coact_lift"):
+            m = getattr(p, key)
+            for _ in range(8):
+                i, j = rng.randrange(m.cod.dim), rng.randrange(m.dom.dim)
+                maps = {"action": p.action, "coact_lift": p.coact_lift,
+                        key: _mutate(m, i, j, field)}
+                q = SaydModuleData(h, p.space, maps["action"],
+                                   maps["coact_lift"], "mutant")
+                for make in (build_cyclic_with_coeffs,
+                             build_cocyclic_with_coeffs):
+                    got = build(make, h, q)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(cyclichom, "_window_ops",
+                                   _global_window_ops)
+                        want = build(make, h, q)
+                    where = (name, key, i, j, make.__name__)
+                    assert isinstance(got, str) == isinstance(want, str), \
+                        where
+                    if isinstance(got, str):
+                        rejected.add((make, got.split()[2]))
+                    else:
+                        assert got == want, where
+    assert rejected & {(build_cyclic_with_coeffs, "counit_coeff"),
+                       (build_cyclic_with_coeffs, "action")}
+    assert rejected & {(build_cocyclic_with_coeffs, "coaction"),
+                       (build_cocyclic_with_coeffs, "counit_coeff")}
+
+
 def _mul_mutant():
     """pair_dual with one entry of U.mul raised by one: the product still
     descends on rtower(2), but it is not A-linear at either boundary."""

@@ -59,7 +59,7 @@ def _levels_by_cap(base, base_ract, factor_ract, factor_lact, aspace, n):
         if k > 1:
             ract = action_on_last_slot(levels[-1], factor_ract, aspace, f)
         levels.append(balanced_tensor(levels[-1], factor, ract, factor_lact,
-                                      aspace, f))
+                                      f))
     return levels
 
 
@@ -97,7 +97,7 @@ def test_free_tower_levels_equal_growth_through_cap(field, n):
         ract = l.factor_ract if k == 1 else action_on_last_slot(
             levels[k - 1], l.factor_ract, h.A.space, field)
         want = balanced_tensor(levels[k - 1], base_p, ract,
-                               p.left_a_action(), h.A.space, field)
+                               p.left_a_action(), field)
         assert _same_presentation(p.capped_tower(k), want), k
 
 
@@ -271,7 +271,7 @@ def test_mixed2_is_the_capped_tower_at_level_one(gal):
             want = balanced_tensor(
                 QuotientPresentation.trivial(h.U.space, QQ),
                 QuotientPresentation.trivial(x.space, QQ),
-                ract, x.left_a_action(), h.A.space, QQ)
+                ract, x.left_a_action(), QQ)
             assert x.mixed2().projection == want.projection, name
             assert x.mixed2().section == want.section, name
 
