@@ -8,15 +8,25 @@ exterior power is a plain vector space with an increasing-tuple basis.
 """
 
 import itertools
+from math import comb
 
-from .exactlin import LinMap, Space, fix_factor, rank
+from .exactlin import (
+    LinMap, Pipe, Space, difference_witness, fix_factor, pack_slices, rank,
+)
 from .algcore import (
-    Report, basis_slices, check_sweedler_measuring, sweedler_sum,
+    CoalgebraData, Report, basis_slices, check_coalgebra,
+    check_sweedler_measuring, sweedler_sum,
 )
 
 
 class CutoffExceeded(Exception):
     """A product left the truncated word basis."""
+
+
+def _require_shape(name, m, dom, cod):
+    if (m.dom.dim, m.cod.dim) != (dom, cod):
+        raise ValueError("%s is %d -> %d, needs %d -> %d"
+                         % (name, m.dom.dim, m.cod.dim, dom, cod))
 
 
 class LieRinehartData:
@@ -28,10 +38,11 @@ class LieRinehartData:
     """
 
     def __init__(self, R, L, bracket, anchor, nabla, field, label=""):
-        assert R.space.dim == 1, "base ring must be the ground field"
-        assert bracket.dom.dim == L.dim * L.dim and bracket.cod.dim == L.dim
-        assert anchor.dom.dim == L.dim and anchor.cod.dim == 1
-        assert nabla.dom.dim == L.dim and nabla.cod.dim == 1
+        if R.space.dim != 1:
+            raise ValueError("base ring must be the ground field")
+        _require_shape("bracket", bracket, L.dim * L.dim, L.dim)
+        _require_shape("anchor", anchor, L.dim, 1)
+        _require_shape("connection", nabla, L.dim, 1)
         self.R = R
         self.L = L
         self.bracket = bracket
@@ -219,10 +230,9 @@ class LieRinehartMeasuringData:
     """(C, PsiL : C (x) L -> L', psi : C (x) R -> R')."""
 
     def __init__(self, C, src, dst, PsiL, psi, label=""):
-        assert PsiL.dom.dim == C.space.dim * src.L.dim
-        assert PsiL.cod.dim == dst.L.dim
-        assert psi.dom.dim == C.space.dim * src.R.space.dim
-        assert psi.cod.dim == dst.R.space.dim
+        _require_shape("PsiL", PsiL, C.space.dim * src.L.dim, dst.L.dim)
+        _require_shape("psi", psi, C.space.dim * src.R.space.dim,
+                       dst.R.space.dim)
         self.C = C
         self.src = src
         self.dst = dst
@@ -352,19 +362,6 @@ class TruncatedEnvelope:
     def product_words(self, w1, w2):
         return self.normal_form(w1 + w2)
 
-    def product(self, e1, e2):
-        """Product of two {word: coeff} elements."""
-        f = self.field
-        out = {}
-        for w1, c1 in e1.items():
-            for w2, c2 in e2.items():
-                c = f.mul(c1, c2)
-                if not c:
-                    continue
-                for w, v in self.product_words(w1, w2).items():
-                    out[w] = f.add(out.get(w, f.zero), f.mul(c, v))
-        return {w: v for w, v in out.items() if v}
-
     def comul_word(self, word):
         """{(left word, right word): coeff}; generators are primitive."""
         f = self.field
@@ -387,106 +384,84 @@ class TruncatedEnvelope:
         return self.normal_form(tuple(reversed(word)), sgn)
 
 
+def _envelope_maps(env):
+    """The word formulas as maps on V = span(words): mul : V (x) V -> V,
+    zero on word pairs longer together than the cutoff, comul : V ->
+    V (x) V, counit : V -> k and the antipode S : V -> V."""
+    f = env.field
+    V, dv, index = env.space, env.space.dim, env.index
+    mul, comul, counit, S = {}, {}, {}, {}
+    for j, w in enumerate(env.words):
+        for k, w2 in enumerate(env.words):
+            if len(w) + len(w2) <= env.cutoff:
+                for w3, c in env.product_words(w, w2).items():
+                    mul[(index[w3], j * dv + k)] = c
+        for (a, b), c in env.comul_word(w).items():
+            comul[(index[a] * dv + index[b], j)] = c
+        counit[(0, j)] = env.counit_word(w)
+        for w2, c in env.antipode_word(w).items():
+            S[(index[w2], j)] = c
+    VV = Space(dv * dv)
+    return (LinMap(VV, V, f, mul), LinMap(V, VV, f, comul),
+            LinMap(V, Space(1), f, counit), LinMap(V, V, f, S))
+
+
+def _within_cutoff(env, k):
+    """The k-tuples of words no longer together than the cutoff, in
+    itertools.product order (a single word stands for itself), and their
+    inclusion into V^{(x)k}."""
+    f = env.field
+    tuples, incl = [], {}
+    for flat, t in enumerate(itertools.product(env.words, repeat=k)):
+        if sum(map(len, t)) <= env.cutoff:
+            incl[(flat, len(tuples))] = f.one
+            tuples.append(t if k > 1 else t[0])
+    return tuples, LinMap(Space(len(tuples)), Space(env.space.dim ** k), f,
+                          incl)
+
+
 def check_truncated_envelope(env):
+    """The Hopf axioms of the truncated envelope, on the maps that its word
+    formulas give: each axiom is one identity of Pipes on the inclusion of
+    the tuples within the cutoff, named on failure by its first failing
+    tuple; coassociativity and the counit are check_coalgebra's."""
     rep = Report("envelope W=%d" % env.cutoff)
     f = env.field
-    d = env.lr.L.dim
-    expected = sum(len(list(itertools.combinations_with_replacement(
-        range(d), k))) for k in range(env.cutoff + 1))
-    rep.add("pbw_dimension", len(env.words) == expected)
+    # words of length <= W in d letters: binomial(d + W, W)
+    rep.add("pbw_dimension",
+            len(env.words) == comb(env.lr.L.dim + env.cutoff, env.cutoff))
+    mul, comul, counit, S = _envelope_maps(env)
+    dv = env.space.dim
+    two = [dv, dv]
+    unit = LinMap(Space(1), env.space, f, {(env.index[()], 0): f.one})
 
-    def nonzero(acc):
-        return {k: v for k, v in acc.items() if v}
+    def axiom(name, k, lhs, rhs):
+        """lhs == rhs on the k-tuples within the cutoff, each side a
+        function that adds stages to a Pipe; returns how many k-tuples the
+        cutoff skips."""
+        tuples, incl = _within_cutoff(env, k)
+        w = difference_witness(lhs(Pipe.after(incl, [dv] * k)).map,
+                               rhs(Pipe.after(incl, [dv] * k)).map)
+        rep.add(name, w is None, None if w is None else tuples[w[0]])
+        return dv ** k - len(tuples)
 
-    skipped = 0
-
-    def associative():
-        nonlocal skipped
-        for w1, w2, w3 in itertools.product(env.words, repeat=3):
-            if len(w1) + len(w2) + len(w3) > env.cutoff:
-                skipped += 1
-                continue
-            lhs = env.product(env.product_words(w1, w2), {w3: f.one})
-            rhs = env.product({w1: f.one}, env.product_words(w2, w3))
-            if lhs != rhs:
-                yield (w1, w2, w3)
-
-    rep.check_family("associative_within_cutoff", associative())
+    skipped = axiom("associative_within_cutoff", 3,
+                    lambda p: p.block(0, 2, mul).block(0, 2, mul),
+                    lambda p: p.block(1, 2, mul).block(0, 2, mul))
     rep.add("associativity_skipped_triples", True, witness=skipped)
-    rep.check_family("unital", (
-        w for w in env.words
-        if env.product_words((), w) != ({w: f.one} if w else {(): f.one})))
-
-    # the coproduct: coassociative, counital, multiplicative within cutoff
-    def coassociative():
-        for w in env.words:
-            left = {}
-            right = {}
-            for (a, b), c in env.comul_word(w).items():
-                for (a1, a2), c2 in env.comul_word(a).items():
-                    k = (a1, a2, b)
-                    left[k] = f.add(left.get(k, f.zero), f.mul(c, c2))
-                for (b1, b2), c2 in env.comul_word(b).items():
-                    k = (a, b1, b2)
-                    right[k] = f.add(right.get(k, f.zero), f.mul(c, c2))
-            if nonzero(left) != nonzero(right):
-                yield w
-
-    rep.check_family("coassociative", coassociative())
-
-    def counital():
-        for w in env.words:
-            acc = {}
-            for (a, b), c in env.comul_word(w).items():
-                c2 = f.mul(c, env.counit_word(a))
-                if c2:
-                    acc[b] = f.add(acc.get(b, f.zero), c2)
-            if nonzero(acc) != {w: f.one}:
-                yield w
-
-    rep.check_family("counital", counital())
-    skipped = 0
-
-    def multiplicative():
-        nonlocal skipped
-        for w1, w2 in itertools.product(env.words, repeat=2):
-            if len(w1) + len(w2) > env.cutoff:
-                skipped += 1
-                continue
-            lhs = {}
-            for w, c in env.product_words(w1, w2).items():
-                for k, c2 in env.comul_word(w).items():
-                    lhs[k] = f.add(lhs.get(k, f.zero), f.mul(c, c2))
-            rhs = {}
-            for (a1, b1), c1 in env.comul_word(w1).items():
-                for (a2, b2), c2 in env.comul_word(w2).items():
-                    left = env.product_words(a1, a2)
-                    right = env.product_words(b1, b2)
-                    for wa, ca in left.items():
-                        for wb, cb in right.items():
-                            c = f.mul(f.mul(c1, c2), f.mul(ca, cb))
-                            k = (wa, wb)
-                            rhs[k] = f.add(rhs.get(k, f.zero), c)
-            if nonzero(lhs) != nonzero(rhs):
-                yield (w1, w2)
-
-    rep.check_family("comul_multiplicative_within_cutoff", multiplicative())
+    axiom("unital", 1, lambda p: p.block(0, 0, unit).block(0, 2, mul),
+          lambda p: p)
+    rep.extend(check_coalgebra(CoalgebraData(env.space, comul, counit, f)))
+    skipped = axiom(
+        "comul_multiplicative_within_cutoff", 2,
+        lambda p: p.block(0, 2, mul).block(0, 1, comul, two),
+        lambda p: p.block(0, 1, comul, two).block(2, 1, comul, two)
+        .permute([0, 2, 1, 3]).block(0, 2, mul).block(1, 2, mul))
     rep.add("comul_skipped_pairs", True, witness=skipped)
-
-    def antipode():
-        for w in env.words:
-            acc = {}
-            for (a, b), c in env.comul_word(w).items():
-                sa = env.antipode_word(a)
-                for wa, ca in sa.items():
-                    for wp, cp in env.product_words(wa, b).items():
-                        acc[wp] = f.add(acc.get(wp, f.zero),
-                                        f.mul(c, f.mul(ca, cp)))
-            eps = env.counit_word(w)
-            if nonzero(acc) != ({(): eps} if eps else {}):
-                yield w
-
-    rep.check_family("antipode_convolution_inverse", antipode())
+    axiom("antipode_convolution_inverse", 1,
+          lambda p: p.block(0, 1, comul, two).block(0, 1, S)
+          .block(0, 2, mul),
+          lambda p: p.block(0, 1, counit).block(0, 1, unit))
     return rep
 
 
@@ -494,72 +469,43 @@ def check_truncated_envelope(env):
 
 def alt_map(env, n):
     """Signed sum over permutations, landing in the n-fold tensor power of
-    the truncated envelope (each slot a length-one word)."""
+    the truncated envelope (each slot a length-one word): the transpose of
+    the sorting projection, then the generators in every slot."""
     f = env.field
     d = env.lr.L.dim
-    dv = env.space.dim
-    dom = wedge_basis(d, n)
-    entries = {}
-    for col, word in enumerate(dom):
-        for perm in itertools.permutations(range(n)):
-            inv = sum(1 for a in range(n) for b in range(a + 1, n)
-                      if perm[a] > perm[b])
-            sgn = f.one if inv % 2 == 0 else f.neg(f.one)
-            flat = 0
-            for k in range(n):
-                flat = flat * dv + env.index[(word[perm[k]],)]
-            entries[(flat, col)] = f.add(
-                entries.get((flat, col), f.zero), sgn)
-    return LinMap(Space(len(dom)), Space(dv ** n), f,
-                  {k: v for k, v in entries.items() if v})
+    _, proj = _wedge_sorting(f, d, n)
+    gens = LinMap(Space(d), env.space, f,
+                  {(env.index[(i,)], i): f.one for i in range(d)})
+    alt = Pipe.after(LinMap(proj.cod, proj.dom, f, {
+        (j, i): v for (i, j), v in proj.entries.items()}), [d] * n)
+    for k in range(n):
+        alt.block(k, 1, gens)
+    return alt.map
 
 
 def envelope_b_on_alt(env, n):
-    """b composed with the antisymmetrization, computed termwise.
+    """b composed with the antisymmetrization.
 
     The end faces use the counit (and the antipode on the last slot) and
     vanish on length-one words, so only the merge faces contribute and the
     result stays inside the cutoff.
     """
-    f = env.field
-    d = env.lr.L.dim
     dv = env.space.dim
-    dom = wedge_basis(d, n)
-    entries = {}
     alt = alt_map(env, n)
-    for col in range(len(dom)):
-        acc = {}
-        for (flat, c0), v in alt.entries.items():
-            if c0 != col:
-                continue
-            slots = []
-            rem = flat
-            for _ in range(n):
-                rem, r = divmod(rem, dv)
-                slots.insert(0, r)
-            slot_words = [env.words[s] for s in slots]
-            for i in range(1, n):
-                sgn = f.neg(f.one) if i % 2 else f.one
-                merged = env.product_words(slot_words[i - 1], slot_words[i])
-                for w, c in merged.items():
-                    new = slot_words[:i - 1] + [w] + slot_words[i + 1:]
-                    flat2 = 0
-                    for sw in new:
-                        flat2 = flat2 * dv + env.index[sw]
-                    cc = f.mul(v, f.mul(sgn, c))
-                    acc[flat2] = f.add(acc.get(flat2, f.zero), cc)
-            # end faces: counit of a generator is zero, so no contribution
-        for flat2, c in acc.items():
-            if c:
-                entries[(flat2, col)] = c
-    return LinMap(Space(len(dom)), Space(dv ** max(n - 1, 0)), f, entries)
+    mul = _envelope_maps(env)[0]
+    out = LinMap.zero(alt.dom, Space(dv ** max(n - 1, 0)), env.field)
+    for i in range(1, n):
+        face = Pipe.after(alt, [dv] * n).block(i - 1, 2, mul).map
+        out = out - face if i % 2 else out + face
+    return out
 
 
 def check_alt_intertwines(lr, env):
     """b . alt_n = alt_{n-1} . boundary on the trivial-coefficient complex,
     in degrees 2..env.cutoff."""
     rep = Report("alt intertwines")
-    assert not any(lr.nabla.entries), "needs the trivial connection"
+    if lr.nabla.entries:
+        raise ValueError("alt intertwines on the trivial connection only")
     for n in range(2, env.cutoff + 1):
         lhs = envelope_b_on_alt(env, n)
         rhs = alt_map(env, n - 1) @ lr_boundary(lr, n)
@@ -596,13 +542,7 @@ def derivation_lr_measuring(lr, dmat):
     from .measuring import primitive_pair_coalgebra
     f = lr.field
     C = primitive_pair_coalgebra(f)
-    d = lr.L.dim
-    entries = {}
-    for i in range(d):
-        entries[(i, 0 * d + i)] = f.one
-    for (i, j), v in dmat.entries.items():
-        entries[(i, 1 * d + j)] = v
-    PsiL = LinMap(Space(2 * d), lr.L, f, entries)
+    PsiL = pack_slices([LinMap.identity(lr.L, f), dmat], f)
     psi = LinMap(Space(2), Space(1), f, {(0, 0): f.one})
     return LieRinehartMeasuringData(C, lr, lr, PsiL, psi, "derivation")
 

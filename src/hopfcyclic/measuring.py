@@ -318,11 +318,8 @@ def derivation_pair_measuring(h, delta, label=""):
     g acts as the identity, x as delta (x) 1 + 1 (x) delta."""
     f = h.field
     C = primitive_pair_coalgebra(f)
-    da = h.A.space.dim
-    xs = Pipe([da, da], f).block(0, 1, delta).map \
-        + Pipe([da, da], f).block(1, 1, delta).map
-    Psi = pack_slices([LinMap.identity(h.U.space, f), xs], f)
     psi = pack_slices([LinMap.identity(h.A.space, f), delta], f)
+    Psi = enveloping_measuring(C, h.A, h.A, psi).psi_e
     return MeasuringData(C, h, h, Psi, psi,
                          label or "deriv(%s)" % h.label)
 

@@ -5,9 +5,10 @@ import pytest
 from hopfcyclic import lierinehart
 from hopfcyclic.exactlin import QQ, LinMap, Space
 from hopfcyclic.lierinehart import (
-    CutoffExceeded, LieRinehartData, TruncatedEnvelope, abelian_lr, ad_map,
-    ce_cochain_homology, check_alt_intertwines, check_lie_rinehart,
-    check_lie_rinehart_measuring, check_lr_complex,
+    CutoffExceeded, LieRinehartData, LieRinehartMeasuringData,
+    TruncatedEnvelope, abelian_lr, ad_map, alt_map, ce_cochain_homology,
+    check_alt_intertwines, check_lie_rinehart, check_lie_rinehart_measuring,
+    check_lr_complex,
     check_lr_induced_chain_map, check_truncated_envelope,
     derivation_lr_measuring, induced_lr_chain_map, lie_rinehart_homology,
     lr_boundary, nonabelian_2d, wedge_basis,
@@ -151,6 +152,43 @@ def test_unsigned_antipode_is_not_a_convolution_inverse(aff):
         ("antipode_convolution_inverse", (0,))]
 
 
+def _drop_unit_term_on_length_two(env):
+    """The coproduct without its (), w term on words w of length 2."""
+    real = env.comul_word
+    env.comul_word = lambda word: {
+        k: c for k, c in real(word).items()
+        if not (len(word) == 2 and k == ((), word))}
+
+
+def _counit_one_on_generators(env):
+    f = env.field
+    env.counit_word = lambda word: f.one if len(word) <= 1 else f.zero
+
+
+@pytest.mark.parametrize("mutate, failing", [
+    (_drop_unit_term_on_length_two,
+     ["coassociativity", "left_counit", "comul_multiplicative_within_cutoff",
+      "antipode_convolution_inverse"]),
+    (_counit_one_on_generators,
+     ["left_counit", "right_counit", "antipode_convolution_inverse"]),
+], ids=["dropped_comul_term", "wrong_counit"])
+def test_coalgebra_mutants_of_the_envelope_fail(aff, mutate, failing):
+    env = TruncatedEnvelope(aff)
+    mutate(env)
+    assert [r.name for r in check_truncated_envelope(env).failures()] \
+        == failing
+
+
+def test_alt_map_antisymmetrizes_generators(aff):
+    env = TruncatedEnvelope(aff)
+    alt = alt_map(env, 2)
+    dv = env.space.dim
+    words = {(env.words[i // dv], env.words[i % dv]): v
+             for (i, _), v in alt.entries.items()}
+    assert alt.dom.dim == 1
+    assert words == {((0,), (1,)): 1, ((1,), (0,)): -1}
+
+
 def test_envelope_rewriting(aff):
     env = TruncatedEnvelope(aff)
     # f e = e f - [e, f] = e f - f
@@ -172,3 +210,19 @@ def test_alt_intertwines(aff):
 def test_wedge_basis():
     assert wedge_basis(3, 2) == [(0, 1), (0, 2), (1, 2)]
     assert lr_boundary(nonabelian_2d(QQ), 2).entries == {(1, 0): Fraction(-1)}
+
+
+def test_bad_shapes_and_connections_raise_value_errors(aff):
+    """These hold under python -O too: none of them rests on an assert."""
+    f = QQ
+    with pytest.raises(ValueError, match="anchor"):
+        LieRinehartData(aff.R, aff.L, aff.bracket,
+                        LinMap(Space(3), Space(1), f, {}), aff.nabla, f)
+    m = derivation_lr_measuring(aff, ad_map(aff, (f.one, f.zero)))
+    with pytest.raises(ValueError, match="PsiL"):
+        LieRinehartMeasuringData(m.C, aff, aff, LinMap(Space(3), aff.L, f),
+                                 m.psi)
+    nabla = LinMap(aff.L, Space(1), f, {(0, 0): f.one})
+    lr = LieRinehartData(aff.R, aff.L, aff.bracket, aff.anchor, nabla, f)
+    with pytest.raises(ValueError, match="trivial connection"):
+        check_alt_intertwines(lr, TruncatedEnvelope(lr))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hopfcyclic.exactlin import (
-    QQ, FieldSpec, LinMap, QuotientPresentation, Space,
+    QQ, FieldSpec, LinMap, QuotientPresentation, Space, pack_slices,
 )
 from hopfcyclic.hopfalgebroid import (
     check_hopf_algebroid, check_hopf_galois, check_sayd, gallery,
@@ -190,3 +190,23 @@ def test_passing_checkers_compute_no_relation_basis(field, monkeypatch):
                             derivation_pair_comodule_measuring(euler, p))]
     assert [r.subject for r in reports if not r.ok] == []
     assert computed == []
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_pair_measuring_acts_by_delta_on_each_tensor_factor(field):
+    """The Psi of derivation_pair_measuring, the enveloping measuring of
+    psi = (id, delta), sends g to id and x to delta (x) 1 + 1 (x) delta on
+    both pair algebroids, for the derivation 0, for the Euler map (a
+    derivation of k[e], not of k x k) and for delta(e) = 1 + e (not a
+    derivation, as in the pair_e2_broken scenario)."""
+    f = field
+    for name in ("pair_dual", "pair_split"):
+        h = gallery(f)[name].hopf
+        one = LinMap.identity(h.A.space, f)
+        for delta in (LinMap.zero(h.A.space, h.A.space, f),
+                      euler_derivation(h.A),
+                      LinMap(h.A.space, h.A.space, f,
+                             {(0, 1): f.one, (1, 1): f.one})):
+            xs = delta.tensor(one) + one.tensor(delta)
+            expected = pack_slices([LinMap.identity(h.U.space, f), xs], f)
+            assert derivation_pair_measuring(h, delta).Psi == expected
