@@ -70,6 +70,13 @@ class Report:
             self.subject, len(self.results), len(self.failures()))
 
 
+def require_shape(name, m, dom, cod):
+    """ValueError unless the map m is dom -> cod (dimensions)."""
+    if (m.dom.dim, m.cod.dim) != (dom, cod):
+        raise ValueError("%s is %d -> %d, needs %d -> %d"
+                         % (name, m.dom.dim, m.cod.dim, dom, cod))
+
+
 def keyed(key, witness):
     """The witness key + witness of a family member named by the tuple
     `key`, or None when the member holds (witness None)."""

@@ -393,7 +393,11 @@ def chain_coeff_cyclic(h, p, n):
     """The cyclic operator on P (x)_A U (x)_A ... (x)_A U, n copies of U:
     p (x) u1 (x) ... (x) un -> p_0 u1+ (x) u2+ (x) ... (x) un+ (x)
     un- ... u1- p_-1, with u -> u+ (x) u- the translation map and
-    p -> p_-1 (x) p_0 the coaction; the identity for n = 0."""
+    p -> p_-1 (x) p_0 the coaction; the identity for n = 0.
+
+    u_n, ..., u_1 are translated in turn, and each u_k- is multiplied into
+    the running product un- ... u(k+1)- in the last slot as soon as it
+    exists, so the pipe holds at most one u- besides that product."""
     f = h.field
     if n == 0:
         return LinMap.identity(p.space, f)
@@ -401,15 +405,17 @@ def chain_coeff_cyclic(h, p, n):
     dp = p.space.dim
     trans = translation_lift(h)
     pipe = Pipe([dp] + [du] * n, f)
-    for k in range(n):
-        pipe.block(1 + 2 * k, 1, trans, [du, du])
+    for k in range(n, 0, -1):
+        # (p, u1, ..., uk+, uk-, u(k+1)+, ..., un+, un- ... u(k+1)-)
+        pipe.block(k, 1, trans, [du, du])
+        last = len(pipe.dims) - 1
+        pipe.permute([j for j in range(last + 1) if j != k + 1] + [k + 1])
+        if k < n:
+            pipe.block(last - 1, 2, h.U.mul)
     pipe.block(0, 1, p.coact_lift, [du, dp])
-    # layout now (p_-1, p_0, u1+, u1-, ..., un+, un-)
-    pipe.permute([1] + [2 * k for k in range(1, n + 1)]
-                 + [2 * k + 1 for k in range(n, 0, -1)] + [0])
+    # (p_-1, p_0, u1+, ..., un+, un- ... u1-)
+    pipe.permute(list(range(1, n + 3)) + [0]).block(n + 1, 2, h.U.mul)
     pipe.block(0, 2, p.action)
-    for _ in range(n):
-        pipe.block(n, 2, h.U.mul)
     pres = p.chain_tower(n)
     return descend(pipe.map, pres, pres)
 

@@ -6,7 +6,8 @@ ordered basis, sparse matrices with exact entries, and quotient presentations
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import reduce
+from math import gcd, lcm, prod
 
 
 class NoSolution(Exception):
@@ -36,15 +37,14 @@ class FieldSpec:
 
     Over Q scalars are ints and Fractions, which mix freely (3 == Fraction(3),
     with equal hashes).  zero, one, of_int, parse and inv give an int when
-    the value is integral, and so does elimination for every scalar it
-    returns; add, sub and mul keep Python's types, so their result may be
-    an integral Fraction such as Fraction(1, 2) * 2.  Over F_p scalars are
-    plain ints in range(p).
+    the value is integral; add, sub and mul keep Python's types, so their
+    result may be an integral Fraction such as Fraction(1, 2) * 2.  Over
+    F_p scalars are plain ints in range(p).
 
-    The map kernels (@, Pipe, +, -, scaled, tensor) do not go through
-    these methods: they work on a LinMap's integer form, integer
+    The map kernels (@, Pipe, +, -, scaled, tensor) and elimination do not
+    go through these methods: they work on a LinMap's integer form, integer
     numerators over one common denominator, and give maps born in that
-    form (see LinMap).
+    form, whose entries are ints where integral (see LinMap).
     """
 
     def __init__(self, p=0):
@@ -127,7 +127,7 @@ def _sum_map(dom, cod, field, sums, den):
         nums = {k: s for k, s in sums.items() if s} \
             if 0 in sums.values() else sums
         if den != 1:
-            g = gcd(den, *nums.values())
+            g = reduce(gcd, nums.values(), den)
             if g != 1:
                 nums = {k: s // g for k, s in nums.items()}
                 den //= g
@@ -180,11 +180,12 @@ class LinMap:
 
     Its integer form (nums, den), computed at most once, holds the entries
     as integer numerators over den, the lcm of their reduced denominators.
-    The kernels (@, Pipe, +, -, scaled, tensor) and == work on it and
-    return maps born in it, which settle `entries` on first read.  Over
-    F_p, and for integral maps, one dict serves as both forms.  Assigning
-    `entries` drops the integer form; editing it in place is safe only
-    before a kernel has read the map.
+    The kernels (@, Pipe, +, -, scaled, tensor) and elimination (rref,
+    kernel, solve, invert, quotient_by) work on it and return maps born
+    in it, which settle `entries` on first read; == compares it.  Over
+    F_p, and for integral maps, one dict serves as both forms.
+    Assigning `entries` drops the integer form; editing it in place is
+    safe only before a kernel has read the map.
     """
 
     __slots__ = ("dom", "cod", "field", "_entries", "_form")
@@ -382,13 +383,6 @@ def kron_vec(u, v, field):
     return Vector(out)
 
 
-def _prod(dims):
-    out = 1
-    for d in dims:
-        out *= d
-    return out
-
-
 def fix_factor(m, vec, before=1):
     """Fix one tensor factor of m's domain to the vector vec.
 
@@ -438,14 +432,14 @@ class Pipe:
     def __init__(self, dims, field):
         self.dims = list(dims)
         self.field = field
-        self.dom_dim = _prod(self.dims)
+        self.dom_dim = prod(self.dims)
         self.entries = None     # the identity
         self.den = 1
 
     @classmethod
     def after(cls, m, dims):
         """Continue from the map m, whose target splits into `dims`."""
-        assert m.cod.dim == _prod(dims), (m.cod.dim, dims)
+        assert m.cod.dim == prod(dims), (m.cod.dim, dims)
         pipe = cls.__new__(cls)
         pipe.dims = list(dims)
         pipe.field = m.field
@@ -515,9 +509,9 @@ class Pipe:
 
     def _stage(self, start, count, op, out_dims, size):
         out_dims = [op.cod.dim] if out_dims is None else list(out_dims)
-        mid = _prod(self.dims[start:start + count])
-        right = _prod(self.dims[start + count:])
-        width = _prod(out_dims)
+        mid = prod(self.dims[start:start + count])
+        right = prod(self.dims[start + count:])
+        width = prod(out_dims)
         assert op.dom.dim == size * mid and op.cod.dim == width, \
             (op.dom.dim, size, mid, op.cod.dim, width)
         nums, den = op._nums()
@@ -531,7 +525,7 @@ class Pipe:
                 b, k = divmod(c, mid)
                 terms.append((i * right, b * src + k * right, w))
             out = {}
-            for l in range(_prod(self.dims[:start])):
+            for l in range(prod(self.dims[:start])):
                 rl, cl = l * width * right, l * mid * right
                 for ir, ck, w in terms:
                     row, col = rl + ir, cl + ck
@@ -564,7 +558,7 @@ class Pipe:
     def map(self):
         if self.entries is None:
             return LinMap.identity(Space(self.dom_dim), self.field)
-        return _sum_map(Space(self.dom_dim), Space(_prod(self.dims)),
+        return _sum_map(Space(self.dom_dim), Space(prod(self.dims)),
                         self.field, self.entries, self.den)
 
 
@@ -580,20 +574,23 @@ def permute_factors(dims, perm, field):
 
 
 def _eliminate(rows, ncols, field):
-    """Sparse Gauss-Jordan elimination on rows given as dicts {col: value}.
+    """Sparse Gauss-Jordan elimination on the integer form: rows {col:
+    value} of integers over Q (scaling a row changes no result) and of
+    residues over F_p.  No Fraction is formed.
 
     Pivots are taken in the columns below `ncols`; the columns from `ncols`
     on (right-hand sides) are carried along.  The row dicts are consumed.
-    Returns (pivots, rest): `pivots` lists (column, row) by increasing
-    column, each row 1 at its own pivot and 0 at every other pivot column,
-    so these are the nonzero rows of the reduced row echelon form; `rest`
-    holds the nonzero rows left with no entry below `ncols`.
+    Returns (pivots, den, rest): `pivots` lists (column, row) by increasing
+    column, the nonzero rows of the reduced row echelon form as integer
+    numerators over den (1 over F_p), each den at its own pivot and 0 at
+    the other pivots; `rest` holds the nonzero rows left with no entry
+    below `ncols`.
 
     Columns are taken left to right; in each, a shortest unfinished row
     with an entry there becomes the pivot row, to keep fill-in low.  The
-    reduced echelon form is unique, so the choice changes no result.  The
-    field enters only through the scalar step.  Over Q every scalar of a
-    pivot row comes back as an int when integral.
+    reduced echelon form is unique, so the choice changes no result.  Rows
+    are reduced by cross-multiplication (_reduce), and each pivot row is
+    divided by its pivot once: over F_p when taken, over Q at the end.
     """
     p = field.char
     live = dict(enumerate(rows))
@@ -613,68 +610,72 @@ def _eliminate(rows, ncols, field):
         for j in row:
             if j in where:
                 where[j].discard(k)
-        inv = field.inv(row.pop(c))
-        for j, v in row.items():
-            row[j] = v * inv % p if p else _rational(v * inv)
+        if p and row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row = {j: v * inv % p for j, v in row.items()}
         for i in using:
-            other = live[i]
-            _sub_multiple(other, row, other.pop(c), p, where, i)
+            _reduce(live[i], row, c, p, where, i)
         done.append((c, row))
     # Back substitution.  A pivot row holds only pivot columns to the right
     # of its own, and those rows are fully reduced when it is reached.
     at = dict(done)
     for c, row in reversed(done):
-        for j in [j for j in row if j in at]:
-            _sub_multiple(row, at[j], row.pop(j), p)
-    one = field.one
+        for j in [j for j in row if j != c and j in at]:
+            _reduce(row, at[j], j, p)
+    den = reduce(lcm, (row[c] for c, row in done), 1)
     for c, row in done:
-        if not p:   # sums of Fractions may be integral Fractions
-            for j, v in row.items():
-                row[j] = _rational(v)
-        row[c] = one
-    return done, [row for row in live.values() if row]
+        s = den // row[c]
+        if s != 1:
+            for j in row:
+                row[j] *= s
+    return done, den, [row for row in live.values() if row]
 
 
-def _sub_multiple(row, pivot_row, factor, p, where=None, i=None):
-    """row -= factor * pivot_row, dropping the entries that cancel.
-
-    `pivot_row` lacks its pivot entry, which the caller has popped from
-    `row` as `factor`.  A given column index `where` is kept up to date
-    for row i.
-    """
-    neg = -factor
+def _reduce(row, pivot_row, c, p, where=(), i=None):
+    """row := (pv/g) row - (f/g) pivot_row, with pv = pivot_row[c],
+    f = row[c] and g = gcd(pv, f), which clears row at c; the entries that
+    cancel are dropped.  Over Q the row is then divided by its content
+    where pv/g is not +-1; over F_p (pv = 1) entries are reduced mod p.
+    A given column index `where` is kept up to date for row i."""
+    pv, f = pivot_row[c], row[c]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        for j in row:
+            row[j] *= a
     for j, v in pivot_row.items():
-        old = row.get(j)
-        new = neg * v if old is None else old + neg * v
+        new = row.get(j, 0) - b * v
         if p:
             new %= p
         if new:
-            row[j] = new
-            if old is None and where is not None and j in where:
+            if j in where and j not in row:
                 where[j].add(i)
-        elif old is not None:
+            row[j] = new
+        else:   # only an old entry cancels: b and v are nonzero
             del row[j]
-            if where is not None and j in where:
+            if j in where:
                 where[j].discard(i)
+    if a != 1 and (g := reduce(gcd, row.values(), 0)) > 1:
+        for j in row:
+            row[j] //= g
 
 
 def _row_dicts(m):
-    """The rows of m as dicts {col: value}."""
+    """The rows of m's integer form as dicts {col: value}."""
     rows = [{} for _ in range(m.cod.dim)]
-    for (i, j), v in m.entries.items():
+    for (i, j), v in m._nums()[0].items():
         rows[i][j] = v
     return rows
 
 
 def rref(m):
-    """Reduced row echelon form.
-
-    Returns (reduced LinMap, pivot column tuple, rank).
-    """
-    pivots, _ = _eliminate(_row_dicts(m), m.dom.dim, m.field)
-    entries = {(r, j): v for r, (_, row) in enumerate(pivots)
-               for j, v in row.items()}
-    return (LinMap(m.dom, m.cod, m.field, entries),
+    """Reduced row echelon form: (reduced LinMap, pivot columns, rank)."""
+    pivots, den, _ = _eliminate(_row_dicts(m), m.dom.dim, m.field)
+    nums = {(r, j): v for r, (_, row) in enumerate(pivots)
+            for j, v in row.items()}
+    return (_sum_map(m.dom, m.cod, m.field, nums, den),
             tuple(c for c, _ in pivots), len(pivots))
 
 
@@ -685,44 +686,47 @@ def rank(m):
 
 def kernel(m):
     """Basis of the kernel, as columns of a LinMap into m.dom."""
-    f = m.field
-    pivots, _ = _eliminate(_row_dicts(m), m.dom.dim, f)
-    free, basis = _null_basis(pivots, m.dom.dim, f)
-    return LinMap(Space(len(free), "ker"), m.dom, f, basis)
+    pivots, den, _ = _eliminate(_row_dicts(m), m.dom.dim, m.field)
+    free, nums = _null_basis(pivots, den, m.dom.dim)
+    return _sum_map(Space(len(free), "ker"), m.dom, m.field, nums, den)
 
 
-def _null_basis(pivots, n, field):
-    """Kernel basis of a reduced echelon form with n columns.
-
-    Returns (free, basis): `free` numbers the non-pivot columns in order,
-    {column: k}; `basis` holds the entries {(coordinate, k): value} of the
-    k-th kernel vector, 1 at the k-th non-pivot column c and minus each
-    pivot row's entry at c at that row's pivot.
-    """
+def _null_basis(pivots, den, n):
+    """Kernel basis of the reduced echelon form over den of _eliminate,
+    with n columns: (free, nums), `free` numbering the non-pivot columns
+    in order, {column: k}, and nums over den the entries {(coordinate, k):
+    value} of the k-th kernel vector, 1 at the k-th non-pivot column c and
+    minus each pivot row's entry at c at that row's pivot."""
     taken = {c for c, _ in pivots}
     free = {c: k for k, c in
             enumerate(c for c in range(n) if c not in taken)}
-    basis = {(c, k): field.one for c, k in free.items()}
+    nums = {(c, k): den for c, k in free.items()}
     for pc, row in pivots:
         for c, v in row.items():
             if c != pc:
-                basis[(pc, free[c])] = field.neg(v)
-    return free, basis
+                nums[(pc, free[c])] = -v
+    return free, nums
 
 
 def _solution(m, targets):
-    """Entries of one X with m @ X == targets (a map into m.cod), free
-    variables 0, or raise NoSolution.  All columns share one elimination
-    of [m | targets]; a pivot variable takes its row's reduced entry."""
+    """One X with m @ X == targets (a map into m.cod), free variables 0,
+    or raise NoSolution.  All columns share one elimination of the integer
+    form of [m | targets], scaled to the lcm of the two denominators; a
+    pivot variable takes its row's reduced entry."""
     n = m.dom.dim
     rows = _row_dicts(m)
-    for (i, j), v in targets.entries.items():
-        rows[i][n + j] = v
-    pivots, rest = _eliminate(rows, n, m.field)
+    (_, dm), (nt, dt) = m._nums(), targets._nums()
+    g = gcd(dm, dt)
+    if dt != g:
+        rows = [{j: v * (dt // g) for j, v in row.items()} for row in rows]
+    for (i, j), v in nt.items():
+        rows[i][n + j] = v * (dm // g)
+    pivots, den, rest = _eliminate(rows, n, m.field)
     if rest:
         raise NoSolution("inconsistent system")
-    return {(c, j - n): v for c, row in pivots
-            for j, v in row.items() if j >= n}
+    return _sum_map(targets.dom, m.dom, m.field,
+                    {(c, j - n): v for c, row in pivots
+                     for j, v in row.items() if j >= n}, den)
 
 
 def solve_many(m, targets):
@@ -732,18 +736,14 @@ def solve_many(m, targets):
     targets), but all columns share one elimination.
     """
     assert targets.cod.dim == m.cod.dim
-    return LinMap(targets.dom, m.dom, m.field, _solution(m, targets))
+    return _solution(m, targets)
 
 
 def solve(m, target):
     """One solution of m v = target, or raise NoSolution."""
     assert len(target) == m.cod.dim
-    f = m.field
-    rhs = LinMap.from_columns(Space(1), m.cod, f, [target])
-    sol = [f.zero] * m.dom.dim
-    for (i, _), v in _solution(m, rhs).items():
-        sol[i] = v
-    return Vector(sol)
+    rhs = LinMap.from_columns(Space(1), m.cod, m.field, [target])
+    return _solution(m, rhs).column(0)
 
 
 def invert(m):
@@ -753,11 +753,10 @@ def invert(m):
     f = m.field
     ident = LinMap.identity(m.cod, f)
     try:
-        inv = LinMap(m.cod, m.dom, f, _solution(m, ident))
+        inv = _solution(m, ident)
     except NoSolution:
         raise NotInvertible("not surjective")
-    if not (m @ inv == ident) or \
-       not (inv @ m == LinMap.identity(m.dom, f)):
+    if m @ inv != ident or inv @ m != LinMap.identity(m.dom, f):
         raise NotInvertible("one sided only")
     return inv
 
@@ -857,15 +856,15 @@ def quotient_by(ambient, relations, field, label=""):
     # column echelon form of the relations = row echelon of the transpose;
     # each pivot row is an echelon basis vector of the span
     rows = [{} for _ in range(relations.dom.dim)]
-    for (i, j), v in relations.entries.items():
+    for (i, j), v in relations._nums()[0].items():
         rows[j][i] = v
-    pivots, _ = _eliminate(rows, ambient.dim, f)
-    free, basis = _null_basis(pivots, ambient.dim, f)
+    pivots, den, _ = _eliminate(rows, ambient.dim, f)
+    free, nums = _null_basis(pivots, den, ambient.dim)
     quotient = Space(len(free), label or (ambient.label + "/~"))
     # projection: subtract v[p_k] * w_k for each echelon vector, keep the
     # non-pivots; that is the transpose of the null basis
-    projection = LinMap(ambient, quotient, f,
-                        {(k, i): v for (i, k), v in basis.items()})
+    projection = _sum_map(ambient, quotient, f,
+                          {(k, i): v for (i, k), v in nums.items()}, den)
     section = LinMap(quotient, ambient, f,
                      {(c, k): f.one for c, k in free.items()})
     return QuotientPresentation(ambient, quotient, projection, section)

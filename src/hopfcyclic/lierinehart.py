@@ -15,18 +15,12 @@ from .exactlin import (
 )
 from .algcore import (
     CoalgebraData, Report, basis_slices, check_coalgebra,
-    check_sweedler_measuring, sweedler_sum,
+    check_sweedler_measuring, require_shape, sweedler_sum,
 )
 
 
 class CutoffExceeded(Exception):
     """A product left the truncated word basis."""
-
-
-def _require_shape(name, m, dom, cod):
-    if (m.dom.dim, m.cod.dim) != (dom, cod):
-        raise ValueError("%s is %d -> %d, needs %d -> %d"
-                         % (name, m.dom.dim, m.cod.dim, dom, cod))
 
 
 class LieRinehartData:
@@ -40,9 +34,9 @@ class LieRinehartData:
     def __init__(self, R, L, bracket, anchor, nabla, field, label=""):
         if R.space.dim != 1:
             raise ValueError("base ring must be the ground field")
-        _require_shape("bracket", bracket, L.dim * L.dim, L.dim)
-        _require_shape("anchor", anchor, L.dim, 1)
-        _require_shape("connection", nabla, L.dim, 1)
+        require_shape("bracket", bracket, L.dim * L.dim, L.dim)
+        require_shape("anchor", anchor, L.dim, 1)
+        require_shape("connection", nabla, L.dim, 1)
         self.R = R
         self.L = L
         self.bracket = bracket
@@ -230,8 +224,8 @@ class LieRinehartMeasuringData:
     """(C, PsiL : C (x) L -> L', psi : C (x) R -> R')."""
 
     def __init__(self, C, src, dst, PsiL, psi, label=""):
-        _require_shape("PsiL", PsiL, C.space.dim * src.L.dim, dst.L.dim)
-        _require_shape("psi", psi, C.space.dim * src.R.space.dim,
+        require_shape("PsiL", PsiL, C.space.dim * src.L.dim, dst.L.dim)
+        require_shape("psi", psi, C.space.dim * src.R.space.dim,
                        dst.R.space.dim)
         self.C = C
         self.src = src
@@ -384,25 +378,33 @@ class TruncatedEnvelope:
         return self.normal_form(tuple(reversed(word)), sgn)
 
 
-def _envelope_maps(env):
-    """The word formulas as maps on V = span(words): mul : V (x) V -> V,
-    zero on word pairs longer together than the cutoff, comul : V ->
-    V (x) V, counit : V -> k and the antipode S : V -> V."""
-    f = env.field
-    V, dv, index = env.space, env.space.dim, env.index
-    mul, comul, counit, S = {}, {}, {}, {}
+def _envelope_mul(env):
+    """The product of words as a map mul : V (x) V -> V on V =
+    span(words), zero on word pairs longer together than the cutoff."""
+    dv, index = env.space.dim, env.index
+    mul = {}
     for j, w in enumerate(env.words):
         for k, w2 in enumerate(env.words):
             if len(w) + len(w2) <= env.cutoff:
                 for w3, c in env.product_words(w, w2).items():
                     mul[(index[w3], j * dv + k)] = c
+    return LinMap(Space(dv * dv), env.space, env.field, mul)
+
+
+def _envelope_maps(env):
+    """The word formulas as maps on V = span(words): mul (see
+    _envelope_mul), comul : V -> V (x) V, counit : V -> k and the antipode
+    S : V -> V."""
+    f = env.field
+    V, dv, index = env.space, env.space.dim, env.index
+    comul, counit, S = {}, {}, {}
+    for j, w in enumerate(env.words):
         for (a, b), c in env.comul_word(w).items():
             comul[(index[a] * dv + index[b], j)] = c
         counit[(0, j)] = env.counit_word(w)
         for w2, c in env.antipode_word(w).items():
             S[(index[w2], j)] = c
-    VV = Space(dv * dv)
-    return (LinMap(VV, V, f, mul), LinMap(V, VV, f, comul),
+    return (_envelope_mul(env), LinMap(V, Space(dv * dv), f, comul),
             LinMap(V, Space(1), f, counit), LinMap(V, V, f, S))
 
 
@@ -483,8 +485,9 @@ def alt_map(env, n):
     return alt.map
 
 
-def envelope_b_on_alt(env, n):
-    """b composed with the antisymmetrization.
+def envelope_b_on_alt(env, n, mul):
+    """b composed with the antisymmetrization, given the product mul of
+    _envelope_mul.
 
     The end faces use the counit (and the antipode on the last slot) and
     vanish on length-one words, so only the merge faces contribute and the
@@ -492,7 +495,6 @@ def envelope_b_on_alt(env, n):
     """
     dv = env.space.dim
     alt = alt_map(env, n)
-    mul = _envelope_maps(env)[0]
     out = LinMap.zero(alt.dom, Space(dv ** max(n - 1, 0)), env.field)
     for i in range(1, n):
         face = Pipe.after(alt, [dv] * n).block(i - 1, 2, mul).map
@@ -506,8 +508,9 @@ def check_alt_intertwines(lr, env):
     rep = Report("alt intertwines")
     if lr.nabla.entries:
         raise ValueError("alt intertwines on the trivial connection only")
+    mul = _envelope_mul(env)
     for n in range(2, env.cutoff + 1):
-        lhs = envelope_b_on_alt(env, n)
+        lhs = envelope_b_on_alt(env, n, mul)
         rhs = alt_map(env, n - 1) @ lr_boundary(lr, n)
         rep.check_map_equal("degree%d" % n, lhs, rhs)
     return rep

@@ -12,7 +12,7 @@ from .exactlin import (
 )
 from .algcore import (
     CoalgebraData, ComoduleData, Report, basis_slices, check_comodule,
-    check_sweedler_measuring, keyed, sweedler_sum,
+    check_sweedler_measuring, keyed, require_shape, sweedler_sum,
 )
 from .hopfalgebroid import YdAlgebraData, require_own_algebroid
 
@@ -28,10 +28,8 @@ class MeasuringData:
         self.src = src
         self.dst = dst
         dc = C.space.dim
-        assert Psi.dom.dim == dc * src.U.space.dim
-        assert Psi.cod.dim == dst.U.space.dim
-        assert psi.dom.dim == dc * src.A.space.dim
-        assert psi.cod.dim == dst.A.space.dim
+        require_shape("Psi", Psi, dc * src.U.space.dim, dst.U.space.dim)
+        require_shape("psi", psi, dc * src.A.space.dim, dst.A.space.dim)
         self.Psi = Psi
         self.psi = psi
         self.label = label
@@ -93,9 +91,11 @@ def check_hopf_algebroid_measuring(m):
 def compose_measurings(m1, m2, label=""):
     """Measuring on C1 (x) C2 from source of m1 to target of m2:
     (x (x) x')(u) = x'(x(u))."""
-    assert m1.dst is m2.src or (
-        m1.dst.U.space.dim == m2.src.U.space.dim
-        and m1.dst.A.space.dim == m2.src.A.space.dim)
+    if m1.dst is not m2.src and (
+            m1.dst.U.space.dim != m2.src.U.space.dim
+            or m1.dst.A.space.dim != m2.src.A.space.dim):
+        raise ValueError("the target of %s is not the source of %s"
+                         % (m1.label, m2.label))
     f = m1.C.field
     C = m1.C.tensor_with(m2.C)
     pairs = [(m1.C.space.basis_vector(i, f), m2.C.space.basis_vector(j, f))
@@ -107,10 +107,14 @@ def compose_measurings(m1, m2, label=""):
 
 
 class EnvelopingMeasuring:
-    def __init__(self, C, Ae_src, Ae_dst, psi_e):
+    """psi_e : C (x) A^e -> A'^e for base algebras src_A and dst_A; their
+    enveloping algebras A (x) A^op are formed by check_enveloping_measuring,
+    their only reader."""
+
+    def __init__(self, C, src_A, dst_A, psi_e):
         self.C = C
-        self.Ae_src = Ae_src
-        self.Ae_dst = Ae_dst
+        self.src_A = src_A
+        self.dst_A = dst_A
         self.psi_e = psi_e
 
 
@@ -122,17 +126,17 @@ def enveloping_measuring(C, src_A, dst_A, psi):
     if not C.is_cocommutative():
         raise ValueError("enveloping measuring needs a cocommutative coalgebra")
     f = C.field
-    Ae_src = src_A.tensor_with(src_A.opposite())
-    Ae_dst = dst_A.tensor_with(dst_A.opposite())
     da = src_A.space.dim
     dc = C.space.dim
     psi_e = Pipe([dc, da, da], f).block(0, 1, C.comul, [dc, dc])
     psi_e.permute([0, 2, 1, 3]).block(0, 2, psi).block(1, 2, psi)
-    return EnvelopingMeasuring(C, Ae_src, Ae_dst, psi_e.map)
+    return EnvelopingMeasuring(C, src_A, dst_A, psi_e.map)
 
 
 def check_enveloping_measuring(env):
-    return check_sweedler_measuring(env.C, env.Ae_src, env.Ae_dst, env.psi_e)
+    src_e, dst_e = (A.tensor_with(A.opposite())
+                    for A in (env.src_A, env.dst_A))
+    return check_sweedler_measuring(env.C, src_e, dst_e, env.psi_e)
 
 
 class ComoduleMeasuringData:
@@ -140,18 +144,22 @@ class ComoduleMeasuringData:
     coefficients: Omega : D (x) P -> P'."""
 
     def __init__(self, base, D, src_p, dst_p, Omega, label=""):
-        assert isinstance(base, MeasuringData)
-        assert D.coalgebra is base.C or D.coalgebra.space.dim == base.C.space.dim
-        assert D.side == "right"
+        if not isinstance(base, MeasuringData):
+            raise ValueError("the base of a comodule measuring is a "
+                             "MeasuringData, not %r" % (base,))
+        if D.coalgebra is not base.C and \
+                D.coalgebra.space.dim != base.C.space.dim:
+            raise ValueError("D is a comodule over another coalgebra")
+        if D.side != "right":
+            raise ValueError("D is a right comodule, not a %s one" % D.side)
         require_own_algebroid(base.src, src_p)
         require_own_algebroid(base.dst, dst_p)
+        require_shape("Omega", Omega, D.space.dim * src_p.space.dim,
+                      dst_p.space.dim)
         self.base = base
         self.D = D
         self.src_p = src_p
         self.dst_p = dst_p
-        dd = D.space.dim
-        assert Omega.dom.dim == dd * src_p.space.dim
-        assert Omega.cod.dim == dst_p.space.dim
         self.Omega = Omega
         self.label = label
 
@@ -238,14 +246,17 @@ class YdMeasuringData:
     Hopf algebroid: psi : C (x) Z -> Z'."""
 
     def __init__(self, C, src_z, dst_z, psi, label=""):
-        assert isinstance(src_z, YdAlgebraData)
-        assert isinstance(dst_z, YdAlgebraData)
-        assert src_z.h is dst_z.h
+        if not (isinstance(src_z, YdAlgebraData)
+                and isinstance(dst_z, YdAlgebraData)):
+            raise ValueError("both ends of a YD measuring are YdAlgebraData")
+        if src_z.h is not dst_z.h:
+            raise ValueError("the ends of a YD measuring are over %s and %s"
+                             % (src_z.h.label, dst_z.h.label))
+        require_shape("psi", psi, C.space.dim * src_z.Z.space.dim,
+                      dst_z.Z.space.dim)
         self.C = C
         self.src_z = src_z
         self.dst_z = dst_z
-        assert psi.dom.dim == C.space.dim * src_z.Z.space.dim
-        assert psi.cod.dim == dst_z.Z.space.dim
         self.psi = psi
         self.label = label
 

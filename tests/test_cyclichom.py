@@ -8,7 +8,7 @@ from hopfcyclic.exactlin import (
 )
 from hopfcyclic.hopfalgebroid import (
     HopfAlgebroidData, base_sayd_for_pair, gallery, group_hopf_algebroid,
-    pair_hopf_algebroid,
+    pair_hopf_algebroid, translation_lift,
 )
 from hopfcyclic.measuring import (
     compose_comodule_measurings, compose_measurings,
@@ -624,6 +624,62 @@ def test_coefficient_certificates_reject_what_global_descend_rejects(
                        (build_cyclic_with_coeffs, "action")}
     assert rejected & {(build_cocyclic_with_coeffs, "coaction"),
                        (build_cocyclic_with_coeffs, "counit_coeff")}
+
+
+def _cyclic_all_at_once(h, p, n):
+    """The cyclic operator of chain_coeff_cyclic with every u translated
+    before any product is formed: p (x) u1 (x) ... (x) un -> p_0 u1+ (x)
+    u2+ (x) ... (x) un+ (x) un- ... u1- p_-1, the product left-nested."""
+    f = h.field
+    if n == 0:
+        return LinMap.identity(p.space, f)
+    du, dp = h.U.space.dim, p.space.dim
+    pipe = Pipe([dp] + [du] * n, f)
+    for k in range(n):
+        pipe.block(1 + 2 * k, 1, translation_lift(h), [du, du])
+    pipe.block(0, 1, p.coact_lift, [du, dp])
+    # (p_-1, p_0, u1+, u1-, ..., un+, un-)
+    pipe.permute([1] + [2 * k for k in range(1, n + 1)]
+                 + [2 * k + 1 for k in range(n, 0, -1)] + [0])
+    pipe.block(0, 2, p.action)
+    for _ in range(n):
+        pipe.block(n, 2, h.U.mul)
+    return descend(pipe.map, p.chain_tower(n), p.chain_tower(n))
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_coefficient_cyclic_operator_is_the_all_at_once_formula(field):
+    """chain_coeff_cyclic multiplies each u- into the running product as
+    soon as it exists; the map is the one with every u translated first,
+    on the gallery and on single-entry mutants of the action and the
+    coaction lift, where both raise the same DescentFailure."""
+    from test_acceptance import _mutate
+    import random
+    from hopfcyclic.hopfalgebroid import SaydModuleData
+
+    def outcome(make, h, p, n):
+        try:
+            return make(h, p, n)
+        except DescentFailure as exc:
+            return exc.witness
+
+    rng = random.Random(2)
+    for name, e in gallery(field).items():
+        h, p = e.hopf, e.sayd
+        cases = [p]
+        if name in ("pair_dual", "pair_split"):
+            for key in ("action", "coact_lift"):
+                m = getattr(p, key)
+                i, j = rng.randrange(m.cod.dim), rng.randrange(m.dom.dim)
+                maps = {"action": p.action, "coact_lift": p.coact_lift,
+                        key: _mutate(m, i, j, field)}
+                cases.append(SaydModuleData(h, p.space, maps["action"],
+                                            maps["coact_lift"], "mutant"))
+        for q in cases:
+            for n in range(4):
+                got = outcome(cyclichom.chain_coeff_cyclic, h, q, n)
+                assert got == outcome(_cyclic_all_at_once, h, q, n), \
+                    (name, q.label, n)
 
 
 def _mul_mutant():

@@ -1,15 +1,16 @@
 from fractions import Fraction
+from math import gcd
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hopfcyclic.algcore import Report
 from hopfcyclic.exactlin import (
     QQ, FieldSpec, LinMap, Pipe, Space, DescentFailure, NoSolution,
     NotInvertible, QuotientPresentation, descend, descent_witness, invert,
-    kernel, permute_factors, quotient_by, rank, rref, solve, solve_many,
-    tensor_presentation,
+    _reduce, kernel, permute_factors, quotient_by, rank, rref, solve,
+    solve_many, tensor_presentation,
 )
 from hopfcyclic.hopfalgebroid import gallery
 
@@ -383,27 +384,60 @@ def test_fresh_pipe_agrees_with_a_pipe_after_the_identity(case):
     _assert_canonical(fresh.map)
 
 
-# -- elimination: properties over Q, F5 and F7, and a dense oracle -----------
+# -- elimination: properties over Q and F_p, and a dense Fraction oracle ----
 
-def _dense_rref(rows, ncols, f):
-    """Textbook Gauss-Jordan on a list of rows; the oracle for rref."""
-    rows = [list(r) for r in rows]
-    pivots = []
+def _gauss_jordan(rows, ncols, p):
+    """Dense Gauss-Jordan on a list of rows, with Fraction arithmetic over
+    Q (p = 0) and residues mod p otherwise; pivots only below ncols.
+    Returns (reduced rows, pivot columns, rest): the nonzero reduced rows,
+    each entry over Q an int where integral, and the nonzero rows left
+    with no entry below ncols."""
+    def div(x, y):
+        return Fraction(x, y) if not p else x * pow(y, p - 2, p) % p
+
+    def clear(r, pr, c):
+        return [x - r[c] * y if not p else (x - r[c] * y) % p
+                for x, y in zip(r, pr)]
+
+    rows = [[Fraction(x) if not p else x % p for x in r] for r in rows]
+    done, pivots = [], []
     for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        pr = next((r for r in rows if r[c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y))
-                           for x, y in zip(rows[i], rows[r])]
+        rows.remove(pr)
+        pr = [div(x, pr[c]) for x in pr]
+        rows = [clear(r, pr, c) for r in rows]
+        done = [clear(r, pr, c) for r in done]
+        done.append(pr)
         pivots.append(c)
-    return rows, tuple(pivots)
+    norm = [[x.numerator if not p and x.denominator == 1 else x for x in r]
+            for r in done]
+    return norm, tuple(pivots), [r for r in rows if any(r)]
+
+
+def _typed(m):
+    """The entries of a map with their types, so that 2 and Fraction(2)
+    differ."""
+    return {k: (type(v), v) for k, v in m.entries.items()}
+
+
+def _want(entries):
+    """The nonzero reference entries, typed as _typed types them."""
+    return {k: (type(v), v) for k, v in entries.items() if v}
+
+
+def _ref_null_basis(red, pivots, n):
+    """{(coordinate, k): value} of the kernel basis of kernel()'s docstring
+    read off reduced rows, and the free columns."""
+    free = [c for c in range(n) if c not in pivots]
+    basis = {}
+    for k, c in enumerate(free):
+        basis[(c, k)] = 1
+        for r, pc in enumerate(pivots):
+            if red[r][c]:
+                basis[(pc, k)] = -red[r][c]
+    return basis, free
 
 
 @st.composite
@@ -431,8 +465,8 @@ def field_matrices(draw, square=False, field=fields):
 def test_rref_matches_dense_oracle(case):
     f, m = case
     red, pivots, rk = rref(m)
-    rows, want_pivots = _dense_rref(m.rows(), m.dom.dim, f)
-    assert red.rows() == rows
+    rows, want_pivots, _ = _gauss_jordan(m.rows(), m.dom.dim, f.char)
+    assert red.rows() == rows + [[0] * m.dom.dim] * (m.cod.dim - len(rows))
     assert pivots == want_pivots and rk == len(pivots)
     assert rank(m) == rk
 
@@ -504,19 +538,14 @@ def test_quotient_dims(case):
 
 
 def _oracle_kernel(m):
-    """Kernel basis read off _dense_rref: column k is 1 at the k-th
+    """Kernel basis read off _gauss_jordan: column k is 1 at the k-th
     non-pivot column c and minus each reduced row's entry at c at that
     row's pivot, as kernel() documents."""
-    f = m.field
-    rows, pivots = _dense_rref(m.rows(), m.dom.dim, f)
-    free = [c for c in range(m.dom.dim) if c not in pivots]
-    entries = {}
-    for k, c in enumerate(free):
-        entries[(c, k)] = f.one
-        for r, pc in enumerate(pivots):
-            if rows[r][c]:
-                entries[(pc, k)] = f.neg(rows[r][c])
-    return LinMap(Space(len(free)), m.dom, f, entries)
+    p = m.field.char
+    red, pivots, _ = _gauss_jordan(m.rows(), m.dom.dim, p)
+    basis, free = _ref_null_basis(red, pivots, m.dom.dim)
+    return LinMap(Space(len(free)), m.dom, m.field,
+                  {k: v % p if p else v for k, v in basis.items()})
 
 
 @settings(max_examples=150, deadline=None)
@@ -895,3 +924,141 @@ def test_tower_complements_span_the_kernel_of_the_projection(field):
             assert rank(span) == pres.ambient.dim - pres.quotient.dim, name
         for pres in press:
             assert pres.relations == _oracle_kernel(pres.projection), name
+
+
+# -- the integer-form eliminator against a dense Fraction reference ---------
+
+def _scalars(p):
+    """Over Q n/d with |n|, d <= 9, over F_p residues; zero half of the
+    time."""
+    if p:
+        return st.integers(min_value=0, max_value=p - 1)
+    return st.one_of(st.just(0), st.builds(
+        Fraction, st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=1, max_value=9)))
+
+
+@st.composite
+def elimination_cases(draw):
+    """(p, rows, columns, a dense matrix of at most 6 x 6) over Q, F5, F7
+    or F10007 (p = 0, 5, 7, 10007); a row may be zero, repeat an earlier
+    row or combine two earlier ones."""
+    p = draw(st.sampled_from([0, 5, 7, 10007]))
+    nr = draw(st.integers(min_value=0, max_value=6))
+    nc = draw(st.integers(min_value=0, max_value=6))
+    scalar = _scalars(p)
+    rows = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(["new", "new", "zero", "repeat",
+                                     "combine"])) if rows else "new"
+        if kind == "new":
+            row = [draw(scalar) for _ in range(nc)]
+        elif kind == "zero":
+            row = [0] * nc
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(scalar), draw(scalar)
+            row = [s * x + t * y if not p else (s * x + t * y) % p
+                   for x, y in zip(a, b)]
+        rows.append(row)
+    return p, nr, nc, rows
+
+
+def _dense_map(p, nc, rows, as_fractions):
+    """The LinMap of dense rows with nc columns; over Q its entries all
+    Fractions or all normalized."""
+    entries = {(i, j): v if p else Fraction(v) if as_fractions
+               else QQ.of_int(v.numerator, v.denominator)
+               for i, r in enumerate(rows) for j, v in enumerate(r) if v}
+    return LinMap(Space(nc), Space(len(rows)), FieldSpec(p), entries)
+
+
+def _dense_product_rows(a, b, p):
+    out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+           for row in a]
+    return [[v % p for v in r] for r in out] if p else out
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_cases(), st.booleans(), st.data())
+def test_eliminator_matches_a_dense_fraction_reference(case, as_fr, data):
+    p, nr, nc, rows = case
+    m = _dense_map(p, nc, rows, as_fr)
+    red, pivots, _ = _gauss_jordan(rows, nc, p)
+    # rref and rank
+    got, got_pivots, rk = rref(m)
+    assert _typed(got) == _want(
+        {(r, j): v for r, row in enumerate(red) for j, v in enumerate(row)})
+    assert got_pivots == pivots and rk == rank(m) == len(pivots)
+    # kernel
+    basis, free = _ref_null_basis(red, pivots, nc)
+    ker = kernel(m)
+    assert ker.dom.dim == len(free)
+    assert _typed(ker) == _want(
+        {k: v % p if p else v for k, v in basis.items()})
+    # quotient_by the span of the columns of m
+    cred, cpivots, _ = _gauss_jordan([list(c) for c in zip(*rows)], nr, p)
+    cbasis, cfree = _ref_null_basis(cred, cpivots, nr)
+    pres = quotient_by(m.cod, m, m.field)
+    assert pres.quotient.dim == len(cfree)
+    assert _typed(pres.projection) == _want(
+        {(k, i): v % p if p else v for (i, k), v in cbasis.items()})
+    assert _typed(pres.section) == _want(
+        {(c, k): 1 for k, c in enumerate(cfree)})
+    # solve_many, on targets in the image of m or drawn freely
+    k = data.draw(st.integers(min_value=0, max_value=3))
+    scalar = _scalars(p)
+    if data.draw(st.booleans()):
+        x = [[data.draw(scalar) for _ in range(k)] for _ in range(nc)]
+        trows = _dense_product_rows(rows, x, p) if nc else [[0] * k] * nr
+    else:
+        trows = [[data.draw(scalar) for _ in range(k)] for _ in range(nr)]
+    targets = _dense_map(p, k, trows, as_fr)
+    aug, apivots, rest = _gauss_jordan(
+        [r + t for r, t in zip(rows, trows)], nc, p)
+    if rest:
+        with pytest.raises(NoSolution):
+            solve_many(m, targets)
+    else:
+        assert _typed(solve_many(m, targets)) == _want(
+            {(pc, j - nc): v for pc, row in zip(apivots, aug)
+             for j, v in enumerate(row) if j >= nc})
+    # invert, on the square matrices
+    if nr == nc:
+        ident = [[int(i == j) for j in range(nc)] for i in range(nc)]
+        inv, ipivots, _ = _gauss_jordan(
+            [r + e for r, e in zip(rows, ident)], nc, p)
+        if len(ipivots) < nc:
+            with pytest.raises(NotInvertible):
+                invert(m)
+        else:
+            assert _typed(invert(m)) == _want(
+                {(i, j - nc): v for i, row in enumerate(inv)
+                 for j, v in enumerate(row) if j >= nc})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=-40, max_value=40),
+                          st.integers(min_value=-40, max_value=40)),
+                min_size=2, max_size=5))
+def test_row_update_clears_the_pivot_and_keeps_rows_primitive(pairs):
+    # over Q, row := (pv/g) row - (f/g) pivot_row with g = gcd(pv, f),
+    # then divided by its content where pv/g is not +-1
+    row, pivot = [list(t) for t in zip(*pairs)]
+    assume(row[0] and pivot[0])
+    r = {j: v for j, v in enumerate(row) if v}
+    _reduce(r, {j: v for j, v in enumerate(pivot) if v}, 0, 0)
+    got = [r.get(j, 0) for j in range(len(row))]
+    assert got[0] == 0 and 0 not in r.values()
+    exact = [x - Fraction(row[0], pivot[0]) * y for x, y in zip(row, pivot)]
+    if abs(pivot[0] // gcd(pivot[0], row[0])) == 1:
+        assert got == exact
+        return
+    # a nonzero multiple of the exact update, primitive
+    scale = next((Fraction(g, e) for g, e in zip(got, exact) if e), None)
+    assert (scale is None) == (not any(got)) == (not any(exact))
+    if scale is not None:
+        assert all(g == scale * e for g, e in zip(got, exact))
+        assert gcd(*got) == 1

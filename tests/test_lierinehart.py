@@ -207,6 +207,24 @@ def test_alt_intertwines(aff):
     assert check_alt_intertwines(ab, env2).ok
 
 
+def test_alt_intertwines_forms_the_product_once(aff, monkeypatch):
+    # every degree reads one product map; comul, counit and S are unread
+    real = lierinehart._envelope_mul
+    calls = []
+
+    def counting(env):
+        calls.append(env)
+        return real(env)
+
+    monkeypatch.setattr(lierinehart, "_envelope_mul", counting)
+    monkeypatch.setattr(lierinehart, "_envelope_maps", None)
+    env = TruncatedEnvelope(aff)
+    rep = check_alt_intertwines(aff, env)
+    assert [(r.name, r.passed) for r in rep.results] == \
+        [("degree2", True), ("degree3", True)]
+    assert calls == [env]
+
+
 def test_wedge_basis():
     assert wedge_basis(3, 2) == [(0, 1), (0, 2), (1, 2)]
     assert lr_boundary(nonabelian_2d(QQ), 2).entries == {(1, 0): Fraction(-1)}

@@ -8,10 +8,13 @@ from hopfcyclic.exactlin import (
 from hopfcyclic.hopfalgebroid import (
     check_hopf_algebroid, check_hopf_galois, check_sayd, gallery,
 )
+from hopfcyclic.algcore import (
+    AlgebraData, ComoduleData, check_sweedler_measuring,
+)
 from hopfcyclic.measuring import (
-    MeasuringData, check_enveloping_measuring, check_hopf_algebroid_measuring,
-    check_sayd_comodule_measuring, check_yd_measuring,
-    compose_comodule_measurings, compose_measurings,
+    ComoduleMeasuringData, MeasuringData, check_enveloping_measuring,
+    check_hopf_algebroid_measuring, check_sayd_comodule_measuring,
+    check_yd_measuring, compose_comodule_measurings, compose_measurings,
     derivation_pair_comodule_measuring, derivation_pair_measuring,
     enveloping_measuring, euler_derivation, identity_comodule_measuring,
     identity_measuring, point_coalgebra, zero_primitive_comodule_measuring,
@@ -80,6 +83,31 @@ def test_enveloping(euler):
                                euler.psi)
     rep = check_enveloping_measuring(env)
     assert rep.ok, rep.failures()
+    a = dual_numbers(QQ)
+    ae = a.tensor_with(a.opposite())
+    want = check_sweedler_measuring(euler.C, ae, ae, env.psi_e)
+    assert [(r.name, r.passed, r.witness) for r in rep.results] == \
+        [(r.name, r.passed, r.witness) for r in want.results]
+
+
+def test_pair_measurings_form_no_enveloping_algebra(gal, monkeypatch):
+    # the enveloping algebras are read only by check_enveloping_measuring
+    real = AlgebraData.tensor_with
+    calls = []
+
+    def counting(self, other, label=""):
+        calls.append(self)
+        return real(self, other, label)
+
+    monkeypatch.setattr(AlgebraData, "tensor_with", counting)
+    for name in ("pair_dual", "pair_split"):
+        h = gal[name].hopf
+        m = derivation_pair_measuring(h, LinMap.zero(h.A.space, h.A.space, QQ))
+        assert m.Psi.dom.dim == 2 * h.U.space.dim
+    assert calls == []
+    check_enveloping_measuring(enveloping_measuring(
+        m.C, h.A, h.A, m.psi))
+    assert len(calls) == 2
 
 
 def test_enveloping_rejects_noncocommutative():
@@ -210,3 +238,52 @@ def test_pair_measuring_acts_by_delta_on_each_tensor_factor(field):
             xs = delta.tensor(one) + one.tensor(delta)
             expected = pack_slices([LinMap.identity(h.U.space, f), xs], f)
             assert derivation_pair_measuring(h, delta).Psi == expected
+
+
+def test_mis_shaped_measurings_raise_value_errors(gal, euler):
+    """These hold under python -O too: none of them rests on an assert."""
+    f = QQ
+    h = gal["pair_dual"].hopf
+    C, Psi, psi = euler.C, euler.Psi, euler.psi
+    with pytest.raises(ValueError, match="Psi"):
+        MeasuringData(C, h, h, LinMap(Space(3), Psi.cod, f), psi)
+    with pytest.raises(ValueError, match="Psi"):
+        MeasuringData(C, h, h, LinMap(Psi.dom, Space(3), f), psi)
+    with pytest.raises(ValueError, match="psi"):
+        MeasuringData(C, h, h, Psi, LinMap(Space(3), psi.cod, f))
+    with pytest.raises(ValueError, match="psi"):
+        MeasuringData(C, h, h, Psi, LinMap(psi.dom, Space(3), f))
+    with pytest.raises(ValueError, match="not the source"):
+        compose_measurings(zero_primitive_measuring(gal["group_c2"].hopf),
+                           euler)
+    # comodule measurings
+    p = gal["pair_dual"].sayd
+    good = derivation_pair_comodule_measuring(euler, p)
+    D, Omega = good.D, good.Omega
+    with pytest.raises(ValueError, match="MeasuringData"):
+        ComoduleMeasuringData(object(), D, p, p, Omega)
+    with pytest.raises(ValueError, match="another coalgebra"):
+        ComoduleMeasuringData(euler, ComoduleData(
+            point_coalgebra(f), D.space, LinMap(D.space, D.space, f), "right"),
+            p, p, Omega)
+    with pytest.raises(ValueError, match="right comodule"):
+        ComoduleMeasuringData(euler, ComoduleData(
+            D.coalgebra, D.space, D.coaction, "left"), p, p, Omega)
+    with pytest.raises(ValueError, match="Omega"):
+        ComoduleMeasuringData(euler, D, p, p, LinMap(Space(3), Omega.cod, f))
+    with pytest.raises(ValueError, match="Omega"):
+        ComoduleMeasuringData(euler, D, p, p, LinMap(Omega.dom, Space(3), f))
+    # YD measurings
+    z = scalar_yd_algebra(gal["group_c2"].hopf)
+    pt = point_coalgebra(f)
+    zpsi = LinMap(Space(1), z.Z.space, f, {(0, 0): f.one})
+    with pytest.raises(ValueError, match="YdAlgebraData"):
+        YdMeasuringData(pt, z, object(), zpsi)
+    with pytest.raises(ValueError, match="YdAlgebraData"):
+        YdMeasuringData(pt, object(), z, zpsi)
+    with pytest.raises(ValueError, match="over"):
+        YdMeasuringData(pt, z, scalar_yd_algebra(gal["group_c3"].hopf), zpsi)
+    with pytest.raises(ValueError, match="psi"):
+        YdMeasuringData(pt, z, z, LinMap(Space(2), z.Z.space, f))
+    with pytest.raises(ValueError, match="psi"):
+        YdMeasuringData(pt, z, z, LinMap(Space(1), Space(2), f))
