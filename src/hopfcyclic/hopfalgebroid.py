@@ -21,7 +21,7 @@ from .exactlin import (
 )
 from .algcore import (
     AlgebraData, BalancedTower, ModuleActionData, Report, check_algebra,
-    check_module, keyed, swap_map,
+    check_module, keyed, require_shape, swap_map,
 )
 
 
@@ -33,11 +33,11 @@ class LeftBialgebroidData:
         self.U = U
         self.A = A
         self.field = U.field
-        assert s_L.dom.dim == A.space.dim and s_L.cod.dim == U.space.dim
-        assert t_L.dom.dim == A.space.dim and t_L.cod.dim == U.space.dim
-        assert delta_lift.dom.dim == U.space.dim
-        assert delta_lift.cod.dim == U.space.dim ** 2
-        assert eps_L.dom.dim == U.space.dim and eps_L.cod.dim == A.space.dim
+        du, da = U.space.dim, A.space.dim
+        require_shape("s_L", s_L, da, du)
+        require_shape("t_L", t_L, da, du)
+        require_shape("delta_lift", delta_lift, du, du * du)
+        require_shape("eps_L", eps_L, du, da)
         self.s_L = s_L
         self.t_L = t_L
         self.delta_lift = delta_lift
@@ -63,7 +63,8 @@ class LeftBialgebroidData:
     def iterated_delta_lift(self, n):
         """Lift of the (n-1)-fold coproduct, expanding the last slot
         (cached)."""
-        assert n >= 1
+        if n < 1:
+            raise ValueError("the coproduct lift needs n >= 1, not %d" % n)
         if n not in self._delta_lifts:
             du = self.U.space.dim
             pipe = Pipe([du], self.field)
@@ -101,12 +102,14 @@ class LeftBialgebroidData:
 
     def ltower(self, n):
         """Presentation of the n-fold coproduct-side tensor power (n >= 1)."""
-        assert n >= 1
+        if n < 1:
+            raise ValueError("the L tower starts at degree 1, not %d" % n)
         return self._grower("L")[n - 1]
 
     def rtower(self, n):
         """Presentation of the n-fold chain-side tensor power (n >= 1)."""
-        assert n >= 1
+        if n < 1:
+            raise ValueError("the R tower starts at degree 1, not %d" % n)
         return self._grower("R")[n - 1]
 
     @property
@@ -120,7 +123,7 @@ class HopfAlgebroidData(LeftBialgebroidData):
 
     def __init__(self, U, A, s_L, t_L, delta_lift, eps_L, S, label=""):
         super().__init__(U, A, s_L, t_L, delta_lift, eps_L, label)
-        assert S.dom.dim == U.space.dim and S.cod.dim == U.space.dim
+        require_shape("S", S, U.space.dim, U.space.dim)
         self.S = S
         self._beta = None
         self._translation = None
@@ -363,10 +366,9 @@ class SaydModuleData(_Coefficients):
                  presentation=None):
         self.h = h
         self.space = space
-        assert action.dom.dim == space.dim * h.U.space.dim
-        assert action.cod.dim == space.dim
-        assert coact_lift.dom.dim == space.dim
-        assert coact_lift.cod.dim == h.U.space.dim * space.dim
+        du, dp = h.U.space.dim, space.dim
+        require_shape("action", action, dp * du, dp)
+        require_shape("coact_lift", coact_lift, dp, du * dp)
         self.action = action
         self.coact_lift = coact_lift
         self.label = label
@@ -487,10 +489,9 @@ class YdAlgebraData(_Coefficients):
         self.h = h
         self.Z = Z
         self.space = Z.space
-        assert action.dom.dim == h.U.space.dim * Z.space.dim
-        assert action.cod.dim == Z.space.dim
-        assert coact_lift.dom.dim == Z.space.dim
-        assert coact_lift.cod.dim == h.U.space.dim * Z.space.dim
+        du, dz = h.U.space.dim, Z.space.dim
+        require_shape("action", action, du * dz, dz)
+        require_shape("coact_lift", coact_lift, dz, du * dz)
         self.action = action
         self.coact_lift = coact_lift
         self.label = label

@@ -70,6 +70,12 @@ class CompModuleData:
 
 
 def check_operad(od):
+    """The operad axioms up to arity od.N.  Associativity is read on the
+    cases left_of (j < i) and inside (i <= j < i + q) of
+    (f o_i g) o_j h with f, g, h in O(p), O(q), O(r): the right_of case
+    (p, q, r, i, j), j >= i + q, is the left_of case (p, r, q, j - q + 1, i)
+    with the factors O(q) and O(r) swapped, on the same four maps and
+    cutoffs, so it is not evaluated again."""
     rep = Report("operad %s" % od.label)
     f = od.field
     N = od.N
@@ -90,32 +96,25 @@ def check_operad(od):
     def associativity_at(p, q, r, n2):
         nonlocal skipped
         dims = [od.spaces[p].dim, od.spaces[q].dim, od.spaces[r].dim]
-        # the stages shared by several (i, j), built on first use:
-        # O(p) (x) O(r) (x) O(q) for the left_of and right_of cases
+        # O(p) (x) O(r) (x) O(q), the stage of every left_of case, built
+        # on first use
         swapped = None
         for i in range(1, p + 1):
             lhs_inner = od.comp.get((p, q, i))
             first = None  # comp_i (x) id
-            for j in range(1, n2 + 1):
+            for j in range(1, min(n2, i + q - 1) + 1):
                 lhs_outer = od.comp.get((n2, r, j))
                 if lhs_inner is None or lhs_outer is None:
                     skipped += 1
                     continue
                 if j < i:
-                    inner = od.comp.get((p, r, j))
+                    case, inner = "left_of", od.comp.get((p, r, j))
                     outer = od.comp.get((p + r - 1, q, i + r - 1)) \
                         if p + r - 1 <= N else None
-                    case = "left_of"
-                elif j < q + i:
-                    inner = od.comp.get((q, r, j - i + 1))
+                else:
+                    case, inner = "inside", od.comp.get((q, r, j - i + 1))
                     outer = od.comp.get((p, q + r - 1, i)) \
                         if q + r - 1 <= N else None
-                    case = "inside"
-                else:
-                    inner = od.comp.get((p, r, j - q + 1))
-                    outer = od.comp.get((p + r - 1, q, i)) \
-                        if p + r - 1 <= N else None
-                    case = "right_of"
                 if inner is None or outer is None:
                     skipped += 1
                     continue
@@ -128,8 +127,8 @@ def check_operad(od):
                     rhs.block(0, 2, inner)
                 if first is None:
                     first = Pipe(dims, f).block(0, 2, lhs_inner).map
-                if lhs_outer @ first != outer @ rhs.map:
-                    yield (case, p, q, r, i, j)
+                yield None if lhs_outer @ first == outer @ rhs.map \
+                    else (case, p, q, r, i, j)
 
     rep.check_family("associativity", associativity())
     rep.add("associativity_skipped", True, witness=skipped)
@@ -163,6 +162,13 @@ def check_operad(od):
 
 
 def check_comp_module(cm):
+    """The comp-module axioms up to degree cm.N.  f bullet_i (g bullet_j x)
+    with f, g, x in O(p), O(q), L(n) is read where j < i and where
+    j - p < i <= j; the other instances live on O(q) (x) O(p) (x) L(n) and
+    are j < i instances with the factors O(p) and O(q) swapped, on the
+    same four maps and cutoffs: (p, q, n, i, j) with p > 0 and i <= j - p
+    is (q, p, n, j - p + 1, i), and with p = 0 and i <= j it is
+    (q, 0, n, j + 1, i).  They are not evaluated again."""
     od = cm.operad
     rep = Report("comp module %s" % cm.label)
     f = cm.field
@@ -189,32 +195,21 @@ def check_comp_module(cm):
             if bj is None or n1 < 0 or n1 > N:
                 continue
             first = None  # id (x) bullet_j
-            for i in range(0, n1 + 2 - p):
+            for i in range(max(0, j - p + 1), n1 + 2 - p):
                 bi = cm.bullet.get((p, n1, i))
                 if bi is None:
                     skipped += 1
                     continue
-                # operad-operad step, or O(p) moved past O(q); ikey names
-                # the inner map
-                on_operads = False
-                if j < i:
+                # the operad-operad step, or O(p) moved past O(q); ikey
+                # names the inner map
+                on_operads = i <= j
+                if on_operads:
+                    ikey = (p, q, j - i + 1)
+                    outer = cm.bullet.get((p + q - 1, n, i))
+                else:
                     ikey = (p, n, i + q - 1)
                     outer = cm.bullet.get((q, n - p + 1, j)) \
                         if 0 <= n - p + 1 <= N else None
-                elif p > 0 and j - p < i <= j:
-                    ikey = (p, q, j - i + 1)
-                    outer = cm.bullet.get((p + q - 1, n, i))
-                    on_operads = True
-                elif p > 0 and i <= j - p:
-                    ikey = (p, n, i)
-                    outer = cm.bullet.get((q, n - p + 1, j - p + 1)) \
-                        if 0 <= n - p + 1 <= N else None
-                elif p == 0 and i <= j:
-                    ikey = (0, n, i)
-                    outer = cm.bullet.get((q, n + 1, j + 1)) \
-                        if n + 1 <= N else None
-                else:
-                    ikey = outer = None
                 maps = od.comp if on_operads else cm.bullet
                 inner = maps.get(ikey)
                 if inner is None or outer is None:
@@ -233,8 +228,8 @@ def check_comp_module(cm):
                     stages[(on_operads, ikey)] = rhs
                 if first is None:
                     first = Pipe(dims, f).block(1, 2, bj).map
-                if bi @ first != outer @ rhs:
-                    yield ("bullet", p, q, n, i, j)
+                yield None if bi @ first == outer @ rhs \
+                    else ("bullet", p, q, n, i, j)
 
     rep.check_family("comp_compatibility", compatibility())
     rep.add("comp_skipped", True, witness=skipped)

@@ -12,11 +12,11 @@ from hopfcyclic.exactlin import (
     pack_slices,
 )
 from hopfcyclic.hopfalgebroid import (
-    HopfAlgebroidData, NotScalarBase, NotTheBase, SaydModuleData, base_sayd,
-    base_sayd_for_pair, check_hopf_algebroid, check_hopf_galois, check_sayd,
-    check_yd_algebra, dual_numbers, gallery, group_hopf_algebroid,
-    pair_hopf_algebroid, scalar_sayd, scalar_yd_algebra, split_pair_algebra,
-    translation_lift,
+    HopfAlgebroidData, LeftBialgebroidData, NotScalarBase, NotTheBase,
+    SaydModuleData, YdAlgebraData, base_sayd, base_sayd_for_pair,
+    check_hopf_algebroid, check_hopf_galois, check_sayd, check_yd_algebra,
+    dual_numbers, gallery, group_hopf_algebroid, pair_hopf_algebroid,
+    scalar_sayd, scalar_yd_algebra, split_pair_algebra, translation_lift,
 )
 
 
@@ -295,6 +295,31 @@ def test_broken_coproduct_detected():
     rep = check_hopf_algebroid(bad)
     assert not rep.ok
     assert any(r.witness is not None for r in rep.failures())
+
+
+def test_degree_zero_and_mis_shaped_data_raise_value_errors(gal):
+    """These hold under python -O too: none of them rests on an assert."""
+    f = QQ
+    h = gal["pair_dual"].hopf
+    # once degree 3 is grown, an unchecked [n - 1] would read level -1
+    h.rtower(3), h.ltower(3)
+    for call in (h.rtower, h.ltower, h.iterated_delta_lift):
+        with pytest.raises(ValueError, match="not 0"):
+            call(0)
+    du, da = h.U.space.dim, h.A.space.dim
+    with pytest.raises(ValueError, match="^delta_lift is"):
+        LeftBialgebroidData(h.U, h.A, h.s_L, h.t_L,
+                            LinMap(h.U.space, Space(du), f), h.eps_L)
+    with pytest.raises(ValueError, match="^S is"):
+        HopfAlgebroidData(h.U, h.A, h.s_L, h.t_L, h.delta_lift, h.eps_L,
+                          LinMap(Space(da), h.U.space, f))
+    p = gal["pair_dual"].sayd
+    with pytest.raises(ValueError, match="^action is"):
+        SaydModuleData(h, p.space, LinMap(p.space, p.space, f), p.coact_lift)
+    c2 = gal["group_c2"].hopf
+    z = scalar_yd_algebra(c2)
+    with pytest.raises(ValueError, match="^coact_lift is"):
+        YdAlgebraData(c2, z.Z, z.action, LinMap(z.space, z.space, f))
 
 
 def test_sayd_broken_coaction_detected(gal):

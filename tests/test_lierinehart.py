@@ -1,9 +1,12 @@
 from fractions import Fraction
+import functools
+import itertools
+import random
 
 import pytest
 
 from hopfcyclic import lierinehart
-from hopfcyclic.exactlin import QQ, LinMap, Space
+from hopfcyclic.exactlin import QQ, FieldSpec, LinMap, Space
 from hopfcyclic.lierinehart import (
     CutoffExceeded, LieRinehartData, LieRinehartMeasuringData,
     TruncatedEnvelope, abelian_lr, ad_map, alt_map, ce_cochain_homology,
@@ -138,6 +141,46 @@ def _failures(rep):
     return [(r.name, r.witness) for r in rep.failures()]
 
 
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_bracket_checks_name_the_least_failing_pair_and_triple(p):
+    """bracket_alternating reads each pair once and jacobi each triple up
+    to rotation; their witnesses are the least failing i, pair and triple
+    over all of them, as a reading of every pair and triple names."""
+    from hopfcyclic.hopfalgebroid import scalar_algebra
+    f = FieldSpec(p)
+    rng = random.Random(p)
+    d = 3
+    zero = LinMap(Space(d), Space(1), f, {})
+    for trial in range(40):
+        entries = {(rng.randrange(d), rng.randrange(d * d)):
+                   f.of_int(rng.randint(-2, 2))
+                   for _ in range(rng.randint(0, 4))}
+        lr = LieRinehartData(scalar_algebra(f), Space(d),
+                             LinMap(Space(d * d), Space(d), f, entries),
+                             zero, zero, f)
+        e = [lr.L.basis_vector(i, f) for i in range(d)]
+        br = lr.bracket_elements
+
+        def nonzero_sum(*vecs):
+            return any(functools.reduce(f.add, xs) for xs in zip(*vecs))
+
+        alternating = []
+        for i in range(d):
+            if any(br(e[i], e[i])):
+                alternating.append(i)
+            alternating += [(i, j) for j in range(d)
+                            if nonzero_sum(br(e[i], e[j]), br(e[j], e[i]))]
+        jacobi = [(i, j, k)
+                  for i, j, k in itertools.product(range(d), repeat=3)
+                  if nonzero_sum(br(e[i], br(e[j], e[k])),
+                                 br(e[j], br(e[k], e[i])),
+                                 br(e[k], br(e[i], e[j])))]
+        got = dict(_failures(check_lie_rinehart(lr)))
+        assert got.get("bracket_alternating") == \
+            (alternating[0] if alternating else None), entries
+        assert got.get("jacobi") == (jacobi[0] if jacobi else None), entries
+
+
 def test_envelope_of_a_non_lie_bracket_is_not_associative():
     lr = _no_jacobi_3d()
     assert _failures(check_lie_rinehart(lr)) == [("jacobi", (0, 1, 2))]
@@ -177,6 +220,19 @@ def test_coalgebra_mutants_of_the_envelope_fail(aff, mutate, failing):
     mutate(env)
     assert [r.name for r in check_truncated_envelope(env).failures()] \
         == failing
+
+
+def test_envelope_coalgebra_failures_are_named_by_their_word(aff):
+    env = TruncatedEnvelope(aff)
+    _drop_unit_term_on_length_two(env)
+    got = dict(_failures(check_truncated_envelope(env)))
+    # the first failing column is 3, the word (0, 0)
+    assert env.index[(0, 0)] == 3
+    assert got["left_counit"] == got["coassociativity"] == (0, 0)
+    env = TruncatedEnvelope(aff)
+    _counit_one_on_generators(env)
+    got = dict(_failures(check_truncated_envelope(env)))
+    assert got["left_counit"] == got["right_counit"] == (0,)
 
 
 def test_alt_map_antisymmetrizes_generators(aff):

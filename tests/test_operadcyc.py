@@ -1,13 +1,14 @@
 from fractions import Fraction
+import itertools
 import random
 
 import pytest
 
 from hopfcyclic import operadcyc
-from hopfcyclic.algcore import ComoduleData
+from hopfcyclic.algcore import ComoduleData, Report
 from hopfcyclic.exactlin import (
     QQ, DescentFailure, FieldSpec, LinMap, Pipe, QuotientPresentation, Space,
-    descend, descent_witness, kernel, pack_slices, solve,
+    descend, descent_witness, kernel, pack_slices, permute_factors, solve,
     tensor_presentation,
 )
 from hopfcyclic.hopfalgebroid import (
@@ -23,8 +24,9 @@ from hopfcyclic.cyclichom import (
     cyclic_homology_char0, hochschild_homology,
 )
 from hopfcyclic.operadcyc import (
-    CertificateFailure, CompComoduleMeasuringData, HomBasis,
-    OperadMeasuringData, StabilityFailure, _hom_coords, build_ayd_coefficient,
+    CertificateFailure, CompComoduleMeasuringData, CompModuleData,
+    HomBasis, OperadData, OperadMeasuringData, StabilityFailure,
+    _hom_coords, build_ayd_coefficient,
     build_yd_comp_module, build_yd_operad, check_comp_comodule_measuring,
     check_comp_module, check_operad, check_operad_measuring,
     comp_cyclic_module, induce_from_yd, induced_comp_map,
@@ -83,7 +85,6 @@ def test_yd_operad_group(c2):
 
 def test_perturbed_operad_detected(c2):
     h, z, od = c2
-    from hopfcyclic.operadcyc import OperadData
     comp = dict(od.comp)
     bad = LinMap(comp[(2, 2, 1)].dom, comp[(2, 2, 1)].cod, QQ,
                  dict(comp[(2, 2, 1)].entries))
@@ -579,3 +580,168 @@ def test_yd_comp_cyclic_module_is_the_chain_module_with_coefficients(
             assert got.faces[n] == want.faces[n], n
         if n < N:
             assert got.degen[n] == want.degen[n], n
+
+
+def test_each_axiom_instance_is_evaluated_once(c2, c2_module, monkeypatch):
+    """Every instance that the loop ranges reach yields one item, None or a
+    witness; the right_of operad instances and the comp-module instances
+    with i <= j - p are their mirrors' and are not reached."""
+    counts = {}
+    check_family = Report.check_family
+
+    def counting(self, name, witnesses):
+        items = list(witnesses)
+        counts[name] = len(items)
+        return check_family(self, name, items)
+
+    monkeypatch.setattr(Report, "check_family", counting)
+    assert check_operad(c2[2]).ok and check_comp_module(c2_module[1]).ok
+    assert (counts["associativity"], counts["comp_compatibility"]) \
+        == (56, 113)
+    od = one_dimensional_operad(QQ, 4)
+    assert check_operad(od).ok
+    assert check_comp_module(one_dimensional_comp_module(od, 4)).ok
+    assert (counts["associativity"], counts["comp_compatibility"]) \
+        == (152, 278)
+
+
+def _operad_sides(od, p, q, r, i, j):
+    """Both sides of associativity (f o_i g) o_j h on O(p) (x) O(q) (x) O(r),
+    from the comp maps alone, or None where one of the four is missing."""
+    c, f = od.comp.get, od.field
+    lhs_outer, lhs_inner = c((p + q - 1, r, j)), c((p, q, i))
+    inside = i <= j < i + q
+    if j < i:
+        inner, outer = c((p, r, j)), c((p + r - 1, q, i + r - 1))
+    elif inside:
+        inner, outer = c((q, r, j - i + 1)), c((p, q + r - 1, i))
+    else:
+        inner, outer = c((p, r, j - q + 1)), c((p + r - 1, q, i))
+    if None in (lhs_outer, lhs_inner, inner, outer):
+        return None
+    ident = [LinMap.identity(od.spaces[k], f) for k in (p, q, r)]
+    lhs = lhs_outer @ lhs_inner.tensor(ident[2])
+    if inside:
+        return lhs, outer @ ident[0].tensor(inner)
+    swap = permute_factors([od.spaces[k].dim for k in (p, q, r)],
+                           [0, 2, 1], f)
+    return lhs, outer @ inner.tensor(ident[1]) @ swap
+
+
+def _module_sides(cm, p, q, n, i, j):
+    """Both sides of f bullet_i (g bullet_j x) on O(p) (x) O(q) (x) L(n),
+    from the comp and bullet maps alone, or None where one of the four is
+    missing."""
+    od, b, f = cm.operad, cm.bullet.get, cm.field
+    lhs_outer, lhs_inner = b((p, n - q + 1, i)), b((q, n, j))
+    on_operads = j - p < i <= j
+    if j < i:
+        inner, outer = b((p, n, i + q - 1)), b((q, n - p + 1, j))
+    elif on_operads:
+        inner, outer = od.comp.get((p, q, j - i + 1)), b((p + q - 1, n, i))
+    else:
+        inner, outer = b((p, n, i)), b((q, n - p + 1, j - p + 1))
+    if None in (lhs_outer, lhs_inner, inner, outer):
+        return None
+    ident = [LinMap.identity(sp, f)
+             for sp in (od.spaces[p], od.spaces[q], cm.spaces[n])]
+    lhs = lhs_outer @ ident[0].tensor(lhs_inner)
+    if on_operads:
+        return lhs, outer @ inner.tensor(ident[2])
+    swap = permute_factors([sp.dim for sp in (od.spaces[p], od.spaces[q],
+                                              cm.spaces[n])], [1, 0, 2], f)
+    return lhs, outer @ ident[1].tensor(inner) @ swap
+
+
+def _left_out(od, cm):
+    """The instances that the checkers' loop ranges leave out, each with its
+    sides function, its mirror, its factor dimensions and the order in
+    which the mirror reads its factors."""
+    N, dim = od.N, [sp.dim for sp in od.spaces]
+    for p, q, r in itertools.product(range(1, N + 1), range(N + 1),
+                                     range(N + 1)):
+        for i in range(1, p + 1):
+            for j in range(i + q, p + q):
+                yield (_operad_sides, od, (p, q, r, i, j),
+                       (p, r, q, j - q + 1, i), [dim[p], dim[q], dim[r]],
+                       [0, 2, 1])
+    for p, q, n in itertools.product(range(N + 1), range(N + 1),
+                                     range(cm.N + 1)):
+        for j in range(0, n + 2 - q):
+            for i in range(0, min(n - q + 2 - p, j - p + 1)):
+                yield (_module_sides, cm, (p, q, n, i, j),
+                       (q, p, n, j - p + 1, i),
+                       [dim[p], dim[q], cm.spaces[n].dim], [1, 0, 2])
+
+
+def _mirror_mismatches(od, cm, shift=0):
+    """The left-out instances whose two sides differ from their mirror's
+    two sides, crossed over and precomposed with the swap, or which miss a
+    map where the mirror does not (or the other way round); the mirror's i
+    is moved by `shift`.  Also returns how many left-out instances have
+    all four maps."""
+    bad, present = [], 0
+    for sides, data, inst, mirror, dims, order in _left_out(od, cm):
+        # every mirror is an instance that the loop ranges keep: j < i
+        assert mirror[4] < mirror[3], (inst, mirror)
+        got = sides(data, *inst)
+        want = sides(data, *mirror[:3], mirror[3] + shift, mirror[4])
+        present += got is not None
+        if (got is None) != (want is None):
+            bad.append((inst, "missing"))
+        elif got is not None:
+            swap = permute_factors(dims, order, od.field)
+            if got != (want[1] @ swap, want[0] @ swap):
+                bad.append((inst, "differs"))
+    return bad, present
+
+
+def _mutant(od, cm, rng):
+    """od and cm with one entry of one comp map and one entry of one
+    bullet map raised by one."""
+    f = od.field
+
+    def raised(maps):
+        maps = dict(maps)
+        key = rng.choice(sorted(maps))
+        m = maps[key]
+        entries = dict(m.entries)
+        at = (rng.randrange(m.cod.dim), rng.randrange(m.dom.dim))
+        entries[at] = f.add(entries.get(at, f.zero), f.one)
+        maps[key] = LinMap(m.dom, m.cod, f, entries)
+        return maps
+
+    od2 = OperadData(od.spaces, raised(od.comp), od.one, od.m, od.e, f,
+                     "mutant")
+    return od2, CompModuleData(od2, cm.spaces, raised(cm.bullet), cm.t, f,
+                               "mutant")
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+def test_left_out_instances_are_their_mirrors_with_two_factors_swapped(
+        field):
+    """Each instance that check_operad and check_comp_module leave out has
+    the same four maps as a kept one, on the same tensor factors with two
+    of them swapped: its two sides are the mirror's two sides, crossed
+    over and precomposed with the swap.  So it holds, or is skipped,
+    exactly when its mirror does, also on mutants that fail the checks."""
+    rng = random.Random(7)
+    od = one_dimensional_operad(field, 4)
+    inputs = [(od, one_dimensional_comp_module(od, 4))]
+    for order in (2, 3):
+        h = group_hopf_algebroid(order, field)
+        z = scalar_yd_algebra(h)
+        od = build_yd_operad(h, z, 4)
+        inputs.append((od, build_yd_comp_module(h, scalar_sayd(h), z, od,
+                                                4)))
+    for od, cm in inputs:
+        bad, present = _mirror_mismatches(od, cm)
+        assert bad == [] and present == (213 - 152) + (394 - 278), od.label
+    for od, cm in inputs[1:]:
+        od2, cm2 = _mutant(od, cm, rng)
+        assert not (check_operad(od2).ok and check_comp_module(cm2).ok)
+        assert _mirror_mismatches(od2, cm2)[0] == []
+        # negative control: a mirror with i off by one is not a mirror,
+        # also where it has all four maps
+        wrong = _mirror_mismatches(od, cm, shift=1)[0]
+        assert "differs" in {kind for _inst, kind in wrong}

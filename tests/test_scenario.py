@@ -113,10 +113,12 @@ def test_scenario_round_trip():
 
 def test_reports_match_goldens():
     # pair_e2_broken pins a failing report: its measuring is not one;
-    # pair_e2_coeff pins the maps of comodule measurings
+    # pair_e2_coeff pins the maps of comodule measurings; yd_c2 pins the
+    # checks of a Yetter-Drinfeld operad and comp module
     for path in (_scen("trivial"), _scen("pair_e2"),
                  os.path.join(HERE, "scenarios", "pair_e2_broken.json"),
-                 os.path.join(HERE, "scenarios", "pair_e2_coeff.json")):
+                 os.path.join(HERE, "scenarios", "pair_e2_coeff.json"),
+                 os.path.join(HERE, "scenarios", "yd_c2.json")):
         name = os.path.basename(path)[:-len(".json")]
         doc = parse_scenario(path)
         out = emit(run(doc)) + "\n"
