@@ -77,6 +77,11 @@ def require_shape(name, m, dom, cod):
                          % (name, m.dom.dim, m.cod.dim, dom, cod))
 
 
+def _require_side(side):
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right', not %r" % (side,))
+
+
 def keyed(key, witness):
     """The witness key + witness of a family member named by the tuple
     `key`, or None when the member holds (witness None)."""
@@ -91,8 +96,10 @@ class AlgebraData:
     """A unital associative algebra given by its multiplication tensor."""
 
     def __init__(self, space, mul, unit, field, label=""):
-        assert mul.dom.dim == space.dim * space.dim and mul.cod.dim == space.dim
-        assert len(unit) == space.dim
+        require_shape("mul", mul, space.dim * space.dim, space.dim)
+        if len(unit) != space.dim:
+            raise ValueError("unit has %d coordinates, needs %d"
+                             % (len(unit), space.dim))
         self.space = space
         self.mul = mul
         self.unit = tuple(unit)
@@ -114,7 +121,8 @@ class AlgebraData:
 
     def mul_n(self, k):
         """Left-folded multiplication map on k tensor factors (cached)."""
-        assert k >= 1
+        if k < 1:
+            raise ValueError("mul_n needs k >= 1, not %d" % k)
         if k not in self._mul_n:
             pipe = Pipe([self.space.dim] * k, self.field)
             for _ in range(k - 1):
@@ -164,9 +172,8 @@ def check_algebra(a, commutative=False):
 
 class CoalgebraData:
     def __init__(self, space, comul, counit, field, label=""):
-        assert comul.dom.dim == space.dim
-        assert comul.cod.dim == space.dim * space.dim
-        assert counit.dom.dim == space.dim and counit.cod.dim == 1
+        require_shape("comul", comul, space.dim, space.dim * space.dim)
+        require_shape("counit", counit, space.dim, 1)
         self.space = space
         self.comul = comul
         self.counit = counit
@@ -237,10 +244,9 @@ class ModuleActionData:
     """A left (A (x) M -> M) or right (M (x) A -> M) module action."""
 
     def __init__(self, algebra, space, action, side, label=""):
-        assert side in ("left", "right")
-        expected = (algebra.space.dim * space.dim if side == "left"
-                    else space.dim * algebra.space.dim)
-        assert action.dom.dim == expected and action.cod.dim == space.dim
+        _require_side(side)
+        require_shape("action", action, algebra.space.dim * space.dim,
+                      space.dim)
         self.algebra = algebra
         self.space = space
         self.action = action
@@ -277,9 +283,9 @@ class ComoduleData:
     """
 
     def __init__(self, coalgebra, space, coaction, side, label=""):
-        assert side in ("left", "right")
-        assert coaction.dom.dim == space.dim
-        assert coaction.cod.dim == space.dim * coalgebra.space.dim
+        _require_side(side)
+        require_shape("coaction", coaction, space.dim,
+                      space.dim * coalgebra.space.dim)
         self.coalgebra = coalgebra
         self.space = space
         self.coaction = coaction

@@ -32,6 +32,37 @@ class DescentFailure(Exception):
         self.witness = witness
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all of _PRIME_BASES (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017), so the test below is exact for every smaller n
+_PRIME_BOUND = 318665857834031151167461
+
+
+def _is_prime(n):
+    """Whether n < _PRIME_BOUND is prime: the strong (Miller-Rabin) test
+    to each of _PRIME_BASES."""
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class FieldSpec:
     """The rationals, or a prime field F_p.
 
@@ -48,8 +79,10 @@ class FieldSpec:
     """
 
     def __init__(self, p=0):
-        if p != 0 and (p < 2 or any(p % d == 0
-                                    for d in range(2, int(p ** 0.5) + 1))):
+        if p >= _PRIME_BOUND:
+            raise ValueError("primality is decided only below %d"
+                             % _PRIME_BOUND)
+        if p != 0 and not _is_prime(p):
             raise ValueError("not a prime: %r" % (p,))
         self.char = p
 
@@ -135,6 +168,7 @@ def _sum_map(dom, cod, field, sums, den):
     m.dom, m.cod, m.field = dom, cod, field
     m._form = nums, den
     m._entries = nums if den == 1 else None
+    m._cols = None
     return m
 
 
@@ -184,11 +218,14 @@ class LinMap:
     kernel, solve, invert, quotient_by) work on it and return maps born
     in it, which settle `entries` on first read; == compares it.  Over
     F_p, and for integral maps, one dict serves as both forms.
-    Assigning `entries` drops the integer form; editing it in place is
-    safe only before a kernel has read the map.
+    A map that is the left operand of @ or the op of a Pipe stage also
+    keeps a column index of its integer form, {col: [(row, num), ...]},
+    built on that first use.  Assigning `entries` drops the integer form
+    and the index; editing it in place is safe only before a kernel has
+    read the map.
     """
 
-    __slots__ = ("dom", "cod", "field", "_entries", "_form")
+    __slots__ = ("dom", "cod", "field", "_entries", "_form", "_cols")
 
     def __init__(self, dom, cod, field, entries=None):
         self.dom = dom
@@ -197,7 +234,7 @@ class LinMap:
         zero = field.zero
         self._entries = {k: v for k, v in (entries or {}).items()
                          if v != zero}
-        self._form = None
+        self._form = self._cols = None
 
     @property
     def entries(self):
@@ -211,7 +248,7 @@ class LinMap:
     @entries.setter
     def entries(self, value):
         self._entries = value
-        self._form = None
+        self._form = self._cols = None
 
     def _nums(self):
         """The integer form (nums, den), computed once.  Integral entries,
@@ -227,6 +264,20 @@ class LinMap:
                         for k, v in e.items()}, den
             self._form = form
         return form
+
+    def _columns(self):
+        """The column index {col: [(row, num), ...]} of the integer form,
+        built once."""
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = {}
+            for (i, k), v in self._nums()[0].items():
+                at = cols.get(k)
+                if at is None:
+                    cols[k] = [(i, v)]
+                else:
+                    at.append((i, v))
+        return cols
 
     def _stored(self):
         """Whichever of the two entry dicts the map holds; their keys are
@@ -285,11 +336,9 @@ class LinMap:
     def __matmul__(self, other):
         assert isinstance(other, LinMap)
         assert self.dom.dim == other.cod.dim, (self.dom.dim, other.cod.dim)
-        left, dl = self._nums()
+        by_col = self._columns()
+        dl = self._form[1]
         right, dr = other._nums()
-        by_col = {}
-        for (i, k), v in left.items():
-            by_col.setdefault(k, []).append((i, v))
         out = {}
         get = out.get
         for (k, j), w in right.items():
@@ -451,38 +500,31 @@ class Pipe:
         """Reorder the factors: factor k afterwards is factor order[k] now.
 
         Agrees with permute_factors(self.dims, order, field) @ self.map.
+        The factors are cut in two where the sizes of the two runs balance;
+        a table over each run's indices gives the sum of its digits at
+        their new strides, so each new row index is the sum of two table
+        lookups.
         """
-        m = len(self.dims)
+        dims = self.dims
+        m = len(dims)
         assert sorted(order) == list(range(m)), order
         if list(order) == list(range(m)):
             return self
         if self.entries is None:
             self.entries = {(i, i): 1 for i in range(self.dom_dim)}
-        new_dims = [self.dims[k] for k in order]
-        # every factor keeps its digit and takes the stride of its new place
-        old = []
-        stride = 1
-        for d in reversed(self.dims):
-            old.append((stride, d))
-            stride *= d
-        old.reverse()
+        new_dims = [dims[k] for k in order]
         new_stride = [0] * m
         stride = 1
         for k in reversed(range(m)):
             new_stride[order[k]] = stride
             stride *= new_dims[k]
-        digits = [(s, d, w) for (s, d), w in zip(old, new_stride)]
-        moved = {}
-        out = {}
-        for (i, j), v in self.entries.items():
-            ni = moved.get(i)
-            if ni is None:
-                ni = 0
-                for s, d, w in digits:
-                    ni += (i // s) % d * w
-                moved[i] = ni
-            out[(ni, j)] = v
-        self.entries = out
+        cut = min(range(m + 1),
+                  key=lambda t: prod(dims[:t]) + prod(dims[t:]))
+        head = _digit_table(dims[:cut], new_stride[:cut])
+        tail = _digit_table(dims[cut:], new_stride[cut:])
+        low = len(tail)
+        self.entries = {(head[i // low] + tail[i % low], j): v
+                        for (i, j), v in self.entries.items()}
         self.dims = new_dims
         return self
 
@@ -508,48 +550,82 @@ class Pipe:
         return self._stage(start, count, op, out_dims, size)
 
     def _stage(self, start, count, op, out_dims, size):
+        """A row index is (l, k, r): l over the factors before the window,
+        k over the window and r over the factors after it.  The entry loop
+        splits off only the parts that a window can have: no l where it
+        starts at the first factor, no r where it ends at the last."""
         out_dims = [op.cod.dim] if out_dims is None else list(out_dims)
+        left = prod(self.dims[:start])
         mid = prod(self.dims[start:start + count])
         right = prod(self.dims[start + count:])
         width = prod(out_dims)
         assert op.dom.dim == size * mid and op.cod.dim == width, \
             (op.dom.dim, size, mid, op.cod.dim, width)
-        nums, den = op._nums()
         src = self.dom_dim
         entries = self.entries
+        out = {}
         if entries is None:
             # id (x) op (x) id, each entry written once: source column
             # (b, l, k, r) goes to row (l, i, r) for op entry (i, (b, k))
             terms = []
-            for (i, c), w in nums.items():
+            for (i, c), w in op._nums()[0].items():
                 b, k = divmod(c, mid)
                 terms.append((i * right, b * src + k * right, w))
-            out = {}
-            for l in range(prod(self.dims[:start])):
+            for l in range(left):
                 rl, cl = l * width * right, l * mid * right
-                for ir, ck, w in terms:
-                    row, col = rl + ir, cl + ck
-                    for r in range(right):
-                        out[(row + r, col + r)] = w
+                if right == 1:
+                    for ir, ck, w in terms:
+                        out[(rl + ir, cl + ck)] = w
+                else:
+                    for ir, ck, w in terms:
+                        row, col = rl + ir, cl + ck
+                        for r in range(right):
+                            out[(row + r, col + r)] = w
         else:
-            by_col = {}
-            for (i, c), w in nums.items():
-                b, k = divmod(c, mid)
-                by_col.setdefault(k, []).append((i, b * src, w))
             p = self.field.char
             if p:
                 entries = {k: r for k, v in entries.items() if (r := v % p)}
-            out = {}
             get = out.get
-            for (row, j), v in entries.items():
-                lk, r = divmod(row, right)
-                l, k = divmod(lk, mid)
-                base = l * width
-                for i, b, w in by_col.get(k, ()):
-                    key = ((base + i) * right + r, b + j)
-                    out[key] = get(key, 0) + w * v
+            if size != 1:
+                # a family: op column (b, k) feeds source column (b, j)
+                by_col = {}
+                for c, at in op._columns().items():
+                    b, k = divmod(c, mid)
+                    by_col.setdefault(k, []).extend(
+                        (i, b * src, w) for i, w in at)
+                for (row, j), v in entries.items():
+                    lk, r = row // right, row % right
+                    l, k = lk // mid, lk % mid
+                    base = l * width
+                    for i, b, w in by_col.get(k, ()):
+                        key = ((base + i) * right + r, b + j)
+                        out[key] = get(key, 0) + w * v
+            elif right == 1:
+                by_col = op._columns()
+                for (row, j), v in entries.items():
+                    l, k = row // mid, row % mid
+                    base = l * width
+                    for i, w in by_col.get(k, ()):
+                        key = (base + i, j)
+                        out[key] = get(key, 0) + w * v
+            elif left == 1:
+                by_col = op._columns()
+                for (row, j), v in entries.items():
+                    k, r = row // right, row % right
+                    for i, w in by_col.get(k, ()):
+                        key = (i * right + r, j)
+                        out[key] = get(key, 0) + w * v
+            else:
+                by_col = op._columns()
+                for (row, j), v in entries.items():
+                    lk, r = row // right, row % right
+                    l, k = lk // mid, lk % mid
+                    base = l * width
+                    for i, w in by_col.get(k, ()):
+                        key = ((base + i) * right + r, j)
+                        out[key] = get(key, 0) + w * v
         self.entries = out
-        self.den *= den
+        self.den *= op._form[1]
         self.dims[start:start + count] = out_dims
         self.dom_dim = size * src
         return self
@@ -560,6 +636,15 @@ class Pipe:
             return LinMap.identity(Space(self.dom_dim), self.field)
         return _sum_map(Space(self.dom_dim), Space(prod(self.dims)),
                         self.field, self.entries, self.den)
+
+
+def _digit_table(dims, strides):
+    """The list t with t[x] = sum of digit f of x times strides[f], for x
+    a flat index over the factors `dims` (tensor_space order)."""
+    table = [0]
+    for d, w in zip(reversed(dims), reversed(strides)):
+        table = [a + y for a in range(0, d * w, w) for y in table]
+    return table
 
 
 def permute_factors(dims, perm, field):
@@ -810,6 +895,7 @@ class QuotientPresentation:
             out = LinMap.__new__(LinMap)
             out.dom, out.cod, out.field = m.dom, self.quotient, m.field
             out._entries, out._form = m._entries, m._form
+            out._cols = None
             return out
         return self.projection @ m
 

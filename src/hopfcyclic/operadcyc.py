@@ -89,7 +89,9 @@ def check_operad(od):
                     n2 = p + q - 1
                     final = p + q + r - 2
                     if n2 > N or final > N or final < 0:
-                        skipped += 1
+                        # every (i, j) of associativity_at's ranges
+                        skipped += sum(min(n2, i + q - 1)
+                                       for i in range(1, p + 1))
                         continue
                     yield from associativity_at(p, q, r, n2)
 
@@ -189,13 +191,15 @@ def check_comp_module(cm):
         # right-hand stages by the key of their inner map
         swapped = None
         stages = {}
+        n1 = n - q + 1
         for j in range(0, n + 2 - q):
             bj = cm.bullet.get((q, n, j))
-            n1 = n - q + 1
+            irange = range(max(0, j - p + 1), n1 + 2 - p)
             if bj is None or n1 < 0 or n1 > N:
+                skipped += len(irange)
                 continue
             first = None  # id (x) bullet_j
-            for i in range(max(0, j - p + 1), n1 + 2 - p):
+            for i in irange:
                 bi = cm.bullet.get((p, n1, i))
                 if bi is None:
                     skipped += 1

@@ -64,10 +64,13 @@ def _field_of(name):
     if isinstance(name, str) and name.startswith("F") and name[1:].isdigit():
         try:
             p = int(name[1:])
-            if p:  # FieldSpec(0) would be Q
-                return FieldSpec(p)
         except ValueError:
-            pass
+            p = 0
+        if p:  # FieldSpec(0) would be Q
+            try:
+                return FieldSpec(p)
+            except ValueError as e:
+                raise ParseError("not a prime field: %r (%s)" % (name, e))
         raise ParseError("not a prime field: %r" % name)
     raise ParseError("unknown field %r" % name)
 

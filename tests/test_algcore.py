@@ -241,3 +241,31 @@ def test_swap_map():
     v[1 * 3 + 2] = Fraction(1)
     out = sw.apply(tuple(v))
     assert out.index(Fraction(1)) == 2 * 2 + 1
+
+
+def test_mis_shaped_data_raise_value_errors():
+    """These hold under python -O too: none of them rests on an assert."""
+    f = QQ
+    a = dual_numbers(f)
+    sp, d = a.space, a.space.dim
+    with pytest.raises(ValueError, match="^mul is"):
+        AlgebraData(sp, LinMap(Space(d), sp, f), a.unit, f)
+    with pytest.raises(ValueError, match="^unit has 1 coordinates"):
+        AlgebraData(sp, a.mul, (f.one,), f)
+    with pytest.raises(ValueError, match="not 0"):
+        a.mul_n(0)
+    comul = LinMap(sp, Space(d * d), f)
+    counit = LinMap(sp, Space(1), f)
+    with pytest.raises(ValueError, match="^comul is"):
+        CoalgebraData(sp, LinMap(sp, sp, f), counit, f)
+    with pytest.raises(ValueError, match="^counit is"):
+        CoalgebraData(sp, comul, LinMap(sp, Space(2), f), f)
+    c = CoalgebraData(sp, comul, counit, f)
+    with pytest.raises(ValueError, match="^action is"):
+        ModuleActionData(a, sp, LinMap(sp, sp, f), "left")
+    with pytest.raises(ValueError, match="^side must be"):
+        ModuleActionData(a, sp, a.mul, "middle")
+    with pytest.raises(ValueError, match="^coaction is"):
+        ComoduleData(c, sp, LinMap(sp, sp, f), "right")
+    with pytest.raises(ValueError, match="^side must be"):
+        ComoduleData(c, sp, comul, "middle")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+import itertools
 import random
 
 import pytest
@@ -148,6 +149,33 @@ def test_fp_field_arithmetic():
     assert f5.inv(4) == 4
 
 
+def test_field_primality_is_exact_and_fast_for_large_moduli():
+    # trial division up to sqrt(p) would not finish on these
+    assert FieldSpec(10**18 + 3).char == 10**18 + 3
+    with pytest.raises(ValueError, match="not a prime"):
+        FieldSpec(10**18 + 1)   # (10^6 + 1)(10^12 - 10^6 + 1)
+    # strong pseudoprimes to the first 4, 8 and 11 prime bases
+    for n in (3215031751, 341550071728321, 3825123056546413051):
+        with pytest.raises(ValueError, match="not a prime"):
+            FieldSpec(n)
+    # 399165290221 * 798330580441, a strong pseudoprime to all twelve bases
+    # 2..37 and the bound of the test: it and every larger modulus raise
+    for n in (318665857834031151167461, 2**89 - 1):
+        with pytest.raises(ValueError, match="decided only below"):
+            FieldSpec(n)
+    assert FieldSpec(2**61 - 1).char == 2**61 - 1
+    small = [n for n in range(2, 3000)
+             if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    built = []
+    for n in range(-3, 3000):
+        try:
+            FieldSpec(n)
+        except ValueError:
+            continue
+        built.append(n)
+    assert built == [0] + small
+
+
 def test_witness_column_does_not_depend_on_insertion_order():
     items = [((0, 3), Fraction(1)), ((1, 1), Fraction(2)),
              ((0, 2), Fraction(5))]
@@ -261,26 +289,152 @@ def test_pipe_permute_matches_permutation_matrix(case, data):
     f, dims, m = case
     order = data.draw(st.permutations(range(len(dims))))
     got = Pipe.after(m, dims).permute(list(order))
-    assert got.map == _dense_product(permute_factors(dims, order, f), m)
+    assert got.map == _dense_product(_dense_permutation(dims, order, f), m)
     assert got.dims == [dims[k] for k in order]
     _assert_canonical(got.map)
 
 
-@settings(max_examples=80, deadline=None)
-@given(pipes(), st.data())
-def test_pipe_block_matches_kronecker_sandwich(case, data):
-    f, dims, m = case
-    start = data.draw(st.integers(min_value=0, max_value=len(dims) - 1))
-    count = data.draw(st.integers(min_value=1, max_value=len(dims) - start))
-    out_dims = data.draw(st.lists(st.integers(min_value=1, max_value=3),
-                                  min_size=1, max_size=2))
-    op = _random_map(data.draw, f, _prod(dims[start:start + count]),
+@st.composite
+def block_cases(draw):
+    """A pipe case (see pipes) with a window [start, start + count) of at
+    least one factor, its out_dims and an op on it."""
+    f, dims, m = draw(pipes())
+    start = draw(st.integers(min_value=0, max_value=len(dims) - 1))
+    count = draw(st.integers(min_value=1, max_value=len(dims) - start))
+    out_dims = draw(st.lists(st.integers(min_value=1, max_value=3),
+                             min_size=1, max_size=2))
+    op = _random_map(draw, f, _prod(dims[start:start + count]),
                      _prod(out_dims), rational=True)
+    return f, dims, m, start, count, op, out_dims
+
+
+def _block_case(f, dims, start, count, out_dims):
+    """A fixed block case; over Q every entry of m has denominator 2 and
+    every entry of op denominator 3, where they are not integral."""
+    def fixed(dom, cod, den):
+        return LinMap(Space(dom), Space(cod), f, {
+            (i, j): f.of_int(i + j + 1, den)
+            for i in range(cod) for j in {i % dom, (2 * i + 1) % dom}})
+    op = fixed(_prod(dims[start:start + count]), _prod(out_dims), 3)
+    return f, dims, fixed(2, _prod(dims), 2), start, count, op, out_dims
+
+
+# one window of each shape that _stage tells apart, over Q and F_p:
+# at the start, at the end, inside the list and covering every factor
+_WINDOWS = [([2, 3], 0, 1, [2]), ([2, 3], 1, 1, [2]),
+            ([2, 2, 3], 1, 1, [3]), ([2, 3], 0, 2, [2, 2])]
+
+
+def _with_block_examples(test):
+    for f in (QQ, FieldSpec(5)):
+        for window in _WINDOWS:
+            test = example(_block_case(f, *window))(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_cases())
+@_with_block_examples
+def test_pipe_block_matches_kronecker_sandwich(case):
+    f, dims, m, start, count, op, out_dims = case
     got = Pipe.after(m, dims).block(start, count, op, out_dims)
     want = _sandwich(_prod(dims[:start]), op, _prod(dims[start + count:]), f)
     assert got.map == _dense_product(want, m)
     assert got.dims == dims[:start] + out_dims + dims[start + count:]
     _assert_canonical(got.map)
+
+
+def _dense_permutation(dims, order, f):
+    """permute_factors(dims, order, f) from its definition: the source
+    basis tensor with digits x goes to the target basis tensor with
+    digits (x[order[0]], ..., x[order[-1]])."""
+    new_dims = [dims[k] for k in order]
+
+    def flat(digits, sizes):
+        index = 0
+        for x, d in zip(digits, sizes):
+            index = index * d + x
+        return index
+
+    return LinMap(Space(_prod(dims)), Space(_prod(dims)), f, {
+        (flat([x[k] for k in order], new_dims), flat(x, dims)): f.one
+        for x in itertools.product(*map(range, dims))})
+
+
+@pytest.mark.parametrize("f", [QQ, FieldSpec(5)], ids=repr)
+@pytest.mark.parametrize("dims", [
+    [3], [1], [2, 1], [1, 7, 1, 2], [64, 2], [2] * 8], ids=str)
+def test_pipe_permute_matches_the_dense_permutation(f, dims):
+    """Each of these cuts the factors for the two digit tables
+    differently; a family stage first gives the pipe a wider source."""
+    rng = random.Random(len(dims) * 100 + dims[0])
+    n = _prod(dims)
+    m = LinMap(Space(3), Space(n), f, {
+        (rng.randrange(n), rng.randrange(3)): f.of_int(rng.randint(1, 4), 2)
+        for _ in range(2 * n)})
+    orders = [list(reversed(range(len(dims)))),
+              list(range(1, len(dims))) + [0]]
+    orders.append(rng.sample(range(len(dims)), len(dims)))
+    for order in orders:
+        want = _dense_product(_dense_permutation(dims, order, f), m)
+        assert Pipe.after(m, dims).permute(order).map == want
+        fresh = Pipe(dims, f).permute(order)
+        assert fresh.map == _dense_permutation(dims, order, f)
+        assert fresh.dims == [dims[k] for k in order]
+        # after a family stage over K = 2 on the first factor
+        op = LinMap(Space(2 * dims[0]), Space(dims[0]), f, {
+            (rng.randrange(dims[0]), c): f.of_int(c + 1, 3)
+            for c in range(2 * dims[0])})
+        fam = Pipe.after(m, dims).family(0, 1, op, 2)
+        before = fam.map
+        got = fam.permute(order).map
+        assert got == _dense_product(_dense_permutation(dims, order, f),
+                                     before)
+
+
+def _fixed_map(f, dom, cod, values):
+    """A map dom -> cod with the entries {key: n or (n, d)}, read as n/d
+    in f."""
+    return LinMap(Space(dom), Space(cod), f, {
+        k: f.of_int(*v) if isinstance(v, tuple) else f.of_int(v)
+        for k, v in values.items()})
+
+
+@pytest.mark.parametrize("f", [QQ, FieldSpec(5)], ids=repr)
+def test_assigning_entries_drops_the_column_index(f):
+    """A map used as the left operand of @ and as a Pipe stage's op keeps
+    a column index; after `entries` is assigned both roles read the new
+    entries."""
+    a = _fixed_map(f, 3, 2, {(0, 0): (1, 2), (1, 2): 3, (1, 1): -1})
+    b = _fixed_map(f, 2, 3, {(0, 0): 1, (2, 1): 2, (1, 1): (1, 3)})
+    m = _fixed_map(f, 2, 6, {(k, k % 2): k + 1 for k in range(6)})
+
+    def check():
+        assert a @ b == _dense_product(a, b)
+        assert Pipe.after(m, [3, 2]).block(0, 1, a).map == \
+            _dense_product(_sandwich(1, a, 2, f), m)
+        assert Pipe.after(m, [2, 3]).block(1, 1, a).map == \
+            _dense_product(_sandwich(2, a, 1, f), m)
+
+    check()
+    a.entries = _fixed_map(f, 3, 2, {(0, 1): 5, (1, 0): (2, 3),
+                                     (0, 2): 1}).entries
+    check()
+    a.entries = {}
+    check()
+
+
+@pytest.mark.parametrize("f", [QQ, FieldSpec(5)], ids=repr)
+def test_a_map_read_through_a_free_presentation_multiplies_as_itself(f):
+    pres = QuotientPresentation.trivial(Space(3), f)
+    a = _fixed_map(f, 3, 3, {(0, 1): (1, 2), (2, 0): 4, (1, 1): 1})
+    b = _fixed_map(f, 2, 3, {(1, 0): (2, 3), (0, 1): 1, (1, 1): 3})
+    want = _dense_product(a, b)
+    assert pres.project(a) @ b == want     # a not yet indexed
+    assert a @ b == want
+    recoded = pres.project(a)              # a indexed by now
+    assert recoded.cod is pres.quotient
+    assert recoded @ b == want and recoded @ b == a @ b
 
 
 @settings(max_examples=60, deadline=None)

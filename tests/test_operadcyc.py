@@ -605,6 +605,58 @@ def test_each_axiom_instance_is_evaluated_once(c2, c2_module, monkeypatch):
         == (152, 278)
 
 
+def _operad_instances(N):
+    """Every (p, q, r, i, j) in check_operad's narrowed loop ranges."""
+    return [(p, q, r, i, j)
+            for p in range(1, N + 1) for q in range(N + 1)
+            for r in range(N + 1) for i in range(1, p + 1)
+            for j in range(1, min(p + q - 1, i + q - 1) + 1)]
+
+
+def _module_instances(op_N, N):
+    """Every (p, q, n, i, j) in check_comp_module's narrowed loop ranges."""
+    return [(p, q, n, i, j)
+            for p in range(op_N + 1) for q in range(op_N + 1)
+            for n in range(N + 1) for j in range(n + 2 - q)
+            for i in range(max(0, j - p + 1), n - q + 3 - p)]
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
+@pytest.mark.parametrize("which", ["c2", "c3", "one"])
+@pytest.mark.parametrize("N", [3, 4])
+def test_skip_counters_count_the_instances_not_evaluated(field, which, N,
+                                                         monkeypatch):
+    """Evaluated plus skipped is every instance of the loop ranges: an
+    instance cut off with its (p, q, r) triple or its j counts as one."""
+    counts = {}
+    check_family = Report.check_family
+
+    def counting(self, name, witnesses):
+        items = list(witnesses)
+        counts[name] = len(items)
+        return check_family(self, name, items)
+
+    monkeypatch.setattr(Report, "check_family", counting)
+    if which == "one":
+        od = one_dimensional_operad(field, N)
+        cm = one_dimensional_comp_module(od, N)
+    else:
+        h = group_hopf_algebroid(2 if which == "c2" else 3, field)
+        z = scalar_yd_algebra(h)
+        od = build_yd_operad(h, z, N)
+        cm = build_yd_comp_module(h, scalar_sayd(h), z, od, N)
+    op_rep, cm_rep = check_operad(od), check_comp_module(cm)
+    assert op_rep.ok and cm_rep.ok
+    skipped = {r.name: r.witness for r in op_rep.results + cm_rep.results}
+    assert counts["associativity"] + skipped["associativity_skipped"] \
+        == len(_operad_instances(N))
+    assert counts["comp_compatibility"] + skipped["comp_skipped"] \
+        == len(_module_instances(od.N, cm.N))
+    if N == 3:
+        assert (counts["associativity"], counts["comp_compatibility"]) \
+            == (56, 113)
+
+
 def _operad_sides(od, p, q, r, i, j):
     """Both sides of associativity (f o_i g) o_j h on O(p) (x) O(q) (x) O(r),
     from the comp maps alone, or None where one of the four is missing."""

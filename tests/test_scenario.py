@@ -554,6 +554,30 @@ def test_cli_rejects_a_composite_field_under_optimization(tmp_path):
     assert "not a prime field: 'F4'" in proc.stderr
 
 
+@pytest.mark.parametrize("field, code, said", [
+    ("F1000000000000000003", 0, None),
+    ("F1000000000000000001", 2, "(not a prime: 1000000000000000001)"),
+    ("F318665857834031151167461", 2,
+     "(primality is decided only below 318665857834031151167461)"),
+])
+def test_cli_decides_large_prime_fields_at_once(tmp_path, field, code, said):
+    """10^18 + 3 is prime and 10^18 + 1 is not; the third modulus is the
+    bound of the primality test.  Trial division would not finish."""
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps({
+        "name": "x", "field": field,
+        "hopf_algebroids": {"H": {"preset": "group_c2"}},
+        "tasks": [{"kind": "homology", "object": "H", "theory": "HH"}]}))
+    proc = _run_cli("report", str(doc), optimize=True)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    if said is None:
+        table = json.loads(proc.stdout)["tasks"][0]["table"]
+        assert [row["dim"] for row in table] == [1, 0, 0, 0]
+    else:
+        assert proc.stderr == "error: not a prime field: %r %s\n" \
+            % (field, said)
+
+
 def _base_pair(hopf, algebra):
     return {"algebras": {"E": {"preset": "dual_numbers"},
                          "S": {"preset": "split_pair"}},
