@@ -6,7 +6,7 @@ witness (basis index or offending column) on failure.
 """
 
 from .exactlin import (
-    LinMap, Pipe, Space, QuotientPresentation, column_witness,
+    LinMap, Pipe, Space, QuotientPresentation, column_witness, combine,
     difference_witness, tensor_space, permute_factors, fix_factor, kron_vec,
     quotient_by,
 )
@@ -351,20 +351,19 @@ def sweedler_sum(terms, slots):
     slots[m-1][i_m], where slots[k] lists the maps of slot k by basis
     index.  No terms give the zero map between the tensor products of the
     slots' spaces."""
-    out = None
+    summands = []
     for key, c in terms.items():
         m = slots[0][key[0]]
         for maps, i in zip(slots[1:], key[1:]):
             m = m.tensor(maps[i])
-        m = m.scaled(c)
-        out = m if out is None else out + m
-    if out is None:
-        dom = cod = 1
-        for maps in slots:
-            dom *= maps[0].dom.dim
-            cod *= maps[0].cod.dim
-        out = LinMap.zero(Space(dom), Space(cod), slots[0][0].field)
-    return out
+        summands.append((c, m))
+    if summands:
+        return combine(summands)
+    dom = cod = 1
+    for maps in slots:
+        dom *= maps[0].dom.dim
+        cod *= maps[0].cod.dim
+    return LinMap.zero(Space(dom), Space(cod), slots[0][0].field)
 
 
 def balanced_tensor(left_pres, right_pres, ract, lact, field, label=""):

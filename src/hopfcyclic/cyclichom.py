@@ -10,12 +10,12 @@ go through the global `descend`.
 """
 
 from functools import partial
-from math import lcm
 
 from .exactlin import (
-    DescentFailure, LinMap, Pipe, Space, QuotientPresentation, _sum_map,
+    DescentFailure, LinMap, Pipe, Space, QuotientPresentation, combine,
     descend, descent_witness, difference_witness, invert, kernel,
-    permute_factors, quotient_by, rank, solve_many, tensor_presentation,
+    pack_slices, permute_factors, quotient_by, rank, solve_many,
+    tensor_presentation,
 )
 from .algcore import Report, sweedler_sum
 from .hopfalgebroid import require_own_algebroid, translation_lift
@@ -79,22 +79,11 @@ class CyclicModuleData:
 
     def boundaries(self):
         """Hochschild (co)boundaries: alternating sums of the faces,
-        {n: map leaving degree n}, each accumulated in one pass over the
-        lcm of the face denominators, computed on first use."""
+        {n: map leaving degree n}, computed on first use."""
         if self._boundaries is None:
-            out = {}
-            for n, ops in self.faces.items():
-                forms = [d._nums() for d in ops]
-                den = lcm(*(dd for _, dd in forms))
-                sums = {}
-                get = sums.get
-                for i, (nums, dd) in enumerate(forms):
-                    scale = den // dd * (-1) ** i
-                    for k, v in nums.items():
-                        sums[k] = get(k, 0) + v * scale
-                d = ops[0]
-                out[n] = _sum_map(d.dom, d.cod, d.field, sums, den)
-            self._boundaries = out
+            self._boundaries = {
+                n: combine([((-1) ** i, d) for i, d in enumerate(ops)])
+                for n, ops in self.faces.items()}
         return self._boundaries
 
 
@@ -659,7 +648,7 @@ def check_hopf_galois_chain_map(h, N, p=None):
 def _lam(cm, n):
     """The signed cyclic operator lambda = (-1)^n t_n of degree n."""
     t = cm.cyc[n]
-    return t if n % 2 == 0 else t.scaled(t.field.neg(t.field.one))
+    return t if n % 2 == 0 else t.scaled(-1)
 
 
 def _carry(f, src, dst):
@@ -742,11 +731,8 @@ def homology(cm, theory="HH", normalized=False):
         # by side; each has C_{n-1}, of dimension d, as its domain
         pres = [QuotientPresentation.trivial(cm.spaces[0], f)]
         for n in range(1, cm.N + 1):
-            ss, d = cm.degen[n - 1], cm.spaces[n - 1].dim
-            cols = {(i, k * d + j): v for k, s in enumerate(ss)
-                    for (i, j), v in s.entries.items()}
-            pres.append(quotient_by(cm.spaces[n], LinMap(
-                Space(len(ss) * d), cm.spaces[n], f, cols), f))
+            pres.append(quotient_by(
+                cm.spaces[n], pack_slices(cm.degen[n - 1], f), f))
     else:
         pres = [None] * (cm.N + 1)
     return _Homology(
@@ -888,13 +874,9 @@ def shuffle_product(h, p, q):
         pipe.block(q, 1, h.t_L).block(q - 1, 2, h.U.mul)
         src = tensor_presentation(triv, h.rtower(q))
         return descend(pipe.map, src, h.rtower(q))
-    f_neg = f.neg(f.one)
-    total = None
-    for parity, perm in _shuffles(p, q):
-        m = permute_factors([du] * (p + q), perm, f)
-        if parity:
-            m = m.scaled(f_neg)
-        total = m if total is None else total + m
+    total = combine([((-1) ** parity,
+                      permute_factors([du] * (p + q), perm, f))
+                     for parity, perm in _shuffles(p, q)])
     src = tensor_presentation(h.rtower(p), h.rtower(q))
     return descend(total, src, h.rtower(p + q))
 
@@ -952,10 +934,10 @@ def mixed_complex(cm):
     B = {}
     for n in range(0, cm.N):
         lam = _lam(cm, n)
-        norm = power = LinMap.identity(cm.spaces[n], f)
+        powers = [LinMap.identity(cm.spaces[n], f)]
         for _ in range(n):
-            power = lam @ power
-            norm = norm + power
+            powers.append(lam @ powers[-1])
+        norm = combine([(1, power) for power in powers])
         extra = cm.cyc[n + 1] @ cm.degen[n][n]
         one_minus = LinMap.identity(cm.spaces[n + 1], f) - _lam(cm, n + 1)
         B[n] = one_minus @ (extra @ norm)

@@ -8,6 +8,14 @@ ordered basis, sparse matrices with exact entries, and quotient presentations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
+from types import MappingProxyType
+
+
+def _require(ok, message, *args):
+    """ValueError(message % args) unless ok: the shape and argument
+    checks of this module."""
+    if not ok:
+        raise ValueError(message % args)
 
 
 class NoSolution(Exception):
@@ -72,10 +80,10 @@ class FieldSpec:
     result may be an integral Fraction such as Fraction(1, 2) * 2.  Over
     F_p scalars are plain ints in range(p).
 
-    The map kernels (@, Pipe, +, -, scaled, tensor) and elimination do not
-    go through these methods: they work on a LinMap's integer form, integer
-    numerators over one common denominator, and give maps born in that
-    form, whose entries are ints where integral (see LinMap).
+    The map kernels (@, Pipe, combine, tensor) and elimination do not go
+    through these methods: they work on a LinMap's integer form, integer
+    numerators over one common denominator, and give maps in that form,
+    whose entries are ints where integral (see LinMap).
     """
 
     def __init__(self, p=0):
@@ -149,10 +157,10 @@ _is_int = int.__instancecheck__
 
 
 def _sum_map(dom, cod, field, sums, den):
-    """A LinMap born in integer form from integer sums over den, keyed
-    (row, col): zero sums are dropped, over F_p (den 1) each sum is
-    reduced into 1..p-1, and over Q the sums and den are divided by their
-    gcd, so den is the lcm of the denominators of the reduced entries."""
+    """The LinMap of integer sums over den, keyed (row, col): zero sums
+    are dropped, over F_p (den 1) each sum is reduced into 1..p-1, and over
+    Q the sums and den are divided by their gcd, so den is the lcm of the
+    denominators of the reduced entries."""
     p = field.char
     if p:
         nums = {k: r for k, s in sums.items() if (r := s % p)}
@@ -164,11 +172,17 @@ def _sum_map(dom, cod, field, sums, den):
             if g != 1:
                 nums = {k: s // g for k, s in nums.items()}
                 den //= g
+    return _born(dom, cod, field, nums, den)
+
+
+def _born(dom, cod, field, ints, den):
+    """The LinMap whose integer form is `ints` over `den`, taken as it is:
+    the form must be canonical (see _sum_map).  The dict may be shared with
+    another map, since no map changes."""
     m = LinMap.__new__(LinMap)
     m.dom, m.cod, m.field = dom, cod, field
-    m._form = nums, den
-    m._entries = nums if den == 1 else None
-    m._cols = None
+    m._ints, m._den = ints, den
+    m._view = m._cols = None
     return m
 
 
@@ -191,7 +205,7 @@ class Space:
     __slots__ = ("dim", "label")
 
     def __init__(self, dim, label=""):
-        assert dim >= 0
+        _require(dim >= 0, "a space has dimension >= 0, got %r", dim)
         self.dim = dim
         self.label = label
 
@@ -210,60 +224,51 @@ def tensor_space(a, b, label=""):
 
 
 class LinMap:
-    """A sparse linear map, stored as {(row, col): nonzero scalar}.
+    """A sparse linear map dom -> cod over `field`; it never changes.
 
-    Its integer form (nums, den), computed at most once, holds the entries
-    as integer numerators over den, the lcm of their reduced denominators.
-    The kernels (@, Pipe, +, -, scaled, tensor) and elimination (rref,
-    kernel, solve, invert, quotient_by) work on it and return maps born
-    in it, which settle `entries` on first read; == compares it.  Over
-    F_p, and for integral maps, one dict serves as both forms.
-    A map that is the left operand of @ or the op of a Pipe stage also
-    keeps a column index of its integer form, {col: [(row, num), ...]},
-    built on that first use.  Assigning `entries` drops the integer form
-    and the index; editing it in place is safe only before a kernel has
-    read the map.
+    It is held as its integer form: integer numerators `_ints`, {(row, col):
+    nonzero int}, over one denominator `_den`, the lcm of the reduced
+    denominators of the entries (1 over F_p, whose numerators lie in
+    1..p-1).  The form is canonical, so == compares it.  `entries` is a
+    read-only view {(row, col): nonzero scalar}, formed on first read: the
+    numerators themselves where den is 1, over Q ints and Fractions
+    otherwise.  The kernels (@, Pipe, combine, tensor) and elimination
+    (rref, kernel, solve, invert, quotient_by) read the integer form and
+    give maps in it.  A map that is the left operand of @ or the op of a
+    Pipe stage also keeps a column index of its integer form, {col: [(row,
+    num), ...]}, built on that first use.
     """
 
-    __slots__ = ("dom", "cod", "field", "_entries", "_form", "_cols")
+    __slots__ = ("dom", "cod", "field", "_ints", "_den", "_view", "_cols")
 
     def __init__(self, dom, cod, field, entries=None):
         self.dom = dom
         self.cod = cod
         self.field = field
-        zero = field.zero
-        self._entries = {k: v for k, v in (entries or {}).items()
-                         if v != zero}
-        self._form = self._cols = None
+        items = (entries or {}).items()
+        p = field.char
+        den = 1
+        if p:
+            ints = {k: r for k, v in items if (r := v % p)}
+        else:
+            ints = {k: v for k, v in items if v}
+            if not all(map(_is_int, ints.values())):
+                den = lcm(*{v.denominator for v in ints.values()})
+                ints = {k: v.numerator * (den // v.denominator)
+                        for k, v in ints.items()}
+        self._ints, self._den = ints, den
+        self._view = self._cols = None
 
     @property
     def entries(self):
-        e = self._entries
-        if e is None:
-            nums, den = self._form
-            e = self._entries = {k: Fraction(s, den) if s % den else s // den
-                                 for k, s in nums.items()}
-        return e
-
-    @entries.setter
-    def entries(self, value):
-        self._entries = value
-        self._form = self._cols = None
-
-    def _nums(self):
-        """The integer form (nums, den), computed once.  Integral entries,
-        and every entry over F_p, serve as they are with den 1."""
-        form = self._form
-        if form is None:
-            e = self._entries
-            if self.field.char or all(map(_is_int, e.values())):
-                form = e, 1
-            else:
-                den = lcm(*{v.denominator for v in e.values()})
-                form = {k: v.numerator * (den // v.denominator)
-                        for k, v in e.items()}, den
-            self._form = form
-        return form
+        view = self._view
+        if view is None:
+            ints, den = self._ints, self._den
+            if den != 1:
+                ints = {k: Fraction(s, den) if s % den else s // den
+                        for k, s in ints.items()}
+            view = self._view = MappingProxyType(ints)
+        return view
 
     def _columns(self):
         """The column index {col: [(row, num), ...]} of the integer form,
@@ -271,18 +276,9 @@ class LinMap:
         cols = self._cols
         if cols is None:
             cols = self._cols = {}
-            for (i, k), v in self._nums()[0].items():
-                at = cols.get(k)
-                if at is None:
-                    cols[k] = [(i, v)]
-                else:
-                    at.append((i, v))
+            for (i, k), v in self._ints.items():
+                cols.setdefault(k, []).append((i, v))
         return cols
-
-    def _stored(self):
-        """Whichever of the two entry dicts the map holds; their keys are
-        the same."""
-        return self._form[0] if self._entries is None else self._entries
 
     @staticmethod
     def identity(space, field):
@@ -295,21 +291,15 @@ class LinMap:
 
     @staticmethod
     def from_rows(dom, cod, field, rows):
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return LinMap(dom, cod, field, entries)
+        return LinMap(dom, cod, field, {
+            (i, j): v for i, row in enumerate(rows)
+            for j, v in enumerate(row)})
 
     @staticmethod
     def from_columns(dom, cod, field, columns):
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, v in enumerate(col):
-                if v:
-                    entries[(i, j)] = v
-        return LinMap(dom, cod, field, entries)
+        return LinMap(dom, cod, field, {
+            (i, j): v for j, col in enumerate(columns)
+            for i, v in enumerate(col)})
 
     def rows(self):
         out = [[self.field.zero] * self.dom.dim for _ in range(self.cod.dim)]
@@ -325,7 +315,8 @@ class LinMap:
         return Vector(col)
 
     def apply(self, vec):
-        assert len(vec) == self.dom.dim
+        _require(len(vec) == self.dom.dim,
+                 "a vector of %d coordinates for %r", len(vec), self)
         f = self.field
         out = [f.zero] * self.cod.dim
         for (i, j), v in self.entries.items():
@@ -334,77 +325,81 @@ class LinMap:
         return Vector(out)
 
     def __matmul__(self, other):
-        assert isinstance(other, LinMap)
-        assert self.dom.dim == other.cod.dim, (self.dom.dim, other.cod.dim)
+        if not isinstance(other, LinMap):
+            return NotImplemented
+        _require(self.dom.dim == other.cod.dim, "cannot compose %r after %r",
+                 self, other)
         by_col = self._columns()
-        dl = self._form[1]
-        right, dr = other._nums()
         out = {}
         get = out.get
-        for (k, j), w in right.items():
+        for (k, j), w in other._ints.items():
             for i, v in by_col.get(k, ()):
                 key = (i, j)
                 out[key] = get(key, 0) + v * w
-        return _sum_map(other.dom, self.cod, self.field, out, dl * dr)
+        return _sum_map(other.dom, self.cod, self.field, out,
+                        self._den * other._den)
 
     def __add__(self, other):
-        return self._plus(other, 1)
+        return combine(((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def _plus(self, other, sign):
-        """self + sign * other, over the lcm of the two denominators."""
-        assert self.dom.dim == other.dom.dim and self.cod.dim == other.cod.dim
-        a, da = self._nums()
-        b, db = other._nums()
-        den = lcm(da, db)
-        sa, sb = den // da, sign * (den // db)
-        out = {k: v * sa for k, v in a.items()}
-        get = out.get
-        for k, v in b.items():
-            out[k] = get(k, 0) + v * sb
-        return _sum_map(self.dom, self.cod, self.field, out, den)
+        return combine(((1, self), (-1, other)))
 
     def scaled(self, c):
-        nums, den = self._nums()
-        n = c.numerator
-        return _sum_map(self.dom, self.cod, self.field,
-                        {k: v * n for k, v in nums.items()},
-                        den * c.denominator)
+        return combine(((c, self),))
 
     def tensor(self, other):
         """Kronecker product, consistent with tensor_space index order."""
         dom = tensor_space(self.dom, other.dom)
         cod = tensor_space(self.cod, other.cod)
         bc, bd = other.cod.dim, other.dom.dim
-        a, da = self._nums()
-        b, db = other._nums()
+        b = other._ints
         out = {}
-        for (i1, j1), v1 in a.items():
+        for (i1, j1), v1 in self._ints.items():
             for (i2, j2), v2 in b.items():
                 out[(i1 * bc + i2, j1 * bd + j2)] = v1 * v2
-        return _sum_map(dom, cod, self.field, out, da * db)
+        return _sum_map(dom, cod, self.field, out, self._den * other._den)
 
     def is_zero(self):
-        return not self._stored()
+        return not self._ints
 
     def __eq__(self, other):
         if not isinstance(other, LinMap):
             return NotImplemented
         return (self.dom.dim == other.dom.dim and self.cod.dim == other.cod.dim
-                and self._nums() == other._nums())
+                and self._den == other._den and self._ints == other._ints)
 
     def __hash__(self):
         raise TypeError("LinMap is not hashable")
 
     def nonzero_column_index(self):
         """Smallest index of a column with a nonzero entry, or None."""
-        return min((j for (_, j) in self._stored()), default=None)
+        return min((j for (_, j) in self._ints), default=None)
 
     def __repr__(self):
         return "LinMap(%d->%d, nnz=%d)" % (self.dom.dim, self.cod.dim,
-                                           len(self._stored()))
+                                           len(self._ints))
+
+
+def combine(terms):
+    """The map sum c * m over the pairs (c, m) of `terms`, a non-empty
+    sequence of maps of one shape with scalar coefficients, formed in one
+    pass over the lcm of the scaled denominators c.denominator * den; it
+    has the spaces of the first map.  +, - and scaled are its cases."""
+    _require(terms, "combine needs at least one term")
+    m0 = terms[0][1]
+    den = 1
+    for c, m in terms:
+        _require(m.dom.dim == m0.dom.dim and m.cod.dim == m0.cod.dim,
+                 "cannot add %r to %r", m, m0)
+        den = lcm(den, c.denominator * m._den)
+    out = {}
+    get = out.get
+    for c, m in terms:
+        s = c.numerator * (den // (c.denominator * m._den))
+        for k, v in m._ints.items():
+            out[k] = get(k, 0) + v * s
+    return _sum_map(m0.dom, m0.cod, m0.field, out, den)
 
 
 def column_witness(m):
@@ -443,7 +438,9 @@ def fix_factor(m, vec, before=1):
     f = m.field
     mid = len(vec)
     right = m.dom.dim // (before * mid)
-    assert before * mid * right == m.dom.dim, (m.dom.dim, before, mid)
+    _require(before * mid * right == m.dom.dim,
+             "%r has no factor of dimension %d after one of %d",
+             m, mid, before)
     insert = LinMap.from_columns(Space(1), Space(mid), f, [vec])
     return m @ Pipe([before, right], f).block(1, 0, insert).map
 
@@ -474,8 +471,8 @@ class Pipe:
     The entries are integer sums over one denominator `den`: each stage
     reads its op's integer form, sums plain ints and multiplies `den` by
     the op's denominator.  Over F_p `den` stays 1, and each sum is reduced
-    mod p once, when the next stage or `map` reads it.  `map` returns a map
-    born in integer form (see LinMap).
+    mod p once, when the next stage or `map` reads it.  `map` returns the
+    map in integer form (see LinMap).
     """
 
     def __init__(self, dims, field):
@@ -488,26 +485,28 @@ class Pipe:
     @classmethod
     def after(cls, m, dims):
         """Continue from the map m, whose target splits into `dims`."""
-        assert m.cod.dim == prod(dims), (m.cod.dim, dims)
-        pipe = cls.__new__(cls)
-        pipe.dims = list(dims)
-        pipe.field = m.field
-        pipe.dom_dim = m.dom.dim
-        pipe.entries, pipe.den = m._nums()
+        _require(m.cod.dim == prod(dims),
+                 "the target of %r is not the product of %r", m, dims)
+        pipe = cls(dims, m.field)
+        pipe.dom_dim, pipe.entries, pipe.den = m.dom.dim, m._ints, m._den
         return pipe
 
     def permute(self, order):
         """Reorder the factors: factor k afterwards is factor order[k] now.
 
         Agrees with permute_factors(self.dims, order, field) @ self.map.
-        The factors are cut in two where the sizes of the two runs balance;
-        a table over each run's indices gives the sum of its digits at
-        their new strides, so each new row index is the sum of two table
-        lookups.
+        The factors are cut in two where the sizes of the two runs balance,
+        and each new row index is the sum of two lookups, the digits of the
+        head and of the tail run at their new strides.  Where the two runs
+        together have no more indices than the pipe has entries, the
+        lookups are full tables over them (_digit_table); otherwise each
+        sum is formed on its first lookup (_DigitSums), so the memory
+        stays proportional to the entries.
         """
         dims = self.dims
         m = len(dims)
-        assert sorted(order) == list(range(m)), order
+        _require(sorted(order) == list(range(m)),
+                 "%r is no order of %d factors", order, m)
         if list(order) == list(range(m)):
             return self
         if self.entries is None:
@@ -520,9 +519,11 @@ class Pipe:
             stride *= new_dims[k]
         cut = min(range(m + 1),
                   key=lambda t: prod(dims[:t]) + prod(dims[t:]))
-        head = _digit_table(dims[:cut], new_stride[:cut])
-        tail = _digit_table(dims[cut:], new_stride[cut:])
-        low = len(tail)
+        low = prod(dims[cut:])
+        digits = _digit_table \
+            if prod(dims[:cut]) + low <= len(self.entries) else _DigitSums
+        head = digits(dims[:cut], new_stride[:cut])
+        tail = digits(dims[cut:], new_stride[cut:])
         self.entries = {(head[i // low] + tail[i % low], j): v
                         for (i, j), v in self.entries.items()}
         self.dims = new_dims
@@ -559,8 +560,8 @@ class Pipe:
         mid = prod(self.dims[start:start + count])
         right = prod(self.dims[start + count:])
         width = prod(out_dims)
-        assert op.dom.dim == size * mid and op.cod.dim == width, \
-            (op.dom.dim, size, mid, op.cod.dim, width)
+        _require(op.dom.dim == size * mid and op.cod.dim == width,
+                 "%r does not map %d x %d to %d", op, size, mid, width)
         src = self.dom_dim
         entries = self.entries
         out = {}
@@ -568,7 +569,7 @@ class Pipe:
             # id (x) op (x) id, each entry written once: source column
             # (b, l, k, r) goes to row (l, i, r) for op entry (i, (b, k))
             terms = []
-            for (i, c), w in op._nums()[0].items():
+            for (i, c), w in op._ints.items():
                 b, k = divmod(c, mid)
                 terms.append((i * right, b * src + k * right, w))
             for l in range(left):
@@ -625,7 +626,7 @@ class Pipe:
                         key = ((base + i) * right + r, j)
                         out[key] = get(key, 0) + w * v
         self.entries = out
-        self.den *= op._form[1]
+        self.den *= op._den
         self.dims[start:start + count] = out_dims
         self.dom_dim = size * src
         return self
@@ -645,6 +646,23 @@ def _digit_table(dims, strides):
     for d, w in zip(reversed(dims), reversed(strides)):
         table = [a + y for a in range(0, d * w, w) for y in table]
     return table
+
+
+class _DigitSums(dict):
+    """_digit_table(dims, strides) as a dict that forms each entry on its
+    first lookup."""
+
+    def __init__(self, dims, strides):
+        super().__init__()
+        self.places = list(zip(reversed(dims), reversed(strides)))
+
+    def __missing__(self, x):
+        s, rest = 0, x
+        for d, w in self.places:
+            rest, digit = divmod(rest, d)
+            s += digit * w
+        self[x] = s
+        return s
 
 
 def permute_factors(dims, perm, field):
@@ -750,7 +768,7 @@ def _reduce(row, pivot_row, c, p, where=(), i=None):
 def _row_dicts(m):
     """The rows of m's integer form as dicts {col: value}."""
     rows = [{} for _ in range(m.cod.dim)]
-    for (i, j), v in m._nums()[0].items():
+    for (i, j), v in m._ints.items():
         rows[i][j] = v
     return rows
 
@@ -800,7 +818,7 @@ def _solution(m, targets):
     pivot variable takes its row's reduced entry."""
     n = m.dom.dim
     rows = _row_dicts(m)
-    (_, dm), (nt, dt) = m._nums(), targets._nums()
+    dm, nt, dt = m._den, targets._ints, targets._den
     g = gcd(dm, dt)
     if dt != g:
         rows = [{j: v * (dt // g) for j, v in row.items()} for row in rows]
@@ -820,13 +838,15 @@ def solve_many(m, targets):
     `targets` is a map into m.cod; column j of X is solve(m, column j of
     targets), but all columns share one elimination.
     """
-    assert targets.cod.dim == m.cod.dim
+    _require(targets.cod.dim == m.cod.dim,
+             "targets %r are not in the target of %r", targets, m)
     return _solution(m, targets)
 
 
 def solve(m, target):
     """One solution of m v = target, or raise NoSolution."""
-    assert len(target) == m.cod.dim
+    _require(len(target) == m.cod.dim, "a target of %d coordinates for %r",
+             len(target), m)
     rhs = LinMap.from_columns(Space(1), m.cod, m.field, [target])
     return _solution(m, rhs).column(0)
 
@@ -890,20 +910,18 @@ class QuotientPresentation:
 
     def project(self, m):
         """projection @ m: a map into the ambient, read in the quotient."""
-        if self.free:   # m read into the quotient, sharing its forms
-            assert m.cod.dim == self.ambient.dim, (m.cod.dim, self.ambient.dim)
-            out = LinMap.__new__(LinMap)
-            out.dom, out.cod, out.field = m.dom, self.quotient, m.field
-            out._entries, out._form = m._entries, m._form
-            out._cols = None
-            return out
+        if self.free:   # m read into the quotient, sharing its form
+            _require(m.cod.dim == self.ambient.dim,
+                     "%r does not map into %r", m, self)
+            return _born(m.dom, self.quotient, m.field, m._ints, m._den)
         return self.projection @ m
 
     def lift(self, m):
         """m @ section: a map on the ambient, evaluated on the lifts of the
         quotient basis."""
         if self.free:
-            assert m.dom.dim == self.ambient.dim, (m.dom.dim, self.ambient.dim)
+            _require(m.dom.dim == self.ambient.dim,
+                     "%r is not a map on %r", m, self)
             return m
         return m @ self.section
 
@@ -926,7 +944,7 @@ class QuotientPresentation:
 def _is_identity(m):
     """Whether m is the identity matrix (square, 1 on the diagonal, 0
     elsewhere); O(nnz)."""
-    nums, den = m._nums()
+    nums, den = m._ints, m._den
     return (m.dom.dim == m.cod.dim and len(nums) == m.dom.dim and den == 1
             and all(i == j and v == 1 for (i, j), v in nums.items()))
 
@@ -937,12 +955,13 @@ def quotient_by(ambient, relations, field, label=""):
     The section picks out the non-pivot coordinates of the column-reduced
     relation matrix, so results are deterministic given the input order.
     """
-    assert relations.cod.dim == ambient.dim
+    _require(relations.cod.dim == ambient.dim,
+             "relations %r are not in %r", relations, ambient)
     f = field
     # column echelon form of the relations = row echelon of the transpose;
     # each pivot row is an echelon basis vector of the span
     rows = [{} for _ in range(relations.dom.dim)]
-    for (i, j), v in relations._nums()[0].items():
+    for (i, j), v in relations._ints.items():
         rows[j][i] = v
     pivots, den, _ = _eliminate(rows, ambient.dim, f)
     free, nums = _null_basis(pivots, den, ambient.dim)
@@ -979,8 +998,9 @@ def descent_witness(f_free, src, dst):
     dimension) there is nothing to check, and free presentations add no
     product.
     """
-    assert f_free.dom.dim == src.ambient.dim
-    assert f_free.cod.dim == dst.ambient.dim
+    _require(f_free.dom.dim == src.ambient.dim and
+             f_free.cod.dim == dst.ambient.dim,
+             "%r is not a map %r -> %r", f_free, src, dst)
     if src.quotient.dim == src.ambient.dim or \
             dst.project(f_free @ src._kernel_span()).is_zero():
         return None

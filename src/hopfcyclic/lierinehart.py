@@ -11,7 +11,8 @@ import itertools
 from math import comb
 
 from .exactlin import (
-    LinMap, Pipe, Space, difference_witness, fix_factor, pack_slices, rank,
+    LinMap, Pipe, Space, combine, difference_witness, fix_factor, pack_slices,
+    rank,
 )
 from .algcore import (
     CoalgebraData, Report, basis_slices, check_coalgebra,
@@ -497,8 +498,8 @@ def alt_map(env, n):
 
 
 def envelope_b_on_alt(env, n, mul):
-    """b composed with the antisymmetrization, given the product mul of
-    _envelope_mul.
+    """b composed with the antisymmetrization in degree n >= 2, given the
+    product mul of _envelope_mul.
 
     The end faces use the counit (and the antipode on the last slot) and
     vanish on length-one words, so only the merge faces contribute and the
@@ -506,11 +507,9 @@ def envelope_b_on_alt(env, n, mul):
     """
     dv = env.space.dim
     alt = alt_map(env, n)
-    out = LinMap.zero(alt.dom, Space(dv ** max(n - 1, 0)), env.field)
-    for i in range(1, n):
-        face = Pipe.after(alt, [dv] * n).block(i - 1, 2, mul).map
-        out = out - face if i % 2 else out + face
-    return out
+    return combine([((-1) ** i,
+                     Pipe.after(alt, [dv] * n).block(i - 1, 2, mul).map)
+                    for i in range(1, n)])
 
 
 def check_alt_intertwines(lr, env):

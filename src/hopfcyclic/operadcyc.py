@@ -461,8 +461,7 @@ def _hom_data(h, z, N):
                 for wj in range(w):
                     key = (a * dz * w + zi * w + wj, zp * w + wj)
                     entries[key] = f.sub(entries.get(key, f.zero), v)
-        B = LinMap(Space(dz * w), Space(da * dz * w), f,
-                   {k: v for k, v in entries.items() if v})
+        B = LinMap(Space(dz * w), Space(da * dz * w), f, entries)
         K = kernel(B)
         space = Space(K.dom.dim, "O%d" % n)
         # basis map j is column j of K read as a map W_n -> Z, pulled back

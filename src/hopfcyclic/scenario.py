@@ -628,7 +628,7 @@ def _induced(task, obj, top):
 
 _TASK_ERRORS = (CharNotZero, DescentFailure, StabilityFailure,
                 CertificateFailure, NoSolution, NotInvertible, ParseError,
-                ZeroDivisionError, AssertionError)
+                ZeroDivisionError)
 
 
 def _run_task(task, objects, field, max_degree):

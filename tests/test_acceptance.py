@@ -275,11 +275,9 @@ def _mutate(m, i, j, f):
     (j is None)."""
     if j is None:
         return tuple(f.add(x, f.one) if k == i else x for k, x in enumerate(m))
-    # editing out.entries in place is safe only because out is fresh: no
-    # kernel has read it, so it holds no integer form to go stale
-    out = LinMap(m.dom, m.cod, m.field, dict(m.entries))
-    out.entries[(i, j)] = f.add(out.entries.get((i, j), f.zero), f.one)
-    return out
+    entries = dict(m.entries)
+    entries[(i, j)] = f.add(entries.get((i, j), f.zero), f.one)
+    return LinMap(m.dom, m.cod, m.field, entries)
 
 
 def _mutation_run(label, maps, rebuild_check, count=20, seed=0, f=QQ):

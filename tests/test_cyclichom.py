@@ -205,6 +205,14 @@ def test_hopf_galois_chain_map_bijective(gal):
         assert rep.ok, (name, rep.failures())
 
 
+def test_hopf_galois_chain_map_with_coefficients_reaches_degree_7():
+    """The core permutes 28 factors of dimension 4 at degree 7, with far
+    fewer entries than the digit tables of its two runs would hold."""
+    g = gallery()["pair_dual"]
+    rep = check_hopf_galois_chain_map(g.hopf, 7, g.sayd)
+    assert rep.ok, rep.failures()
+
+
 def test_transported_homology_agrees(gal):
     h = gal["group_c2"].hopf
     cm = build_cyclic_CU(h, 3)

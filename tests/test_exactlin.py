@@ -2,16 +2,19 @@ from fractions import Fraction
 from math import gcd
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hopfcyclic.algcore import Report
+from hopfcyclic import exactlin
 from hopfcyclic.exactlin import (
     QQ, FieldSpec, LinMap, Pipe, Space, DescentFailure, NoSolution,
-    NotInvertible, QuotientPresentation, descend, descent_witness, invert,
-    _reduce, kernel, permute_factors, quotient_by, rank, rref, solve,
-    solve_many, tensor_presentation,
+    NotInvertible, QuotientPresentation, combine, descend, descent_witness,
+    fix_factor, invert, _reduce, kernel, permute_factors, quotient_by, rank,
+    rref, solve, solve_many, tensor_presentation,
 )
 from hopfcyclic.hopfalgebroid import gallery
 
@@ -392,6 +395,57 @@ def test_pipe_permute_matches_the_dense_permutation(f, dims):
                                      before)
 
 
+@pytest.mark.parametrize("f", [QQ, FieldSpec(5)], ids=repr)
+@pytest.mark.parametrize("thin", [True, False], ids=["sums", "tables"])
+def test_pipe_permute_reads_digits_by_the_number_of_entries(f, thin,
+                                                            monkeypatch):
+    """[2, 3, 2, 2] is cut into runs of 6 and 4 indices: a pipe with 2
+    entries forms each digit sum on its first lookup, one with 24 entries
+    reads two full tables, and both agree with the dense permutation."""
+    used = []
+    for name in ("_digit_table", "_DigitSums"):
+        def spy(*args, real=getattr(exactlin, name), name=name):
+            used.append(name)
+            return real(*args)
+        monkeypatch.setattr(exactlin, name, spy)
+    dims = [2, 3, 2, 2]
+    m = _fixed_map(f, 3, 24, {(5, 0): (1, 2), (19, 2): 3} if thin else
+                   {(k, k % 3): (k + 1, 2) for k in range(24)})
+    for order in ([3, 2, 1, 0], [1, 3, 0, 2]):
+        got = Pipe.after(m, dims).permute(order).map
+        assert got == _dense_product(_dense_permutation(dims, order, f), m)
+    assert used == ["_DigitSums" if thin else "_digit_table"] * 4
+
+
+def test_pipe_permute_memory_follows_the_entries():
+    """A pipe with 3 entries on 40 factors of dimension 2 is permuted in
+    a few times the memory of its entries; two digit tables over 20
+    factors each would hold 2**21 ints."""
+    dims, n = [2] * 40, 2 ** 40
+    m = _fixed_map(QQ, 3, n, {(n - 1, 0): 1, (5 * 2 ** 25 + 3, 1): (2, 3),
+                              (7, 2): 3})
+    pipe = Pipe.after(m, dims)
+    stored = sys.getsizeof(pipe.entries) + sum(
+        sys.getsizeof(x) for k, v in pipe.entries.items() for x in (k, *k, v))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        pipe.permute(list(reversed(range(40))))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 16 * stored, (peak, stored)
+
+    def reversed_digits(x):
+        return int(format(x, "040b")[::-1], 2)
+
+    assert pipe.map == LinMap(m.dom, m.cod, QQ, {
+        (reversed_digits(i), j): v for (i, j), v in m.entries.items()})
+
+
 def _fixed_map(f, dom, cod, values):
     """A map dom -> cod with the entries {key: n or (n, d)}, read as n/d
     in f."""
@@ -401,27 +455,25 @@ def _fixed_map(f, dom, cod, values):
 
 
 @pytest.mark.parametrize("f", [QQ, FieldSpec(5)], ids=repr)
-def test_assigning_entries_drops_the_column_index(f):
-    """A map used as the left operand of @ and as a Pipe stage's op keeps
-    a column index; after `entries` is assigned both roles read the new
-    entries."""
-    a = _fixed_map(f, 3, 2, {(0, 0): (1, 2), (1, 2): 3, (1, 1): -1})
+def test_maps_are_immutable(f):
+    """A map from LinMap(), one from @ and one re-coded by a free
+    presentation refuse a new `entries` and an edit of it, and still
+    multiply as before, also as the op of a Pipe stage."""
+    a = _fixed_map(f, 3, 3, {(0, 0): (1, 2), (1, 2): 3, (2, 1): -1})
     b = _fixed_map(f, 2, 3, {(0, 0): 1, (2, 1): 2, (1, 1): (1, 3)})
     m = _fixed_map(f, 2, 6, {(k, k % 2): k + 1 for k in range(6)})
-
-    def check():
-        assert a @ b == _dense_product(a, b)
-        assert Pipe.after(m, [3, 2]).block(0, 1, a).map == \
-            _dense_product(_sandwich(1, a, 2, f), m)
-        assert Pipe.after(m, [2, 3]).block(1, 1, a).map == \
-            _dense_product(_sandwich(2, a, 1, f), m)
-
-    check()
-    a.entries = _fixed_map(f, 3, 2, {(0, 1): 5, (1, 0): (2, 3),
-                                     (0, 2): 1}).entries
-    check()
-    a.entries = {}
-    check()
+    pres = QuotientPresentation.trivial(Space(3), f)
+    for x in (a, a @ a, pres.project(a)):
+        before = dict(x.entries)
+        want = _dense_product(x, b)
+        assert x @ b == want
+        with pytest.raises(AttributeError):
+            x.entries = {}
+        with pytest.raises(TypeError):
+            x.entries[(0, 0)] = f.one
+        assert x.entries == before and x @ b == want
+        assert Pipe.after(m, [2, 3]).block(1, 1, x).map == \
+            _dense_product(_sandwich(2, x, 1, f), m)
 
 
 @pytest.mark.parametrize("f", [QQ, FieldSpec(5)], ids=repr)
@@ -963,12 +1015,13 @@ def map_pairs(draw):
             for k, v in a.entries.items()})
     b = a + d
     if f == QQ:
-        for m in (a, b):
-            if draw(st.booleans()):
-                m.entries = {k: Fraction(v) for k, v in m.entries.items()}
-            else:
-                m.entries = {k: QQ.of_int(v.numerator, v.denominator)
-                             for k, v in m.entries.items()}
+        def recoded(m):
+            as_fractions = draw(st.booleans())
+            return LinMap(m.dom, m.cod, f, {
+                k: Fraction(v) if as_fractions
+                else QQ.of_int(v.numerator, v.denominator)
+                for k, v in m.entries.items()})
+        a, b = recoded(a), recoded(b)
     return a, b
 
 
@@ -1035,6 +1088,32 @@ def test_sum_difference_scaling_and_tensor_match_dense_oracles(f, data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, FieldSpec(5)]), st.data())
+def test_combine_matches_the_dense_linear_combination(f, data):
+    """One to five maps with int and Fraction coefficients (ints over F5),
+    over Q with entries divided by 2 or 3: combine gives the dense sum,
+    in the canonical form that LinMap() gives the same matrix."""
+    dom, cod = (data.draw(st.integers(min_value=0, max_value=3))
+                for _ in range(2))
+    coefficients = st.one_of(st.integers(min_value=-3, max_value=3),
+                             rationals) if f == QQ \
+        else st.integers(min_value=-4, max_value=4)
+    terms = [(data.draw(coefficients),
+              _random_map(data.draw, f, dom, cod, rational=True))
+             for _ in range(data.draw(st.integers(min_value=1,
+                                                  max_value=5)))]
+    rows = [[f.zero] * dom for _ in range(cod)]
+    for c, m in terms:
+        for i, row in enumerate(m.rows()):
+            for j, v in enumerate(row):
+                rows[i][j] = f.add(rows[i][j], f.mul(f.parse(c), v))
+    got = combine(terms)
+    assert got.rows() == rows
+    assert got == LinMap.from_rows(Space(dom), Space(cod), f, rows)
+    _assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
 @given(map_pairs(), st.booleans())
 def test_map_equality_agrees_with_the_entry_dicts(case, read_first):
     # maps built by LinMap() and maps born in integer form from @, each
@@ -1045,20 +1124,6 @@ def test_map_equality_agrees_with_the_entry_dicts(case, read_first):
         if read_first:
             x.entries, y.entries
         assert (x == y) == (x.entries == y.entries)
-
-
-def test_assigning_entries_drops_the_integer_form():
-    half = {(0, 0): Fraction(1, 2), (1, 1): 3}
-    for entries in (half, {(0, 1): 1}):
-        m = LinMap(Space(2), Space(2), QQ, entries)
-        born = LinMap.identity(Space(2), QQ) @ m
-        assert born == m
-        born.entries = {(1, 0): Fraction(2, 3)}
-        want = LinMap(Space(2), Space(2), QQ, {(1, 0): Fraction(2, 3)})
-        assert born == want and not born.is_zero()
-        assert born @ LinMap.identity(Space(2), QQ) == want
-        born.entries = {}
-        assert born.is_zero() and born == LinMap.zero(m.dom, m.cod, QQ)
 
 
 @pytest.mark.parametrize("field", [QQ, FieldSpec(5)], ids=repr)
@@ -1216,3 +1281,41 @@ def test_row_update_clears_the_pivot_and_keeps_rows_primitive(pairs):
     if scale is not None:
         assert all(g == scale * e for g, e in zip(got, exact))
         assert gcd(*got) == 1
+
+
+_A2, _B3 = LinMap.identity(Space(2), QQ), LinMap.identity(Space(3), QQ)
+_FREE2 = QuotientPresentation.trivial(Space(2), QQ)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Space(-1),
+    lambda: _A2.apply((1, 2, 3)),
+    lambda: _A2 @ _B3,
+    lambda: _A2 + _B3,
+    lambda: _A2 - _B3,
+    lambda: _A2.scaled(2) - _B3.scaled(2),
+    lambda: combine([]),
+    lambda: fix_factor(_B3, (1, 0)),
+    lambda: Pipe.after(_B3, [2]),
+    lambda: Pipe([2, 3], QQ).permute([0, 0]),
+    lambda: Pipe([2, 3], QQ).block(0, 1, _B3),
+    lambda: Pipe([2, 3], QQ).family(0, 1, _A2, 2),
+    lambda: solve_many(_A2, _B3),
+    lambda: solve(_A2, (1, 2, 3)),
+    lambda: _FREE2.project(_B3),
+    lambda: _FREE2.lift(_B3),
+    lambda: quotient_by(Space(3), _A2, QQ),
+    lambda: descent_witness(_B3, _FREE2, _FREE2),
+], ids=["Space", "apply", "matmul", "add", "sub", "scaled", "combine",
+        "fix_factor", "after", "permute", "block", "family", "solve_many",
+        "solve", "project", "lift", "quotient_by", "descent_witness"])
+def test_mis_shaped_arguments_raise_value_errors(call):
+    """Each check is a raise, not an assert, so it holds under -O too."""
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_matmul_with_a_non_map_is_not_implemented():
+    assert _A2.__matmul__(2) is NotImplemented
+    with pytest.raises(TypeError):
+        _A2 @ 2

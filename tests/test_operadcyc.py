@@ -86,10 +86,10 @@ def test_yd_operad_group(c2):
 def test_perturbed_operad_detected(c2):
     h, z, od = c2
     comp = dict(od.comp)
-    bad = LinMap(comp[(2, 2, 1)].dom, comp[(2, 2, 1)].cod, QQ,
-                 dict(comp[(2, 2, 1)].entries))
-    bad.entries[(0, 0)] = QQ.add(bad.entries.get((0, 0), QQ.zero), QQ.one)
-    comp[(2, 2, 1)] = bad
+    entries = dict(comp[(2, 2, 1)].entries)
+    entries[(0, 0)] = QQ.add(entries.get((0, 0), QQ.zero), QQ.one)
+    comp[(2, 2, 1)] = LinMap(comp[(2, 2, 1)].dom, comp[(2, 2, 1)].cod, QQ,
+                             entries)
     od2 = OperadData(od.spaces, comp, od.one, od.m, od.e, QQ, "perturbed")
     rep = check_operad(od2)
     assert not rep.ok
